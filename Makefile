@@ -14,9 +14,12 @@ test:
 # The simulator and the sweep layer are the concurrency-sensitive packages:
 # sweeps run many single-threaded simulations in parallel and share the
 # run cache, so they get a dedicated race-detector pass. The fault and
-# transport layers ride along: chaos sweeps drive them from the same pool.
+# transport layers ride along: chaos sweeps drive them from the same pool,
+# and so do the three applications that share state across goroutines
+# (memoized tables, pooled scratch, broadcast payloads).
 race:
-	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/faults/... ./internal/par/...
+	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/faults/... ./internal/par/... \
+		./internal/apps/asp ./internal/apps/barneshut ./internal/apps/water
 
 check: build vet test race
 

@@ -27,11 +27,13 @@ import (
 // bandwidth) and therefore equals the value each lane would have computed
 // itself.
 
-// batchLanes is the lane count of one chunk: wide enough to amortize op
+// BatchLanes is the lane count of one chunk: wide enough to amortize op
 // decode and fill the CPU's parallel arithmetic, narrow enough that the
 // K-wide delivery array of a large graph stays cache-resident. Points
 // beyond it are solved in successive chunks over the same reused state.
-const batchLanes = 32
+// It is also the unit SolveBatchParallel shards by, so callers size their
+// worker count in it.
+const BatchLanes = 32
 
 // batchState is the K-lane replay state plus the per-lane parameter
 // columns, allocated once per evaluator and reused across chunks.
@@ -218,8 +220,8 @@ func (e *Eval) ensureBatch(k int) *batchState {
 // exactly as consecutive scalar solves would share it.
 func (e *Eval) SolveBatch(ps []network.Params) []sim.Time {
 	out := make([]sim.Time, len(ps))
-	for lo := 0; lo < len(ps); lo += batchLanes {
-		hi := min(lo+batchLanes, len(ps))
+	for lo := 0; lo < len(ps); lo += BatchLanes {
+		hi := min(lo+BatchLanes, len(ps))
 		e.solveBatchChunk(ps[lo:hi], out[lo:hi])
 	}
 	return out
@@ -231,7 +233,7 @@ func (e *Eval) SolveBatch(ps []network.Params) []sim.Time {
 // in-place single-goroutine pass. Counters of the clones are folded back
 // into e before returning.
 func (e *Eval) SolveBatchParallel(ps []network.Params, workers int) []sim.Time {
-	chunks := (len(ps) + batchLanes - 1) / batchLanes
+	chunks := (len(ps) + BatchLanes - 1) / BatchLanes
 	if workers > chunks {
 		workers = chunks
 	}
@@ -247,7 +249,7 @@ func (e *Eval) SolveBatchParallel(ps []network.Params, workers int) []sim.Time {
 	}
 	out := make([]sim.Time, len(ps))
 	// Contiguous blocks of whole chunks per worker.
-	per := (chunks + workers - 1) / workers * batchLanes
+	per := (chunks + workers - 1) / workers * BatchLanes
 	var wg sync.WaitGroup
 	clones := make([]*Eval, 0, workers)
 	for lo := 0; lo < len(ps); lo += per {
@@ -257,8 +259,8 @@ func (e *Eval) SolveBatchParallel(ps []network.Params, workers int) []sim.Time {
 		wg.Add(1)
 		go func(cl *Eval, lo, hi int) {
 			defer wg.Done()
-			for o := lo; o < hi; o += batchLanes {
-				h := min(o+batchLanes, hi)
+			for o := lo; o < hi; o += BatchLanes {
+				h := min(o+BatchLanes, hi)
 				cl.solveBatchChunk(ps[o:h], out[o:h])
 			}
 		}(cl, lo, hi)
@@ -381,7 +383,7 @@ func uniformLan(ps []network.Params) bool {
 	return true
 }
 
-// solveBatchChunk answers one chunk of at most batchLanes points: load the
+// solveBatchChunk answers one chunk of at most BatchLanes points: load the
 // per-lane parameter columns, seed the lane state (from the shared prefix
 // snapshot when possible), walk the suffix once, reduce per-lane maxima.
 func (e *Eval) solveBatchChunk(ps []network.Params, out []sim.Time) {
@@ -442,7 +444,7 @@ func (e *Eval) solveBatchChunk(ps []network.Params, out []sim.Time) {
 		// lanes before any receive reads them.
 	}
 
-	if k == batchLanes {
+	if k == BatchLanes {
 		e.batchWalk32(b, start)
 	} else {
 		e.batchWalk(b, k, start)
@@ -528,7 +530,20 @@ type batchProg struct {
 
 func buildProg(g *Graph, msgSlot, msgSizeID []int32, wanStart int) *batchProg {
 	n := len(g.Ops)
-	p := &batchProg{start: -1}
+	// Fusion only ever shortens the program, so n entries is the exact
+	// ceiling; growing eight parallel slices by doubling instead left as
+	// much garbage again as the program is long, twice per variant.
+	p := &batchProg{
+		start: -1,
+		kind:  make([]uint8, 0, n),
+		rank:  make([]int32, 0, n),
+		a:     make([]int32, 0, n),
+		b:     make([]int32, 0, n),
+		c:     make([]int32, 0, n),
+		d:     make([]int32, 0, n),
+		t:     make([]int64, 0, n),
+		r:     make([]int32, 0, n),
+	}
 	emit := func(kind uint8, rank, a, b, c, d, r int32, t int64) {
 		p.kind = append(p.kind, kind)
 		p.rank = append(p.rank, rank)
@@ -856,14 +871,14 @@ func (e *Eval) batchWalk(b *batchState, k int, start int) {
 	}
 }
 
-// batchWalk32 is batchWalk specialized to full chunks (k == batchLanes).
-// Converting each entity's lane slice to a *[batchLanes]sim.Time array
+// batchWalk32 is batchWalk specialized to full chunks (k == BatchLanes).
+// Converting each entity's lane slice to a *[BatchLanes]sim.Time array
 // pointer gives every lane loop a compile-time trip count and no bounds
 // checks — worth ~30% on the walk, the kernel the whole grid spends its
 // time in. The arithmetic is identical to batchWalk's.
 func (e *Eval) batchWalk32(b *batchState, start int) {
-	const k = batchLanes
-	type row = [batchLanes]sim.Time
+	const k = BatchLanes
+	type row = [BatchLanes]sim.Time
 	p := e.prog
 	kinds := p.kind
 	wanLatCol := (*row)(b.wanLat)

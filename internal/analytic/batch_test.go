@@ -50,7 +50,7 @@ func TestSolveBatchMatchesScalar(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		g := randomGraph(r, true)
 		mixLan := i%2 == 1
-		n := 1 + r.Intn(2*batchLanes+7)
+		n := 1 + r.Intn(2*BatchLanes+7)
 		ps := randomPoints(r, g.Ref, n, mixLan)
 
 		// Scalar answers from a fresh evaluator.
@@ -94,7 +94,7 @@ func TestSolveBatchParallelMatchesScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	for i := 0; i < 20; i++ {
 		g := randomGraph(r, true)
-		n := 1 + r.Intn(4*batchLanes)
+		n := 1 + r.Intn(4*BatchLanes)
 		ps := randomPoints(r, g.Ref, n, i%3 == 0)
 		fresh := NewEval(g)
 		want := make([]sim.Time, n)

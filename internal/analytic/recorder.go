@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"twolayer/internal/network"
 	"twolayer/internal/sim"
@@ -161,9 +162,17 @@ func (r *Recorder) Finish(elapsed sim.Time) (*Graph, error) {
 	if elapsed <= 0 {
 		return nil, errors.New("analytic: recording finished with non-positive elapsed time")
 	}
-	r.g.RefElapsed = elapsed
-	if err := r.g.Validate(); err != nil {
+	g := &r.g
+	g.RefElapsed = elapsed
+	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return &r.g, nil
+	// The run cache keeps the graph for the rest of the sweep, so hand it
+	// over without the slack amortized growth left behind (up to as much
+	// again as the arrays are long).
+	g.Ops, g.Rank, g.Arg = slices.Clone(g.Ops), slices.Clone(g.Rank), slices.Clone(g.Arg)
+	g.MsgSrc, g.MsgDst = slices.Clone(g.MsgSrc), slices.Clone(g.MsgDst)
+	g.MsgBytes, g.MsgTag = slices.Clone(g.MsgBytes), slices.Clone(g.MsgTag)
+	g.RecvFrom, g.RecvTag, g.RecvPoll = slices.Clone(g.RecvFrom), slices.Clone(g.RecvTag), slices.Clone(g.RecvPoll)
+	return g, nil
 }

@@ -69,12 +69,17 @@ func ConfigFor(s apps.Scale) Config {
 type ASP struct {
 	cfg    Config
 	procs  int
+	all    []int // ranks 0..procs-1, the flat multicast group; read-only
 	result [][]int32
 }
 
 // New builds an instance for the given processor count.
 func New(cfg Config, procs int) *ASP {
-	return &ASP{cfg: cfg, procs: procs, result: make([][]int32, cfg.N)}
+	all := make([]int, procs)
+	for i := range all {
+		all[i] = i
+	}
+	return &ASP{cfg: cfg, procs: procs, all: all, result: make([][]int32, cfg.N)}
 }
 
 // rowsOf returns the row range [lo, hi) owned by rank r.
@@ -179,19 +184,10 @@ func (a *ASP) sendTree(e *par.Env, rm rowMsg, members []int, rootMember int) {
 	}
 }
 
-// allRanks lists 0..p-1.
-func allRanks(p int) []int {
-	out := make([]int, p)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 // broadcast initiates the pivot-row broadcast from its owner.
 func (a *ASP) broadcast(e *par.Env, rm rowMsg, optimized bool) {
 	if !optimized {
-		a.sendTree(e, rm, allRanks(e.Size()), rm.owner)
+		a.sendTree(e, rm, a.all, rm.owner)
 		return
 	}
 	// Two-level: one wide-area message per remote cluster coordinator, then
@@ -208,7 +204,7 @@ func (a *ASP) broadcast(e *par.Env, rm rowMsg, optimized bool) {
 // forward relays a received pivot row down the multicast structure.
 func (a *ASP) forward(e *par.Env, rm rowMsg, optimized bool) {
 	if !optimized {
-		a.sendTree(e, rm, allRanks(e.Size()), rm.owner)
+		a.sendTree(e, rm, a.all, rm.owner)
 		return
 	}
 	// Intra-cluster tree rooted at the owner (same cluster) or at this
@@ -273,6 +269,16 @@ func (a *ASP) run(e *par.Env, optimized bool) {
 		next++
 	}
 
+	// sendPivot broadcasts owned row k and applies it here. The message
+	// carries a snapshot: receivers apply it whenever they reach pivot k,
+	// on other goroutines under the windowed engine, while this rank goes
+	// on relaxing the live row with later pivots.
+	sendPivot := func(k int) {
+		row := append([]int32(nil), mine[k-lo]...)
+		a.broadcast(e, rowMsg{k, r, row}, optimized)
+		relax(row, k)
+	}
+
 	handle := func(m par.Msg) {
 		switch m.Tag {
 		case tagRow:
@@ -304,9 +310,7 @@ func (a *ASP) run(e *par.Env, optimized bool) {
 		if a.ownerOf(next) == r {
 			k := next
 			if noSeq {
-				row := mine[k-lo]
-				a.broadcast(e, rowMsg{k, r, row}, optimized)
-				relax(row, k)
+				sendPivot(k)
 				continue
 			}
 			seq := a.sequencerFor(e, k, optimized)
@@ -321,9 +325,7 @@ func (a *ASP) run(e *par.Env, optimized bool) {
 				// paper describes. Incoming rows simply queue meanwhile.
 				e.Call(seq, tagSeq, k, 16)
 			}
-			row := mine[k-lo]
-			a.broadcast(e, rowMsg{k, r, row}, optimized)
-			relax(row, k)
+			sendPivot(k)
 			continue
 		}
 		if m, ok := buffered[next]; ok {

@@ -20,6 +20,7 @@ package barneshut
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"twolayer/internal/apps"
 	"twolayer/internal/par"
@@ -86,6 +87,40 @@ type BarnesHut struct {
 	cfg    Config
 	procs  int
 	result []Vec // final positions
+
+	// gather recycles the working set of the merged interactor tree. A rank
+	// holds one only from its last receive to its force loop, with no yield
+	// in between, so a run needs as many as it has ranks executing at once:
+	// one under the sequential kernel, one per window worker otherwise. The
+	// lock is for the latter.
+	gatherMu sync.Mutex
+	gather   []*gatherScratch
+}
+
+// gatherScratch is what one rank needs to merge the essential sets it
+// received into an interactor tree: by far the largest per-rank state, and
+// dead as soon as the forces are computed.
+type gatherScratch struct {
+	arena  *arena
+	bodies []Body
+	merged []Interactor
+}
+
+func (b *BarnesHut) getGather() *gatherScratch {
+	b.gatherMu.Lock()
+	defer b.gatherMu.Unlock()
+	if n := len(b.gather); n > 0 {
+		g := b.gather[n-1]
+		b.gather = b.gather[:n-1]
+		return g
+	}
+	return &gatherScratch{arena: newArena()}
+}
+
+func (b *BarnesHut) putGather(g *gatherScratch) {
+	b.gatherMu.Lock()
+	b.gather = append(b.gather, g)
+	b.gatherMu.Unlock()
 }
 
 // New builds an instance for the given processor count.
@@ -143,12 +178,10 @@ func (b *BarnesHut) run(e *par.Env, optimized bool) {
 	all := sortedBodies(cfg.N, cfg.Seed)
 	mine := append([]Body(nil), all[lo:hi]...)
 
-	// Per-rank scratch recycled across iterations: the local and merged
-	// interactor trees are rebuilt every step, and node pooling removes the
-	// build phase's allocations entirely in the steady state.
-	localArena, remoteArena := newArena(), newArena()
-	var remoteScratch []Body
-	var merged []Interactor
+	// Per-rank scratch recycled across iterations: the local tree is
+	// rebuilt every step, and node pooling removes the build phase's
+	// allocations entirely in the steady state.
+	localArena := newArena()
 	forces := make([]Vec, len(mine))
 
 	for it := 0; it < cfg.Iters; it++ {
@@ -249,13 +282,16 @@ func (b *BarnesHut) run(e *par.Env, optimized bool) {
 		// Compute: merge the received essential sets (in rank order, for
 		// determinism) into one interactor tree, then per body combine the
 		// local theta traversal with a theta traversal of the merged tree.
-		merged = merged[:0]
+		// The forces are computed before either phase is charged — charging
+		// yields, and the merged tree's scratch goes back before that — while
+		// virtual time still sees build cost, then interaction cost.
+		g := b.getGather()
+		g.merged = g.merged[:0]
 		for s := 0; s < p; s++ {
-			merged = append(merged, remote[s]...)
+			g.merged = append(g.merged, remote[s]...)
 		}
 		var rt *tree
-		rt, remoteScratch = buildInteractorTreeIn(remoteArena, remoteScratch, merged)
-		e.ComputeUnits(rt.nodes, cfg.BuildCost)
+		rt, g.bodies = buildInteractorTreeIn(g.arena, g.bodies, g.merged)
 		var work int64
 		for i := range mine {
 			acc, w := t.forceLocal(i, cfg.Theta)
@@ -265,6 +301,9 @@ func (b *BarnesHut) run(e *par.Env, optimized bool) {
 			work += rw
 			forces[i] = acc
 		}
+		builtNodes := rt.nodes
+		b.putGather(g)
+		e.ComputeUnits(builtNodes, cfg.BuildCost)
 		e.ComputeUnits(work, cfg.InteractCost)
 
 		// Integrate.

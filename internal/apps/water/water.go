@@ -18,6 +18,7 @@ package water
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"twolayer/internal/apps"
 	"twolayer/internal/par"
@@ -119,18 +120,39 @@ func halfTargets(r, p int) []int {
 	return out
 }
 
-// needers returns the ranks that need rank j's positions (equivalently,
-// that send force contributions back to j): the inverse of halfTargets.
-func needers(j, p int) []int {
-	var out []int
+// neederCache memoizes neederTable per processor count. The optimized
+// program looks needers up per remote owner per rank, and again per
+// forwarded block per iteration; inverting halfTargets afresh each time is
+// O(p^2) appends per lookup, which at 128 processors was four fifths of a
+// topology sweep's host time.
+var neederCache struct {
+	sync.Mutex
+	tables map[int][][]int
+}
+
+// neederTable returns the inverse of halfTargets: entry j lists, ascending,
+// the ranks that need rank j's positions (equivalently, that send force
+// contributions back to j). The table is shared and must not be mutated.
+func neederTable(p int) [][]int {
+	neederCache.Lock()
+	defer neederCache.Unlock()
+	if t, ok := neederCache.tables[p]; ok {
+		return t
+	}
+	t := make([][]int, p)
 	for i := 0; i < p; i++ {
-		for _, t := range halfTargets(i, p) {
-			if t == j {
-				out = append(out, i)
-			}
+		for _, j := range halfTargets(i, p) {
+			t[j] = append(t[j], i)
 		}
 	}
-	return out
+	if neederCache.tables == nil {
+		neederCache.tables = make(map[int][][]int)
+	}
+	if len(neederCache.tables) > 16 { // sweeps touch a handful of machine sizes
+		clear(neederCache.tables)
+	}
+	neederCache.tables[p] = t
+	return t
 }
 
 // Message tags. Each iteration gets a disjoint block so messages from
@@ -200,7 +222,8 @@ func (w *Water) run(e *par.Env, optimized bool) {
 	myVel := append([]Vec3(nil), vel[lo:hi]...)
 
 	targets := halfTargets(r, p)
-	feeders := needers(r, p) // who needs my positions / sends me forces
+	needers := neederTable(p)
+	feeders := needers[r] // who needs my positions / sends me forces
 
 	// Static coordinator bookkeeping for the optimized version.
 	var coordOwners []int // remote owners I coordinate for in my cluster
@@ -214,7 +237,7 @@ func (w *Water) run(e *par.Env, optimized bool) {
 			}
 			// Only coordinate if some rank in my cluster needs j's block or
 			// contributes forces to j.
-			for _, i := range needers(j, p) {
+			for _, i := range needers[j] {
 				if e.Topology().ClusterOf(i) == e.Cluster() {
 					coordOwners = append(coordOwners, j)
 					break
@@ -280,7 +303,7 @@ func (w *Water) run(e *par.Env, optimized bool) {
 			for range coordOwners {
 				m := e.Recv(tag(it, tagPosWAN))
 				pm := m.Data.(posMsg)
-				for _, i := range needers(pm.owner, p) {
+				for _, i := range needers[pm.owner] {
 					if e.Topology().ClusterOf(i) != e.Cluster() || i == r {
 						continue
 					}
@@ -331,7 +354,7 @@ func (w *Water) run(e *par.Env, optimized bool) {
 			expect := 0
 			counts := make(map[int]int)
 			for _, j := range coordOwners {
-				for _, i := range needers(j, p) {
+				for _, i := range needers[j] {
 					if e.Topology().ClusterOf(i) == e.Cluster() {
 						counts[j]++
 						expect++

@@ -2,6 +2,8 @@ package water
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -43,7 +45,7 @@ func TestNeedersInverse(t *testing.T) {
 	f := func(pRaw uint8) bool {
 		p := int(pRaw%31) + 1
 		for j := 0; j < p; j++ {
-			for _, i := range needers(j, p) {
+			for _, i := range neederTable(p)[j] {
 				found := false
 				for _, tgt := range halfTargets(i, p) {
 					if tgt == j {
@@ -60,6 +62,60 @@ func TestNeedersInverse(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestNeederTableMatchesInversionNoAlloc pins the memoized table to the
+// definition it replaced — invert halfTargets by scanning every rank, in
+// ascending order (coordinators forward in that order, so it is part of the
+// simulated timing) — and gates its cost: after first use a lookup
+// allocates nothing.
+func TestNeederTableMatchesInversionNoAlloc(t *testing.T) {
+	for p := 1; p <= 130; p++ {
+		table := neederTable(p)
+		if len(table) != p {
+			t.Fatalf("p=%d: table has %d entries", p, len(table))
+		}
+		for j := 0; j < p; j++ {
+			var want []int
+			for i := 0; i < p; i++ {
+				for _, tgt := range halfTargets(i, p) {
+					if tgt == j {
+						want = append(want, i)
+					}
+				}
+			}
+			if !slices.Equal(table[j], want) {
+				t.Fatalf("p=%d j=%d: needers %v, want %v", p, j, table[j], want)
+			}
+		}
+	}
+	var sink int
+	if n := testing.AllocsPerRun(100, func() {
+		for j := 0; j < 128; j++ {
+			sink += len(neederTable(128)[j])
+		}
+	}); n != 0 {
+		t.Errorf("neederTable allocates %.0f times per 128 lookups after first use, want 0", n)
+	}
+	_ = sink
+}
+
+// TestNeederTableConcurrent is the sweep's access pattern: cells on every
+// core ask for the same few tables at once (run under -race).
+func TestNeederTableConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, p := range []int{131, 132, 32, 131} {
+				if got := len(neederTable(p)); got != p {
+					t.Errorf("p=%d: table has %d entries", p, got)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestBlockPartition(t *testing.T) {

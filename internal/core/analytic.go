@@ -112,6 +112,14 @@ func analyticProbes() []network.Params {
 	}
 }
 
+// recordingSlots is what a sweep cell that records holds of the core
+// budget. Next to its run (always on the sequential kernel: the recorder
+// observes one global order) it builds the graph and an evaluator over it,
+// about a second cell's worth of live heap, so it counts as two; on a small
+// machine that halves how many recordings overlap, for a few percent of a
+// heatmap's wall time.
+const recordingSlots = 2
+
 // analyticEval records (or loads) the graph for one variant and prepares
 // its evaluator plus report skeleton. The exactness check runs on every
 // load: a cached graph that no longer replays to its recorded elapsed time
@@ -155,14 +163,14 @@ func analyticSolver(ev *analytic.Eval, rep AnalyticReport) func(network.Params) 
 	return ev.SolveMatched
 }
 
-// analyticWorkers resolves the worker count batched grid solves shard
-// across: the shared -workers convention when a CLI set one, the machine
-// default otherwise.
-func analyticWorkers() int {
-	if w := DefaultWorkers(); w > 0 {
-		return w
-	}
-	return sim.DefaultWorkers()
+// solveSharded runs one batched solve of the given number of points,
+// sharded perShard points at a time: the caller's goroutine is one shard,
+// and each further shard runs only on a core-budget slot that is idle right
+// now (a sweep already filling the machine with cells solves inline).
+func solveSharded(points, perShard int, solve func(workers int) []sim.Time) []sim.Time {
+	extra := cores.tryAcquire(min((points-1)/perShard, cores.size-1))
+	defer cores.release(extra)
+	return solve(1 + extra)
 }
 
 // analyticGridSolver returns the multi-point solve function for one
@@ -183,11 +191,15 @@ func analyticGridSolver(ev *analytic.Eval, rep AnalyticReport, a AnalyticOptions
 	}
 	if rep.Engine == "frozen" {
 		return func(ps []network.Params) []sim.Time {
-			return ev.SolveBatchParallel(ps, analyticWorkers())
+			return solveSharded(len(ps), analytic.BatchLanes, func(w int) []sim.Time {
+				return ev.SolveBatchParallel(ps, w)
+			})
 		}
 	}
 	return func(ps []network.Params) []sim.Time {
-		return ev.SolveMatchedBatch(ps, analyticWorkers())
+		return solveSharded(len(ps), 1, func(w int) []sim.Time {
+			return ev.SolveMatchedBatch(ps, w)
+		})
 	}
 }
 
@@ -307,7 +319,7 @@ func Figure3Analytic(scale apps.Scale, opts Figure3Options, a AnalyticOptions) (
 
 	// Phase 1: one recording (or cache load) per variant, plus its simulated
 	// single-cluster baseline and health self-check.
-	err := forEachWeighted(len(variants), nil,
+	err := forEachHolding(recordingSlots, len(variants), nil,
 		func(v int) string {
 			return fmt.Sprintf("%s (%s) analytic reference", variants[v].app.Name, variantName(variants[v].opt))
 		},
@@ -424,7 +436,7 @@ func figure4Analytic(scale apps.Scale, byBandwidth bool, pol *RunPolicy, a Analy
 	base := NewBaselines(scale)
 	suite := Apps()
 	curves := make([]Figure4Curve, len(suite))
-	err := forEachWeighted(len(suite), nil,
+	err := forEachHolding(recordingSlots, len(suite), nil,
 		func(i int) string { return fmt.Sprintf("%s analytic figure4 curve", suite[i].Name) },
 		func(i int) error {
 			app := suite[i]
@@ -511,7 +523,7 @@ func ClusterShapeStudyAnalytic(scale apps.Scale, appNames []string, wanLatency s
 		c := cells[k]
 		return fmt.Sprintf("%s shape=%s analytic reference", suite[c.app].Name, shapes[c.shape])
 	}
-	err := forEachWeighted(len(cells), nil, label, func(k int) error {
+	err := forEachHolding(recordingSlots, len(cells), nil, label, func(k int) error {
 		c := cells[k]
 		app, topo := suite[c.app], shapes[c.shape]
 		ev, fail, rep, err := analyticEval(label(k), Experiment{

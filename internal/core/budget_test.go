@@ -1,0 +1,237 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"twolayer/internal/apps"
+	"twolayer/internal/sim"
+	"twolayer/internal/topology"
+)
+
+// The core budget's contract: compute goroutines never outnumber its slots,
+// nested fan-out never waits for a slot (so nothing deadlocks, whatever the
+// machine size), and neither the budget's size nor -workers moves an output
+// byte.
+
+// withBudget swaps the process-wide budget for one of n slots. Tests in this
+// package that use it must not run in parallel with other sweeps.
+func withBudget(t *testing.T, n int) {
+	t.Helper()
+	old := cores
+	cores = newBudget(n)
+	t.Cleanup(func() { cores = old })
+}
+
+func withDefaultWorkers(t *testing.T, n int) {
+	t.Helper()
+	old := DefaultWorkers()
+	SetDefaultWorkers(n)
+	t.Cleanup(func() { SetDefaultWorkers(old) })
+}
+
+// computeGauge counts goroutines inside compute() and remembers the peak.
+type computeGauge struct{ running, peak atomic.Int32 }
+
+func (g *computeGauge) compute() {
+	storeMax(&g.peak, g.running.Add(1))
+	time.Sleep(200 * time.Microsecond)
+	g.running.Add(-1)
+}
+
+func storeMax(a *atomic.Int32, v int32) {
+	for {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
+// shardedCell is a sweep cell that computes, then fans a solve out the way
+// analyticGridSolver does, every shard computing too.
+func shardedCell(g *computeGauge, maxWorkers *atomic.Int32) func(int) error {
+	return func(int) error {
+		g.compute()
+		solveSharded(16, 1, func(workers int) []sim.Time {
+			storeMax(maxWorkers, int32(workers))
+			var wg sync.WaitGroup
+			for w := 1; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					g.compute()
+				}()
+			}
+			g.compute()
+			wg.Wait()
+			return nil
+		})
+		return nil
+	}
+}
+
+func TestBudgetBoundsComputeGoroutines(t *testing.T) {
+	const slots = 3
+	withBudget(t, slots)
+	var g computeGauge
+	var maxWorkers atomic.Int32
+	// Two sweeps at once share the one budget.
+	var wg sync.WaitGroup
+	for s := 0; s < 2; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := forEach(40, shardedCell(&g, &maxWorkers)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if p := g.peak.Load(); p > slots {
+		t.Errorf("%d compute goroutines in flight, budget has %d slots", p, slots)
+	}
+	if cores.free != slots {
+		t.Errorf("%d of %d slots free after the sweeps: slots leaked", cores.free, slots)
+	}
+
+	// A lone cell on an idle budget borrows the rest of the machine.
+	g.peak.Store(0)
+	maxWorkers.Store(0)
+	if err := forEach(1, shardedCell(&g, &maxWorkers)); err != nil {
+		t.Fatal(err)
+	}
+	if w := maxWorkers.Load(); w != slots {
+		t.Errorf("lone cell solved on %d shards, want all %d slots", w, slots)
+	}
+	// So does a solve outside any sweep, whose caller holds no slot.
+	if err := shardedCell(&g, &maxWorkers)(0); err != nil {
+		t.Fatal(err)
+	}
+	if p := g.peak.Load(); p > slots {
+		t.Errorf("%d compute goroutines in flight outside a sweep, budget has %d slots", p, slots)
+	}
+}
+
+// TestBudgetOneSlotNoDeadlock is a one-core machine asked for four in-run
+// workers: every cell wants more slots than exist and fans out inside.
+func TestBudgetOneSlotNoDeadlock(t *testing.T) {
+	withBudget(t, 1)
+	withDefaultWorkers(t, 4)
+	var g computeGauge
+	var maxWorkers atomic.Int32
+	done := make(chan error, 1)
+	go func() { done <- forEach(8, shardedCell(&g, &maxWorkers)) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("sweep on a one-slot budget did not finish")
+	}
+	if p := g.peak.Load(); p != 1 {
+		t.Errorf("%d compute goroutines in flight on a one-slot budget", p)
+	}
+}
+
+// sweepBytes renders a simulated grid, an analytic lattice and the
+// multi-hop study, each from a cold private cache.
+func sweepBytes(t *testing.T) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	panels, err := Figure3(apps.Tiny, Figure3Options{
+		Apps:      []string{"Water", "ASP"},
+		Latencies: []sim.Time{Latencies[0], Latencies[3], Latencies[6]}, Bandwidths: []float64{Bandwidths[0], Bandwidths[5]},
+		Cache: NewRunCache(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&out, "%+v\n", panels)
+	heat, reports, err := Heatmap(apps.Tiny, HeatmapOptions{Size: 12, Apps: []string{"Water", "TSP"}, Cache: NewRunCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	WriteHeatmapCSV(&out, heat)
+	fmt.Fprintf(&out, "%+v\n", reports)
+	points, err := TopologyStudy(TopologyStudyConfig{
+		Scale: apps.Tiny, Apps: []string{"Water", "ASP"}, Procs: 16,
+		Clusters: []int{4, 8}, Topologies: []string{"clique", "ring"},
+		Cache: NewRunCache(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	WriteTopologyCSV(&out, points)
+	return out.Bytes()
+}
+
+func TestSweepOutputIndependentOfBudgetAndWorkers(t *testing.T) {
+	withBudget(t, 1)
+	withDefaultWorkers(t, 0)
+	want := sweepBytes(t)
+	for _, c := range []struct{ slots, workers int }{{4, 0}, {4, 1}, {4, 4}, {2, 4}} {
+		cores = newBudget(c.slots)
+		SetDefaultWorkers(c.workers)
+		if got := sweepBytes(t); !bytes.Equal(got, want) {
+			t.Errorf("budget %d, workers %d: output differs from budget 1, workers 0", c.slots, c.workers)
+		}
+	}
+}
+
+// TestCellAllocCap gates what one sweep cell allocates, in bytes — the
+// deterministic column: the budget keeps one cell per core in flight, so a
+// cell's footprint is multiplied by the machine. Each cap sits well under
+// what the cell cost before its fix and well over what it costs now.
+func TestCellAllocCap(t *testing.T) {
+	for _, c := range []struct {
+		app   string
+		scale apps.Scale
+		topo  *topology.Topology
+		capMB float64
+		was   string
+	}{
+		// Set-up per rank is O(p) bytes: inverting halfTargets per lookup
+		// made this cell 813 MB at 128 ranks.
+		{"Water", apps.Tiny, topology.MustUniform(16, 8), 32, "813 MB"},
+		// The merged interactor tree's scratch is pooled between yields,
+		// not held per rank.
+		{"Barnes-Hut", apps.Paper, topology.DAS(), 8, "13.7 MB"},
+		// A rank copies its rows of the input, not all N elements.
+		{"FFT", apps.Paper, topology.DAS(), 12, "40 MB"},
+		// The flat multicast group is built once, and pivot-row snapshots
+		// cost less than that saved.
+		{"ASP", apps.Paper, topology.DAS(), 5, "6.6 MB unoptimized"},
+	} {
+		app, err := AppByName(c.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opt := range []bool{false, true} {
+			if opt && !app.HasOptimized {
+				continue
+			}
+			x := Experiment{App: app, Scale: c.scale, Optimized: opt, Topo: c.topo,
+				Params: ReferenceParams(), Workers: -1}
+			if _, err := x.Run(); err != nil { // fill the process-wide memo tables
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := x.Run(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > c.capMB {
+				t.Errorf("%s (%s) %v on %v allocates %.1f MB per cell, cap %.0f MB (was %s)",
+					c.app, variantName(opt), c.scale, c.topo, mb, c.capMB, c.was)
+			}
+		}
+	}
+}

@@ -123,14 +123,15 @@ type Experiment struct {
 }
 
 // defaultWorkers is the process-wide in-run worker default consulted when
-// Experiment.Workers is zero. It starts at 0 (sequential): library users
-// opt in explicitly, and the CLIs set it from their -workers flag.
+// Experiment.Workers is zero. It starts at 0, and the CLIs' default
+// (-workers -1) leaves it there: sweeps are sets of independent cells, and
+// one sequential kernel per core finishes them sooner than window workers
+// inside one cell do, so in-run workers are opt-in (-workers N).
 var defaultWorkers atomic.Int32
 
 // SetDefaultWorkers sets the process-wide default for Experiment.Workers ==
-// 0. Values below 1 select sequential execution. The sweep pool divides the
-// machine by this number (see parallelism), so set it before starting
-// sweeps.
+// 0. Values below 1 select sequential execution. A sweep cell holds this
+// many slots of the core budget, so set it before starting sweeps.
 func SetDefaultWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -249,28 +250,66 @@ func CommTimePercent(singleCluster, multiCluster sim.Time) float64 {
 	return v
 }
 
-// parallelism bounds concurrent simulations in sweeps. All cores are used:
-// the coordinating goroutine only blocks on the worker pool, so reserving
-// a core for it — which on the common 2-core CI box meant a single worker
-// and a core sitting idle through every sweep — just wastes half the
-// machine. With in-run workers enabled (SetDefaultWorkers), the pool
-// shrinks so that workers x concurrent cells stays near the core count
-// instead of oversubscribing. Results are collected into per-index slots,
-// so neither count ever affects output.
-func parallelism() int {
-	n := runtime.NumCPU()
-	if w := DefaultWorkers(); w > 1 {
-		n /= w
+// budget is the process-wide core budget: one slot per CPU, shared by every
+// sweep in the process. A sweep cell holds slots for as long as it runs
+// (forEachWeighted: one, or its in-run worker count when -workers N forces
+// the windowed engine), and fan-out nested inside a cell (solver shards, see
+// solveSharded) borrows only slots that are idle at that moment and
+// otherwise runs inline. So compute goroutines never outnumber the slots,
+// and a cell never waits for the budget it already holds part of. Results
+// are collected into per-index slots, so the budget's size never affects
+// output.
+type budget struct {
+	mu         sync.Mutex
+	freed      *sync.Cond
+	size, free int
+}
+
+func newBudget(n int) *budget {
+	n = max(n, 1)
+	b := &budget{size: n, free: n}
+	b.freed = sync.NewCond(&b.mu)
+	return b
+}
+
+// cores is the budget every sweep draws on. All cores are in it: the
+// coordinating goroutine only blocks on its cells.
+var cores = newBudget(runtime.NumCPU())
+
+// acquire waits until n slots (at most the whole budget, at least one) are
+// free together, takes them, and returns how many it took.
+func (b *budget) acquire(n int) int {
+	n = max(1, min(n, b.size))
+	b.mu.Lock()
+	for b.free < n {
+		b.freed.Wait()
 	}
-	if n < 1 {
-		n = 1
-	}
+	b.free -= n
+	b.mu.Unlock()
 	return n
 }
 
-// forEach runs fn(i) for i in [0,n) on a bounded worker pool. Every shard
-// runs to completion even if others fail, and all errors are reported
-// (joined in index order), so one bad cell in a sweep cannot mask another.
+// tryAcquire takes up to n idle slots without waiting and returns how many
+// it got, possibly none.
+func (b *budget) tryAcquire(n int) int {
+	b.mu.Lock()
+	n = max(0, min(n, b.free))
+	b.free -= n
+	b.mu.Unlock()
+	return n
+}
+
+func (b *budget) release(n int) {
+	b.mu.Lock()
+	b.free += n
+	b.mu.Unlock()
+	b.freed.Broadcast()
+}
+
+// forEach runs fn(i) for i in [0,n), each call holding core-budget slots.
+// Every shard runs to completion even if others fail, and all errors are
+// reported (joined in index order), so one bad cell in a sweep cannot mask
+// another.
 func forEach(n int, fn func(i int) error) error {
 	return forEachWeighted(n, nil, nil, fn)
 }
@@ -286,6 +325,12 @@ func forEach(n int, fn func(i int) error) error {
 // identity, so a joined sweep error names exactly which cells failed
 // instead of presenting an anonymous pile.
 func forEachWeighted(n int, weight func(i int) float64, label func(i int) string, fn func(i int) error) error {
+	return forEachHolding(DefaultWorkers(), n, weight, label, fn)
+}
+
+// forEachHolding is forEachWeighted with each call holding the given
+// number of core-budget slots (at least one, at most the whole budget).
+func forEachHolding(slots, n int, weight func(i int) float64, label func(i int) string, fn func(i int) error) error {
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -298,15 +343,14 @@ func forEachWeighted(n int, weight func(i int) float64, label func(i int) string
 		sort.SliceStable(order, func(a, b int) bool { return w[order[a]] > w[order[b]] })
 	}
 	errs := make([]error, n)
-	sem := make(chan struct{}, parallelism())
 	var wg sync.WaitGroup
 	for _, i := range order {
 		i := i
 		wg.Add(1)
-		sem <- struct{}{}
+		held := cores.acquire(slots)
 		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
+			defer cores.release(held)
 			var err error
 			if label != nil {
 				// The cell identity doubles as a pprof label, so a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -131,6 +132,39 @@ func TestParallelFaultedDifferential(t *testing.T) {
 				}
 				resultsEqual(t, cfg.name+"/"+appName, seq, res)
 			})
+		}
+	}
+}
+
+// TestParallelSharedPayloadDifferential is the differential for what the
+// golden point is too small to catch under -race: a message payload shared
+// by reference between logical processes. ASP's owner keeps relaxing the
+// row it just broadcast, so the broadcast must carry a snapshot; at a slow
+// wide-area setting receivers lag far enough behind for the race detector
+// to see the overlap if it does not.
+func TestParallelSharedPayloadDifferential(t *testing.T) {
+	app, err := AppByName("ASP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []bool{false, true} {
+		x := Experiment{
+			App: app, Scale: apps.Tiny, Optimized: opt, Verify: true,
+			Topo:   topology.DAS(),
+			Params: network.DefaultParams().WithWAN(30*sim.Millisecond, 0.1e6),
+		}
+		x.Workers = -1
+		seq, err := x.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{2, 4} {
+			x.Workers = w
+			res, err := x.Run()
+			if err != nil {
+				t.Fatalf("opt=%v workers=%d: %v", opt, w, err)
+			}
+			resultsEqual(t, fmt.Sprintf("ASP opt=%v workers=%d", opt, w), seq, res)
 		}
 	}
 }

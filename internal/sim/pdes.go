@@ -283,11 +283,11 @@ func aggregateSnapshot(e *RunError, lps []*Kernel, w *windowState, cfg WindowCon
 	}
 }
 
-// DefaultWorkers is the process-wide default worker count for parallel
-// in-run execution when a caller asks for "auto": enough to use a small
-// machine fully, capped so sweeps that also parallelize across runs are not
-// oversubscribed (workers x concurrent runs should stay near the core
-// count; see core.Experiment.Workers).
+// DefaultWorkers is a sensible window-worker count for one stand-alone run
+// on this machine: enough to use a small machine fully, capped because the
+// barrier cost grows with the pool. Nothing applies it implicitly — sweeps
+// spend their cores on independent cells instead (see core's budget), and
+// in-run workers are an explicit request (core.Experiment.Workers).
 func DefaultWorkers() int {
 	n := runtime.GOMAXPROCS(0)
 	if n > 4 {

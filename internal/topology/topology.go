@@ -16,6 +16,7 @@ type Topology struct {
 	total     int
 	clusterOf []int // rank -> cluster
 	first     []int // cluster -> first rank
+	ranks     []int // 0..total-1; RanksIn hands out sub-slices
 }
 
 // New builds a topology from per-cluster processor counts. Every cluster
@@ -32,6 +33,7 @@ func New(sizes []int) (*Topology, error) {
 		t.first = append(t.first, t.total)
 		for i := 0; i < n; i++ {
 			t.clusterOf = append(t.clusterOf, c)
+			t.ranks = append(t.ranks, t.total+i)
 		}
 		t.total += n
 	}
@@ -106,13 +108,12 @@ func (t *Topology) RankInCluster(rank int) int {
 	return rank - t.first[t.clusterOf[rank]]
 }
 
-// RanksIn returns the global ranks in cluster c, in increasing order.
+// RanksIn returns the global ranks in cluster c, in increasing order. The
+// slice is a view of the topology's own table (coordinator lookups ask for
+// it per message) and must not be modified; appending to it copies.
 func (t *Topology) RanksIn(c int) []int {
-	out := make([]int, t.sizes[c])
-	for i := range out {
-		out[i] = t.first[c] + i
-	}
-	return out
+	lo, hi := t.first[c], t.first[c]+t.sizes[c]
+	return t.ranks[lo:hi:hi]
 }
 
 // SameCluster reports whether two ranks share a cluster (and hence
