@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check bench bench-runpath bench-pdes bench-analytic bench-topo chaos chaos-resume heatmap
+.PHONY: build test vet race purego check bench bench-runpath bench-pdes bench-analytic bench-topo chaos chaos-resume heatmap
 
 build:
 	$(GO) build ./...
@@ -21,7 +21,14 @@ race:
 	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/faults/... ./internal/par/... \
 		./internal/apps/asp ./internal/apps/barneshut ./internal/apps/water
 
-check: build vet test race
+# ASP's row relaxation is assembly on amd64; purego builds the portable Go
+# body (what -race and other architectures get), which must reproduce the
+# same goldens.
+purego:
+	$(GO) test -count=1 -tags purego ./internal/apps/asp
+	$(GO) test -count=1 -tags purego -run 'TestGoldenDeterminism$$' ./internal/core
+
+check: build vet test race purego
 
 # bench regenerates results/BENCH_kernel.json (median of 5 runs).
 bench:

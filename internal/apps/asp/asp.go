@@ -16,6 +16,7 @@ package asp
 
 import (
 	"fmt"
+	"iter"
 
 	"twolayer/internal/apps"
 	"twolayer/internal/par"
@@ -69,17 +70,12 @@ func ConfigFor(s apps.Scale) Config {
 type ASP struct {
 	cfg    Config
 	procs  int
-	all    []int // ranks 0..procs-1, the flat multicast group; read-only
 	result [][]int32
 }
 
 // New builds an instance for the given processor count.
 func New(cfg Config, procs int) *ASP {
-	all := make([]int, procs)
-	for i := range all {
-		all[i] = i
-	}
-	return &ASP{cfg: cfg, procs: procs, all: all, result: make([][]int32, cfg.N)}
+	return &ASP{cfg: cfg, procs: procs, result: make([][]int32, cfg.N)}
 }
 
 // rowsOf returns the row range [lo, hi) owned by rank r.
@@ -143,51 +139,51 @@ func (a *ASP) grantPivots(e *par.Env, r int, optimized bool) []int {
 	return out
 }
 
-// binChildren returns the children of virtual rank vr in a binomial tree of
+// binChildren yields the children of virtual rank vr in a binomial tree of
 // size n, largest subtree first.
-func binChildren(vr, n int) []int {
-	lowbit := vr & -vr
-	if vr == 0 {
-		lowbit = 1
-		for lowbit < n {
-			lowbit <<= 1
+func binChildren(vr, n int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		lowbit := vr & -vr
+		if vr == 0 {
+			lowbit = 1
+			for lowbit < n {
+				lowbit <<= 1
+			}
+		}
+		for m := lowbit >> 1; m >= 1; m >>= 1 {
+			if vr+m < n && !yield(vr+m) {
+				return
+			}
 		}
 	}
-	var out []int
-	for m := lowbit >> 1; m >= 1; m >>= 1 {
-		if vr+m < n {
-			out = append(out, vr+m)
-		}
-	}
-	return out
 }
 
-// sendTree forwards rm to this rank's children in a binomial tree over the
-// given member list rooted at rootMember.
-func (a *ASP) sendTree(e *par.Env, rm rowMsg, members []int, rootMember int) {
-	n := len(members)
-	idx, rootIdx := -1, -1
-	for i, m := range members {
-		if m == e.Rank() {
-			idx = i
-		}
-		if m == rootMember {
-			rootIdx = i
-		}
-	}
-	if idx < 0 || rootIdx < 0 {
+// sendTree forwards rm (a boxed rowMsg, boxed once per broadcast and passed
+// on as received) to this rank's children in a binomial tree over the n
+// consecutive ranks starting at base, rooted at rank root.
+func (a *ASP) sendTree(e *par.Env, rm any, base, n, root int) {
+	r := e.Rank()
+	if r < base || r >= base+n || root < base || root >= base+n {
 		panic("asp: rank not in multicast group")
 	}
-	vr := (idx - rootIdx + n) % n
-	for _, cv := range binChildren(vr, n) {
-		e.Send(members[(cv+rootIdx)%n], tagRow, rm, a.rowBytes())
+	vr := (r - root + n) % n
+	for cv := range binChildren(vr, n) {
+		e.Send(base+(cv+root-base)%n, tagRow, rm, a.rowBytes())
 	}
+}
+
+// sendClusterTree is sendTree over this rank's own cluster, whose ranks are
+// consecutive from its coordinator.
+func (a *ASP) sendClusterTree(e *par.Env, rm any, root int) {
+	c := e.Cluster()
+	a.sendTree(e, rm, e.Coordinator(c), e.Topology().ClusterSize(c), root)
 }
 
 // broadcast initiates the pivot-row broadcast from its owner.
-func (a *ASP) broadcast(e *par.Env, rm rowMsg, optimized bool) {
+func (a *ASP) broadcast(e *par.Env, row rowMsg, optimized bool) {
+	var rm any = row
 	if !optimized {
-		a.sendTree(e, rm, a.all, rm.owner)
+		a.sendTree(e, rm, 0, a.procs, row.owner)
 		return
 	}
 	// Two-level: one wide-area message per remote cluster coordinator, then
@@ -198,22 +194,23 @@ func (a *ASP) broadcast(e *par.Env, rm rowMsg, optimized bool) {
 		}
 		e.Send(e.Coordinator(c), tagRow, rm, a.rowBytes())
 	}
-	a.sendTree(e, rm, e.ClusterPeers(), e.Rank())
+	a.sendClusterTree(e, rm, e.Rank())
 }
 
-// forward relays a received pivot row down the multicast structure.
-func (a *ASP) forward(e *par.Env, rm rowMsg, optimized bool) {
+// forward relays a received pivot row, still boxed, down the multicast
+// structure.
+func (a *ASP) forward(e *par.Env, rm any, owner int, optimized bool) {
 	if !optimized {
-		a.sendTree(e, rm, a.all, rm.owner)
+		a.sendTree(e, rm, 0, a.procs, owner)
 		return
 	}
 	// Intra-cluster tree rooted at the owner (same cluster) or at this
 	// cluster's coordinator (row arrived over the wide area).
-	root := rm.owner
-	if !e.SameCluster(rm.owner) {
+	root := owner
+	if !e.SameCluster(owner) {
 		root = e.Coordinator(e.Cluster())
 	}
-	a.sendTree(e, rm, e.ClusterPeers(), root)
+	a.sendClusterTree(e, rm, root)
 }
 
 // Job returns the SPMD body.
@@ -283,7 +280,7 @@ func (a *ASP) run(e *par.Env, optimized bool) {
 		switch m.Tag {
 		case tagRow:
 			rm := m.Data.(rowMsg)
-			a.forward(e, rm, optimized)
+			a.forward(e, m.Data, rm.owner, optimized)
 			buffered[rm.k] = rm
 		case tagSeq:
 			req := m.Data.(par.Request)

@@ -62,7 +62,7 @@ func TestBinChildrenSpansTree(t *testing.T) {
 				t.Fatalf("n=%d: node %d reached twice", n, vr)
 			}
 			reached[vr] = true
-			for _, c := range binChildren(vr, n) {
+			for c := range binChildren(vr, n) {
 				visit(c)
 			}
 		}

@@ -100,25 +100,28 @@ func randomGraphRows(n int, seed int64, lo, hi int) [][]int32 {
 }
 
 // relaxRows applies pivot row k to every row of rows: the Floyd-Warshall
-// inner update rows[i][j] = min(rows[i][j], rows[i][k]+rowk[j]). The
-// arithmetic is pure int32, so hoisting the row headers and ranging over
-// rowk (which lets the compiler drop both bounds checks) cannot change a
-// single result bit; the guarded store (rather than a branchless min)
-// wins because successful relaxations are rare once distances stabilize,
-// making the branch predictable and the store usually skippable. Shared by
-// the distributed relax loop, the sequential reference, and the
-// differential tests.
+// inner update rows[i][j] = min(rows[i][j], rows[i][k]+rowk[j]), one
+// relaxRow per row that can reach k. Shared by the distributed relax
+// loop, the sequential reference, BenchRowRelaxations and the differential
+// tests.
 func relaxRows(rows [][]int32, rowk []int32, k int) {
-	for i := range rows {
-		rowi := rows[i]
-		dik := rowi[k]
-		if dik >= inf {
-			continue
+	for _, rowi := range rows {
+		if dik := rowi[k]; dik < inf {
+			relaxRow(rowi, rowk, dik)
 		}
-		for j, wkj := range rowk[:len(rowi)] {
-			if v := dik + wkj; v < rowi[j] {
-				rowi[j] = v
-			}
+	}
+}
+
+// relaxRowScalar is the portable form of the row primitive
+// dst[j] = min(dst[j], d+src[j]), and the tail of the vector one. Ranging
+// over src lets the compiler drop both bounds checks; the guarded store
+// beats a branchless min in scalar code because successful relaxations are
+// rare once distances stabilize. It is the only body the race detector
+// sees (DESIGN.md §5b).
+func relaxRowScalar(dst, src []int32, d int32) {
+	for j, s := range src[:len(dst)] {
+		if v := d + s; v < dst[j] {
+			dst[j] = v
 		}
 	}
 }

@@ -1,0 +1,31 @@
+//go:build amd64 && !purego && !race
+
+package asp
+
+// useAVX2 is decided once at start-up: CPUID reports AVX2 and XGETBV
+// reports that the OS saves the YMM registers.
+var useAVX2 = hasAVX2()
+
+// hasAVX2 probes CPUID leaves 1 and 7 and XCR0.
+func hasAVX2() bool
+
+// relaxRowAVX2 applies dst[j] = min(dst[j], d+src[j]) to the first
+// len(dst)&^7 elements, eight int32 lanes at a time with an unconditional
+// store. It needs len(src) >= len(dst); dst and src may be the same row.
+//
+//go:noescape
+func relaxRowAVX2(dst, src []int32, d int32)
+
+// relaxRow is dst[j] = min(dst[j], d+src[j]) over len(dst) elements. Int32
+// add and signed min are what the scalar body computes, so every lane is
+// bit-identical to it; storing unchanged values back is safe because dst is
+// a row only this rank writes and src is a snapshot or dst itself.
+func relaxRow(dst, src []int32, d int32) {
+	src = src[:len(dst)]
+	tail := 0
+	if useAVX2 {
+		relaxRowAVX2(dst, src, d)
+		tail = len(dst) &^ 7
+	}
+	relaxRowScalar(dst[tail:], src[tail:], d)
+}

@@ -44,9 +44,9 @@ type Params struct {
 	//	    and the bandwidth 1 -> 1/FACTOR -> 1 (default FACTOR 8). The
 	//	    wave's phase is seed-derived.
 	//	congestion[:FLOWS[:INTENSITY[:PERIOD]]]
-	//	    FLOWS seeded background flows (default 2 per cluster), each
-	//	    between a seeded cluster pair, each on for half of every PERIOD
-	//	    (default 500ms) with a seeded phase. A flow loads every
+	//	    FLOWS seeded background flows (default 2 per cluster, at most
+	//	    65536), each between a seeded cluster pair, each on for half of
+	//	    every PERIOD (default 500ms) with a seeded phase. A flow loads every
 	//	    wide-area link on its route (multi-hop graphs included), and a
 	//	    link carrying L active flows runs at bandwidth/(1+INTENSITY*L)
 	//	    with latency *(1+INTENSITY*L/4) (default INTENSITY 4).
@@ -111,6 +111,12 @@ type churnClause struct {
 	down   sim.Time
 }
 
+// maxCongestionFlows bounds the congestion clause's FLOWS argument: a plan
+// holds every flow and routes it at bind time, so an unbounded count from
+// the command line is an allocation of the user's choosing. The studies
+// use at most a few dozen.
+const maxCongestionFlows = 1 << 16
+
 // parseSpec parses the clause grammar; see Params.Spec.
 func parseSpec(spec string) (clauses, error) {
 	var cl clauses
@@ -141,6 +147,9 @@ func parseSpec(spec string) (clauses, error) {
 			}
 			if c.flows < 0 {
 				return cl, fmt.Errorf("regime: negative congestion flow count %d", c.flows)
+			}
+			if c.flows > maxCongestionFlows {
+				return cl, fmt.Errorf("regime: congestion flow count %d exceeds %d", c.flows, maxCongestionFlows)
 			}
 			if c.intensity < 0 {
 				return cl, fmt.Errorf("regime: negative congestion intensity %g", c.intensity)

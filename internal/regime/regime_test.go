@@ -1,6 +1,7 @@
 package regime
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,8 +9,9 @@ import (
 	"twolayer/internal/wantopo"
 )
 
-func TestValidate(t *testing.T) {
-	valid := []Params{
+// Validate's tables; FuzzSpec seeds its corpus from them.
+var (
+	validParams = []Params{
 		{},
 		{Spec: "diurnal"},
 		{Spec: "diurnal:250ms"},
@@ -22,12 +24,7 @@ func TestValidate(t *testing.T) {
 		{Spec: "rel"},
 		{Spec: "diurnal:1s:8+congestion+churn:1s:100ms+rel", Seed: 3},
 	}
-	for _, p := range valid {
-		if err := p.Validate(); err != nil {
-			t.Errorf("valid %+v rejected: %v", p, err)
-		}
-	}
-	invalid := []struct {
+	invalidParams = []struct {
 		p    Params
 		want string
 	}{
@@ -44,12 +41,21 @@ func TestValidate(t *testing.T) {
 		{Params{Spec: "diurnal:1s:NaN"}, "NaN"},
 		{Params{Spec: "diurnal:1s:8:extra"}, "too many arguments"},
 		{Params{Spec: "congestion:-2"}, "negative congestion flow count"},
+		{Params{Spec: "congestion:100000000"}, "flow count 100000000 exceeds"}, // found by FuzzSpec: an 8 GB plan
 		{Params{Spec: "congestion:2:-1"}, "negative congestion intensity"},
 		{Params{Spec: "churn:1s:1s"}, "shorter than the period"},
 		{Params{Spec: "churn:1s:2s"}, "shorter than the period"},
 		{Params{Spec: "rel:1"}, "takes no arguments"},
 	}
-	for _, tc := range invalid {
+)
+
+func TestValidate(t *testing.T) {
+	for _, p := range validParams {
+		if err := p.Validate(); err != nil {
+			t.Errorf("valid %+v rejected: %v", p, err)
+		}
+	}
+	for _, tc := range invalidParams {
 		err := tc.p.Validate()
 		if err == nil {
 			t.Errorf("invalid %+v accepted", tc.p)
@@ -59,6 +65,38 @@ func TestValidate(t *testing.T) {
 			t.Errorf("%+v: error %q does not mention %q", tc.p, err, tc.want)
 		}
 	}
+}
+
+// FuzzSpec feeds the -regime grammar arbitrary strings: Validate (and
+// parseSpec under it) must never panic, and whatever it accepts must
+// compile to the same plan twice, on the clique and on a multi-hop graph.
+func FuzzSpec(f *testing.F) {
+	for _, p := range validParams {
+		f.Add(p.Spec, p.Seed)
+	}
+	for _, tc := range invalidParams {
+		f.Add(tc.p.Spec, tc.p.Seed)
+	}
+	ring, err := wantopo.Ring(5)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, spec string, seed int64) {
+		p := Params{Spec: spec, Seed: seed}
+		if p.Validate() != nil || !p.Enabled() {
+			return
+		}
+		for _, w := range []*wantopo.WAN{nil, ring} {
+			a, err := NewPlan(p, w, 5)
+			if err != nil {
+				t.Fatalf("Validate accepted %+v, NewPlan refused it: %v", p, err)
+			}
+			b, err := NewPlan(p, w, 5)
+			if err != nil || !reflect.DeepEqual(a, b) {
+				t.Fatalf("%+v compiled to two different plans (second error: %v)", p, err)
+			}
+		}
+	})
 }
 
 func TestPlanProperties(t *testing.T) {

@@ -279,8 +279,9 @@ func TestMinMPLSearch(t *testing.T) {
 	checkRoutes(t, a)
 }
 
-func TestParse(t *testing.T) {
-	good := []struct{ spec, canonical string }{
+// Parse's table at 16 clusters; FuzzParse seeds its corpus from it.
+var (
+	parseGood = []struct{ spec, canonical string }{
 		{"", "clique"},
 		{"clique", "clique"},
 		{"ring", "ring"},
@@ -292,7 +293,12 @@ func TestParse(t *testing.T) {
 		{"fattree:4", "fattree:4"},
 		{"minmpl:4:7", "minmpl:4:7"},
 	}
-	for _, tc := range good {
+	parseBad = []string{"mesh", "torus:3x3", "torus:x", "circulant:0", "circulant:9",
+		"fattree:5", "fattree:x", "minmpl:3", "minmpl:x", "clique:2", "ring:4"}
+)
+
+func TestParse(t *testing.T) {
+	for _, tc := range parseGood {
 		w, err := Parse(tc.spec, 16)
 		if err != nil {
 			t.Fatalf("Parse(%q, 16): %v", tc.spec, err)
@@ -301,13 +307,47 @@ func TestParse(t *testing.T) {
 			t.Fatalf("Parse(%q, 16) spec %q, want %q", tc.spec, w.Spec(), tc.canonical)
 		}
 	}
-	bad := []string{"mesh", "torus:3x3", "torus:x", "circulant:0", "circulant:9",
-		"fattree:5", "fattree:x", "minmpl:3", "minmpl:x", "clique:2", "ring:4"}
-	for _, spec := range bad {
+	for _, spec := range parseBad {
 		if _, err := Parse(spec, 16); err == nil {
 			t.Fatalf("Parse(%q, 16) accepted", spec)
 		}
 	}
+}
+
+// FuzzParse feeds Parse arbitrary -wan-topology strings on 1..64 clusters:
+// it must never panic, and whatever it accepts must build the same graph
+// twice, route every cluster pair, and name itself with a spec Parse turns
+// back into that graph.
+func FuzzParse(f *testing.F) {
+	for _, tc := range parseGood {
+		f.Add(tc.spec, uint8(16))
+	}
+	for _, spec := range parseBad {
+		f.Add(spec, uint8(16))
+	}
+	f.Add("torus:2x3x4", uint8(24))
+	f.Add("minmpl:6", uint8(64))
+	f.Add("fattree:1", uint8(2))
+	f.Fuzz(func(t *testing.T, spec string, c uint8) {
+		clusters := 1 + int(c)%64
+		w, err := Parse(spec, clusters)
+		if err != nil {
+			return
+		}
+		if w.Clusters() != clusters {
+			t.Fatalf("Parse(%q, %d) built %d clusters", spec, clusters, w.Clusters())
+		}
+		checkRoutes(t, w)
+		for _, again := range []string{spec, w.Spec()} {
+			w2, err := Parse(again, clusters)
+			if err != nil {
+				t.Fatalf("Parse(%q, %d) accepted, then Parse(%q) failed: %v", spec, clusters, again, err)
+			}
+			if !reflect.DeepEqual(w, w2) {
+				t.Fatalf("Parse(%q, %d) and Parse(%q) built different graphs", spec, clusters, again)
+			}
+		}
+	})
 }
 
 // TestRoutesByteIdentical rebuilds the same graphs under different
