@@ -1,9 +1,13 @@
 GO ?= go
 
-.PHONY: build test vet race purego check bench bench-runpath bench-pdes bench-analytic bench-topo chaos chaos-resume heatmap
+.PHONY: build fmt test vet race purego check bench bench-runpath bench-pdes bench-analytic bench-topo chaos chaos-resume heatmap
 
 build:
 	$(GO) build ./...
+
+# fmt fails, naming the files, if anything in the tree is not gofmt-clean.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -28,7 +32,7 @@ purego:
 	$(GO) test -count=1 -tags purego ./internal/apps/asp
 	$(GO) test -count=1 -tags purego -run 'TestGoldenDeterminism$$' ./internal/core
 
-check: build vet test race purego
+check: build fmt vet test race purego
 
 # bench regenerates results/BENCH_kernel.json (median of 5 runs).
 bench:

@@ -196,6 +196,68 @@ func (a *Awari) run(e *par.Env, optimized bool) {
 	round := 0
 	bytesFor := func(n int) int64 { return 16 + int64(n)*cfg.UpdateBytes }
 
+	// The round's incoming updates and the helpers that collect them live
+	// out here, made once per rank: the collectors are handed to the runtime
+	// (Env.RecvN keeps them until the batch is in), so inside exchangeRound
+	// they would be heap-allocated every round.
+	var pending []update // this round's updates: local ones, then received
+	procIdx := 0         // prefix of pending already processed (adaptive overlap)
+
+	// overlapStep processes one batch of already-received updates; an
+	// adaptive run calls it while waiting for slow wide-area messages,
+	// overlapping this round's mandatory processing with regime-inflated
+	// message latency. Updates are processed in the same prefix order as
+	// the static program (within-round processing is order-independent
+	// anyway: a state's counter reaches zero only when every successor
+	// reported Win, which excludes any pending Loss for it), and the
+	// total compute charged is identical — it just runs during waits.
+	overlapStep := func() bool {
+		if procIdx >= len(pending) {
+			return false
+		}
+		batch := len(pending) - procIdx
+		if batch > 64 {
+			batch = 64
+		}
+		e.ComputeUnits(int64(batch), cfg.UpdateCost)
+		for _, u := range pending[procIdx : procIdx+batch] {
+			process(u)
+		}
+		procIdx += batch
+		return true
+	}
+	// recvN receives count messages matching (from, tag). Statically it
+	// is one counted receive (each only touches this rank's state, so
+	// the rank need not wake per message); adaptively it polls and fills
+	// the wait with overlapStep, falling back to a blocking receive only
+	// when no processing work remains (so it never spins).
+	adaptive := e.Adaptive()
+	recvN := func(count, from int, tag par.Tag, each func(par.Msg)) {
+		if !adaptive {
+			e.RecvN(from, tag, count, each)
+			return
+		}
+		for got := 0; got < count; got++ {
+			polled := false
+			for {
+				if m, ok := e.TryRecv(from, tag); ok {
+					each(m)
+					polled = true
+					break
+				}
+				if !overlapStep() {
+					break
+				}
+			}
+			if !polled {
+				each(e.RecvFrom(from, tag))
+			}
+		}
+	}
+	addData := func(m par.Msg) {
+		pending = append(pending, m.Data.([]update)...)
+	}
+
 	// exchangeRound flushes every buffer (dense: empty messages keep the
 	// per-round receive counts deterministic), receives and processes this
 	// round's incoming updates, and returns whether any processor queued
@@ -243,67 +305,9 @@ func (a *Awari) run(e *par.Env, optimized bool) {
 		}
 
 		// Local updates are processed as part of this round.
-		pending := localPending
-		localPending = nil
+		pending, localPending = localPending, nil
 		queued = false
-		procIdx := 0 // prefix of pending already processed (adaptive overlap)
-
-		// overlapStep processes one batch of already-received updates; an
-		// adaptive run calls it while waiting for slow wide-area messages,
-		// overlapping this round's mandatory processing with regime-inflated
-		// message latency. Updates are processed in the same prefix order as
-		// the static program (within-round processing is order-independent
-		// anyway: a state's counter reaches zero only when every successor
-		// reported Win, which excludes any pending Loss for it), and the
-		// total compute charged is identical — it just runs during waits.
-		overlapStep := func() bool {
-			if procIdx >= len(pending) {
-				return false
-			}
-			batch := len(pending) - procIdx
-			if batch > 64 {
-				batch = 64
-			}
-			e.ComputeUnits(int64(batch), cfg.UpdateCost)
-			for _, u := range pending[procIdx : procIdx+batch] {
-				process(u)
-			}
-			procIdx += batch
-			return true
-		}
-		// recvN receives count messages matching (from, tag). Statically it
-		// blocks like the original code; adaptively it polls and fills the
-		// wait with overlapStep, falling back to a blocking receive only
-		// when no processing work remains (so it never spins).
-		adaptive := e.Adaptive()
-		recvN := func(count, from int, tag par.Tag, each func(par.Msg)) {
-			for got := 0; got < count; got++ {
-				if adaptive {
-					polled := false
-					for {
-						if m, ok := e.TryRecv(from, tag); ok {
-							each(m)
-							polled = true
-							break
-						}
-						if !overlapStep() {
-							break
-						}
-					}
-					if polled {
-						continue
-					}
-				}
-				if from == par.AnySender {
-					each(e.Recv(tag))
-				} else {
-					each(e.RecvFrom(from, tag))
-				}
-			}
-		}
-		addData := func(m par.Msg) {
-			pending = append(pending, m.Data.([]update)...)
-		}
+		procIdx = 0
 
 		if !optimized {
 			recvN(p-1, par.AnySender, dataTag, addData)

@@ -194,10 +194,9 @@ func (b *BarnesHut) run(e *par.Env, optimized bool) {
 		}
 		boxes := make([]box, p)
 		boxes[r] = myBox
-		for i := 0; i < p-1; i++ {
-			m := e.Recv(tag(it, tagBBox))
+		e.RecvN(par.AnySender, tag(it, tagBBox), p-1, func(m par.Msg) {
 			boxes[m.From] = m.Data.(box)
-		}
+		})
 		if !optimized {
 			e.Barrier() // strict BSP superstep boundary
 		}
@@ -266,15 +265,13 @@ func (b *BarnesHut) run(e *par.Env, optimized bool) {
 			}
 		}
 		expected := p - 1
-		got := 0
 		if optimized && r == e.Coordinator(e.Cluster()) {
-			got = p - len(e.ClusterPeers()) // collected while dispatching
+			expected = len(e.ClusterPeers()) - 1 // the rest came while dispatching
 		}
-		for ; got < expected; got++ {
-			m := e.Recv(tag(it, tagEss))
+		e.RecvN(par.AnySender, tag(it, tagEss), expected, func(m par.Msg) {
 			em := m.Data.(essMsg)
 			remote[em.from] = em.items
-		}
+		})
 		if !optimized {
 			e.Barrier() // strict BSP superstep boundary
 		}

@@ -145,11 +145,10 @@ func (f *FFT) transpose(e *par.Env, phase int, mat [][]complex128) [][]complex12
 		local[i] = mat[i][myLo:myHi]
 	}
 	place(myLo, local)
-	for k := 0; k < p-1; k++ {
-		m := e.Recv(tag)
+	e.RecvN(par.AnySender, tag, p-1, func(m par.Msg) {
 		bm := m.Data.(blockMsg)
 		place(bm.rowLo, bm.rows)
-	}
+	})
 	return out
 }
 

@@ -315,11 +315,11 @@ func (w *Water) run(e *par.Env, optimized bool) {
 			}
 		}
 
-		for len(theirPos) < len(targets) {
-			m := e.Recv(tag(it, tagPos))
+		// Every missing block arrives exactly once.
+		e.RecvN(par.AnySender, tag(it, tagPos), len(targets)-len(theirPos), func(m par.Msg) {
 			pm := m.Data.(posMsg)
 			theirPos[pm.owner] = pm.pos
-		}
+		})
 
 		// ---- Compute forces. ----
 		myForce := make([]Vec3, nOwn)
@@ -397,13 +397,12 @@ func (w *Water) run(e *par.Env, optimized bool) {
 			}
 			expected += len(remoteClusters)
 		}
-		for k := 0; k < expected; k++ {
-			m := e.Recv(tag(it, tagForce))
+		e.RecvN(par.AnySender, tag(it, tagForce), expected, func(m par.Msg) {
 			fm := m.Data.(forceMsg)
 			for i := range myForce {
 				myForce[i] = myForce[i].Add(fm.contrib[i])
 			}
-		}
+		})
 
 		// ---- Integrate. ----
 		for i := 0; i < nOwn; i++ {

@@ -55,10 +55,9 @@ func (c *Comm) flatGather(tag par.Tag, root int, data []float64) [][]float64 {
 	}
 	out := make([][]float64, n)
 	out[root] = data
-	for i := 0; i < n-1; i++ {
-		m := e.Recv(tag)
+	e.RecvN(par.AnySender, tag, n-1, func(m par.Msg) {
 		out[m.From] = m.Data.([]float64)
-	}
+	})
 	return out
 }
 
@@ -119,10 +118,9 @@ func (c *Comm) flatAlltoall(tag par.Tag, segs [][]float64) [][]float64 {
 		dst := (r + i) % n
 		e.Send(dst, tag, segs[dst], vecBytes(len(segs[dst])))
 	}
-	for i := 1; i < n; i++ {
-		m := e.Recv(tag)
+	e.RecvN(par.AnySender, tag, n-1, func(m par.Msg) {
 		out[m.From] = m.Data.([]float64)
-	}
+	})
 	return out
 }
 

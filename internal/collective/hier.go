@@ -127,13 +127,9 @@ func (c *Comm) hierGather(tag par.Tag, root int, data []float64) [][]float64 {
 	// Coordinator: collect the cluster's blocks.
 	blocks := make(map[int][]float64, len(e.ClusterPeers()))
 	blocks[e.Rank()] = data
-	for range e.ClusterPeers() {
-		if len(blocks) == len(e.ClusterPeers()) {
-			break
-		}
-		m := e.Recv(local)
+	e.RecvN(par.AnySender, local, len(e.ClusterPeers())-1, func(m par.Msg) {
 		blocks[m.From] = m.Data.([]float64)
-	}
+	})
 	if e.Rank() != root {
 		// Forward the whole cluster's data in one wide-area message.
 		batch := make([]ownedBlock, 0, len(blocks))
@@ -267,14 +263,12 @@ func (c *Comm) hierAlltoall(tag par.Tag, segs [][]float64) [][]float64 {
 			}
 		}
 	}
-	for i := 0; i < len(e.ClusterPeers())-1; i++ {
-		b := e.Recv(direct).Data.(ownedBlock)
+	place := func(m par.Msg) {
+		b := m.Data.(ownedBlock)
 		out[b.owner] = b.data
 	}
-	for ; expectFwd > 0; expectFwd-- {
-		b := e.Recv(fwd).Data.(ownedBlock)
-		out[b.owner] = b.data
-	}
+	e.RecvN(par.AnySender, direct, len(e.ClusterPeers())-1, place)
+	e.RecvN(par.AnySender, fwd, expectFwd, place)
 	return out
 }
 

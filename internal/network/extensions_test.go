@@ -14,7 +14,7 @@ func TestPairSpeedOverride(t *testing.T) {
 			configure(n)
 		}
 		var at sim.Time
-		n.Send(0, 8, 1000, func() { at = k.Now() })
+		n.SendClass(0, 8, 1000, ClassData, func() { at = k.Now() })
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestRTTFactorSurcharge(t *testing.T) {
 		p.WANMessageRTTFactor = factor
 		k, n := dasNet(t, p)
 		var at sim.Time
-		n.Send(0, 8, 100, func() { at = k.Now() })
+		n.SendClass(0, 8, 100, ClassData, func() { at = k.Now() })
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestVariabilityDeterministicAndBounded(t *testing.T) {
 		}
 		var times []sim.Time
 		for i := 0; i < 10; i++ {
-			n.Send(0, 8, 10_000, func() { times = append(times, k.Now()) })
+			n.SendClass(0, 8, 10_000, ClassData, func() { times = append(times, k.Now()) })
 		}
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -97,7 +97,7 @@ func TestVariabilityDeterministicAndBounded(t *testing.T) {
 	// no later than worst case (half bandwidth, +5ms latency each, serialized).
 	k, n := dasNet(t, slowWANParams())
 	var ideal sim.Time
-	n.Send(0, 8, 10_000, func() { ideal = k.Now() })
+	n.SendClass(0, 8, 10_000, ClassData, func() { ideal = k.Now() })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -160,9 +160,9 @@ func TestObserverSeesAllMessages(t *testing.T) {
 	k, n := dasNet(t, DefaultParams())
 	var events []MessageEvent
 	n.SetObserver(func(ev MessageEvent) { events = append(events, ev) })
-	n.Send(0, 0, 10, func() {}) // loopback
-	n.Send(0, 1, 20, func() {}) // intra
-	n.Send(0, 8, 30, func() {}) // WAN
+	n.SendClass(0, 0, 10, ClassData, func() {}) // loopback
+	n.SendClass(0, 1, 20, ClassData, func() {}) // intra
+	n.SendClass(0, 8, 30, ClassData, func() {}) // WAN
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ func sendN(t *testing.T, plan *faults.Plan, n int, bytes int64) (events []Messag
 	nw.SetFaults(plan)
 	nw.SetObserver(func(ev MessageEvent) { events = append(events, ev) })
 	for i := 0; i < n; i++ {
-		nw.Send(0, 8, bytes, func() { delivered++ })
+		nw.SendClass(0, 8, bytes, ClassData, func() { delivered++ })
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestFaultJitterReorders(t *testing.T) {
 	var order []int
 	for i := 0; i < 20; i++ {
 		i := i
-		nw.Send(0, 8, 10, func() { order = append(order, i) })
+		nw.SendClass(0, 8, 10, ClassData, func() { order = append(order, i) })
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestFaultOutageDropsWithoutChargingLink(t *testing.T) {
 	for i := 0; i < n; i++ {
 		// Spread offers over virtual time so several outage windows pass.
 		k.Schedule(sim.Time(i)*2*sim.Millisecond, func() {
-			nw.Send(0, 8, 10, func() { delivered++ })
+			nw.SendClass(0, 8, 10, ClassData, func() { delivered++ })
 		})
 	}
 	if err := k.Run(); err != nil {
@@ -167,8 +167,8 @@ func TestFaultsNeverTouchIntraCluster(t *testing.T) {
 	nw.SetFaults(plan)
 	var delivered int
 	for i := 0; i < 100; i++ {
-		nw.Send(0, 1, 10, func() { delivered++ }) // same cluster
-		nw.Send(2, 2, 10, func() { delivered++ }) // loopback
+		nw.SendClass(0, 1, 10, ClassData, func() { delivered++ }) // same cluster
+		nw.SendClass(2, 2, 10, ClassData, func() { delivered++ }) // loopback
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -338,16 +338,10 @@ func (d delivery) schedule(k *sim.Kernel, at sim.Time) {
 	k.Schedule(at, d.fire)
 }
 
-// Send models the transfer of size simulated bytes from rank src to rank
-// dst, invoking deliver in kernel context at the arrival time. It must be
-// called from kernel or process context within the simulation. The deliver
-// callback receives the arrival time (equal to the kernel's current time
-// when it fires).
-func (n *Network) Send(src, dst int, size int64, deliver func()) {
-	n.send(src, dst, size, ClassData, delivery{fire: deliver})
-}
-
-// SendClass is Send with an explicit message class. The class does not
+// SendClass models the transfer of size simulated bytes from rank src to
+// rank dst, invoking deliver in kernel context at the arrival time (equal
+// to the kernel's current time when it fires). It must be called from
+// kernel or process context within the simulation. The class does not
 // change the wire model; it flows to observers (so traces can separate
 // payloads from retransmissions and acks) and is how the reliable transport
 // in package par labels its protocol traffic.
@@ -370,7 +364,7 @@ func (n *Network) SendHandle(src, dst int, size int64, class MsgClass, h sim.Eve
 	n.send(src, dst, size, class, delivery{h: h, token: token})
 }
 
-// send is the shared implementation of the three public send forms.
+// send is the shared implementation of the two public send forms.
 func (n *Network) send(src, dst int, size int64, class MsgClass, del delivery) {
 	if size < 0 {
 		panic(fmt.Sprintf("network: negative message size %d", size))

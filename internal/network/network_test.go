@@ -24,7 +24,7 @@ func TestLoopbackOnlyOverhead(t *testing.T) {
 	p := DefaultParams()
 	n := New(k, topology.DAS(), p)
 	var at sim.Time
-	n.Send(3, 3, 1<<20, func() { at = k.Now() })
+	n.SendClass(3, 3, 1<<20, ClassData, func() { at = k.Now() })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestIntraClusterTiming(t *testing.T) {
 	n := New(k, topology.DAS(), flatParams())
 	var at sim.Time
 	size := int64(1 << 20) // 1 MB at 50 MB/s = 20.97 ms
-	n.Send(0, 1, size, func() { at = k.Now() })
+	n.SendClass(0, 1, size, ClassData, func() { at = k.Now() })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +59,8 @@ func TestNICSerialization(t *testing.T) {
 		k := sim.NewKernel()
 		n := New(k, topology.DAS(), flatParams())
 		size := int64(500_000)
-		n.Send(0, 2, size, func() { a1 = k.Now() })
-		n.Send(src2, 3, size, func() { a2 = k.Now() })
+		n.SendClass(0, 2, size, ClassData, func() { a1 = k.Now() })
+		n.SendClass(src2, 3, size, ClassData, func() { a2 = k.Now() })
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestInterClusterTiming(t *testing.T) {
 	n := New(k, topology.DAS(), p)
 	var at sim.Time
 	size := int64(100_000)
-	n.Send(0, 8, size, func() { at = k.Now() }) // cluster 0 -> cluster 1
+	n.SendClass(0, 8, size, ClassData, func() { at = k.Now() }) // cluster 0 -> cluster 1
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +113,8 @@ func TestWANLinkContention(t *testing.T) {
 		p := flatParams().WithWAN(sim.Millisecond, 1e6)
 		n := New(k, topology.DAS(), p)
 		size := int64(250_000)
-		n.Send(0, 8, size, func() {})
-		n.Send(1, dst2, size, func() { a2 = k.Now() })
+		n.SendClass(0, 8, size, ClassData, func() {})
+		n.SendClass(1, dst2, size, ClassData, func() { a2 = k.Now() })
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -134,10 +134,10 @@ func TestWANLinkContention(t *testing.T) {
 func TestPerClusterAggregation(t *testing.T) {
 	k := sim.NewKernel()
 	n := New(k, topology.DAS(), flatParams())
-	n.Send(0, 8, 100, func() {})
-	n.Send(0, 16, 200, func() {})
-	n.Send(8, 0, 400, func() {})
-	n.Send(1, 2, 800, func() {}) // intra: not WAN
+	n.SendClass(0, 8, 100, ClassData, func() {})
+	n.SendClass(0, 16, 200, ClassData, func() {})
+	n.SendClass(8, 0, 400, ClassData, func() {})
+	n.SendClass(1, 2, 800, ClassData, func() {}) // intra: not WAN
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestNegativeSizePanics(t *testing.T) {
 			t.Error("negative size should panic")
 		}
 	}()
-	n.Send(0, 1, -1, func() {})
+	n.SendClass(0, 1, -1, ClassData, func() {})
 }
 
 // Property: FIFO per sender-destination pair — messages sent earlier from
@@ -185,7 +185,7 @@ func TestFIFOPerPairProperty(t *testing.T) {
 		var order []int
 		for i, s := range sizes {
 			i := i
-			n.Send(0, dst, int64(s)+1, func() { order = append(order, i) })
+			n.SendClass(0, dst, int64(s)+1, ClassData, func() { order = append(order, i) })
 		}
 		if err := k.Run(); err != nil {
 			return false
@@ -209,7 +209,7 @@ func TestArrivalMonotoneProperty(t *testing.T) {
 		k := sim.NewKernel()
 		n := New(k, topology.DAS(), DefaultParams().WithWAN(lat, 1e6))
 		var at sim.Time
-		n.Send(0, 8, size, func() { at = k.Now() })
+		n.SendClass(0, 8, size, ClassData, func() { at = k.Now() })
 		if err := k.Run(); err != nil {
 			panic(err)
 		}
@@ -235,7 +235,7 @@ func BenchmarkSendIntra(b *testing.B) {
 	k := sim.NewKernel()
 	n := New(k, topology.DAS(), DefaultParams())
 	for i := 0; i < b.N; i++ {
-		n.Send(i%8, (i+1)%8, 1024, func() {})
+		n.SendClass(i%8, (i+1)%8, 1024, ClassData, func() {})
 	}
 	b.ResetTimer()
 	if err := k.Run(); err != nil {

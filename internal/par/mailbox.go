@@ -59,9 +59,13 @@ type mailbox struct {
 	free       int32 // free-list head
 	queued     int
 
+	// The owner's receive in progress (see request and arm): the pattern,
+	// how many matching messages are still to come, and where each one goes.
 	cond     sim.Cond
 	wantFrom int
 	wantTag  Tag
+	wantN    int
+	sink     func(Msg)
 }
 
 // BlockReason renders the receive pattern a blocked owner is waiting for.
@@ -107,10 +111,19 @@ func (mb *mailbox) take(from int, tag Tag) (Msg, bool) {
 	return Msg{}, false
 }
 
-// deliver appends a message and wakes the owner if it is waiting for a
-// matching pattern. Must be called from kernel context. In steady state
-// (slab at peak depth) it performs no heap allocation.
+// deliver hands a message to the owner's armed receive if it matches —
+// straight into the sink, waking the owner only when the last message it
+// asked for is in — and queues it otherwise. Must be called from kernel
+// context. In steady state (slab at peak depth) it performs no heap
+// allocation.
 func (mb *mailbox) deliver(m Msg) {
+	if mb.cond.Waiting() && match(&m, mb.wantFrom, mb.wantTag) {
+		mb.sink(m)
+		if mb.wantN--; mb.wantN == 0 {
+			mb.cond.Signal()
+		}
+		return
+	}
 	var ref int32
 	if mb.free != 0 {
 		ref = mb.free
@@ -129,21 +142,31 @@ func (mb *mailbox) deliver(m Msg) {
 	}
 	mb.tail = ref
 	mb.queued++
-	if mb.cond.Waiting() && match(&m, mb.wantFrom, mb.wantTag) {
-		mb.cond.Signal()
-	}
 }
 
-// recv blocks p until a message matching the pattern is available, then
-// removes and returns it.
-func (mb *mailbox) recv(p *sim.Proc, from int, tag Tag) Msg {
-	for {
-		if m, ok := mb.take(from, tag); ok {
-			return m
+// request records the owner's next receive — n messages matching (from,
+// tag), each to be passed to sink — without acting on it; arm does that.
+// sink runs wherever a message turns up — on the owner's stack for queued
+// ones, in kernel context for later ones — and so may only touch the
+// owner's own state.
+func (mb *mailbox) request(from int, tag Tag, n int, sink func(Msg)) {
+	mb.wantFrom, mb.wantTag, mb.wantN, mb.sink = from, tag, n, sink
+}
+
+// arm starts the requested receive: queued matches go to the sink at once,
+// in arrival order, and arm reports whether they were enough. If not, the
+// owner must wait on cond; deliver feeds the sink the rest as they arrive
+// and signals on the one that completes the batch, so n messages cost the
+// owner one wake-up.
+func (mb *mailbox) arm() bool {
+	for ; mb.wantN > 0; mb.wantN-- {
+		m, ok := mb.take(mb.wantFrom, mb.wantTag)
+		if !ok {
+			return false
 		}
-		mb.wantFrom, mb.wantTag = from, tag
-		mb.cond.WaitExplained(p, mb)
+		mb.sink(m)
 	}
+	return true
 }
 
 // pending reports how many undelivered messages are queued.

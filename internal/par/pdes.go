@@ -28,6 +28,7 @@ package par
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"twolayer/internal/network"
 	"twolayer/internal/sim"
@@ -54,6 +55,15 @@ type shard struct {
 	// (cross-shard sends carry closures), so no other LP ever touches it.
 	pend     []pendingMsg
 	pendFree int32
+
+	// ops is the slab behind every hosted rank's queue of deferred outputs
+	// (Env.qhead/qtail), free-listed like pend and as LP-local: opsUsed
+	// slots have ever been handed out — the most outputs the shard's ranks
+	// had queued at once — and opsFree heads the recycled ones. It grows a
+	// chunk at a time, and the chunks come from and return to opChunks.
+	ops     []*opChunk
+	opsUsed int32
+	opsFree int32
 
 	// out buffers this shard's outgoing wide-area messages during a window;
 	// the barrier Flush drains it. Unused (nil) in sequential mode, where
@@ -103,6 +113,111 @@ func (sh *shard) HandleEvent(token uint64) {
 	sh.pendFree = int32(token) + 1
 	sh.k.NoteProgress() // a message reaching a mailbox is application progress
 	mb.deliver(m)
+}
+
+// deferredOp is one queued output of a busy rank: a send, or (dst ==
+// opCompute) a computation whose duration rides in bytes.
+type deferredOp struct {
+	data  any
+	bytes int64
+	tag   Tag
+	dst   int32
+	next  int32 // slab index + 1 of the rank's next op; 0 terminates
+}
+
+const opCompute = -1
+
+// opChunk is the unit the op slabs grow by. One size for every shard of
+// every run means a finished run's chunks fit whatever runs next, so across
+// a sweep the queues cost a few chunks per concurrent cell, not a slab per
+// cell (a per-rank slice cost 2-4 % of a sweep's allocation in the
+// prototype).
+type opChunk [opChunkLen]deferredOp
+
+const opChunkLen = 64
+
+// opChunks hands finished runs' chunks to later ones. It is a locked free
+// list rather than a sync.Pool because the sweeps that need it most
+// allocate fast enough to collect garbage every few milliseconds, and a
+// sync.Pool is emptied by two collections; the list keeps at most
+// maxFreeChunks (2.5 MB) and is touched only when a slab grows or a run
+// ends.
+var opChunks struct {
+	sync.Mutex
+	free []*opChunk
+}
+
+const maxFreeChunks = 1024
+
+// op returns the slab slot behind a queue reference (index + 1).
+func (sh *shard) op(ref int32) *deferredOp {
+	return &sh.ops[(ref-1)/opChunkLen][(ref-1)%opChunkLen]
+}
+
+// growOps adds one chunk to the shard's slab.
+func (sh *shard) growOps() {
+	var c *opChunk
+	opChunks.Lock()
+	if n := len(opChunks.free); n > 0 {
+		c, opChunks.free = opChunks.free[n-1], opChunks.free[:n-1]
+	}
+	opChunks.Unlock()
+	if c == nil {
+		c = new(opChunk)
+	}
+	sh.ops = append(sh.ops, c)
+}
+
+// releaseOps returns the slab's chunks to the free list, zeroed: a failed
+// run may have left payloads queued, and freed slots still hold their links.
+func (sh *shard) releaseOps() {
+	for _, c := range sh.ops {
+		*c = opChunk{}
+	}
+	opChunks.Lock()
+	keep := min(len(sh.ops), maxFreeChunks-len(opChunks.free))
+	opChunks.free = append(opChunks.free, sh.ops[:keep]...)
+	opChunks.Unlock()
+	sh.ops = nil
+}
+
+// enqueue appends an output to the rank's queue; its continuation will run
+// it when the outputs ahead of it have completed.
+func (e *Env) enqueue(op deferredOp) {
+	sh := e.sh
+	var ref int32
+	if sh.opsFree != 0 {
+		ref = sh.opsFree
+		sh.opsFree = sh.op(ref).next
+	} else {
+		if int(sh.opsUsed) == len(sh.ops)*opChunkLen {
+			sh.growOps()
+		}
+		sh.opsUsed++
+		ref = sh.opsUsed
+	}
+	op.next = 0
+	*sh.op(ref) = op
+	if e.qtail == 0 {
+		e.qhead = ref
+	} else {
+		sh.op(e.qtail).next = ref
+	}
+	e.qtail = ref
+}
+
+// dequeue removes and returns the rank's oldest queued output.
+func (e *Env) dequeue() deferredOp {
+	sh := e.sh
+	ref := e.qhead
+	slot := sh.op(ref)
+	op := *slot
+	if e.qhead = op.next; e.qhead == 0 {
+		e.qtail = 0
+	}
+	*slot = deferredOp{next: sh.opsFree} // drops the payload reference
+	sh.opsFree = ref
+	return op
 }
 
 // RouteWAN implements network.Router: an outgoing wide-area message has

@@ -139,7 +139,7 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 	}
 	rt := &runtime{topo: topo, tracer: opts.Trace, seed: opts.Seed,
 		regime: rplan, adaptive: opts.Adaptive && rplan != nil,
-		lossy:  opts.Faults.Enabled() || (rplan != nil && rplan.HasChurn())}
+		lossy: opts.Faults.Enabled() || (rplan != nil && rplan.HasChurn())}
 	if rec, ok := opts.Trace.(trace.OpSink); ok {
 		// Op-level recording relies on every Env.Send producing exactly one
 		// observer callback, in send-call order, with uniform link speeds.
@@ -249,6 +249,11 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 		}
 		rt.shards = []*shard{{rt: rt, k: k, net: net, ranks: allRanks}}
 	}
+	defer func() {
+		for _, sh := range rt.shards {
+			sh.releaseOps()
+		}
+	}()
 	rt.envs = make([]*Env, topo.Procs())
 	procs := make([]*sim.Proc, topo.Procs())
 	for r := 0; r < topo.Procs(); r++ {
@@ -257,10 +262,12 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 			sh = rt.shards[topo.ClusterOf(r)]
 		}
 		e := &Env{rt: rt, sh: sh, rank: r}
+		e.keep = func(m Msg) { e.got = m }
 		rt.envs[r] = e
 		procs[r] = sh.k.Spawn(rankName(r), func(p *sim.Proc) {
 			e.p = p
 			job(e)
+			e.sync() // the rank finishes when its last output has
 		})
 	}
 	// Subsystem diagnostics are rendered into the RunError of any abnormal

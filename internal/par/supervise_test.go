@@ -116,3 +116,51 @@ func TestDeadlockDiagnosticsCarryMailboxes(t *testing.T) {
 		}
 	}
 }
+
+// TestBudgetKillNamesDeferredOps: a run stopped by a budget while a rank's
+// outputs are still queued reports that rank as blocked on its own queue —
+// how many ops are pending and what it will do once they have run — on the
+// sequential engine and, aggregated across LPs, on the windowed one.
+func TestBudgetKillNamesDeferredOps(t *testing.T) {
+	job := func(e *Env) {
+		switch e.Rank() {
+		case 0:
+			for i := 0; i < 5; i++ {
+				e.Send(4, 1, nil, 64) // 5 us of send overhead each
+			}
+			e.Compute(sim.Millisecond)
+			e.RecvFrom(4, 9)
+		case 4:
+			e.RecvN(0, 1, 5, func(Msg) {})
+			e.Send(0, 9, nil, 64)
+		}
+	}
+	for _, workers := range []int{0, 1} {
+		// The third send would start at 10 us: the first ran on the rank's
+		// stack, the second as a continuation at 5 us, and the continuation
+		// at 10 us is the event the budget refuses — three sends and the
+		// compute stay queued.
+		opts := Options{Params: network.DefaultParams(), Workers: workers,
+			Budget: sim.Budget{MaxVirtualTime: 7 * sim.Microsecond}}
+		_, err := RunWith(relTopo(t), opts, job)
+		var re *sim.RunError
+		if !errors.As(err, &re) || re.Kind != sim.StopTimeBudget {
+			t.Fatalf("workers=%d: want time-budget RunError, got %v", workers, err)
+		}
+		if len(re.Procs) != 8 {
+			t.Fatalf("workers=%d: %d processes in the snapshot, want 8", workers, len(re.Procs))
+		}
+		for rank, want := range map[int]string{
+			0: "4 deferred op(s) pending, then recv tag 9 from 4",
+			4: "recv tag 1 from 0",
+		} {
+			p := re.Procs[rank]
+			if p.State != "blocked" || p.Reason != want {
+				t.Errorf("workers=%d: %s is %s (%q), want blocked (%q)", workers, p.Name, p.State, p.Reason, want)
+			}
+		}
+		if rep := re.Report(); !strings.Contains(rep, "rank0: blocked (4 deferred op(s) pending") {
+			t.Errorf("workers=%d: report does not name rank 0's queue:\n%s", workers, rep)
+		}
+	}
+}

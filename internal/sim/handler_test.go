@@ -108,3 +108,103 @@ func TestScheduleCallNoAlloc(t *testing.T) {
 		t.Fatalf("ScheduleCall steady state allocates %.4f allocs/op, want 0", perOp)
 	}
 }
+
+// TestSwitchCounters pins what Switches and SelfWakes count. A lone
+// process that computes is its own next wake-up every time: one switch to
+// start it, then only self-wakes. Two processes computing in lockstep wake
+// each other's Run loop: every block is a full switch.
+func TestSwitchCounters(t *testing.T) {
+	const n = 10
+	body := func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Compute(5)
+		}
+	}
+	sw0, self0 := SwitchTotals()
+	alone := NewKernel()
+	alone.Spawn("a", body)
+	if err := alone.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if alone.Switches() != 1 || alone.SelfWakes() != n {
+		t.Errorf("lone process: %d switches, %d self-wakes; want 1, %d", alone.Switches(), alone.SelfWakes(), n)
+	}
+	pair := NewKernel()
+	pair.Spawn("a", body)
+	pair.Spawn("b", body)
+	if err := pair.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := pair.Switches() + pair.SelfWakes(); got != 2+2*n {
+		t.Errorf("two processes: %d switches + %d self-wakes, want %d wake-ups in all",
+			pair.Switches(), pair.SelfWakes(), 2+2*n)
+	}
+	if pair.Switches() <= 2 {
+		t.Errorf("two processes in lockstep made only %d switches", pair.Switches())
+	}
+	// The process-wide totals grew by at least these two runs (other tests
+	// may be running kernels of their own).
+	sw1, self1 := SwitchTotals()
+	if sw1-sw0 < alone.Switches()+pair.Switches() || self1-self0 < alone.SelfWakes()+pair.SelfWakes() {
+		t.Errorf("SwitchTotals grew by %d/%d, less than the two runs' %d/%d", sw1-sw0, self1-self0,
+			alone.Switches()+pair.Switches(), alone.SelfWakes()+pair.SelfWakes())
+	}
+}
+
+// TestMoveWaiter: a process parked on one Cond is handed to another from
+// kernel context without running in between; only the second Cond's signal
+// resumes it, and diagnostics report the new reason.
+func TestMoveWaiter(t *testing.T) {
+	k := NewKernel()
+	var first, second Cond
+	var wokeAt Time
+	p := k.Spawn("sleeper", func(p *Proc) {
+		first.Wait(p, "first")
+		wokeAt = p.Now()
+	})
+	k.Schedule(10, func() {
+		first.MoveWaiter(&second, reasonFunc("second"))
+		if first.Waiting() || !second.Waiting() {
+			t.Error("waiter did not move")
+		}
+		if got := p.reason(); got != "second" {
+			t.Errorf("block reason %q after the move, want %q", got, "second")
+		}
+	})
+	k.Schedule(20, func() {
+		if first.Signal() {
+			t.Error("the vacated Cond still woke someone")
+		}
+	})
+	k.ScheduleCall(30, &second, 0)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if wokeAt != 30 {
+		t.Errorf("woke at %v, want 30", wokeAt)
+	}
+	if k.Switches() != 1 || k.SelfWakes() != 1 {
+		t.Errorf("%d switches, %d self-wakes; want the start and one wake-up, not one per Cond",
+			k.Switches(), k.SelfWakes())
+	}
+}
+
+type reasonFunc string
+
+func (r reasonFunc) BlockReason() string { return string(r) }
+
+// TestChargeCompute: compute time charged without blocking shows up in the
+// statistics and costs neither virtual time nor an event.
+func TestChargeCompute(t *testing.T) {
+	k := NewKernel()
+	p := k.Spawn("p", func(p *Proc) {
+		p.ChargeCompute(40)
+		p.Compute(2)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if p.ComputeTime() != 42 || p.FinishedAt() != 2 || k.EventsFired() != 2 {
+		t.Errorf("compute %v, finished %v, %d events; want 42, 2, 2", p.ComputeTime(), p.FinishedAt(), k.EventsFired())
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"sync/atomic"
 )
 
 // Kernel is a discrete-event simulation engine. Create one with NewKernel,
@@ -64,6 +65,8 @@ type Kernel struct {
 	chainFree []int32
 
 	events     uint64 // total events fired, for diagnostics
+	switches   uint64 // coroutine resumes by the run loop (full yield -> Run -> resume)
+	selfWakes  uint64 // blocks whose own wake-up came first (no switch)
 	progressAt uint64 // events counter at the last NoteProgress call
 	budget     Budget
 	ctx        context.Context // non-nil only under RunContext
@@ -80,6 +83,34 @@ func (k *Kernel) Now() Time { return k.now }
 // EventsFired reports how many events have fired so far; useful for
 // measuring simulation effort in benchmarks.
 func (k *Kernel) EventsFired() uint64 { return k.events }
+
+// Switches reports how many times the run loop has switched into a
+// process coroutine — each one a full yield -> Run -> resume round trip,
+// the most expensive step the kernel has. The count is exact and
+// machine-independent: a deterministic program switches the same number of
+// times on every run.
+func (k *Kernel) Switches() uint64 { return k.switches }
+
+// SelfWakes reports how many blocks ended on the inline path: the blocking
+// process drove the event loop itself and its own wake-up came first, so
+// no coroutine switch was paid.
+func (k *Kernel) SelfWakes() uint64 { return k.selfWakes }
+
+// Process-wide sums of the per-kernel switch counters, folded in once per
+// finished run: a sweep simulates thousands of short-lived kernels, and its
+// harness wants one exact count for all of them.
+var totalSwitches, totalSelfWakes atomic.Uint64
+
+// SwitchTotals returns Switches and SelfWakes summed over every kernel run
+// that has finished in this process.
+func SwitchTotals() (switches, selfWakes uint64) {
+	return totalSwitches.Load(), totalSelfWakes.Load()
+}
+
+func (k *Kernel) addTotals() {
+	totalSwitches.Add(k.switches)
+	totalSelfWakes.Add(k.selfWakes)
+}
 
 // Schedule registers fn to run at absolute virtual time at. Scheduling in
 // the past panics: it would violate causality and indicates a model bug.
@@ -269,8 +300,10 @@ func (k *Kernel) RunContext(ctx context.Context) error {
 		if p == nil {
 			break // simulation over
 		}
+		k.switches++
 		p.resume() // direct switch to the process until it blocks or finishes
 	}
+	k.addTotals()
 	if k.stop != nil {
 		k.snapshot(k.stop)
 		return k.stop

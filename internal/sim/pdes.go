@@ -47,6 +47,7 @@ func (k *Kernel) runWindow(limit Time) {
 		if p == nil {
 			return
 		}
+		k.switches++
 		p.resume()
 	}
 }
@@ -121,6 +122,11 @@ func RunWindows(lps []*Kernel, ex CrossExchange, cfg WindowConfig) error {
 	if workers > len(lps) {
 		workers = len(lps)
 	}
+	defer func() {
+		for _, k := range lps {
+			k.addTotals()
+		}
+	}()
 
 	var w windowState
 	for {

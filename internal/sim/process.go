@@ -103,6 +103,7 @@ func (p *Proc) block(reason string, detail BlockExplainer) {
 		// Own wake-up came first: continue without any switch.
 		k.ready[k.readyHead] = nil
 		k.readyHead++
+		k.selfWakes++
 	} else {
 		// Another process (or nothing at all — deadlock or watchdog trip)
 		// is next: hand control back to Run.
@@ -136,6 +137,13 @@ func (p *Proc) Compute(d Time) {
 	p.k.scheduleProc(p.k.now+d, p)
 	p.block("compute", nil)
 }
+
+// ChargeCompute adds d to the process's compute-time statistics without
+// blocking it. It is for callers that let the computation's virtual time
+// pass as a kernel event of their own (a continuation booked with CallAfter)
+// instead of parking the coroutine for it, and that keep the process from
+// observing the clock until that event has fired.
+func (p *Proc) ChargeCompute(d Time) { p.computeTime += d }
 
 // Sleep is Compute without counting toward compute-time statistics; use it
 // for modelled idle waiting.
@@ -185,6 +193,19 @@ func (c *Cond) Signal() bool {
 	c.waiter = nil
 	w.wake()
 	return true
+}
+
+// MoveWaiter hands the process blocked on c over to another Cond without
+// waking it: it stays parked, its block reason becomes detail, and the next
+// Signal on to resumes it. Kernel context only. This is how a process that
+// parked for one condition and turns out to need a second one as well
+// avoids being switched in just to block again.
+func (c *Cond) MoveWaiter(to *Cond, detail BlockExplainer) {
+	if c.waiter == nil || to.waiter != nil {
+		panic("sim: MoveWaiter needs a waiter on the source Cond and none on the target")
+	}
+	to.waiter, c.waiter = c.waiter, nil
+	to.waiter.blockDetail = detail
 }
 
 // Waiting reports whether a process is currently blocked on the Cond.
