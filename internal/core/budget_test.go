@@ -208,6 +208,9 @@ func TestCellAllocCap(t *testing.T) {
 		// The flat multicast group is built once, and pivot-row snapshots
 		// cost less than that saved.
 		{"ASP", apps.Paper, topology.DAS(), 5, "6.6 MB unoptimized"},
+		// The most event-dense cell of the Small sweep: its queued events sit
+		// in one recycled slab, not in 256 bucket slices grown from nil.
+		{"Awari", apps.Small, topology.DAS(), 2, "2.4 / 3.1 MB"},
 	} {
 		app, err := AppByName(c.app)
 		if err != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 )
@@ -41,6 +42,40 @@ func BenchmarkKernelScheduleFire(b *testing.B) {
 		k.After(Microsecond, step)
 	}
 	k.After(0, step)
+	mallocs := mallocCount()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	reportPerEvent(b, k, mallocs)
+}
+
+// mixTimer reschedules itself sweepMix from now each time it fires.
+type mixTimer struct {
+	k         *Kernel
+	rng       *rand.Rand
+	remaining int
+}
+
+func (m *mixTimer) HandleEvent(token uint64) {
+	if m.remaining > 0 {
+		m.remaining--
+		m.k.CallAfter(sweepMix(m.rng), m, token)
+	}
+}
+
+// BenchmarkQueueSweepMix measures the event loop the way a sweep loads it,
+// where BenchmarkKernelScheduleFire keeps the queue at depth one: 300
+// events pending, each rescheduled on firing at a horizon drawn from the
+// active / ring / far split measured on a cold Small Figure 3.
+func BenchmarkQueueSweepMix(b *testing.B) {
+	b.ReportAllocs()
+	k := NewKernel()
+	m := &mixTimer{k: k, rng: rand.New(rand.NewSource(1)), remaining: b.N}
+	for i := uint64(0); i < 300; i++ {
+		k.CallAfter(sweepMix(m.rng), m, i)
+	}
 	mallocs := mallocCount()
 	b.ResetTimer()
 	if err := k.Run(); err != nil {

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"sync/atomic"
+	"sync"
 )
 
 // Kernel is a discrete-event simulation engine. Create one with NewKernel,
@@ -96,42 +96,50 @@ func (k *Kernel) Switches() uint64 { return k.switches }
 // no coroutine switch was paid.
 func (k *Kernel) SelfWakes() uint64 { return k.selfWakes }
 
-// Process-wide sums of the per-kernel switch counters, folded in once per
-// finished run: a sweep simulates thousands of short-lived kernels, and its
-// harness wants one exact count for all of them.
-var totalSwitches, totalSelfWakes atomic.Uint64
+// QueueStats reports the event queue's traffic counters so far.
+func (k *Kernel) QueueStats() QueueStats { return k.queue.stats }
+
+// Process-wide sums of the per-kernel counters, folded in once per finished
+// run: a sweep simulates thousands of short-lived kernels, and its harness
+// wants one exact count for all of them.
+var totals struct {
+	sync.Mutex
+	switches, selfWakes uint64
+	queue               QueueStats
+}
 
 // SwitchTotals returns Switches and SelfWakes summed over every kernel run
 // that has finished in this process.
 func SwitchTotals() (switches, selfWakes uint64) {
-	return totalSwitches.Load(), totalSelfWakes.Load()
+	totals.Lock()
+	defer totals.Unlock()
+	return totals.switches, totals.selfWakes
+}
+
+// QueueTotals returns QueueStats summed over every kernel run that has
+// finished in this process — except SlabHigh, which is the largest of them.
+func QueueTotals() QueueStats {
+	totals.Lock()
+	defer totals.Unlock()
+	return totals.queue
 }
 
 func (k *Kernel) addTotals() {
-	totalSwitches.Add(k.switches)
-	totalSelfWakes.Add(k.selfWakes)
+	q := k.queue.stats
+	totals.Lock()
+	defer totals.Unlock()
+	totals.switches += k.switches
+	totals.selfWakes += k.selfWakes
+	totals.queue.PushActive += q.PushActive
+	totals.queue.PushRing += q.PushRing
+	totals.queue.PushFar += q.PushFar
+	totals.queue.Advances += q.Advances
+	totals.queue.SlabHigh = max(totals.queue.SlabHigh, q.SlabHigh)
 }
 
 // Schedule registers fn to run at absolute virtual time at. Scheduling in
 // the past panics: it would violate causality and indicates a model bug.
-func (k *Kernel) Schedule(at Time, fn func()) {
-	if at < k.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, k.now))
-	}
-	k.seq++
-	k.queue.Push(event{at: at, seq: k.seq, fire: fn, chain: k.newChain()})
-}
-
-// scheduleProc registers a process wake-up (or start) at absolute virtual
-// time at. Unlike Schedule it needs no closure, so the hot Compute/Sleep
-// path does not allocate.
-func (k *Kernel) scheduleProc(at Time, p *Proc) {
-	if at < k.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, k.now))
-	}
-	k.seq++
-	k.queue.Push(event{at: at, seq: k.seq, proc: p, chain: k.newChain()})
-}
+func (k *Kernel) Schedule(at Time, fn func()) { k.ScheduleCall(at, callback(fn), 0) }
 
 // EventHandler is the closure-free form of a scheduled callback: a
 // preallocated object dispatched with an integer token. The hot send/deliver
@@ -144,9 +152,9 @@ type EventHandler interface {
 }
 
 // ScheduleCall registers h.HandleEvent(token) to run at absolute virtual
-// time at. It is Schedule without the closure: event ordering relative to
-// Schedule and process wake-ups is identical (one shared sequence counter
-// breaks ties), so replacing a closure with a handler never reorders a
+// time at. It is Schedule without the closure, and what Schedule and process
+// wake-ups are made of: one event kind and one shared sequence counter to
+// break ties, so replacing a closure with a handler never reorders a
 // simulation. Scheduling in the past panics.
 func (k *Kernel) ScheduleCall(at Time, h EventHandler, token uint64) {
 	if at < k.now {
@@ -192,7 +200,7 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 	k.procs = append(k.procs, p)
 	// The initial wake-up event starts the process at time zero (or at the
 	// current time if spawned mid-run).
-	k.scheduleProc(k.now, p)
+	k.ScheduleCall(k.now, p, 0)
 	return p
 }
 
@@ -235,20 +243,7 @@ func (k *Kernel) step() {
 		if k.checkBudgets() {
 			return
 		}
-		switch {
-		case ev.proc != nil:
-			// A process wake-up (spawn, compute, sleep) is application-level
-			// progress by definition: the simulated program itself is about to
-			// run. The livelock watchdog therefore only triggers on storms of
-			// pure handler/closure events — retransmission timers firing with
-			// every process blocked — never on a long compute-bound phase.
-			k.progressAt = k.events
-			k.makeReady(ev.proc)
-		case ev.h != nil:
-			ev.h.HandleEvent(ev.token)
-		default:
-			ev.fire()
-		}
+		ev.h.HandleEvent(ev.token)
 	}
 }
 

@@ -124,6 +124,17 @@ func (p *Proc) wake() {
 	p.k.makeReady(p)
 }
 
+// HandleEvent implements EventHandler: a process's scheduled wake-up (spawn,
+// compute, sleep) makes it ready. That is application-level progress by
+// definition — the simulated program itself is about to run — so the
+// livelock watchdog only triggers on storms of pure handler/closure events
+// (retransmission timers firing with every process blocked), never on a
+// long compute-bound phase. The token is ignored.
+func (p *Proc) HandleEvent(uint64) {
+	p.k.progressAt = p.k.events
+	p.k.makeReady(p)
+}
+
 // Compute advances the process's local virtual time by d, modelling
 // uninterruptible computation. Negative durations are treated as zero.
 func (p *Proc) Compute(d Time) {
@@ -134,7 +145,7 @@ func (p *Proc) Compute(d Time) {
 	if d == 0 {
 		return
 	}
-	p.k.scheduleProc(p.k.now+d, p)
+	p.k.ScheduleCall(p.k.now+d, p, 0)
 	p.block("compute", nil)
 }
 
@@ -151,7 +162,7 @@ func (p *Proc) Sleep(d Time) {
 	if d <= 0 {
 		return
 	}
-	p.k.scheduleProc(p.k.now+d, p)
+	p.k.ScheduleCall(p.k.now+d, p, 0)
 	p.block("sleep", nil)
 }
 

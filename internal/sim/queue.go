@@ -1,36 +1,42 @@
 package sim
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 )
 
-// event is a scheduled unit of work in virtual time. The seq field breaks
-// ties between events scheduled for the same instant: earlier-scheduled
-// events fire first, which makes the simulation fully deterministic.
+// event is a scheduled unit of work in virtual time: at its instant the
+// kernel calls h.HandleEvent(token). The seq field breaks ties between
+// events scheduled for the same instant: earlier-scheduled events fire
+// first, which makes the simulation fully deterministic.
 //
-// An event wakes a process (proc != nil), invokes a preallocated handler
-// with an integer token (h != nil), or runs a callback (fire). Carrying the
-// process pointer or the handler directly keeps the scheduler's hottest
-// operations — Compute/Sleep wake-ups, process starts, and message
-// deliveries — free of closure allocations: the closure form remains only
-// for cold setup paths and external callers.
+// There is one kind of event: a process wake-up carries the *Proc as its
+// handler, a closure rides in a callback, the network and runtime layers
+// pass preallocated handlers — and none of the three allocates.
 type event struct {
 	at    Time
 	seq   uint64
-	proc  *Proc        // if non-nil, wake/start this process
-	h     EventHandler // else if non-nil, call h.HandleEvent(token)
+	h     EventHandler
 	token uint64
-	fire  func() // otherwise, run this callback
 
 	// chain is the slab handle (index+1; 0 = none) of the event's birth
 	// chain in the kernel's chain slab — recorded only on chain-tracking
 	// (PDES) kernels, always 0 on sequential ones. Keeping the chain out of
-	// line keeps the event struct small: events are copied through queue
-	// buckets and sorts on the hottest path, and sequential execution must
-	// not pay for a feature only the parallel engine consumes.
+	// line keeps the event small, and sequential execution must not pay for
+	// a feature only the parallel engine consumes.
 	chain int32
+
+	// next links the event's slot in the queue's slab: to the next event of
+	// the same ring bucket while queued, to the next free slot once popped.
+	next int32
 }
+
+// callback adapts a closure to EventHandler. A func value is pointer-shaped,
+// so the conversion to the interface does not allocate.
+type callback func()
+
+func (f callback) HandleEvent(uint64) { f() }
 
 // birthDepth is how many causal ancestors an event's birth chain records:
 // chain[0] is the virtual time the event itself was scheduled (the firing
@@ -64,32 +70,64 @@ const (
 
 func slotOf(at Time) int64 { return int64(at) >> slotBits }
 
+// ref is what the queue orders: an event's (at, seq) key and the slab slot
+// holding the event itself. It carries no pointer, so moving, sorting and
+// sifting refs costs no write barrier and the collector never scans them.
+type ref struct {
+	at  Time
+	seq uint64
+	idx int32
+}
+
+func (a *ref) before(b *ref) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
 // eventQueue is a two-level ladder/calendar queue ordered by (at, seq).
 //
-// Near-future events (within ~4.2 ms of the active slot) are appended to
+// A queued event lives exactly once, from Push to Pop, in a slot of slab.
+// Near-future events (within ~4.2 ms of the active slot) are linked into
 // ring buckets in O(1); a bucket is sorted once when the clock enters its
 // slot, so push/pop are O(1) amortized for the near band. Far-future events
 // fall back to a binary min-heap, preserving O(log n) worst-case behavior
-// for sparse long-latency events. The pop order is bit-identical to a
-// single global heap: strictly ascending (at, seq).
+// for sparse long-latency events. Only refs are ever moved or compared. The
+// pop order is bit-identical to a single global heap: strictly ascending
+// (at, seq).
 //
 // The zero value is an empty queue ready for use.
 type eventQueue struct {
 	size int
 
+	// slab holds the queued events; slot 0 is never used, so index 0 means
+	// "none" in every link. free heads the list of recycled slots, threaded
+	// through event.next: the slab only grows to the queue's high-water mark.
+	slab []event
+	free int32
+
 	// curSlot is the slot whose events are staged in active; all earlier
 	// slots have fully drained. active[activeIdx:] is sorted by (at, seq).
 	curSlot   int64
-	active    []event
+	active    []ref
 	activeIdx int
 
-	// buckets[s&bucketMask] holds the unsorted events of slot s for
-	// s in (curSlot, curSlot+numBuckets); occupied is its non-empty bitmap.
-	buckets  [numBuckets][]event
+	// buckets[s&bucketMask] heads the unsorted list (through event.next) of
+	// the events of slot s for s in (curSlot, curSlot+numBuckets); occupied
+	// is its non-empty bitmap.
+	buckets  [numBuckets]int32
 	occupied [numBuckets / 64]uint64
 
-	// far holds events at or beyond the horizon.
-	far eventHeap
+	// far is a binary min-heap of the events at or beyond the horizon.
+	far []ref
+
+	stats QueueStats
+}
+
+// QueueStats counts an event queue's traffic, exactly and machine-
+// independently, like Kernel.Switches.
+type QueueStats struct {
+	PushActive, PushRing, PushFar uint64 // pushes into the active slot, a ring bucket, the far heap
+	Advances                      uint64 // moves of the active slot to the next occupied one
+	SlabHigh                      int    // most events queued at once (slab slots ever used)
 }
 
 func (q *eventQueue) Len() int { return q.size }
@@ -98,49 +136,72 @@ func (q *eventQueue) Len() int { return q.size }
 // horizon, O(log f) for the f far-future events beyond it.
 func (q *eventQueue) Push(e event) {
 	q.size++
+	idx := q.free
+	if idx != 0 {
+		q.free = q.slab[idx].next
+	} else {
+		if len(q.slab) == 0 {
+			q.slab = append(q.slab, event{}) // slot 0: the nil link
+		}
+		if len(q.slab) > math.MaxInt32 {
+			panic("sim: event queue slab exceeds int32 slots")
+		}
+		idx = int32(len(q.slab))
+		q.slab = append(q.slab, event{})
+		q.stats.SlabHigh = int(idx)
+	}
+	r := ref{at: e.at, seq: e.seq, idx: idx}
 	s := slotOf(e.at)
 	switch {
 	case s <= q.curSlot:
 		// The active slot (or, defensively, the past — the kernel forbids
 		// scheduling before now): ordered insert into the remaining run.
-		q.insertActive(e)
+		q.stats.PushActive++
+		q.insertActive(r)
 	case s < q.curSlot+numBuckets:
+		q.stats.PushRing++
 		i := s & bucketMask
-		q.buckets[i] = append(q.buckets[i], e)
+		e.next = q.buckets[i]
+		q.buckets[i] = idx
 		q.occupied[i>>6] |= 1 << (i & 63)
 	default:
-		q.far.Push(e)
+		q.stats.PushFar++
+		q.pushFar(r)
 	}
+	q.slab[idx] = e
 }
 
-// insertActive places e into the sorted tail active[activeIdx:]. The tail is
+// insertActive places r into the sorted tail active[activeIdx:]. The tail is
 // almost always tiny (events of a single 16 us slot), so the copy is cheap.
-func (q *eventQueue) insertActive(e event) {
+func (q *eventQueue) insertActive(r ref) {
 	lo, hi := q.activeIdx, len(q.active)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		m := &q.active[mid]
-		if e.at < m.at || (e.at == m.at && e.seq < m.seq) {
+		if r.before(&q.active[mid]) {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	q.active = append(q.active, event{})
+	q.active = append(q.active, ref{})
 	copy(q.active[lo+1:], q.active[lo:])
-	q.active[lo] = e
+	q.active[lo] = r
 }
 
-// Pop removes and returns the earliest event by (at, seq). It panics on an
-// empty queue; the kernel always checks Len first.
+// Pop removes and returns the earliest event by (at, seq), recycling its
+// slot. It panics on an empty queue; the kernel always checks Len first.
 func (q *eventQueue) Pop() event {
 	if q.activeIdx == len(q.active) {
 		q.advance()
 	}
-	e := q.active[q.activeIdx]
-	q.active[q.activeIdx] = event{} // release the closure for GC
+	idx := q.active[q.activeIdx].idx
 	q.activeIdx++
 	q.size--
+	slot := &q.slab[idx]
+	e := *slot
+	slot.h = nil // release a fired closure for GC
+	slot.next = q.free
+	q.free = idx
 	return e
 }
 
@@ -160,55 +221,45 @@ func (q *eventQueue) Peek() Time {
 // events (ring bucket plus any far events that fall in it) are staged into
 // active and sorted once.
 func (q *eventQueue) advance() {
+	q.stats.Advances++
 	q.active = q.active[:0]
 	q.activeIdx = 0
 
 	ringSlot, ok := q.nextOccupiedSlot()
-	farSlot := int64(0)
-	haveFar := q.far.Len() > 0
-	if haveFar {
-		farSlot = slotOf(q.far.PeekTime())
-	}
-
-	var s int64
-	switch {
-	case ok && (!haveFar || ringSlot <= farSlot):
-		s = ringSlot
-	case haveFar:
-		s = farSlot
-	default:
+	s := ringSlot
+	if len(q.far) > 0 {
+		if farSlot := slotOf(q.far[0].at); !ok || farSlot < ringSlot {
+			s = farSlot
+		}
+	} else if !ok {
 		panic("sim: advance on empty event queue")
 	}
 
 	if ok && ringSlot == s {
 		i := s & bucketMask
-		q.active = append(q.active, q.buckets[i]...)
-		b := q.buckets[i][:0]
-		clear(q.buckets[i])
-		q.buckets[i] = b
+		for idx := q.buckets[i]; idx != 0; {
+			e := &q.slab[idx]
+			q.active = append(q.active, ref{at: e.at, seq: e.seq, idx: idx})
+			idx = e.next
+		}
+		q.buckets[i] = 0
 		q.occupied[i>>6] &^= 1 << (i & 63)
 	}
-	for q.far.Len() > 0 && slotOf(q.far.PeekTime()) == s {
-		q.active = append(q.active, q.far.Pop())
+	for len(q.far) > 0 && slotOf(q.far[0].at) == s {
+		q.active = append(q.active, q.popFar())
 	}
-	// slices.SortFunc, not sort.Slice: the reflection-based sorter allocates
-	// a closure header per call, which at one advance per occupied slot was
-	// the last per-event allocation on the steady-state run path. (at, seq)
-	// is a total order — seq is unique — so sort stability is irrelevant and
-	// any correct sort yields the same, bit-exact event order.
-	slices.SortFunc(q.active, func(x, y event) int {
-		if x.at != y.at {
-			if x.at < y.at {
-				return -1
-			}
-			return 1
-		}
-		if x.seq < y.seq {
+	q.curSlot = s
+	// (at, seq) is a total order — seq is unique — so stability is irrelevant
+	// and any correct sort yields the same, bit-exact event order. A slot
+	// holds a handful of refs (4.9 on average over a cold Small Figure 3),
+	// which slices.SortFunc insertion-sorts in place; unlike sort.Slice it
+	// allocates nothing per call.
+	slices.SortFunc(q.active, func(x, y ref) int {
+		if x.before(&y) {
 			return -1
 		}
 		return 1
 	})
-	q.curSlot = s
 }
 
 // nextOccupiedSlot scans the occupancy bitmap in ring order for the
@@ -236,72 +287,48 @@ func (q *eventQueue) nextOccupiedSlot() (int64, bool) {
 	return 0, false
 }
 
-// eventHeap is a binary min-heap of events ordered by (at, seq): the
-// queue's far-future overflow and the reference implementation for the
-// ladder's differential tests. It is hand-rolled rather than built on
-// container/heap to avoid the per-operation interface boxing.
-type eventHeap struct {
-	items []event
-}
-
-func (q *eventHeap) Len() int { return len(q.items) }
-
-func (q *eventHeap) less(i, j int) bool {
-	a, b := &q.items[i], &q.items[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// Push inserts an event into the heap.
-func (q *eventHeap) Push(e event) {
-	q.items = append(q.items, e)
-	i := len(q.items) - 1
+// pushFar and popFar maintain far as a binary min-heap by (at, seq). It is
+// hand-rolled rather than built on container/heap to avoid the
+// per-operation interface boxing.
+func (q *eventQueue) pushFar(r ref) {
+	h := append(q.far, r)
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !r.before(&h[parent]) {
 			break
 		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = r
+	q.far = h
 }
 
-// Pop removes and returns the earliest event. It panics on an empty heap.
-func (q *eventHeap) Pop() event {
-	top := q.items[0]
-	last := len(q.items) - 1
-	q.items[0] = q.items[last]
-	q.items[last] = event{} // release the closure for GC
-	q.items = q.items[:last]
-	q.siftDown(0)
-	return top
-}
-
-func (q *eventHeap) siftDown(i int) {
-	n := len(q.items)
+func (q *eventQueue) popFar() ref {
+	h := q.far
+	top := h[0]
+	n := len(h) - 1
+	r := h[n] // sifted down from the root
+	h = h[:n]
+	i := 0
 	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+		child := 2*i + 1
+		if child >= n {
+			break
 		}
-		smallest := left
-		if right := left + 1; right < n && q.less(right, left) {
-			smallest = right
+		if right := child + 1; right < n && h[right].before(&h[child]) {
+			child = right
 		}
-		if !q.less(smallest, i) {
-			return
+		if !h[child].before(&r) {
+			break
 		}
-		q.items[i], q.items[smallest] = q.items[smallest], q.items[i]
-		i = smallest
+		h[i] = h[child]
+		i = child
 	}
-}
-
-// PeekTime returns the earliest event time without removing it.
-func (q *eventHeap) PeekTime() Time {
-	if len(q.items) == 0 {
-		return MaxTime
+	if n > 0 {
+		h[i] = r
 	}
-	return q.items[0].at
+	q.far = h
+	return top
 }

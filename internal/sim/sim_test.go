@@ -67,7 +67,7 @@ func TestQueueOrdering(t *testing.T) {
 		var want []rec
 		for i, v := range times {
 			at := Time(int64(v) + 40000) // keep non-negative
-			q.Push(event{at: at, seq: uint64(i), fire: nil})
+			q.Push(event{at: at, seq: uint64(i)})
 			want = append(want, rec{at, i})
 		}
 		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
@@ -89,10 +89,11 @@ func TestQueueTieBreakBySeq(t *testing.T) {
 	order := []int{}
 	for i := 0; i < 10; i++ {
 		i := i
-		q.Push(event{at: 5, seq: uint64(i), fire: func() { order = append(order, i) }})
+		q.Push(event{at: 5, seq: uint64(i), h: callback(func() { order = append(order, i) })})
 	}
 	for q.Len() > 0 {
-		q.Pop().fire()
+		ev := q.Pop()
+		ev.h.HandleEvent(ev.token)
 	}
 	for i, v := range order {
 		if i != v {
