@@ -292,12 +292,15 @@ func (e *Eval) SolveMatchedBatch(ps []network.Params, workers int) []sim.Time {
 		return out
 	}
 	// Build the shared streams (and the wildcard classification) once,
-	// before cloning, so the clones share them read-only.
+	// before cloning, so the clones share them read-only. A graph without
+	// wildcard receives is answered by the frozen pass and needs none.
 	if !e.mSpecificSet {
 		e.mSpecific = e.allSpecific()
 		e.mSpecificSet = true
 	}
-	e.ensureMatched()
+	if !e.mSpecific {
+		e.ensureMatched()
+	}
 	per := (len(ps) + workers - 1) / workers
 	var wg sync.WaitGroup
 	clones := make([]*Eval, 0, workers)

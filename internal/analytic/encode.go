@@ -90,7 +90,93 @@ func (g *Graph) EncodeBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// DecodeBinary reads a graph in the binary format and validates it.
+// decodeChunk is the most DecodeBinary preallocates for a slice. Every
+// count in the format comes from the input, so a slice then grows as its
+// elements decode instead of being sized from the count alone: a corrupt
+// or hostile count fails at EOF having allocated in proportion to the
+// bytes actually read.
+const decodeChunk = 4096
+
+// decoder reads the binary format's primitives and keeps the first error;
+// after one, every read returns zero and the element loops stop.
+type decoder struct {
+	br  *bufio.Reader
+	err error
+}
+
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
+func (d *decoder) uvarint() uint64 {
+	v, err := binary.ReadUvarint(d.br)
+	if err != nil {
+		d.fail(err)
+	}
+	return v
+}
+
+func (d *decoder) varint() int64 {
+	v, err := binary.ReadVarint(d.br)
+	if err != nil {
+		d.fail(err)
+	}
+	return v
+}
+
+func (d *decoder) float() float64 {
+	var buf [8]byte
+	if _, err := io.ReadFull(d.br, buf[:]); err != nil {
+		d.fail(err)
+		return 0
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
+}
+
+// count reads a slice length. It is 0 once the decoder has failed, and a
+// value above MaxInt32 fails it, so no caller ever sizes anything from a
+// count it should not trust.
+func (d *decoder) count(what string) int {
+	v := d.uvarint()
+	if d.err != nil {
+		return 0
+	}
+	if v > math.MaxInt32 {
+		d.fail(fmt.Errorf("analytic: implausible %s count %d", what, v))
+		return 0
+	}
+	return int(v)
+}
+
+// varints decodes n signed varints as T, stopping at the first error.
+func varints[T int32 | int64](d *decoder, n int) []T {
+	s := make([]T, 0, min(n, decodeChunk))
+	for len(s) < n && d.err == nil {
+		s = append(s, T(d.varint()))
+	}
+	return s
+}
+
+// raw reads n bytes; the buffer grows only as bytes arrive.
+func (d *decoder) raw(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	s, err := io.ReadAll(io.LimitReader(d.br, int64(n)))
+	if err == nil && len(s) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		d.fail(err)
+	}
+	return s
+}
+
+// DecodeBinary reads a graph in the binary format and validates it. It
+// allocates in proportion to the bytes it reads, whatever counts the input
+// declares.
 func DecodeBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(binaryMagic))
@@ -100,119 +186,46 @@ func DecodeBinary(r io.Reader) (*Graph, error) {
 	if string(magic) != binaryMagic {
 		return nil, fmt.Errorf("analytic: bad graph magic %q", magic)
 	}
-	var firstErr error
-	getUvarint := func() uint64 {
-		v, err := binary.ReadUvarint(br)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		return v
-	}
-	getVarint := func() int64 {
-		v, err := binary.ReadVarint(br)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		return v
-	}
-	getFloat := func() float64 {
-		var buf [8]byte
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return 0
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-	}
-	getCount := func(what string) int {
-		v := getUvarint()
-		if v > math.MaxInt32 && firstErr == nil {
-			firstErr = fmt.Errorf("analytic: implausible %s count %d", what, v)
-		}
-		return int(v)
-	}
-	if v := getUvarint(); v != binaryVersion && firstErr == nil {
+	d := &decoder{br: br}
+	if v := d.uvarint(); v != binaryVersion && d.err == nil {
 		return nil, fmt.Errorf("analytic: unsupported graph format version %d", v)
 	}
 	g := &Graph{}
-	g.Procs = getCount("proc")
-	g.Clusters = getCount("cluster")
-	if firstErr != nil {
-		return nil, fmt.Errorf("analytic: decoding graph header: %w", firstErr)
+	g.Procs = d.count("proc")
+	g.Clusters = d.count("cluster")
+	if d.err != nil {
+		return nil, fmt.Errorf("analytic: decoding graph header: %w", d.err)
 	}
-	if g.Procs <= 0 || g.Procs > math.MaxInt32 {
+	if g.Procs <= 0 {
 		return nil, fmt.Errorf("analytic: implausible proc count %d", g.Procs)
 	}
-	g.ClusterOf = make([]int32, g.Procs)
-	for i := range g.ClusterOf {
-		g.ClusterOf[i] = int32(getVarint())
-	}
+	g.ClusterOf = varints[int32](d, g.Procs)
 	g.Ref = network.Params{
-		IntraLatency:        sim.Time(getVarint()),
-		IntraBandwidth:      getFloat(),
-		WANLatency:          sim.Time(getVarint()),
-		WANBandwidth:        getFloat(),
-		SendOverhead:        sim.Time(getVarint()),
-		RecvOverhead:        sim.Time(getVarint()),
-		WANPerMessage:       sim.Time(getVarint()),
-		WANMessageRTTFactor: getFloat(),
+		IntraLatency:        sim.Time(d.varint()),
+		IntraBandwidth:      d.float(),
+		WANLatency:          sim.Time(d.varint()),
+		WANBandwidth:        d.float(),
+		SendOverhead:        sim.Time(d.varint()),
+		RecvOverhead:        sim.Time(d.varint()),
+		WANPerMessage:       sim.Time(d.varint()),
+		WANMessageRTTFactor: d.float(),
 	}
-	g.RefElapsed = sim.Time(getVarint())
-	ops := getCount("operation")
-	if firstErr != nil {
-		return nil, fmt.Errorf("analytic: decoding graph: %w", firstErr)
-	}
-	g.Ops = make([]uint8, ops)
-	if _, err := io.ReadFull(br, g.Ops); err != nil {
-		return nil, fmt.Errorf("analytic: decoding operations: %w", err)
-	}
-	g.Rank = make([]int32, ops)
-	for i := range g.Rank {
-		g.Rank[i] = int32(getVarint())
-	}
-	g.Arg = make([]int64, ops)
-	for i := range g.Arg {
-		g.Arg[i] = getVarint()
-	}
-	msgs := getCount("message")
-	if firstErr != nil {
-		return nil, fmt.Errorf("analytic: decoding graph: %w", firstErr)
-	}
-	g.MsgSrc = make([]int32, msgs)
-	for i := range g.MsgSrc {
-		g.MsgSrc[i] = int32(getVarint())
-	}
-	g.MsgDst = make([]int32, msgs)
-	for i := range g.MsgDst {
-		g.MsgDst[i] = int32(getVarint())
-	}
-	g.MsgBytes = make([]int64, msgs)
-	for i := range g.MsgBytes {
-		g.MsgBytes[i] = getVarint()
-	}
-	g.MsgTag = make([]int64, msgs)
-	for i := range g.MsgTag {
-		g.MsgTag[i] = getVarint()
-	}
-	recvs := getCount("receive pattern")
-	if firstErr != nil {
-		return nil, fmt.Errorf("analytic: decoding graph: %w", firstErr)
-	}
-	g.RecvFrom = make([]int32, recvs)
-	for i := range g.RecvFrom {
-		g.RecvFrom[i] = int32(getVarint())
-	}
-	g.RecvTag = make([]int64, recvs)
-	for i := range g.RecvTag {
-		g.RecvTag[i] = getVarint()
-	}
-	g.RecvPoll = make([]uint8, recvs)
-	if _, err := io.ReadFull(br, g.RecvPoll); err != nil {
-		return nil, fmt.Errorf("analytic: decoding receive patterns: %w", err)
-	}
-	if firstErr != nil {
-		return nil, fmt.Errorf("analytic: decoding graph: %w", firstErr)
+	g.RefElapsed = sim.Time(d.varint())
+	ops := d.count("operation")
+	g.Ops = d.raw(ops)
+	g.Rank = varints[int32](d, ops)
+	g.Arg = varints[int64](d, ops)
+	msgs := d.count("message")
+	g.MsgSrc = varints[int32](d, msgs)
+	g.MsgDst = varints[int32](d, msgs)
+	g.MsgBytes = varints[int64](d, msgs)
+	g.MsgTag = varints[int64](d, msgs)
+	recvs := d.count("receive pattern")
+	g.RecvFrom = varints[int32](d, recvs)
+	g.RecvTag = varints[int64](d, recvs)
+	g.RecvPoll = d.raw(recvs)
+	if d.err != nil {
+		return nil, fmt.Errorf("analytic: decoding graph: %w", d.err)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err

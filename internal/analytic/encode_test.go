@@ -2,11 +2,13 @@ package analytic
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -170,6 +172,127 @@ func TestDecodeBinaryRejectsHeader(t *testing.T) {
 	if _, err := DecodeBinary(&buf); err == nil {
 		t.Error("unknown version accepted")
 	}
+}
+
+// craftedHeader encodes a graph whose counts are all zero except the named
+// one, which declares n elements that never follow. With no name it is a
+// complete, valid empty graph, which pins the layout.
+func craftedHeader(big string, n uint64) []byte {
+	count := func(name string) uint64 {
+		if name == big {
+			return n
+		}
+		return 0
+	}
+	b := []byte(binaryMagic)
+	b = binary.AppendUvarint(b, binaryVersion)
+	if big == "procs" {
+		return binary.AppendUvarint(binary.AppendUvarint(b, count("procs")), 1)
+	}
+	b = binary.AppendUvarint(b, 1) // procs
+	b = binary.AppendUvarint(b, 1) // clusters
+	b = binary.AppendVarint(b, 0)  // ClusterOf[0]
+	// Ref in field order (the bandwidths and the RTT factor are floats),
+	// then RefElapsed.
+	for _, float := range []bool{false, true, false, true, false, false, false, true, false} {
+		if float {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
+		} else {
+			b = binary.AppendVarint(b, 1)
+		}
+	}
+	for _, name := range []string{"ops", "msgs", "recvs"} {
+		b = binary.AppendUvarint(b, count(name))
+		if name == big {
+			return b
+		}
+	}
+	return b
+}
+
+// oversizedCounts are declared counts with no data behind them: the
+// largest the decoder accepts, and two that wrap a signed int (2^63 and
+// 2^64-1, both valid 10-byte uvarints).
+var oversizedCounts = []struct {
+	name string
+	n    uint64
+}{{"2^31-1", math.MaxInt32}, {"2^63", 1 << 63}, {"2^64-1", math.MaxUint64}}
+
+// TestDecodeBinaryBoundsAllocation: every count in the format comes from
+// the input, so a header declaring 2^31-1 or more procs, operations,
+// messages or receive patterns with no data behind it must fail — not
+// panic — without allocating for the count. The first case is the 11-byte
+// input (2^28 procs) that used to allocate over a gigabyte before failing
+// with EOF.
+func TestDecodeBinaryBoundsAllocation(t *testing.T) {
+	short := []byte(binaryMagic)
+	short = binary.AppendUvarint(short, binaryVersion)
+	short = binary.AppendUvarint(short, 1<<28)
+	short = binary.AppendUvarint(short, 1)
+	if len(short) != 11 {
+		t.Fatalf("short header is %d bytes, want 11", len(short))
+	}
+	if g, err := DecodeBinary(bytes.NewReader(craftedHeader("", 0))); err != nil || g.Procs != 1 {
+		t.Fatalf("the all-zero crafted graph does not decode: %v", err)
+	}
+	cases := map[string][]byte{"procs 2^28 (11 bytes)": short}
+	for _, big := range []string{"procs", "ops", "msgs", "recvs"} {
+		for _, c := range oversizedCounts {
+			cases[big+" "+c.name] = craftedHeader(big, c.n)
+		}
+	}
+	for name, data := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeBinary(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+		if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb >= 1 {
+			t.Errorf("%s: allocated %.1f MB before failing, want < 1 MB", name, mb)
+		}
+	}
+}
+
+// FuzzDecodeBinary feeds arbitrary bytes to the binary decoder, seeded with
+// TestBinaryRoundTrip's graphs and the crafted oversized headers. It must
+// never panic, and a graph it accepts must validate, re-encode, and decode
+// to the same graph.
+func FuzzDecodeBinary(f *testing.F) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 8; i++ {
+		var buf bytes.Buffer
+		if err := randomGraph(r, true).EncodeBinary(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, big := range []string{"procs", "ops", "msgs", "recvs"} {
+		for _, c := range oversizedCounts {
+			f.Add(craftedHeader(big, c.n))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := DecodeBinary(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("accepted graph does not validate: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := g.EncodeBinary(&buf); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		again, err := DecodeBinary(&buf)
+		if err != nil {
+			t.Fatalf("re-decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, g) {
+			t.Fatalf("re-encoded graph diverged\n got %+v\nwant %+v", again, g)
+		}
+	})
 }
 
 // TestValidateRejectsCorruption spot-checks that single-field corruptions

@@ -50,23 +50,19 @@ type Eval struct {
 
 	// Matched-replay state (SolveMatched), built on first use. rankOps
 	// holds each rank's operation indices in record order; opPat maps each
-	// OpRecv to its pattern ordinal (-1 elsewhere); the m* arrays, pending
-	// sets and consumed flags are per-solve scratch. The event queue is a
-	// per-rank wake array (mWake/mWakeOp: at most one live wakeup per rank,
-	// timeInf when parked) with a cached minimum (minT/minOp/minRank); see
-	// the queue comment in eval_matched.go.
+	// OpRecv to its pattern ordinal (-1 elsewhere); both are read-only and
+	// shared by clones. The m* arrays, pending sets, consumed flags and the
+	// wake queue are per-solve scratch. The queue is a winner tree over the
+	// ranks (at most one live wakeup per rank, keyed (time, op index), the
+	// root holding the minimum); see the queue comment in eval_matched.go.
 	rankOps  [][]int32
 	opPat    []int32
 	mPos     []int32
 	mAtRecv  []bool
 	mAwait   []int64
-	mWake    []sim.Time
-	mWakeOp  []int32
 	pending  [][]int32
 	consumed []bool
-	minT     sim.Time
-	minOp    int32
-	minRank  int32
+	wq       wakeTree
 	mNarrow  bool // current pass narrows tag-wildcard receives
 	// mSpecific (computed once, mSpecificSet guards) marks graphs with no
 	// wildcard receives, where the frozen pass IS the matched answer.

@@ -2,6 +2,7 @@ package analytic
 
 import (
 	"math"
+	"math/bits"
 
 	"twolayer/internal/network"
 	"twolayer/internal/sim"
@@ -66,46 +67,130 @@ func (e *Eval) allocMatchedScratch() {
 	e.mPos = make([]int32, g.Procs)
 	e.mAtRecv = make([]bool, g.Procs)
 	e.mAwait = make([]int64, g.Procs)
-	e.mWake = make([]sim.Time, g.Procs)
-	e.mWakeOp = make([]int32, g.Procs)
+	e.wq.init(g.Procs)
 	e.pending = make([][]int32, g.Procs)
 	e.consumed = make([]bool, len(g.MsgSrc))
 }
 
-// The wake queue: at most one pending wakeup exists per rank (mWake[r],
-// keyed (time, recorded op index) — record order is the simulator's
-// execution order, so the tie-break reproduces the simulator's
-// interleaving of same-time events at the reference point; op indices are
-// globally unique, so live keys never tie). A flat per-rank array beats
-// both a binary heap and a tournament tree here: waking a rank is an
-// in-place improvement plus one cached-min compare, the running rank's
-// per-op frontier test is two compares against the cached minimum, and a
-// pop rescans a few dozen contiguous slots — cheaper in practice than
-// chasing pointer-shaped structures at these rank counts.
+// The wake queue: at most one pending wakeup exists per rank, keyed (time,
+// recorded op index) — record order is the simulator's execution order, so
+// the tie-break reproduces the simulator's interleaving of same-time events
+// at the reference point; op indices are globally unique, so live keys
+// never tie. The queue is a winner tree: every node holds the least key of
+// its subtree, key and rank together, so the minimum is the root and no
+// operation chases an index back into a per-rank array. The run loop's
+// frontier tests read the root; consuming the running rank's wakeup
+// re-plays one leaf-to-root path (log2 of the padded rank count, five
+// levels at 32 ranks); waking a rank climbs only while the new key wins.
+// A flat per-rank array with a cached minimum is simpler, but it rescans
+// every rank on every dispatch, and a heatmap makes tens of millions of
+// dispatches; it is the oracle in eval_matched_test.go.
 
-// wake schedules (or improves) rank r's wakeup and maintains the cached
-// minimum. Callers only ever move wakeups earlier.
-func (e *Eval) wake(r int32, t sim.Time, op int32) {
-	e.mWake[r] = t
-	e.mWakeOp[r] = op
-	if t < e.minT || (t == e.minT && op < e.minOp) {
-		e.minT, e.minOp, e.minRank = t, op, r
+// wakeKey is a wakeup — its time, the op the rank resumes at, and the rank
+// — packed so that the queue order is the unsigned order of the 128-bit
+// number hi:lo: hi is the time with its sign bit flipped, lo the op index
+// above the rank. Live keys differ in (time, op), so the rank bits never
+// decide between them.
+type wakeKey struct {
+	hi, lo uint64
+}
+
+func keyOf(t sim.Time, op, rank int32) wakeKey {
+	return wakeKey{uint64(t) ^ 1<<63, uint64(uint32(op))<<32 | uint64(uint32(rank))}
+}
+
+func (k wakeKey) t() sim.Time { return sim.Time(k.hi ^ 1<<63) }
+func (k wakeKey) op() int32   { return int32(k.lo >> 32) }
+func (k wakeKey) rank() int32 { return int32(uint32(k.lo)) }
+
+// parked is the key of a rank with no wakeup. It loses to every live key,
+// and a root holding it means every rank is parked.
+var parked = keyOf(timeInf, 0, -1)
+
+// before is the queue order: time, then op index.
+func (a wakeKey) before(b wakeKey) bool {
+	return a.hi < b.hi || (a.hi == b.hi && a.lo < b.lo)
+}
+
+// minKey is the lesser of a and b, without a data-dependent branch (the
+// consume path's comparisons are coin flips to a branch predictor): the
+// borrow out of the 128-bit subtraction a - b is 1 exactly when a < b.
+func minKey(a, b wakeKey) wakeKey {
+	_, borrow := bits.Sub64(a.lo, b.lo, 0)
+	_, borrow = bits.Sub64(a.hi, b.hi, borrow)
+	m := -borrow // all ones when a < b
+	return wakeKey{b.hi ^ (a.hi^b.hi)&m, b.lo ^ (a.lo^b.lo)&m}
+}
+
+// wakeTree is a winner tree over the ranks: node[1] is the root, rank r's
+// leaf is node[leaves+r], and leaves beyond the rank count stay parked.
+type wakeTree struct {
+	leaves int
+	node   []wakeKey
+}
+
+func (w *wakeTree) init(procs int) {
+	w.leaves = 1
+	for w.leaves < procs {
+		w.leaves <<= 1
+	}
+	w.node = make([]wakeKey, 2*w.leaves)
+}
+
+// reset parks every rank.
+func (w *wakeTree) reset() {
+	for i := range w.node {
+		w.node[i] = parked
 	}
 }
 
-// rescanMin recomputes the cached minimum after a wakeup is consumed.
-// Parked ranks carry timeInf and lose to any live one.
-func (e *Eval) rescanMin() {
-	minT, minOp, minRank := timeInf, int32(0), int32(-1)
-	for r, w := range e.mWake {
-		if w > minT || w == timeInf {
-			continue
-		}
-		if w < minT || e.mWakeOp[r] < minOp {
-			minT, minOp, minRank = w, e.mWakeOp[r], int32(r)
-		}
+// min returns the earliest wakeup: parked when every rank is.
+func (w *wakeTree) min() wakeKey { return w.node[1] }
+
+// at returns rank r's wakeup time (timeInf when parked).
+func (w *wakeTree) at(r int32) sim.Time { return w.node[w.leaves+int(r)].t() }
+
+// wake schedules rank r at (t, op). A wakeup only ever moves earlier: the
+// caller either wakes a parked rank or supersedes its wakeup with a
+// strictly earlier one — that is what lets the climb stop at the first
+// ancestor the new key does not beat. A later key would leave stale minima
+// above it, so it panics rather than corrupt the order.
+func (w *wakeTree) wake(r int32, t sim.Time, op int32) {
+	node := w.node
+	k := keyOf(t, op, r)
+	i := w.leaves + int(r)
+	if !k.before(node[i]) {
+		panic("analytic: wake must move a rank's wakeup earlier")
 	}
-	e.minT, e.minOp, e.minRank = minT, minOp, minRank
+	node[i] = k
+	for i > 1 {
+		i >>= 1
+		if !k.before(node[i]) {
+			return
+		}
+		node[i] = k
+	}
+}
+
+// consume parks rank r — the root's rank, about to run — and replays its
+// leaf-to-root path.
+func (w *wakeTree) consume(r int32) {
+	node := w.node
+	i := w.leaves + int(r)
+	node[i] = parked
+	if i == 1 {
+		return
+	}
+	// parked loses to (or equals) the sibling, so the parent takes the
+	// sibling's key unchanged.
+	k := node[i^1]
+	i >>= 1
+	node[i] = k
+	for i > 1 {
+		k = minKey(k, node[i^1])
+		i >>= 1
+		node[i] = k
+	}
 }
 
 // take consumes message m from rank r's pending set.
@@ -152,10 +237,10 @@ func (e *Eval) notifyMatched(dst, m int32, d sim.Time) {
 	if d > wakeAt {
 		wakeAt = d
 	}
-	if wakeAt >= e.mWake[dst] {
+	if wakeAt >= e.wq.at(dst) {
 		return
 	}
-	e.wake(dst, wakeAt, e.rankOps[dst][e.mPos[dst]])
+	e.wq.wake(dst, wakeAt, e.rankOps[dst][e.mPos[dst]])
 }
 
 // allSpecific reports whether every recorded receive pins both sender and
@@ -223,25 +308,26 @@ func (e *Eval) solveMatched(p network.Params, narrow bool) (sim.Time, bool) {
 	for i := range e.consumed {
 		e.consumed[i] = false
 	}
-	e.minT, e.minOp, e.minRank = timeInf, 0, -1
+	e.wq.reset()
 	for r := 0; r < g.Procs; r++ {
 		e.mPos[r] = 0
 		e.mAtRecv[r] = false
 		e.mAwait[r] = -1
-		e.mWake[r] = timeInf
 		e.pending[r] = e.pending[r][:0]
 		if len(e.rankOps[r]) > 0 {
-			e.wake(int32(r), 0, e.rankOps[r][0])
+			e.wq.wake(int32(r), 0, e.rankOps[r][0])
 		}
 	}
 
 	c := g.Clusters
 	rttExtra := sim.Time(float64(2*p.WANLatency) * p.WANMessageRTTFactor)
 	var executed int64
-	for e.minRank >= 0 {
-		r := e.minRank
-		e.mWake[r] = timeInf // consume the wakeup
-		e.rescanMin()        // cached minimum now excludes the running rank
+	for {
+		r := e.wq.min().rank()
+		if r < 0 {
+			break
+		}
+		e.wq.consume(r) // the minimum now excludes the running rank
 		e.mAtRecv[r] = false
 		e.mAwait[r] = -1
 		ops := e.rankOps[r]
@@ -266,14 +352,14 @@ func (e *Eval) solveMatched(p network.Params, narrow bool) (sim.Time, bool) {
 				if dst != r {
 					wan = g.ClusterOf[r] != g.ClusterOf[dst]
 				}
-				if wan && (e.minT < t || (e.minT == t && e.minOp < i)) {
+				if wan && e.wq.min().before(keyOf(t, i, r)) {
 					// The wide-area pipe and the destination gateway are
 					// shared FIFO links, booked eagerly at send time as in
 					// the simulator — those bookings must happen in global
 					// time order. Every queued wakeup lower-bounds its
 					// rank's future send times, so waiting until this send
 					// is globally next reproduces the simulator's order.
-					e.wake(r, t, i)
+					e.wq.wake(r, t, i)
 					break run
 				}
 				size := g.MsgBytes[m]
@@ -351,7 +437,7 @@ func (e *Eval) solveMatched(p network.Params, narrow bool) (sim.Time, bool) {
 					// sender's wakeup. (The candidate itself may arrive
 					// after t — a blocking receive waits for the earliest
 					// matching arrival, which this minimum then is.)
-					if e.minT >= bestD {
+					if e.wq.min().t() >= bestD {
 						e.take(r, best)
 						if bestD > t {
 							t = bestD
@@ -362,7 +448,7 @@ func (e *Eval) solveMatched(p network.Params, narrow bool) (sim.Time, bool) {
 					// Re-pose the receive when the candidate arrives; an
 					// earlier match appearing meanwhile re-wakes us sooner.
 					e.mAtRecv[r] = true
-					e.wake(r, bestD, i)
+					e.wq.wake(r, bestD, i)
 					break run
 				}
 				// Nothing matches yet: park until a matching send shows up.

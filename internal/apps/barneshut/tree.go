@@ -108,14 +108,19 @@ type node struct {
 // rank, so pooling removes the dominant allocation of the build phase; a
 // recycled node keeps its bodyIdx backing array, so steady-state builds
 // allocate nothing at all. Chunks (not one growable slab) keep previously
-// returned *node pointers stable while the arena grows.
+// returned *node pointers stable while the arena grows. Chunk sizes double
+// from arenaFirstChunk up to arenaChunk, so a rank whose tree holds a
+// handful of bodies does not pay for a full chunk.
 type arena struct {
 	chunks [][]node
 	chunk  int // current chunk index
 	used   int // nodes handed out from the current chunk
 }
 
-const arenaChunk = 256
+const (
+	arenaFirstChunk = 16
+	arenaChunk      = 256
+)
 
 func newArena() *arena { return &arena{} }
 
@@ -123,11 +128,16 @@ func newArena() *arena { return &arena{} }
 // capacity.
 func (a *arena) alloc() *node {
 	if a.chunk == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]node, arenaChunk))
+		size := arenaFirstChunk
+		for k := 0; k < len(a.chunks) && size < arenaChunk; k++ {
+			size *= 2
+		}
+		a.chunks = append(a.chunks, make([]node, size))
 	}
-	n := &a.chunks[a.chunk][a.used]
+	c := a.chunks[a.chunk]
+	n := &c[a.used]
 	a.used++
-	if a.used == arenaChunk {
+	if a.used == len(c) {
 		a.chunk++
 		a.used = 0
 	}

@@ -203,6 +203,17 @@ func analyticGridSolver(ev *analytic.Eval, rep AnalyticReport, a AnalyticOptions
 	}
 }
 
+// analyticSolveCost estimates, per grid point, what a variant's grid solve
+// costs, so a sweep can start the costliest grids first: a matched replay
+// walks the whole graph once per point, while the batched frozen walk
+// answers BatchLanes points per pass over it.
+func analyticSolveCost(g *analytic.Graph, rep AnalyticReport) float64 {
+	if rep.Engine == "frozen" {
+		return float64(g.Nodes()) / analytic.BatchLanes
+	}
+	return float64(g.Nodes())
+}
+
 // analyticSensitivity is Eval.Sensitivity routed through a grid solver:
 // one three-point solve (asked, zero-latency, infinite-bandwidth) instead
 // of three scalar ones, same arithmetic.
@@ -371,7 +382,7 @@ func Figure3Analytic(scale apps.Scale, opts Figure3Options, a AnalyticOptions) (
 	// independent, so one task per variant hands its whole panel — every
 	// latency/bandwidth cell plus the latency-tolerance curve at the
 	// reference bandwidth — to the batched multi-point solver in a single
-	// pass. Variants still spread across the pool, heaviest graphs first.
+	// pass. Variants still spread across the pool, costliest solves first.
 	var live []int
 	for v := range variants {
 		if graphs[v] != nil {
@@ -379,7 +390,7 @@ func Figure3Analytic(scale apps.Scale, opts Figure3Options, a AnalyticOptions) (
 		}
 	}
 	err = forEachWeighted(len(live),
-		func(k int) float64 { return float64(graphs[live[k]].Nodes()) },
+		func(k int) float64 { return analyticSolveCost(graphs[live[k]], reports[live[k]]) },
 		func(k int) string {
 			v := live[k]
 			return fmt.Sprintf("%s (%s) analytic solve", variants[v].app.Name, variantName(variants[v].opt))

@@ -83,12 +83,29 @@ func BenchmarkAnalyticSolveFrozen(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyticSolveMatched times the matched replay where the heatmap
+// uses it: the variants its calibration answers matched, each over a 16x16
+// slice of the heatmap lattice, reported per point.
 func BenchmarkAnalyticSolveMatched(b *testing.B) {
-	ev := analytic.NewEval(benchGraph(b, "Awari", false))
-	p := network.DefaultParams().WithWAN(30*sim.Millisecond, 0.3e6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.SolveMatched(p)
+	var pts []network.Params
+	for _, lat := range HeatmapLatencies(16) {
+		for _, bw := range HeatmapBandwidths(16) {
+			pts = append(pts, network.DefaultParams().WithWAN(lat, bw))
+		}
+	}
+	for _, app := range []string{"Water", "ASP", "TSP"} {
+		g := benchGraph(b, app, false)
+		b.Run(app+"/unopt", func(b *testing.B) {
+			ev := analytic.NewEval(g)
+			ev.SolveMatched(pts[0]) // build the replay state outside the timer
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, p := range pts {
+					ev.SolveMatched(p)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(pts)), "us/point")
+		})
 	}
 }
 

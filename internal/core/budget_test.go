@@ -211,6 +211,9 @@ func TestCellAllocCap(t *testing.T) {
 		// The most event-dense cell of the Small sweep: its queued events sit
 		// in one recycled slab, not in 256 bucket slices grown from nil.
 		{"Awari", apps.Small, topology.DAS(), 2, "2.4 / 3.1 MB"},
+		// Each rank's octree arena starts with a 16-node chunk, not a
+		// 256-node (43 KB) one for a tree of eight bodies.
+		{"Barnes-Hut", apps.Small, topology.DAS(), 2.5, "3.4 MB"},
 	} {
 		app, err := AppByName(c.app)
 		if err != nil {
@@ -232,7 +235,7 @@ func TestCellAllocCap(t *testing.T) {
 			}
 			runtime.ReadMemStats(&after)
 			if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > c.capMB {
-				t.Errorf("%s (%s) %v on %v allocates %.1f MB per cell, cap %.0f MB (was %s)",
+				t.Errorf("%s (%s) %v on %v allocates %.1f MB per cell, cap %g MB (was %s)",
 					c.app, variantName(opt), c.scale, c.topo, mb, c.capMB, c.was)
 			}
 		}
