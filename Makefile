@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test vet race purego check bench bench-runpath bench-pdes bench-analytic bench-topo chaos chaos-resume heatmap
+.PHONY: build fmt test vet race purego check chaos chaos-resume heatmap
 
 build:
 	$(GO) build ./...
@@ -34,41 +34,11 @@ purego:
 
 check: build fmt vet test race purego
 
-# bench regenerates results/BENCH_kernel.json (median of 5 runs).
-bench:
-	$(GO) run ./cmd/bench -o results/BENCH_kernel.json -repeat 5
-
-# bench-runpath regenerates results/BENCH_runpath.json: the steady-state
-# run path with allocator counters (ns/op, B/op, allocs/op, GC cycles).
-# lan_send_recv must report 0 allocs/op.
-bench-runpath:
-	$(GO) run ./cmd/bench -runpath -o results/BENCH_runpath.json -repeat 5
-
-# bench-pdes regenerates results/BENCH_pdes.json: the cluster-parallel
-# engine against the sequential one (2/4/8 in-run workers, cold
-# paper-scale suite). Wall numbers scale with the cores the machine
-# actually grants; the report pins GOMAXPROCS next to them.
-bench-pdes:
-	$(GO) run ./cmd/bench -pdes -o results/BENCH_pdes.json -repeat 5
-
-# bench-analytic regenerates results/BENCH_analytic.json: one cold
-# simulated Small Figure 3 sweep against the record-once-solve-many
-# analytic engine, with per-variant recording cost, per-grid-point solve
-# cost and prediction error.
-bench-analytic:
-	$(GO) run ./cmd/bench -analytic -o results/BENCH_analytic.json -repeat 15
-
 # heatmap regenerates results/heatmap.csv: the 64x64 per-variant analytic
 # sensitivity lattice at Small scale (deterministic; byte-identical across
 # reruns, recordings shared through the run cache).
 heatmap:
 	$(GO) run ./cmd/figures -heatmap -scale small > results/heatmap.csv
-
-# bench-topo regenerates results/BENCH_topo.json: simulator throughput and
-# peak heap as the cluster count scales 16 -> 256, on the paper's clique
-# versus a 2D torus routed hop-by-hop through the wide-area graph.
-bench-topo:
-	$(GO) run ./cmd/bench -topo -o results/BENCH_topo.json -repeat 5
 
 # chaos regenerates results/chaos.csv: the fault-injection sensitivity
 # sweep at paper scale (deterministic; reruns hit the run cache). An

@@ -10,96 +10,70 @@ import (
 // Batched solving: one topological walk of the recorded DAG answers many
 // candidate network points at once. The replay state becomes structure-of-
 // arrays — for every rank clock, NIC horizon, gateway horizon, wide-area
-// pipe and message delivery there are K lanes, one per candidate point —
-// and each operation is decoded once and applied to all lanes before the
-// walk moves on. That amortizes the per-node work a scalar grid loop pays
-// once per point (op decode, graph-array loads, branch dispatch) and,
-// more importantly, replaces the scalar replay's single serial dependency
-// chain with K independent ones the CPU can overlap: the adds, max-merges
-// and bandwidth divisions of different lanes pipeline instead of stalling
-// on each other.
+// pipe and message delivery there is one row of BatchLanes lanes, one per
+// candidate point — and each operation is decoded once and applied to all
+// lanes before the walk moves on. That amortizes the per-node work a scalar
+// grid loop pays once per point (op decode, graph-array loads, branch
+// dispatch) and, more importantly, replaces the scalar replay's single
+// serial dependency chain with independent ones the CPU can overlap: the
+// adds and max-merges of different lanes pipeline instead of stalling on
+// each other.
 //
 // Every lane performs exactly the arithmetic the scalar Solve performs for
 // its point — same operations, same order, same intermediate values — so
-// SolveBatch is bit-identical to calling Solve once per point. The one
-// shared computation, the LAN transmission time of a message when all
-// lanes agree on the LAN parameters, is a pure function of (size,
-// bandwidth) and therefore equals the value each lane would have computed
-// itself.
+// SolveBatch is bit-identical to calling Solve once per point. The values
+// the walk caches per message size (the LAN and WAN transmission times)
+// are pure functions of (size, lane parameters) and therefore equal what
+// each lane would have computed itself.
 
 // BatchLanes is the lane count of one chunk: wide enough to amortize op
 // decode and fill the CPU's parallel arithmetic, narrow enough that the
-// K-wide delivery array of a large graph stays cache-resident. Points
-// beyond it are solved in successive chunks over the same reused state.
-// It is also the unit SolveBatchParallel shards by, so callers size their
-// worker count in it.
+// delivery rows of a large graph stay cache-resident. Every chunk is walked
+// at exactly this width — a partial chunk is padded with copies of its
+// first point — so each lane loop has a compile-time trip count and no
+// bounds checks. It is also the unit SolveBatchParallel shards by, so
+// callers size their worker count in it.
 const BatchLanes = 32
 
-// batchState is the K-lane replay state plus the per-lane parameter
-// columns, allocated once per evaluator and reused across chunks.
+// laneRow is one entity's state (or one parameter) across the lanes.
+type laneRow = [BatchLanes]sim.Time
+
+// batchState is the lane replay state plus the per-lane parameter columns,
+// allocated once per evaluator and reused across chunks.
 type batchState struct {
-	lanes int // allocated lane capacity
+	// Per-entity lane rows.
+	rankEnd, nicFree, gwFree, wanFree, delivered []laneRow
 
-	// Lane-major state: entity j's lanes live at [j*K, (j+1)*K).
-	rankEnd, nicFree, gwFree, wanFree, delivered []sim.Time
+	// Per-lane parameter columns. ilWanPer = intraLat + wanPer and
+	// ilRecv = intraLat + recvOv fold sums the walk would otherwise re-add
+	// per message; integer addition is associative, so every lane's result
+	// is bit-identical.
+	sendOv, recvOv, wanLat, rtt, ilWanPer, ilRecv laneRow
+	intraBW, wanBW                                [BatchLanes]float64
 
-	// Per-lane parameter columns.
-	sendOv, recvOv, intraLat, wanLat, wanPer, rtt []sim.Time
-	intraBW, wanBW                                []float64
-
-	// Folded per-lane sums the walk would otherwise re-add per message:
-	// ilWanPer[lane] = intraLat + wanPer, ilRecv[lane] = intraLat + recvOv.
-	// Integer addition is associative, so folding the constants once per
-	// chunk leaves every lane's result bit-identical.
-	ilWanPer, ilRecv []sim.Time
-
-	// uniform marks chunks whose lanes all share the same LAN parameters
-	// (lanParams); the walk then hoists LAN-side constants out of the lane
-	// loops and the prefix snapshot is shared across all lanes.
-	uniform bool
-
-	// wanTxRows caches, per distinct message size (dense ids from
-	// buildSlots), the per-lane wide-area transmission time plus the
-	// lane's message RTT charge. Applications send a handful of distinct
-	// sizes thousands of times; computing a size's K divisions once and
-	// replaying the cached row is bit-identical (a pure function of size
-	// and per-chunk lane constants) and removes the single hottest
-	// arithmetic from the walk. wanTxDone marks the computed rows and is
-	// cleared whenever the lane columns change.
-	wanTxRows []sim.Time
-	wanTxDone []bool
-
-	// intraTxVal caches, per distinct message size, the LAN transmission
-	// time under the chunk's shared intra-cluster bandwidth. Only consulted
-	// on the uniform fast path, where every lane would compute the same
-	// value; cleared with wanTxDone whenever the lane columns change.
-	intraTxVal  []sim.Time
-	intraTxDone []bool
+	// lanTx and wanTx cache, per distinct message size (dense ids from
+	// buildSlots), the per-lane LAN transmission time and the WAN
+	// transmission time plus the lane's message RTT charge. Applications
+	// send a handful of distinct sizes thousands of times; computing a
+	// size's divisions once per chunk removes the hottest arithmetic from
+	// the walk. txDone marks the computed rows and is cleared whenever the
+	// lane columns change.
+	lanTx, wanTx []laneRow
+	txDone       []bool
 }
 
-// intraTx returns the LAN transmission time of one message size under the
-// chunk's shared intra-cluster bandwidth (uniform chunks only), computing
-// and caching it on first sight.
-func (b *batchState) intraTx(sid int32, size int64) sim.Time {
-	if !b.intraTxDone[sid] {
-		b.intraTxVal[sid] = sim.TransmissionTime(size, b.intraBW[0])
-		b.intraTxDone[sid] = true
-	}
-	return b.intraTxVal[sid]
-}
-
-// wanTx returns, per lane, the WAN transmission time of one message size
-// plus the lane's per-message RTT charge, computing and caching the row on
-// first sight. sid is the size's dense id from the graph's size table.
-func (b *batchState) wanTx(sid int32, size int64, k int) []sim.Time {
-	row := b.wanTxRows[int(sid)*b.lanes : int(sid)*b.lanes+k]
-	if !b.wanTxDone[sid] {
-		for lane := 0; lane < k; lane++ {
-			row[lane] = sim.TransmissionTime(size, b.wanBW[lane]) + b.rtt[lane]
+// tx returns the LAN and WAN transmission rows of one message size,
+// computing and caching them on first sight.
+func (b *batchState) tx(sid int32, size int64) (lan, wan *laneRow) {
+	lan, wan = &b.lanTx[sid], &b.wanTx[sid]
+	if !b.txDone[sid] {
+		for lane := range lan {
+			lan[lane] = sim.TransmissionTime(size, b.intraBW[lane])
+			wan[lane] = sim.TransmissionTime(size, b.wanBW[lane]) + b.rtt[lane]
 		}
-		b.wanTxDone[sid] = true
+		b.txDone[sid] = true
 	}
-	return row
+	return lan, wan
 }
 
 // buildSlots computes the message -> delivery-slot remap the batched walk
@@ -180,36 +154,21 @@ func buildSlots(g *Graph) (msgSlot, msgSizeID []int32, slots, sizes int) {
 	return msgSlot, msgSizeID, slots, sizes
 }
 
-func (e *Eval) ensureBatch(k int) *batchState {
-	b := e.batch
-	if b == nil {
-		b = &batchState{}
-		e.batch = b
-	}
-	if b.lanes < k {
+func (e *Eval) ensureBatch() *batchState {
+	if e.batch == nil {
 		g := e.g
-		b.lanes = k
-		b.rankEnd = make([]sim.Time, g.Procs*k)
-		b.nicFree = make([]sim.Time, g.Procs*k)
-		b.gwFree = make([]sim.Time, g.Clusters*k)
-		b.wanFree = make([]sim.Time, g.Clusters*g.Clusters*k)
-		b.delivered = make([]sim.Time, e.slotCount*k)
-		b.sendOv = make([]sim.Time, k)
-		b.recvOv = make([]sim.Time, k)
-		b.intraLat = make([]sim.Time, k)
-		b.wanLat = make([]sim.Time, k)
-		b.wanPer = make([]sim.Time, k)
-		b.rtt = make([]sim.Time, k)
-		b.ilWanPer = make([]sim.Time, k)
-		b.ilRecv = make([]sim.Time, k)
-		b.wanTxRows = make([]sim.Time, e.sizeCount*k)
-		b.wanTxDone = make([]bool, e.sizeCount)
-		b.intraTxVal = make([]sim.Time, e.sizeCount)
-		b.intraTxDone = make([]bool, e.sizeCount)
-		b.intraBW = make([]float64, k)
-		b.wanBW = make([]float64, k)
+		e.batch = &batchState{
+			rankEnd:   make([]laneRow, g.Procs),
+			nicFree:   make([]laneRow, g.Procs),
+			gwFree:    make([]laneRow, g.Clusters),
+			wanFree:   make([]laneRow, g.Clusters*g.Clusters),
+			delivered: make([]laneRow, e.slotCount),
+			lanTx:     make([]laneRow, e.sizeCount),
+			wanTx:     make([]laneRow, e.sizeCount),
+			txDone:    make([]bool, e.sizeCount),
+		}
 	}
-	return b
+	return e.batch
 }
 
 // SolveBatch predicts the completion time under every point of ps with the
@@ -387,32 +346,35 @@ func uniformLan(ps []network.Params) bool {
 }
 
 // solveBatchChunk answers one chunk of at most BatchLanes points: load the
-// per-lane parameter columns, seed the lane state (from the shared prefix
-// snapshot when possible), walk the suffix once, reduce per-lane maxima.
+// per-lane parameter columns (padding lanes repeat ps[0], so a chunk's
+// lanes share LAN parameters exactly when its real points do), seed the
+// lane state (from the shared prefix snapshot when they share them), walk
+// the suffix once, reduce per-lane maxima. Only the first len(ps) lanes
+// are read out or counted.
 func (e *Eval) solveBatchChunk(ps []network.Params, out []sim.Time) {
 	k := len(ps)
 	if k == 0 {
 		return
 	}
-	b := e.ensureBatch(k)
-	for i, p := range ps {
-		b.sendOv[i] = p.SendOverhead
-		b.recvOv[i] = p.RecvOverhead
-		b.intraLat[i] = p.IntraLatency
-		b.intraBW[i] = p.IntraBandwidth
-		b.wanLat[i] = p.WANLatency
-		b.wanBW[i] = p.WANBandwidth
-		b.wanPer[i] = p.WANPerMessage
-		b.rtt[i] = sim.Time(float64(2*p.WANLatency) * p.WANMessageRTTFactor)
-		b.ilWanPer[i] = p.IntraLatency + p.WANPerMessage
-		b.ilRecv[i] = p.IntraLatency + p.RecvOverhead
+	b := e.ensureBatch()
+	for lane := range BatchLanes {
+		p := ps[0]
+		if lane < k {
+			p = ps[lane]
+		}
+		b.sendOv[lane] = p.SendOverhead
+		b.recvOv[lane] = p.RecvOverhead
+		b.wanLat[lane] = p.WANLatency
+		b.rtt[lane] = sim.Time(float64(2*p.WANLatency) * p.WANMessageRTTFactor)
+		b.ilWanPer[lane] = p.IntraLatency + p.WANPerMessage
+		b.ilRecv[lane] = p.IntraLatency + p.RecvOverhead
+		b.intraBW[lane] = p.IntraBandwidth
+		b.wanBW[lane] = p.WANBandwidth
 	}
-	b.uniform = uniformLan(ps)
-	clear(b.wanTxDone)
-	clear(b.intraTxDone)
+	clear(b.txDone)
 
 	start := 0
-	if b.uniform && e.wanStart > 0 {
+	if e.wanStart > 0 && uniformLan(ps) {
 		// All lanes share the WAN-independent prefix: compute (or reuse)
 		// the scalar snapshot once and broadcast it across the lanes.
 		if !(e.snapValid && e.snapLan == lanOf(ps[0])) {
@@ -420,68 +382,55 @@ func (e *Eval) solveBatchChunk(ps []network.Params, out []sim.Time) {
 		} else {
 			e.restore()
 		}
-		broadcast(b.rankEnd, e.rankEnd, k)
-		broadcast(b.nicFree, e.nicFree, k)
-		broadcast(b.gwFree, e.gwFree, k)
-		broadcast(b.wanFree, e.wanFree, k)
+		broadcast(b.rankEnd, e.rankEnd)
+		broadcast(b.nicFree, e.nicFree)
+		broadcast(b.gwFree, e.gwFree)
+		broadcast(b.wanFree, e.wanFree)
 		// Scatter the prefix deliveries through the slot remap in send
 		// order: when prefix messages shared a slot, the later (the one
 		// still live at wanStart) lands last, which is the value the walk
 		// may still read.
 		for m := 0; m < e.prefixMsgs; m++ {
-			lanes := b.delivered[int(e.msgSlot[m])*k:]
-			v := e.delivered[m]
-			for i := 0; i < k; i++ {
-				lanes[i] = v
+			row := &b.delivered[e.msgSlot[m]]
+			for lane := range row {
+				row[lane] = e.delivered[m]
 			}
 		}
 		start = e.prog.start
 		e.opsEvaluated += int64(len(e.g.Ops)-e.wanStart) * int64(k)
 	} else {
 		e.opsEvaluated += int64(len(e.g.Ops)) * int64(k)
-		zeroLanes(b.rankEnd, e.g.Procs*k)
-		zeroLanes(b.nicFree, e.g.Procs*k)
-		zeroLanes(b.gwFree, e.g.Clusters*k)
-		zeroLanes(b.wanFree, e.g.Clusters*e.g.Clusters*k)
+		clear(b.rankEnd)
+		clear(b.nicFree)
+		clear(b.gwFree)
+		clear(b.wanFree)
 		// delivered needs no clearing: record order writes every message's
 		// lanes before any receive reads them.
 	}
 
-	if k == BatchLanes {
-		e.batchWalk32(b, start)
-	} else {
-		e.batchWalk(b, k, start)
-	}
+	e.batchWalk32(b, start)
 	e.batchSolves++
 	e.batchPoints += k
 
 	// Per-lane maximum over the rank clocks.
-	g := e.g
-	for lane := 0; lane < k; lane++ {
-		out[lane] = 0
-	}
-	for r := 0; r < g.Procs; r++ {
-		re := b.rankEnd[r*k : (r+1)*k]
-		for lane, t := range re {
-			if t > out[lane] {
-				out[lane] = t
-			}
+	var end laneRow
+	for r := range b.rankEnd {
+		re := &b.rankEnd[r]
+		for lane := range end {
+			end[lane] = max(end[lane], re[lane])
 		}
 	}
+	copy(out, end[:k])
 }
 
-// broadcast fills each entity's k lanes with its scalar value.
-func broadcast(dst, src []sim.Time, k int) {
+// broadcast fills each entity's lanes with its scalar value.
+func broadcast(dst []laneRow, src []sim.Time) {
 	for j, v := range src {
-		lanes := dst[j*k : (j+1)*k]
-		for i := range lanes {
-			lanes[i] = v
+		row := &dst[j]
+		for lane := range row {
+			row[lane] = v
 		}
 	}
-}
-
-func zeroLanes(s []sim.Time, n int) {
-	clear(s[:n])
 }
 
 // The batch program: the graph's op stream pre-compiled for the batched
@@ -617,520 +566,77 @@ func buildProg(g *Graph, msgSlot, msgSizeID []int32, wanStart int) *batchProg {
 	return p
 }
 
-// batchWalk replays the batch program from entry `start` across k lanes.
-// Each lane runs the scalar walk's arithmetic exactly; the uniform-LAN
-// fast path additionally hoists the LAN-side constants (software
-// overheads, intra latency, LAN transmission time of the message) out of
-// the lane loops — pure functions of values all lanes share, so the
-// hoisted results are the values every lane would have computed.
-func (e *Eval) batchWalk(b *batchState, k int, start int) {
-	p := e.prog
-	kinds := p.kind
-	for i := start; i < len(kinds); i++ {
-		rank := int(p.rank[i])
-		switch kinds[i] {
-		case bpSpan:
-			d := sim.Time(p.t[i])
-			re := b.rankEnd[rank*k : (rank+1)*k]
-			for lane := range re {
-				re[lane] += d
-			}
-		case bpRecv:
-			re := b.rankEnd[rank*k : (rank+1)*k]
-			del := b.delivered[int(p.a[i])*k:][:len(re)]
-			for lane := range re {
-				if del[lane] > re[lane] {
-					re[lane] = del[lane]
-				}
-			}
-		case bpRecvRun:
-			re := b.rankEnd[rank*k : (rank+1)*k]
-			for _, sl := range p.runSlots[p.a[i] : p.a[i]+p.b[i]] {
-				del := b.delivered[int(sl)*k:][:len(re)]
-				for lane := range re {
-					if del[lane] > re[lane] {
-						re[lane] = del[lane]
-					}
-				}
-			}
-		case bpLoopback:
-			re := b.rankEnd[rank*k : (rank+1)*k]
-			del := b.delivered[int(p.a[i])*k:][:len(re)]
-			if b.uniform {
-				so, ro := b.sendOv[0], b.recvOv[0]
-				for lane := range re {
-					ready := re[lane] + so
-					re[lane] = ready
-					del[lane] = ready + ro
-				}
-			} else {
-				for lane := range re {
-					ready := re[lane] + b.sendOv[lane]
-					re[lane] = ready
-					del[lane] = ready + b.recvOv[lane]
-				}
-			}
-		case bpLocal:
-			re := b.rankEnd[rank*k : (rank+1)*k]
-			del := b.delivered[int(p.a[i])*k:][:len(re)]
-			nic := b.nicFree[rank*k:][:len(re)]
-			if b.uniform {
-				so, ilro := b.sendOv[0], b.ilRecv[0]
-				tx := b.intraTx(p.b[i], p.t[i])
-				for lane := range re {
-					ready := re[lane] + so
-					re[lane] = ready
-					s := ready
-					if nic[lane] > s {
-						s = nic[lane]
-					}
-					nicDone := s + tx
-					nic[lane] = nicDone
-					del[lane] = nicDone + ilro
-				}
-			} else {
-				for lane := range re {
-					ready := re[lane] + b.sendOv[lane]
-					re[lane] = ready
-					s := ready
-					if nic[lane] > s {
-						s = nic[lane]
-					}
-					nicDone := s + sim.TransmissionTime(p.t[i], b.intraBW[lane])
-					nic[lane] = nicDone
-					del[lane] = nicDone + b.ilRecv[lane]
-				}
-			}
-		case bpRecvLocal:
-			re := b.rankEnd[rank*k : (rank+1)*k]
-			dr := b.delivered[int(p.r[i])*k:][:len(re)]
-			del := b.delivered[int(p.a[i])*k:][:len(re)]
-			nic := b.nicFree[rank*k:][:len(re)]
-			if b.uniform {
-				so, ilro := b.sendOv[0], b.ilRecv[0]
-				tx := b.intraTx(p.b[i], p.t[i])
-				for lane := range re {
-					v := re[lane]
-					if dr[lane] > v {
-						v = dr[lane]
-					}
-					ready := v + so
-					re[lane] = ready
-					s := ready
-					if nic[lane] > s {
-						s = nic[lane]
-					}
-					nicDone := s + tx
-					nic[lane] = nicDone
-					del[lane] = nicDone + ilro
-				}
-			} else {
-				for lane := range re {
-					v := re[lane]
-					if dr[lane] > v {
-						v = dr[lane]
-					}
-					ready := v + b.sendOv[lane]
-					re[lane] = ready
-					s := ready
-					if nic[lane] > s {
-						s = nic[lane]
-					}
-					nicDone := s + sim.TransmissionTime(p.t[i], b.intraBW[lane])
-					nic[lane] = nicDone
-					del[lane] = nicDone + b.ilRecv[lane]
-				}
-			}
-		case bpRecvWAN:
-			re := b.rankEnd[rank*k : (rank+1)*k]
-			dr := b.delivered[int(p.r[i])*k:][:len(re)]
-			del := b.delivered[int(p.a[i])*k:][:len(re)]
-			nic := b.nicFree[rank*k:][:len(re)]
-			wan := b.wanFree[int(p.c[i])*k:][:len(re)]
-			gw := b.gwFree[int(p.d[i])*k:][:len(re)]
-			wtx := b.wanTx(p.b[i], p.t[i], k)[:len(re)]
-			if b.uniform {
-				so, ilro := b.sendOv[0], b.ilRecv[0]
-				tx := b.intraTx(p.b[i], p.t[i])
-				ilwp := b.ilWanPer[:len(re)]
-				wlat := b.wanLat[:len(re)]
-				for lane := range re {
-					v := re[lane]
-					if dr[lane] > v {
-						v = dr[lane]
-					}
-					ready := v + so
-					re[lane] = ready
-					s := ready
-					if nic[lane] > s {
-						s = nic[lane]
-					}
-					nicDone := s + tx
-					nic[lane] = nicDone
-					s = nicDone + ilwp[lane]
-					if wan[lane] > s {
-						s = wan[lane]
-					}
-					wanDone := s + wtx[lane]
-					wan[lane] = wanDone
-					s = wanDone + wlat[lane]
-					if gw[lane] > s {
-						s = gw[lane]
-					}
-					gwDone := s + tx
-					gw[lane] = gwDone
-					del[lane] = gwDone + ilro
-				}
-			} else {
-				for lane := range re {
-					v := re[lane]
-					if dr[lane] > v {
-						v = dr[lane]
-					}
-					ready := v + b.sendOv[lane]
-					re[lane] = ready
-					s := ready
-					if nic[lane] > s {
-						s = nic[lane]
-					}
-					nicDone := s + sim.TransmissionTime(p.t[i], b.intraBW[lane])
-					nic[lane] = nicDone
-					s = nicDone + b.ilWanPer[lane]
-					if wan[lane] > s {
-						s = wan[lane]
-					}
-					wanDone := s + wtx[lane]
-					wan[lane] = wanDone
-					s = wanDone + b.wanLat[lane]
-					if gw[lane] > s {
-						s = gw[lane]
-					}
-					gwDone := s + sim.TransmissionTime(p.t[i], b.intraBW[lane])
-					gw[lane] = gwDone
-					del[lane] = gwDone + b.ilRecv[lane]
-				}
-			}
-		case bpWAN:
-			re := b.rankEnd[rank*k : (rank+1)*k]
-			del := b.delivered[int(p.a[i])*k:][:len(re)]
-			nic := b.nicFree[rank*k:][:len(re)]
-			wan := b.wanFree[int(p.c[i])*k:][:len(re)]
-			gw := b.gwFree[int(p.d[i])*k:][:len(re)]
-			wtx := b.wanTx(p.b[i], p.t[i], k)[:len(re)]
-			if b.uniform {
-				so, ilro := b.sendOv[0], b.ilRecv[0]
-				tx := b.intraTx(p.b[i], p.t[i])
-				ilwp := b.ilWanPer[:len(re)]
-				wlat := b.wanLat[:len(re)]
-				for lane := range re {
-					ready := re[lane] + so
-					re[lane] = ready
-					s := ready
-					if nic[lane] > s {
-						s = nic[lane]
-					}
-					nicDone := s + tx
-					nic[lane] = nicDone
-					s = nicDone + ilwp[lane]
-					if wan[lane] > s {
-						s = wan[lane]
-					}
-					wanDone := s + wtx[lane]
-					wan[lane] = wanDone
-					s = wanDone + wlat[lane]
-					if gw[lane] > s {
-						s = gw[lane]
-					}
-					gwDone := s + tx
-					gw[lane] = gwDone
-					del[lane] = gwDone + ilro
-				}
-			} else {
-				for lane := range re {
-					ready := re[lane] + b.sendOv[lane]
-					re[lane] = ready
-					s := ready
-					if nic[lane] > s {
-						s = nic[lane]
-					}
-					nicDone := s + sim.TransmissionTime(p.t[i], b.intraBW[lane])
-					nic[lane] = nicDone
-					s = nicDone + b.ilWanPer[lane]
-					if wan[lane] > s {
-						s = wan[lane]
-					}
-					wanDone := s + wtx[lane]
-					wan[lane] = wanDone
-					s = wanDone + b.wanLat[lane]
-					if gw[lane] > s {
-						s = gw[lane]
-					}
-					gwDone := s + sim.TransmissionTime(p.t[i], b.intraBW[lane])
-					gw[lane] = gwDone
-					del[lane] = gwDone + b.ilRecv[lane]
-				}
-			}
-		}
-	}
-}
-
-// batchWalk32 is batchWalk specialized to full chunks (k == BatchLanes).
-// Converting each entity's lane slice to a *[BatchLanes]sim.Time array
-// pointer gives every lane loop a compile-time trip count and no bounds
-// checks — worth ~30% on the walk, the kernel the whole grid spends its
-// time in. The arithmetic is identical to batchWalk's.
+// batchWalk32 replays the batch program from entry `start` across all
+// BatchLanes lanes. Each kind has one lane loop running the scalar walk's
+// arithmetic per lane: the LAN-side values come from the per-lane columns
+// and the per-size transmission rows, whether or not the lanes agree on
+// them. The fused receive kinds merge the received delivery row first;
+// their unfused counterparts merge the rank row with itself, a no-op.
 func (e *Eval) batchWalk32(b *batchState, start int) {
-	const k = BatchLanes
-	type row = [BatchLanes]sim.Time
 	p := e.prog
 	kinds := p.kind
-	wanLatCol := (*row)(b.wanLat)
-	ilWanPer := (*row)(b.ilWanPer)
-	ilRecv := (*row)(b.ilRecv)
 	for i := start; i < len(kinds); i++ {
-		rank := int(p.rank[i])
-		switch kinds[i] {
+		re := &b.rankEnd[p.rank[i]]
+		switch kind := kinds[i]; kind {
 		case bpSpan:
 			d := sim.Time(p.t[i])
-			re := (*row)(b.rankEnd[rank*k:])
-			for lane := 0; lane < k; lane++ {
+			for lane := range re {
 				re[lane] += d
 			}
 		case bpRecv:
-			re := (*row)(b.rankEnd[rank*k:])
-			del := (*row)(b.delivered[int(p.a[i])*k:])
-			for lane := 0; lane < k; lane++ {
-				if del[lane] > re[lane] {
-					re[lane] = del[lane]
-				}
+			del := &b.delivered[p.a[i]]
+			for lane := range re {
+				re[lane] = max(re[lane], del[lane])
 			}
 		case bpRecvRun:
-			re := (*row)(b.rankEnd[rank*k:])
 			for _, sl := range p.runSlots[p.a[i] : p.a[i]+p.b[i]] {
-				del := (*row)(b.delivered[int(sl)*k:])
-				for lane := 0; lane < k; lane++ {
-					if del[lane] > re[lane] {
-						re[lane] = del[lane]
-					}
+				del := &b.delivered[sl]
+				for lane := range re {
+					re[lane] = max(re[lane], del[lane])
 				}
 			}
 		case bpLoopback:
-			re := (*row)(b.rankEnd[rank*k:])
-			del := (*row)(b.delivered[int(p.a[i])*k:])
-			if b.uniform {
-				so, ro := b.sendOv[0], b.recvOv[0]
-				for lane := 0; lane < k; lane++ {
-					ready := re[lane] + so
-					re[lane] = ready
-					del[lane] = ready + ro
-				}
-			} else {
-				sov, rov := (*row)(b.sendOv), (*row)(b.recvOv)
-				for lane := 0; lane < k; lane++ {
-					ready := re[lane] + sov[lane]
-					re[lane] = ready
-					del[lane] = ready + rov[lane]
-				}
+			del := &b.delivered[p.a[i]]
+			for lane := range re {
+				ready := re[lane] + b.sendOv[lane]
+				re[lane] = ready
+				del[lane] = ready + b.recvOv[lane]
 			}
-		case bpLocal:
-			re := (*row)(b.rankEnd[rank*k:])
-			del := (*row)(b.delivered[int(p.a[i])*k:])
-			nic := (*row)(b.nicFree[rank*k:])
-			if b.uniform {
-				so, ilro := b.sendOv[0], b.ilRecv[0]
-				tx := b.intraTx(p.b[i], p.t[i])
-				for lane := 0; lane < k; lane++ {
-					ready := re[lane] + so
-					re[lane] = ready
-					s := ready
-					if nic[lane] > s {
-						s = nic[lane]
-					}
-					nicDone := s + tx
-					nic[lane] = nicDone
-					del[lane] = nicDone + ilro
-				}
-			} else {
-				sov := (*row)(b.sendOv)
-				for lane := 0; lane < k; lane++ {
-					ready := re[lane] + sov[lane]
-					re[lane] = ready
-					s := ready
-					if nic[lane] > s {
-						s = nic[lane]
-					}
-					nicDone := s + sim.TransmissionTime(p.t[i], b.intraBW[lane])
-					nic[lane] = nicDone
-					del[lane] = nicDone + ilRecv[lane]
-				}
+		case bpLocal, bpRecvLocal:
+			dr := re
+			if kind == bpRecvLocal {
+				dr = &b.delivered[p.r[i]]
 			}
-		case bpRecvLocal:
-			re := (*row)(b.rankEnd[rank*k:])
-			dr := (*row)(b.delivered[int(p.r[i])*k:])
-			del := (*row)(b.delivered[int(p.a[i])*k:])
-			nic := (*row)(b.nicFree[rank*k:])
-			if b.uniform {
-				so, ilro := b.sendOv[0], b.ilRecv[0]
-				tx := b.intraTx(p.b[i], p.t[i])
-				for lane := 0; lane < k; lane++ {
-					v := re[lane]
-					if dr[lane] > v {
-						v = dr[lane]
-					}
-					ready := v + so
-					re[lane] = ready
-					s := ready
-					if nic[lane] > s {
-						s = nic[lane]
-					}
-					nicDone := s + tx
-					nic[lane] = nicDone
-					del[lane] = nicDone + ilro
-				}
-			} else {
-				sov := (*row)(b.sendOv)
-				for lane := 0; lane < k; lane++ {
-					v := re[lane]
-					if dr[lane] > v {
-						v = dr[lane]
-					}
-					ready := v + sov[lane]
-					re[lane] = ready
-					s := ready
-					if nic[lane] > s {
-						s = nic[lane]
-					}
-					nicDone := s + sim.TransmissionTime(p.t[i], b.intraBW[lane])
-					nic[lane] = nicDone
-					del[lane] = nicDone + ilRecv[lane]
-				}
+			del := &b.delivered[p.a[i]]
+			nic := &b.nicFree[p.rank[i]]
+			tx, _ := b.tx(p.b[i], p.t[i])
+			for lane := range re {
+				ready := max(re[lane], dr[lane]) + b.sendOv[lane]
+				re[lane] = ready
+				nicDone := max(ready, nic[lane]) + tx[lane]
+				nic[lane] = nicDone
+				del[lane] = nicDone + b.ilRecv[lane]
 			}
-		case bpRecvWAN:
-			re := (*row)(b.rankEnd[rank*k:])
-			dr := (*row)(b.delivered[int(p.r[i])*k:])
-			del := (*row)(b.delivered[int(p.a[i])*k:])
-			nic := (*row)(b.nicFree[rank*k:])
-			wan := (*row)(b.wanFree[int(p.c[i])*k:])
-			gw := (*row)(b.gwFree[int(p.d[i])*k:])
-			wtx := (*row)(b.wanTx(p.b[i], p.t[i], k))
-			if b.uniform {
-				so, ilro := b.sendOv[0], b.ilRecv[0]
-				tx := b.intraTx(p.b[i], p.t[i])
-				for lane := 0; lane < k; lane++ {
-					v := re[lane]
-					if dr[lane] > v {
-						v = dr[lane]
-					}
-					ready := v + so
-					re[lane] = ready
-					s := ready
-					if nic[lane] > s {
-						s = nic[lane]
-					}
-					nicDone := s + tx
-					nic[lane] = nicDone
-					s = nicDone + ilWanPer[lane]
-					if wan[lane] > s {
-						s = wan[lane]
-					}
-					wanDone := s + wtx[lane]
-					wan[lane] = wanDone
-					s = wanDone + wanLatCol[lane]
-					if gw[lane] > s {
-						s = gw[lane]
-					}
-					gwDone := s + tx
-					gw[lane] = gwDone
-					del[lane] = gwDone + ilro
-				}
-			} else {
-				sov := (*row)(b.sendOv)
-				for lane := 0; lane < k; lane++ {
-					v := re[lane]
-					if dr[lane] > v {
-						v = dr[lane]
-					}
-					ready := v + sov[lane]
-					re[lane] = ready
-					s := ready
-					if nic[lane] > s {
-						s = nic[lane]
-					}
-					nicDone := s + sim.TransmissionTime(p.t[i], b.intraBW[lane])
-					nic[lane] = nicDone
-					s = nicDone + ilWanPer[lane]
-					if wan[lane] > s {
-						s = wan[lane]
-					}
-					wanDone := s + wtx[lane]
-					wan[lane] = wanDone
-					s = wanDone + wanLatCol[lane]
-					if gw[lane] > s {
-						s = gw[lane]
-					}
-					gwDone := s + sim.TransmissionTime(p.t[i], b.intraBW[lane])
-					gw[lane] = gwDone
-					del[lane] = gwDone + ilRecv[lane]
-				}
+		case bpWAN, bpRecvWAN:
+			dr := re
+			if kind == bpRecvWAN {
+				dr = &b.delivered[p.r[i]]
 			}
-		case bpWAN:
-			re := (*row)(b.rankEnd[rank*k:])
-			del := (*row)(b.delivered[int(p.a[i])*k:])
-			nic := (*row)(b.nicFree[rank*k:])
-			wan := (*row)(b.wanFree[int(p.c[i])*k:])
-			gw := (*row)(b.gwFree[int(p.d[i])*k:])
-			wtx := (*row)(b.wanTx(p.b[i], p.t[i], k))
-			if b.uniform {
-				so, ilro := b.sendOv[0], b.ilRecv[0]
-				tx := b.intraTx(p.b[i], p.t[i])
-				for lane := 0; lane < k; lane++ {
-					ready := re[lane] + so
-					re[lane] = ready
-					s := ready
-					if nic[lane] > s {
-						s = nic[lane]
-					}
-					nicDone := s + tx
-					nic[lane] = nicDone
-					s = nicDone + ilWanPer[lane]
-					if wan[lane] > s {
-						s = wan[lane]
-					}
-					wanDone := s + wtx[lane]
-					wan[lane] = wanDone
-					s = wanDone + wanLatCol[lane]
-					if gw[lane] > s {
-						s = gw[lane]
-					}
-					gwDone := s + tx
-					gw[lane] = gwDone
-					del[lane] = gwDone + ilro
-				}
-			} else {
-				sov := (*row)(b.sendOv)
-				for lane := 0; lane < k; lane++ {
-					ready := re[lane] + sov[lane]
-					re[lane] = ready
-					s := ready
-					if nic[lane] > s {
-						s = nic[lane]
-					}
-					nicDone := s + sim.TransmissionTime(p.t[i], b.intraBW[lane])
-					nic[lane] = nicDone
-					s = nicDone + ilWanPer[lane]
-					if wan[lane] > s {
-						s = wan[lane]
-					}
-					wanDone := s + wtx[lane]
-					wan[lane] = wanDone
-					s = wanDone + wanLatCol[lane]
-					if gw[lane] > s {
-						s = gw[lane]
-					}
-					gwDone := s + sim.TransmissionTime(p.t[i], b.intraBW[lane])
-					gw[lane] = gwDone
-					del[lane] = gwDone + ilRecv[lane]
-				}
+			del := &b.delivered[p.a[i]]
+			nic := &b.nicFree[p.rank[i]]
+			wan := &b.wanFree[p.c[i]]
+			gw := &b.gwFree[p.d[i]]
+			tx, wtx := b.tx(p.b[i], p.t[i])
+			for lane := range re {
+				ready := max(re[lane], dr[lane]) + b.sendOv[lane]
+				re[lane] = ready
+				nicDone := max(ready, nic[lane]) + tx[lane]
+				nic[lane] = nicDone
+				wanDone := max(nicDone+b.ilWanPer[lane], wan[lane]) + wtx[lane]
+				wan[lane] = wanDone
+				gwDone := max(wanDone+b.wanLat[lane], gw[lane]) + tx[lane]
+				gw[lane] = gwDone
+				del[lane] = gwDone + b.ilRecv[lane]
 			}
 		}
 	}

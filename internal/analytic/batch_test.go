@@ -68,6 +68,7 @@ func TestSolveBatchMatchesScalar(t *testing.T) {
 				t.Fatalf("graph %d point %d: cold SolveBatch %d, scalar %d", i, j, got[j], want[j])
 			}
 		}
+		checkBatchCounters(t, g, ps)
 		// ...then scalar solves on the same evaluator (its snapshot now
 		// warm from the batch pass)...
 		for j, p := range ps {
@@ -85,6 +86,91 @@ func TestSolveBatchMatchesScalar(t *testing.T) {
 		if st := ev.Stats(); st.BatchPoints != 2*n || st.BatchSolves == 0 {
 			t.Fatalf("graph %d: batch counters off: %+v for %d points twice", i, st, n)
 		}
+	}
+}
+
+// TestSolveBatchPartialChunks is a fixed mix of partial chunks on one
+// evaluator — non-uniform, uniform, a full non-uniform chunk followed by a
+// uniform remainder, a lone LAN-perturbed point — so padding lanes and the
+// per-chunk caches must neither leak into the answers nor be counted.
+func TestSolveBatchPartialChunks(t *testing.T) {
+	var g *Graph
+	for seed := int64(20); ; seed++ {
+		g = randomGraph(rand.New(rand.NewSource(seed)), true)
+		if pre := NewEval(g).Stats().PrefixNodes; pre > 0 && pre < g.Nodes() {
+			break
+		}
+	}
+	wan := func(i int) network.Params {
+		p := g.Ref
+		p.WANLatency = sim.Time(1+i) * 3 * sim.Millisecond
+		p.WANBandwidth = 1e5 * float64(1+i)
+		return p
+	}
+	lan := func(i int) network.Params {
+		p := wan(i)
+		p.IntraLatency = sim.Time(1000 * (1 + i%4))
+		p.IntraBandwidth = 1e7 * float64(1+i%3)
+		p.SendOverhead = sim.Time(500 * (i % 5))
+		return p
+	}
+	sets := [][]network.Params{
+		{lan(0), wan(1), lan(2), wan(3), lan(4)},
+		{wan(5), wan(6), wan(7)},
+		nil,
+		{lan(9)},
+	}
+	for i := 0; i < BatchLanes; i++ {
+		sets[2] = append(sets[2], lan(i))
+	}
+	for i := 0; i < 7; i++ {
+		sets[2] = append(sets[2], wan(i))
+	}
+	ev := NewEval(g)
+	for si, ps := range sets {
+		before := ev.Stats()
+		got := ev.SolveBatch(ps)
+		for j, p := range ps {
+			if want := NewEval(g).Solve(p); got[j] != want {
+				t.Fatalf("set %d point %d: SolveBatch %d, scalar %d", si, j, got[j], want)
+			}
+		}
+		if st := ev.Stats(); st.BatchPoints-before.BatchPoints != len(ps) {
+			t.Fatalf("set %d: BatchPoints grew by %d for %d points", si, st.BatchPoints-before.BatchPoints, len(ps))
+		}
+	}
+	checkBatchCounters(t, g, sets[2])
+}
+
+// checkBatchCounters solves ps on a cold evaluator and requires the
+// counters to count real points only: BatchPoints is len(ps), and
+// OpsEvaluated is, per chunk, the suffix for each real point when the
+// chunk shares LAN parameters (plus one prefix walk each time the snapshot
+// changes) and the whole graph for each real point otherwise.
+func checkBatchCounters(t *testing.T, g *Graph, ps []network.Params) {
+	t.Helper()
+	cold := NewEval(g)
+	cold.SolveBatch(ps)
+	st := cold.Stats()
+	n, pre := int64(g.Nodes()), int64(st.PrefixNodes)
+	var want int64
+	var snap *lanParams
+	for lo := 0; lo < len(ps); lo += BatchLanes {
+		chunk := ps[lo:min(lo+BatchLanes, len(ps))]
+		k := int64(len(chunk))
+		if pre == 0 || !uniformLan(chunk) {
+			want += n * k
+			continue
+		}
+		if l := lanOf(chunk[0]); snap == nil || *snap != l {
+			want += pre
+			snap = &l
+		}
+		want += (n - pre) * k
+	}
+	if st.BatchPoints != len(ps) || st.OpsEvaluated != want {
+		t.Fatalf("counters count padding: BatchPoints %d for %d points, OpsEvaluated %d, want %d",
+			st.BatchPoints, len(ps), st.OpsEvaluated, want)
 	}
 }
 
@@ -200,27 +286,6 @@ func TestClonesSolveConcurrently(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		if err := <-done; err != nil {
 			t.Error(err)
-		}
-	}
-}
-
-// TestBatchSensitivityCorners: the degenerate points sensitivity
-// decomposition feeds through the batch path (zero latency, infinite
-// bandwidth) agree with the scalar Sensitivity implementation.
-func TestBatchSensitivityCorners(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for i := 0; i < 20; i++ {
-		g := randomGraph(r, true)
-		p := g.Ref
-		p.WANLatency = p.WANLatency*2 + 1
-		zeroLat := p
-		zeroLat.WANLatency = 0
-		infBW := p
-		infBW.WANBandwidth = math.MaxFloat64
-		s := NewEval(g).Sensitivity(p)
-		ts := NewEval(g).SolveBatch([]network.Params{p, zeroLat, infBW})
-		if s.Elapsed != ts[0] || s.LatencyCost != ts[0]-ts[1] || s.BandwidthCost != ts[0]-ts[2] {
-			t.Fatalf("graph %d: batch sensitivity diverged: scalar %+v, batch %v", i, s, ts)
 		}
 	}
 }

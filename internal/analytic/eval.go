@@ -1,8 +1,6 @@
 package analytic
 
 import (
-	"math"
-
 	"twolayer/internal/network"
 	"twolayer/internal/sim"
 )
@@ -343,16 +341,4 @@ func (s Sensitivity) BandwidthShare() float64 {
 		return 0
 	}
 	return float64(s.BandwidthCost) / float64(s.Elapsed)
-}
-
-// Sensitivity computes the latency/bandwidth decomposition at p.
-func (e *Eval) Sensitivity(p network.Params) Sensitivity {
-	s := Sensitivity{Elapsed: e.Solve(p)}
-	zeroLat := p
-	zeroLat.WANLatency = 0
-	s.LatencyCost = s.Elapsed - e.Solve(zeroLat)
-	infBW := p
-	infBW.WANBandwidth = math.MaxFloat64
-	s.BandwidthCost = s.Elapsed - e.Solve(infBW)
-	return s
 }

@@ -511,16 +511,3 @@ func (e *Eval) FrozenAccurate(probes []network.Params, relTol float64) bool {
 	}
 	return true
 }
-
-// SensitivityMatched computes the latency/bandwidth decomposition at p
-// using the matched replay.
-func (e *Eval) SensitivityMatched(p network.Params) Sensitivity {
-	s := Sensitivity{Elapsed: e.SolveMatched(p)}
-	zeroLat := p
-	zeroLat.WANLatency = 0
-	s.LatencyCost = s.Elapsed - e.SolveMatched(zeroLat)
-	infBW := p
-	infBW.WANBandwidth = math.MaxFloat64
-	s.BandwidthCost = s.Elapsed - e.SolveMatched(infBW)
-	return s
-}

@@ -3,8 +3,8 @@ package asp
 import "twolayer/internal/apps"
 
 // BenchRowRelaxations runs full Floyd-Warshall passes over the Paper-scale
-// graph iters times and returns the number of row relaxations applied
-// (one relaxRows visit of one row, i.e. n cells) — the unit cmd/bench
+// graph iters times and returns the number of row relaxations applied (one
+// relaxRows visit of one row, i.e. n cells) — the unit benchmark/units.go
 // prices in ns per row relaxation. The per-iteration matrix copy is
 // included but is three orders of magnitude cheaper than the n^3 relax
 // work it feeds.

@@ -5,9 +5,9 @@ import "twolayer/internal/apps"
 // BenchStateExpansions generates the successor states of every position up
 // to the Paper-scale stone limit, iters times, with the allocation-free
 // movesInto the per-rank solvers use. It returns the number of states
-// expanded — the unit cmd/bench prices in ns per node expansion. The
-// level enumeration is memoized after the first pass, so the steady state
-// measures move generation alone.
+// expanded — the unit benchmark/units.go prices in ns per node expansion.
+// The level enumeration is memoized after the first pass, so the steady
+// state measures move generation alone.
 func BenchStateExpansions(iters int) int64 {
 	cfg := ConfigFor(apps.Paper)
 	var buf []State

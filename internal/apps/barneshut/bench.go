@@ -5,7 +5,7 @@ import "twolayer/internal/apps"
 // BenchTreeForce builds the Paper-scale octree (reusing one arena, as the
 // simulated ranks do across iterations) and evaluates the force on every
 // body, iters times. It returns the number of body-interactor evaluations
-// — the app's virtual cost unit, which cmd/bench prices in ns per
+// — the app's virtual cost unit, which benchmark/units.go prices in ns per
 // interaction.
 func BenchTreeForce(iters int) int64 {
 	cfg := ConfigFor(apps.Paper)

@@ -4,10 +4,10 @@ import "twolayer/internal/apps"
 
 // BenchButterflies runs the iterative radix-2 row transform over the
 // Paper-scale six-step matrix iters times and returns the number of
-// butterfly operations performed — the unit cmd/bench prices in ns per
-// butterfly. Each iteration transforms all side rows of the side x side
-// matrix, the same per-rank work the simulated run performs in steps 2
-// and 4.
+// butterfly operations performed — the unit benchmark/units.go prices in
+// ns per butterfly. Each iteration transforms all side rows of the side x
+// side matrix, the same per-rank work the simulated run performs in steps
+// 2 and 4.
 func BenchButterflies(iters int) int64 {
 	cfg := ConfigFor(apps.Paper)
 	side := 1

@@ -5,7 +5,7 @@ import "twolayer/internal/apps"
 // BenchNodeExpansions runs the Paper-scale branch-and-bound search iters
 // times — the same job generation and allocation-free descent the
 // simulated workers run — and returns the number of search nodes visited,
-// which cmd/bench prices in ns per node expansion.
+// which benchmark/units.go prices in ns per node expansion.
 func BenchNodeExpansions(iters int) int64 {
 	cfg := ConfigFor(apps.Paper)
 	d := cities(cfg.N, cfg.Seed)

@@ -4,9 +4,9 @@ import "twolayer/internal/apps"
 
 // BenchForcePairs drives the half-shell force kernel over the Paper-scale
 // molecule cloud iters times and returns the number of pair interactions
-// evaluated — the unit cmd/bench prices in ns per force pair. It exercises
-// exactly the kernel the simulated ranks run (forceHalf), on the same
-// pristine initial state.
+// evaluated — the unit benchmark/units.go prices in ns per force pair. It
+// exercises exactly the kernel the simulated ranks run (forceHalf), on the
+// same pristine initial state.
 func BenchForcePairs(iters int) int64 {
 	cfg := ConfigFor(apps.Paper)
 	shared, _ := initialState(cfg.N, cfg.Seed)

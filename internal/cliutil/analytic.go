@@ -11,7 +11,6 @@ import (
 type Analytic struct {
 	Enabled   bool
 	Tolerance float64
-	Batch     bool
 }
 
 // RegisterAnalytic installs the shared analytic-mode flags on the process
@@ -29,16 +28,12 @@ func RegisterAnalytic() *Analytic {
 	flag.Float64Var(&a.Tolerance, "analytic-tolerance", core.DefaultAnalyticTolerance,
 		"abort if the analytic replay's self-check error at the reference "+
 			"point exceeds this fraction (must be in (0,1))")
-	flag.BoolVar(&a.Batch, "analytic-batch", true,
-		"solve analytic grids with the batched multi-point pass "+
-			"(bit-identical to the point-at-a-time loop; disable only to "+
-			"A/B the two or benchmark the scalar path)")
 	return a
 }
 
 // Options maps the parsed flags to the core solver options.
 func (a *Analytic) Options() core.AnalyticOptions {
-	return core.AnalyticOptions{Tolerance: a.Tolerance, Scalar: !a.Batch}
+	return core.AnalyticOptions{Tolerance: a.Tolerance}
 }
 
 // Validate checks the parsed values; the caller maps an error to ExitUsage.

@@ -39,18 +39,12 @@ func ReferenceParams() network.Params {
 // must be exact there regardless).
 const DefaultAnalyticTolerance = 0.05
 
-// AnalyticOptions tunes how analytic sweeps check and solve their grids.
-// The zero value means: default tolerance, batched solves.
+// AnalyticOptions tunes how analytic sweeps check their grids. The zero
+// value means the default tolerance.
 type AnalyticOptions struct {
 	// Tolerance bounds the matched replay's self-check error at the
 	// reference point; <= 0 means DefaultAnalyticTolerance.
 	Tolerance float64
-	// Scalar forces the point-at-a-time solve loop instead of the batched
-	// structure-of-arrays pass. The two are bit-identical (property-tested
-	// in internal/analytic and pinned by TestAnalyticBatchEqualsScalar
-	// here); the switch exists for A/B verification and benchmarking, not
-	// because the answers differ.
-	Scalar bool
 }
 
 func (a AnalyticOptions) tolerance() float64 {
@@ -148,19 +142,10 @@ func analyticEval(label string, x Experiment, pol *RunPolicy, cache *RunCache, a
 	if ev.FrozenAccurate(analyticProbes(), tol/3) {
 		rep.Engine = "frozen"
 	}
-	s := analyticSensitivity(analyticGridSolver(ev, rep, a), g.Ref)
+	s := analyticSensitivity(analyticGridSolver(ev, rep), g.Ref)
 	rep.LatencySharePct = 100 * s.LatencyShare()
 	rep.BandwidthSharePct = 100 * s.BandwidthShare()
 	return ev, nil, rep, nil
-}
-
-// analyticSolver returns the grid-solve function the report's calibration
-// chose: the incremental frozen pass, or the full matched replay.
-func analyticSolver(ev *analytic.Eval, rep AnalyticReport) func(network.Params) sim.Time {
-	if rep.Engine == "frozen" {
-		return ev.Solve
-	}
-	return ev.SolveMatched
 }
 
 // solveSharded runs one batched solve of the given number of points,
@@ -174,21 +159,11 @@ func solveSharded(points, perShard int, solve func(workers int) []sim.Time) []si
 }
 
 // analyticGridSolver returns the multi-point solve function for one
-// variant: the batched structure-of-arrays pass on the calibrated engine
-// (frozen points shared across one walk, matched points sharded across
-// clones), or — under AnalyticOptions.Scalar — the point-at-a-time loop
-// the batch is verified bit-identical against.
-func analyticGridSolver(ev *analytic.Eval, rep AnalyticReport, a AnalyticOptions) func([]network.Params) []sim.Time {
-	if a.Scalar {
-		solve := analyticSolver(ev, rep)
-		return func(ps []network.Params) []sim.Time {
-			out := make([]sim.Time, len(ps))
-			for i, p := range ps {
-				out[i] = solve(p)
-			}
-			return out
-		}
-	}
+// variant on its calibrated engine: frozen points share batched walks,
+// matched points are sharded across clones. Both are bit-identical to
+// solving point by point (property-tested in internal/analytic, pinned on
+// the golden variants by TestAnalyticBatchEqualsScalar).
+func analyticGridSolver(ev *analytic.Eval, rep AnalyticReport) func([]network.Params) []sim.Time {
 	if rep.Engine == "frozen" {
 		return func(ps []network.Params) []sim.Time {
 			return solveSharded(len(ps), analytic.BatchLanes, func(w int) []sim.Time {
@@ -214,9 +189,8 @@ func analyticSolveCost(g *analytic.Graph, rep AnalyticReport) float64 {
 	return float64(g.Nodes())
 }
 
-// analyticSensitivity is Eval.Sensitivity routed through a grid solver:
-// one three-point solve (asked, zero-latency, infinite-bandwidth) instead
-// of three scalar ones, same arithmetic.
+// analyticSensitivity decomposes the completion time at p through a grid
+// solver: one three-point solve (asked, zero-latency, infinite-bandwidth).
 func analyticSensitivity(solve func([]network.Params) []sim.Time, p network.Params) analytic.Sensitivity {
 	zeroLat := p
 	zeroLat.WANLatency = 0
@@ -266,7 +240,7 @@ func SolveAnalytic(label string, x Experiment, pol *RunPolicy, cache *RunCache, 
 	if err != nil || fail != nil {
 		return AnalyticPoint{Report: rep}, fail, err
 	}
-	s := analyticSensitivity(analyticGridSolver(ev, rep, a), asked)
+	s := analyticSensitivity(analyticGridSolver(ev, rep), asked)
 	return AnalyticPoint{
 		Elapsed:           s.Elapsed,
 		LatencySharePct:   100 * s.LatencyShare(),
@@ -278,8 +252,7 @@ func SolveAnalytic(label string, x Experiment, pol *RunPolicy, cache *RunCache, 
 // Figure3Analytic produces the paper's Figure 3 panels from one recorded
 // run per variant: record (or load) the reference graph, then solve every
 // latency/bandwidth cell analytically — the whole panel in one batched
-// multi-point pass per variant (a.Scalar falls back to the point-at-a-time
-// loop). Baselines are simulated through the cache as usual. a.Tolerance
+// multi-point pass per variant. Baselines are simulated through the cache as usual. a.Tolerance
 // bounds the matched replay's reference self-check. Alongside the panels
 // it returns one AnalyticReport per variant.
 func Figure3Analytic(scale apps.Scale, opts Figure3Options, a AnalyticOptions) ([]Figure3Panel, []AnalyticReport, error) {
@@ -398,7 +371,7 @@ func Figure3Analytic(scale apps.Scale, opts Figure3Options, a AnalyticOptions) (
 		func(k int) error {
 			v := live[k]
 			ev := analytic.NewEval(graphs[v])
-			solve := analyticGridSolver(ev, reports[v], a)
+			solve := analyticGridSolver(ev, reports[v])
 			pts := make([]network.Params, 0, len(lats)*len(bws)+len(Latencies))
 			for _, lat := range lats {
 				for _, bw := range bws {
@@ -482,7 +455,7 @@ func figure4Analytic(scale apps.Scale, byBandwidth bool, pol *RunPolicy, a Analy
 						pts[k] = network.DefaultParams().WithWAN(Latencies[k], fixedBandwidth)
 					}
 				}
-				preds = analyticGridSolver(ev, rep, a)(pts)
+				preds = analyticGridSolver(ev, rep)(pts)
 			}
 			anyFailed := false
 			for k, x := range xs {
@@ -555,7 +528,7 @@ func ClusterShapeStudyAnalytic(scale apps.Scale, appNames []string, wanLatency s
 		if err != nil {
 			return err
 		}
-		pred := analyticGridSolver(ev, rep, a)([]network.Params{network.DefaultParams().WithWAN(wanLatency, wanBandwidth)})[0]
+		pred := analyticGridSolver(ev, rep)([]network.Params{network.DefaultParams().WithWAN(wanLatency, wanBandwidth)})[0]
 		results[k] = ShapeResult{
 			App:      app.Name,
 			Shape:    topo.String(),

@@ -386,24 +386,75 @@ func TestAnalyticBatchEqualsScalar(t *testing.T) {
 	}
 }
 
-// TestFigure3AnalyticBatchMatchesScalar runs the full analytic Figure 3
-// pipeline twice against one shared cache — batched solver and scalar
-// fallback — and requires identical panels and reports, end to end.
-func TestFigure3AnalyticBatchMatchesScalar(t *testing.T) {
+// analyticSolver is the per-point oracle the batched grid paths are
+// checked against: the calibrated engine's scalar solve.
+func analyticSolver(ev *analytic.Eval, rep AnalyticReport) func(network.Params) sim.Time {
+	if rep.Engine == "frozen" {
+		return ev.Solve
+	}
+	return ev.SolveMatched
+}
+
+// TestFigure3AnalyticMatchesPointOracle runs the full analytic Figure 3
+// pipeline and rebuilds every panel and report from the same cached
+// recordings point by point with analyticSolver: the batched grid, the
+// latency-tolerance curve and the sensitivity shares must match exactly.
+func TestFigure3AnalyticMatchesPointOracle(t *testing.T) {
 	cache := NewRunCache()
 	opts := Figure3Options{Apps: []string{"Water", "TSP"}, Cache: cache}
-	bPanels, bReports, err := Figure3Analytic(apps.Tiny, opts, AnalyticOptions{})
+	panels, reports, err := Figure3Analytic(apps.Tiny, opts, AnalyticOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sPanels, sReports, err := Figure3Analytic(apps.Tiny, opts, AnalyticOptions{Scalar: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bPanels, sPanels) {
-		t.Errorf("batched and scalar panels differ:\nbatched: %+v\nscalar:  %+v", bPanels, sPanels)
-	}
-	if !reflect.DeepEqual(bReports, sReports) {
-		t.Errorf("batched and scalar reports differ:\nbatched: %+v\nscalar:  %+v", bReports, sReports)
+	base := NewBaselinesCached(apps.Tiny, cache)
+	topo := topology.DAS()
+	for v, got := range panels {
+		app, err := AppByName(got.App)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, fail, rep, err := analyticEval("oracle", Experiment{
+			App: app, Scale: apps.Tiny, Optimized: got.Optimized, Topo: topo,
+			Params: ReferenceParams(),
+		}, nil, cache, AnalyticOptions{})
+		if err != nil || fail != nil {
+			t.Fatalf("%s: %v %+v", got.App, err, fail)
+		}
+		tl, err := base.SingleCluster(app, topo.Procs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		solve := analyticSolver(ev, rep)
+		s := analyticSensitivity(func(ps []network.Params) []sim.Time {
+			out := make([]sim.Time, len(ps))
+			for i, p := range ps {
+				out[i] = solve(p)
+			}
+			return out
+		}, ev.Graph().Ref)
+		rep.LatencySharePct = 100 * s.LatencyShare()
+		rep.BandwidthSharePct = 100 * s.BandwidthShare()
+		want := Figure3Panel{
+			App: got.App, Optimized: got.Optimized,
+			Latencies: Latencies, Bandwidths: Bandwidths,
+		}
+		for _, lat := range Latencies {
+			row := make([]float64, len(Bandwidths))
+			for j, bw := range Bandwidths {
+				row[j] = RelativeSpeedup(tl, solve(network.DefaultParams().WithWAN(lat, bw)))
+			}
+			want.Rel = append(want.Rel, row)
+			rel := RelativeSpeedup(tl, solve(network.DefaultParams().WithWAN(lat, ReferenceWANBandwidth)))
+			rep.LatencyTolerance = append(rep.LatencyTolerance, AnalyticTolerancePoint{Latency: lat, RelPct: rel})
+			if rel >= 60 {
+				rep.ToleratedLatency = lat
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s panel differs from the point oracle:\npipeline: %+v\noracle:   %+v", got.App, got, want)
+		}
+		if !reflect.DeepEqual(reports[v], rep) {
+			t.Errorf("%s report differs from the point oracle:\npipeline: %+v\noracle:   %+v", got.App, reports[v], rep)
+		}
 	}
 }
