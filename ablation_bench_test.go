@@ -130,44 +130,3 @@ func BenchmarkAblationTCPSurcharge(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblationVariability prices the paper's future-work question: how
-// much does wide-area fluctuation cost on top of the mean gap?
-func BenchmarkAblationVariability(b *testing.B) {
-	base := network.DefaultParams().WithWAN(10*twolayer.Millisecond, 1e6)
-	app, err := twolayer.AppByName("Water")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name string
-		v    network.Variability
-	}{
-		{"stable", network.Variability{}},
-		{"jittery", network.Variability{
-			LatencyJitter: 20 * twolayer.Millisecond, BandwidthFactor: 0.5,
-			Period: 100 * twolayer.Millisecond, Seed: 3,
-		}},
-	} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			var elapsed twolayer.Time
-			for i := 0; i < b.N; i++ {
-				cfg := twolayer.Experiment{
-					App: app, Scale: twolayer.PaperScale, Optimized: true,
-					Topo: topology.DAS(), Params: base,
-				}
-				if mode.v.LatencyJitter > 0 {
-					v := mode.v
-					cfg.Configure = func(n *network.Network) { n.SetVariability(v) }
-				}
-				res, err := cfg.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				elapsed = res.Elapsed
-			}
-			b.ReportMetric(elapsed.Seconds(), "vsec/run")
-		})
-	}
-}

@@ -49,7 +49,6 @@ import (
 	"twolayer/internal/apps"
 	"twolayer/internal/cliutil"
 	"twolayer/internal/core"
-	"twolayer/internal/network"
 	"twolayer/internal/regime"
 	"twolayer/internal/sim"
 	"twolayer/internal/stats"
@@ -262,19 +261,26 @@ func run() int {
 	}
 	if *varia || *all {
 		ran = true
-		base := network.DefaultParams().WithWAN(10*sim.Millisecond, 1e6)
-		v := network.Variability{
-			LatencyJitter:   20 * sim.Millisecond,
-			BandwidthFactor: 0.5,
-			Period:          100 * sim.Millisecond,
-			Seed:            core.DefaultSeed,
+		vcfg := core.RegimeStudyConfig{
+			Scale:        scale,
+			Apps:         filter,
+			Regimes:      []regime.Params{{Spec: "vary:20ms:0.5:100ms", Seed: core.DefaultSeed}},
+			WANLatency:   10 * sim.Millisecond,
+			WANBandwidth: 1e6,
+			Cache:        core.DefaultCache,
+			Policy:       pol,
 		}
-		results, err := core.VariabilityStudy(scale, base, v)
+		if vcfg.Apps == nil {
+			for _, a := range core.Apps() {
+				vcfg.Apps = append(vcfg.Apps, a.Name)
+			}
+		}
+		points, err := core.RegimeStudy(vcfg)
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Println("Wide-area variability study (base 10 ms / 1 MByte/s, optimized variants):")
-		fmt.Println(core.RenderVariability(results, v))
+		fmt.Println("Wide-area variability study (4x8 machine, 10 ms / 1 MByte/s calm WAN):")
+		fmt.Println(core.RenderRegimeStudy(points))
 	}
 	if *heatmap {
 		ran = true

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -47,8 +48,6 @@ func run() int {
 		verify     = flag.Bool("verify", true, "check the computed result against the sequential reference")
 		traceRun   = flag.Bool("trace", false, "print communication aggregates (constant-memory streaming sink)")
 		traceFull  = flag.Bool("trace-full", false, "retain the full event trace: adds the wide-area timeline and busiest pairs (memory grows with message count)")
-		jitter     = flag.Duration("jitter", 0, "max extra one-way wide-area latency per message")
-		bwVar      = flag.Float64("bwvar", 0, "max fractional wide-area bandwidth loss per congestion episode (0..1)")
 		tcp        = flag.Float64("tcp", 0, "TCP-like per-message link occupancy as a fraction of the RTT")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
@@ -79,8 +78,13 @@ func run() int {
 		return usage(fmt.Errorf("-analytic needs stationary network conditions; it cannot model a -regime"))
 	}
 
-	if *bandwidth <= 0 {
+	if !(*bandwidth > 0) {
 		return usage(fmt.Errorf("-bandwidth must be positive (got %g MByte/s)", *bandwidth))
+	}
+	// A negative surcharge would free a link before its transmission ends
+	// and deliver inside the parallel engine's lookahead window.
+	if !(*tcp >= 0) || math.IsInf(*tcp, 1) {
+		return usage(fmt.Errorf("-tcp must be a finite non-negative fraction of the RTT (got %g)", *tcp))
 	}
 	if *clusters < 1 {
 		return usage(fmt.Errorf("-clusters must be at least 1 (got %d)", *clusters))
@@ -144,9 +148,6 @@ func run() int {
 		if *traceRun || *traceFull {
 			return usage(fmt.Errorf("-trace/-trace-full support only the default clique -wan-topology"))
 		}
-		if *jitter > 0 || *bwVar > 0 {
-			return usage(fmt.Errorf("-jitter/-bwvar support only the default clique -wan-topology"))
-		}
 	}
 	params := network.DefaultParams().WithWAN(sim.Time((*latency).Nanoseconds()), *bandwidth*1e6)
 	params.WANMessageRTTFactor = *tcp
@@ -157,9 +158,6 @@ func run() int {
 		Regime: rp, Adaptive: *adaptive,
 	}
 	if analytic.Enabled {
-		if *jitter > 0 || *bwVar > 0 {
-			return usage(fmt.Errorf("-analytic cannot model fluctuating links (-jitter/-bwvar)"))
-		}
 		if *traceRun || *traceFull {
 			return usage(fmt.Errorf("-analytic predicts from a recorded graph; -trace/-trace-full need a simulated run"))
 		}
@@ -169,18 +167,6 @@ func run() int {
 			}
 		}
 		return runAnalytic(x, scale, *bandwidth, pol, analytic.Options())
-	}
-	if *jitter > 0 || *bwVar > 0 {
-		v := network.Variability{
-			LatencyJitter:   sim.Time((*jitter).Nanoseconds()),
-			BandwidthFactor: *bwVar,
-			Period:          100 * sim.Millisecond,
-			Seed:            core.DefaultSeed,
-		}
-		if err := v.Validate(); err != nil {
-			fatal(err)
-		}
-		x.Configure = func(n *network.Network) { n.SetVariability(v) }
 	}
 	// -trace uses the constant-memory streaming sink: same summary, matrix
 	// and utilization, O(procs) memory. -trace-full retains every event for

@@ -16,7 +16,7 @@ import (
 // implements trace.OpSink, so passing it as Options.Trace makes the
 // runtime stream compute spans, messages and receive matchings into it;
 // the runtime rejects runs the replay model cannot represent (fault
-// injection, the reliable transport, Configure hooks).
+// injection, the reliable transport, regimes, multi-hop wide-area graphs).
 //
 // Recording appends to flat arrays — amortized growth, no per-node
 // allocation in steady state — and never perturbs the simulation: the

@@ -228,14 +228,13 @@ type AnalyticPoint struct {
 
 // SolveAnalytic answers a single network point from the variant's recorded
 // reference graph: x carries the asked point in Params; the recording run
-// itself always happens at ReferenceParams (Verify and Configure are
-// dropped — they cannot ride on a recording). A supervised kill of the one
-// recording run comes back as the CellFailure.
+// itself always happens at ReferenceParams (Verify is dropped — it cannot
+// ride on a recording). A supervised kill of the one recording run comes
+// back as the CellFailure.
 func SolveAnalytic(label string, x Experiment, pol *RunPolicy, cache *RunCache, a AnalyticOptions) (AnalyticPoint, *CellFailure, error) {
 	asked := x.Params
 	x.Params = ReferenceParams()
 	x.Verify = false
-	x.Configure = nil
 	ev, fail, rep, err := analyticEval(label, x, pol, cache, a)
 	if err != nil || fail != nil {
 		return AnalyticPoint{Report: rep}, fail, err

@@ -400,38 +400,6 @@ func TestCollectiveAdvantageGrowsWithLatency(t *testing.T) {
 	}
 }
 
-func TestVariabilityStudy(t *testing.T) {
-	base := network.DefaultParams().WithWAN(10*sim.Millisecond, 1e6)
-	v := network.Variability{
-		LatencyJitter:   20 * sim.Millisecond,
-		BandwidthFactor: 0.8,
-		Period:          50 * sim.Millisecond,
-		Seed:            3,
-	}
-	results, err := VariabilityStudy(apps.Tiny, base, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 6 {
-		t.Fatalf("%d results", len(results))
-	}
-	slowed := 0
-	for _, r := range results {
-		if r.Variable < r.Stable {
-			t.Errorf("%s: fluctuation made the run faster (%v vs %v)", r.App, r.Variable, r.Stable)
-		}
-		if r.SlowdownPct > 1 {
-			slowed++
-		}
-	}
-	if slowed == 0 {
-		t.Error("strong fluctuation should slow at least one application")
-	}
-	if !strings.Contains(RenderVariability(results, v), "Slowdown") {
-		t.Error("render missing header")
-	}
-}
-
 func TestExperimentWithTrace(t *testing.T) {
 	app := Apps()[2] // TSP
 	tr := trace.NewCollector(32)

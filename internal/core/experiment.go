@@ -81,9 +81,6 @@ type Experiment struct {
 	// reference; disable it inside large sweeps (correctness is covered by
 	// the test suite).
 	Verify bool
-	// Configure, if non-nil, tweaks the freshly built network before the
-	// run (per-pair speeds, wide-area variability).
-	Configure func(*network.Network)
 	// Trace, if non-nil, records every message and compute span: a
 	// *trace.Collector retains the stream, a *trace.Stream aggregates it
 	// online in constant memory.
@@ -94,9 +91,10 @@ type Experiment struct {
 	// deterministic, so they cache like any other run.
 	Faults faults.Params
 	// Regime applies a deterministic time-varying network regime (diurnal
-	// load, congestion, whole-cluster churn; see package regime). The zero
-	// value leaves the run byte-identical to a regime-free one. Regime runs
-	// are fully deterministic and cache like any other run.
+	// load, congestion, latency and bandwidth variability, whole-cluster
+	// churn; see package regime). The zero value leaves the run
+	// byte-identical to a regime-free one. Regime runs are fully
+	// deterministic and cache like any other run.
 	Regime regime.Params
 	// Adaptive lets the runtime layers and applications adapt to the regime
 	// (measured-RTT transport tuning, collective style switching,
@@ -157,16 +155,15 @@ func (x Experiment) workers() int {
 func (x Experiment) Run() (par.Result, error) {
 	inst := x.App.New(x.Scale, x.Topo.Procs())
 	res, err := par.RunWithContext(x.Ctx, x.Topo, par.Options{
-		Params:    x.Params,
-		WAN:       x.WAN,
-		Seed:      DefaultSeed,
-		Configure: x.Configure,
-		Trace:     x.Trace,
-		Faults:    x.Faults,
-		Regime:    x.Regime,
-		Adaptive:  x.Adaptive,
-		Budget:    x.Budget,
-		Workers:   x.workers(),
+		Params:   x.Params,
+		WAN:      x.WAN,
+		Seed:     DefaultSeed,
+		Trace:    x.Trace,
+		Faults:   x.Faults,
+		Regime:   x.Regime,
+		Adaptive: x.Adaptive,
+		Budget:   x.Budget,
+		Workers:  x.workers(),
 	}, inst.Job(x.Optimized))
 	if err != nil {
 		return res, fmt.Errorf("core: %s (opt=%v) on %v: %w", x.App.Name, x.Optimized, x.Topo, err)

@@ -20,6 +20,7 @@ var regimeSpecs = []string{
 	"diurnal:40ms:8",
 	"congestion:8:6:30ms",
 	"churn:60ms:15ms",
+	"vary:5ms:0.5:20ms",
 	"diurnal:40ms:8+congestion:8:4:30ms+churn:60ms:15ms+rel",
 }
 

@@ -203,10 +203,10 @@ func cloneResult(r par.Result) par.Result {
 
 // cacheable reports whether the experiment's result is fully determined by
 // its RunKey. Verification re-runs the computation for its side effects,
-// and Configure/Trace hooks observe or perturb the network in ways the key
-// cannot capture, so those runs bypass the cache.
+// and a Trace sink observes the run in a way the key cannot capture, so
+// those runs bypass the cache.
 func (x Experiment) cacheable() bool {
-	return !x.Verify && x.Configure == nil && x.Trace == nil
+	return !x.Verify && x.Trace == nil
 }
 
 // Key returns the experiment's identity for caching.
@@ -231,7 +231,7 @@ func (x Experiment) Key() RunKey {
 // are memoized in memory only — a configuration that deadlocks will keep
 // reporting it rather than re-deadlocking per lookup, but never poisons
 // the persistent layer. Experiments the key cannot describe (Verify,
-// Configure, Trace) fall through to a plain Run.
+// Trace) fall through to a plain Run.
 func (x Experiment) RunCached(c *RunCache) (par.Result, error) {
 	if c == nil || !x.cacheable() {
 		return x.Run()

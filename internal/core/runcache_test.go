@@ -8,8 +8,10 @@ import (
 
 	"twolayer/internal/apps"
 	"twolayer/internal/network"
+	"twolayer/internal/regime"
 	"twolayer/internal/sim"
 	"twolayer/internal/topology"
+	"twolayer/internal/trace"
 )
 
 // TestRunCacheHitsAcrossSweeps verifies the headline property: a Figure 3
@@ -109,14 +111,45 @@ func TestRunCacheBypass(t *testing.T) {
 	x := Experiment{
 		App: app, Scale: apps.Tiny, Optimized: false,
 		Topo: topology.DAS(), Params: network.DefaultParams(),
-		Configure: func(*network.Network) {}, // observable only outside the key
+		Trace: trace.NewStream(32), // observable only outside the key
 	}
 	if _, err := x.RunCached(cache); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses := cache.Stats()
 	if hits != 0 || misses != 0 || cache.Len() != 0 {
-		t.Errorf("configured run touched the cache: hits=%d misses=%d len=%d", hits, misses, cache.Len())
+		t.Errorf("traced run touched the cache: hits=%d misses=%d len=%d", hits, misses, cache.Len())
+	}
+}
+
+// TestRunCacheVaryRegime: wide-area variability is a regime clause, fully
+// described by the key, so a repeated variability run is a memory hit.
+func TestRunCacheVaryRegime(t *testing.T) {
+	app, err := AppByName("TSP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewRunCache()
+	x := Experiment{
+		App: app, Scale: apps.Tiny, Optimized: true,
+		Topo:   topology.DAS(),
+		Params: network.DefaultParams().WithWAN(10*sim.Millisecond, 1e6),
+		Regime: regime.Params{Spec: "vary:20ms:0.5:100ms", Seed: 42},
+	}
+	first, err := x.RunCached(cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := x.RunCached(cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Elapsed != second.Elapsed || first.Events != second.Events {
+		t.Errorf("cached rerun differs: (%v, %d ev) vs (%v, %d ev)",
+			first.Elapsed, first.Events, second.Elapsed, second.Events)
+	}
+	if hits, misses := cache.Stats(); hits != 1 || misses != 1 {
+		t.Errorf("two identical vary runs: hits=%d misses=%d, want one simulation and one memory hit", hits, misses)
 	}
 }
 

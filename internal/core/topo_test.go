@@ -9,8 +9,10 @@ import (
 	"twolayer/internal/faults"
 	"twolayer/internal/network"
 	"twolayer/internal/par"
+	"twolayer/internal/regime"
 	"twolayer/internal/sim"
 	"twolayer/internal/topology"
+	"twolayer/internal/trace"
 	"twolayer/internal/wantopo"
 )
 
@@ -21,51 +23,59 @@ import (
 // refuse graphs its replay model cannot see.
 
 // TestMultiHopDifferential runs one application across every generator
-// family, with and without fault injection, and requires deep Result
-// equality between a sequential request (Workers=-1, which on multi-hop
-// graphs runs the windowed engine on one worker) and explicit worker
-// counts. This is the multi-hop extension of TestGoldenDeterminismParallel.
+// family, with and without fault injection, plus a wide-area variability
+// regime on two multi-hop graphs, and requires deep Result equality between
+// a sequential request (Workers=-1, which on multi-hop graphs runs the
+// windowed engine on one worker) and explicit worker counts. This is the
+// multi-hop extension of TestGoldenDeterminismParallel.
 func TestMultiHopDifferential(t *testing.T) {
 	app, err := AppByName("Water")
 	if err != nil {
 		t.Fatal(err)
 	}
+	type row struct{ spec, mode string }
+	var rows []row
 	for _, spec := range []string{"clique", "ring", "torus:4x2", "circulant:1,3", "fattree:4"} {
-		for _, withFaults := range []bool{false, true} {
-			spec, withFaults := spec, withFaults
-			name := spec
-			if withFaults {
-				name += "/faulted"
-			}
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				w, err := wantopo.Parse(spec, 8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				run := func(workers int) par.Result {
-					x := Experiment{App: app, Scale: apps.Tiny, Optimized: true,
-						Topo:   topology.MustUniform(8, 2),
-						Params: network.DefaultParams().WithWAN(3300*sim.Microsecond, 0.95e6),
-						WAN:    w, Workers: workers}
-					if withFaults {
-						x.Faults = faults.Params{DropRate: 0.02, DupRate: 0.01, Seed: 7}
-					}
-					res, err := x.Run()
-					if err != nil {
-						t.Fatalf("workers=%d: %v", workers, err)
-					}
-					return res
-				}
-				seq := run(-1)
-				if seq.WAN.Messages == 0 {
-					t.Fatal("run produced no wide-area traffic; differential is vacuous")
-				}
-				for _, wk := range []int{1, 3} {
-					resultsEqual(t, name, seq, run(wk))
-				}
-			})
+		rows = append(rows, row{spec, ""}, row{spec, "faulted"})
+	}
+	rows = append(rows, row{"ring", "vary"}, row{"torus2", "vary"})
+	for _, r := range rows {
+		r := r
+		name := r.spec
+		if r.mode != "" {
+			name += "/" + r.mode
 		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			w, err := wantopo.Parse(r.spec, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(workers int) par.Result {
+				x := Experiment{App: app, Scale: apps.Tiny, Optimized: true,
+					Topo:   topology.MustUniform(8, 2),
+					Params: network.DefaultParams().WithWAN(3300*sim.Microsecond, 0.95e6),
+					WAN:    w, Workers: workers}
+				switch r.mode {
+				case "faulted":
+					x.Faults = faults.Params{DropRate: 0.02, DupRate: 0.01, Seed: 7}
+				case "vary":
+					x.Regime = regime.Params{Spec: "vary:5ms:0.5:20ms", Seed: 7}
+				}
+				res, err := x.Run()
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				return res
+			}
+			seq := run(-1)
+			if seq.WAN.Messages == 0 {
+				t.Fatal("run produced no wide-area traffic; differential is vacuous")
+			}
+			for _, wk := range []int{1, 3} {
+				resultsEqual(t, name, seq, run(wk))
+			}
+		})
 	}
 }
 
@@ -103,7 +113,8 @@ func TestCliqueExplicitMatchesDefault(t *testing.T) {
 
 // TestMultiHopRefusals pins the hook error paths: multi-hop timing is
 // defined by the windowed engine, so run modes needing the single-kernel
-// engine (and the analytic recorder) must refuse rather than diverge.
+// engine (tracing, and the analytic recorder) must refuse rather than
+// diverge.
 func TestMultiHopRefusals(t *testing.T) {
 	app, err := AppByName("ASP")
 	if err != nil {
@@ -114,13 +125,13 @@ func TestMultiHopRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := Experiment{App: app, Scale: apps.Tiny,
-		Topo:      topology.MustUniform(4, 2),
-		Params:    network.DefaultParams(),
-		WAN:       ring,
-		Configure: func(n *network.Network) {},
+		Topo:   topology.MustUniform(4, 2),
+		Params: network.DefaultParams(),
+		WAN:    ring,
+		Trace:  trace.NewStream(8),
 	}
 	if _, err := x.Run(); err == nil || !strings.Contains(err.Error(), "clique") {
-		t.Errorf("Configure on ring: err = %v, want clique refusal", err)
+		t.Errorf("Trace on ring: err = %v, want clique refusal", err)
 	}
 	if _, _, err := Figure3Analytic(apps.Tiny, Figure3Options{WAN: ring}, AnalyticOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "clique") {

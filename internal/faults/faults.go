@@ -1,7 +1,7 @@
 // Package faults is a deterministic fault-injection plane for the simulated
 // wide-area interconnect. The paper assumes perfectly reliable links while
-// noting (Section 1) that real wide-area links fluctuate; package network's
-// Variability extension models speed fluctuation, and this package models
+// noting (Section 1) that real wide-area links fluctuate; package regime's
+// vary clause models speed fluctuation, and this package models
 // the other half of an unreliable WAN: message loss, duplication, reordering
 // and transient link outages.
 //

@@ -192,10 +192,9 @@ type Network struct {
 
 	intra IntraStats
 
-	// Extensions (see extensions.go); nil/zero when unused.
-	wanStates   []*wanState
-	variability Variability
-	observer    func(MessageEvent)
+	// observer, when set, sees every delivered or dropped message (see
+	// SetObserver).
+	observer func(MessageEvent)
 
 	// router, when set, intercepts wide-area messages after the source-side
 	// legs (see SetRouter); nil routes them to the local gateway directly.
@@ -471,22 +470,12 @@ func (n *Network) wanLink(edgeID int) *link {
 }
 
 // wanEdgeSpeed returns the effective latency and bandwidth of one wide-area
-// edge for one message offered to it at virtual time at. Direct
-// cluster-to-cluster edges go through the legacy per-pair path
-// (SetPairSpeeds overrides, variability draws) so the clique keeps its
-// exact pre-topology behavior; edges touching relay switches scale the
-// global Params. A dynamic regime then scales the result by its
+// edge for one message offered to it at virtual time at: the global Params
+// scaled by the edge's static factors, then by a dynamic regime's
 // time-varying conditions — always degrading (latency up, bandwidth down),
 // which keeps Params.WANLookaheadFor a valid conservative horizon.
 func (n *Network) wanEdgeSpeed(edgeID int, e wantopo.Edge, at sim.Time) (sim.Time, float64) {
-	c := n.topo.Clusters()
-	var lat sim.Time
-	var bw float64
-	if e.Src < c && e.Dst < c {
-		lat, bw = n.wanSpeed(e.Src, e.Dst)
-	} else {
-		lat, bw = n.params.WANLatency, n.params.WANBandwidth
-	}
+	lat, bw := n.params.WANLatency, n.params.WANBandwidth
 	if e.LatScale != 1 {
 		lat = sim.Time(float64(lat) * e.LatScale)
 	}
@@ -494,13 +483,14 @@ func (n *Network) wanEdgeSpeed(edgeID int, e wantopo.Edge, at sim.Time) (sim.Tim
 		bw *= e.BWScale
 	}
 	if n.regime != nil {
-		ls, bs := n.regime.EdgeScale(edgeID, at)
+		ls, bs, extra := n.regime.EdgeScale(edgeID, at)
 		if ls != 1 {
 			lat = sim.Time(float64(lat) * ls)
 		}
 		if bs != 1 {
 			bw *= bs
 		}
+		lat += extra
 	}
 	return lat, bw
 }

@@ -12,9 +12,9 @@ import (
 	"twolayer/internal/wantopo"
 )
 
-// Options configures a run beyond the basic Run arguments: network
-// extensions (per-pair speeds, variability, TCP-like surcharges are set
-// through Configure) and event tracing.
+// Options configures a run beyond the basic Run arguments: the wide-area
+// graph, fault injection, dynamic regimes (wide-area variability among
+// them), event tracing, budgets and in-run parallelism.
 type Options struct {
 	// Params sets the interconnect speeds; the zero value means
 	// network.DefaultParams().
@@ -25,9 +25,6 @@ type Options struct {
 	WAN *wantopo.WAN
 	// Seed drives the per-rank random streams.
 	Seed int64
-	// Configure, if non-nil, runs against the freshly built network before
-	// any process starts — the hook for SetPairSpeeds / SetVariability.
-	Configure func(*network.Network)
 	// Trace, if non-nil, receives every message and compute span. Pass a
 	// *trace.Collector to retain the full event stream (timelines, JSON
 	// export) or a *trace.Stream to aggregate online in constant memory.
@@ -42,11 +39,12 @@ type Options struct {
 	// Transport.Enabled turns the channel on even without faults.
 	Transport Transport
 	// Regime applies a deterministic time-varying network regime (diurnal
-	// load curves, background-traffic congestion, whole-cluster churn; see
-	// package regime). The zero value disables the dynamic plane and leaves
-	// every code path byte-identical to a regime-free run. Regimes with
-	// churn automatically route wide-area sends through the reliable
-	// transport, like fault injection does.
+	// load curves, background-traffic congestion, latency and bandwidth
+	// variability, whole-cluster churn; see package regime). The zero value
+	// disables the dynamic plane and leaves every code path byte-identical
+	// to a regime-free run. Regimes with churn automatically route
+	// wide-area sends through the reliable transport, like fault injection
+	// does.
 	Regime regime.Params
 	// Adaptive lets the runtime layers react to the regime: the reliable
 	// transport tunes its retransmission timeout and window from observed
@@ -66,8 +64,8 @@ type Options struct {
 	// Workers clusters executing concurrently. Results are bit-identical
 	// for every value, including the sequential default (0). Runs that the
 	// partitioning cannot handle — a single cluster, a non-positive
-	// lookahead (zero-latency WAN), or a Configure/Trace hook — silently
-	// use the sequential engine regardless of Workers.
+	// lookahead (zero-latency WAN), or a Trace sink on the clique —
+	// silently use the sequential engine regardless of Workers.
 	Workers int
 }
 

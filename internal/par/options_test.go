@@ -50,35 +50,3 @@ func TestRunWithTrace(t *testing.T) {
 		t.Errorf("matrix[0][1] = %d", m[0][1])
 	}
 }
-
-func TestRunWithConfigure(t *testing.T) {
-	topo := topology.MustUniform(2, 2)
-	var fast, slow sim.Time
-	base := network.DefaultParams().WithWAN(10*sim.Millisecond, 1e6)
-	job := func(out *sim.Time) Job {
-		return func(e *Env) {
-			if e.Rank() == 0 {
-				e.Send(2, 1, nil, 100)
-			}
-			if e.Rank() == 2 {
-				e.Recv(1)
-				*out = e.Now()
-			}
-		}
-	}
-	if _, err := RunWith(topo, Options{Params: base, Seed: 1}, job(&slow)); err != nil {
-		t.Fatal(err)
-	}
-	_, err := RunWith(topo, Options{
-		Params: base, Seed: 1,
-		Configure: func(n *network.Network) {
-			n.SetPairSpeeds([]network.PairSpeed{{Src: 0, Dst: 1, Latency: sim.Millisecond, Bandwidth: 10e6}})
-		},
-	}, job(&fast))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast >= slow {
-		t.Errorf("configured pair should be faster: %v vs %v", fast, slow)
-	}
-}

@@ -100,7 +100,7 @@ func (r Result) Speedup(sequential sim.Time) float64 {
 // Run executes job on every processor of topo over a network with the given
 // parameters and seed for the per-rank random streams. It returns when all
 // processors have finished. A deadlock in the simulated program is returned
-// as an error. For traced or network-extended runs, see RunWith.
+// as an error. For traced, faulted or regime runs, see RunWith.
 func Run(topo *topology.Topology, params network.Params, seed int64, job Job) (Result, error) {
 	return runSim(nil, topo, Options{Params: params, Seed: seed}, job)
 }
@@ -144,9 +144,8 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 		// Op-level recording relies on every Env.Send producing exactly one
 		// observer callback, in send-call order, with uniform link speeds.
 		// Fault injection and the reliable transport multiply or drop
-		// messages; Configure may install per-pair speeds or variability the
-		// replay model cannot see. Refuse rather than record a graph whose
-		// replay would silently diverge.
+		// messages. Refuse rather than record a graph whose replay would
+		// silently diverge.
 		if opts.Faults.Enabled() || opts.Transport.Enabled {
 			return Result{}, errors.New("par: op-level recording requires a fault-free run without the reliable transport")
 		}
@@ -154,9 +153,6 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 			// A regime's link speeds vary with virtual time; the replay model
 			// assumes stationary speeds per link.
 			return Result{}, errors.New("par: op-level recording requires stationary network conditions (no regime)")
-		}
-		if opts.Configure != nil {
-			return Result{}, errors.New("par: op-level recording cannot observe Configure network extensions")
 		}
 		if opts.WAN != nil && !opts.WAN.IsClique() {
 			// The replay model charges one wide-area leg per cross-cluster
@@ -176,10 +172,8 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 	// for it and the run is eligible: multiple clusters (one cluster has no
 	// partition), a positive wide-area lookahead (a zero-latency WAN gives
 	// the conservative protocol no window — see DESIGN.md §5g), and no
-	// Configure/Trace hook (Configure may install per-pair speeds or
-	// variability whose link state the partitioning cannot localize; Trace
-	// observes deliveries in global order). Ineligible runs silently fall
-	// back to the sequential engine, which is always correct.
+	// Trace sink (it observes deliveries in global order). Ineligible runs
+	// silently fall back to the sequential engine, which is always correct.
 	lookahead := opts.Params.WANLookaheadFor(opts.WAN)
 	// Multi-hop wide-area graphs have only one reproducible timing
 	// semantics: windowed deferred link booking in (Sent, Chain) order (see
@@ -190,9 +184,6 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 	// refused rather than silently given different timings.
 	multiHop := opts.WAN != nil && opts.WAN.MaxHops() > 1
 	if multiHop {
-		if opts.Configure != nil {
-			return Result{}, errors.New("par: Configure network extensions require the default clique wide-area graph")
-		}
 		if opts.Trace != nil {
 			return Result{}, errors.New("par: tracing requires the default clique wide-area graph")
 		}
@@ -201,7 +192,7 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 		}
 	}
 	rt.pdes = (opts.Workers >= 1 || multiHop) && topo.Clusters() > 1 && lookahead > 0 &&
-		opts.Configure == nil && opts.Trace == nil
+		opts.Trace == nil
 	if rt.pdes {
 		rt.shards = make([]*shard, topo.Clusters())
 		for c := range rt.shards {
@@ -226,9 +217,6 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 	} else {
 		k := sim.NewKernel()
 		net := network.NewWithWAN(k, topo, opts.Params, opts.WAN)
-		if opts.Configure != nil {
-			opts.Configure(net)
-		}
 		if opts.Trace != nil {
 			tr := opts.Trace
 			net.SetObserver(func(ev network.MessageEvent) {

@@ -3,8 +3,10 @@
 // unreliability (a fixed drop rate, periodic per-link outages), a regime
 // models the *time-varying* conditions of a real shared WAN: diurnal
 // latency/bandwidth curves, congestion from background traffic on shared
-// links, and whole-cluster churn (a site leaves for an interval and
-// rejoins).
+// links, latency jitter and bandwidth fluctuation (the paper's closing
+// question: "Further research should study the impact of variations in
+// latency and bandwidth, which often occur on wide area links"), and
+// whole-cluster churn (a site leaves for an interval and rejoins).
 //
 // Every quantity a regime produces is a pure function of (Seed, virtual
 // time, link identity) — no wall clock, no mutable state, no global RNG.
@@ -13,12 +15,12 @@
 // shard and get the same answers, because there is nothing to race on.
 //
 // Degradation-only fluctuation. A regime only ever *slows* the wide-area
-// links: latency scale factors are >= 1 and bandwidth scale factors are
-// <= 1 at all times. This is what keeps the conservative cluster-parallel
-// lookahead (network.Params.WANLookaheadFor) a true lower bound on
-// cross-cluster delivery — fluctuation pushes deliveries later, never
-// earlier — so regime runs stay bit-identical at every worker count
-// without touching the synchronization protocol.
+// links: latency scale factors are >= 1, additive latency is >= 0 and
+// bandwidth scale factors are <= 1 at all times. This is what keeps the
+// conservative cluster-parallel lookahead (network.Params.WANLookaheadFor)
+// a true lower bound on cross-cluster delivery — fluctuation pushes
+// deliveries later, never earlier — so regime runs stay bit-identical at
+// every worker count without touching the synchronization protocol.
 package regime
 
 import (
@@ -50,6 +52,12 @@ type Params struct {
 	//	    wide-area link on its route (multi-hop graphs included), and a
 	//	    link carrying L active flows runs at bandwidth/(1+INTENSITY*L)
 	//	    with latency *(1+INTENSITY*L/4) (default INTENSITY 4).
+	//	vary[:JITTER[:BWLOSS[:PERIOD]]]
+	//	    Wide-area variability: every hop of a message adds a seeded
+	//	    extra latency uniform in [0, JITTER] (default 20ms; 0 allowed),
+	//	    and each edge's bandwidth is scaled by 1-BWLOSS*u, with u uniform
+	//	    in [0,1) redrawn per edge every PERIOD (default 100ms) at a
+	//	    seeded phase. BWLOSS (default 0.5) lies in [0,1).
 	//	churn[:PERIOD[:DOWN]]
 	//	    Whole-cluster churn: in each PERIOD (default 1s) one
 	//	    seed-chosen cluster is unreachable for the first DOWN (default
@@ -92,6 +100,7 @@ type clauses struct {
 	diurnal    *diurnalClause
 	congestion *congestionClause
 	churn      *churnClause
+	vary       *varyClause
 	rel        bool
 }
 
@@ -109,6 +118,12 @@ type congestionClause struct {
 type churnClause struct {
 	period sim.Time
 	down   sim.Time
+}
+
+type varyClause struct {
+	jitter sim.Time
+	bwLoss float64
+	period sim.Time
 }
 
 // maxCongestionFlows bounds the congestion clause's FLOWS argument: a plan
@@ -129,7 +144,7 @@ func parseSpec(spec string) (clauses, error) {
 			}
 			d := &diurnalClause{period: sim.Second, factor: 8}
 			if err := parseArgs(part, fields[1:],
-				durArg(&d.period, "period"), floatArg(&d.factor, "factor")); err != nil {
+				durArg(&d.period, "period", false), floatArg(&d.factor, "factor")); err != nil {
 				return cl, err
 			}
 			if d.factor < 1 {
@@ -142,7 +157,7 @@ func parseSpec(spec string) (clauses, error) {
 			}
 			c := &congestionClause{intensity: 4, period: 500 * sim.Millisecond}
 			if err := parseArgs(part, fields[1:],
-				intArg(&c.flows, "flows"), floatArg(&c.intensity, "intensity"), durArg(&c.period, "period")); err != nil {
+				intArg(&c.flows, "flows"), floatArg(&c.intensity, "intensity"), durArg(&c.period, "period", false)); err != nil {
 				return cl, err
 			}
 			if c.flows < 0 {
@@ -161,7 +176,7 @@ func parseSpec(spec string) (clauses, error) {
 			}
 			ch := &churnClause{period: sim.Second}
 			if err := parseArgs(part, fields[1:],
-				durArg(&ch.period, "period"), durArg(&ch.down, "down")); err != nil {
+				durArg(&ch.period, "period", false), durArg(&ch.down, "down", false)); err != nil {
 				return cl, err
 			}
 			if ch.down == 0 {
@@ -171,6 +186,19 @@ func parseSpec(spec string) (clauses, error) {
 				return cl, fmt.Errorf("regime: churn down time %v must be shorter than the period %v (a cluster that never rejoins cannot drain its traffic)", ch.down, ch.period)
 			}
 			cl.churn = ch
+		case "vary":
+			if cl.vary != nil {
+				return cl, fmt.Errorf("regime: duplicate vary clause in %q", spec)
+			}
+			v := &varyClause{jitter: 20 * sim.Millisecond, bwLoss: 0.5, period: 100 * sim.Millisecond}
+			if err := parseArgs(part, fields[1:],
+				durArg(&v.jitter, "jitter", true), floatArg(&v.bwLoss, "bandwidth loss"), durArg(&v.period, "period", false)); err != nil {
+				return cl, err
+			}
+			if v.bwLoss < 0 || v.bwLoss >= 1 {
+				return cl, fmt.Errorf("regime: vary bandwidth loss %g outside [0,1) (a loss of 1 would stall the link forever)", v.bwLoss)
+			}
+			cl.vary = v
 		case "rel":
 			if len(fields) > 1 {
 				return cl, fmt.Errorf("regime: rel clause takes no arguments (%q)", part)
@@ -179,7 +207,7 @@ func parseSpec(spec string) (clauses, error) {
 		case "":
 			return cl, fmt.Errorf("regime: empty clause in %q", spec)
 		default:
-			return cl, fmt.Errorf("regime: unknown clause %q (want diurnal, congestion, churn or rel)", fields[0])
+			return cl, fmt.Errorf("regime: unknown clause %q (want diurnal, congestion, churn, vary or rel)", fields[0])
 		}
 	}
 	return cl, nil
@@ -191,13 +219,17 @@ type argSetter struct {
 	set  func(string) error
 }
 
-func durArg(dst *sim.Time, name string) argSetter {
+// durArg parses a positive duration, or a non-negative one when zeroOK.
+func durArg(dst *sim.Time, name string, zeroOK bool) argSetter {
 	return argSetter{name, func(s string) error {
 		d, err := time.ParseDuration(s)
 		if err != nil {
 			return err
 		}
-		if d <= 0 {
+		switch {
+		case zeroOK && d < 0:
+			return fmt.Errorf("must not be negative, got %v", d)
+		case !zeroOK && d <= 0:
 			return fmt.Errorf("must be positive, got %v", d)
 		}
 		*dst = sim.Time(d.Nanoseconds())
@@ -266,6 +298,7 @@ type Plan struct {
 
 	diurnalPhase sim.Time
 	churnPhase   sim.Time
+	varyPhase    sim.Time
 }
 
 // NewPlan compiles the parameters against the wide-area graph the run uses
@@ -291,6 +324,9 @@ func NewPlan(p Params, w *wantopo.WAN, clusters int) (*Plan, error) {
 	}
 	if ch := cl.churn; ch != nil {
 		pl.churnPhase = sim.Time(pl.hash(saltChurnPhase, 0) % uint64(ch.period))
+	}
+	if v := cl.vary; v != nil {
+		pl.varyPhase = sim.Time(pl.hash(saltVaryPhase, 0) % uint64(v.period))
 	}
 	if c := cl.congestion; c != nil {
 		nf := c.flows
@@ -336,6 +372,9 @@ const (
 	saltFlowSrc
 	saltFlowDst
 	saltFlowPhase
+	saltVaryPhase
+	saltVaryLat
+	saltVaryBW
 )
 
 // mix64 is the splitmix64 finalizer, the same construction packages faults
@@ -386,11 +425,18 @@ func (pl *Plan) edgeLoad(edgeID int, t sim.Time) int {
 	return n
 }
 
-// EdgeScale returns the latency and bandwidth scale factors of one
-// wide-area edge at virtual time t. The latency scale is always >= 1 and
-// the bandwidth scale always in (0, 1]: regimes only degrade links (see the
-// package comment for why that preserves the parallel lookahead).
-func (pl *Plan) EdgeScale(edgeID int, t sim.Time) (latScale, bwScale float64) {
+// varyDraw is the vary clause's seeded value for (stream, edge, index):
+// pure in its arguments, so every engine and shard draws the same number.
+func (pl *Plan) varyDraw(salt uint64, edgeID int, idx uint64) uint64 {
+	return mix64(pl.hash(salt, uint64(edgeID)) ^ idx)
+}
+
+// EdgeScale returns the conditions of one wide-area edge at virtual time t:
+// latency and bandwidth scale factors, and an extra latency added after
+// scaling. The latency scale is always >= 1, the extra latency >= 0 and the
+// bandwidth scale in (0, 1]: regimes only degrade links (see the package
+// comment for why that preserves the parallel lookahead).
+func (pl *Plan) EdgeScale(edgeID int, t sim.Time) (latScale, bwScale float64, latExtra sim.Time) {
 	latScale, bwScale = 1, 1
 	if t < 0 {
 		t = 0
@@ -407,7 +453,17 @@ func (pl *Plan) EdgeScale(edgeID int, t sim.Time) (latScale, bwScale float64) {
 			bwScale /= 1 + load
 		}
 	}
-	return latScale, bwScale
+	if v := pl.cl.vary; v != nil {
+		if v.jitter > 0 {
+			latExtra = sim.Time(pl.varyDraw(saltVaryLat, edgeID, uint64(t)) % uint64(v.jitter+1))
+		}
+		if v.bwLoss > 0 {
+			episode := uint64((t + pl.varyPhase) / v.period)
+			u := float64(pl.varyDraw(saltVaryBW, edgeID, episode)>>11) / (1 << 53)
+			bwScale *= 1 - v.bwLoss*u
+		}
+	}
+	return latScale, bwScale, latExtra
 }
 
 // churnVictim returns the cluster churned out during cycle k.

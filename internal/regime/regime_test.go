@@ -22,7 +22,11 @@ var (
 		{Spec: "churn"},
 		{Spec: "churn:2s:500ms"},
 		{Spec: "rel"},
-		{Spec: "diurnal:1s:8+congestion+churn:1s:100ms+rel", Seed: 3},
+		{Spec: "vary"},
+		{Spec: "vary:5ms:0.5:20ms", Seed: 1},
+		{Spec: "vary:0s:0.9"}, // zero jitter: bandwidth fluctuation only
+		{Spec: "vary:5ms:0"},  // zero loss: latency jitter only
+		{Spec: "diurnal:1s:8+congestion+churn:1s:100ms+vary+rel", Seed: 3},
 	}
 	invalidParams = []struct {
 		p    Params
@@ -46,6 +50,16 @@ var (
 		{Params{Spec: "churn:1s:1s"}, "shorter than the period"},
 		{Params{Spec: "churn:1s:2s"}, "shorter than the period"},
 		{Params{Spec: "rel:1"}, "takes no arguments"},
+		{Params{Spec: "vary:5ms:1"}, "bandwidth loss 1 outside [0,1)"},
+		{Params{Spec: "vary:5ms:1.5"}, "bandwidth loss 1.5 outside [0,1)"},
+		{Params{Spec: "vary:5ms:-0.1"}, "bandwidth loss -0.1 outside [0,1)"},
+		{Params{Spec: "vary:5ms:NaN"}, "NaN"},
+		{Params{Spec: "vary:-1ms"}, "must not be negative"},
+		{Params{Spec: "vary:5ms:0.5:-20ms"}, "must be positive"},
+		{Params{Spec: "vary:5ms:0.5:0s"}, "must be positive"},
+		{Params{Spec: "vary", Seed: -1}, "negative seed"},
+		{Params{Spec: "vary+diurnal+vary:1ms"}, "duplicate vary"},
+		{Params{Spec: "vary:1ms:0.5:1s:2"}, "too many arguments"},
 	}
 )
 
@@ -127,14 +141,17 @@ func TestPlanProperties(t *testing.T) {
 }
 
 // TestEdgeScaleDegradationOnly: the conservative parallel lookahead depends
-// on every regime only ever slowing links down — latency scale >= 1 and
-// bandwidth scale in (0, 1] at every time, on every edge, through negative
-// times included (pre-run probes clamp to 0).
+// on every regime only ever slowing links down — latency scale >= 1, extra
+// latency in [0, JITTER] and bandwidth scale in (0, 1] at every time, on
+// every edge, through negative times included (pre-run probes clamp to 0).
 func TestEdgeScaleDegradationOnly(t *testing.T) {
+	const jitter = 5 * sim.Millisecond
 	specs := []string{
 		"diurnal:100ms:8",
 		"congestion:16:6:70ms",
 		"diurnal:300ms:4+congestion:8:2:110ms",
+		"vary:5ms:0.99:20ms",
+		"diurnal:300ms:4+vary:5ms:0.5:7ms",
 	}
 	for _, spec := range specs {
 		pl, err := NewPlan(Params{Spec: spec, Seed: 11}, nil, 4)
@@ -145,9 +162,12 @@ func TestEdgeScaleDegradationOnly(t *testing.T) {
 		for e := 0; e < w.NumEdges(); e++ {
 			for _, at := range []sim.Time{-sim.Second, 0, 1, 12345678, 50 * sim.Millisecond,
 				sim.Second, 3*sim.Second + 7} {
-				ls, bs := pl.EdgeScale(e, at)
+				ls, bs, extra := pl.EdgeScale(e, at)
 				if ls < 1 {
 					t.Fatalf("%s: edge %d at %v: latency scale %g < 1", spec, e, at, ls)
+				}
+				if extra < 0 || extra > jitter {
+					t.Fatalf("%s: edge %d at %v: extra latency %v outside [0, %v]", spec, e, at, extra, jitter)
 				}
 				if bs <= 0 || bs > 1 {
 					t.Fatalf("%s: edge %d at %v: bandwidth scale %g outside (0,1]", spec, e, at, bs)
@@ -169,10 +189,10 @@ func TestDiurnalShape(t *testing.T) {
 	for edge < 0 {
 		edge += period
 	}
-	if ls, _ := pl.EdgeScale(0, edge); ls > 1.001 {
+	if ls, _, _ := pl.EdgeScale(0, edge); ls > 1.001 {
 		t.Errorf("cycle edge scale %g, want ~1", ls)
 	}
-	if ls, _ := pl.EdgeScale(0, edge+period/2); ls < 7.9 {
+	if ls, _, _ := pl.EdgeScale(0, edge+period/2); ls < 7.9 {
 		t.Errorf("cycle midpoint scale %g, want ~8", ls)
 	}
 }
@@ -282,7 +302,7 @@ func TestCongestionFlowsWellFormed(t *testing.T) {
 // moves at least something.
 func TestDeterminism(t *testing.T) {
 	mk := func(seed int64) *Plan {
-		pl, err := NewPlan(Params{Spec: "diurnal:90ms:8+congestion:8:4:70ms+churn:400ms:100ms", Seed: seed}, nil, 4)
+		pl, err := NewPlan(Params{Spec: "diurnal:90ms:8+congestion:8:4:70ms+churn:400ms:100ms+vary:5ms:0.5:30ms", Seed: seed}, nil, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,12 +313,12 @@ func TestDeterminism(t *testing.T) {
 	diverged := false
 	for _, at := range []sim.Time{0, 33 * sim.Millisecond, 217 * sim.Millisecond, 3 * sim.Second} {
 		for e := 0; e < 6; e++ {
-			al, ab := a.EdgeScale(e, at)
-			bl, bb := b.EdgeScale(e, at)
-			if al != bl || ab != bb {
+			al, ab, ax := a.EdgeScale(e, at)
+			bl, bb, bx := b.EdgeScale(e, at)
+			if al != bl || ab != bb || ax != bx {
 				t.Fatalf("same seed diverged on edge %d at %v", e, at)
 			}
-			if ol, ob := other.EdgeScale(e, at); ol != al || ob != ab {
+			if ol, ob, ox := other.EdgeScale(e, at); ol != al || ob != ab || ox != ax {
 				diverged = true
 			}
 		}
@@ -310,5 +330,44 @@ func TestDeterminism(t *testing.T) {
 	}
 	if !diverged {
 		t.Error("seeds 7 and 8 produced identical conditions everywhere probed")
+	}
+}
+
+// TestVaryShape: the vary clause's extra latency spreads over [0, JITTER]
+// across send times, and its bandwidth factor holds for a whole episode,
+// stays within [1-BWLOSS, 1] and is redrawn at the next.
+func TestVaryShape(t *testing.T) {
+	const jitter, period = 5 * sim.Millisecond, 20 * sim.Millisecond
+	pl, err := NewPlan(Params{Spec: "vary:5ms:0.5:20ms", Seed: 3}, nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := jitter, sim.Time(0)
+	for at := sim.Time(0); at < 1000; at++ {
+		_, _, extra := pl.EdgeScale(0, at)
+		lo, hi = min(lo, extra), max(hi, extra)
+	}
+	if lo > jitter/4 || hi < 3*jitter/4 {
+		t.Errorf("1000 draws spanned only [%v, %v] of [0, %v]", lo, hi, jitter)
+	}
+	start := period - pl.varyPhase // first instant of episode 1
+	factors := map[float64]bool{}
+	for k := sim.Time(0); k < 32; k++ {
+		first := start + k*period
+		ls, b0, _ := pl.EdgeScale(0, first)
+		_, b1, _ := pl.EdgeScale(0, first+period-1)
+		if ls != 1 {
+			t.Fatalf("vary scaled latency by %g; its latency term is additive", ls)
+		}
+		if b0 != b1 {
+			t.Fatalf("episode %d: bandwidth factor moved within the episode (%g -> %g)", k+1, b0, b1)
+		}
+		if b0 < 0.5 || b0 > 1 {
+			t.Fatalf("episode %d: bandwidth factor %g outside [0.5, 1]", k+1, b0)
+		}
+		factors[b0] = true
+	}
+	if len(factors) < 16 {
+		t.Errorf("32 episodes drew only %d distinct bandwidth factors", len(factors))
 	}
 }

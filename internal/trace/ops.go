@@ -12,7 +12,8 @@ package trace
 // RecordMessage, so the i-th RecordMessage call is the i-th send of the
 // run and the index names the message unambiguously. The runtime refuses
 // to attach an OpSink to runs where that correspondence breaks (fault
-// injection, the reliable transport, or a Configure network hook).
+// injection, the reliable transport, a regime, or a multi-hop wide-area
+// graph).
 type OpSink interface {
 	Sink
 	// RecordRecv reports that rank's receive consumed message msg. It is

@@ -234,29 +234,20 @@ func NewComm(e *Env, style CollectiveStyle) *Comm { return collective.New(e, sty
 // CollectiveOps lists the fourteen MPI-1 collective operation names.
 var CollectiveOps = collective.OpNames
 
-// Extended machine-model features (see internal/network/extensions.go).
+// Extended run options and tracing.
 type (
-	// RunOptions configures traced or network-extended runs.
+	// RunOptions configures traced, faulted or regime runs.
 	RunOptions = par.Options
-	// Variability describes deterministic wide-area fluctuation — the
-	// paper's future-work question, built in.
-	Variability = network.Variability
-	// PairSpeed overrides one directed cluster pair's wide-area speed.
-	PairSpeed = network.PairSpeed
-	// Network is the interconnect instance handed to RunOptions.Configure.
-	Network = network.Network
 	// TraceCollector records per-message and per-compute-span events.
 	TraceCollector = trace.Collector
 	// TraceMessage is one recorded message.
 	TraceMessage = trace.Message
 	// TraceSummary aggregates a trace.
 	TraceSummary = trace.Summary
-	// VariabilityResult is one application's fluctuation sensitivity.
-	VariabilityResult = core.VariabilityResult
 )
 
-// RunWith executes an SPMD job with extended options (tracing, per-pair
-// speeds, variability).
+// RunWith executes an SPMD job with extended options (tracing, fault
+// injection, dynamic regimes such as wide-area variability).
 func RunWith(topo *Topology, opts RunOptions, job Job) (Result, error) {
 	return par.RunWith(topo, opts, job)
 }
@@ -264,13 +255,6 @@ func RunWith(topo *Topology, opts RunOptions, job Job) (Result, error) {
 // NewTraceCollector creates a trace collector for a machine of the given
 // size; pass it via RunOptions.Trace or Experiment.Trace.
 func NewTraceCollector(procs int) *TraceCollector { return trace.NewCollector(procs) }
-
-// VariabilityStudy and its renderer measure the cost of wide-area
-// fluctuation on the optimized suite.
-var (
-	VariabilityStudy  = core.VariabilityStudy
-	RenderVariability = core.RenderVariability
-)
 
 // MPI-style interface (the shape MagPIe shipped as: a drop-in library for
 // MPI programs).

@@ -89,7 +89,7 @@ func TestTableRendering(t *testing.T) {
 
 func TestPublicAPIHarnessSurface(t *testing.T) {
 	// Exercise the re-exported harness entry points end-to-end at tiny
-	// scale: microbenchmarks, variability, MPI kernels, shapes.
+	// scale: microbenchmarks, MPI kernels, shapes.
 	topo := twolayer.DAS()
 	params := twolayer.DefaultParams().WithWAN(3300*twolayer.Microsecond, 1e6)
 
@@ -102,17 +102,6 @@ func TestPublicAPIHarnessSurface(t *testing.T) {
 	}
 	if s := twolayer.RenderMicro(micro); len(s) == 0 {
 		t.Error("empty micro render")
-	}
-
-	vr, err := twolayer.VariabilityStudy(twolayer.TinyScale, params, twolayer.Variability{
-		LatencyJitter: 5 * twolayer.Millisecond, BandwidthFactor: 0.5,
-		Period: 50 * twolayer.Millisecond, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vr) != 6 {
-		t.Errorf("%d variability results", len(vr))
 	}
 
 	kr, err := twolayer.MPIKernelComparison(topo, params)
