@@ -25,12 +25,13 @@ race:
 	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/faults/... ./internal/par/... \
 		./internal/apps/asp ./internal/apps/barneshut ./internal/apps/water
 
-# ASP's row relaxation is assembly on amd64; purego builds the portable Go
-# body (what -race and other architectures get), which must reproduce the
-# same goldens.
+# ASP's row relaxation and the analytic walk's lane kernels are assembly on
+# amd64; purego builds the portable Go bodies (what -race and other
+# architectures get), which must reproduce the same goldens and the same
+# analytic answers.
 purego:
-	$(GO) test -count=1 -tags purego ./internal/apps/asp
-	$(GO) test -count=1 -tags purego -run 'TestGoldenDeterminism$$' ./internal/core
+	$(GO) test -count=1 -tags purego ./internal/apps/asp ./internal/analytic
+	$(GO) test -count=1 -tags purego -run 'TestGoldenDeterminism$$|TestFigure3AnalyticMatchesPointOracle' ./internal/core
 
 check: build fmt vet test race purego
 

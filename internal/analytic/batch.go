@@ -44,12 +44,12 @@ type batchState struct {
 	// Per-entity lane rows.
 	rankEnd, nicFree, gwFree, wanFree, delivered []laneRow
 
-	// Per-lane parameter columns. ilWanPer = intraLat + wanPer and
-	// ilRecv = intraLat + recvOv fold sums the walk would otherwise re-add
-	// per message; integer addition is associative, so every lane's result
-	// is bit-identical.
-	sendOv, recvOv, wanLat, rtt, ilWanPer, ilRecv laneRow
-	intraBW, wanBW                                [BatchLanes]float64
+	// Per-lane parameter columns: the send kernels' (see laneCols), then
+	// the loopback's receive overhead, the message RTT charge and the
+	// bandwidths the transmission rows are computed from.
+	cols           laneCols
+	recvOv, rtt    laneRow
+	intraBW, wanBW [BatchLanes]float64
 
 	// lanTx and wanTx cache, per distinct message size (dense ids from
 	// buildSlots), the per-lane LAN transmission time and the WAN
@@ -65,15 +65,21 @@ type batchState struct {
 // tx returns the LAN and WAN transmission rows of one message size,
 // computing and caching them on first sight.
 func (b *batchState) tx(sid int32, size int64) (lan, wan *laneRow) {
-	lan, wan = &b.lanTx[sid], &b.wanTx[sid]
 	if !b.txDone[sid] {
-		for lane := range lan {
-			lan[lane] = sim.TransmissionTime(size, b.intraBW[lane])
-			wan[lane] = sim.TransmissionTime(size, b.wanBW[lane]) + b.rtt[lane]
-		}
-		b.txDone[sid] = true
+		b.fillTx(sid, size)
 	}
-	return lan, wan
+	return &b.lanTx[sid], &b.wanTx[sid]
+}
+
+// fillTx is tx's first-sight work, kept out of tx so the hit path inlines
+// into the walk.
+func (b *batchState) fillTx(sid int32, size int64) {
+	lan, wan := &b.lanTx[sid], &b.wanTx[sid]
+	for lane := range lan {
+		lan[lane] = sim.TransmissionTime(size, b.intraBW[lane])
+		wan[lane] = sim.TransmissionTime(size, b.wanBW[lane]) + b.rtt[lane]
+	}
+	b.txDone[sid] = true
 }
 
 // buildSlots computes the message -> delivery-slot remap the batched walk
@@ -154,7 +160,17 @@ func buildSlots(g *Graph) (msgSlot, msgSizeID []int32, slots, sizes int) {
 	return msgSlot, msgSizeID, slots, sizes
 }
 
+// ensureProg builds the slot remap, the size table and the batch program
+// on the first batched solve.
+func (e *Eval) ensureProg() {
+	if e.prog == nil {
+		e.msgSlot, e.msgSizeID, e.slotCount, e.sizeCount = buildSlots(e.g)
+		e.prog = buildProg(e.g, e.msgSlot, e.msgSizeID, e.wanStart)
+	}
+}
+
 func (e *Eval) ensureBatch() *batchState {
+	e.ensureProg()
 	if e.batch == nil {
 		g := e.g
 		e.batch = &batchState{
@@ -199,10 +215,11 @@ func (e *Eval) SolveBatchParallel(ps []network.Params, workers int) []sim.Time {
 	if workers <= 1 {
 		return e.SolveBatch(ps)
 	}
-	// Warm the shared prefix snapshot once so every clone inherits it
-	// instead of re-walking the WAN-independent prefix. Only meaningful
-	// when all points share LAN parameters; otherwise each chunk decides
-	// for itself.
+	// Build the batch program and warm the shared prefix snapshot once, so
+	// every clone inherits them instead of re-deriving them. The snapshot
+	// only matters when all points share LAN parameters; otherwise each
+	// chunk decides for itself.
+	e.ensureProg()
 	if e.wanStart > 0 && uniformLan(ps) && !(e.snapValid && e.snapLan == lanOf(ps[0])) {
 		e.ensureSnapshot(ps[0])
 	}
@@ -250,16 +267,7 @@ func (e *Eval) SolveMatchedBatch(ps []network.Params, workers int) []sim.Time {
 		}
 		return out
 	}
-	// Build the shared streams (and the wildcard classification) once,
-	// before cloning, so the clones share them read-only. A graph without
-	// wildcard receives is answered by the frozen pass and needs none.
-	if !e.mSpecificSet {
-		e.mSpecific = e.allSpecific()
-		e.mSpecificSet = true
-	}
-	if !e.mSpecific {
-		e.ensureMatched()
-	}
+	e.PrepareMatched()
 	per := (len(ps) + workers - 1) / workers
 	var wg sync.WaitGroup
 	clones := make([]*Eval, 0, workers)
@@ -282,12 +290,29 @@ func (e *Eval) SolveMatchedBatch(ps []network.Params, workers int) []sim.Time {
 	return out
 }
 
+// PrepareMatched builds the matched replay's shared state — the wildcard
+// classification and, for graphs with wildcard receives, the per-rank
+// streams — so that clones taken afterwards share it read-only instead of
+// each building its own. A graph without wildcard receives is answered by
+// the frozen pass and needs no streams.
+func (e *Eval) PrepareMatched() {
+	if !e.mSpecificSet {
+		e.mSpecific = e.allSpecific()
+		e.mSpecificSet = true
+	}
+	if !e.mSpecific {
+		e.ensureMatched()
+	}
+}
+
 // Clone returns an independent evaluator over the same (read-only, shared)
 // graph, for concurrent use from another goroutine. The clone shares the
 // prepared matched-replay streams and inherits a copy of the current
 // prefix snapshot, so it starts as warm as its parent; all mutable replay
-// state is its own. Clone itself must be called from the goroutine that
-// owns e, not concurrently with solves on e.
+// state is its own. Clone reads e and writes nothing of it, so it must not
+// run concurrently with a solve on e, but an evaluator nobody solves on may
+// be cloned from any goroutine: an evaluator pool can keep one prepared
+// Eval idle and hand out clones of it under the pool's lock.
 func (e *Eval) Clone() *Eval {
 	g := e.g
 	c := &Eval{
@@ -362,12 +387,12 @@ func (e *Eval) solveBatchChunk(ps []network.Params, out []sim.Time) {
 		if lane < k {
 			p = ps[lane]
 		}
-		b.sendOv[lane] = p.SendOverhead
+		b.cols.sendOv[lane] = p.SendOverhead
+		b.cols.ilRecv[lane] = p.IntraLatency + p.RecvOverhead
+		b.cols.ilWanPer[lane] = p.IntraLatency + p.WANPerMessage
+		b.cols.wanLat[lane] = p.WANLatency
 		b.recvOv[lane] = p.RecvOverhead
-		b.wanLat[lane] = p.WANLatency
 		b.rtt[lane] = sim.Time(float64(2*p.WANLatency) * p.WANMessageRTTFactor)
-		b.ilWanPer[lane] = p.IntraLatency + p.WANPerMessage
-		b.ilRecv[lane] = p.IntraLatency + p.RecvOverhead
 		b.intraBW[lane] = p.IntraBandwidth
 		b.wanBW[lane] = p.WANBandwidth
 	}
@@ -567,11 +592,13 @@ func buildProg(g *Graph, msgSlot, msgSizeID []int32, wanStart int) *batchProg {
 }
 
 // batchWalk32 replays the batch program from entry `start` across all
-// BatchLanes lanes. Each kind has one lane loop running the scalar walk's
-// arithmetic per lane: the LAN-side values come from the per-lane columns
-// and the per-size transmission rows, whether or not the lanes agree on
-// them. The fused receive kinds merge the received delivery row first;
-// their unfused counterparts merge the rank row with itself, a no-op.
+// BatchLanes lanes, one lane kernel call per entry (lanes.go): the vector
+// kernel where the build and CPU have one, else its Go body. The LAN-side
+// values come from the per-lane columns and the per-size transmission
+// rows, whether or not the lanes agree on them. A single receive is a
+// receive run of one slot. The fused receive kinds merge the received
+// delivery row into the send's ready time; their unfused counterparts pass
+// the rank row itself, and max(x, x) = x.
 func (e *Eval) batchWalk32(b *batchState, start int) {
 	p := e.prog
 	kinds := p.kind
@@ -579,26 +606,25 @@ func (e *Eval) batchWalk32(b *batchState, start int) {
 		re := &b.rankEnd[p.rank[i]]
 		switch kind := kinds[i]; kind {
 		case bpSpan:
-			d := sim.Time(p.t[i])
-			for lane := range re {
-				re[lane] += d
+			if useAVX2 {
+				spanAddAVX2(re, sim.Time(p.t[i]))
+			} else {
+				spanAddGo(re, sim.Time(p.t[i]))
 			}
-		case bpRecv:
-			del := &b.delivered[p.a[i]]
-			for lane := range re {
-				re[lane] = max(re[lane], del[lane])
+		case bpRecv, bpRecvRun:
+			slots := p.a[i : i+1]
+			if kind == bpRecvRun {
+				slots = p.runSlots[p.a[i] : p.a[i]+p.b[i]]
 			}
-		case bpRecvRun:
-			for _, sl := range p.runSlots[p.a[i] : p.a[i]+p.b[i]] {
-				del := &b.delivered[sl]
-				for lane := range re {
-					re[lane] = max(re[lane], del[lane])
-				}
+			if useAVX2 {
+				recvMergeAVX2(re, b.delivered, slots)
+			} else {
+				recvMergeGo(re, b.delivered, slots)
 			}
 		case bpLoopback:
 			del := &b.delivered[p.a[i]]
 			for lane := range re {
-				ready := re[lane] + b.sendOv[lane]
+				ready := re[lane] + b.cols.sendOv[lane]
 				re[lane] = ready
 				del[lane] = ready + b.recvOv[lane]
 			}
@@ -607,36 +633,25 @@ func (e *Eval) batchWalk32(b *batchState, start int) {
 			if kind == bpRecvLocal {
 				dr = &b.delivered[p.r[i]]
 			}
-			del := &b.delivered[p.a[i]]
-			nic := &b.nicFree[p.rank[i]]
+			del, nic := &b.delivered[p.a[i]], &b.nicFree[p.rank[i]]
 			tx, _ := b.tx(p.b[i], p.t[i])
-			for lane := range re {
-				ready := max(re[lane], dr[lane]) + b.sendOv[lane]
-				re[lane] = ready
-				nicDone := max(ready, nic[lane]) + tx[lane]
-				nic[lane] = nicDone
-				del[lane] = nicDone + b.ilRecv[lane]
+			if useAVX2 {
+				sendLocalAVX2(re, dr, del, nic, tx, &b.cols)
+			} else {
+				sendLocalGo(re, dr, del, nic, tx, &b.cols)
 			}
 		case bpWAN, bpRecvWAN:
 			dr := re
 			if kind == bpRecvWAN {
 				dr = &b.delivered[p.r[i]]
 			}
-			del := &b.delivered[p.a[i]]
-			nic := &b.nicFree[p.rank[i]]
-			wan := &b.wanFree[p.c[i]]
-			gw := &b.gwFree[p.d[i]]
+			del, nic := &b.delivered[p.a[i]], &b.nicFree[p.rank[i]]
+			wan, gw := &b.wanFree[p.c[i]], &b.gwFree[p.d[i]]
 			tx, wtx := b.tx(p.b[i], p.t[i])
-			for lane := range re {
-				ready := max(re[lane], dr[lane]) + b.sendOv[lane]
-				re[lane] = ready
-				nicDone := max(ready, nic[lane]) + tx[lane]
-				nic[lane] = nicDone
-				wanDone := max(nicDone+b.ilWanPer[lane], wan[lane]) + wtx[lane]
-				wan[lane] = wanDone
-				gwDone := max(wanDone+b.wanLat[lane], gw[lane]) + tx[lane]
-				gw[lane] = gwDone
-				del[lane] = gwDone + b.ilRecv[lane]
+			if useAVX2 {
+				sendWANAVX2(re, dr, del, nic, wan, gw, tx, wtx, &b.cols)
+			} else {
+				sendWANGo(re, dr, del, nic, wan, gw, tx, wtx, &b.cols)
 			}
 		}
 	}

@@ -44,7 +44,8 @@ func randomPoints(r *rand.Rand, ref network.Params, n int, mixLan bool) []networ
 // smaller and larger than one lane chunk — SolveBatch must be bit-identical
 // to per-point Solve, whether the scalar answers come from a fresh
 // evaluator or from the same evaluator (prefix-snapshot reuse in effect,
-// in both orders).
+// in both orders). Where the AVX2 lane kernels run, this pins them against
+// the scalar walk; purego and race builds run it on the Go bodies.
 func TestSolveBatchMatchesScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 60; i++ {

@@ -20,12 +20,15 @@ import (
 //
 // Concurrency contract: an Eval carries reusable state and must only be
 // used from one goroutine at a time — no method, including Solve,
-// SolveMatched, SolveBatch and Clone, is safe to call concurrently with
-// any other on the same Eval. For concurrent grid solving, create one
-// evaluator per goroutine: either independently with NewEval (the graph
-// itself is read-only and shared), or with Clone, which also shares the
-// prepared replay streams and the current prefix snapshot.
-// SolveBatchParallel and SolveMatchedBatch manage such clones internally.
+// SolveMatched, SolveBatch and Clone, is safe to call concurrently with a
+// solve on the same Eval. The one relaxation is Clone on an evaluator
+// nobody solves on: it only reads, so a pool may keep one prepared Eval
+// idle and hand out clones of it from any goroutine under the pool's lock.
+// For concurrent grid solving, create one evaluator per goroutine: either
+// independently with NewEval (the graph itself is read-only and shared),
+// or with Clone, which also shares the prepared replay streams and the
+// current prefix snapshot. SolveBatchParallel and SolveMatchedBatch manage
+// such clones internally.
 type Eval struct {
 	g *Graph
 
@@ -62,6 +65,10 @@ type Eval struct {
 	consumed []bool
 	wq       wakeTree
 	mNarrow  bool // current pass narrows tag-wildcard receives
+	// mLanTx caches the LAN transmission time per message at bandwidth
+	// mLanBW (matchedLanTx); per-evaluator scratch.
+	mLanTx []sim.Time
+	mLanBW float64
 	// mSpecific (computed once, mSpecificSet guards) marks graphs with no
 	// wildcard receives, where the frozen pass IS the matched answer.
 	mSpecific, mSpecificSet bool
@@ -69,7 +76,8 @@ type Eval struct {
 	// Batched-solve state (SolveBatch), allocated on first use and reused
 	// across chunks; see batch.go. msgSlot/slotCount are the read-only
 	// message -> delivery-slot remap and msgSizeID/sizeCount the dense
-	// message-size table (buildSlots); all four are shared by clones.
+	// message-size table (buildSlots); all four are built with prog by the
+	// first batched solve (ensureProg) and shared by clones taken after it.
 	batch     *batchState
 	msgSlot   []int32
 	msgSizeID []int32
@@ -77,7 +85,9 @@ type Eval struct {
 	sizeCount int
 	// prog is the graph pre-compiled for the batched walk (buildProg):
 	// static op classification with spans and receive runs fused. Built
-	// once per graph, read-only, shared by clones.
+	// once per evaluator that batch-solves, read-only, shared by clones:
+	// an evaluator that only answers single points or matched replays
+	// never pays for it.
 	prog *batchProg
 
 	// Counters for benchmarking and reports.
@@ -132,8 +142,6 @@ func NewEval(g *Graph) *Eval {
 			break
 		}
 	}
-	e.msgSlot, e.msgSizeID, e.slotCount, e.sizeCount = buildSlots(g)
-	e.prog = buildProg(g, e.msgSlot, e.msgSizeID, e.wanStart)
 	return e
 }
 

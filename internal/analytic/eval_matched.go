@@ -72,6 +72,24 @@ func (e *Eval) allocMatchedScratch() {
 	e.consumed = make([]bool, len(g.MsgSrc))
 }
 
+// matchedLanTx returns every message's LAN transmission time at bandwidth
+// bw. A grid varies only the wide-area knobs, so the table is rebuilt only
+// when bw changes: the NIC and gateway legs of every send then read a value
+// instead of dividing. The entries are TransmissionTime's own results, so
+// the replay's arithmetic is unchanged.
+func (e *Eval) matchedLanTx(bw float64) []sim.Time {
+	if e.mLanTx == nil || e.mLanBW != bw {
+		if e.mLanTx == nil {
+			e.mLanTx = make([]sim.Time, len(e.g.MsgBytes))
+		}
+		for m, size := range e.g.MsgBytes {
+			e.mLanTx[m] = sim.TransmissionTime(size, bw)
+		}
+		e.mLanBW = bw
+	}
+	return e.mLanTx
+}
+
 // The wake queue: at most one pending wakeup exists per rank, keyed (time,
 // recorded op index) — record order is the simulator's execution order, so
 // the tie-break reproduces the simulator's interleaving of same-time events
@@ -195,15 +213,22 @@ func (w *wakeTree) consume(r int32) {
 
 // take consumes message m from rank r's pending set.
 func (e *Eval) take(r, m int32) {
-	e.consumed[m] = true
-	pl := e.pending[r]
-	for j, pm := range pl {
+	for j, pm := range e.pending[r] {
 		if pm == m {
-			pl[j] = pl[len(pl)-1]
-			e.pending[r] = pl[:len(pl)-1]
+			e.takeAt(r, j)
 			return
 		}
 	}
+	e.consumed[m] = true
+}
+
+// takeAt consumes the message at index j of rank r's pending set (a
+// message is pending at most once, so this is take of that message).
+func (e *Eval) takeAt(r int32, j int) {
+	pl := e.pending[r]
+	e.consumed[pl[j]] = true
+	pl[j] = pl[len(pl)-1]
+	e.pending[r] = pl[:len(pl)-1]
 }
 
 // notifyMatched re-wakes dst if it is blocked at a receive the newly
@@ -321,6 +346,7 @@ func (e *Eval) solveMatched(p network.Params, narrow bool) (sim.Time, bool) {
 
 	c := g.Clusters
 	rttExtra := sim.Time(float64(2*p.WANLatency) * p.WANMessageRTTFactor)
+	lanTx := e.matchedLanTx(p.IntraBandwidth)
 	var executed int64
 	for {
 		r := e.wq.min().rank()
@@ -362,20 +388,24 @@ func (e *Eval) solveMatched(p network.Params, narrow bool) (sim.Time, bool) {
 					e.wq.wake(r, t, i)
 					break run
 				}
-				size := g.MsgBytes[m]
 				ready := t + p.SendOverhead
 				t = ready
 				var d sim.Time
 				if dst == r {
 					d = ready + p.RecvOverhead
 				} else {
-					nicDone := reserve(&e.nicFree[r], ready, size, p.IntraBandwidth, 0)
+					// reserve's arithmetic, with the LAN transmission time
+					// from the per-message table.
+					tx := lanTx[m]
+					nicDone := max(ready, e.nicFree[r]) + tx
+					e.nicFree[r] = nicDone
 					localArrive := nicDone + p.IntraLatency
 					if wan {
 						sc, dc := g.ClusterOf[r], g.ClusterOf[dst]
 						wanDone := reserve(&e.wanFree[int(sc)*c+int(dc)],
-							localArrive+p.WANPerMessage, size, p.WANBandwidth, rttExtra)
-						gwDone := reserve(&e.gwFree[dc], wanDone+p.WANLatency, size, p.IntraBandwidth, 0)
+							localArrive+p.WANPerMessage, g.MsgBytes[m], p.WANBandwidth, rttExtra)
+						gwDone := max(wanDone+p.WANLatency, e.gwFree[dc]) + tx
+						e.gwFree[dc] = gwDone
 						d = gwDone + p.IntraLatency + p.RecvOverhead
 					} else {
 						d = localArrive + p.RecvOverhead
@@ -418,8 +448,8 @@ func (e *Eval) solveMatched(p network.Params, narrow bool) (sim.Time, bool) {
 					// a message a later specific-tag receive needs.
 					tag = g.MsgTag[g.Arg[i]]
 				}
-				best, bestD := int32(-1), sim.Time(0)
-				for _, pm := range e.pending[r] {
+				best, bestAt, bestD := int32(-1), 0, sim.Time(0)
+				for j, pm := range e.pending[r] {
 					if from >= 0 && g.MsgSrc[pm] != from {
 						continue
 					}
@@ -427,7 +457,7 @@ func (e *Eval) solveMatched(p network.Params, narrow bool) (sim.Time, bool) {
 						continue
 					}
 					if d := e.delivered[pm]; best < 0 || d < bestD || (d == bestD && pm < best) {
-						best, bestD = pm, d
+						best, bestAt, bestD = pm, j, d
 					}
 				}
 				if best >= 0 {
@@ -438,7 +468,7 @@ func (e *Eval) solveMatched(p network.Params, narrow bool) (sim.Time, bool) {
 					// after t — a blocking receive waits for the earliest
 					// matching arrival, which this minimum then is.)
 					if e.wq.min().t() >= bestD {
-						e.take(r, best)
+						e.takeAt(r, bestAt)
 						if bestD > t {
 							t = bestD
 						}

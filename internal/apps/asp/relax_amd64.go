@@ -2,12 +2,10 @@
 
 package asp
 
-// useAVX2 is decided once at start-up: CPUID reports AVX2 and XGETBV
-// reports that the OS saves the YMM registers.
-var useAVX2 = hasAVX2()
+import "twolayer/internal/cpufeat"
 
-// hasAVX2 probes CPUID leaves 1 and 7 and XCR0.
-func hasAVX2() bool
+// useAVX2 is the start-up probe's answer (internal/cpufeat).
+var useAVX2 = cpufeat.AVX2
 
 // relaxRowAVX2 applies dst[j] = min(dst[j], d+src[j]) to the first
 // len(dst)&^7 elements, eight int32 lanes at a time with an unconditional

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"twolayer/internal/analytic"
 	"twolayer/internal/apps"
@@ -142,7 +143,7 @@ func analyticEval(label string, x Experiment, pol *RunPolicy, cache *RunCache, a
 	if ev.FrozenAccurate(analyticProbes(), tol/3) {
 		rep.Engine = "frozen"
 	}
-	s := analyticSensitivity(analyticGridSolver(ev, rep), g.Ref)
+	s := analyticSensitivity(analyticPointSolver(ev, rep), g.Ref)
 	rep.LatencySharePct = 100 * s.LatencyShare()
 	rep.BandwidthSharePct = 100 * s.BandwidthShare()
 	return ev, nil, rep, nil
@@ -178,10 +179,28 @@ func analyticGridSolver(ev *analytic.Eval, rep AnalyticReport) func([]network.Pa
 	}
 }
 
+// analyticPointSolver is analyticGridSolver for a handful of points: one
+// solve per point on the calibrated engine, bit-identical to the grid path,
+// and it needs neither the batch program (a few megabytes for the largest
+// graphs) nor clones.
+func analyticPointSolver(ev *analytic.Eval, rep AnalyticReport) func([]network.Params) []sim.Time {
+	solve := ev.SolveMatched
+	if rep.Engine == "frozen" {
+		solve = ev.Solve
+	}
+	return func(ps []network.Params) []sim.Time {
+		out := make([]sim.Time, len(ps))
+		for i, p := range ps {
+			out[i] = solve(p)
+		}
+		return out
+	}
+}
+
 // analyticSolveCost estimates, per grid point, what a variant's grid solve
-// costs, so a sweep can start the costliest grids first: a matched replay
-// walks the whole graph once per point, while the batched frozen walk
-// answers BatchLanes points per pass over it.
+// costs, so a sweep can start the costliest grids (and matched chunks)
+// first: a matched replay walks the whole graph once per point, while the
+// batched frozen walk answers BatchLanes points per pass over it.
 func analyticSolveCost(g *analytic.Graph, rep AnalyticReport) float64 {
 	if rep.Engine == "frozen" {
 		return float64(g.Nodes()) / analytic.BatchLanes
@@ -239,7 +258,7 @@ func SolveAnalytic(label string, x Experiment, pol *RunPolicy, cache *RunCache, 
 	if err != nil || fail != nil {
 		return AnalyticPoint{Report: rep}, fail, err
 	}
-	s := analyticSensitivity(analyticGridSolver(ev, rep), asked)
+	s := analyticSensitivity(analyticPointSolver(ev, rep), asked)
 	return AnalyticPoint{
 		Elapsed:           s.Elapsed,
 		LatencySharePct:   100 * s.LatencyShare(),
@@ -250,10 +269,11 @@ func SolveAnalytic(label string, x Experiment, pol *RunPolicy, cache *RunCache, 
 
 // Figure3Analytic produces the paper's Figure 3 panels from one recorded
 // run per variant: record (or load) the reference graph, then solve every
-// latency/bandwidth cell analytically — the whole panel in one batched
-// multi-point pass per variant. Baselines are simulated through the cache as usual. a.Tolerance
-// bounds the matched replay's reference self-check. Alongside the panels
-// it returns one AnalyticReport per variant.
+// latency/bandwidth cell analytically — a frozen panel in one batched
+// multi-point pass, a matched one in chunks spread over the cores.
+// Baselines are simulated through the cache as usual. a.Tolerance bounds
+// the matched replay's reference self-check. Alongside the panels it
+// returns one AnalyticReport per variant.
 func Figure3Analytic(scale apps.Scale, opts Figure3Options, a AnalyticOptions) ([]Figure3Panel, []AnalyticReport, error) {
 	if opts.WAN != nil && !opts.WAN.IsClique() {
 		// The replay model charges one wide-area leg per cross-cluster
@@ -351,54 +371,160 @@ func Figure3Analytic(scale apps.Scale, opts Figure3Options, a AnalyticOptions) (
 	}
 
 	// Phase 2: solve the grids. The graph is read-only and every point is
-	// independent, so one task per variant hands its whole panel — every
-	// latency/bandwidth cell plus the latency-tolerance curve at the
-	// reference bandwidth — to the batched multi-point solver in a single
-	// pass. Variants still spread across the pool, costliest solves first.
-	var live []int
-	for v := range variants {
-		if graphs[v] != nil {
-			live = append(live, v)
+	// independent, so the grids become one list of tasks on the core
+	// budget, costliest first. The frozen grids are one task, solved one
+	// after another, each batched walk sharding itself across idle slots
+	// (analyticGridSolver): two at once would only hold two batch programs
+	// (megabytes each for Awari) for the same work, and would not share a
+	// core as well as a vector walk beside a matched replay does. A
+	// matched grid is split into matchedChunk-point tasks that draw their
+	// evaluators from the variant's pool, so the dearest replay (Water's)
+	// spreads over every core instead of pinning one while the others run
+	// dry. Tasks write their answers straight into the panels; the
+	// latency-tolerance curves are summarized once every task is done.
+	pts := make([]network.Params, 0, len(lats)*len(bws)+len(Latencies))
+	for _, lat := range lats {
+		for _, bw := range bws {
+			pts = append(pts, network.DefaultParams().WithWAN(lat, bw))
 		}
 	}
-	err = forEachWeighted(len(live),
-		func(k int) float64 { return analyticSolveCost(graphs[live[k]], reports[live[k]]) },
+	for _, lat := range Latencies {
+		pts = append(pts, network.DefaultParams().WithWAN(lat, ReferenceWANBandwidth))
+	}
+	type solveTask struct{ v, lo, hi int } // v < 0: every frozen grid
+	var tasks []solveTask
+	var frozen []int
+	pools := make([]*evalPool, len(variants))
+	curves := make([][]sim.Time, len(variants))
+	for v := range variants {
+		if graphs[v] == nil {
+			continue
+		}
+		curves[v] = make([]sim.Time, len(Latencies))
+		if reports[v].Engine == "frozen" {
+			frozen = append(frozen, v)
+			continue
+		}
+		pools[v] = &evalPool{g: graphs[v]}
+		for lo := 0; lo < len(pts); lo += matchedChunk {
+			tasks = append(tasks, solveTask{v, lo, min(lo+matchedChunk, len(pts))})
+			pools[v].left++
+		}
+	}
+	if len(frozen) > 0 {
+		tasks = append(tasks, solveTask{v: -1})
+	}
+	// record files variant v's answer for point i: a panel cell, or a
+	// point of the latency-tolerance curve. Tasks own disjoint points.
+	cells := len(lats) * len(bws)
+	record := func(v, i int, t sim.Time) {
+		if i < cells {
+			panels[v].Rel[i/len(bws)][i%len(bws)] = RelativeSpeedup(baselines[v], t)
+		} else {
+			curves[v][i-cells] = t
+		}
+	}
+	err = forEachWeighted(len(tasks),
+		func(k int) float64 {
+			t := tasks[k]
+			if t.v >= 0 {
+				return analyticSolveCost(graphs[t.v], reports[t.v]) * float64(t.hi-t.lo)
+			}
+			var w float64
+			for _, v := range frozen {
+				w += analyticSolveCost(graphs[v], reports[v]) * float64(len(pts))
+			}
+			return w
+		},
 		func(k int) string {
-			v := live[k]
+			v := tasks[k].v
+			if v < 0 {
+				return "frozen analytic solves"
+			}
 			return fmt.Sprintf("%s (%s) analytic solve", variants[v].app.Name, variantName(variants[v].opt))
 		},
 		func(k int) error {
-			v := live[k]
-			ev := analytic.NewEval(graphs[v])
-			solve := analyticGridSolver(ev, reports[v])
-			pts := make([]network.Params, 0, len(lats)*len(bws)+len(Latencies))
-			for _, lat := range lats {
-				for _, bw := range bws {
-					pts = append(pts, network.DefaultParams().WithWAN(lat, bw))
+			t := tasks[k]
+			if t.v < 0 {
+				for _, v := range frozen {
+					for i, ti := range analyticGridSolver(analytic.NewEval(graphs[v]), reports[v])(pts) {
+						record(v, i, ti)
+					}
 				}
+				return nil
 			}
-			for _, lat := range Latencies {
-				pts = append(pts, network.DefaultParams().WithWAN(lat, ReferenceWANBandwidth))
+			ev := pools[t.v].get()
+			for i := t.lo; i < t.hi; i++ {
+				record(t.v, i, ev.SolveMatched(pts[i]))
 			}
-			ts := solve(pts)
-			tl := baselines[v]
-			for i := range lats {
-				for j := range bws {
-					panels[v].Rel[i][j] = RelativeSpeedup(tl, ts[i*len(bws)+j])
-				}
-			}
-			rep := &reports[v]
-			curve := ts[len(lats)*len(bws):]
-			for k, lat := range Latencies {
-				rel := RelativeSpeedup(tl, curve[k])
-				rep.LatencyTolerance = append(rep.LatencyTolerance, AnalyticTolerancePoint{Latency: lat, RelPct: rel})
-				if rel >= 60 {
-					rep.ToleratedLatency = lat
-				}
-			}
+			pools[t.v].put(ev)
 			return nil
 		})
+	for v, curve := range curves {
+		rep := &reports[v]
+		for k, t := range curve {
+			rel := RelativeSpeedup(baselines[v], t)
+			rep.LatencyTolerance = append(rep.LatencyTolerance, AnalyticTolerancePoint{Latency: Latencies[k], RelPct: rel})
+			if rel >= 60 {
+				rep.ToleratedLatency = Latencies[k]
+			}
+		}
+	}
 	return panels, reports, err
+}
+
+// matchedChunk is the points one matched-grid task of Figure3Analytic
+// solves: a fraction of a second of Water's replay, so a heatmap's matched
+// grids divide finely over the cores, and few enough tasks that the pool
+// lock and the per-task bookkeeping stay invisible.
+const matchedChunk = 256
+
+// evalPool lends evaluators of one matched variant's graph to the phase-2
+// tasks solving its chunks. It holds one prepared Eval that nobody solves
+// on, plus the clones of it that finished chunks handed back; a clone is
+// the cheap way to a second evaluator (it shares the prepared matched
+// streams instead of rebuilding them, as a NewEval per chunk would). The
+// prepared Eval is created by the variant's first chunk and everything is
+// dropped after its last, so only the variants being solved hold replay
+// state; pools kept open across the whole task list cost a heatmap a
+// quarter more peak memory.
+type evalPool struct {
+	mu    sync.Mutex
+	g     *analytic.Graph
+	proto *analytic.Eval
+	free  []*analytic.Eval
+	left  int // chunks not yet finished
+}
+
+// get lends an evaluator: a returned clone if one is idle, else a new
+// clone of the prepared Eval (Clone only reads it, and nobody solves on
+// it, so cloning under the lock is safe).
+func (p *evalPool) get() *analytic.Eval {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 {
+		ev := p.free[n-1]
+		p.free = p.free[:n-1]
+		return ev
+	}
+	if p.proto == nil {
+		p.proto = analytic.NewEval(p.g)
+		p.proto.PrepareMatched()
+	}
+	return p.proto.Clone()
+}
+
+// put takes an evaluator back after a finished chunk; after the variant's
+// last chunk the pool lets go of everything.
+func (p *evalPool) put(ev *analytic.Eval) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.left--
+	if p.left == 0 {
+		p.proto, p.free = nil, nil
+		return
+	}
+	p.free = append(p.free, ev)
 }
 
 // Figure4AnalyticBandwidth is Figure4Bandwidth answered analytically from
@@ -527,7 +653,7 @@ func ClusterShapeStudyAnalytic(scale apps.Scale, appNames []string, wanLatency s
 		if err != nil {
 			return err
 		}
-		pred := analyticGridSolver(ev, rep)([]network.Params{network.DefaultParams().WithWAN(wanLatency, wanBandwidth)})[0]
+		pred := analyticPointSolver(ev, rep)([]network.Params{network.DefaultParams().WithWAN(wanLatency, wanBandwidth)})[0]
 		results[k] = ShapeResult{
 			App:      app.Name,
 			Shape:    topo.String(),

@@ -339,7 +339,8 @@ func TestAnalyticDifferential(t *testing.T) {
 // TestAnalyticBatchEqualsScalar pins the batched grid path against the
 // point-at-a-time loop on every golden variant: the recorded graph solved
 // over the full paper grid by SolveBatch and SolveMatchedBatch must be
-// bit-identical to scalar Solve and SolveMatched at each point.
+// bit-identical to scalar Solve and SolveMatched at each point — on the
+// vector lane kernels wherever the build and CPU have them.
 func TestAnalyticBatchEqualsScalar(t *testing.T) {
 	var grid []network.Params
 	for _, lat := range Latencies {

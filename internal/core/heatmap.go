@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -16,7 +17,8 @@ import (
 // latency and bandwidth extremes — thousands of wide-area points answered
 // from one recording per variant. Point-at-a-time this was a cold-start
 // proposition; through Eval.SolveBatch the whole lattice is a handful of
-// structure-of-arrays passes.
+// structure-of-arrays passes per frozen variant, and the matched variants'
+// replays are shared out over the cores in chunks (Figure3Analytic).
 
 // DefaultHeatmapSize is the lattice resolution of `figures -heatmap`.
 const DefaultHeatmapSize = 64
@@ -61,7 +63,7 @@ type HeatmapOptions struct {
 	Cache *RunCache
 	// Policy supervises the recording runs.
 	Policy *RunPolicy
-	// Analytic carries the solver options (tolerance, scalar A/B switch).
+	// Analytic carries the solver options (the matched replay's tolerance).
 	Analytic AnalyticOptions
 }
 
@@ -89,26 +91,32 @@ func Heatmap(scale apps.Scale, opts HeatmapOptions) ([]Figure3Panel, []AnalyticR
 // WriteHeatmapCSV emits the heatmap panels as one flat CSV (the same
 // columns as `figures -fig3 -csv`, so downstream plotting scripts read
 // both). Cell order — variant, then latency, then bandwidth — and number
-// formatting are fixed, so identical panels produce identical bytes.
+// formatting are fixed, so identical panels produce identical bytes. Rows
+// are streamed rather than collected in a stats.Table: a 64×64 heatmap is
+// 45,056 rows, and holding them all as strings was the largest allocation
+// left after the solve.
 func WriteHeatmapCSV(w io.Writer, panels []Figure3Panel) {
-	t := stats.NewTable("app", "variant", "latency_ms", "bandwidth_MBs", "relative_speedup_pct")
+	bw := bufio.NewWriter(w)
+	defer bw.Flush()
+	stats.CSVRow(bw, "app", "variant", "latency_ms", "bandwidth_MBs", "relative_speedup_pct")
 	for _, p := range panels {
 		variant := "unoptimized"
 		if p.Optimized {
 			variant = "optimized"
 		}
+		bwCells := make([]string, len(p.Bandwidths))
+		for j, b := range p.Bandwidths {
+			bwCells[j] = fmt.Sprintf("%.6g", b/1e6)
+		}
 		for i, lat := range p.Latencies {
-			for j, bw := range p.Bandwidths {
+			latCell := fmt.Sprintf("%.6g", lat.Milliseconds())
+			for j := range p.Bandwidths {
 				value := fmt.Sprintf("%.2f", p.Rel[i][j])
 				if k := p.FailedAt(i, j); k != "" {
 					value = FailedCell(k)
 				}
-				t.AddRow(p.App, variant,
-					fmt.Sprintf("%.6g", lat.Milliseconds()),
-					fmt.Sprintf("%.6g", bw/1e6),
-					value)
+				stats.CSVRow(bw, p.App, variant, latCell, bwCells[j], value)
 			}
 		}
 	}
-	t.CSV(w)
 }

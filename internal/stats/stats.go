@@ -74,24 +74,32 @@ func (t *Table) String() string {
 
 // CSV writes the table as comma-separated values.
 func (t *Table) CSV(w io.Writer) {
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	cells := make([]string, len(t.header))
-	for i, h := range t.header {
-		cells[i] = esc(h)
-	}
-	fmt.Fprintln(w, strings.Join(cells, ","))
+	CSVRow(w, t.header...)
 	for _, r := range t.rows {
-		cells = cells[:0]
-		for _, c := range r {
-			cells = append(cells, esc(c))
-		}
-		fmt.Fprintln(w, strings.Join(cells, ","))
+		CSVRow(w, r...)
 	}
+}
+
+// CSVRow writes one CSV record: the cells joined by commas, each quoted
+// when it holds a comma, a quote or a newline. Table.CSV writes every row
+// with it; a caller with tens of thousands of rows streams them through it
+// instead of holding them all in a Table.
+func CSVRow(w io.Writer, cells ...string) {
+	n := len(cells) // the commas and the newline
+	for _, c := range cells {
+		n += len(c)
+	}
+	line := make([]byte, 0, n)
+	for i, c := range cells {
+		if i > 0 {
+			line = append(line, ',')
+		}
+		if strings.ContainsAny(c, ",\"\n") {
+			c = `"` + strings.ReplaceAll(c, `"`, `""`) + `"`
+		}
+		line = append(line, c...)
+	}
+	w.Write(append(line, '\n'))
 }
 
 // Mean returns the arithmetic mean of xs (zero for an empty slice).
