@@ -205,7 +205,7 @@ func parseDrops(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("-drops: bad rate %q: %v", part, err)
 		}
-		if v < 0 || v > 1 {
+		if !(v >= 0 && v <= 1) { // NaN fails every comparison
 			return nil, fmt.Errorf("-drops: rate %g outside [0,1]", v)
 		}
 		out = append(out, v)

@@ -19,9 +19,8 @@ type RegimeFlags struct {
 func RegisterRegime() RegimeFlags {
 	return RegimeFlags{
 		Spec: flag.String("regime", "",
-			"dynamic network regime: '+'-joined clauses from diurnal[:PERIOD[:FACTOR]], "+
-				"congestion[:FLOWS[:INTENSITY[:PERIOD]]], churn[:PERIOD[:DOWN]] and rel "+
-				"(e.g. 'diurnal:1s:8+churn:2s:500ms'); empty keeps the network stationary"),
+			"dynamic network regime: '+'-joined clauses from "+regime.Grammar+
+				" (e.g. 'diurnal:1s:8+churn:2s:500ms'); empty keeps the network stationary"),
 		Seed: flag.Int64("regime-seed", 0,
 			"seed for the regime's phases and churn victims (requires -regime)"),
 	}

@@ -14,13 +14,14 @@ func sendN(t *testing.T, plan *faults.Plan, n int, bytes int64) (events []Messag
 	k, nw := dasNet(t, slowWANParams())
 	nw.SetFaults(plan)
 	nw.SetObserver(func(ev MessageEvent) { events = append(events, ev) })
+	a := &arrivals{k: k}
 	for i := 0; i < n; i++ {
-		nw.SendClass(0, 8, bytes, ClassData, func() { delivered++ })
+		a.send(nw, 0, 8, bytes, uint64(i))
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return events, delivered, nw
+	return events, len(a.log), nw
 }
 
 func TestFaultDropSuppressesDelivery(t *testing.T) {
@@ -84,14 +85,14 @@ func TestFaultJitterReorders(t *testing.T) {
 	plan := faults.NewPlan(faults.Params{ReorderJitter: 50 * sim.Millisecond, Seed: 5})
 	k, nw := dasNet(t, slowWANParams())
 	nw.SetFaults(plan)
-	var order []int
+	a := &arrivals{k: k}
 	for i := 0; i < 20; i++ {
-		i := i
-		nw.SendClass(0, 8, 10, ClassData, func() { order = append(order, i) })
+		a.send(nw, 0, 8, 10, uint64(i))
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
+	order := a.tokens()
 	if len(order) != 20 {
 		t.Fatalf("%d deliveries", len(order))
 	}
@@ -114,17 +115,18 @@ func TestFaultOutageDropsWithoutChargingLink(t *testing.T) {
 	})
 	k, nw := dasNet(t, slowWANParams())
 	nw.SetFaults(plan)
-	var delivered int
+	a := &arrivals{k: k}
 	const n = 50
 	for i := 0; i < n; i++ {
 		// Spread offers over virtual time so several outage windows pass.
 		k.Schedule(sim.Time(i)*2*sim.Millisecond, func() {
-			nw.SendClass(0, 8, 10, ClassData, func() { delivered++ })
+			a.send(nw, 0, 8, 10, uint64(i))
 		})
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
+	delivered := len(a.log)
 	st := nw.FaultStats()
 	if st.OutageDropped == 0 {
 		t.Fatal("no outage drops with a 40% duty cycle")
@@ -165,14 +167,15 @@ func TestFaultsNeverTouchIntraCluster(t *testing.T) {
 	plan := faults.NewPlan(faults.Params{DropRate: 0.99, Seed: 1})
 	k, nw := dasNet(t, flatParams())
 	nw.SetFaults(plan)
-	var delivered int
+	a := &arrivals{k: k}
 	for i := 0; i < 100; i++ {
-		nw.SendClass(0, 1, 10, ClassData, func() { delivered++ }) // same cluster
-		nw.SendClass(2, 2, 10, ClassData, func() { delivered++ }) // loopback
+		a.send(nw, 0, 1, 10, uint64(i))     // same cluster
+		a.send(nw, 2, 2, 10, uint64(100+i)) // loopback
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
+	delivered := len(a.log)
 	if delivered != 200 {
 		t.Errorf("intra-cluster traffic lost messages: %d of 200 delivered", delivered)
 	}

@@ -7,9 +7,8 @@ import (
 	"twolayer/internal/topology"
 )
 
-// Shared helpers for the package's test files (network_test.go,
-// extensions_test.go, faults_test.go), so each file does not grow its own
-// copy of the same parameter plumbing.
+// Shared helpers for the package's test files, so each file does not grow
+// its own copy of the same parameter plumbing and delivery handler.
 
 // flatParams removes software overheads so arrival times can be checked
 // against hand-computed values.
@@ -32,4 +31,44 @@ func dasNet(t *testing.T, p Params) (*sim.Kernel, *Network) {
 	t.Helper()
 	k := sim.NewKernel()
 	return k, New(k, topology.DAS(), p)
+}
+
+// arrivals is the tests' delivery handler: it logs every delivery's token
+// and virtual time in firing order (a duplicated message logs its token
+// twice).
+type arrivals struct {
+	k   *sim.Kernel
+	log []arrival
+}
+
+type arrival struct {
+	token uint64
+	at    sim.Time
+}
+
+func (a *arrivals) HandleEvent(token uint64) { a.log = append(a.log, arrival{token, a.k.Now()}) }
+
+// send offers a data message tagged with token from src to dst and returns
+// SendHandle's count of scheduled deliveries.
+func (a *arrivals) send(n *Network, src, dst int, size int64, token uint64) int {
+	return n.SendHandle(src, dst, size, ClassData, a, token)
+}
+
+// at returns the virtual time of token's first delivery, 0 if none.
+func (a *arrivals) at(token uint64) sim.Time {
+	for _, x := range a.log {
+		if x.token == token {
+			return x.at
+		}
+	}
+	return 0
+}
+
+// tokens returns the delivered tokens in firing order.
+func (a *arrivals) tokens() []uint64 {
+	out := make([]uint64, len(a.log))
+	for i, x := range a.log {
+		out[i] = x.token
+	}
+	return out
 }

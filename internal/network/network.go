@@ -315,56 +315,22 @@ func (n *Network) Topology() *topology.Topology { return n.topo }
 // Params returns the configured speeds.
 func (n *Network) Params() Params { return n.params }
 
-// delivery is the receiver half of a message in flight: either a closure
-// (the flexible, allocating form) or a preallocated handler plus integer
-// token (the steady-state form — see SendHandle). It is passed by value
-// through the routing legs, so choosing one form over the other never
-// changes costs, link bookings, or event ordering.
-type delivery struct {
-	fire  func()
-	h     sim.EventHandler
-	token uint64
-}
-
-// schedule books the delivery onto the kernel at the given time. Both forms
-// consume exactly one kernel sequence number, so closure- and handler-based
-// sends interleave identically.
-func (d delivery) schedule(k *sim.Kernel, at sim.Time) {
-	if d.h != nil {
-		k.ScheduleCall(at, d.h, d.token)
-		return
-	}
-	k.Schedule(at, d.fire)
-}
-
-// SendClass models the transfer of size simulated bytes from rank src to
-// rank dst, invoking deliver in kernel context at the arrival time (equal
-// to the kernel's current time when it fires). It must be called from
-// kernel or process context within the simulation. The class does not
-// change the wire model; it flows to observers (so traces can separate
-// payloads from retransmissions and acks) and is how the reliable transport
-// in package par labels its protocol traffic.
-func (n *Network) SendClass(src, dst int, size int64, class MsgClass, deliver func()) {
-	n.send(src, dst, size, class, delivery{fire: deliver})
-}
-
-// SendHandle is SendClass without the closure: at the arrival time the
-// network calls h.HandleEvent(token) in kernel context. The handler is
-// typically a long-lived runtime object holding a pool of pending message
-// envelopes indexed by token, making the steady-state send path free of
-// heap allocations. Costs and event ordering are bit-identical to
-// SendClass.
+// SendHandle models the transfer of size simulated bytes from rank src to
+// rank dst. At the arrival time the network calls h.HandleEvent(token) in
+// kernel context; the handler is typically a long-lived runtime object
+// holding a pool of message envelopes indexed by token, which keeps the send
+// path free of heap allocations. It must be called from kernel or process
+// context within the simulation. The class does not change the wire model;
+// it flows to observers (so traces can separate payloads from
+// retransmissions and acks) and is how the reliable transport in package par
+// labels its protocol traffic.
 //
-// With fault injection active, a duplicated wide-area message fires the
-// handler once per delivered copy with the same token; handlers used on
-// fault-injected paths must tolerate that (the runtime's reliable transport
-// does not use SendHandle across the WAN for exactly this reason).
-func (n *Network) SendHandle(src, dst int, size int64, class MsgClass, h sim.EventHandler, token uint64) {
-	n.send(src, dst, size, class, delivery{h: h, token: token})
-}
-
-// send is the shared implementation of the two public send forms.
-func (n *Network) send(src, dst int, size int64, class MsgClass, del delivery) {
+// SendHandle returns how many times h.HandleEvent(token) will fire: 1
+// normally, 0 when fault injection or churn drops the message, and 2 when
+// fault injection duplicates it (both copies carry the same token). A
+// message handed to a router counts as scheduled, since the router must
+// deliver it; a deferred Undelivered record never is, and counts 0.
+func (n *Network) SendHandle(src, dst int, size int64, class MsgClass, h sim.EventHandler, token uint64) int {
 	if size < 0 {
 		panic(fmt.Sprintf("network: negative message size %d", size))
 	}
@@ -374,11 +340,11 @@ func (n *Network) send(src, dst int, size int64, class MsgClass, del delivery) {
 	if src == dst {
 		// Loopback: software overhead only, no NIC transit.
 		deliverAt := ready + n.params.RecvOverhead
-		del.schedule(n.k, deliverAt)
+		n.k.ScheduleCall(deliverAt, h, token)
 		if n.observer != nil {
 			n.observer(MessageEvent{Src: src, Dst: dst, Bytes: size, Sent: now, Delivered: deliverAt, Class: class})
 		}
-		return
+		return 1
 	}
 
 	// First leg: the sender's fast-network interface serializes the message.
@@ -389,11 +355,11 @@ func (n *Network) send(src, dst int, size int64, class MsgClass, del delivery) {
 
 	if n.topo.SameCluster(src, dst) {
 		deliverAt := localArrive + n.params.RecvOverhead
-		del.schedule(n.k, deliverAt)
+		n.k.ScheduleCall(deliverAt, h, token)
 		if n.observer != nil {
 			n.observer(MessageEvent{Src: src, Dst: dst, Bytes: size, Sent: now, Delivered: deliverAt, Class: class})
 		}
-		return
+		return 1
 	}
 
 	sc, dc := n.topo.ClusterOf(src), n.topo.ClusterOf(dst)
@@ -409,7 +375,7 @@ func (n *Network) send(src, dst int, size int64, class MsgClass, del delivery) {
 			n.observer(MessageEvent{Src: src, Dst: dst, Bytes: size, Sent: now,
 				Delivered: localArrive, WAN: true, Class: class, Dropped: true})
 		}
-		return
+		return 0
 	}
 
 	// Fault injection happens where the paper's real system would lose
@@ -444,17 +410,19 @@ func (n *Network) send(src, dst int, size int64, class MsgClass, del delivery) {
 				n.observer(MessageEvent{Src: src, Dst: dst, Bytes: size, Sent: now,
 					Delivered: localArrive, WAN: true, Class: class, Dropped: true})
 			}
-			return
+			return 0
 		}
-		n.wanDeliver(src, dst, sc, dc, now, localArrive, size, d.ExtraDelay, class, false, del)
+		n.wanDeliver(src, dst, sc, dc, now, localArrive, size, d.ExtraDelay, class, false, h, token)
 		if d.Duplicate {
 			n.faultStats.Duplicated++
-			n.wanDeliver(src, dst, sc, dc, now, localArrive, size, d.DupExtraDelay, class, true, del)
+			n.wanDeliver(src, dst, sc, dc, now, localArrive, size, d.DupExtraDelay, class, true, h, token)
+			return 2
 		}
-		return
+		return 1
 	}
 
-	n.wanDeliver(src, dst, sc, dc, now, localArrive, size, 0, class, false, del)
+	n.wanDeliver(src, dst, sc, dc, now, localArrive, size, 0, class, false, h, token)
+	return 1
 }
 
 // wanLink returns the mutable state of the given wide-area edge,
@@ -551,11 +519,11 @@ func (n *Network) deferTransit() bool {
 // instead of running here; on multi-hop graphs even the wide-area hops are
 // deferred to the router's barrier (see deferTransit).
 func (n *Network) wanDeliver(src, dst, sc, dc int, sent, localArrive sim.Time,
-	size int64, extraDelay sim.Time, class MsgClass, duplicate bool, del delivery) {
+	size int64, extraDelay sim.Time, class MsgClass, duplicate bool, h sim.EventHandler, token uint64) {
 	a := WANArrival{
 		Src: src, Dst: dst, SrcCluster: sc, DstCluster: dc,
 		Bytes: size, Sent: sent, LocalArrive: localArrive, Extra: extraDelay,
-		Class: class, Duplicate: duplicate, del: del,
+		Class: class, Duplicate: duplicate, Handler: h, Token: token,
 		Chain: n.k.EventBirth(),
 	}
 	if n.deferTransit() {
@@ -615,7 +583,12 @@ type WANArrival struct {
 	// sequential run would have.
 	Chain sim.BirthChain
 
-	del delivery // receiver half; opaque to routers
+	// Handler and Token are the delivery: DeliverWAN schedules
+	// Handler.HandleEvent(Token). A router may replace both before delivery —
+	// package par moves the message's envelope into the destination
+	// partition's pool at the barrier. Nil on Undelivered records.
+	Handler sim.EventHandler
+	Token   uint64
 }
 
 // Router intercepts wide-area traffic after the source-side legs. Package
@@ -663,7 +636,7 @@ func (n *Network) DeliverWAN(a WANArrival) {
 	gwDone := n.gateways[a.DstCluster].reserve(a.Ready, a.Bytes, n.params.IntraBandwidth)
 	arrive := gwDone + n.params.IntraLatency
 	deliverAt := arrive + n.params.RecvOverhead + a.Extra
-	a.del.schedule(n.k, deliverAt)
+	n.k.ScheduleCall(deliverAt, a.Handler, a.Token)
 	if n.observer != nil {
 		n.observer(MessageEvent{Src: a.Src, Dst: a.Dst, Bytes: a.Bytes, Sent: a.Sent,
 			Delivered: deliverAt, WAN: true, Class: a.Class, Duplicate: a.Duplicate})

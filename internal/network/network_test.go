@@ -23,13 +23,13 @@ func TestLoopbackOnlyOverhead(t *testing.T) {
 	k := sim.NewKernel()
 	p := DefaultParams()
 	n := New(k, topology.DAS(), p)
-	var at sim.Time
-	n.SendClass(3, 3, 1<<20, ClassData, func() { at = k.Now() })
+	a := &arrivals{k: k}
+	a.send(n, 3, 3, 1<<20, 0)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := p.SendOverhead + p.RecvOverhead
-	if at != want {
+	if at := a.at(0); at != want {
 		t.Errorf("loopback at %v, want %v", at, want)
 	}
 	if n.Intra().Messages != 0 {
@@ -40,14 +40,14 @@ func TestLoopbackOnlyOverhead(t *testing.T) {
 func TestIntraClusterTiming(t *testing.T) {
 	k := sim.NewKernel()
 	n := New(k, topology.DAS(), flatParams())
-	var at sim.Time
+	a := &arrivals{k: k}
 	size := int64(1 << 20) // 1 MB at 50 MB/s = 20.97 ms
-	n.SendClass(0, 1, size, ClassData, func() { at = k.Now() })
+	a.send(n, 0, 1, size, 0)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := sim.TransmissionTime(size, MyrinetBandwidth) + MyrinetLatency
-	if at != want {
+	if at := a.at(0); at != want {
 		t.Errorf("arrival %v, want %v", at, want)
 	}
 }
@@ -58,13 +58,14 @@ func TestNICSerialization(t *testing.T) {
 	run := func(src2 int) (a1, a2 sim.Time) {
 		k := sim.NewKernel()
 		n := New(k, topology.DAS(), flatParams())
+		a := &arrivals{k: k}
 		size := int64(500_000)
-		n.SendClass(0, 2, size, ClassData, func() { a1 = k.Now() })
-		n.SendClass(src2, 3, size, ClassData, func() { a2 = k.Now() })
+		a.send(n, 0, 2, size, 1)
+		a.send(n, src2, 3, size, 2)
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return
+		return a.at(1), a.at(2)
 	}
 	xmit := sim.TransmissionTime(500_000, MyrinetBandwidth)
 	a1, a2 := run(0) // same sender
@@ -84,16 +85,16 @@ func TestInterClusterTiming(t *testing.T) {
 	k := sim.NewKernel()
 	p := flatParams().WithWAN(10*sim.Millisecond, 1e6)
 	n := New(k, topology.DAS(), p)
-	var at sim.Time
+	a := &arrivals{k: k}
 	size := int64(100_000)
-	n.SendClass(0, 8, size, ClassData, func() { at = k.Now() }) // cluster 0 -> cluster 1
+	a.send(n, 0, 8, size, 0) // cluster 0 -> cluster 1
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	fast := sim.TransmissionTime(size, MyrinetBandwidth) + MyrinetLatency
 	slow := sim.TransmissionTime(size, 1e6) + 10*sim.Millisecond
 	want := fast + slow + fast // NIC leg, WAN leg, gateway redistribution leg
-	if at != want {
+	if at := a.at(0); at != want {
 		t.Errorf("arrival %v, want %v", at, want)
 	}
 	s := n.WANStats(0, 1)
@@ -108,17 +109,18 @@ func TestInterClusterTiming(t *testing.T) {
 func TestWANLinkContention(t *testing.T) {
 	// Two messages between the same cluster pair share the WAN link; to
 	// distinct destination clusters they ride distinct links.
-	run := func(dst2 int) (a2 sim.Time) {
+	run := func(dst2 int) sim.Time {
 		k := sim.NewKernel()
 		p := flatParams().WithWAN(sim.Millisecond, 1e6)
 		n := New(k, topology.DAS(), p)
+		a := &arrivals{k: k}
 		size := int64(250_000)
-		n.SendClass(0, 8, size, ClassData, func() {})
-		n.SendClass(1, dst2, size, ClassData, func() { a2 = k.Now() })
+		a.send(n, 0, 8, size, 1)
+		a.send(n, 1, dst2, size, 2)
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return
+		return a.at(2)
 	}
 	sameLink := run(9)   // also cluster 1
 	otherLink := run(16) // cluster 2
@@ -134,10 +136,11 @@ func TestWANLinkContention(t *testing.T) {
 func TestPerClusterAggregation(t *testing.T) {
 	k := sim.NewKernel()
 	n := New(k, topology.DAS(), flatParams())
-	n.SendClass(0, 8, 100, ClassData, func() {})
-	n.SendClass(0, 16, 200, ClassData, func() {})
-	n.SendClass(8, 0, 400, ClassData, func() {})
-	n.SendClass(1, 2, 800, ClassData, func() {}) // intra: not WAN
+	a := &arrivals{k: k}
+	a.send(n, 0, 8, 100, 0)
+	a.send(n, 0, 16, 200, 1)
+	a.send(n, 8, 0, 400, 2)
+	a.send(n, 1, 2, 800, 3) // intra: not WAN
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +165,7 @@ func TestNegativeSizePanics(t *testing.T) {
 			t.Error("negative size should panic")
 		}
 	}()
-	n.SendClass(0, 1, -1, ClassData, func() {})
+	(&arrivals{k: k}).send(n, 0, 1, -1, 0)
 }
 
 // Property: FIFO per sender-destination pair — messages sent earlier from
@@ -182,16 +185,16 @@ func TestFIFOPerPairProperty(t *testing.T) {
 		if interCluster {
 			dst = 9
 		}
-		var order []int
+		a := &arrivals{k: k}
 		for i, s := range sizes {
-			i := i
-			n.SendClass(0, dst, int64(s)+1, ClassData, func() { order = append(order, i) })
+			a.send(n, 0, dst, int64(s)+1, uint64(i))
 		}
 		if err := k.Run(); err != nil {
 			return false
 		}
+		order := a.tokens()
 		for i, v := range order {
-			if v != i {
+			if v != uint64(i) {
 				return false
 			}
 		}
@@ -208,12 +211,12 @@ func TestArrivalMonotoneProperty(t *testing.T) {
 	arrival := func(size int64, lat sim.Time) sim.Time {
 		k := sim.NewKernel()
 		n := New(k, topology.DAS(), DefaultParams().WithWAN(lat, 1e6))
-		var at sim.Time
-		n.SendClass(0, 8, size, ClassData, func() { at = k.Now() })
+		a := &arrivals{k: k}
+		a.send(n, 0, 8, size, 0)
 		if err := k.Run(); err != nil {
 			panic(err)
 		}
-		return at
+		return a.at(0)
 	}
 	f := func(a, b uint16, l1, l2 uint8) bool {
 		s1, s2 := int64(a), int64(b)
@@ -231,11 +234,17 @@ func TestArrivalMonotoneProperty(t *testing.T) {
 	}
 }
 
+// discard is a delivery handler that does nothing.
+type discard struct{}
+
+func (discard) HandleEvent(uint64) {}
+
 func BenchmarkSendIntra(b *testing.B) {
 	k := sim.NewKernel()
 	n := New(k, topology.DAS(), DefaultParams())
+	var h discard
 	for i := 0; i < b.N; i++ {
-		n.SendClass(i%8, (i+1)%8, 1024, ClassData, func() {})
+		n.SendHandle(i%8, (i+1)%8, 1024, ClassData, h, 0)
 	}
 	b.ResetTimer()
 	if err := k.Run(); err != nil {

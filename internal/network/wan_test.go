@@ -13,12 +13,12 @@ func TestRTTFactorSurcharge(t *testing.T) {
 		p := slowWANParams()
 		p.WANMessageRTTFactor = factor
 		k, n := dasNet(t, p)
-		var at sim.Time
-		n.SendClass(0, 8, 100, ClassData, func() { at = k.Now() })
+		a := &arrivals{k: k}
+		a.send(n, 0, 8, 100, 0)
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return at
+		return a.at(0)
 	}
 	plain := run(0)
 	tcp := run(0.5)
@@ -41,13 +41,17 @@ func TestVariabilityDeterministicAndBounded(t *testing.T) {
 			}
 			n.SetRegime(pl)
 		}
-		var times []sim.Time
+		a := &arrivals{k: k}
 		for i := 0; i < 10; i++ {
-			n.SendClass(0, 8, 10_000, ClassData, func() { times = append(times, k.Now()) })
-			n.SendClass(1, 17, 10_000, ClassData, func() { times = append(times, k.Now()) })
+			a.send(n, 0, 8, 10_000, 0)
+			a.send(n, 1, 17, 10_000, 1)
 		}
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
+		}
+		var times []sim.Time
+		for _, x := range a.log {
+			times = append(times, x.at)
 		}
 		return times
 	}
@@ -118,9 +122,10 @@ func TestObserverSeesAllMessages(t *testing.T) {
 	k, n := dasNet(t, DefaultParams())
 	var events []MessageEvent
 	n.SetObserver(func(ev MessageEvent) { events = append(events, ev) })
-	n.SendClass(0, 0, 10, ClassData, func() {}) // loopback
-	n.SendClass(0, 1, 20, ClassData, func() {}) // intra
-	n.SendClass(0, 8, 30, ClassData, func() {}) // WAN
+	a := &arrivals{k: k}
+	a.send(n, 0, 0, 10, 0) // loopback
+	a.send(n, 0, 1, 20, 1) // intra
+	a.send(n, 0, 8, 30, 2) // WAN
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -286,28 +286,7 @@ func (e *Env) post(dst int, tag Tag, data any, bytes int64) {
 		// receive synchronously inside the send below.
 		e.rt.rec.RecordSendTag(int64(tag))
 	}
-	if e.rt.pdes && !e.rt.topo.SameCluster(e.rank, dst) {
-		// Cross-LP direct send: the delivery event fires on the destination
-		// LP's kernel, so it cannot reference this LP's envelope pool — it
-		// carries a closure instead. Wide-area messages are the rare ones
-		// (that is the paper's whole premise), so the per-message allocation
-		// is confined to traffic that already costs milliseconds of virtual
-		// time. Closure and handler sends book identical link occupancy and
-		// consume one scheduling slot each, so the simulation is unchanged.
-		dsh := e.rt.shards[e.rt.topo.ClusterOf(dst)]
-		dmb := &e.rt.envs[dst].mb
-		e.sh.net.SendClass(e.rank, dst, bytes, network.ClassData, func() {
-			dsh.k.NoteProgress()
-			dmb.deliver(m)
-		})
-	} else {
-		// Direct path: stage the envelope in the shard's pool and let the
-		// network schedule a handler event — no per-message closure, so the
-		// steady-state send→deliver→receive cycle performs no heap
-		// allocation.
-		dmb := &e.rt.envs[dst].mb
-		e.sh.net.SendHandle(e.rank, dst, bytes, network.ClassData, e.sh, e.sh.stage(dmb, m))
-	}
+	e.sh.send(e.rank, bytes, network.ClassData, envelope{m: m, dst: int32(dst), kind: envData})
 	e.occupy(e.sh.net.Params().SendOverhead, 0)
 }
 

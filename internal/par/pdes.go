@@ -46,15 +46,16 @@ type shard struct {
 	net   *network.Network
 	ranks []int // global ranks hosted on this shard
 
-	// pend pools the envelopes of messages in flight on the direct (non-
-	// reliable) path: a send stages {destination mailbox, message} here and
-	// hands the network only the shard (a sim.EventHandler) plus the slot
-	// token, so the steady-state send->deliver cycle allocates nothing.
-	// Slots are recycled through a free list (index+1 encoding; 0 = none).
-	// The slab is strictly LP-local: only same-shard deliveries use it
-	// (cross-shard sends carry closures), so no other LP ever touches it.
-	pend     []pendingMsg
+	// pend pools the envelopes of every message in flight: a send stages
+	// its envelope here and hands the network only the shard (a
+	// sim.EventHandler) plus the slot token, so sends allocate nothing.
+	// Slots are recycled through a free list linked through envelope.seq
+	// (index+1 encoding; 0 = none). The slab is strictly LP-local: a
+	// message crossing to another LP has its envelope moved into that LP's
+	// pool at the window barrier (Flush).
+	pend     []envelope
 	pendFree int32
+	pendLive int // slots off the free list; zero once a run has drained
 
 	// ops is the slab behind every hosted rank's queue of deferred outputs
 	// (Env.qhead/qtail), free-listed like pend and as LP-local: opsUsed
@@ -77,42 +78,82 @@ type shard struct {
 	relErrs  []error
 }
 
-// pendingMsg is one pooled in-flight message envelope.
-type pendingMsg struct {
-	mb   *mailbox
-	m    Msg
-	next int32
+// envelope is one pooled message in flight: what its delivery does, for
+// which rank, with what, and how many of its scheduled copies (2 for a
+// duplicated message) are still to fire.
+type envelope struct {
+	m      Msg
+	seq    int64 // envFrame: sequence number; envAck: cumulative ack; free: next free slot
+	dst    int32 // receiving rank
+	kind   envKind
+	copies int8
 }
 
-// stage places a message bound for mb into the delivery pool and returns
-// its token for SendHandle.
-func (sh *shard) stage(mb *mailbox, m Msg) uint64 {
-	var idx int32
-	if sh.pendFree != 0 {
-		idx = sh.pendFree - 1
-		sh.pendFree = sh.pend[idx].next
-	} else {
-		sh.pend = append(sh.pend, pendingMsg{})
-		idx = int32(len(sh.pend)) - 1
+type envKind uint8
+
+const (
+	envData  envKind = iota // m goes to dst's mailbox
+	envFrame                // reliable frame seq from m.From, to dst's reliable layer
+	envAck                  // cumulative ack seq from m.From, to dst's reliable sender
+)
+
+// send stages ev in the pool and books it on the network as a message of
+// bytes from rank src to ev.dst. The network calls HandleEvent with the slot
+// token once per delivered copy; a dropped message frees the slot at once.
+func (sh *shard) send(src int, bytes int64, class network.MsgClass, ev envelope) {
+	tok := sh.put(ev)
+	switch sh.net.SendHandle(src, int(ev.dst), bytes, class, sh, tok) {
+	case 0: // dropped: nothing will fire
+		sh.take(tok)
+	case 2: // duplicated: both copies carry the token
+		sh.pend[tok].copies = 2
 	}
-	p := &sh.pend[idx]
-	p.mb = mb
-	p.m = m
+}
+
+// put places ev in a free slot, due for one delivery, and returns its token.
+func (sh *shard) put(ev envelope) uint64 {
+	idx := sh.pendFree - 1
+	if idx >= 0 {
+		sh.pendFree = int32(sh.pend[idx].seq)
+	} else {
+		idx = int32(len(sh.pend))
+		sh.pend = append(sh.pend, envelope{})
+	}
+	ev.copies = 1
+	sh.pend[idx] = ev
+	sh.pendLive++
 	return uint64(idx)
 }
 
-// HandleEvent implements sim.EventHandler: the network's delivery event for
-// a staged message fired. The envelope is recycled before the mailbox
-// delivery runs (delivery may wake a process whose next send reuses it).
-func (sh *shard) HandleEvent(token uint64) {
+// take returns the envelope behind token for one of its scheduled copies,
+// freeing the slot with the last.
+func (sh *shard) take(token uint64) envelope {
 	p := &sh.pend[token]
-	mb, m := p.mb, p.m
-	p.mb = nil
-	p.m = Msg{}
-	p.next = sh.pendFree
-	sh.pendFree = int32(token) + 1
-	sh.k.NoteProgress() // a message reaching a mailbox is application progress
-	mb.deliver(m)
+	ev := *p
+	if p.copies--; p.copies == 0 {
+		*p = envelope{seq: int64(sh.pendFree)} // drops the payload reference
+		sh.pendFree = int32(token) + 1
+		sh.pendLive--
+	}
+	return ev
+}
+
+// HandleEvent implements sim.EventHandler: the network's delivery event for
+// a pooled envelope fired. The envelope is taken out of the pool before the
+// delivery runs (delivery may wake a process whose next send reuses the
+// slot).
+func (sh *shard) HandleEvent(token uint64) {
+	ev := sh.take(token)
+	e := sh.rt.envs[ev.dst]
+	switch ev.kind {
+	case envData:
+		sh.k.NoteProgress() // a message reaching a mailbox is application progress
+		e.mb.deliver(ev.m)
+	case envFrame:
+		e.relDeliver(ev.m.From, ev.seq, ev.m)
+	case envAck:
+		e.relAck(ev.m.From, ev.seq)
+	}
 }
 
 // deferredOp is one queued output of a busy rank: a send, or (dst ==
@@ -251,7 +292,6 @@ func (rt *runtime) Flush(sim.Time) int {
 	rt.merge = rt.merge[:0]
 	for _, sh := range rt.shards {
 		rt.merge = append(rt.merge, sh.out...)
-		clear(sh.out)
 		sh.out = sh.out[:0]
 	}
 	if len(rt.merge) == 0 {
@@ -279,17 +319,20 @@ func (rt *runtime) Flush(sim.Time) int {
 				continue // lost in flight: first hop booked, nothing arrives
 			}
 		}
+		// The delivery fires on the destination LP, so the envelope moves
+		// into its pool, one copy at a time (a duplicate's two arrivals
+		// share the source slot until both have moved).
+		dsh := rt.shards[a.DstCluster]
+		a.Handler, a.Token = dsh, dsh.put(a.Handler.(*shard).take(a.Token))
 		// Replay each arrival as of its send: the delivery event must carry
 		// the same birth chain it gets on a single global kernel —
 		// everything the woken receiver schedules inherits it, and the next
 		// window's flush sorts on it.
-		dsh := rt.shards[a.DstCluster]
 		dsh.k.BeginReplay(a.Sent, a.Chain)
 		dsh.net.DeliverWAN(*a)
 		dsh.k.EndReplay()
 	}
 	n := len(rt.merge)
-	clear(rt.merge) // release the delivery closures for GC
 	rt.merge = rt.merge[:0]
 	return n
 }

@@ -9,8 +9,10 @@ import (
 
 	"twolayer/internal/faults"
 	"twolayer/internal/network"
+	"twolayer/internal/regime"
 	"twolayer/internal/sim"
 	"twolayer/internal/topology"
+	"twolayer/internal/wantopo"
 )
 
 // randomJob builds a deterministic synthetic workload from a seed: rounds
@@ -91,6 +93,57 @@ func TestRandomizedParallelDifferential(t *testing.T) {
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("%s: workers=%d diverges from sequential:\nseq: %+v\npar: %+v",
 					name, w, want, got)
+			}
+		}
+	}
+}
+
+// TestEnvelopePoolDrains: every message's pooled envelope comes back to its
+// shard's free list — through the delivery of each scheduled copy, at once
+// for a drop, and through adoption by the destination LP when it crosses a
+// window barrier — under drops, duplicates, reorder jitter and outages, on
+// the sequential engine, the windowed one at 1 and 3 workers, and a
+// reliable-transport regime on a multi-hop graph. runSim reports a pool
+// with slots off its free list (a leak, or a cycle from a double free) as a
+// run error, so every run in the package holds to this; these configurations
+// make sure the drop and duplicate paths are taken.
+func TestEnvelopePoolDrains(t *testing.T) {
+	topo := topology.MustUniform(4, 3)
+	torus, err := wantopo.Parse("torus2", topo.Clusters())
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := network.DefaultParams().WithWAN(2*sim.Millisecond, 1e6)
+	fp := faults.Params{
+		DropRate: 0.05, DupRate: 0.05, ReorderJitter: 2 * sim.Millisecond,
+		OutagePeriod: 50 * sim.Millisecond, OutageDuration: 2 * sim.Millisecond, Seed: 9,
+	}
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{
+		{"faults", Options{Faults: fp}},
+		{"torus2+faults", Options{WAN: torus, Faults: fp}},
+		{"torus2+rel", Options{WAN: torus, Regime: regime.Params{Spec: "diurnal:40ms:8+churn:60ms:15ms+rel", Seed: 5}}},
+	} {
+		var want Result
+		for i, w := range []int{0, 1, 3} {
+			opts := c.opts
+			opts.Params, opts.Seed, opts.Workers = params, 42, w
+			res, err := RunWith(topo, opts, randomJob(17, 30))
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", c.name, w, err)
+			}
+			if i == 0 {
+				want = res
+				if c.opts.Faults.Enabled() && (res.Faults.Dropped == 0 || res.Faults.Duplicated == 0) {
+					t.Errorf("%s: no drop or no duplicate exercised: %+v", c.name, res.Faults)
+				}
+				if res.Faults.Dropped+res.Faults.OutageDropped == 0 {
+					t.Errorf("%s: no message was lost", c.name)
+				}
+			} else if !reflect.DeepEqual(want, res) {
+				t.Errorf("%s: workers=%d diverges from workers=0", c.name, w)
 			}
 		}
 	}

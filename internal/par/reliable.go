@@ -194,19 +194,15 @@ func (s *relSender) ceiling() int {
 }
 
 // transmit puts one frame on the wire; delivery lands in the receiver's
-// reliable layer, not directly in the mailbox. The closure fires on the
-// receiver's kernel (under parallel execution the window router carries it
-// across the barrier), and relDeliver touches only receiver-local state.
+// reliable layer, not directly in the mailbox. The delivery fires on the
+// receiver's kernel (under parallel execution its envelope moves to the
+// receiver's shard at the barrier), and relDeliver touches only
+// receiver-local state.
 func (s *relSender) transmit(seq int64, f relFrame, class network.MsgClass) {
 	if s.failed {
 		return
 	}
-	src, dst := s.e.rank, s.dst
-	de := s.e.rt.envs[dst]
-	m := f.m
-	s.e.sh.net.SendClass(src, dst, f.bytes, class, func() {
-		de.relDeliver(src, seq, m)
-	})
+	s.e.sh.send(s.e.rank, f.bytes, class, envelope{m: f.m, seq: seq, dst: int32(s.dst), kind: envFrame})
 }
 
 // rto returns the current retransmission timeout: the base round trip plus
@@ -400,11 +396,8 @@ func (e *Env) relDeliver(src int, seq int64, m Msg) {
 		return // nothing received in order yet; an ack would carry no information
 	}
 	e.sh.relStats.Acks++
-	se := e.rt.envs[src]
-	rank := e.rank
-	e.sh.net.SendClass(rank, src, cfg.AckBytes, network.ClassAck, func() {
-		se.relAck(rank, cum)
-	})
+	e.sh.send(e.rank, cfg.AckBytes, network.ClassAck,
+		envelope{m: Msg{From: e.rank}, seq: cum, dst: int32(src), kind: envAck})
 }
 
 // relAck processes a cumulative acknowledgement from dst covering every

@@ -300,6 +300,10 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 		}
 	}
 	for _, sh := range rt.shards {
+		if sh.pendLive != 0 && err == nil {
+			// A drained run has delivered or dropped every message.
+			err = fmt.Errorf("par: LP %d ended with %d message envelope(s) unaccounted for", sh.id, sh.pendLive)
+		}
 		fs := sh.net.FaultStats()
 		res.Faults.Dropped += fs.Dropped
 		res.Faults.OutageDropped += fs.OutageDropped

@@ -76,6 +76,11 @@ type Params struct {
 	Seed int64
 }
 
+// Grammar is the spec syntax on one line — every clause parseSpec accepts,
+// with its optional arguments — for flag help and error messages.
+const Grammar = "diurnal[:PERIOD[:FACTOR]], congestion[:FLOWS[:INTENSITY[:PERIOD]]], " +
+	"vary[:JITTER[:BWLOSS[:PERIOD]]], churn[:PERIOD[:DOWN]] and rel"
+
 // Enabled reports whether a regime is configured.
 func (p Params) Enabled() bool { return p.Spec != "" }
 
@@ -207,7 +212,7 @@ func parseSpec(spec string) (clauses, error) {
 		case "":
 			return cl, fmt.Errorf("regime: empty clause in %q", spec)
 		default:
-			return cl, fmt.Errorf("regime: unknown clause %q (want diurnal, congestion, churn, vary or rel)", fields[0])
+			return cl, fmt.Errorf("regime: unknown clause %q (want %s)", fields[0], Grammar)
 		}
 	}
 	return cl, nil

@@ -1,7 +1,12 @@
 package regime
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -369,5 +374,49 @@ func TestVaryShape(t *testing.T) {
 	}
 	if len(factors) < 16 {
 		t.Errorf("32 episodes drew only %d distinct bandwidth factors", len(factors))
+	}
+}
+
+// TestGrammarListsEveryClause keeps the one-line Grammar, which the shared
+// -regime flag help prints, in step with the parser: the clause keywords in
+// parseSpec's switch (read from the source, so a new case cannot be missed)
+// are exactly the clauses Grammar names, and each named clause parses bare.
+func TestGrammarListsEveryClause(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "regime.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted []string
+	for _, d := range f.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.Name == "parseSpec" {
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if cc, ok := n.(*ast.CaseClause); ok {
+					for _, e := range cc.List {
+						if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+							if kw, _ := strconv.Unquote(lit.Value); kw != "" {
+								accepted = append(accepted, kw)
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(accepted) == 0 {
+		t.Fatal("found no clause keywords in parseSpec")
+	}
+	var named []string
+	for _, part := range strings.Split(strings.ReplaceAll(Grammar, " and ", ", "), ", ") {
+		kw, _, _ := strings.Cut(part, "[")
+		named = append(named, kw)
+		if _, err := parseSpec(kw); err != nil {
+			t.Errorf("Grammar names clause %q, which does not parse: %v", kw, err)
+		}
+	}
+	slices.Sort(accepted)
+	slices.Sort(named)
+	if !slices.Equal(accepted, named) {
+		t.Errorf("parseSpec accepts clauses %v, Grammar names %v", accepted, named)
 	}
 }
