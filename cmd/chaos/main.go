@@ -75,8 +75,8 @@ func run() int {
 	if !ok {
 		return usage(fmt.Errorf("unknown scale %q (want tiny, small or paper)", *scaleF))
 	}
-	if *bandwidth <= 0 {
-		return usage(fmt.Errorf("-bandwidth must be positive (got %g MByte/s)", *bandwidth))
+	if err := cliutil.CheckWANSpeed(*latency, *bandwidth); err != nil {
+		return usage(err)
 	}
 	if *clusters < 1 {
 		return usage(fmt.Errorf("-clusters must be at least 1 (got %d)", *clusters))

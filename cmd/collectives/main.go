@@ -13,6 +13,7 @@ import (
 	"os"
 	"time"
 
+	"twolayer/internal/cliutil"
 	"twolayer/internal/core"
 	"twolayer/internal/network"
 	"twolayer/internal/sim"
@@ -20,6 +21,10 @@ import (
 )
 
 func main() {
+	os.Exit(run())
+}
+
+func run() int {
 	var (
 		latency    = flag.Duration("latency", 10*time.Millisecond, "one-way wide-area latency")
 		bandwidth  = flag.Float64("bandwidth", 1.0, "wide-area bandwidth in MByte/s")
@@ -29,10 +34,13 @@ func main() {
 		kernels    = flag.Bool("kernels", false, "also compare whole MPI kernels under both libraries")
 	)
 	flag.Parse()
+	if err := cliutil.CheckWANSpeed(*latency, *bandwidth); err != nil {
+		return usage(err)
+	}
 
 	topo, err := topology.Uniform(*clusters, *perCluster)
 	if err != nil {
-		fatal(err)
+		return usage(err)
 	}
 	params := network.DefaultParams().WithWAN(sim.Time((*latency).Nanoseconds()), *bandwidth*1e6)
 	results, err := core.CollectiveComparison(topo, params, *elems, 1)
@@ -54,6 +62,12 @@ func main() {
 		fmt.Println(`"application kernels improve by up to a factor of 4"):`)
 		fmt.Println(core.RenderKernels(kr))
 	}
+	return cliutil.ExitOK
+}
+
+func usage(err error) int {
+	fmt.Fprintln(os.Stderr, "collectives:", err)
+	return cliutil.ExitUsage
 }
 
 func fatal(err error) {

@@ -11,6 +11,7 @@ import (
 	"os"
 	"time"
 
+	"twolayer/internal/cliutil"
 	"twolayer/internal/micro"
 	"twolayer/internal/network"
 	"twolayer/internal/sim"
@@ -18,6 +19,10 @@ import (
 )
 
 func main() {
+	os.Exit(run())
+}
+
+func run() int {
 	var (
 		latency    = flag.Duration("latency", 10*time.Millisecond, "one-way wide-area latency")
 		bandwidth  = flag.Float64("bandwidth", 1.0, "wide-area bandwidth in MByte/s")
@@ -27,24 +32,24 @@ func main() {
 		bytes      = flag.Int64("bytes", 1024, "message payload size")
 	)
 	flag.Parse()
-	if *bandwidth <= 0 {
-		fatal(fmt.Errorf("-bandwidth must be positive (got %g MByte/s)", *bandwidth))
+	if err := cliutil.CheckWANSpeed(*latency, *bandwidth); err != nil {
+		return usage(err)
 	}
 	if *clusters < 1 {
-		fatal(fmt.Errorf("-clusters must be at least 1 (got %d)", *clusters))
+		return usage(fmt.Errorf("-clusters must be at least 1 (got %d)", *clusters))
 	}
 	if *perCluster < 1 {
-		fatal(fmt.Errorf("-percluster must be at least 1 (got %d)", *perCluster))
+		return usage(fmt.Errorf("-percluster must be at least 1 (got %d)", *perCluster))
 	}
 	if *reps < 1 {
-		fatal(fmt.Errorf("-reps must be at least 1 (got %d)", *reps))
+		return usage(fmt.Errorf("-reps must be at least 1 (got %d)", *reps))
 	}
 	if *bytes < 0 {
-		fatal(fmt.Errorf("-bytes must be non-negative (got %d)", *bytes))
+		return usage(fmt.Errorf("-bytes must be non-negative (got %d)", *bytes))
 	}
 	topo, err := topology.Uniform(*clusters, *perCluster)
 	if err != nil {
-		fatal(err)
+		return usage(err)
 	}
 	params := network.DefaultParams().WithWAN(sim.Time((*latency).Nanoseconds()), *bandwidth*1e6)
 	results, err := micro.Measure(topo, params, *reps, *bytes)
@@ -56,6 +61,12 @@ func main() {
 	fmt.Println(micro.Render(results))
 	fmt.Println("null-rpc tracks latency, stream tracks bandwidth; applications live in between")
 	fmt.Println("(Section 5.2's reading of Figure 4).")
+	return cliutil.ExitOK
+}
+
+func usage(err error) int {
+	fmt.Fprintln(os.Stderr, "micro:", err)
+	return cliutil.ExitUsage
 }
 
 func fatal(err error) {

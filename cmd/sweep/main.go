@@ -46,8 +46,7 @@ func run() int {
 		perCluster = flag.Int("percluster", 8, "processors per cluster")
 		scaleF     = flag.String("scale", "paper", "problem scale: tiny, small or paper")
 		verify     = flag.Bool("verify", true, "check the computed result against the sequential reference")
-		traceRun   = flag.Bool("trace", false, "print communication aggregates (constant-memory streaming sink)")
-		traceFull  = flag.Bool("trace-full", false, "retain the full event trace: adds the wide-area timeline and busiest pairs (memory grows with message count)")
+		traceRun   = flag.Bool("trace", false, "print the communication summary, matrix, utilization, wide-area timeline and busiest pairs")
 		tcp        = flag.Float64("tcp", 0, "TCP-like per-message link occupancy as a fraction of the RTT")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
@@ -78,8 +77,8 @@ func run() int {
 		return usage(fmt.Errorf("-analytic needs stationary network conditions; it cannot model a -regime"))
 	}
 
-	if !(*bandwidth > 0) {
-		return usage(fmt.Errorf("-bandwidth must be positive (got %g MByte/s)", *bandwidth))
+	if err := cliutil.CheckWANSpeed(*latency, *bandwidth); err != nil {
+		return usage(err)
 	}
 	// A negative surcharge would free a link before its transmission ends
 	// and deliver inside the parallel engine's lookahead window.
@@ -145,8 +144,8 @@ func run() int {
 		if analytic.Enabled {
 			return usage(fmt.Errorf("-analytic supports only the default clique -wan-topology"))
 		}
-		if *traceRun || *traceFull {
-			return usage(fmt.Errorf("-trace/-trace-full support only the default clique -wan-topology"))
+		if *traceRun {
+			return usage(fmt.Errorf("-trace supports only the default clique -wan-topology"))
 		}
 	}
 	params := network.DefaultParams().WithWAN(sim.Time((*latency).Nanoseconds()), *bandwidth*1e6)
@@ -158,8 +157,8 @@ func run() int {
 		Regime: rp, Adaptive: *adaptive,
 	}
 	if analytic.Enabled {
-		if *traceRun || *traceFull {
-			return usage(fmt.Errorf("-analytic predicts from a recorded graph; -trace/-trace-full need a simulated run"))
+		if *traceRun {
+			return usage(fmt.Errorf("-analytic predicts from a recorded graph; -trace needs a simulated run"))
 		}
 		if !*noCache {
 			if err := core.DefaultCache.SetDir(*cacheDir); err != nil {
@@ -168,21 +167,11 @@ func run() int {
 		}
 		return runAnalytic(x, scale, *bandwidth, pol, analytic.Options())
 	}
-	// -trace uses the constant-memory streaming sink: same summary, matrix
-	// and utilization, O(procs) memory. -trace-full retains every event for
-	// the analyses that need them (timeline, busiest pairs).
-	var (
-		agg  trace.Aggregator
-		full *trace.Collector
-	)
-	if *traceFull {
-		full = trace.NewCollector(topo.Procs())
-		x.Trace = full
-		agg = full
-	} else if *traceRun {
-		st := trace.NewStream(topo.Procs())
-		x.Trace = st
-		agg = st
+	// -trace folds the run's events in O(procs) memory.
+	var tr *trace.Stream
+	if *traceRun {
+		tr = trace.NewStream(topo.Procs())
+		x.Trace = tr
 	}
 	if !*noCache {
 		if err := core.DefaultCache.SetDir(*cacheDir); err != nil {
@@ -238,20 +227,18 @@ func run() int {
 	if *verify {
 		fmt.Println("verification:       output matches the sequential reference")
 	}
-	if agg != nil {
-		s := agg.Summarize()
+	if tr != nil {
+		s := tr.Summarize()
 		fmt.Printf("\ntrace: %d messages (%d wide-area), mean transit %v (WAN %v), max %v\n",
 			s.Messages, s.WANMessages, s.MeanTransit, s.MeanWANTransit, s.MaxTransit)
 		fmt.Println()
-		fmt.Print(trace.RenderCommMatrix(agg))
+		fmt.Print(tr.RenderCommMatrix())
 		fmt.Println()
-		fmt.Print(trace.RenderUtilization(agg, res.Elapsed))
-	}
-	if full != nil {
+		fmt.Print(tr.RenderUtilization(res.Elapsed))
 		fmt.Println()
-		fmt.Print(full.Timeline(res.Elapsed, 24))
+		fmt.Print(tr.Timeline(res.Elapsed, 24))
 		fmt.Println("\nbusiest pairs:")
-		for _, p := range full.TopPairs(5) {
+		for _, p := range tr.TopPairs(5) {
 			fmt.Printf("  %3d -> %3d: %d bytes\n", p.Src, p.Dst, p.Bytes)
 		}
 	}

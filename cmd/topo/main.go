@@ -42,11 +42,8 @@ func run() int {
 	if *perCluster < 1 {
 		return usage(fmt.Errorf("-percluster must be at least 1 (got %d)", *perCluster))
 	}
-	if *bandwidth <= 0 {
-		return usage(fmt.Errorf("-bandwidth must be positive (got %g MByte/s)", *bandwidth))
-	}
-	if *latency < 0 {
-		return usage(fmt.Errorf("-latency must be non-negative (got %v)", *latency))
+	if err := cliutil.CheckWANSpeed(*latency, *bandwidth); err != nil {
+		return usage(err)
 	}
 	topo, err := topology.Uniform(*clusters, *perCluster)
 	if err != nil {

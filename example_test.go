@@ -84,9 +84,9 @@ func ExampleMPIWorld() {
 }
 
 // Tracing a run: where do the bytes go?
-func ExampleNewTraceCollector() {
+func ExampleNewTraceStream() {
 	topo := twolayer.DAS()
-	tr := twolayer.NewTraceCollector(topo.Procs())
+	tr := twolayer.NewTraceStream(topo.Procs())
 	_, err := twolayer.RunWith(topo, twolayer.RunOptions{Seed: 1, Trace: tr},
 		func(e *twolayer.Env) {
 			if e.Rank() == 0 {

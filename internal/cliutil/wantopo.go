@@ -3,6 +3,7 @@ package cliutil
 import (
 	"flag"
 	"fmt"
+	"time"
 
 	"twolayer/internal/wantopo"
 )
@@ -28,4 +29,18 @@ func ParseWANTopology(spec string, clusters int) (*wantopo.WAN, error) {
 		return nil, fmt.Errorf("-wan-topology: %w", err)
 	}
 	return w, nil
+}
+
+// CheckWANSpeed validates the -latency and -bandwidth flags the simulating
+// commands share. A negative latency would schedule deliveries in the past
+// and a zero, negative or NaN bandwidth has no transmission time; both are
+// flag misuse — the caller maps the error to ExitUsage.
+func CheckWANSpeed(latency time.Duration, bandwidthMB float64) error {
+	if !(bandwidthMB > 0) {
+		return fmt.Errorf("-bandwidth must be positive (got %g MByte/s)", bandwidthMB)
+	}
+	if latency < 0 {
+		return fmt.Errorf("-latency must be non-negative (got %v)", latency)
+	}
+	return nil
 }

@@ -402,16 +402,20 @@ func TestCollectiveAdvantageGrowsWithLatency(t *testing.T) {
 
 func TestExperimentWithTrace(t *testing.T) {
 	app := Apps()[2] // TSP
-	tr := trace.NewCollector(32)
-	_, err := Experiment{
+	tr := trace.NewStream(32)
+	res, err := Experiment{
 		App: app, Scale: apps.Tiny, Optimized: true,
 		Topo: topology.DAS(), Params: network.DefaultParams(), Trace: tr,
 	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Messages) == 0 || len(tr.Spans) == 0 {
-		t.Errorf("trace empty: %d msgs, %d spans", len(tr.Messages), len(tr.Spans))
+	var busy float64
+	for _, u := range tr.Utilization(res.Elapsed) {
+		busy += u
+	}
+	if n := tr.Summarize().Messages; n == 0 || busy == 0 {
+		t.Errorf("trace empty: %d msgs, %g summed utilization", n, busy)
 	}
 }
 

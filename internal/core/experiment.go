@@ -81,9 +81,8 @@ type Experiment struct {
 	// reference; disable it inside large sweeps (correctness is covered by
 	// the test suite).
 	Verify bool
-	// Trace, if non-nil, records every message and compute span: a
-	// *trace.Collector retains the stream, a *trace.Stream aggregates it
-	// online in constant memory.
+	// Trace, if non-nil, records every message and compute span; a
+	// *trace.Stream aggregates them online in constant memory.
 	Trace trace.Sink
 	// Faults injects deterministic wide-area faults; the zero value leaves
 	// the run byte-identical to a fault-free one. Faulty runs route

@@ -2,6 +2,7 @@ package par
 
 import (
 	"context"
+	"fmt"
 
 	"twolayer/internal/faults"
 	"twolayer/internal/network"
@@ -25,9 +26,8 @@ type Options struct {
 	WAN *wantopo.WAN
 	// Seed drives the per-rank random streams.
 	Seed int64
-	// Trace, if non-nil, receives every message and compute span. Pass a
-	// *trace.Collector to retain the full event stream (timelines, JSON
-	// export) or a *trace.Stream to aggregate online in constant memory.
+	// Trace, if non-nil, receives every message and compute span; a
+	// *trace.Stream aggregates them online in constant memory.
 	Trace trace.Sink
 	// Faults injects deterministic wide-area faults (drops, duplicates,
 	// reordering jitter, outages). The zero value disables injection and
@@ -81,6 +81,12 @@ func RunWith(topo *topology.Topology, opts Options, job Job) (Result, error) {
 func RunWithContext(ctx context.Context, topo *topology.Topology, opts Options, job Job) (Result, error) {
 	if opts.Params == (network.Params{}) {
 		opts.Params = network.DefaultParams()
+	}
+	// A negative latency would schedule deliveries in the past, and a zero,
+	// negative or NaN bandwidth has no transmission time.
+	if opts.Params.WANLatency < 0 || !(opts.Params.WANBandwidth > 0) {
+		return Result{}, fmt.Errorf("par: invalid wide-area speed: latency %v, bandwidth %g bytes/s",
+			opts.Params.WANLatency, opts.Params.WANBandwidth)
 	}
 	return runSim(ctx, topo, opts, job)
 }

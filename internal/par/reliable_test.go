@@ -244,18 +244,13 @@ func TestInvalidFaultsRejected(t *testing.T) {
 // matches its fault-free twin — protocol overhead never double-counts.
 func TestTraceUnderRetransmission(t *testing.T) {
 	matrix := func(f faults.Params) ([][]int64, int64) {
-		tr := trace.NewCollector(relTopo(t).Procs())
+		tr := trace.NewStream(relTopo(t).Procs())
 		opts := Options{Params: network.DefaultParams(), Seed: 1, Faults: f, Trace: tr}
-		if _, err := RunWith(relTopo(t), opts, pingPong(t, 80)); err != nil {
+		res, err := RunWith(relTopo(t), opts, pingPong(t, 80))
+		if err != nil {
 			t.Fatal(err)
 		}
-		var retrans int64
-		for _, m := range tr.Messages {
-			if m.Kind != 0 { // KindRetrans or KindAck
-				retrans++
-			}
-		}
-		return tr.CommMatrix(), retrans
+		return tr.CommMatrix(), res.Transport.Retransmits + res.Transport.Acks
 	}
 	clean, cleanOverhead := matrix(faults.Params{})
 	lossy, lossyOverhead := matrix(faults.Params{DropRate: 0.2, Seed: 30})

@@ -102,7 +102,7 @@ func (r Result) Speedup(sequential sim.Time) float64 {
 // processors have finished. A deadlock in the simulated program is returned
 // as an error. For traced, faulted or regime runs, see RunWith.
 func Run(topo *topology.Topology, params network.Params, seed int64, job Job) (Result, error) {
-	return runSim(nil, topo, Options{Params: params, Seed: seed}, job)
+	return RunWithContext(nil, topo, Options{Params: params, Seed: seed}, job)
 }
 
 // msgKind maps the network's message class to the trace vocabulary (trace

@@ -3,8 +3,8 @@ package trace
 // OpSink extends Sink with the operation-level events a dependency-graph
 // recorder needs beyond the message stream: which queued message each
 // receive actually consumed. The runtime in package par feeds an OpSink by
-// type assertion on Options.Trace, so ordinary sinks (Collector, Stream)
-// pay nothing for the extension's existence.
+// type assertion on Options.Trace, so ordinary sinks such as Stream pay
+// nothing for the extension's existence.
 //
 // The msg argument of RecordRecv is the zero-based index of the
 // corresponding RecordMessage call: in a fault-free run without the

@@ -4,19 +4,10 @@
 // help them better to understand the characteristics of interconnect and
 // program" — this package is that tooling for the simulated testbed: it
 // turns a run into a communication matrix, per-processor utilization
-// profile, and message-size/latency distributions.
+// profile, wide-area traffic timeline, busiest pairs and transit statistics.
 package trace
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"math"
-	"sort"
-	"strings"
-
-	"twolayer/internal/sim"
-)
+import "twolayer/internal/sim"
 
 // MsgKind labels a message's role: an application payload, a
 // reliable-transport retransmission of one, or a transport acknowledgement.
@@ -33,36 +24,9 @@ const (
 	KindAck
 )
 
-// String names the kind as used in the JSON export.
-func (k MsgKind) String() string {
-	switch k {
-	case KindRetrans:
-		return "retrans"
-	case KindAck:
-		return "ack"
-	default:
-		return "data"
-	}
-}
-
-// kindFromString parses the JSON export representation; the empty string is
-// KindData (the export omits the default).
-func kindFromString(s string) (MsgKind, error) {
-	switch s {
-	case "", "data":
-		return KindData, nil
-	case "retrans":
-		return KindRetrans, nil
-	case "ack":
-		return KindAck, nil
-	}
-	return 0, fmt.Errorf("trace: unknown message kind %q", s)
-}
-
 // Message is one recorded message.
 type Message struct {
 	Src, Dst  int
-	Tag       int
 	Bytes     int64
 	Sent      sim.Time
 	Delivered sim.Time
@@ -101,12 +65,10 @@ type Span struct {
 	Start, End sim.Time
 }
 
-// Sink receives the event stream of a run. Two implementations exist: the
-// retain-everything Collector (timelines, JSON export, arbitrary post-hoc
-// analysis) and the constant-memory Stream (aggregates computed online, for
-// long runs and sweeps where retaining every message would dominate memory
-// and GC time). The runtime records through this interface, so a run can be
-// traced with either at no cost to the other.
+// Sink receives the event stream of a run. Stream is the package's sink: it
+// folds every event into constant-memory aggregates as it arrives. Tools
+// that need the raw events implement the three methods themselves; the
+// runtime records through this interface and nothing else.
 type Sink interface {
 	// RecordMessage is called once per observed message (delivered or,
 	// under fault injection, dropped), in delivery order.
@@ -117,95 +79,6 @@ type Sink interface {
 	// RecordTransport is called at most once, after the run, with the
 	// reliable-transport counters.
 	RecordTransport(ts TransportStats)
-}
-
-// Collector accumulates events during a run. It is safe to share across
-// the simulated processes (the simulation runs one at a time); it is not
-// safe for use from multiple concurrent simulations.
-type Collector struct {
-	Procs    int
-	Messages []Message
-	Spans    []Span
-	// Transport holds the reliable-transport counters of the run, recorded
-	// once by the runtime after the simulation completes.
-	Transport TransportStats
-}
-
-// NewCollector creates a collector for a machine with procs processors.
-func NewCollector(procs int) *Collector {
-	return &Collector{Procs: procs}
-}
-
-// RecordMessage appends a message event.
-func (c *Collector) RecordMessage(m Message) { c.Messages = append(c.Messages, m) }
-
-// RecordSpan appends a computation span.
-func (c *Collector) RecordSpan(s Span) { c.Spans = append(c.Spans, s) }
-
-// RecordTransport stores the run's reliable-transport counters.
-func (c *Collector) RecordTransport(ts TransportStats) { c.Transport = ts }
-
-// TransportCounters returns the recorded reliable-transport counters,
-// making Collector an Aggregator alongside Stream.
-func (c *Collector) TransportCounters() TransportStats { return c.Transport }
-
-// CommMatrix returns the logical application traffic from each rank to each
-// rank: every payload counted exactly once by its first transmission.
-// Retransmissions, injected duplicates and transport acks are protocol
-// overhead, not communication structure, so they never double-count here
-// — the matrix of a faulty run matches its fault-free twin. (WAN link
-// statistics, in contrast, do charge every copy on the wire.)
-//
-// The rows share a single flat procs*procs backing array (two allocations
-// total instead of procs+1); callers treat the result as read-only.
-func (c *Collector) CommMatrix() [][]int64 {
-	m := commRows(make([]int64, c.Procs*c.Procs), c.Procs)
-	for _, msg := range c.Messages {
-		if msg.Kind != KindData || msg.Dup {
-			continue
-		}
-		m[msg.Src][msg.Dst] += msg.Bytes
-	}
-	return m
-}
-
-// commRows slices a flat procs*procs array into per-sender rows.
-func commRows(flat []int64, procs int) [][]int64 {
-	m := make([][]int64, procs)
-	for i := range m {
-		m[i] = flat[i*procs : (i+1)*procs : (i+1)*procs]
-	}
-	return m
-}
-
-// Utilization returns each rank's fraction of the horizon spent computing.
-//
-// The output slice doubles as the summation scratch: per-rank busy time is
-// accumulated exactly in integer nanoseconds, bit-stored in the float64
-// slots (math.Float64frombits), then divided out — one allocation, and the
-// integer accumulation order matches the online Stream sink bit for bit.
-func (c *Collector) Utilization(horizon sim.Time) []float64 {
-	out := make([]float64, c.Procs)
-	for _, s := range c.Spans {
-		b := int64(math.Float64bits(out[s.Rank]))
-		b += int64(s.End - s.Start)
-		out[s.Rank] = math.Float64frombits(uint64(b))
-	}
-	finishUtilization(out, horizon)
-	return out
-}
-
-// finishUtilization converts bit-stored integer busy times in place into
-// fractions of the horizon.
-func finishUtilization(out []float64, horizon sim.Time) {
-	for i := range out {
-		b := int64(math.Float64bits(out[i]))
-		if horizon > 0 {
-			out[i] = float64(b) / float64(horizon)
-		} else {
-			out[i] = 0
-		}
-	}
 }
 
 // Summary aggregates the trace. Message/byte counts cover delivered wire
@@ -220,275 +93,4 @@ type Summary struct {
 	MeanTransit    sim.Time
 	MeanWANTransit sim.Time
 	MaxTransit     sim.Time
-}
-
-// Summarize computes aggregate statistics.
-func (c *Collector) Summarize() Summary {
-	var s Summary
-	var transit, wanTransit sim.Time
-	for _, m := range c.Messages {
-		if m.Dropped {
-			s.Dropped++
-			continue
-		}
-		s.Messages++
-		s.Bytes += m.Bytes
-		d := m.Delivered - m.Sent
-		transit += d
-		if d > s.MaxTransit {
-			s.MaxTransit = d
-		}
-		if m.WAN {
-			s.WANMessages++
-			s.WANBytes += m.Bytes
-			wanTransit += d
-		}
-	}
-	if s.Messages > 0 {
-		s.MeanTransit = transit / sim.Time(s.Messages)
-	}
-	if s.WANMessages > 0 {
-		s.MeanWANTransit = wanTransit / sim.Time(s.WANMessages)
-	}
-	return s
-}
-
-// heat maps a value in [0,1] to a character ramp.
-func heat(frac float64) byte {
-	const ramp = " .:-=+*#%@"
-	idx := int(frac * float64(len(ramp)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(ramp) {
-		idx = len(ramp) - 1
-	}
-	return ramp[idx]
-}
-
-// RenderCommMatrix draws the communication matrix as a text heat map
-// (rows: senders, columns: receivers), normalized to the busiest pair.
-func (c *Collector) RenderCommMatrix() string { return RenderCommMatrix(c) }
-
-// RenderCommMatrix draws an Aggregator's communication matrix as a text
-// heat map (rows: senders, columns: receivers), normalized to the busiest
-// pair. It works identically over either sink implementation.
-func RenderCommMatrix(a Aggregator) string {
-	m := a.CommMatrix()
-	var max int64 = 1
-	for _, row := range m {
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "communication matrix (%d ranks, max pair %d bytes):\n", len(m), max)
-	for i, row := range m {
-		fmt.Fprintf(&b, "%3d |", i)
-		for _, v := range row {
-			b.WriteByte(heat(float64(v) / float64(max)))
-		}
-		b.WriteString("|\n")
-	}
-	return b.String()
-}
-
-// RenderUtilization draws per-rank compute utilization bars.
-func (c *Collector) RenderUtilization(horizon sim.Time) string {
-	return RenderUtilization(c, horizon)
-}
-
-// RenderUtilization draws an Aggregator's per-rank compute utilization
-// bars over the given horizon.
-func RenderUtilization(a Aggregator, horizon sim.Time) string {
-	util := a.Utilization(horizon)
-	var b strings.Builder
-	fmt.Fprintf(&b, "compute utilization over %v:\n", horizon)
-	for r, u := range util {
-		bar := int(u*40 + 0.5)
-		fmt.Fprintf(&b, "%3d |%s%s| %5.1f%%\n", r,
-			strings.Repeat("#", bar), strings.Repeat(" ", 40-bar), 100*u)
-	}
-	return b.String()
-}
-
-// Timeline buckets wide-area traffic over time and renders volume bars, so
-// bursts and phases are visible.
-func (c *Collector) Timeline(horizon sim.Time, buckets int) string {
-	if buckets <= 0 || horizon <= 0 {
-		return ""
-	}
-	vol := make([]int64, buckets)
-	for _, m := range c.Messages {
-		if !m.WAN {
-			continue
-		}
-		idx := int(int64(m.Sent) * int64(buckets) / int64(horizon))
-		if idx >= buckets {
-			idx = buckets - 1
-		}
-		vol[idx] += m.Bytes
-	}
-	var max int64 = 1
-	for _, v := range vol {
-		if v > max {
-			max = v
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "wide-area traffic over time (%d buckets of %v):\n", buckets, horizon/sim.Time(buckets))
-	for i, v := range vol {
-		bar := int(float64(v) / float64(max) * 40)
-		fmt.Fprintf(&b, "%3d |%s\n", i, strings.Repeat("#", bar))
-	}
-	return b.String()
-}
-
-// TopPairs returns the k busiest sender-receiver pairs by bytes.
-func (c *Collector) TopPairs(k int) []struct {
-	Src, Dst int
-	Bytes    int64
-} {
-	type pair struct {
-		Src, Dst int
-		Bytes    int64
-	}
-	m := c.CommMatrix()
-	var pairs []pair
-	for s, row := range m {
-		for d, v := range row {
-			if v > 0 {
-				pairs = append(pairs, pair{s, d, v})
-			}
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Bytes != pairs[j].Bytes {
-			return pairs[i].Bytes > pairs[j].Bytes
-		}
-		if pairs[i].Src != pairs[j].Src {
-			return pairs[i].Src < pairs[j].Src
-		}
-		return pairs[i].Dst < pairs[j].Dst
-	})
-	if k > len(pairs) {
-		k = len(pairs)
-	}
-	out := make([]struct {
-		Src, Dst int
-		Bytes    int64
-	}, k)
-	for i := 0; i < k; i++ {
-		out[i] = struct {
-			Src, Dst int
-			Bytes    int64
-		}{pairs[i].Src, pairs[i].Dst, pairs[i].Bytes}
-	}
-	return out
-}
-
-// jsonEvent is the export schema: one line per event, with a kind
-// discriminator, suitable for external tools. The first line is a "meta"
-// record (processor count), then messages and spans in record order, then
-// — when any counter is non-zero — one "transport" record.
-type jsonEvent struct {
-	Kind      string          `json:"kind"` // "meta", "msg", "span" or "transport"
-	Procs     int             `json:"procs,omitempty"`
-	Src       int             `json:"src,omitempty"`
-	Dst       int             `json:"dst,omitempty"`
-	Rank      int             `json:"rank,omitempty"`
-	Bytes     int64           `json:"bytes,omitempty"`
-	WAN       bool            `json:"wan,omitempty"`
-	Class     string          `json:"class,omitempty"` // "retrans"/"ack"; empty = payload
-	Dup       bool            `json:"dup,omitempty"`
-	Dropped   bool            `json:"dropped,omitempty"`
-	StartNs   int64           `json:"start_ns,omitempty"`
-	EndNs     int64           `json:"end_ns,omitempty"`
-	Transport *TransportStats `json:"transport,omitempty"`
-}
-
-// msgClassJSON renders the kind for the export, omitting the payload
-// default so fault-free exports stay minimal.
-func msgClassJSON(k MsgKind) string {
-	if k == KindData {
-		return ""
-	}
-	return k.String()
-}
-
-// WriteJSON streams the trace as JSON Lines — the interchange format for
-// external analysis or plotting. ReadJSON parses it back losslessly.
-func (c *Collector) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(jsonEvent{Kind: "meta", Procs: c.Procs}); err != nil {
-		return err
-	}
-	for _, m := range c.Messages {
-		if err := enc.Encode(jsonEvent{
-			Kind: "msg", Src: m.Src, Dst: m.Dst, Bytes: m.Bytes, WAN: m.WAN,
-			Class: msgClassJSON(m.Kind), Dup: m.Dup, Dropped: m.Dropped,
-			StartNs: int64(m.Sent), EndNs: int64(m.Delivered),
-		}); err != nil {
-			return err
-		}
-	}
-	for _, s := range c.Spans {
-		if err := enc.Encode(jsonEvent{
-			Kind: "span", Rank: s.Rank,
-			StartNs: int64(s.Start), EndNs: int64(s.End),
-		}); err != nil {
-			return err
-		}
-	}
-	if c.Transport != (TransportStats{}) {
-		ts := c.Transport
-		if err := enc.Encode(jsonEvent{Kind: "transport", Transport: &ts}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadJSON parses a WriteJSON stream back into a Collector. The round trip
-// is lossless: messages, spans and the transport counters all survive
-// bit-for-bit. Unknown record kinds are an error, so schema drift surfaces
-// instead of silently dropping data.
-func ReadJSON(r io.Reader) (*Collector, error) {
-	dec := json.NewDecoder(r)
-	c := &Collector{}
-	for {
-		var e jsonEvent
-		if err := dec.Decode(&e); err != nil {
-			if err == io.EOF {
-				return c, nil
-			}
-			return nil, fmt.Errorf("trace: reading JSON stream: %w", err)
-		}
-		switch e.Kind {
-		case "meta":
-			c.Procs = e.Procs
-		case "msg":
-			kind, err := kindFromString(e.Class)
-			if err != nil {
-				return nil, err
-			}
-			c.Messages = append(c.Messages, Message{
-				Src: e.Src, Dst: e.Dst, Bytes: e.Bytes, WAN: e.WAN,
-				Kind: kind, Dup: e.Dup, Dropped: e.Dropped,
-				Sent: sim.Time(e.StartNs), Delivered: sim.Time(e.EndNs),
-			})
-		case "span":
-			c.Spans = append(c.Spans, Span{
-				Rank: e.Rank, Start: sim.Time(e.StartNs), End: sim.Time(e.EndNs),
-			})
-		case "transport":
-			if e.Transport != nil {
-				c.Transport = *e.Transport
-			}
-		default:
-			return nil, fmt.Errorf("trace: unknown record kind %q", e.Kind)
-		}
-	}
 }

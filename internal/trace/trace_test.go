@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,8 +8,8 @@ import (
 	"twolayer/internal/sim"
 )
 
-func sample() *Collector {
-	c := NewCollector(4)
+func sample() *Stream {
+	c := NewStream(4)
 	c.RecordMessage(Message{Src: 0, Dst: 1, Bytes: 100, Sent: 0, Delivered: sim.Millisecond})
 	c.RecordMessage(Message{Src: 0, Dst: 1, Bytes: 50, Sent: sim.Millisecond, Delivered: 3 * sim.Millisecond})
 	c.RecordMessage(Message{Src: 2, Dst: 3, Bytes: 500, Sent: 0, Delivered: 11 * sim.Millisecond, WAN: true})
@@ -57,7 +56,8 @@ func TestRenderers(t *testing.T) {
 	if s := c.RenderUtilization(10 * sim.Millisecond); !strings.Contains(s, "100.0%") {
 		t.Errorf("utilization render: %q", s)
 	}
-	if s := c.Timeline(20*sim.Millisecond, 4); !strings.Contains(s, "4 buckets") {
+	// 20ms in at most 4 rows: the narrowest power-of-two width is 2^23 ns.
+	if s := c.Timeline(20*sim.Millisecond, 4); !strings.Contains(s, "3 buckets of 8.389ms") {
 		t.Errorf("timeline render: %q", s)
 	}
 	if c.Timeline(0, 4) != "" || c.Timeline(sim.Second, 0) != "" {
@@ -81,7 +81,7 @@ func TestTopPairs(t *testing.T) {
 // Property: the matrix total always equals the summary's byte total.
 func TestMatrixTotalsProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
-		c := NewCollector(8)
+		c := NewStream(8)
 		for i, v := range raw {
 			c.RecordMessage(Message{
 				Src: i % 8, Dst: (i * 3) % 8, Bytes: int64(v),
@@ -110,41 +110,11 @@ func TestHeatRamp(t *testing.T) {
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	var b strings.Builder
-	if err := sample().WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 6 { // meta + 3 messages + 2 spans
-		t.Fatalf("%d lines", len(lines))
-	}
-	var ev map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev["kind"] != "meta" || ev["procs"] != float64(4) {
-		t.Errorf("meta %v", ev)
-	}
-	if err := json.Unmarshal([]byte(lines[3]), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev["kind"] != "msg" || ev["wan"] != true {
-		t.Errorf("event %v", ev)
-	}
-	if err := json.Unmarshal([]byte(lines[5]), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev["kind"] != "span" || ev["rank"] != float64(1) {
-		t.Errorf("span %v", ev)
-	}
-}
-
 // faultySample is a trace with reliable-transport traffic on top of the
 // logical payloads: a retransmission of a dropped payload, an injected
 // duplicate, and acks.
-func faultySample() *Collector {
-	c := NewCollector(4)
+func faultySample() *Stream {
+	c := NewStream(4)
 	// Payload 0->1, dropped in flight, then retransmitted successfully.
 	c.RecordMessage(Message{Src: 0, Dst: 1, Bytes: 100, Sent: 0, Delivered: sim.Millisecond, WAN: true, Dropped: true})
 	c.RecordMessage(Message{Src: 0, Dst: 1, Bytes: 100, Sent: 2 * sim.Millisecond, Delivered: 3 * sim.Millisecond, WAN: true, Kind: KindRetrans})
@@ -186,60 +156,5 @@ func TestSummarizeDropped(t *testing.T) {
 	}
 	if s.Bytes != 100+500+500+16+16 {
 		t.Errorf("Bytes = %d", s.Bytes)
-	}
-}
-
-// TestJSONRoundTripLossless: WriteJSON then ReadJSON reproduces the
-// collector bit-for-bit, including the transport retry counters.
-func TestJSONRoundTripLossless(t *testing.T) {
-	for name, c := range map[string]*Collector{"clean": sample(), "faulty": faultySample()} {
-		t.Run(name, func(t *testing.T) {
-			var b strings.Builder
-			if err := c.WriteJSON(&b); err != nil {
-				t.Fatal(err)
-			}
-			got, err := ReadJSON(strings.NewReader(b.String()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Procs != c.Procs {
-				t.Errorf("Procs = %d, want %d", got.Procs, c.Procs)
-			}
-			if len(got.Messages) != len(c.Messages) {
-				t.Fatalf("%d messages, want %d", len(got.Messages), len(c.Messages))
-			}
-			for i := range c.Messages {
-				want := c.Messages[i]
-				want.Tag = 0 // Tag is not exported (receives match it; traces do not)
-				if got.Messages[i] != want {
-					t.Errorf("message %d = %+v, want %+v", i, got.Messages[i], want)
-				}
-			}
-			for i := range c.Spans {
-				if got.Spans[i] != c.Spans[i] {
-					t.Errorf("span %d = %+v, want %+v", i, got.Spans[i], c.Spans[i])
-				}
-			}
-			if got.Transport != c.Transport {
-				t.Errorf("transport counters = %+v, want %+v", got.Transport, c.Transport)
-			}
-			// A second write of the parsed collector is byte-identical.
-			var b2 strings.Builder
-			if err := got.WriteJSON(&b2); err != nil {
-				t.Fatal(err)
-			}
-			if b2.String() != b.String() {
-				t.Error("re-serialized stream differs")
-			}
-		})
-	}
-}
-
-func TestReadJSONRejectsUnknownKind(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader(`{"kind":"mystery"}`)); err == nil {
-		t.Error("unknown record kind accepted")
-	}
-	if _, err := ReadJSON(strings.NewReader(`{"kind":"msg","class":"warp"}`)); err == nil {
-		t.Error("unknown message class accepted")
 	}
 }

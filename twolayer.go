@@ -238,10 +238,14 @@ var CollectiveOps = collective.OpNames
 type (
 	// RunOptions configures traced, faulted or regime runs.
 	RunOptions = par.Options
-	// TraceCollector records per-message and per-compute-span events.
-	TraceCollector = trace.Collector
+	// TraceStream folds per-message and per-compute-span events into
+	// constant-memory aggregates.
+	TraceStream = trace.Stream
 	// TraceMessage is one recorded message.
 	TraceMessage = trace.Message
+	// TraceSpan is one recorded compute interval. With TraceMessage and
+	// TransportStats it lets a caller write its own RunOptions.Trace sink.
+	TraceSpan = trace.Span
 	// TraceSummary aggregates a trace.
 	TraceSummary = trace.Summary
 )
@@ -252,9 +256,9 @@ func RunWith(topo *Topology, opts RunOptions, job Job) (Result, error) {
 	return par.RunWith(topo, opts, job)
 }
 
-// NewTraceCollector creates a trace collector for a machine of the given
-// size; pass it via RunOptions.Trace or Experiment.Trace.
-func NewTraceCollector(procs int) *TraceCollector { return trace.NewCollector(procs) }
+// NewTraceStream creates a trace sink for a machine of the given size; pass
+// it via RunOptions.Trace or Experiment.Trace.
+func NewTraceStream(procs int) *TraceStream { return trace.NewStream(procs) }
 
 // MPI-style interface (the shape MagPIe shipped as: a drop-in library for
 // MPI programs).
