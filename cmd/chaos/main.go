@@ -31,12 +31,10 @@ import (
 	"strings"
 	"time"
 
-	"twolayer/internal/apps"
 	"twolayer/internal/cliutil"
 	"twolayer/internal/core"
 	"twolayer/internal/network"
 	"twolayer/internal/sim"
-	"twolayer/internal/topology"
 )
 
 func main() {
@@ -71,18 +69,12 @@ func run() int {
 		return usage(err)
 	}
 
-	scale, ok := map[string]apps.Scale{"tiny": apps.Tiny, "small": apps.Small, "paper": apps.Paper}[*scaleF]
-	if !ok {
-		return usage(fmt.Errorf("unknown scale %q (want tiny, small or paper)", *scaleF))
+	scale, err := cliutil.Scale(*scaleF)
+	if err != nil {
+		return usage(err)
 	}
 	if err := cliutil.CheckWANSpeed(*latency, *bandwidth); err != nil {
 		return usage(err)
-	}
-	if *clusters < 1 {
-		return usage(fmt.Errorf("-clusters must be at least 1 (got %d)", *clusters))
-	}
-	if *perCluster < 1 {
-		return usage(fmt.Errorf("-percluster must be at least 1 (got %d)", *perCluster))
 	}
 	if *seed < 0 {
 		return usage(fmt.Errorf("-seed must be non-negative (got %d)", *seed))
@@ -101,7 +93,7 @@ func run() int {
 	if outages == nil {
 		outages = core.DefaultChaosOutages
 	}
-	topo, err := topology.Uniform(*clusters, *perCluster)
+	topo, err := cliutil.Machine(*clusters, *perCluster)
 	if err != nil {
 		return usage(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"twolayer/internal/core"
 	"twolayer/internal/network"
 	"twolayer/internal/sim"
-	"twolayer/internal/topology"
 )
 
 func main() {
@@ -38,7 +37,7 @@ func run() int {
 		return usage(err)
 	}
 
-	topo, err := topology.Uniform(*clusters, *perCluster)
+	topo, err := cliutil.Machine(*clusters, *perCluster)
 	if err != nil {
 		return usage(err)
 	}

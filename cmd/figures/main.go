@@ -26,6 +26,9 @@
 // one recorded dependency graph per variant (simulated once at the
 // reference point, solved analytically everywhere else; see DESIGN.md
 // section 5h). -analytic-tolerance bounds the replay's self-check error.
+// Every selected study is checked against the capability table (DESIGN.md
+// section 5l) before the first prints, and -wan-topology reaches only
+// Figure 3 and -gaps; a refusal exits 2.
 //
 // Long sweeps can be supervised: -deadline, -max-events, -max-vtime and
 // -progress-window bound each run, and cells that have to be killed render
@@ -46,12 +49,13 @@ import (
 
 	"runtime/pprof"
 
-	"twolayer/internal/apps"
 	"twolayer/internal/cliutil"
 	"twolayer/internal/core"
+	"twolayer/internal/par"
 	"twolayer/internal/regime"
 	"twolayer/internal/sim"
 	"twolayer/internal/stats"
+	"twolayer/internal/topology"
 )
 
 func main() {
@@ -95,7 +99,7 @@ func run() int {
 	if err := analytic.Validate(); err != nil {
 		return usage(err)
 	}
-	scale, err := parseScale(*scaleF)
+	scale, err := cliutil.Scale(*scaleF)
 	if err != nil {
 		return usage(err)
 	}
@@ -105,6 +109,51 @@ func run() int {
 	}
 	if rp.Enabled() && !*regimesF {
 		return usage(fmt.Errorf("-regime selects the scenario for the -regimes study; pass -regimes"))
+	}
+	// Check every selected study before the first prints: the capability
+	// table decides what its runs ask for (recordings, when it is answered
+	// analytically: it has an analytic form or is named beside -analytic),
+	// and a non-clique -wan-topology reaches only -fig3 and -gaps.
+	wan, err := cliutil.ParseWANTopology(*wanSpec, 4) // Figure 3's DAS
+	if err != nil {
+		return usage(err)
+	}
+	wanF := par.FeaturesOf(topology.DAS(), par.Options{WAN: wan})
+	ran := false
+	for _, st := range []struct {
+		flag                      string
+		named, inAll, form, reads bool
+		f                         par.Feature
+	}{
+		{"-table1", *table1, true, false, false, 0},
+		{"-table2", *table2, true, false, false, 0},
+		{"-fig1", *fig1, true, false, false, 0},
+		{"-fig3", *fig3, true, true, true, wanF},
+		{"-fig4", *fig4, true, true, false, 0},
+		{"-gaps", *gaps, true, true, true, wanF},
+		{"-shapes", *shapes, true, true, false, 0},
+		{"-variability", *varia, true, false, false, par.Regime},
+		{"-heatmap", *heatmap, false, true, false, par.Record},
+		{"-topology", *topoF, false, false, false, par.NonClique | par.MultiHop},
+		{"-regimes", *regimesF, false, false, false, par.Regime | par.Adaptive},
+	} {
+		if !st.named && !(st.inAll && *all) {
+			continue
+		}
+		ran = true
+		if !wan.IsClique() && !st.reads {
+			return usage(fmt.Errorf("-wan-topology %s: %s does not read it", wan.Spec(), st.flag))
+		}
+		if analytic.Enabled && (st.form || st.named) {
+			st.f |= par.Record
+		}
+		if err := par.Check(st.f); err != nil {
+			return usage(fmt.Errorf("%s: %w", st.flag, err))
+		}
+	}
+	if !ran {
+		flag.Usage()
+		return cliutil.ExitUsage
 	}
 	pol, cleanup, err := sup.Policy()
 	if err != nil {
@@ -145,10 +194,7 @@ func run() int {
 			}
 		}
 	}
-	ran := false
-
 	if *table1 || *all {
-		ran = true
 		rows, err := core.Table1(scale)
 		if err != nil {
 			return fail(err)
@@ -157,12 +203,10 @@ func run() int {
 		fmt.Println(core.RenderTable1(rows))
 	}
 	if *table2 || *all {
-		ran = true
 		fmt.Println("Table 2: Communication Patterns and Optimizations")
 		fmt.Println(core.RenderTable2())
 	}
 	if *fig1 || *all {
-		ran = true
 		points, err := core.Figure1(scale)
 		if err != nil {
 			return fail(err)
@@ -174,15 +218,6 @@ func run() int {
 	var panels []core.Figure3Panel
 	var reports []core.AnalyticReport
 	if *fig3 || *gaps || *all {
-		// -wan-topology needs the cluster count, fixed at the DAS's 4 for
-		// Figure 3.
-		wan, err := cliutil.ParseWANTopology(*wanSpec, 4)
-		if err != nil {
-			return usage(err)
-		}
-		if analytic.Enabled && !wan.IsClique() {
-			return usage(fmt.Errorf("-analytic supports only the default clique -wan-topology"))
-		}
 		opts := core.Figure3Options{Apps: filter, WAN: wan, Policy: pol}
 		if analytic.Enabled {
 			panels, reports, err = core.Figure3Analytic(scale, opts, analytic.Options())
@@ -194,7 +229,6 @@ func run() int {
 		}
 	}
 	if *fig3 || *all {
-		ran = true
 		if analytic.Enabled {
 			fmt.Println("Figure 3 (analytic): Speedup relative to an all-Myrinet cluster (percent)")
 		} else {
@@ -213,7 +247,6 @@ func run() int {
 		}
 	}
 	if *fig4 || *all {
-		ran = true
 		var bw, lat []core.Figure4Curve
 		if analytic.Enabled {
 			bw, err = core.Figure4AnalyticBandwidth(scale, pol, analytic.Options())
@@ -237,14 +270,12 @@ func run() int {
 		fmt.Println(core.RenderFigure4(lat, "latency ms"))
 	}
 	if *gaps || *all {
-		ran = true
 		for _, threshold := range []float64{60, 40} {
 			fmt.Printf("Acceptable NUMA gap at the %.0f%% criterion:\n", threshold)
 			fmt.Println(core.RenderGaps(core.GapAnalysis(panels, threshold), threshold))
 		}
 	}
 	if *shapes || *all {
-		ran = true
 		var results []core.ShapeResult
 		if analytic.Enabled {
 			results, err = core.ClusterShapeStudyAnalytic(scale, []string{"Water", "ASP"},
@@ -260,7 +291,6 @@ func run() int {
 		fmt.Println(core.RenderShapes(results))
 	}
 	if *varia || *all {
-		ran = true
 		vcfg := core.RegimeStudyConfig{
 			Scale:        scale,
 			Apps:         filter,
@@ -283,7 +313,6 @@ func run() int {
 		fmt.Println(core.RenderRegimeStudy(points))
 	}
 	if *heatmap {
-		ran = true
 		hPanels, _, err := core.Heatmap(scale, core.HeatmapOptions{
 			Size:     *heatSize,
 			Apps:     filter,
@@ -296,10 +325,6 @@ func run() int {
 		core.WriteHeatmapCSV(os.Stdout, hPanels)
 	}
 	if *topoF {
-		ran = true
-		if analytic.Enabled {
-			return usage(fmt.Errorf("-analytic supports only the default clique wide-area graph; -topology sweeps generated ones"))
-		}
 		tcfg := core.TopologyStudyConfig{
 			Scale:  scale,
 			Procs:  *topoPr,
@@ -335,10 +360,6 @@ func run() int {
 		}
 	}
 	if *regimesF {
-		ran = true
-		if analytic.Enabled {
-			return usage(fmt.Errorf("-analytic needs stationary network conditions; it cannot model -regimes"))
-		}
 		rcfg := core.RegimeStudyConfig{
 			Scale:  scale,
 			Cache:  core.DefaultCache,
@@ -360,10 +381,6 @@ func run() int {
 			fmt.Println("Dynamic-regime robustness study (4x8 machine, 3.3 ms / 0.95 MByte/s calm WAN):")
 			fmt.Println(core.RenderRegimeStudy(points))
 		}
-	}
-	if !ran {
-		flag.Usage()
-		return cliutil.ExitUsage
 	}
 	if s := core.DefaultCache.CacheStats(); s.Hits+s.DiskHits+s.Misses > 0 {
 		line := fmt.Sprintf("run cache: %d memory hits, %d disk hits, %d simulated, %d stale",
@@ -398,18 +415,6 @@ func renderCSV(p core.Figure3Panel) {
 	t.CSV(os.Stdout)
 }
 
-func parseScale(s string) (apps.Scale, error) {
-	switch s {
-	case "tiny":
-		return apps.Tiny, nil
-	case "small":
-		return apps.Small, nil
-	case "paper":
-		return apps.Paper, nil
-	}
-	return 0, fmt.Errorf("unknown scale %q", s)
-}
-
 func usage(err error) int {
 	fmt.Fprintln(os.Stderr, "figures:", err)
 	return cliutil.ExitUsage
@@ -417,5 +422,5 @@ func usage(err error) int {
 
 func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "figures:", err)
-	return cliutil.ExitHarness
+	return cliutil.ExitFor(err)
 }

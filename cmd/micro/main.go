@@ -15,7 +15,6 @@ import (
 	"twolayer/internal/micro"
 	"twolayer/internal/network"
 	"twolayer/internal/sim"
-	"twolayer/internal/topology"
 )
 
 func main() {
@@ -35,19 +34,13 @@ func run() int {
 	if err := cliutil.CheckWANSpeed(*latency, *bandwidth); err != nil {
 		return usage(err)
 	}
-	if *clusters < 1 {
-		return usage(fmt.Errorf("-clusters must be at least 1 (got %d)", *clusters))
-	}
-	if *perCluster < 1 {
-		return usage(fmt.Errorf("-percluster must be at least 1 (got %d)", *perCluster))
-	}
 	if *reps < 1 {
 		return usage(fmt.Errorf("-reps must be at least 1 (got %d)", *reps))
 	}
 	if *bytes < 0 {
 		return usage(fmt.Errorf("-bytes must be non-negative (got %d)", *bytes))
 	}
-	topo, err := topology.Uniform(*clusters, *perCluster)
+	topo, err := cliutil.Machine(*clusters, *perCluster)
 	if err != nil {
 		return usage(err)
 	}

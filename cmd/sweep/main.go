@@ -28,7 +28,6 @@ import (
 	"twolayer/internal/core"
 	"twolayer/internal/network"
 	"twolayer/internal/sim"
-	"twolayer/internal/topology"
 	"twolayer/internal/trace"
 )
 
@@ -70,13 +69,6 @@ func run() int {
 	if err != nil {
 		return usage(err)
 	}
-	if *adaptive && !rp.Enabled() {
-		return usage(fmt.Errorf("-adaptive requires -regime"))
-	}
-	if rp.Enabled() && analytic.Enabled {
-		return usage(fmt.Errorf("-analytic needs stationary network conditions; it cannot model a -regime"))
-	}
-
 	if err := cliutil.CheckWANSpeed(*latency, *bandwidth); err != nil {
 		return usage(err)
 	}
@@ -85,11 +77,21 @@ func run() int {
 	if !(*tcp >= 0) || math.IsInf(*tcp, 1) {
 		return usage(fmt.Errorf("-tcp must be a finite non-negative fraction of the RTT (got %g)", *tcp))
 	}
-	if *clusters < 1 {
-		return usage(fmt.Errorf("-clusters must be at least 1 (got %d)", *clusters))
+	scale, err := cliutil.Scale(*scaleF)
+	if err != nil {
+		return usage(err)
 	}
-	if *perCluster < 1 {
-		return usage(fmt.Errorf("-percluster must be at least 1 (got %d)", *perCluster))
+	app, err := core.AppByName(*appName)
+	if err != nil {
+		return usage(err)
+	}
+	topo, err := cliutil.Machine(*clusters, *perCluster)
+	if err != nil {
+		return usage(err)
+	}
+	wan, err := cliutil.ParseWANTopology(*wanSpec, *clusters)
+	if err != nil {
+		return usage(err)
 	}
 	pol, cleanup, err := sup.Policy()
 	if err != nil {
@@ -122,32 +124,6 @@ func run() int {
 		}()
 	}
 
-	scale, ok := map[string]apps.Scale{"tiny": apps.Tiny, "small": apps.Small, "paper": apps.Paper}[*scaleF]
-	if !ok {
-		return usage(fmt.Errorf("unknown scale %q (want tiny, small or paper)", *scaleF))
-	}
-	app, err := core.AppByName(*appName)
-	if err != nil {
-		return usage(err)
-	}
-	topo, err := topology.Uniform(*clusters, *perCluster)
-	if err != nil {
-		fatal(err)
-	}
-	wan, err := cliutil.ParseWANTopology(*wanSpec, *clusters)
-	if err != nil {
-		return usage(err)
-	}
-	if !wan.IsClique() {
-		// Multi-hop timing is defined by the windowed engine; modes that
-		// need the single-kernel one are flag misuse, not runtime errors.
-		if analytic.Enabled {
-			return usage(fmt.Errorf("-analytic supports only the default clique -wan-topology"))
-		}
-		if *traceRun {
-			return usage(fmt.Errorf("-trace supports only the default clique -wan-topology"))
-		}
-	}
 	params := network.DefaultParams().WithWAN(sim.Time((*latency).Nanoseconds()), *bandwidth*1e6)
 	params.WANMessageRTTFactor = *tcp
 
@@ -155,17 +131,6 @@ func run() int {
 		App: app, Scale: scale, Optimized: *optimized,
 		Topo: topo, Params: params, WAN: wan, Verify: *verify,
 		Regime: rp, Adaptive: *adaptive,
-	}
-	if analytic.Enabled {
-		if *traceRun {
-			return usage(fmt.Errorf("-analytic predicts from a recorded graph; -trace needs a simulated run"))
-		}
-		if !*noCache {
-			if err := core.DefaultCache.SetDir(*cacheDir); err != nil {
-				fmt.Fprintf(os.Stderr, "sweep: run cache disabled: %v\n", err)
-			}
-		}
-		return runAnalytic(x, scale, *bandwidth, pol, analytic.Options())
 	}
 	// -trace folds the run's events in O(procs) memory.
 	var tr *trace.Stream
@@ -178,17 +143,18 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "sweep: run cache disabled: %v\n", err)
 		}
 	}
+	// A flag combination the capability table refuses fails before any
+	// work, and fatal maps its *par.Unsupported to exit 2.
+	if analytic.Enabled {
+		return runAnalytic(x, scale, *bandwidth, pol, analytic.Options())
+	}
 	label := fmt.Sprintf("%s (optimized=%v) on %s", app.Name, *optimized, topo)
 	res, failed, err := core.SupervisedRun(pol, label, x, core.DefaultCache)
 	if err != nil {
 		fatal(err)
 	}
 	if failed != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %s\n", failed)
-		if rep := core.FailureReport(failed); rep != "" {
-			fmt.Fprintf(os.Stderr, "\n%s", rep)
-		}
-		return cliutil.ExitFailed
+		return reportFailed(failed)
 	}
 
 	base := core.NewBaselines(scale)
@@ -256,11 +222,7 @@ func runAnalytic(x core.Experiment, scale apps.Scale, bandwidthMB float64, pol *
 		fatal(err)
 	}
 	if failed != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %s\n", failed)
-		if rep := core.FailureReport(failed); rep != "" {
-			fmt.Fprintf(os.Stderr, "\n%s", rep)
-		}
-		return cliutil.ExitFailed
+		return reportFailed(failed)
 	}
 	base := core.NewBaselines(scale)
 	tl, err := base.SingleCluster(x.App, x.Topo.Procs())
@@ -286,6 +248,15 @@ func runAnalytic(x core.Experiment, scale apps.Scale, bandwidthMB float64, pol *
 	return cliutil.ExitOK
 }
 
+// reportFailed prints a supervised kill with its diagnostic dump.
+func reportFailed(failed *core.CellFailure) int {
+	fmt.Fprintf(os.Stderr, "sweep: %s\n", failed)
+	if rep := core.FailureReport(failed); rep != "" {
+		fmt.Fprintf(os.Stderr, "\n%s", rep)
+	}
+	return cliutil.ExitFailed
+}
+
 func usage(err error) int {
 	fmt.Fprintln(os.Stderr, "sweep:", err)
 	return cliutil.ExitUsage
@@ -293,5 +264,5 @@ func usage(err error) int {
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "sweep:", err)
-	os.Exit(1)
+	os.Exit(cliutil.ExitFor(err))
 }

@@ -53,11 +53,16 @@ func TestFlagMisuseExitsTwo(t *testing.T) {
 		{"-trace-full"},
 		{"-latency", "-1ms"},
 		{"-bandwidth", "NaN"},
+		{"-adaptive"},
+		{"-analytic", "-regime", "diurnal"},
+		{"-clusters", "3", "-percluster", "2", "-wan-topology", "ring", "-trace", "-analytic"},
+		{"-scale", "huge"},
+		{"-percluster", "0"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
-			code, _, stderr := sweep(t, append([]string{"-scale", "tiny", "-no-cache"}, args...)...)
-			if code != 2 {
-				t.Errorf("exit %d, want 2; stderr:\n%s", code, stderr)
+			code, stdout, stderr := sweep(t, append([]string{"-scale", "tiny", "-no-cache"}, args...)...)
+			if code != 2 || stdout != "" {
+				t.Errorf("exit %d, want 2 with empty stdout; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 			}
 			if strings.Contains(stderr, "panic:") {
 				t.Errorf("panicked:\n%s", stderr)
@@ -84,5 +89,18 @@ func TestTraceReport(t *testing.T) {
 	}
 	if _, second, _ := sweep(t, args...); second != first {
 		t.Errorf("reruns differ:\n%s\n---\n%s", first, second)
+	}
+}
+
+// TestTraceOnSingleHopRing: a ring on three clusters is not the clique but
+// routes every pair in one hop, so the capability table lets it be traced.
+func TestTraceOnSingleHopRing(t *testing.T) {
+	code, stdout, stderr := sweep(t, "-scale", "tiny", "-no-cache", "-app", "TSP",
+		"-clusters", "3", "-percluster", "2", "-wan-topology", "ring", "-trace")
+	if code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stdout, "runtime:            4.260ms") || !strings.Contains(stdout, "\nbusiest pairs:\n") {
+		t.Errorf("report lacks the traced ring run:\n%s", stdout)
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"twolayer/internal/cliutil"
 	"twolayer/internal/network"
 	"twolayer/internal/sim"
-	"twolayer/internal/topology"
 )
 
 func main() {
@@ -36,16 +35,10 @@ func run() int {
 	wanSpec := cliutil.RegisterWANTopology()
 	flag.Parse()
 
-	if *clusters < 1 {
-		return usage(fmt.Errorf("-clusters must be at least 1 (got %d)", *clusters))
-	}
-	if *perCluster < 1 {
-		return usage(fmt.Errorf("-percluster must be at least 1 (got %d)", *perCluster))
-	}
 	if err := cliutil.CheckWANSpeed(*latency, *bandwidth); err != nil {
 		return usage(err)
 	}
-	topo, err := topology.Uniform(*clusters, *perCluster)
+	topo, err := cliutil.Machine(*clusters, *perCluster)
 	if err != nil {
 		return usage(err)
 	}

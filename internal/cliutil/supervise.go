@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"twolayer/internal/core"
+	"twolayer/internal/par"
 	"twolayer/internal/sim"
 )
 
@@ -33,6 +34,16 @@ const (
 	ExitUsage   = 2
 	ExitFailed  = 3
 )
+
+// ExitFor maps an error from a run or a study to its exit code: ExitUsage
+// when the capability table refused the feature combination the flags
+// asked for (a *par.Unsupported), ExitHarness otherwise.
+func ExitFor(err error) int {
+	if errors.As(err, new(*par.Unsupported)) {
+		return ExitUsage
+	}
+	return ExitHarness
+}
 
 // Supervision collects the shared supervision flag values after parsing.
 type Supervision struct {

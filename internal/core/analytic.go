@@ -10,7 +10,6 @@ import (
 	"twolayer/internal/network"
 	"twolayer/internal/sim"
 	"twolayer/internal/stats"
-	"twolayer/internal/topology"
 )
 
 // Analytic mode: simulate once, answer many. Each variant is simulated a
@@ -275,45 +274,17 @@ func SolveAnalytic(label string, x Experiment, pol *RunPolicy, cache *RunCache, 
 // the matched replay's reference self-check. Alongside the panels it
 // returns one AnalyticReport per variant.
 func Figure3Analytic(scale apps.Scale, opts Figure3Options, a AnalyticOptions) ([]Figure3Panel, []AnalyticReport, error) {
-	if opts.WAN != nil && !opts.WAN.IsClique() {
-		// The replay model charges one wide-area leg per cross-cluster
-		// message; multi-hop routes and forwarding contention are invisible
-		// to it. Refuse rather than answer a clique question dressed as a
-		// topology one.
-		return nil, nil, fmt.Errorf("core: analytic mode supports only the default clique wide-area graph (got %q)", opts.WAN.Spec())
-	}
-	lats := opts.Latencies
-	if lats == nil {
-		lats = Latencies
-	}
-	bws := opts.Bandwidths
-	if bws == nil {
-		bws = Bandwidths
-	}
-	topo := opts.Topo
-	if topo == nil {
-		topo = topology.DAS()
-	}
-	cache := opts.Cache
-	if cache == nil {
-		cache = DefaultCache
-	}
+	opts = opts.withDefaults()
+	lats, bws, topo, cache := opts.Latencies, opts.Bandwidths, opts.Topo, opts.Cache
+	variants := variantsOf(opts.Apps)
 
-	type variant struct {
-		app apps.Info
-		opt bool
+	recording := func(v int) Experiment {
+		return Experiment{App: variants[v].app, Scale: scale, Optimized: variants[v].opt,
+			Topo: topo, Params: ReferenceParams(), WAN: opts.WAN}
 	}
-	var variants []variant
-	for _, a := range Apps() {
-		if len(opts.Apps) > 0 && !nameIn(opts.Apps, a.Name) {
-			continue
-		}
-		variants = append(variants, variant{a, false})
-		if a.HasOptimized {
-			variants = append(variants, variant{a, true})
-		}
+	if err := validateCells(len(variants), true, recording); err != nil {
+		return nil, nil, err
 	}
-
 	base := NewBaselinesCached(scale, cache)
 	panels := make([]Figure3Panel, len(variants))
 	reports := make([]AnalyticReport, len(variants))
@@ -322,13 +293,12 @@ func Figure3Analytic(scale apps.Scale, opts Figure3Options, a AnalyticOptions) (
 
 	// Phase 1: one recording (or cache load) per variant, plus its simulated
 	// single-cluster baseline and health self-check.
-	err := forEachHolding(recordingSlots, len(variants), nil,
-		func(v int) string {
-			return fmt.Sprintf("%s (%s) analytic reference", variants[v].app.Name, variantName(variants[v].opt))
-		},
+	label := func(v int) string {
+		return fmt.Sprintf("%s (%s) analytic reference", variants[v].app.Name, variantName(variants[v].opt))
+	}
+	err := forEachHolding(recordingSlots, len(variants), nil, label,
 		func(v int) error {
 			va := variants[v]
-			label := fmt.Sprintf("%s (%s) analytic reference", va.app.Name, variantName(va.opt))
 			p := Figure3Panel{
 				App: va.app.Name, Optimized: va.opt,
 				Latencies: lats, Bandwidths: bws,
@@ -337,10 +307,7 @@ func Figure3Analytic(scale apps.Scale, opts Figure3Options, a AnalyticOptions) (
 			for i := range lats {
 				p.Rel[i] = make([]float64, len(bws))
 			}
-			ev, fail, rep, err := analyticEval(label, Experiment{
-				App: va.app, Scale: scale, Optimized: va.opt, Topo: topo,
-				Params: ReferenceParams(),
-			}, opts.Policy, cache, a)
+			ev, fail, rep, err := analyticEval(label(v), recording(v), opts.Policy, cache, a)
 			if err != nil {
 				return err
 			}
@@ -531,139 +498,12 @@ func (p *evalPool) put(ev *analytic.Eval) {
 // the per-application reference graphs (best variant of each application,
 // as in the simulated figure).
 func Figure4AnalyticBandwidth(scale apps.Scale, pol *RunPolicy, a AnalyticOptions) ([]Figure4Curve, error) {
-	return figure4Analytic(scale, true, pol, a)
+	return figure4(scale, true, pol, &a)
 }
 
 // Figure4AnalyticLatency is Figure4Latency answered analytically.
 func Figure4AnalyticLatency(scale apps.Scale, pol *RunPolicy, a AnalyticOptions) ([]Figure4Curve, error) {
-	return figure4Analytic(scale, false, pol, a)
-}
-
-func figure4Analytic(scale apps.Scale, byBandwidth bool, pol *RunPolicy, a AnalyticOptions) ([]Figure4Curve, error) {
-	const fixedLatency = 3300 * sim.Microsecond
-	const fixedBandwidth = 0.9e6
-	base := NewBaselines(scale)
-	suite := Apps()
-	curves := make([]Figure4Curve, len(suite))
-	err := forEachHolding(recordingSlots, len(suite), nil,
-		func(i int) string { return fmt.Sprintf("%s analytic figure4 curve", suite[i].Name) },
-		func(i int) error {
-			app := suite[i]
-			label := fmt.Sprintf("%s (%s) analytic reference", app.Name, variantName(app.HasOptimized))
-			ev, fail, rep, err := analyticEval(label, Experiment{
-				App: app, Scale: scale, Optimized: app.HasOptimized,
-				Topo: topology.DAS(), Params: ReferenceParams(),
-			}, pol, DefaultCache, a)
-			if err != nil {
-				return err
-			}
-			tl, err := base.SingleCluster(app, topology.DAS().Procs())
-			if err != nil {
-				return err
-			}
-			curve := Figure4Curve{App: app.Name, Optimized: app.HasOptimized}
-			var xs []float64
-			if byBandwidth {
-				xs = Bandwidths
-			} else {
-				for _, l := range Latencies {
-					xs = append(xs, l.Milliseconds())
-				}
-			}
-			var preds []sim.Time
-			if fail == nil {
-				pts := make([]network.Params, len(xs))
-				for k := range xs {
-					if byBandwidth {
-						pts[k] = network.DefaultParams().WithWAN(fixedLatency, xs[k])
-					} else {
-						pts[k] = network.DefaultParams().WithWAN(Latencies[k], fixedBandwidth)
-					}
-				}
-				preds = analyticGridSolver(ev, rep)(pts)
-			}
-			anyFailed := false
-			for k, x := range xs {
-				curve.X = append(curve.X, x)
-				if fail != nil {
-					anyFailed = true
-					curve.CommPct = append(curve.CommPct, 0)
-					curve.Failed = append(curve.Failed, fail.Kind)
-					continue
-				}
-				curve.CommPct = append(curve.CommPct, CommTimePercent(tl, preds[k]))
-				curve.Failed = append(curve.Failed, "")
-			}
-			if !anyFailed {
-				curve.Failed = nil
-			}
-			curves[i] = curve
-			return nil
-		})
-	return curves, err
-}
-
-// ClusterShapeStudyAnalytic is ClusterShapeStudy answered analytically:
-// one recording per (application, shape) at the reference point, then an
-// analytic solve at the asked wide-area setting.
-func ClusterShapeStudyAnalytic(scale apps.Scale, appNames []string, wanLatency sim.Time, wanBandwidth float64, pol *RunPolicy, a AnalyticOptions) ([]ShapeResult, error) {
-	base := NewBaselines(scale)
-	shapes := DefaultShapes()
-	var suite []apps.Info
-	for _, n := range appNames {
-		a, err := AppByName(n)
-		if err != nil {
-			return nil, err
-		}
-		suite = append(suite, a)
-	}
-	type cellKey struct{ app, shape int }
-	var cells []cellKey
-	for a := range suite {
-		for s := range shapes {
-			cells = append(cells, cellKey{a, s})
-		}
-		if _, err := base.SingleCluster(suite[a], 32); err != nil {
-			return nil, err
-		}
-	}
-	results := make([]ShapeResult, len(cells))
-	label := func(k int) string {
-		c := cells[k]
-		return fmt.Sprintf("%s shape=%s analytic reference", suite[c.app].Name, shapes[c.shape])
-	}
-	err := forEachHolding(recordingSlots, len(cells), nil, label, func(k int) error {
-		c := cells[k]
-		app, topo := suite[c.app], shapes[c.shape]
-		ev, fail, rep, err := analyticEval(label(k), Experiment{
-			App: app, Scale: scale, Optimized: app.HasOptimized, Topo: topo,
-			Params: ReferenceParams(),
-		}, pol, DefaultCache, a)
-		if err != nil {
-			return err
-		}
-		if fail != nil {
-			results[k] = ShapeResult{
-				App: app.Name, Shape: topo.String(),
-				Clusters: topo.Clusters(), Failed: fail.Kind,
-			}
-			return nil
-		}
-		tl, err := base.SingleCluster(app, 32)
-		if err != nil {
-			return err
-		}
-		pred := analyticPointSolver(ev, rep)([]network.Params{network.DefaultParams().WithWAN(wanLatency, wanBandwidth)})[0]
-		results[k] = ShapeResult{
-			App:      app.Name,
-			Shape:    topo.String(),
-			Clusters: topo.Clusters(),
-			Elapsed:  pred,
-			RelPct:   RelativeSpeedup(tl, pred),
-		}
-		return nil
-	})
-	return results, err
+	return figure4(scale, false, pol, &a)
 }
 
 // RenderAnalyticReports formats the per-variant analytic summaries.

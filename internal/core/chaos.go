@@ -112,31 +112,6 @@ type ChaosPoint struct {
 	Failed string `json:",omitempty"`
 }
 
-// chaosVariants mirrors the golden-run variant list: every application
-// unoptimized, plus the cluster-aware version where the paper has one.
-func chaosVariants() []struct {
-	app apps.Info
-	opt bool
-} {
-	var vs []struct {
-		app apps.Info
-		opt bool
-	}
-	for _, a := range Apps() {
-		vs = append(vs, struct {
-			app apps.Info
-			opt bool
-		}{a, false})
-		if a.HasOptimized {
-			vs = append(vs, struct {
-				app apps.Info
-				opt bool
-			}{a, true})
-		}
-	}
-	return vs
-}
-
 // ChaosStudy sweeps the fault grid over every application variant and
 // returns one point per (variant, drop rate, outage duration) cell, in
 // deterministic order: application (Table 1 order), then variant, then
@@ -147,12 +122,9 @@ func ChaosStudy(cfg ChaosConfig) ([]ChaosPoint, error) {
 		return nil, err
 	}
 	base := NewBaselinesCached(cfg.Scale, cfg.Cache)
-	variants := chaosVariants()
+	variants := variantsOf(nil)
 	points := make([]ChaosPoint, len(variants)*len(cfg.Drops)*len(cfg.Outages))
-	cell := func(i int) (v struct {
-		app apps.Info
-		opt bool
-	}, drop float64, outage sim.Time) {
+	cell := func(i int) (v variant, drop float64, outage sim.Time) {
 		nd, no := len(cfg.Drops), len(cfg.Outages)
 		return variants[i/(nd*no)], cfg.Drops[i/no%nd], cfg.Outages[i%no]
 	}
@@ -160,6 +132,19 @@ func ChaosStudy(cfg ChaosConfig) ([]ChaosPoint, error) {
 		v, drop, outage := cell(i)
 		return fmt.Sprintf("chaos %s (%s) drop=%g outage=%v",
 			v.app.Name, variantName(v.opt), drop, outage)
+	}
+	exp := func(i int) Experiment {
+		v, drop, outage := cell(i)
+		f := faults.Params{DropRate: drop, Seed: cfg.Seed}
+		if outage > 0 {
+			f.OutagePeriod = cfg.OutagePeriod
+			f.OutageDuration = outage
+		}
+		return Experiment{App: v.app, Scale: cfg.Scale, Optimized: v.opt, Topo: cfg.Topo,
+			Params: cfg.Params, WAN: cfg.WAN, Faults: f, Regime: cfg.Regime}
+	}
+	if err := validateCells(len(points), false, exp); err != nil {
+		return nil, err
 	}
 	err := forEachWeighted(len(points),
 		func(i int) float64 {
@@ -175,16 +160,7 @@ func ChaosStudy(cfg ChaosConfig) ([]ChaosPoint, error) {
 		label,
 		func(i int) error {
 			v, drop, outage := cell(i)
-			f := faults.Params{DropRate: drop, Seed: cfg.Seed}
-			if outage > 0 {
-				f.OutagePeriod = cfg.OutagePeriod
-				f.OutageDuration = outage
-			}
-			res, fail, err := cfg.Policy.run(label(i), Experiment{
-				App: v.app, Scale: cfg.Scale, Optimized: v.opt,
-				Topo: cfg.Topo, Params: cfg.Params, WAN: cfg.WAN, Faults: f,
-				Regime: cfg.Regime,
-			}, cfg.Cache)
+			res, fail, err := cfg.Policy.run(label(i), exp(i), cfg.Cache)
 			if err != nil {
 				return err
 			}

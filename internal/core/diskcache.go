@@ -100,21 +100,18 @@ func storeDisk(dir string, key RunKey, res par.Result) {
 	if err != nil {
 		return
 	}
-	tmp, err := os.CreateTemp(dir, "entry-*.tmp")
+	writeAtomic(dir, "entry-*.tmp", entryPath(dir, key), data)
+}
+
+// writeAtomic writes data to path through a temp file in dir named after
+// pattern and a rename. Errors are dropped, with the temp file removed.
+func writeAtomic(dir, pattern, path string, data []byte) {
+	tmp, err := os.CreateTemp(dir, pattern)
 	if err != nil {
 		return
 	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return
-	}
-	if tmp.Close() != nil {
-		os.Remove(name)
-		return
-	}
-	if os.Rename(name, entryPath(dir, key)) != nil {
-		os.Remove(name)
+	_, werr := tmp.Write(data)
+	if cerr := tmp.Close(); werr != nil || cerr != nil || os.Rename(tmp.Name(), path) != nil {
+		os.Remove(tmp.Name())
 	}
 }

@@ -49,6 +49,18 @@ func AppByName(name string) (apps.Info, error) {
 	return apps.Info{}, fmt.Errorf("core: unknown application %q", name)
 }
 
+// appsByName resolves application names in order.
+func appsByName(names []string) ([]apps.Info, error) {
+	suite := make([]apps.Info, len(names))
+	for i, n := range names {
+		var err error
+		if suite[i], err = AppByName(n); err != nil {
+			return nil, err
+		}
+	}
+	return suite, nil
+}
+
 // The paper's sweep axes (Section 5.1): wide-area bandwidth in bytes/s and
 // one-way latency.
 var (
@@ -150,10 +162,10 @@ func (x Experiment) workers() int {
 	return DefaultWorkers()
 }
 
-// Run executes the experiment.
-func (x Experiment) Run() (par.Result, error) {
-	inst := x.App.New(x.Scale, x.Topo.Procs())
-	res, err := par.RunWithContext(x.Ctx, x.Topo, par.Options{
+// options is the one translation of the experiment into run options: Run
+// executes them and Validate checks them.
+func (x Experiment) options() par.Options {
+	return par.Options{
 		Params:   x.Params,
 		WAN:      x.WAN,
 		Seed:     DefaultSeed,
@@ -163,7 +175,40 @@ func (x Experiment) Run() (par.Result, error) {
 		Adaptive: x.Adaptive,
 		Budget:   x.Budget,
 		Workers:  x.workers(),
-	}, inst.Job(x.Optimized))
+	}
+}
+
+// Validate reports whether the capability table (par.Check) accepts the
+// run: a *par.Unsupported naming the refused combination, or nil. It does
+// no work.
+func (x Experiment) Validate() error { return x.check(0) }
+
+// check is Validate with extra features asked of the run; a recording
+// (RecordedGraph) adds par.Record.
+func (x Experiment) check(extra par.Feature) error {
+	return par.Check(par.FeaturesOf(x.Topo, x.options()) | extra)
+}
+
+// validateCells refuses a study before its first cell runs: it checks each
+// of the n experiments cell returns — as the recording at the reference
+// point that answers it analytically, when record is set.
+func validateCells(n int, record bool, cell func(k int) Experiment) error {
+	for k := range n {
+		x, extra := cell(k), par.Feature(0)
+		if record {
+			x.Params, extra = ReferenceParams(), par.Record
+		}
+		if err := x.check(extra); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Run executes the experiment.
+func (x Experiment) Run() (par.Result, error) {
+	inst := x.App.New(x.Scale, x.Topo.Procs())
+	res, err := par.RunWithContext(x.Ctx, x.Topo, x.options(), inst.Job(x.Optimized))
 	if err != nil {
 		return res, fmt.Errorf("core: %s (opt=%v) on %v: %w", x.App.Name, x.Optimized, x.Topo, err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"twolayer/internal/apps"
 	"twolayer/internal/network"
@@ -50,42 +51,53 @@ type Figure3Options struct {
 	Policy *RunPolicy
 }
 
+func (opts Figure3Options) withDefaults() Figure3Options {
+	if opts.Latencies == nil {
+		opts.Latencies = Latencies
+	}
+	if opts.Bandwidths == nil {
+		opts.Bandwidths = Bandwidths
+	}
+	if opts.Topo == nil {
+		opts.Topo = topology.DAS()
+	}
+	if opts.Cache == nil {
+		opts.Cache = DefaultCache
+	}
+	return opts
+}
+
+// variant is one application at one optimization level.
+type variant struct {
+	app apps.Info
+	opt bool
+}
+
+// variantsOf lists the golden-run variants — every application unoptimized,
+// plus the cluster-aware version where the paper has one — of the named
+// applications, or of all six when names is empty.
+func variantsOf(names []string) []variant {
+	var vs []variant
+	for _, a := range Apps() {
+		if len(names) > 0 && !nameIn(names, a.Name) {
+			continue
+		}
+		vs = append(vs, variant{a, false})
+		if a.HasOptimized {
+			vs = append(vs, variant{a, true})
+		}
+	}
+	return vs
+}
+
 // Figure3 sweeps the grid and returns one panel per (application, variant)
 // pair — twelve panels at full scope, matching the paper's figure (FFT
 // contributes a single panel, as in the paper). Runs execute concurrently;
 // results are deterministic regardless.
 func Figure3(scale apps.Scale, opts Figure3Options) ([]Figure3Panel, error) {
-	lats := opts.Latencies
-	if lats == nil {
-		lats = Latencies
-	}
-	bws := opts.Bandwidths
-	if bws == nil {
-		bws = Bandwidths
-	}
-	topo := opts.Topo
-	if topo == nil {
-		topo = topology.DAS()
-	}
-	cache := opts.Cache
-	if cache == nil {
-		cache = DefaultCache
-	}
-
-	type variant struct {
-		app apps.Info
-		opt bool
-	}
-	var variants []variant
-	for _, a := range Apps() {
-		if len(opts.Apps) > 0 && !nameIn(opts.Apps, a.Name) {
-			continue
-		}
-		variants = append(variants, variant{a, false})
-		if a.HasOptimized {
-			variants = append(variants, variant{a, true})
-		}
-	}
+	opts = opts.withDefaults()
+	lats, bws, topo, cache := opts.Latencies, opts.Bandwidths, opts.Topo, opts.Cache
+	variants := variantsOf(opts.Apps)
 
 	base := NewBaselinesCached(scale, cache)
 	panels := make([]Figure3Panel, len(variants))
@@ -108,6 +120,19 @@ func Figure3(scale apps.Scale, opts Figure3Options) ([]Figure3Panel, error) {
 				cells = append(cells, cell{v, i, j})
 			}
 		}
+	}
+	exp := func(k int) Experiment {
+		c := cells[k]
+		return Experiment{
+			App: variants[c.v].app, Scale: scale, Optimized: variants[c.v].opt, Topo: topo,
+			Params: network.DefaultParams().WithWAN(lats[c.i], bws[c.j]),
+			WAN:    opts.WAN,
+		}
+	}
+	if err := validateCells(len(cells), false, exp); err != nil {
+		return nil, err
+	}
+	for v := range variants {
 		// Warm the baseline cache sequentially to avoid duplicate runs.
 		tl, err := base.SingleCluster(variants[v].app, topo.Procs())
 		if err != nil {
@@ -133,11 +158,7 @@ func Figure3(scale apps.Scale, opts Figure3Options) ([]Figure3Panel, error) {
 	err := forEachWeighted(len(cells), weight, label, func(k int) error {
 		c := cells[k]
 		v := variants[c.v]
-		res, fail, err := opts.Policy.run(label(k), Experiment{
-			App: v.app, Scale: scale, Optimized: v.opt, Topo: topo,
-			Params: network.DefaultParams().WithWAN(lats[c.i], bws[c.j]),
-			WAN:    opts.WAN,
-		}, cache)
+		res, fail, err := opts.Policy.run(label(k), exp(k), cache)
 		if err != nil {
 			return err
 		}
@@ -232,67 +253,97 @@ type Figure4Curve struct {
 // for the best (optimized where available) variant of each application.
 // pol supervises the sweep; nil runs unsupervised.
 func Figure4Bandwidth(scale apps.Scale, pol *RunPolicy) ([]Figure4Curve, error) {
-	return figure4(scale, true, pol)
+	return figure4(scale, true, pol, nil)
 }
 
 // Figure4Latency reproduces the right-hand graph: communication time
 // percentage as a function of wide-area latency at 0.9 MByte/s.
 func Figure4Latency(scale apps.Scale, pol *RunPolicy) ([]Figure4Curve, error) {
-	return figure4(scale, false, pol)
+	return figure4(scale, false, pol, nil)
 }
 
-func figure4(scale apps.Scale, byBandwidth bool, pol *RunPolicy) ([]Figure4Curve, error) {
-	const fixedLatency = 3300 * sim.Microsecond
-	const fixedBandwidth = 0.9e6
-	base := NewBaselines(scale)
+// figure4Axis returns Figure 4's x values (bandwidths in B/s, or latencies
+// in ms) and the network point of each: the swept axis against a fixed
+// 3.3 ms latency or 0.9 MByte/s bandwidth.
+func figure4Axis(byBandwidth bool) (xs []float64, pts []network.Params) {
+	if byBandwidth {
+		for _, bw := range Bandwidths {
+			xs = append(xs, bw)
+			pts = append(pts, network.DefaultParams().WithWAN(3300*sim.Microsecond, bw))
+		}
+		return xs, pts
+	}
+	for _, l := range Latencies {
+		xs = append(xs, l.Milliseconds())
+		pts = append(pts, network.DefaultParams().WithWAN(l, 0.9e6))
+	}
+	return xs, pts
+}
+
+// figure4 simulates every point of every curve, or — when a is non-nil —
+// answers each application's curve from one recording.
+func figure4(scale apps.Scale, byBandwidth bool, pol *RunPolicy, a *AnalyticOptions) ([]Figure4Curve, error) {
 	suite := Apps()
+	xs, pts := figure4Axis(byBandwidth)
+	// Experiment i*len(xs)+k is application i at point k.
+	exp := func(j int) Experiment {
+		app := suite[j/len(xs)]
+		return Experiment{App: app, Scale: scale, Optimized: app.HasOptimized,
+			Topo: topology.DAS(), Params: pts[j%len(xs)]}
+	}
+	if err := validateCells(len(suite)*len(xs), a != nil, exp); err != nil {
+		return nil, err
+	}
+	slots, mode := DefaultWorkers(), ""
+	if a != nil {
+		slots, mode = recordingSlots, " analytic"
+	}
+	base := NewBaselines(scale)
 	curves := make([]Figure4Curve, len(suite))
-	err := forEachWeighted(len(suite), nil,
-		func(i int) string { return fmt.Sprintf("%s figure4 curve", suite[i].Name) },
+	err := forEachHolding(slots, len(suite), nil,
+		func(i int) string { return fmt.Sprintf("%s%s figure4 curve", suite[i].Name, mode) },
 		func(i int) error {
 			app := suite[i]
 			tl, err := base.SingleCluster(app, topology.DAS().Procs())
 			if err != nil {
 				return err
 			}
-			curve := Figure4Curve{App: app.Name, Optimized: app.HasOptimized}
-			var xs []float64
-			if byBandwidth {
-				xs = Bandwidths
-			} else {
-				for _, l := range Latencies {
-					xs = append(xs, l.Milliseconds())
-				}
-			}
-			anyFailed := false
-			for k, x := range xs {
-				params := network.DefaultParams()
-				if byBandwidth {
-					params = params.WithWAN(fixedLatency, x)
-				} else {
-					params = params.WithWAN(Latencies[k], fixedBandwidth)
-				}
-				label := fmt.Sprintf("%s (%s) figure4 x=%g",
-					app.Name, variantName(app.HasOptimized), x)
-				res, fail, err := pol.run(label, Experiment{
-					App: app, Scale: scale, Optimized: app.HasOptimized,
-					Topo: topology.DAS(), Params: params,
-				}, DefaultCache)
+			elapsed, failed := make([]sim.Time, len(xs)), make([]string, len(xs))
+			if a != nil {
+				x := exp(i * len(xs))
+				x.Params = ReferenceParams()
+				label := fmt.Sprintf("%s (%s) analytic reference", app.Name, variantName(app.HasOptimized))
+				ev, fail, rep, err := analyticEval(label, x, pol, DefaultCache, *a)
 				if err != nil {
 					return err
 				}
-				curve.X = append(curve.X, x)
-				if fail != nil {
-					anyFailed = true
-					curve.CommPct = append(curve.CommPct, 0)
-					curve.Failed = append(curve.Failed, fail.Kind)
-					continue
+				if fail == nil {
+					elapsed = analyticGridSolver(ev, rep)(pts)
 				}
-				curve.CommPct = append(curve.CommPct, CommTimePercent(tl, res.Elapsed))
-				curve.Failed = append(curve.Failed, "")
+				for k := 0; fail != nil && k < len(xs); k++ {
+					failed[k] = fail.Kind
+				}
 			}
-			if !anyFailed {
-				curve.Failed = nil
+			for k := 0; a == nil && k < len(xs); k++ {
+				label := fmt.Sprintf("%s (%s) figure4 x=%g", app.Name, variantName(app.HasOptimized), xs[k])
+				res, fail, err := pol.run(label, exp(i*len(xs)+k), DefaultCache)
+				if err != nil {
+					return err
+				}
+				elapsed[k] = res.Elapsed
+				if fail != nil {
+					failed[k] = fail.Kind
+				}
+			}
+			curve := Figure4Curve{App: app.Name, Optimized: app.HasOptimized, X: slices.Clone(xs)}
+			for k := range xs {
+				pct := 0.0
+				if failed[k] == "" {
+					pct = CommTimePercent(tl, elapsed[k])
+				} else {
+					curve.Failed = failed
+				}
+				curve.CommPct = append(curve.CommPct, pct)
 			}
 			curves[i] = curve
 			return nil

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"os"
 	"path/filepath"
 
@@ -74,23 +73,7 @@ func storeGraphDisk(dir string, key RunKey, g *analytic.Graph) {
 	if err != nil {
 		return
 	}
-	tmp, err := os.CreateTemp(dir, "graph-*.tmp")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return
-	}
-	if tmp.Close() != nil {
-		os.Remove(name)
-		return
-	}
-	if os.Rename(name, graphPath(dir, key)) != nil {
-		os.Remove(name)
-	}
+	writeAtomic(dir, "graph-*.tmp", graphPath(dir, key), data)
 }
 
 // RecordedGraph returns the dependency graph of experiment x recorded at
@@ -98,11 +81,12 @@ func storeGraphDisk(dir string, key RunKey, g *analytic.Graph) {
 // the first request per key (concurrent requesters share the recording,
 // reruns in a new process replay it from disk). The run executes under pol
 // like any sweep cell — budgets, deadline, retries — and a supervised kill
-// comes back as a *CellFailure, shared by all requesters of the key. x
-// must not carry a Trace of its own.
+// comes back as a *CellFailure, shared by all requesters of the key. A
+// recording the capability table refuses (par.Record with x's features)
+// returns its *par.Unsupported before any lookup.
 func (c *RunCache) RecordedGraph(label string, x Experiment, pol *RunPolicy) (*analytic.Graph, *CellFailure, error) {
-	if x.Trace != nil {
-		return nil, nil, errors.New("core: RecordedGraph on an experiment with a Trace attached")
+	if err := x.check(par.Record); err != nil {
+		return nil, nil, err
 	}
 	key := x.Key()
 	c.mu.Lock()

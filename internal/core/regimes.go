@@ -181,42 +181,26 @@ func RegimeStudy(cfg RegimeStudyConfig) ([]RegimePoint, error) {
 		r, w := cell(i)
 		return fmt.Sprintf("%s regime=%s", w.info.Name, r.Spec)
 	}
+	// Arm a of cell i is experiment 3i+a: calm (shared across regimes
+	// through the run cache), static under the regime, adaptive under it.
+	arm := func(k int) Experiment {
+		r, w := cell(k / 3)
+		x := Experiment{App: w.info, Scale: cfg.Scale, Optimized: w.optimized,
+			Topo: topo, Params: w.params, Adaptive: k%3 == 2}
+		if k%3 > 0 {
+			x.Regime = r
+		}
+		return x
+	}
+	if err := validateCells(3*len(points), false, arm); err != nil {
+		return nil, err
+	}
 	err = forEachWeighted(len(points), nil, label, func(i int) error {
 		r, w := cell(i)
-		base := Experiment{
-			App: w.info, Scale: cfg.Scale, Optimized: w.optimized,
-			Topo: topo, Params: w.params,
-		}
 		p := RegimePoint{Regime: r.Spec, App: w.info.Name}
-		// Three arms: calm (shared across regimes through the run cache),
-		// static under the regime, adaptive under the regime.
-		arms := []struct {
-			x    Experiment
-			dst  *sim.Time
-			name string
-		}{}
-		calm, static, adaptive := base, base, base
-		static.Regime = r
-		adaptive.Regime, adaptive.Adaptive = r, true
-		arms = append(arms,
-			struct {
-				x    Experiment
-				dst  *sim.Time
-				name string
-			}{calm, &p.Calm, "calm"},
-			struct {
-				x    Experiment
-				dst  *sim.Time
-				name string
-			}{static, &p.Static, "static"},
-			struct {
-				x    Experiment
-				dst  *sim.Time
-				name string
-			}{adaptive, &p.Adaptive, "adaptive"},
-		)
-		for _, arm := range arms {
-			res, fail, err := cfg.Policy.run(label(i)+" arm="+arm.name, arm.x, cfg.Cache)
+		for a, dst := range []*sim.Time{&p.Calm, &p.Static, &p.Adaptive} {
+			name := [...]string{"calm", "static", "adaptive"}[a]
+			res, fail, err := cfg.Policy.run(label(i)+" arm="+name, arm(3*i+a), cfg.Cache)
 			if err != nil {
 				return err
 			}
@@ -224,7 +208,7 @@ func RegimeStudy(cfg RegimeStudyConfig) ([]RegimePoint, error) {
 				p.Failed = fail.Kind
 				break
 			}
-			*arm.dst = res.Elapsed
+			*dst = res.Elapsed
 		}
 		if p.Failed == "" {
 			p.RetainedStaticPct = RelativeSpeedup(p.Calm, p.Static)

@@ -5,6 +5,7 @@ import (
 
 	"twolayer/internal/apps"
 	"twolayer/internal/network"
+	"twolayer/internal/par"
 	"twolayer/internal/sim"
 	"twolayer/internal/stats"
 	"twolayer/internal/topology"
@@ -39,59 +40,81 @@ func DefaultShapes() []*topology.Topology {
 // up even though fast links were replaced by slow ones. pol supervises the
 // sweep; nil runs unsupervised.
 func ClusterShapeStudy(scale apps.Scale, appNames []string, wanLatency sim.Time, wanBandwidth float64, pol *RunPolicy) ([]ShapeResult, error) {
+	return clusterShapeStudy(scale, appNames, wanLatency, wanBandwidth, pol, nil)
+}
+
+// ClusterShapeStudyAnalytic is ClusterShapeStudy answered analytically:
+// one recording per (application, shape) at the reference point, then an
+// analytic solve at the asked wide-area setting.
+func ClusterShapeStudyAnalytic(scale apps.Scale, appNames []string, wanLatency sim.Time, wanBandwidth float64, pol *RunPolicy, a AnalyticOptions) ([]ShapeResult, error) {
+	return clusterShapeStudy(scale, appNames, wanLatency, wanBandwidth, pol, &a)
+}
+
+// clusterShapeStudy simulates every cell, or answers it analytically when
+// a is non-nil.
+func clusterShapeStudy(scale apps.Scale, appNames []string, wanLatency sim.Time, wanBandwidth float64, pol *RunPolicy, a *AnalyticOptions) ([]ShapeResult, error) {
 	base := NewBaselines(scale)
 	shapes := DefaultShapes()
-	type cellKey struct{ app, shape int }
-	var suite []apps.Info
-	for _, n := range appNames {
-		a, err := AppByName(n)
-		if err != nil {
-			return nil, err
-		}
-		suite = append(suite, a)
+	suite, err := appsByName(appNames)
+	if err != nil {
+		return nil, err
 	}
+	type cellKey struct{ app, shape int }
 	var cells []cellKey
 	for a := range suite {
 		for s := range shapes {
 			cells = append(cells, cellKey{a, s})
 		}
-		if _, err := base.SingleCluster(suite[a], 32); err != nil {
+	}
+	exp := func(k int) Experiment {
+		app := suite[cells[k].app]
+		return Experiment{App: app, Scale: scale, Optimized: app.HasOptimized, Topo: shapes[cells[k].shape],
+			Params: network.DefaultParams().WithWAN(wanLatency, wanBandwidth)}
+	}
+	if err := validateCells(len(cells), a != nil, exp); err != nil {
+		return nil, err
+	}
+	for _, app := range suite {
+		if _, err := base.SingleCluster(app, 32); err != nil {
 			return nil, err
 		}
 	}
+	slots, suffix := DefaultWorkers(), ""
+	if a != nil {
+		slots, suffix = recordingSlots, " analytic reference"
+	}
 	results := make([]ShapeResult, len(cells))
 	label := func(k int) string {
-		c := cells[k]
-		return fmt.Sprintf("%s shape=%s", suite[c.app].Name, shapes[c.shape])
+		return fmt.Sprintf("%s shape=%s%s", suite[cells[k].app].Name, shapes[cells[k].shape], suffix)
 	}
-	err := forEachWeighted(len(cells), nil, label, func(k int) error {
-		c := cells[k]
-		app, topo := suite[c.app], shapes[c.shape]
-		res, fail, err := pol.run(label(k), Experiment{
-			App: app, Scale: scale, Optimized: app.HasOptimized, Topo: topo,
-			Params: network.DefaultParams().WithWAN(wanLatency, wanBandwidth),
-		}, DefaultCache)
+	err = forEachHolding(slots, len(cells), nil, label, func(k int) error {
+		x := exp(k)
+		r := ShapeResult{App: x.App.Name, Shape: x.Topo.String(), Clusters: x.Topo.Clusters()}
+		var elapsed sim.Time
+		var fail *CellFailure
+		var err error
+		if a == nil {
+			var res par.Result
+			res, fail, err = pol.run(label(k), x, DefaultCache)
+			elapsed = res.Elapsed
+		} else {
+			var pt AnalyticPoint
+			pt, fail, err = SolveAnalytic(label(k), x, pol, DefaultCache, *a)
+			elapsed = pt.Elapsed
+		}
 		if err != nil {
 			return err
 		}
 		if fail != nil {
-			results[k] = ShapeResult{
-				App: app.Name, Shape: topo.String(),
-				Clusters: topo.Clusters(), Failed: fail.Kind,
+			r.Failed = fail.Kind
+		} else {
+			tl, err := base.SingleCluster(x.App, 32)
+			if err != nil {
+				return err
 			}
-			return nil
+			r.Elapsed, r.RelPct = elapsed, RelativeSpeedup(tl, elapsed)
 		}
-		tl, err := base.SingleCluster(app, 32)
-		if err != nil {
-			return err
-		}
-		results[k] = ShapeResult{
-			App:      app.Name,
-			Shape:    topo.String(),
-			Clusters: topo.Clusters(),
-			Elapsed:  res.Elapsed,
-			RelPct:   RelativeSpeedup(tl, res.Elapsed),
-		}
+		results[k] = r
 		return nil
 	})
 	return results, err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -113,8 +114,8 @@ func TestCliqueExplicitMatchesDefault(t *testing.T) {
 
 // TestMultiHopRefusals pins the hook error paths: multi-hop timing is
 // defined by the windowed engine, so run modes needing the single-kernel
-// engine (tracing, and the analytic recorder) must refuse rather than
-// diverge.
+// engine (tracing, and the analytic recorder) must return the capability
+// table's refusal rather than diverge.
 func TestMultiHopRefusals(t *testing.T) {
 	app, err := AppByName("ASP")
 	if err != nil {
@@ -130,12 +131,40 @@ func TestMultiHopRefusals(t *testing.T) {
 		WAN:    ring,
 		Trace:  trace.NewStream(8),
 	}
-	if _, err := x.Run(); err == nil || !strings.Contains(err.Error(), "clique") {
-		t.Errorf("Trace on ring: err = %v, want clique refusal", err)
+	var u *par.Unsupported
+	if _, err := x.Run(); !errors.As(err, &u) || *u != (par.Unsupported{A: par.Trace, B: par.MultiHop}) {
+		t.Errorf("Trace on ring: err = %v, want the Trace x MultiHop refusal", err)
 	}
-	if _, _, err := Figure3Analytic(apps.Tiny, Figure3Options{WAN: ring}, AnalyticOptions{}); err == nil ||
-		!strings.Contains(err.Error(), "clique") {
-		t.Errorf("analytic on ring: err = %v, want clique refusal", err)
+	if _, _, err := Figure3Analytic(apps.Tiny, Figure3Options{WAN: ring}, AnalyticOptions{}); !errors.As(err, &u) ||
+		*u != (par.Unsupported{A: par.Record, B: par.NonClique}) {
+		t.Errorf("analytic on ring: err = %v, want the Record x NonClique refusal", err)
+	}
+}
+
+// TestStudiesRefuseBeforeFirstCell: a study whose cells ask for a refused
+// combination returns the capability table's refusal before any cell (or
+// baseline, or recording) runs.
+func TestStudiesRefuseBeforeFirstCell(t *testing.T) {
+	ring, err := wantopo.Parse("ring", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noWindow := network.DefaultParams()
+	noWindow.SendOverhead, noWindow.RecvOverhead, noWindow.IntraLatency = 0, 0, 0
+	noWindow.WANLatency, noWindow.WANPerMessage = 0, 0
+	cache := NewRunCache()
+	var u *par.Unsupported
+	_, err = ChaosStudy(ChaosConfig{Topo: topology.MustUniform(4, 2), Params: noWindow, WAN: ring,
+		Drops: []float64{0}, Outages: []sim.Time{0}, Cache: cache})
+	if !errors.As(err, &u) || *u != (par.Unsupported{A: par.MultiHop, B: par.NoWindow}) {
+		t.Errorf("chaos on a zero-lookahead ring: err = %v, want the MultiHop x NoWindow refusal", err)
+	}
+	_, _, err = Figure3Analytic(apps.Tiny, Figure3Options{Apps: []string{"TSP"}, WAN: ring, Cache: cache}, AnalyticOptions{})
+	if !errors.As(err, &u) || *u != (par.Unsupported{A: par.Record, B: par.NonClique}) {
+		t.Errorf("analytic Figure 3 on a ring: err = %v, want the Record x NonClique refusal", err)
+	}
+	if s := cache.CacheStats(); s != (CacheStats{}) {
+		t.Errorf("refused studies did work: %+v", s)
 	}
 }
 

@@ -114,13 +114,9 @@ type TopologyPoint struct {
 // disconnected graph specs) are rejected before any simulation runs.
 func TopologyStudy(cfg TopologyStudyConfig) ([]TopologyPoint, error) {
 	cfg = cfg.withDefaults()
-	var suite []apps.Info
-	for _, n := range cfg.Apps {
-		a, err := AppByName(n)
-		if err != nil {
-			return nil, err
-		}
-		suite = append(suite, a)
+	suite, err := appsByName(cfg.Apps)
+	if err != nil {
+		return nil, err
 	}
 	// Resolve every (clusters, spec) pair up front: all validation errors
 	// surface before the first simulation starts.
@@ -147,22 +143,29 @@ func TopologyStudy(cfg TopologyStudyConfig) ([]TopologyPoint, error) {
 		}
 	}
 
+	points := make([]TopologyPoint, len(suite)*len(machines))
+	cell := func(i int) (apps.Info, machine) {
+		return suite[i/len(machines)], machines[i%len(machines)]
+	}
+	exp := func(i int) Experiment {
+		a, m := cell(i)
+		return Experiment{App: a, Scale: cfg.Scale, Optimized: a.HasOptimized, Topo: m.topo,
+			Params: network.DefaultParams().WithWAN(cfg.WANLatency, cfg.WANBandwidth), WAN: m.wan}
+	}
+	if err := validateCells(len(points), false, exp); err != nil {
+		return nil, err
+	}
 	base := NewBaselinesCached(cfg.Scale, cfg.Cache)
 	for _, a := range suite {
 		if _, err := base.SingleCluster(a, cfg.Procs); err != nil {
 			return nil, err
 		}
 	}
-
-	points := make([]TopologyPoint, len(suite)*len(machines))
-	cell := func(i int) (apps.Info, machine) {
-		return suite[i/len(machines)], machines[i%len(machines)]
-	}
 	label := func(i int) string {
 		a, m := cell(i)
 		return fmt.Sprintf("%s shape=%s wan=%s", a.Name, m.topo, m.wan.Spec())
 	}
-	err := forEachWeighted(len(points),
+	err = forEachWeighted(len(points),
 		func(i int) float64 {
 			// Sparser graphs stretch virtual time (multi-hop latency) and
 			// more clusters mean more wide-area traffic; both scale the
@@ -173,12 +176,7 @@ func TopologyStudy(cfg TopologyStudyConfig) ([]TopologyPoint, error) {
 		label,
 		func(i int) error {
 			a, m := cell(i)
-			res, fail, err := cfg.Policy.run(label(i), Experiment{
-				App: a, Scale: cfg.Scale, Optimized: a.HasOptimized,
-				Topo:   m.topo,
-				Params: network.DefaultParams().WithWAN(cfg.WANLatency, cfg.WANBandwidth),
-				WAN:    m.wan,
-			}, cfg.Cache)
+			res, fail, err := cfg.Policy.run(label(i), exp(i), cfg.Cache)
 			if err != nil {
 				return err
 			}

@@ -48,8 +48,8 @@ type Options struct {
 	Regime regime.Params
 	// Adaptive lets the runtime layers react to the regime: the reliable
 	// transport tunes its retransmission timeout and window from observed
-	// ack round trips and schedules around known churn windows. It has no
-	// effect without a Regime (static conditions give adaptation nothing to
+	// ack round trips and schedules around known churn windows. Without a
+	// Regime it is refused (static conditions give adaptation nothing to
 	// observe), and applications opt into their own adaptations through
 	// Env.Adaptive.
 	Adaptive bool
@@ -62,10 +62,9 @@ type Options struct {
 	// becomes a logical process with its own kernel, synchronized in
 	// conservative time windows under the wide-area lookahead, with up to
 	// Workers clusters executing concurrently. Results are bit-identical
-	// for every value, including the sequential default (0). Runs that the
-	// partitioning cannot handle — a single cluster, a non-positive
-	// lookahead (zero-latency WAN), or a Trace sink on the clique —
-	// silently use the sequential engine regardless of Workers.
+	// for every value, including the sequential default (0). The
+	// capability table (capability.go) names the runs that take the
+	// sequential engine regardless of Workers.
 	Workers int
 }
 

@@ -29,7 +29,7 @@ type runtime struct {
 	rel    *relConfig // nil unless the reliable transport is active
 
 	regime   *regime.Plan // nil unless a dynamic regime is active
-	adaptive bool         // Options.Adaptive; meaningful only with a regime
+	adaptive bool         // Options.Adaptive; the table pairs it with a regime
 	lossy    bool         // frames can actually be lost (faults or churn)
 
 	shards []*shard
@@ -124,6 +124,12 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 	if err := opts.Regime.Validate(); err != nil {
 		return Result{}, fmt.Errorf("par: invalid regime parameters: %w", err)
 	}
+	// The capability table decides every feature combination: a refusal
+	// comes back before any kernel is built, and it picks the engine.
+	pdes, err := decide(FeaturesOf(topo, opts))
+	if err != nil {
+		return Result{}, err
+	}
 	// Bind the regime once against the run's wide-area graph; the plan is
 	// immutable and every query a pure function of virtual time, so all
 	// shards of a parallel run can share the one instance. NewPlan's default
@@ -131,68 +137,22 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 	// uses, so edge IDs agree.
 	var rplan *regime.Plan
 	if opts.Regime.Enabled() {
-		var err error
 		rplan, err = regime.NewPlan(opts.Regime, opts.WAN, topo.Clusters())
 		if err != nil {
 			return Result{}, fmt.Errorf("par: invalid regime parameters: %w", err)
 		}
 	}
 	rt := &runtime{topo: topo, tracer: opts.Trace, seed: opts.Seed,
-		regime: rplan, adaptive: opts.Adaptive && rplan != nil,
+		regime: rplan, adaptive: opts.Adaptive, pdes: pdes,
 		lossy: opts.Faults.Enabled() || (rplan != nil && rplan.HasChurn())}
-	if rec, ok := opts.Trace.(trace.OpSink); ok {
-		// Op-level recording relies on every Env.Send producing exactly one
-		// observer callback, in send-call order, with uniform link speeds.
-		// Fault injection and the reliable transport multiply or drop
-		// messages. Refuse rather than record a graph whose replay would
-		// silently diverge.
-		if opts.Faults.Enabled() || opts.Transport.Enabled {
-			return Result{}, errors.New("par: op-level recording requires a fault-free run without the reliable transport")
-		}
-		if rplan != nil {
-			// A regime's link speeds vary with virtual time; the replay model
-			// assumes stationary speeds per link.
-			return Result{}, errors.New("par: op-level recording requires stationary network conditions (no regime)")
-		}
-		if opts.WAN != nil && !opts.WAN.IsClique() {
-			// The replay model charges one wide-area leg per cross-cluster
-			// message; multi-hop routes and forwarding contention are
-			// invisible to it.
-			return Result{}, errors.New("par: op-level recording requires the default clique wide-area graph")
-		}
-		rt.rec = rec
-	}
+	rt.rec, _ = opts.Trace.(trace.OpSink)
 	if opts.Faults.Enabled() || opts.Transport.Enabled || (rplan != nil && rplan.NeedsTransport()) {
 		rt.rel = &relConfig{
 			Transport: opts.Transport.withDefaults(),
 			rtoBase:   rtoBase(opts.Params),
 		}
 	}
-	// Cluster-partitioned parallel execution applies when the caller asked
-	// for it and the run is eligible: multiple clusters (one cluster has no
-	// partition), a positive wide-area lookahead (a zero-latency WAN gives
-	// the conservative protocol no window — see DESIGN.md §5g), and no
-	// Trace sink (it observes deliveries in global order). Ineligible runs
-	// silently fall back to the sequential engine, which is always correct.
 	lookahead := opts.Params.WANLookaheadFor(opts.WAN)
-	// Multi-hop wide-area graphs have only one reproducible timing
-	// semantics: windowed deferred link booking in (Sent, Chain) order (see
-	// pdes.go — forwarded messages share links across source clusters, and
-	// the sequential kernel's exact-time tie order cannot be reconstructed
-	// in parallel). Sequential requests therefore run the windowed engine
-	// on one worker, and hooks that require the single-kernel engine are
-	// refused rather than silently given different timings.
-	multiHop := opts.WAN != nil && opts.WAN.MaxHops() > 1
-	if multiHop {
-		if opts.Trace != nil {
-			return Result{}, errors.New("par: tracing requires the default clique wide-area graph")
-		}
-		if topo.Clusters() < 2 || lookahead <= 0 {
-			return Result{}, errors.New("par: a multi-hop wide-area graph needs at least two clusters and a positive lookahead")
-		}
-	}
-	rt.pdes = (opts.Workers >= 1 || multiHop) && topo.Clusters() > 1 && lookahead > 0 &&
-		opts.Trace == nil
 	if rt.pdes {
 		rt.shards = make([]*shard, topo.Clusters())
 		for c := range rt.shards {
@@ -267,7 +227,6 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 			sh.k.AddDiagnostic("reliable-transport", sh.reliableDump)
 		}
 	}
-	var err error
 	if rt.pdes {
 		kernels := make([]*sim.Kernel, len(rt.shards))
 		for i, sh := range rt.shards {

@@ -10,10 +10,9 @@ package trace
 // corresponding RecordMessage call: in a fault-free run without the
 // reliable transport, every Env.Send triggers exactly one synchronous
 // RecordMessage, so the i-th RecordMessage call is the i-th send of the
-// run and the index names the message unambiguously. The runtime refuses
-// to attach an OpSink to runs where that correspondence breaks (fault
-// injection, the reliable transport, a regime, or a multi-hop wide-area
-// graph).
+// run and the index names the message unambiguously. The runtime's
+// capability table refuses to attach an OpSink to runs where that
+// correspondence breaks.
 type OpSink interface {
 	Sink
 	// RecordRecv reports that rank's receive consumed message msg. It is

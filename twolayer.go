@@ -238,6 +238,9 @@ var CollectiveOps = collective.OpNames
 type (
 	// RunOptions configures traced, faulted or regime runs.
 	RunOptions = par.Options
+	// Unsupported is the capability table's refusal of a feature
+	// combination in RunOptions (DESIGN.md, "Capability table").
+	Unsupported = par.Unsupported
 	// TraceStream folds per-message and per-compute-span events into
 	// constant-memory aggregates.
 	TraceStream = trace.Stream
