@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test vet race purego check chaos chaos-resume heatmap
+.PHONY: build fmt test vet race purego check chaos heatmap
 
 build:
 	$(GO) build ./...
@@ -42,11 +42,8 @@ heatmap:
 	$(GO) run ./cmd/figures -heatmap -scale small > results/heatmap.csv
 
 # chaos regenerates results/chaos.csv: the fault-injection sensitivity
-# sweep at paper scale (deterministic; reruns hit the run cache). An
-# interrupted run leaves results/chaos.journal; `make chaos-resume`
-# picks it up and re-simulates only the missing cells.
+# sweep at paper scale (deterministic). Every finished cell lands in the
+# run cache, so running `make chaos` again after an interruption
+# re-simulates only the missing cells.
 chaos:
 	$(GO) run ./cmd/chaos -o results/chaos.csv
-
-chaos-resume:
-	$(GO) run ./cmd/chaos -o results/chaos.csv -resume

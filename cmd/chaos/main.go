@@ -11,10 +11,11 @@
 //	chaos -scale small -drops 0,0.01,0.1 -outages 0,100ms
 //	chaos -o results/chaos.csv
 //	chaos -drops 1 -deadline 10s   # hostile WAN, bounded by supervision
-//	chaos -resume                  # continue an interrupted sweep
 //
-// Two runs with the same flags and seed produce byte-identical CSV files —
-// including a run interrupted and continued with -resume. Supervised runs
+// Two runs with the same flags and seed produce byte-identical CSV files.
+// Every finished cell persists in the run cache (-cache-dir) the moment it
+// completes, so rerunning an interrupted sweep's command resumes it, with
+// the same bytes; -no-cache persists and resumes nothing. Supervised runs
 // (-deadline, -max-events, -progress-window) record cells that had to be
 // killed as explicit FAILED(reason) rows instead of aborting the sweep.
 //
@@ -53,10 +54,8 @@ func run() int {
 		perCluster = flag.Int("percluster", 8, "processors per cluster")
 		seed       = flag.Int64("seed", core.DefaultSeed, "fault-plan seed (non-negative)")
 		out        = flag.String("o", "results/chaos.csv", "CSV output path")
-		cacheDir   = flag.String("cache-dir", "results/cache", "persistent run-cache directory")
-		noCache    = flag.Bool("no-cache", false, "disable the persistent run cache")
 	)
-	sup := cliutil.RegisterSupervision("")
+	sup := cliutil.RegisterSupervision()
 	workers := cliutil.RegisterWorkers()
 	wanSpec := cliutil.RegisterWANTopology()
 	regimeFl := cliutil.RegisterRegime()
@@ -101,31 +100,12 @@ func run() int {
 	if err != nil {
 		return usage(err)
 	}
-	// The resume journal lives next to the CSV unless -journal overrides it:
-	// results/chaos.csv is rebuilt from results/chaos.journal.
-	if sup.JournalPath == "" && sup.Resume {
-		sup.JournalPath = journalFor(*out)
-	}
 	pol, cleanup, err := sup.Policy()
 	if err != nil {
 		return usage(err)
 	}
 	defer cleanup()
-	// A supervised-but-unjournaled sweep still writes the journal derived
-	// from -o, so a later -resume can pick up where a crash left off.
-	if pol != nil && pol.Journal == nil {
-		if j, err := core.OpenJournal(journalFor(*out), false); err == nil {
-			pol.Journal = j
-			defer j.Close()
-		}
-	}
-
-	cache := core.DefaultCache
-	if *noCache {
-		cache = nil
-	} else if err := cache.SetDir(*cacheDir); err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: run cache disabled: %v\n", err)
-	}
+	cache := sup.Cache("chaos")
 
 	cfg := core.ChaosConfig{
 		Scale:        scale,
@@ -165,23 +145,8 @@ func run() int {
 		drops, outages, *period, len(points))
 	fmt.Print(core.RenderChaosSummary(points))
 	fmt.Printf("\nfull grid written to %s\n", *out)
-	if cache != nil {
-		// Cache effectiveness goes to stderr: stdout stays byte-identical
-		// across reruns (the determinism contract).
-		s := cache.CacheStats()
-		fmt.Fprintf(os.Stderr, "run cache: %d memory hits, %d disk hits, %d simulated, %d stale\n",
-			s.Hits, s.DiskHits, s.Misses, s.Stale)
-	}
+	cliutil.ReportCache(os.Stderr, cache)
 	return cliutil.ReportOutcome(os.Stderr, "chaos", pol)
-}
-
-// journalFor derives the sweep-journal path from the CSV output path:
-// results/chaos.csv -> results/chaos.journal.
-func journalFor(out string) string {
-	if i := strings.LastIndex(out, "."); i > strings.LastIndexByte(out, '/') {
-		out = out[:i]
-	}
-	return out + ".journal"
 }
 
 // parseDrops parses "-drops 0,0.01,1"; an empty flag keeps the default
@@ -205,9 +170,13 @@ func parseDrops(s string) ([]float64, error) {
 	return out, nil
 }
 
-// parseOutages parses "-outages 0,100ms,300ms"; durations must fit inside
-// the outage period. An empty flag keeps the default grid.
+// parseOutages parses "-outages 0,100ms,300ms"; the period must be
+// positive and every duration must fit inside it. An empty flag keeps the
+// default grid.
 func parseOutages(s string, period sim.Time) ([]sim.Time, error) {
+	if period <= 0 {
+		return nil, fmt.Errorf("-period must be positive (got %v)", time.Duration(period))
+	}
 	if s == "" {
 		for _, d := range core.DefaultChaosOutages {
 			if d >= period {
@@ -219,10 +188,6 @@ func parseOutages(s string, period sim.Time) ([]sim.Time, error) {
 	var out []sim.Time
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
-		if part == "0" {
-			out = append(out, 0)
-			continue
-		}
 		d, err := time.ParseDuration(part)
 		if err != nil {
 			return nil, fmt.Errorf("-outages: bad duration %q: %v", part, err)

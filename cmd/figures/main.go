@@ -32,9 +32,9 @@
 //
 // Long sweeps can be supervised: -deadline, -max-events, -max-vtime and
 // -progress-window bound each run, and cells that have to be killed render
-// as FAILED(reason) instead of aborting the sweep. A -journal file records
-// completed cells so an interrupted sweep continues with -resume, with
-// byte-identical output.
+// as FAILED(reason) instead of aborting the sweep. Finished cells persist
+// in the run cache (-cache-dir), so rerunning an interrupted command
+// resumes it with byte-identical output; -no-cache persists nothing.
 //
 // Exit codes: 0 all cells completed, 1 harness error, 2 flag misuse,
 // 3 sweep completed with FAILED cells.
@@ -83,11 +83,9 @@ func run() int {
 		scaleF   = flag.String("scale", "paper", "problem scale: tiny, small or paper")
 		appsF    = flag.String("apps", "", "comma-separated application filter (Figure 3)")
 		csv      = flag.Bool("csv", false, "emit Figure 3 / -topology output as CSV")
-		cacheDir = flag.String("cache-dir", "results/cache", "persistent run-cache directory")
-		noCache  = flag.Bool("no-cache", false, "disable the persistent run cache")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (cells carry pprof labels; see -tagfocus)")
 	)
-	sup := cliutil.RegisterSupervision("")
+	sup := cliutil.RegisterSupervision()
 	workers := cliutil.RegisterWorkers()
 	analytic := cliutil.RegisterAnalytic()
 	wanSpec := cliutil.RegisterWANTopology()
@@ -171,11 +169,7 @@ func run() int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if !*noCache {
-		if err := core.DefaultCache.SetDir(*cacheDir); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: run cache disabled: %v\n", err)
-		}
-	}
+	cache := sup.Cache("figures")
 	var filter []string
 	if *appsF != "" {
 		filter = strings.Split(*appsF, ",")
@@ -297,7 +291,7 @@ func run() int {
 			Regimes:      []regime.Params{{Spec: "vary:20ms:0.5:100ms", Seed: core.DefaultSeed}},
 			WANLatency:   10 * sim.Millisecond,
 			WANBandwidth: 1e6,
-			Cache:        core.DefaultCache,
+			Cache:        cache,
 			Policy:       pol,
 		}
 		if vcfg.Apps == nil {
@@ -328,7 +322,7 @@ func run() int {
 		tcfg := core.TopologyStudyConfig{
 			Scale:  scale,
 			Procs:  *topoPr,
-			Cache:  core.DefaultCache,
+			Cache:  cache,
 			Policy: pol,
 		}
 		if *topoCl != "" {
@@ -362,7 +356,7 @@ func run() int {
 	if *regimesF {
 		rcfg := core.RegimeStudyConfig{
 			Scale:  scale,
-			Cache:  core.DefaultCache,
+			Cache:  cache,
 			Policy: pol,
 		}
 		if rp.Enabled() {
@@ -382,15 +376,7 @@ func run() int {
 			fmt.Println(core.RenderRegimeStudy(points))
 		}
 	}
-	if s := core.DefaultCache.CacheStats(); s.Hits+s.DiskHits+s.Misses > 0 {
-		line := fmt.Sprintf("run cache: %d memory hits, %d disk hits, %d simulated, %d stale",
-			s.Hits, s.DiskHits, s.Misses, s.Stale)
-		if s.GraphHits+s.GraphDiskHits+s.GraphMisses > 0 {
-			line += fmt.Sprintf("; graphs: %d memory hits, %d disk hits, %d recorded",
-				s.GraphHits, s.GraphDiskHits, s.GraphMisses)
-		}
-		fmt.Fprintln(os.Stderr, line)
-	}
+	cliutil.ReportCache(os.Stderr, cache)
 	return cliutil.ReportOutcome(os.Stderr, "figures", pol)
 }
 

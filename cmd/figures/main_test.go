@@ -56,6 +56,7 @@ func TestRefusalsBeforeOutput(t *testing.T) {
 		{"-regimes", "-analytic"},
 		{"-table2", "-fig3", "-analytic", "-wan-topology", "ring"},
 		{"-table2", "-scale", "huge"},
+		{"-table2", "-retries", "-5"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			code, stdout, stderr := figures(t, append([]string{"-scale", "tiny", "-no-cache"}, args...)...)

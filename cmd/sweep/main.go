@@ -49,11 +49,9 @@ func run() int {
 		tcp        = flag.Float64("tcp", 0, "TCP-like per-message link occupancy as a fraction of the RTT")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
-		cacheDir   = flag.String("cache-dir", "results/cache", "persistent run-cache directory")
-		noCache    = flag.Bool("no-cache", false, "disable the persistent run cache")
 	)
 	adaptive := flag.Bool("adaptive", false, "let the runtime adapt to the -regime (transport tuning, collective switching, churn-aware stealing)")
-	sup := cliutil.RegisterSupervision("")
+	sup := cliutil.RegisterSupervision()
 	workers := cliutil.RegisterWorkers()
 	analytic := cliutil.RegisterAnalytic()
 	wanSpec := cliutil.RegisterWANTopology()
@@ -138,23 +136,19 @@ func run() int {
 		tr = trace.NewStream(topo.Procs())
 		x.Trace = tr
 	}
-	if !*noCache {
-		if err := core.DefaultCache.SetDir(*cacheDir); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: run cache disabled: %v\n", err)
-		}
-	}
+	cache := sup.Cache("sweep")
 	// A flag combination the capability table refuses fails before any
 	// work, and fatal maps its *par.Unsupported to exit 2.
 	if analytic.Enabled {
-		return runAnalytic(x, scale, *bandwidth, pol, analytic.Options())
+		return runAnalytic(x, scale, *bandwidth, pol, cache, analytic.Options())
 	}
 	label := fmt.Sprintf("%s (optimized=%v) on %s", app.Name, *optimized, topo)
-	res, failed, err := core.SupervisedRun(pol, label, x, core.DefaultCache)
+	res, failed, err := core.SupervisedRun(pol, label, x, cache)
 	if err != nil {
 		fatal(err)
 	}
 	if failed != nil {
-		return reportFailed(failed)
+		return cliutil.ReportOutcome(os.Stderr, "sweep", pol)
 	}
 
 	base := core.NewBaselines(scale)
@@ -184,12 +178,7 @@ func run() int {
 			c, s.Messages, float64(s.Bytes)/1e6/res.Elapsed.Seconds())
 	}
 	fmt.Printf("simulator effort:   %d events\n", res.Events)
-	// To stderr: the report on stdout must be byte-identical across reruns
-	// (the determinism contract), and cache effectiveness is not.
-	if s := core.DefaultCache.CacheStats(); s.Hits+s.DiskHits+s.Misses > 0 {
-		fmt.Fprintf(os.Stderr, "run cache:          %d memory hits, %d disk hits, %d simulated, %d stale\n",
-			s.Hits, s.DiskHits, s.Misses, s.Stale)
-	}
+	cliutil.ReportCache(os.Stderr, cache)
 	if *verify {
 		fmt.Println("verification:       output matches the sequential reference")
 	}
@@ -215,14 +204,14 @@ func run() int {
 // graph: one simulated run at the reference network point (shared across
 // reruns through the graph cache), then an analytic solve plus the
 // latency/bandwidth decomposition at the asked point.
-func runAnalytic(x core.Experiment, scale apps.Scale, bandwidthMB float64, pol *core.RunPolicy, a core.AnalyticOptions) int {
+func runAnalytic(x core.Experiment, scale apps.Scale, bandwidthMB float64, pol *core.RunPolicy, cache *core.RunCache, a core.AnalyticOptions) int {
 	label := fmt.Sprintf("%s (optimized=%v) on %s analytic reference", x.App.Name, x.Optimized, x.Topo)
-	pt, failed, err := core.SolveAnalytic(label, x, pol, core.DefaultCache, a)
+	pt, failed, err := core.SolveAnalytic(label, x, pol, cache, a)
 	if err != nil {
 		fatal(err)
 	}
 	if failed != nil {
-		return reportFailed(failed)
+		return cliutil.ReportOutcome(os.Stderr, "sweep", pol)
 	}
 	base := core.NewBaselines(scale)
 	tl, err := base.SingleCluster(x.App, x.Topo.Procs())
@@ -241,20 +230,8 @@ func runAnalytic(x core.Experiment, scale apps.Scale, bandwidthMB float64, pol *
 	fmt.Printf("comm time share:    %.1f%%\n", core.CommTimePercent(tl, pt.Elapsed))
 	fmt.Printf("latency share:      %.1f%% of the predicted runtime is bought back by a zero-latency WAN\n", pt.LatencySharePct)
 	fmt.Printf("bandwidth share:    %.1f%% by an infinite-bandwidth WAN\n", pt.BandwidthSharePct)
-	if s := core.DefaultCache.CacheStats(); s.Hits+s.DiskHits+s.Misses+s.GraphHits+s.GraphDiskHits+s.GraphMisses > 0 {
-		fmt.Fprintf(os.Stderr, "run cache:          %d memory hits, %d disk hits, %d simulated, %d stale; graphs: %d memory hits, %d disk hits, %d recorded\n",
-			s.Hits, s.DiskHits, s.Misses, s.Stale, s.GraphHits, s.GraphDiskHits, s.GraphMisses)
-	}
+	cliutil.ReportCache(os.Stderr, cache)
 	return cliutil.ExitOK
-}
-
-// reportFailed prints a supervised kill with its diagnostic dump.
-func reportFailed(failed *core.CellFailure) int {
-	fmt.Fprintf(os.Stderr, "sweep: %s\n", failed)
-	if rep := core.FailureReport(failed); rep != "" {
-		fmt.Fprintf(os.Stderr, "\n%s", rep)
-	}
-	return cliutil.ExitFailed
 }
 
 func usage(err error) int {

@@ -58,6 +58,7 @@ func TestFlagMisuseExitsTwo(t *testing.T) {
 		{"-clusters", "3", "-percluster", "2", "-wan-topology", "ring", "-trace", "-analytic"},
 		{"-scale", "huge"},
 		{"-percluster", "0"},
+		{"-retries", "-5"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			code, stdout, stderr := sweep(t, append([]string{"-scale", "tiny", "-no-cache"}, args...)...)
@@ -102,5 +103,20 @@ func TestTraceOnSingleHopRing(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "runtime:            4.260ms") || !strings.Contains(stdout, "\nbusiest pairs:\n") {
 		t.Errorf("report lacks the traced ring run:\n%s", stdout)
+	}
+}
+
+// TestSupervisedKillExitsThree: a run killed by its event budget exits 3
+// with nothing on stdout and the shared failure report, diagnostics
+// included, on stderr.
+func TestSupervisedKillExitsThree(t *testing.T) {
+	code, stdout, stderr := sweep(t, "-scale", "tiny", "-no-cache", "-verify=false", "-max-events", "1000")
+	if code != 3 || stdout != "" {
+		t.Fatalf("exit %d, want 3 with empty stdout; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+	for _, want := range []string{"FAILED(event-budget) after 1 attempt(s)", "diagnostics of the first failure", "kind:            event-budget"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr)
+		}
 	}
 }

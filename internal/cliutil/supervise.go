@@ -1,8 +1,8 @@
 // Package cliutil holds the run-supervision plumbing shared by the sweep
 // command-line tools (sweep, chaos, figures, bench): the common flags that
-// configure budgets, deadlines and crash-resume journals; the translation
-// of those flags into a core.RunPolicy; failure reporting; and atomic
-// output writes.
+// configure budgets, deadlines and the persistent run cache; the
+// translation of those flags into a core.RunPolicy and a cache; failure
+// and cache reporting; and atomic output writes.
 //
 // The tools share one exit-code convention:
 //
@@ -52,15 +52,13 @@ type Supervision struct {
 	MaxVirtual     time.Duration
 	ProgressWindow int64
 	Retries        int
-	JournalPath    string
-	Resume         bool
+	CacheDir       string
+	NoCache        bool
 }
 
-// RegisterSupervision installs the shared supervision flags on the process
-// flag set. defaultJournal seeds -journal ("" leaves journaling off unless
-// requested); tools that derive the path from another flag pass "" and
-// fill JournalPath after flag.Parse.
-func RegisterSupervision(defaultJournal string) *Supervision {
+// RegisterSupervision installs the shared supervision and run-cache flags
+// on the process flag set.
+func RegisterSupervision() *Supervision {
 	s := &Supervision{}
 	flag.DurationVar(&s.Deadline, "deadline", 0,
 		"wall-clock budget for the whole sweep; cells cut off by it are recorded as FAILED(deadline) (0 = none)")
@@ -72,28 +70,53 @@ func RegisterSupervision(defaultJournal string) *Supervision {
 		"livelock watchdog: kill a run after this many events without application progress, as FAILED(livelock) (0 = off)")
 	flag.IntVar(&s.Retries, "retries", 1,
 		"retry attempts for transient (wall-clock deadline) cell failures")
-	flag.StringVar(&s.JournalPath, "journal", defaultJournal,
-		"append-only sweep journal recording completed cells for crash-resume (empty = no journal)")
-	flag.BoolVar(&s.Resume, "resume", false,
-		"recover completed cells from the journal instead of re-running them")
+	flag.StringVar(&s.CacheDir, "cache-dir", "results/cache",
+		"persistent run-cache directory; a rerun replays the cells it holds, so an interrupted sweep resumes")
+	flag.BoolVar(&s.NoCache, "no-cache", false,
+		"persist nothing and resume nothing (runs are still shared in memory)")
 	return s
+}
+
+// Cache returns core.DefaultCache with the persistent layer at -cache-dir
+// attached, or memory-only under -no-cache. A directory that cannot be
+// created is reported on stderr and leaves the cache memory-only.
+func (s *Supervision) Cache(tool string) *core.RunCache {
+	if !s.NoCache {
+		if err := core.DefaultCache.SetDir(s.CacheDir); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: run cache disabled: %v\n", tool, err)
+		}
+	}
+	return core.DefaultCache
+}
+
+// ReportCache writes the cache's one stats line to w (stderr in every
+// tool: stdout stays byte-identical across reruns, cache effectiveness
+// does not), with the recorded-graph counters when any are set. A cache
+// nothing was looked up in prints nothing.
+func ReportCache(w io.Writer, c *core.RunCache) {
+	s := c.CacheStats()
+	if s == (core.CacheStats{}) {
+		return
+	}
+	fmt.Fprintf(w, "run cache: %d memory hits, %d disk hits, %d simulated, %d stale",
+		s.Hits, s.DiskHits, s.Misses, s.Stale)
+	if s.GraphHits+s.GraphDiskHits+s.GraphMisses > 0 {
+		fmt.Fprintf(w, "; graphs: %d memory hits, %d disk hits, %d recorded",
+			s.GraphHits, s.GraphDiskHits, s.GraphMisses)
+	}
+	fmt.Fprintln(w)
 }
 
 // Policy builds the core.RunPolicy the parsed flags describe. With every
 // flag at its zero default it returns a nil policy — no supervision, the
 // historical abort-on-error behaviour. The returned cleanup releases the
-// deadline context and closes the journal; call it before exiting (also on
-// the error path).
+// deadline context; call it before exiting (also on the error path).
 func (s *Supervision) Policy() (*core.RunPolicy, func(), error) {
 	cleanup := func() {}
-	if s.Resume && s.JournalPath == "" {
-		return nil, cleanup, fmt.Errorf("-resume needs a -journal path")
+	if s.Deadline < 0 || s.MaxEvents < 0 || s.MaxVirtual < 0 || s.ProgressWindow < 0 || s.Retries < 0 {
+		return nil, cleanup, fmt.Errorf("supervision budgets and -retries must be non-negative")
 	}
-	if s.Deadline < 0 || s.MaxEvents < 0 || s.MaxVirtual < 0 || s.ProgressWindow < 0 {
-		return nil, cleanup, fmt.Errorf("supervision budgets must be non-negative")
-	}
-	if s.Deadline <= 0 && s.MaxEvents <= 0 && s.MaxVirtual <= 0 &&
-		s.ProgressWindow <= 0 && s.JournalPath == "" {
+	if s.Deadline <= 0 && s.MaxEvents <= 0 && s.MaxVirtual <= 0 && s.ProgressWindow <= 0 {
 		return nil, cleanup, nil
 	}
 	pol := &core.RunPolicy{
@@ -104,34 +127,19 @@ func (s *Supervision) Policy() (*core.RunPolicy, func(), error) {
 		},
 		Retries: s.Retries,
 	}
-	cancel := func() {}
 	if s.Deadline > 0 {
-		pol.Ctx, cancel = context.WithTimeout(context.Background(), s.Deadline)
-	}
-	if s.JournalPath != "" {
-		j, err := core.OpenJournal(s.JournalPath, s.Resume)
-		if err != nil {
-			cancel()
-			return nil, cleanup, err
-		}
-		pol.Journal = j
-		cleanup = func() { j.Close(); cancel() }
-	} else {
-		cleanup = cancel
+		pol.Ctx, cleanup = context.WithTimeout(context.Background(), s.Deadline)
 	}
 	return pol, cleanup, nil
 }
 
-// ReportOutcome renders the policy's resume and failure summary to w and
+// ReportOutcome renders the policy's failure summary to w and
 // returns the exit code encoding the sweep outcome: ExitOK when every cell
 // completed, ExitFailed when some were recorded as FAILED. A nil policy is
 // always ExitOK. The first failure's full diagnostic dump (per-process
 // block reasons, mailbox depths, reliable-channel state) is included; the
 // remaining failures get one line each.
 func ReportOutcome(w io.Writer, tool string, pol *core.RunPolicy) int {
-	if skipped := pol.Skipped(); skipped > 0 {
-		fmt.Fprintf(w, "%s: resumed %d completed cell(s) from the journal\n", tool, skipped)
-	}
 	fails := pol.Failures()
 	if len(fails) == 0 {
 		return ExitOK

@@ -1,0 +1,73 @@
+package cliutil
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"twolayer/internal/apps"
+	"twolayer/internal/core"
+	"twolayer/internal/network"
+	"twolayer/internal/topology"
+)
+
+func TestPolicy(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		s      Supervision
+		policy bool
+		ok     bool
+	}{
+		{"defaults", Supervision{Retries: 1}, false, true},
+		{"zero retries", Supervision{}, false, true},
+		{"negative retries", Supervision{Retries: -5}, false, false},
+		{"negative retries with a budget", Supervision{Retries: -1, MaxEvents: 10}, false, false},
+		{"event budget", Supervision{Retries: 1, MaxEvents: 10}, true, true},
+		{"deadline", Supervision{Deadline: time.Hour}, true, true},
+		{"negative deadline", Supervision{Deadline: -time.Second}, false, false},
+		{"negative window", Supervision{ProgressWindow: -1}, false, false},
+	} {
+		pol, cleanup, err := c.s.Policy()
+		cleanup()
+		if (err == nil) != c.ok || (pol != nil) != c.policy {
+			t.Errorf("%s: policy %v, err %v; want policy=%v ok=%v", c.name, pol != nil, err, c.policy, c.ok)
+		}
+		if pol != nil && pol.Retries != c.s.Retries {
+			t.Errorf("%s: policy retries %d, want %d", c.name, pol.Retries, c.s.Retries)
+		}
+	}
+}
+
+// TestReportCache: one line, the graph counters only when a graph was
+// looked up, and nothing for an untouched cache.
+func TestReportCache(t *testing.T) {
+	var b strings.Builder
+	ReportCache(&b, core.NewRunCache())
+	if b.String() != "" {
+		t.Errorf("untouched cache printed %q", b.String())
+	}
+	app, err := core.AppByName("TSP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := core.Experiment{App: app, Scale: apps.Tiny, Topo: topology.DAS(), Params: network.DefaultParams()}
+	c := core.NewRunCache()
+	for range 2 {
+		if _, err := x.RunCached(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.Reset()
+	ReportCache(&b, c)
+	if want := "run cache: 1 memory hits, 0 disk hits, 1 simulated, 0 stale\n"; b.String() != want {
+		t.Errorf("got %q, want %q", b.String(), want)
+	}
+	if _, _, err := c.RecordedGraph("TSP", x, nil); err != nil {
+		t.Fatal(err)
+	}
+	b.Reset()
+	ReportCache(&b, c)
+	if got := b.String(); !strings.HasPrefix(got, "run cache: ") || !strings.HasSuffix(got, "; graphs: 0 memory hits, 0 disk hits, 1 recorded\n") || strings.Count(got, "\n") != 1 {
+		t.Errorf("with a recorded graph: %q", got)
+	}
+}

@@ -60,12 +60,14 @@ type ChaosConfig struct {
 	// regime) on top of the fault grid; the zero value keeps the study — and
 	// its CSV — byte-identical to a regime-free one.
 	Regime regime.Params
-	// Cache memoizes runs; nil disables memoization.
+	// Cache memoizes runs; nil disables memoization. With a directory
+	// attached it also makes the sweep crash-resumable: a rerun replays
+	// the cells an interrupted one finished.
 	Cache *RunCache
 	// Policy supervises the sweep: budgets and deadlines bound each cell,
-	// supervised kills become FAILED cells instead of aborting the study,
-	// and an attached journal makes the sweep crash-resumable. Nil runs
-	// unsupervised (any error aborts, the historical behaviour).
+	// and supervised kills become FAILED cells instead of aborting the
+	// study. Nil runs unsupervised (any error aborts, the historical
+	// behaviour).
 	Policy *RunPolicy
 }
 

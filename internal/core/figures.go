@@ -47,7 +47,7 @@ type Figure3Options struct {
 	// single-cluster baselines) are then simulated only once per process.
 	Cache *RunCache
 	// Policy supervises the sweep (budgets, deadline, per-cell
-	// degradation, resume journal); nil runs unsupervised.
+	// degradation); nil runs unsupervised.
 	Policy *RunPolicy
 }
 

@@ -15,8 +15,8 @@ import (
 // RunPolicy is the sweep supervision layer: it decides how much a single
 // cell may cost (event/virtual-time budgets, a wall-clock deadline via
 // Ctx), turns supervised kills into per-cell failures instead of sweep
-// aborts, retries the transient ones, and — when a Journal is attached —
-// makes the sweep crash-resumable.
+// aborts, and retries the transient ones. Resuming after a crash is the
+// run cache's job: a finished cell persists there the moment it completes.
 //
 // A nil *RunPolicy is valid everywhere one is accepted and means "no
 // supervision": cells run unbudgeted and any error aborts the sweep, the
@@ -38,13 +38,9 @@ type RunPolicy struct {
 	// RetryBackoff is the base wall-clock pause before a retry, doubled
 	// per attempt with a deterministic per-cell spread (default 250 ms).
 	RetryBackoff time.Duration
-	// Journal, if non-nil, records every completed cell and serves cells
-	// completed by an earlier, interrupted sweep.
-	Journal *Journal
 
 	mu       sync.Mutex
 	failures []CellFailure
-	skipped  int
 }
 
 // CellFailure is one sweep cell that a policy gave up on. The sweep itself
@@ -102,26 +98,9 @@ func (p *RunPolicy) Failures() []CellFailure {
 	return append([]CellFailure(nil), p.failures...)
 }
 
-// Skipped reports how many cells were served from the journal instead of
-// being simulated (the resume counter).
-func (p *RunPolicy) Skipped() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.skipped
-}
-
 func (p *RunPolicy) noteFailure(f CellFailure) {
 	p.mu.Lock()
 	p.failures = append(p.failures, f)
-	p.mu.Unlock()
-}
-
-func (p *RunPolicy) noteSkip() {
-	p.mu.Lock()
-	p.skipped++
 	p.mu.Unlock()
 }
 
@@ -166,32 +145,15 @@ func SupervisedRun(p *RunPolicy, label string, x Experiment, cache *RunCache) (p
 	return p.run(label, x, cache)
 }
 
-// FailureReport renders the failure's full diagnostic dump — per-process
-// block reasons, mailbox depths, reliable-channel windows — when the
-// underlying error carries one (a *sim.RunError); "" otherwise.
-func FailureReport(f *CellFailure) string {
-	var re *sim.RunError
-	if f != nil && errors.As(f.Err, &re) {
-		return re.Report()
-	}
-	return ""
-}
-
 // run executes one sweep cell under the policy. Exactly one of the three
 // returns is meaningful: a result (cell succeeded, possibly served from
-// the journal), a *CellFailure (cell FAILED but the sweep continues), or
+// the cache), a *CellFailure (cell FAILED but the sweep continues), or
 // an error (harness failure, abort the sweep). A nil policy degrades to a
 // plain cached run with no failure handling.
 func (p *RunPolicy) run(label string, x Experiment, cache *RunCache) (par.Result, *CellFailure, error) {
 	if p == nil {
 		res, err := x.RunCached(cache)
 		return res, nil, err
-	}
-	if p.Journal != nil && x.cacheable() {
-		if res, ok := p.Journal.Lookup(x.Key()); ok {
-			p.noteSkip()
-			return res, nil, nil
-		}
 	}
 	x.Budget = p.Budget
 	x.Ctx = p.Ctx
@@ -202,9 +164,6 @@ func (p *RunPolicy) run(label string, x Experiment, cache *RunCache) (par.Result
 		res, err := x.RunCached(cache)
 		attempts++
 		if err == nil {
-			if p.Journal != nil && x.cacheable() {
-				p.Journal.Record(x.Key(), res)
-			}
 			return res, nil, nil
 		}
 		var cell, transient bool

@@ -17,10 +17,14 @@ var cliques sync.Map // int -> *WAN
 // Clique returns the paper's fully connected inter-cluster mesh: every
 // ordered cluster pair gets its own dedicated unit-scale link, so every
 // route is a single hop. This is the default wide-area graph; it is what
-// the pre-topology network model hard-coded.
+// the pre-topology network model hard-coded. Past the route-pair cap it
+// panics; Parse returns the error instead.
 func Clique(clusters int) *WAN {
 	if w, ok := cliques.Load(clusters); ok {
 		return w.(*WAN)
+	}
+	if err := checkRoutePairs(clusters); err != nil {
+		panic(err)
 	}
 	edges := make([]Edge, 0, clusters*(clusters-1))
 	for s := 0; s < clusters; s++ {
@@ -318,6 +322,9 @@ func gcd(a, b int) int {
 func Parse(spec string, clusters int) (*WAN, error) {
 	if clusters < 1 {
 		return nil, fmt.Errorf("wantopo: %d clusters", clusters)
+	}
+	if err := checkRoutePairs(clusters); err != nil {
+		return nil, err
 	}
 	name, arg, _ := strings.Cut(spec, ":")
 	switch name {

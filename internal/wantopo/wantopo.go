@@ -168,6 +168,23 @@ func (w *WAN) HopHistogram() []int {
 	return h
 }
 
+// Route-table caps: the offset table grows with the square of the cluster
+// count and a sparse graph's summed route length nearly with its cube, so a
+// machine far beyond any study is refused before its tables are allocated.
+// The hop cap also keeps every int32 offset far from wrapping.
+const (
+	maxRoutePairs = 1 << 22 // ordered cluster pairs: at most 2048 clusters
+	maxRouteHops  = 1 << 24 // summed route hops: 64 MiB of edge ids
+)
+
+// checkRoutePairs refuses a cluster count past maxRoutePairs.
+func checkRoutePairs(clusters int) error {
+	if clusters > maxRoutePairs/clusters {
+		return fmt.Errorf("wantopo: %d clusters exceed the route-pair cap of %d ordered pairs (maxRoutePairs)", clusters, maxRoutePairs)
+	}
+	return nil
+}
+
 // build assembles a WAN from a generator's edge set: it sorts and validates
 // the edges, computes deterministic all-pairs routes, and derives the
 // metrics. Every generator funnels through here.
@@ -223,6 +240,9 @@ func build(spec string, clusters, nodes int, edges []Edge) (*WAN, error) {
 // routes are byte-identical across runs and GOMAXPROCS values.
 func (w *WAN) computeRoutes() error {
 	c, n := w.clusters, w.nodes
+	if err := checkRoutePairs(c); err != nil {
+		return err
+	}
 	w.routeOff = make([]int32, c*c+1)
 	dist := make([]float64, n)
 	hops := make([]int32, n)
@@ -276,6 +296,9 @@ func (w *WAN) computeRoutes() error {
 			}
 			if dist[d] < 0 {
 				return fmt.Errorf("wantopo: %s: cluster %d unreachable from %d", w.spec, d, s)
+			}
+			if len(w.routes)+int(hops[d]) > maxRouteHops {
+				return fmt.Errorf("wantopo: %s on %d clusters: routes exceed the route-hop cap of %d hops (maxRouteHops)", w.spec, c, maxRouteHops)
 			}
 			scratch = scratch[:0]
 			for v := d; v != s; {

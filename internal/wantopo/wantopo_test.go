@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -388,4 +389,38 @@ func TestHopHistogram(t *testing.T) {
 	if got := w.HopHistogram(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("ring 6 hop histogram %v, want %v", got, want)
 	}
+}
+
+// TestRouteTableCaps: machines whose route tables would pass a cap are
+// refused with an error naming it, before the tables are allocated; the
+// largest clique inside the caps is not.
+func TestRouteTableCaps(t *testing.T) {
+	for _, tc := range []struct {
+		spec     string
+		clusters int
+		cap      string
+	}{
+		{"clique", 100000, "maxRoutePairs"},
+		{"ring", 1 << 20, "maxRoutePairs"},
+		{"torus2", math.MaxInt, "maxRoutePairs"},
+		{"ring", 2048, "maxRouteHops"},
+	} {
+		if _, err := Parse(tc.spec, tc.clusters); err == nil || !strings.Contains(err.Error(), tc.cap) {
+			t.Errorf("Parse(%q, %d): err = %v, want the %s refusal", tc.spec, tc.clusters, err, tc.cap)
+		}
+	}
+	if err := checkRoutePairs(2048); err != nil {
+		t.Errorf("2048 clusters: %v", err)
+	}
+	if err := checkRoutePairs(2049); err == nil {
+		t.Error("2049 clusters passed the route-pair cap")
+	}
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "maxRoutePairs") {
+				t.Errorf("Clique(100000) recovered %v, want the maxRoutePairs refusal", r)
+			}
+		}()
+		Clique(100000)
+	}()
 }
