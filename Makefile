@@ -19,8 +19,8 @@ test:
 # sweeps run many single-threaded simulations in parallel and share the
 # run cache, so they get a dedicated race-detector pass. The fault and
 # transport layers ride along: chaos sweeps drive them from the same pool,
-# and so do the three applications that share state across goroutines
-# (memoized tables, pooled scratch, broadcast payloads).
+# and so do three applications: Water's memoized tables are shared by
+# concurrent cells, Barnes-Hut's scratch and ASP's broadcast rows by ranks.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/faults/... ./internal/par/... \
 		./internal/apps/asp ./internal/apps/barneshut ./internal/apps/water

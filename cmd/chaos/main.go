@@ -56,13 +56,9 @@ func run() int {
 		out        = flag.String("o", "results/chaos.csv", "CSV output path")
 	)
 	sup := cliutil.RegisterSupervision()
-	workers := cliutil.RegisterWorkers()
 	wanSpec := cliutil.RegisterWANTopology()
 	regimeFl := cliutil.RegisterRegime()
 	flag.Parse()
-	if err := cliutil.ApplyWorkers(*workers); err != nil {
-		return usage(err)
-	}
 	rp, err := regimeFl.Params()
 	if err != nil {
 		return usage(err)

@@ -36,6 +36,9 @@ func run() int {
 	if err := cliutil.CheckWANSpeed(*latency, *bandwidth); err != nil {
 		return usage(err)
 	}
+	if *elems < 1 {
+		return usage(fmt.Errorf("-elems must be at least 1 (got %d)", *elems))
+	}
 
 	topo, err := cliutil.Machine(*clusters, *perCluster)
 	if err != nil {

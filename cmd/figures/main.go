@@ -55,7 +55,6 @@ import (
 	"twolayer/internal/regime"
 	"twolayer/internal/sim"
 	"twolayer/internal/stats"
-	"twolayer/internal/topology"
 )
 
 func main() {
@@ -86,14 +85,10 @@ func run() int {
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (cells carry pprof labels; see -tagfocus)")
 	)
 	sup := cliutil.RegisterSupervision()
-	workers := cliutil.RegisterWorkers()
 	analytic := cliutil.RegisterAnalytic()
 	wanSpec := cliutil.RegisterWANTopology()
 	regimeFl := cliutil.RegisterRegime()
 	flag.Parse()
-	if err := cliutil.ApplyWorkers(*workers); err != nil {
-		return usage(err)
-	}
 	if err := analytic.Validate(); err != nil {
 		return usage(err)
 	}
@@ -116,7 +111,7 @@ func run() int {
 	if err != nil {
 		return usage(err)
 	}
-	wanF := par.FeaturesOf(topology.DAS(), par.Options{WAN: wan})
+	wanF := par.FeaturesOf(par.Options{WAN: wan})
 	ran := false
 	for _, st := range []struct {
 		flag                      string
@@ -132,7 +127,7 @@ func run() int {
 		{"-shapes", *shapes, true, true, false, 0},
 		{"-variability", *varia, true, false, false, par.Regime},
 		{"-heatmap", *heatmap, false, true, false, par.Record},
-		{"-topology", *topoF, false, false, false, par.NonClique | par.MultiHop},
+		{"-topology", *topoF, false, false, false, par.NonClique},
 		{"-regimes", *regimesF, false, false, false, par.Regime | par.Adaptive},
 	} {
 		if !st.named && !(st.inAll && *all) {

@@ -52,14 +52,10 @@ func run() int {
 	)
 	adaptive := flag.Bool("adaptive", false, "let the runtime adapt to the -regime (transport tuning, collective switching, churn-aware stealing)")
 	sup := cliutil.RegisterSupervision()
-	workers := cliutil.RegisterWorkers()
 	analytic := cliutil.RegisterAnalytic()
 	wanSpec := cliutil.RegisterWANTopology()
 	regimeFl := cliutil.RegisterRegime()
 	flag.Parse()
-	if err := cliutil.ApplyWorkers(*workers); err != nil {
-		return usage(err)
-	}
 	if err := analytic.Validate(); err != nil {
 		return usage(err)
 	}
@@ -70,8 +66,7 @@ func run() int {
 	if err := cliutil.CheckWANSpeed(*latency, *bandwidth); err != nil {
 		return usage(err)
 	}
-	// A negative surcharge would free a link before its transmission ends
-	// and deliver inside the parallel engine's lookahead window.
+	// A negative surcharge would free a link before its transmission ends.
 	if !(*tcp >= 0) || math.IsInf(*tcp, 1) {
 		return usage(fmt.Errorf("-tcp must be a finite non-negative fraction of the RTT (got %g)", *tcp))
 	}

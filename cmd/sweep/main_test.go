@@ -49,7 +49,6 @@ func sweep(t *testing.T, args ...string) (int, string, string) {
 func TestFlagMisuseExitsTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-trace", "-analytic"},
-		{"-trace", "-wan-topology", "torus2"},
 		{"-trace-full"},
 		{"-latency", "-1ms"},
 		{"-bandwidth", "NaN"},
@@ -94,7 +93,7 @@ func TestTraceReport(t *testing.T) {
 }
 
 // TestTraceOnSingleHopRing: a ring on three clusters is not the clique but
-// routes every pair in one hop, so the capability table lets it be traced.
+// routes every pair in one hop; its trace is the pinned run.
 func TestTraceOnSingleHopRing(t *testing.T) {
 	code, stdout, stderr := sweep(t, "-scale", "tiny", "-no-cache", "-app", "TSP",
 		"-clusters", "3", "-percluster", "2", "-wan-topology", "ring", "-trace")
@@ -103,6 +102,25 @@ func TestTraceOnSingleHopRing(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "runtime:            4.260ms") || !strings.Contains(stdout, "\nbusiest pairs:\n") {
 		t.Errorf("report lacks the traced ring run:\n%s", stdout)
+	}
+}
+
+// TestTraceOnMultiHop: a trace of a run on an eight-cluster torus counts
+// one wide-area message per send (672), while the links count one per hop
+// (1152), and a rerun prints the same bytes.
+func TestTraceOnMultiHop(t *testing.T) {
+	args := []string{"-scale", "tiny", "-no-cache", "-trace", "-wan-topology", "torus2", "-clusters", "8", "-percluster", "2"}
+	code, first, stderr := sweep(t, args...)
+	if code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, stderr)
+	}
+	for _, want := range []string{"wide-area traffic:  1152 messages", "(672 wide-area)", "\nbusiest pairs:\n"} {
+		if !strings.Contains(first, want) {
+			t.Errorf("report lacks %q:\n%s", want, first)
+		}
+	}
+	if _, second, _ := sweep(t, args...); second != first {
+		t.Errorf("reruns differ:\n%s\n---\n%s", first, second)
 	}
 }
 

@@ -78,10 +78,6 @@ func run() int {
 		fmt.Printf("%dh:%d ", hops, n)
 	}
 	fmt.Println()
-	if wan.MaxHops() > 1 {
-		fmt.Printf("  conservative lookahead:   %v (vs %v on the clique)\n",
-			params.WANLookaheadFor(wan), params.WANLookahead())
-	}
 	if *routes {
 		fmt.Println("\nroutes (cluster -> cluster: node path):")
 		for s := 0; s < wan.Clusters(); s++ {

@@ -268,8 +268,7 @@ func (a *ASP) run(e *par.Env, optimized bool) {
 
 	// sendPivot broadcasts owned row k and applies it here. The message
 	// carries a snapshot: receivers apply it whenever they reach pivot k,
-	// on other goroutines under the windowed engine, while this rank goes
-	// on relaxing the live row with later pivots.
+	// while this rank goes on relaxing the live row with later pivots.
 	sendPivot := func(k int) {
 		row := append([]int32(nil), mine[k-lo]...)
 		a.broadcast(e, rowMsg{k, r, row}, optimized)

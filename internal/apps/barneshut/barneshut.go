@@ -20,7 +20,6 @@ package barneshut
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"twolayer/internal/apps"
 	"twolayer/internal/par"
@@ -88,13 +87,10 @@ type BarnesHut struct {
 	procs  int
 	result []Vec // final positions
 
-	// gather recycles the working set of the merged interactor tree. A rank
-	// holds one only from its last receive to its force loop, with no yield
-	// in between, so a run needs as many as it has ranks executing at once:
-	// one under the sequential kernel, one per window worker otherwise. The
-	// lock is for the latter.
-	gatherMu sync.Mutex
-	gather   []*gatherScratch
+	// gather is the working set of the merged interactor tree. A rank uses
+	// it only from its last receive to its force loop, with no yield in
+	// between, so one serves every rank of a run.
+	gather *gatherScratch
 }
 
 // gatherScratch is what one rank needs to merge the essential sets it
@@ -107,20 +103,10 @@ type gatherScratch struct {
 }
 
 func (b *BarnesHut) getGather() *gatherScratch {
-	b.gatherMu.Lock()
-	defer b.gatherMu.Unlock()
-	if n := len(b.gather); n > 0 {
-		g := b.gather[n-1]
-		b.gather = b.gather[:n-1]
-		return g
+	if b.gather == nil {
+		b.gather = &gatherScratch{arena: newArena()}
 	}
-	return &gatherScratch{arena: newArena()}
-}
-
-func (b *BarnesHut) putGather(g *gatherScratch) {
-	b.gatherMu.Lock()
-	b.gather = append(b.gather, g)
-	b.gatherMu.Unlock()
+	return b.gather
 }
 
 // New builds an instance for the given processor count.
@@ -280,7 +266,7 @@ func (b *BarnesHut) run(e *par.Env, optimized bool) {
 		// determinism) into one interactor tree, then per body combine the
 		// local theta traversal with a theta traversal of the merged tree.
 		// The forces are computed before either phase is charged — charging
-		// yields, and the merged tree's scratch goes back before that — while
+		// yields, and the next rank reuses the merged tree's scratch — while
 		// virtual time still sees build cost, then interaction cost.
 		g := b.getGather()
 		g.merged = g.merged[:0]
@@ -299,7 +285,6 @@ func (b *BarnesHut) run(e *par.Env, optimized bool) {
 			forces[i] = acc
 		}
 		builtNodes := rt.nodes
-		b.putGather(g)
 		e.ComputeUnits(builtNodes, cfg.BuildCost)
 		e.ComputeUnits(work, cfg.InteractCost)
 

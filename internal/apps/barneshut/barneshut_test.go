@@ -115,32 +115,6 @@ func TestBarnesHutCorrectAllVariants(t *testing.T) {
 	}
 }
 
-// TestGatherScratchSharedAcrossWindowWorkers runs the windowed engine on
-// four workers, where ranks of different clusters take and return the
-// instance's gather scratch from different goroutines (run under -race),
-// and requires the result to stay bit-identical to the sequential run.
-func TestGatherScratchSharedAcrossWindowWorkers(t *testing.T) {
-	params := network.DefaultParams().WithWAN(3300*sim.Microsecond, 0.95e6)
-	for _, opt := range []bool{false, true} {
-		seq := runBH(t, topology.DAS(), opt, params, apps.Small)
-		inst := New(ConfigFor(apps.Small), topology.DAS().Procs())
-		res, err := par.RunWith(topology.DAS(), par.Options{Params: params, Seed: 21, Workers: 4}, inst.Job(opt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := inst.Check(); err != nil {
-			t.Fatal(err)
-		}
-		if res.Elapsed != seq.Elapsed || res.Events != seq.Events {
-			t.Errorf("opt=%v: windowed %v / %d events, sequential %v / %d",
-				opt, res.Elapsed, res.Events, seq.Elapsed, seq.Events)
-		}
-		if n := len(inst.gather); n < 1 || n > 4 {
-			t.Errorf("opt=%v: %d gather scratches for 4 window workers", opt, n)
-		}
-	}
-}
-
 func TestCombiningCutsWANMessages(t *testing.T) {
 	r1 := runBH(t, topology.DAS(), false, network.DefaultParams(), apps.Tiny)
 	r2 := runBH(t, topology.DAS(), true, network.DefaultParams(), apps.Tiny)

@@ -16,8 +16,7 @@ import (
 
 // The core budget's contract: compute goroutines never outnumber its slots,
 // nested fan-out never waits for a slot (so nothing deadlocks, whatever the
-// machine size), and neither the budget's size nor -workers moves an output
-// byte.
+// machine size), and the budget's size never moves an output byte.
 
 // withBudget swaps the process-wide budget for one of n slots. Tests in this
 // package that use it must not run in parallel with other sweeps.
@@ -26,13 +25,6 @@ func withBudget(t *testing.T, n int) {
 	old := cores
 	cores = newBudget(n)
 	t.Cleanup(func() { cores = old })
-}
-
-func withDefaultWorkers(t *testing.T, n int) {
-	t.Helper()
-	old := DefaultWorkers()
-	SetDefaultWorkers(n)
-	t.Cleanup(func() { SetDefaultWorkers(old) })
 }
 
 // computeGauge counts goroutines inside compute() and remembers the peak.
@@ -118,11 +110,10 @@ func TestBudgetBoundsComputeGoroutines(t *testing.T) {
 	}
 }
 
-// TestBudgetOneSlotNoDeadlock is a one-core machine asked for four in-run
-// workers: every cell wants more slots than exist and fans out inside.
+// TestBudgetOneSlotNoDeadlock is a one-core machine: every cell holds the
+// only slot and fans out inside.
 func TestBudgetOneSlotNoDeadlock(t *testing.T) {
 	withBudget(t, 1)
-	withDefaultWorkers(t, 4)
 	var g computeGauge
 	var maxWorkers atomic.Int32
 	done := make(chan error, 1)
@@ -172,15 +163,16 @@ func sweepBytes(t *testing.T) []byte {
 	return out.Bytes()
 }
 
+// TestSweepOutputIndependentOfBudgetAndWorkers: the sweeps' bytes do not
+// depend on how many cells run at once. (In-run workers no longer exist;
+// every cell is one sequential kernel.)
 func TestSweepOutputIndependentOfBudgetAndWorkers(t *testing.T) {
 	withBudget(t, 1)
-	withDefaultWorkers(t, 0)
 	want := sweepBytes(t)
-	for _, c := range []struct{ slots, workers int }{{4, 0}, {4, 1}, {4, 4}, {2, 4}} {
-		cores = newBudget(c.slots)
-		SetDefaultWorkers(c.workers)
+	for _, slots := range []int{4, 2} {
+		cores = newBudget(slots)
 		if got := sweepBytes(t); !bytes.Equal(got, want) {
-			t.Errorf("budget %d, workers %d: output differs from budget 1, workers 0", c.slots, c.workers)
+			t.Errorf("budget %d: output differs from budget 1", slots)
 		}
 	}
 }
@@ -224,7 +216,7 @@ func TestCellAllocCap(t *testing.T) {
 				continue
 			}
 			x := Experiment{App: app, Scale: c.scale, Optimized: opt, Topo: c.topo,
-				Params: ReferenceParams(), Workers: -1}
+				Params: ReferenceParams()}
 			if _, err := x.Run(); err != nil { // fill the process-wide memo tables
 				t.Fatal(err)
 			}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"twolayer/internal/apps"
 	"twolayer/internal/network"
+	"twolayer/internal/par"
 	"twolayer/internal/sim"
 	"twolayer/internal/topology"
 )
@@ -22,6 +24,38 @@ func goldenExperiment(t *testing.T, g GoldenRun) Experiment {
 		App: app, Scale: apps.Tiny, Optimized: g.Optimized,
 		Topo:   topology.DAS(),
 		Params: network.DefaultParams().WithWAN(3300*sim.Microsecond, 0.95e6),
+	}
+}
+
+// resultsEqual compares every deterministic field of two Results.
+func resultsEqual(t *testing.T, label string, a, b par.Result) {
+	t.Helper()
+	if a.Elapsed != b.Elapsed {
+		t.Errorf("%s: Elapsed %d vs %d", label, a.Elapsed, b.Elapsed)
+	}
+	if a.Events != b.Events {
+		t.Errorf("%s: Events %d vs %d", label, a.Events, b.Events)
+	}
+	if a.WAN != b.WAN {
+		t.Errorf("%s: WAN %+v vs %+v", label, a.WAN, b.WAN)
+	}
+	if a.Intra != b.Intra {
+		t.Errorf("%s: Intra %+v vs %+v", label, a.Intra, b.Intra)
+	}
+	if a.Transport != b.Transport {
+		t.Errorf("%s: Transport %+v vs %+v", label, a.Transport, b.Transport)
+	}
+	if a.Faults != b.Faults {
+		t.Errorf("%s: Faults %+v vs %+v", label, a.Faults, b.Faults)
+	}
+	if !reflect.DeepEqual(a.PerProcFinish, b.PerProcFinish) {
+		t.Errorf("%s: PerProcFinish differs", label)
+	}
+	if !reflect.DeepEqual(a.PerProcCompute, b.PerProcCompute) {
+		t.Errorf("%s: PerProcCompute differs", label)
+	}
+	if !reflect.DeepEqual(a.ClusterWANOut, b.ClusterWANOut) {
+		t.Errorf("%s: ClusterWANOut %+v vs %+v", label, a.ClusterWANOut, b.ClusterWANOut)
 	}
 }
 

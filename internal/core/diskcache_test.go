@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"twolayer/internal/analytic"
 	"twolayer/internal/apps"
 	"twolayer/internal/network"
 	"twolayer/internal/par"
@@ -445,6 +446,106 @@ func FuzzLoadDisk(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, e.Result) {
 			t.Fatalf("served %+v, the body holds %+v", got, e.Result)
+		}
+	})
+}
+
+// graphFixture records a small graph (TSP, Tiny, at the reference point)
+// into a fresh directory and returns the directory, the key and the
+// entry's bytes.
+func graphFixture(t testing.TB) (string, RunKey, []byte) {
+	app, err := AppByName("TSP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := Experiment{App: app, Scale: apps.Tiny, Topo: topology.DAS(), Params: ReferenceParams()}
+	key := x.Key()
+	rec := analytic.NewRecorder(x.Topo, x.Params)
+	x.Trace = rec
+	res, err := x.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := rec.Finish(res.Elapsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	storeGraphDisk(dir, key, g)
+	data, err := os.ReadFile(graphPath(dir, key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir, key, data
+}
+
+// encodeGraph is g's binary encoding.
+func encodeGraph(t *testing.T, g *analytic.Graph) []byte {
+	var buf bytes.Buffer
+	if err := g.EncodeBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzLoadGraphDisk feeds the graph cache's entry reader arbitrary bytes at
+// an entry's path. It must never panic, must serve a graph only when the
+// entry's fingerprint and key match and its payload decodes (and then the
+// graph the payload holds), must never serve a strict prefix of a valid
+// entry, and must report every other present file as stale.
+func FuzzLoadGraphDisk(f *testing.F) {
+	dir, key, valid := graphFixture(f)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte("not a graph entry at all\n"))
+	f.Add(bytes.Repeat([]byte{0}, 64))
+	mutated := append([]byte(nil), valid...)
+	mutated[len(mutated)/2] ^= 1
+	f.Add(mutated)
+	// Well-formed envelopes that must stay unserved: a foreign build's
+	// fingerprint, another key under this key's address, and a payload cut
+	// short.
+	var e diskGraphEntry
+	if err := json.Unmarshal(valid, &e); err != nil {
+		f.Fatal(err)
+	}
+	for _, forge := range []func(*diskGraphEntry){
+		func(e *diskGraphEntry) { e.Fingerprint = "0123456789abcdef0123456789abcdef" },
+		func(e *diskGraphEntry) { e.Key.Seed++ },
+		func(e *diskGraphEntry) { e.Graph = e.Graph[:len(e.Graph)/2] },
+	} {
+		forged := e
+		forge(&forged)
+		b, err := json.Marshal(forged)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(graphPath(dir, key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok, stale := loadGraphDisk(dir, key) // must not panic on any input
+		if !ok {
+			if !stale {
+				t.Fatal("a present entry was neither served nor stale")
+			}
+			return
+		}
+		if len(data) < len(valid) && bytes.HasPrefix(valid, data) {
+			t.Fatalf("served a %d-byte prefix of a valid entry", len(data))
+		}
+		var e diskGraphEntry
+		if err := json.Unmarshal(data, &e); err != nil || e.Fingerprint != Fingerprint() || e.Key != key {
+			t.Fatalf("served an entry with fingerprint %q, key %+v (err %v)", e.Fingerprint, e.Key, err)
+		}
+		want, err := analytic.DecodeBinary(bytes.NewReader(e.Graph))
+		if err != nil {
+			t.Fatalf("served a graph whose payload does not decode: %v", err)
+		}
+		if !bytes.Equal(encodeGraph(t, got), encodeGraph(t, want)) {
+			t.Fatal("served a graph other than the one the payload holds")
 		}
 	})
 }

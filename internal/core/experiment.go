@@ -13,7 +13,6 @@ import (
 	"runtime/pprof"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"twolayer/internal/apps"
 	"twolayer/internal/apps/asp"
@@ -121,46 +120,14 @@ type Experiment struct {
 	// run stops with a sim.StopDeadline error. Like Budget it never affects
 	// a run that completes, and is not part of the cache key.
 	Ctx context.Context
-	// Workers controls in-run parallelism: each cluster becomes a logical
-	// process, synchronized in conservative time windows under the
-	// wide-area lookahead (see par.Options.Workers). Zero defers to the
-	// process-wide default (SetDefaultWorkers); negative forces sequential
-	// execution. Results are bit-identical at every worker count, which is
-	// why Workers — like Budget and Ctx — is deliberately NOT part of the
-	// cache key: cached entries are valid whatever engine produced them.
+	// Workers is ignored: every run is one sequential kernel. The field
+	// stays so callers that set it keep compiling.
 	Workers int
 }
 
-// defaultWorkers is the process-wide in-run worker default consulted when
-// Experiment.Workers is zero. It starts at 0, and the CLIs' default
-// (-workers -1) leaves it there: sweeps are sets of independent cells, and
-// one sequential kernel per core finishes them sooner than window workers
-// inside one cell do, so in-run workers are opt-in (-workers N).
-var defaultWorkers atomic.Int32
-
-// SetDefaultWorkers sets the process-wide default for Experiment.Workers ==
-// 0. Values below 1 select sequential execution. A sweep cell holds this
-// many slots of the core budget, so set it before starting sweeps.
-func SetDefaultWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultWorkers.Store(int32(n))
-}
-
-// DefaultWorkers reports the current process-wide default.
-func DefaultWorkers() int { return int(defaultWorkers.Load()) }
-
-// workers resolves the experiment's effective in-run worker count.
-func (x Experiment) workers() int {
-	switch {
-	case x.Workers < 0:
-		return 0
-	case x.Workers > 0:
-		return x.Workers
-	}
-	return DefaultWorkers()
-}
+// DefaultWorkers reports the in-run worker count of a run: always 0, the
+// sequential kernel.
+func DefaultWorkers() int { return 0 }
 
 // options is the one translation of the experiment into run options: Run
 // executes them and Validate checks them.
@@ -174,7 +141,6 @@ func (x Experiment) options() par.Options {
 		Regime:   x.Regime,
 		Adaptive: x.Adaptive,
 		Budget:   x.Budget,
-		Workers:  x.workers(),
 	}
 }
 
@@ -186,7 +152,7 @@ func (x Experiment) Validate() error { return x.check(0) }
 // check is Validate with extra features asked of the run; a recording
 // (RecordedGraph) adds par.Record.
 func (x Experiment) check(extra par.Feature) error {
-	return par.Check(par.FeaturesOf(x.Topo, x.options()) | extra)
+	return par.Check(par.FeaturesOf(x.options()) | extra)
 }
 
 // validateCells refuses a study before its first cell runs: it checks each
@@ -292,14 +258,13 @@ func CommTimePercent(singleCluster, multiCluster sim.Time) float64 {
 }
 
 // budget is the process-wide core budget: one slot per CPU, shared by every
-// sweep in the process. A sweep cell holds slots for as long as it runs
-// (forEachWeighted: one, or its in-run worker count when -workers N forces
-// the windowed engine), and fan-out nested inside a cell (solver shards, see
-// solveSharded) borrows only slots that are idle at that moment and
-// otherwise runs inline. So compute goroutines never outnumber the slots,
-// and a cell never waits for the budget it already holds part of. Results
-// are collected into per-index slots, so the budget's size never affects
-// output.
+// sweep in the process. A sweep cell holds one slot for as long as it runs
+// (a recording holds recordingSlots), and fan-out nested inside a cell
+// (solver shards, see solveSharded) borrows only slots that are idle at
+// that moment and otherwise runs inline. So compute goroutines never
+// outnumber the slots, and a cell never waits for the budget it already
+// holds part of. Results are collected into per-index slots, so the
+// budget's size never affects output.
 type budget struct {
 	mu         sync.Mutex
 	freed      *sync.Cond
@@ -366,7 +331,7 @@ func forEach(n int, fn func(i int) error) error {
 // identity, so a joined sweep error names exactly which cells failed
 // instead of presenting an anonymous pile.
 func forEachWeighted(n int, weight func(i int) float64, label func(i int) string, fn func(i int) error) error {
-	return forEachHolding(DefaultWorkers(), n, weight, label, fn)
+	return forEachHolding(1, n, weight, label, fn)
 }
 
 // forEachHolding is forEachWeighted with each call holding the given

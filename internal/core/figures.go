@@ -294,7 +294,7 @@ func figure4(scale apps.Scale, byBandwidth bool, pol *RunPolicy, a *AnalyticOpti
 	if err := validateCells(len(suite)*len(xs), a != nil, exp); err != nil {
 		return nil, err
 	}
-	slots, mode := DefaultWorkers(), ""
+	slots, mode := 1, ""
 	if a != nil {
 		slots, mode = recordingSlots, " analytic"
 	}

@@ -79,7 +79,7 @@ func clusterShapeStudy(scale apps.Scale, appNames []string, wanLatency sim.Time,
 			return nil, err
 		}
 	}
-	slots, suffix := DefaultWorkers(), ""
+	slots, suffix := 1, ""
 	if a != nil {
 		slots, suffix = recordingSlots, " analytic reference"
 	}

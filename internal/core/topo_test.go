@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -17,31 +18,41 @@ import (
 	"twolayer/internal/wantopo"
 )
 
-// Wide-area topology differentials: the multi-hop router must keep the
-// engine's bit-identity contract (any worker count, faults on or off), the
-// explicit clique must be indistinguishable — in results and in cache
-// identity — from the implicit default, and the analytic shortcut must
-// refuse graphs its replay model cannot see.
+// Wide-area topology tests: multi-hop timing is pinned per generator family
+// (with and without faults), the explicit clique must be indistinguishable —
+// in results and in cache identity — from the implicit default, and the
+// analytic shortcut must refuse graphs its replay model cannot see.
 
-// TestMultiHopDifferential runs one application across every generator
+// TestMultiHopDifferential pins one application across every generator
 // family, with and without fault injection, plus a wide-area variability
-// regime on two multi-hop graphs, and requires deep Result equality between
-// a sequential request (Workers=-1, which on multi-hop graphs runs the
-// windowed engine on one worker) and explicit worker counts. This is the
-// multi-hop extension of TestGoldenDeterminismParallel.
+// regime on two multi-hop graphs: Elapsed, wide-area link messages (one per
+// hop) and events of the sequential kernel, where equal-time sends book a
+// shared link in global schedule order. Each row runs twice and must
+// repeat itself exactly.
 func TestMultiHopDifferential(t *testing.T) {
 	app, err := AppByName("Water")
 	if err != nil {
 		t.Fatal(err)
 	}
-	type row struct{ spec, mode string }
-	var rows []row
-	for _, spec := range []string{"clique", "ring", "torus:4x2", "circulant:1,3", "fattree:4"} {
-		rows = append(rows, row{spec, ""}, row{spec, "faulted"})
-	}
-	rows = append(rows, row{"ring", "vary"}, row{"torus2", "vary"})
-	for _, r := range rows {
-		r := r
+	for _, r := range []struct {
+		spec, mode string
+		elapsed    sim.Time
+		wan        int64
+		events     uint64
+	}{
+		{"clique", "", 15942200, 240, 1400},
+		{"clique", "faulted", 43707327, 517, 1915},
+		{"ring", "", 109397044, 576, 1400},
+		{"ring", "faulted", 388348358, 4312, 3790},
+		{"torus:4x2", "", 57706835, 416, 1400},
+		{"torus:4x2", "faulted", 78669546, 1613, 2519},
+		{"circulant:1,3", "", 40290273, 352, 1400},
+		{"circulant:1,3", "faulted", 63897251, 1163, 2268},
+		{"fattree:4", "", 64056636, 768, 1400},
+		{"fattree:4", "faulted", 77933082, 3047, 2583},
+		{"ring", "vary", 198590678, 576, 1400},
+		{"torus2", "vary", 113954299, 416, 1400},
+	} {
 		name := r.spec
 		if r.mode != "" {
 			name += "/" + r.mode
@@ -52,30 +63,29 @@ func TestMultiHopDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(workers int) par.Result {
-				x := Experiment{App: app, Scale: apps.Tiny, Optimized: true,
-					Topo:   topology.MustUniform(8, 2),
-					Params: network.DefaultParams().WithWAN(3300*sim.Microsecond, 0.95e6),
-					WAN:    w, Workers: workers}
-				switch r.mode {
-				case "faulted":
-					x.Faults = faults.Params{DropRate: 0.02, DupRate: 0.01, Seed: 7}
-				case "vary":
-					x.Regime = regime.Params{Spec: "vary:5ms:0.5:20ms", Seed: 7}
-				}
-				res, err := x.Run()
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				return res
+			x := Experiment{App: app, Scale: apps.Tiny, Optimized: true,
+				Topo:   topology.MustUniform(8, 2),
+				Params: network.DefaultParams().WithWAN(3300*sim.Microsecond, 0.95e6),
+				WAN:    w}
+			switch r.mode {
+			case "faulted":
+				x.Faults = faults.Params{DropRate: 0.02, DupRate: 0.01, Seed: 7}
+			case "vary":
+				x.Regime = regime.Params{Spec: "vary:5ms:0.5:20ms", Seed: 7}
 			}
-			seq := run(-1)
-			if seq.WAN.Messages == 0 {
-				t.Fatal("run produced no wide-area traffic; differential is vacuous")
+			res, err := x.Run()
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, wk := range []int{1, 3} {
-				resultsEqual(t, name, seq, run(wk))
+			if res.Elapsed != r.elapsed || res.WAN.Messages != r.wan || res.Events != r.events {
+				t.Errorf("got %d ns, %d WAN messages, %d events; pinned %d, %d, %d",
+					res.Elapsed, res.WAN.Messages, res.Events, r.elapsed, r.wan, r.events)
 			}
+			again, err := x.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			resultsEqual(t, name+" rerun", res, again)
 		})
 	}
 }
@@ -112,32 +122,104 @@ func TestCliqueExplicitMatchesDefault(t *testing.T) {
 	}
 }
 
-// TestMultiHopRefusals pins the hook error paths: multi-hop timing is
-// defined by the windowed engine, so run modes needing the single-kernel
-// engine (tracing, and the analytic recorder) must return the capability
-// table's refusal rather than diverge.
+// TestMultiHopRefusals pins what a multi-hop graph still refuses: the
+// analytic recorder, whose replay charges one wide-area leg per message
+// and cannot see routes.
 func TestMultiHopRefusals(t *testing.T) {
-	app, err := AppByName("ASP")
-	if err != nil {
-		t.Fatal(err)
-	}
 	ring, err := wantopo.Parse("ring", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := Experiment{App: app, Scale: apps.Tiny,
-		Topo:   topology.MustUniform(4, 2),
-		Params: network.DefaultParams(),
-		WAN:    ring,
-		Trace:  trace.NewStream(8),
-	}
 	var u *par.Unsupported
-	if _, err := x.Run(); !errors.As(err, &u) || *u != (par.Unsupported{A: par.Trace, B: par.MultiHop}) {
-		t.Errorf("Trace on ring: err = %v, want the Trace x MultiHop refusal", err)
-	}
 	if _, _, err := Figure3Analytic(apps.Tiny, Figure3Options{WAN: ring}, AnalyticOptions{}); !errors.As(err, &u) ||
 		*u != (par.Unsupported{A: par.Record, B: par.NonClique}) {
 		t.Errorf("analytic on ring: err = %v, want the Record x NonClique refusal", err)
+	}
+}
+
+// sendCounter is a trace sink that also counts the wide-area messages it
+// observes per cluster pair.
+type sendCounter struct {
+	*trace.Stream
+	topo  *topology.Topology
+	pairs map[[2]int]int64
+}
+
+func (c *sendCounter) RecordMessage(m trace.Message) {
+	c.Stream.RecordMessage(m)
+	if m.WAN {
+		c.pairs[[2]int{c.topo.ClusterOf(m.Src), c.topo.ClusterOf(m.Dst)}]++
+	}
+}
+
+// TestTraceOnMultiHop: a trace of a multi-hop run sees one wide-area
+// message per send, while the links book one message per hop — every
+// send from cluster a to cluster b books the len(Route(a, b)) links of its
+// route, which is what the run's per-link statistics add up.
+func TestTraceOnMultiHop(t *testing.T) {
+	app, err := AppByName("Water")
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := topology.MustUniform(8, 2)
+	torus, err := wantopo.Parse("torus2", topo.Clusters())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &sendCounter{Stream: trace.NewStream(topo.Procs()), topo: topo, pairs: map[[2]int]int64{}}
+	x := Experiment{App: app, Scale: apps.Tiny, Topo: topo, Params: ReferenceParams(), WAN: torus, Trace: sink}
+	res, err := x.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sends, hops int64
+	for p, n := range sink.pairs {
+		sends += n
+		hops += n * int64(len(torus.Route(p[0], p[1])))
+	}
+	if got := int64(sink.Summarize().WANMessages); got != sends {
+		t.Errorf("trace counts %d wide-area messages, %d were sent", got, sends)
+	}
+	if hops != res.WAN.Messages {
+		t.Errorf("sends book %d link hops, the links counted %d", hops, res.WAN.Messages)
+	}
+	if sends >= res.WAN.Messages {
+		t.Errorf("%d sends on %d link messages: the run forwarded nothing", sends, res.WAN.Messages)
+	}
+	again, err := Experiment{App: app, Scale: apps.Tiny, Topo: topo, Params: ReferenceParams(), WAN: torus,
+		Trace: trace.NewStream(topo.Procs())}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultsEqual(t, "traced rerun", res, again)
+}
+
+// TestZeroLookaheadMultiHopRuns: a multi-hop graph on a wide area with no
+// latency and no per-message overheads runs, and reruns to the same grid.
+func TestZeroLookaheadMultiHopRuns(t *testing.T) {
+	ring, err := wantopo.Parse("ring", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := network.DefaultParams()
+	zero.SendOverhead, zero.RecvOverhead, zero.IntraLatency = 0, 0, 0
+	zero.WANLatency, zero.WANPerMessage = 0, 0
+	run := func() []ChaosPoint {
+		points, err := ChaosStudy(ChaosConfig{Topo: topology.MustUniform(4, 2), Params: zero, WAN: ring,
+			Drops: []float64{0, 0.02}, Outages: []sim.Time{0}, Cache: NewRunCache()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return points
+	}
+	first := run()
+	for _, p := range first {
+		if p.Failed != "" {
+			t.Errorf("%+v failed", p)
+		}
+	}
+	if second := run(); !reflect.DeepEqual(first, second) {
+		t.Errorf("rerun differs:\n%+v\n%+v", first, second)
 	}
 }
 
@@ -149,16 +231,8 @@ func TestStudiesRefuseBeforeFirstCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noWindow := network.DefaultParams()
-	noWindow.SendOverhead, noWindow.RecvOverhead, noWindow.IntraLatency = 0, 0, 0
-	noWindow.WANLatency, noWindow.WANPerMessage = 0, 0
 	cache := NewRunCache()
 	var u *par.Unsupported
-	_, err = ChaosStudy(ChaosConfig{Topo: topology.MustUniform(4, 2), Params: noWindow, WAN: ring,
-		Drops: []float64{0}, Outages: []sim.Time{0}, Cache: cache})
-	if !errors.As(err, &u) || *u != (par.Unsupported{A: par.MultiHop, B: par.NoWindow}) {
-		t.Errorf("chaos on a zero-lookahead ring: err = %v, want the MultiHop x NoWindow refusal", err)
-	}
 	_, _, err = Figure3Analytic(apps.Tiny, Figure3Options{Apps: []string{"TSP"}, WAN: ring, Cache: cache}, AnalyticOptions{})
 	if !errors.As(err, &u) || *u != (par.Unsupported{A: par.Record, B: par.NonClique}) {
 		t.Errorf("analytic Figure 3 on a ring: err = %v, want the Record x NonClique refusal", err)

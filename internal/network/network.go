@@ -17,7 +17,6 @@ package network
 
 import (
 	"fmt"
-	"os"
 
 	"twolayer/internal/faults"
 	"twolayer/internal/regime"
@@ -25,20 +24,6 @@ import (
 	"twolayer/internal/topology"
 	"twolayer/internal/wantopo"
 )
-
-// debugWANFile, when TWOLAYER_DEBUG_WAN names a file, receives one line per
-// wide-area gateway booking. Diffing the logs of a sequential and a
-// cluster-parallel run is the fastest way to localize a divergence: the
-// first mismatched booking names the send whose replay order is wrong.
-// A file rather than stderr because `go test` swallows passing packages'
-// output, and append mode so both engines of a differential can share it.
-var debugWANFile *os.File
-
-func init() {
-	if p := os.Getenv("TWOLAYER_DEBUG_WAN"); p != "" {
-		debugWANFile, _ = os.OpenFile(p, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	}
-}
 
 // Params are the tunable speeds of the interconnect. The defaults mirror
 // the paper's testbed numbers.
@@ -100,34 +85,6 @@ func (p Params) WithWAN(latency sim.Time, bandwidth float64) Params {
 	return p
 }
 
-// WANLookahead returns the minimum virtual delay between a cross-cluster
-// send call and the delivery of the message at its destination: the fixed
-// per-message costs of every leg, assuming zero transmission time (size 0,
-// idle links) and no surcharges. It is the conservative horizon that makes
-// cluster-partitioned parallel simulation safe: no message sent at time t
-// can affect another cluster before t + WANLookahead (queueing, transmission
-// time, RTT surcharges and injected jitter only push deliveries later). A
-// non-positive lookahead (a zero-latency, zero-overhead WAN) offers no
-// exploitable window and callers must fall back to sequential execution.
-func (p Params) WANLookahead() sim.Time {
-	return p.SendOverhead + 2*p.IntraLatency + p.WANPerMessage + p.WANLatency + p.RecvOverhead
-}
-
-// WANLookaheadFor is WANLookahead on an explicit wide-area graph: a
-// cross-cluster delivery traverses at least one wide-area hop, and every
-// hop detains the message for at least the graph's minimum link latency
-// scale times the base latency. Forwarding hops, queueing, and transmission
-// time only push deliveries later, so the single-minimum-hop bound is the
-// conservative horizon. On the clique (all scales 1) it returns exactly
-// WANLookahead.
-func (p Params) WANLookaheadFor(w *wantopo.WAN) sim.Time {
-	if w == nil || w.MinLatencyScale() == 1 {
-		return p.WANLookahead()
-	}
-	return p.SendOverhead + 2*p.IntraLatency + p.WANPerMessage +
-		sim.Time(float64(p.WANLatency)*w.MinLatencyScale()) + p.RecvOverhead
-}
-
 // Gap returns the NUMA gap of the configuration: the ratio between slow and
 // fast link speed, for latency and bandwidth respectively.
 func (p Params) Gap() (latencyGap, bandwidthGap float64) {
@@ -184,9 +141,8 @@ type Network struct {
 
 	// wg is the wide-area graph (wantopo.Clique by default) and wanRows its
 	// per-link mutable state: wanRows[v][i] is the link of edge RowStart(v)+i.
-	// Rows materialize on first booking, so a cluster-parallel shard that
-	// only ever sends from its own cluster allocates O(out-degree) links, not
-	// the whole graph.
+	// Rows materialize on first booking, so a run allocates links only for
+	// the nodes that send or forward wide-area traffic.
 	wg      *wantopo.WAN
 	wanRows [][]link
 
@@ -195,10 +151,6 @@ type Network struct {
 	// observer, when set, sees every delivered or dropped message (see
 	// SetObserver).
 	observer func(MessageEvent)
-
-	// router, when set, intercepts wide-area messages after the source-side
-	// legs (see SetRouter); nil routes them to the local gateway directly.
-	router Router
 
 	// Fault injection (see SetFaults); nil when the WAN is reliable.
 	faults     *faults.Plan
@@ -327,9 +279,7 @@ func (n *Network) Params() Params { return n.params }
 //
 // SendHandle returns how many times h.HandleEvent(token) will fire: 1
 // normally, 0 when fault injection or churn drops the message, and 2 when
-// fault injection duplicates it (both copies carry the same token). A
-// message handed to a router counts as scheduled, since the router must
-// deliver it; a deferred Undelivered record never is, and counts 0.
+// fault injection duplicates it (both copies carry the same token).
 func (n *Network) SendHandle(src, dst int, size int64, class MsgClass, h sim.EventHandler, token uint64) int {
 	if size < 0 {
 		panic(fmt.Sprintf("network: negative message size %d", size))
@@ -367,8 +317,7 @@ func (n *Network) SendHandle(src, dst int, size int64, class MsgClass, h sim.Eve
 	// Cluster churn: traffic to or from a churned-out cluster vanishes at
 	// the source gateway without ever occupying a wide-area link, like a
 	// link outage. The decision is a pure function of (plan, clusters,
-	// virtual time), so every engine — sequential or any shard of a
-	// cluster-parallel run — agrees on it.
+	// virtual time).
 	if n.regime != nil && (n.regime.ClusterDown(sc, localArrive) || n.regime.ClusterDown(dc, localArrive)) {
 		n.faultStats.OutageDropped++
 		if n.observer != nil {
@@ -395,16 +344,7 @@ func (n *Network) SendHandle(src, dst int, size int64, class MsgClass, h sim.Eve
 				// In-flight loss: the frame occupies the first wide-area hop,
 				// then is lost before the next gateway.
 				n.faultStats.Dropped++
-				if n.deferTransit() {
-					n.router.RouteWAN(WANArrival{
-						Src: src, Dst: dst, SrcCluster: sc, DstCluster: dc,
-						Bytes: size, Sent: now, LocalArrive: localArrive,
-						Class: class, NeedsTransit: true, Undelivered: true,
-						Chain: n.k.EventBirth(),
-					})
-				} else {
-					n.wanFirstHop(sc, dc, localArrive, size)
-				}
+				n.wanFirstHop(sc, dc, localArrive, size)
 			}
 			if n.observer != nil {
 				n.observer(MessageEvent{Src: src, Dst: dst, Bytes: size, Sent: now,
@@ -440,8 +380,7 @@ func (n *Network) wanLink(edgeID int) *link {
 // wanEdgeSpeed returns the effective latency and bandwidth of one wide-area
 // edge for one message offered to it at virtual time at: the global Params
 // scaled by the edge's static factors, then by a dynamic regime's
-// time-varying conditions — always degrading (latency up, bandwidth down),
-// which keeps Params.WANLookaheadFor a valid conservative horizon.
+// time-varying conditions — always degrading (latency up, bandwidth down).
 func (n *Network) wanEdgeSpeed(edgeID int, e wantopo.Edge, at sim.Time) (sim.Time, float64) {
 	lat, bw := n.params.WANLatency, n.params.WANBandwidth
 	if e.LatScale != 1 {
@@ -470,8 +409,9 @@ func (n *Network) wanEdgeSpeed(edgeID int, e wantopo.Edge, at sim.Time) (sim.Tim
 // then serializes on its own link FIFO and pays its own wire latency. Links
 // serve messages in global send order (bookings happen when the send
 // executes, even for downstream hops), the same FIFO approximation the
-// single-link model has always used — and the property that lets a barrier
-// replay sorted by (Sent, Chain) reproduce sequential link state exactly.
+// single-link model has always used. Sends at one virtual instant book in
+// the kernel's event order, so equal-time ties on a shared link go to the
+// send scheduled first.
 func (n *Network) wanPath(sc, dc int, localArrive sim.Time, size int64) sim.Time {
 	ready := localArrive + n.params.WANPerMessage
 	for _, id := range n.wg.Route(sc, dc) {
@@ -497,149 +437,21 @@ func (n *Network) wanFirstHop(sc, dc int, localArrive sim.Time, size int64) {
 		sim.Time(float64(2*lat)*n.params.WANMessageRTTFactor))
 }
 
-// deferTransit reports whether wide-area link booking must be postponed to
-// the router's barrier replay. On multi-hop graphs a link can carry traffic
-// from many source clusters (forwarding), so cluster-parallel shards cannot
-// book hops inline without racing; instead the source shard ships an
-// unbooked arrival and the barrier books every record's full path, in
-// (Sent, Chain) order, on one designated network instance — the same global
-// order sequential execution books in. The clique keeps the inline path:
-// each directed link belongs to exactly one source cluster there.
-func (n *Network) deferTransit() bool {
-	return n.router != nil && n.wg.MaxHops() > 1
-}
-
 // wanDeliver runs the middle and final legs of a wide-area message: the
 // store-and-forward hops along the chosen wide-area route, then
 // redistribution by the remote gateway onto the fast network. extraDelay is
 // injected reordering jitter, applied after the last hop — the shared links
 // book occupancy eagerly in offer order, so only a post-gateway delay can
-// actually deliver a later message before an earlier one. With a router
-// installed, the destination legs are handed off after the wide-area pipe
-// instead of running here; on multi-hop graphs even the wide-area hops are
-// deferred to the router's barrier (see deferTransit).
+// actually deliver a later message before an earlier one.
 func (n *Network) wanDeliver(src, dst, sc, dc int, sent, localArrive sim.Time,
 	size int64, extraDelay sim.Time, class MsgClass, duplicate bool, h sim.EventHandler, token uint64) {
-	a := WANArrival{
-		Src: src, Dst: dst, SrcCluster: sc, DstCluster: dc,
-		Bytes: size, Sent: sent, LocalArrive: localArrive, Extra: extraDelay,
-		Class: class, Duplicate: duplicate, Handler: h, Token: token,
-		Chain: n.k.EventBirth(),
-	}
-	if n.deferTransit() {
-		a.NeedsTransit = true
-		n.router.RouteWAN(a)
-		return
-	}
-	a.Ready = n.wanPath(sc, dc, localArrive, size)
-	if n.router != nil {
-		n.router.RouteWAN(a)
-		return
-	}
-	n.DeliverWAN(a)
-}
-
-// WANArrival is a wide-area message that has cleared the source-side legs —
-// the sender's NIC, the queue onto the directed wide-area link, and the
-// wide-area pipe itself — and is about to enter the destination cluster's
-// gateway. It is what a Router buffers between the source and destination
-// partitions of a cluster-parallel simulation.
-type WANArrival struct {
-	// Src and Dst are the endpoint ranks; SrcCluster and DstCluster their
-	// clusters.
-	Src, Dst               int
-	SrcCluster, DstCluster int
-	// Bytes is the simulated wire size.
-	Bytes int64
-	// Sent is the virtual time of the originating send call: the key that
-	// orders arrivals deterministically when a router replays them.
-	Sent sim.Time
-	// LocalArrive is when the message reached the source cluster's gateway
-	// (the intra-cluster leg done); TransitWAN books the wide-area hops from
-	// here when transit was deferred.
-	LocalArrive sim.Time
-	// Ready is when the last byte clears the wide-area pipe and reaches the
-	// destination gateway. Unset while NeedsTransit.
-	Ready sim.Time
-	// NeedsTransit marks an arrival whose wide-area hops have not been booked
-	// yet (multi-hop graphs under a router defer them — links are shared by
-	// many source clusters there). The router must pass it to TransitWAN, in
-	// (Sent, Chain) order, before delivery.
-	NeedsTransit bool
-	// Undelivered marks a deferred record for a message lost in flight: its
-	// first hop must still be booked (the frame occupied the link), but it
-	// never reaches the destination gateway and must not be delivered.
-	Undelivered bool
-	// Extra is injected post-gateway reordering jitter.
-	Extra sim.Time
-	// Class and Duplicate label the message for observers and accounting.
-	Class     MsgClass
-	Duplicate bool
-	// Chain is the head of the originating send event's causal chain
-	// (sim.Kernel.EventBirth): the sequential kernel fires exact-time ties
-	// in global schedule order, and schedule order is ascending
-	// (Sent, Chain) as far as the recorded depth resolves. The window
-	// router sorts on it so a barrier replay books links in the order the
-	// sequential run would have.
-	Chain sim.BirthChain
-
-	// Handler and Token are the delivery: DeliverWAN schedules
-	// Handler.HandleEvent(Token). A router may replace both before delivery —
-	// package par moves the message's envelope into the destination
-	// partition's pool at the barrier. Nil on Undelivered records.
-	Handler sim.EventHandler
-	Token   uint64
-}
-
-// Router intercepts wide-area traffic after the source-side legs. Package
-// par's window router implements it to buffer cross-cluster messages at
-// window barriers; hand each arrival to DeliverWAN on the network instance
-// owning the destination cluster to complete delivery.
-type Router interface {
-	RouteWAN(a WANArrival)
-}
-
-// SetRouter installs a wide-area router (nil restores direct delivery).
-// Call before any traffic.
-func (n *Network) SetRouter(r Router) { n.router = r }
-
-// TransitWAN books the wide-area hops of a deferred arrival (NeedsTransit)
-// on this network instance's links and fills in Ready. A router replaying a
-// barrier must call it on one designated instance, in ascending
-// (Sent, Chain) order over all deferred records — the global send order, in
-// which sequential execution books the same links — and then skip delivery
-// of Undelivered records.
-func (n *Network) TransitWAN(a *WANArrival) {
-	if !a.NeedsTransit {
-		return
-	}
-	if a.Undelivered {
-		n.wanFirstHop(a.SrcCluster, a.DstCluster, a.LocalArrive, a.Bytes)
-		return
-	}
-	a.Ready = n.wanPath(a.SrcCluster, a.DstCluster, a.LocalArrive, a.Bytes)
-	a.NeedsTransit = false
-}
-
-// DeliverWAN runs the destination-side legs of a wide-area arrival:
-// redistribution through the destination cluster's gateway onto the fast
-// network, then delivery. It must be called on the network instance that
-// owns the destination cluster's gateway link, at a kernel time no later
-// than the delivery time. Without a router, wanDeliver calls it inline, so
-// routed and direct execution book identical link occupancy and schedule
-// identical events.
-func (n *Network) DeliverWAN(a WANArrival) {
-	if debugWANFile != nil {
-		fmt.Fprintf(debugWANFile, "WANARR src=%d dst=%d sc=%d dc=%d bytes=%d sent=%d ready=%d class=%d dup=%v chain=%v\n",
-			a.Src, a.Dst, a.SrcCluster, a.DstCluster, a.Bytes, a.Sent, a.Ready, a.Class, a.Duplicate, a.Chain)
-	}
-	gwDone := n.gateways[a.DstCluster].reserve(a.Ready, a.Bytes, n.params.IntraBandwidth)
-	arrive := gwDone + n.params.IntraLatency
-	deliverAt := arrive + n.params.RecvOverhead + a.Extra
-	n.k.ScheduleCall(deliverAt, a.Handler, a.Token)
+	ready := n.wanPath(sc, dc, localArrive, size)
+	gwDone := n.gateways[dc].reserve(ready, size, n.params.IntraBandwidth)
+	deliverAt := gwDone + n.params.IntraLatency + n.params.RecvOverhead + extraDelay
+	n.k.ScheduleCall(deliverAt, h, token)
 	if n.observer != nil {
-		n.observer(MessageEvent{Src: a.Src, Dst: a.Dst, Bytes: a.Bytes, Sent: a.Sent,
-			Delivered: deliverAt, WAN: true, Class: a.Class, Duplicate: a.Duplicate})
+		n.observer(MessageEvent{Src: src, Dst: dst, Bytes: size, Sent: sent,
+			Delivered: deliverAt, WAN: true, Class: class, Duplicate: duplicate})
 	}
 }
 

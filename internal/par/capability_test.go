@@ -3,7 +3,6 @@ package par
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"reflect"
 	"strings"
@@ -19,29 +18,51 @@ import (
 	"twolayer/internal/wantopo"
 )
 
-// budgetDim is the test's one dimension beyond the table's features: a
-// generous Budget, which must never change a run that completes within it.
-const budgetDim = NoWindow << 1
+// Test dimensions beyond the table's features: machine shapes every
+// feature must run on — multi-hop routes (a ring of four clusters) and a
+// wide area with no latency or per-message overhead — and a generous
+// Budget, which must never change a run that completes within it.
+const (
+	multiHopDim Feature = 1 << (8 + iota)
+	noWindowDim
+	budgetDim
+	testDims = multiHopDim | noWindowDim | budgetDim
+)
 
-// matrixDims are the dimensions the pair matrix combines.
-var matrixDims = []Feature{Faults, Reliable, Regime, Adaptive, Trace, Record,
-	NonClique, MultiHop, Workers, NoWindow, budgetDim}
+// matrixDims are the dimensions the matrix combines, and dimNames their
+// names in subtest names.
+var (
+	matrixDims = []Feature{Faults, Reliable, Regime, Adaptive, Trace, Record,
+		NonClique, multiHopDim, noWindowDim, budgetDim}
+	dimNames = []string{"Faults", "Reliable", "Regime", "Adaptive", "Trace", "Record",
+		"NonClique", "MultiHop", "NoWindow", "Budget"}
+)
+
+// dimsName renders a combination as its dimension names joined by ",".
+func dimsName(f Feature) string {
+	var names []string
+	for i, d := range matrixDims {
+		if f&d != 0 {
+			names = append(names, dimNames[i])
+		}
+	}
+	return strings.Join(names, ",")
+}
 
 // capabilityRun builds a small run asking for the features in f: 3x2
 // clusters (4x2 for a multi-hop ring), a 6-round shifting-ring job. A
-// request for MultiHop also gets NonClique, which it implies. Trace and
+// request for multiHopDim also gets NonClique, which it implies. Trace and
 // Record cannot be asked of one Options (a run has one sink); with both,
 // the run carries the Trace sink and want carries Record as well.
 func capabilityRun(t *testing.T, f Feature) (topo *topology.Topology, opts Options, want Feature) {
 	t.Helper()
 	clusters := 3
-	if f&MultiHop != 0 {
+	if f&multiHopDim != 0 {
 		clusters, f = 4, f|NonClique
 	}
 	topo = topology.MustUniform(clusters, 2)
 	opts = Options{Seed: 42, Params: network.DefaultParams().WithWAN(2*sim.Millisecond, 1e6)}
-	if f&NoWindow != 0 {
-		// A zero-lookahead machine: every term of WANLookahead is zero.
+	if f&noWindowDim != 0 {
 		p := &opts.Params
 		p.SendOverhead, p.RecvOverhead, p.IntraLatency, p.WANLatency, p.WANPerMessage = 0, 0, 0, 0, 0
 	}
@@ -69,13 +90,10 @@ func capabilityRun(t *testing.T, f Feature) (topo *topology.Topology, opts Optio
 		}
 		opts.WAN = w
 	}
-	if f&Workers != 0 {
-		opts.Workers = 2
-	}
 	if f&budgetDim != 0 {
 		opts.Budget = sim.Budget{MaxEvents: 1 << 40, MaxVirtualTime: 1000 * sim.Second}
 	}
-	return topo, opts, f &^ budgetDim
+	return topo, opts, f &^ testDims
 }
 
 // runCounting runs a fresh copy of opts (its own sink) and reports how
@@ -96,31 +114,24 @@ func runCounting(topo *topology.Topology, opts Options, f Feature) (Result, int3
 	return res, started.Load(), err
 }
 
-// TestCapabilityMatrix drives every pair of the table's features plus
-// Budget, and 64 seeded triples, through RunWith. A refused combination
+// TestCapabilityMatrix drives every pair and every triple of the table's
+// features and the test dimensions through RunWith. A refused combination
 // returns the table's *Unsupported with nothing run; an accepted one
-// completes, reruns to a DeepEqual Result and, without a regime, is
-// DeepEqual at Workers 0 and 2. Nothing panics.
+// completes and reruns to a DeepEqual Result. Nothing panics.
 func TestCapabilityMatrix(t *testing.T) {
 	var combos []Feature
 	for i, a := range matrixDims {
-		for _, b := range matrixDims[i+1:] {
+		for j, b := range matrixDims[i+1:] {
 			combos = append(combos, a|b)
+			for _, c := range matrixDims[i+j+2:] {
+				combos = append(combos, a|b|c)
+			}
 		}
-	}
-	rng := rand.New(rand.NewSource(20261017))
-	for len(combos) < 55+64 {
-		p := rng.Perm(len(matrixDims))
-		combos = append(combos, matrixDims[p[0]]|matrixDims[p[1]]|matrixDims[p[2]])
 	}
 	for _, asked := range combos {
-		name := strings.ReplaceAll((asked &^ budgetDim).String(), "+", ",")
-		if asked&budgetDim != 0 {
-			name += ",Budget"
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(dimsName(asked), func(t *testing.T) {
 			topo, opts, want := capabilityRun(t, asked)
-			got := FeaturesOf(topo, opts)
+			got := FeaturesOf(opts)
 			if want&Trace != 0 && want&Record != 0 {
 				// One sink per run: the recording of a traced run is the
 				// combination core asks the table about, and it is refused.
@@ -151,16 +162,6 @@ func TestCapabilityMatrix(t *testing.T) {
 			if err != nil || !reflect.DeepEqual(res, again) {
 				t.Fatalf("rerun differs (err %v):\n%+v\n%+v", err, res, again)
 			}
-			if want&Regime != 0 {
-				return // regime x engine agreement is not this table's claim
-			}
-			for _, w := range []int{0, 2} {
-				opts.Workers = w
-				other, _, err := runCounting(topo, opts, want)
-				if err != nil || !reflect.DeepEqual(res, other) {
-					t.Fatalf("Workers %d differs (err %v):\n%+v\n%+v", w, err, res, other)
-				}
-			}
 		})
 	}
 }
@@ -170,38 +171,28 @@ func TestCapabilityMatrix(t *testing.T) {
 // changed document.
 func TestCapabilityDecisions(t *testing.T) {
 	for _, c := range []struct {
-		f        Feature
-		refusal  *Unsupported
-		windowed bool
+		f       Feature
+		refusal *Unsupported
 	}{
-		{0, nil, false},
-		{Workers, nil, true},
-		{MultiHop | NonClique, nil, true},
-		{Workers | Trace, nil, false},
-		{Workers | Record, nil, false},
-		{Workers | NoWindow, nil, false},
-		{Trace | NonClique, nil, false},
-		{Regime | Adaptive | Workers, nil, true},
-		{Faults | Reliable | Regime | NonClique | MultiHop | Workers, nil, true},
-		{Record | Faults, &Unsupported{Record, Faults}, false},
-		{Record | Reliable, &Unsupported{Record, Reliable}, false},
-		{Record | Regime, &Unsupported{Record, Regime}, false},
-		{Record | NonClique, &Unsupported{Record, NonClique}, false},
-		{Record | Trace, &Unsupported{Record, Trace}, false},
-		{Trace | MultiHop | NonClique, &Unsupported{Trace, MultiHop}, false},
-		{MultiHop | NonClique | NoWindow, &Unsupported{MultiHop, NoWindow}, false},
-		{Adaptive, &Unsupported{Adaptive, without | Regime}, false},
-		{Adaptive | Faults | Workers, &Unsupported{Adaptive, without | Regime}, false},
+		{0, nil},
+		{Trace | NonClique, nil},
+		{Regime | Adaptive, nil},
+		{Faults | Reliable | Regime | NonClique | Trace, nil},
+		{Record | Faults, &Unsupported{Record, Faults}},
+		{Record | Reliable, &Unsupported{Record, Reliable}},
+		{Record | Regime, &Unsupported{Record, Regime}},
+		{Record | NonClique, &Unsupported{Record, NonClique}},
+		{Record | Trace, &Unsupported{Record, Trace}},
+		{Adaptive, &Unsupported{Adaptive, without | Regime}},
+		{Adaptive | Faults | NonClique, &Unsupported{Adaptive, without | Regime}},
 	} {
-		windowed, err := decide(c.f)
+		err := Check(c.f)
 		var u *Unsupported
 		switch {
 		case c.refusal == nil && err != nil:
 			t.Errorf("%v refused: %v", c.f, err)
 		case c.refusal != nil && (!errors.As(err, &u) || *u != *c.refusal):
 			t.Errorf("%v: err %v, want %v", c.f, err, c.refusal)
-		case windowed != c.windowed:
-			t.Errorf("%v: windowed %v, want %v", c.f, windowed, c.windowed)
 		}
 	}
 }
@@ -209,9 +200,9 @@ func TestCapabilityDecisions(t *testing.T) {
 // capabilityMarkdown renders the table as DESIGN.md shows it.
 func capabilityMarkdown() string {
 	var b strings.Builder
-	b.WriteString("| A | B | outcome | why |\n|---|---|---|---|\n")
+	b.WriteString("| A | B | why |\n|---|---|---|\n")
 	for _, c := range capabilities {
-		fmt.Fprintf(&b, "| %v | %v | %s | %s |\n", c.a, c.b, [...]string{"refuse", "sequential"}[c.outcome], c.why)
+		fmt.Fprintf(&b, "| %v | %v | %s |\n", c.a, c.b, c.why)
 	}
 	return b.String()
 }

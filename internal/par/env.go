@@ -50,7 +50,6 @@ type Job func(e *Env)
 // Env is one processor's view of the runtime.
 type Env struct {
 	rt   *runtime
-	sh   *shard // the LP hosting this rank (the lone shard when sequential)
 	p    *sim.Proc
 	rank int
 	mb   mailbox
@@ -62,7 +61,7 @@ type Env struct {
 	// Write-behind state (see the package comment). busy means a
 	// continuation event is pending: the rank's own clock is ahead of the
 	// kernel's, and further outputs queue behind it (qhead/qtail, slab
-	// index+1 into sh.ops). idle is where the rank parks until the queue
+	// index+1 into rt.ops). idle is where the rank parks until the queue
 	// has drained; if it parked there on its way into a receive, the
 	// request is already in mb (mb.sink != nil) for the continuation to arm.
 	busy         bool
@@ -154,7 +153,7 @@ func (e *Env) Compute(d sim.Time) {
 func (e *Env) compute(d sim.Time) {
 	var token uint64
 	if e.rt.tracer != nil {
-		token = uint64(e.sh.k.Now()) + 1
+		token = uint64(e.rt.k.Now()) + 1
 	}
 	e.occupy(d, token)
 }
@@ -168,7 +167,7 @@ func (e *Env) occupy(d sim.Time, token uint64) {
 	}
 	e.p.ChargeCompute(d)
 	e.busy = true
-	e.sh.k.CallAfter(d, e, token)
+	e.rt.k.CallAfter(d, e, token)
 }
 
 // sync parks the rank until every output it has issued has run, so that
@@ -183,7 +182,7 @@ func (e *Env) sync() {
 // implements sim.BlockExplainer and is only called for diagnostics.
 func (e *Env) BlockReason() string {
 	n := 0
-	for ref := e.qhead; ref != 0; ref = e.sh.op(ref).next {
+	for ref := e.qhead; ref != 0; ref = e.rt.op(ref).next {
 		n++
 	}
 	s := fmt.Sprintf("%d deferred op(s) pending", n)
@@ -201,9 +200,9 @@ func (e *Env) BlockReason() string {
 // rank is woken, or, if it parked to receive and its messages are not all
 // there yet, handed to the mailbox without a wake-up.
 func (e *Env) HandleEvent(token uint64) {
-	e.sh.k.NoteProgress() // the process wake-up this replaces counted as progress
+	e.rt.k.NoteProgress() // the process wake-up this replaces counted as progress
 	if token != 0 {
-		e.rt.tracer.RecordSpan(trace.Span{Rank: e.rank, Start: sim.Time(token - 1), End: e.sh.k.Now()})
+		e.rt.tracer.RecordSpan(trace.Span{Rank: e.rank, Start: sim.Time(token - 1), End: e.rt.k.Now()})
 	}
 	e.busy = false
 	for e.qhead != 0 && !e.busy {
@@ -257,7 +256,7 @@ func (e *Env) Send(dst int, tag Tag, data any, bytes int64) {
 		e.sync()
 		e.sends++
 		e.relSend(dst, Msg{From: e.rank, Tag: tag, Data: data, Bytes: bytes}, bytes)
-		e.occupy(e.sh.net.Params().SendOverhead, 0)
+		e.occupy(e.rt.net.Params().SendOverhead, 0)
 		return
 	}
 	if e.busy {
@@ -286,8 +285,8 @@ func (e *Env) post(dst int, tag Tag, data any, bytes int64) {
 		// receive synchronously inside the send below.
 		e.rt.rec.RecordSendTag(int64(tag))
 	}
-	e.sh.send(e.rank, bytes, network.ClassData, envelope{m: m, dst: int32(dst), kind: envData})
-	e.occupy(e.sh.net.Params().SendOverhead, 0)
+	e.rt.send(e.rank, bytes, network.ClassData, envelope{m: m, dst: int32(dst), kind: envData})
+	e.occupy(e.rt.net.Params().SendOverhead, 0)
 }
 
 // recorded reports a consumed message and the receive pattern that matched

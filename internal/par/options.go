@@ -15,7 +15,7 @@ import (
 
 // Options configures a run beyond the basic Run arguments: the wide-area
 // graph, fault injection, dynamic regimes (wide-area variability among
-// them), event tracing, budgets and in-run parallelism.
+// them), event tracing and budgets.
 type Options struct {
 	// Params sets the interconnect speeds; the zero value means
 	// network.DefaultParams().
@@ -58,14 +58,6 @@ type Options struct {
 	// and a run that completes within its budgets is bit-identical to the
 	// same run with no budgets at all.
 	Budget sim.Budget
-	// Workers >= 1 runs the simulation itself in parallel: each cluster
-	// becomes a logical process with its own kernel, synchronized in
-	// conservative time windows under the wide-area lookahead, with up to
-	// Workers clusters executing concurrently. Results are bit-identical
-	// for every value, including the sequential default (0). The
-	// capability table (capability.go) names the runs that take the
-	// sequential engine regardless of Workers.
-	Workers int
 }
 
 // RunWith executes job like Run, with extended options.

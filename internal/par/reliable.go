@@ -63,9 +63,7 @@ func (e *TransportError) Error() string {
 
 // relConfig is the run-wide reliable-transport configuration: the resolved
 // settings shared by every channel. The mutable protocol counters and
-// channel failures live on each shard (LP-local under parallel execution;
-// see shard.relStats and shard.relErrs), summed into the Result in shard
-// order.
+// channel failures live on the runtime (relStats, relErrs).
 type relConfig struct {
 	Transport
 	rtoBase sim.Time
@@ -150,7 +148,7 @@ func (e *Env) relSend(dst int, m Msg, bytes int64) {
 	seq := s.next
 	s.next++
 	s.lastBytes = bytes
-	s.window = append(s.window, relFrame{m: m, bytes: bytes, sentAt: e.sh.k.Now()})
+	s.window = append(s.window, relFrame{m: m, bytes: bytes, sentAt: e.rt.k.Now()})
 	s.transmit(seq, s.window[len(s.window)-1], network.ClassData)
 	if !s.timerOn {
 		s.arm()
@@ -171,7 +169,7 @@ func (s *relSender) windowLimit() int {
 	if !s.e.rt.adaptive || s.srtt == 0 {
 		return cfg.Window
 	}
-	per := 2 * sim.TransmissionTime(s.lastBytes+cfg.AckBytes, s.e.sh.net.Params().WANBandwidth)
+	per := 2 * sim.TransmissionTime(s.lastBytes+cfg.AckBytes, s.e.rt.net.Params().WANBandwidth)
 	if per <= 0 {
 		return cfg.Window
 	}
@@ -194,15 +192,13 @@ func (s *relSender) ceiling() int {
 }
 
 // transmit puts one frame on the wire; delivery lands in the receiver's
-// reliable layer, not directly in the mailbox. The delivery fires on the
-// receiver's kernel (under parallel execution its envelope moves to the
-// receiver's shard at the barrier), and relDeliver touches only
+// reliable layer, not directly in the mailbox; relDeliver touches only
 // receiver-local state.
 func (s *relSender) transmit(seq int64, f relFrame, class network.MsgClass) {
 	if s.failed {
 		return
 	}
-	s.e.sh.send(s.e.rank, f.bytes, class, envelope{m: f.m, seq: seq, dst: int32(s.dst), kind: envFrame})
+	s.e.rt.send(s.e.rank, f.bytes, class, envelope{m: f.m, seq: seq, dst: int32(s.dst), kind: envFrame})
 }
 
 // rto returns the current retransmission timeout: the base round trip plus
@@ -230,7 +226,7 @@ func (s *relSender) rto() sim.Time {
 		}
 	}
 	if len(s.window) > 0 {
-		p := s.e.sh.net.Params()
+		p := s.e.rt.net.Params()
 		d += 2 * sim.TransmissionTime(s.window[0].bytes+cfg.AckBytes, p.WANBandwidth)
 	}
 	shift := s.retries
@@ -287,7 +283,7 @@ func mix64(x uint64) uint64 {
 // counter, which rides along as the event token — the timer path allocates
 // no closure.
 func (s *relSender) arm() {
-	k := s.e.sh.k
+	k := s.e.rt.k
 	s.armAt(k.Now() + s.rto())
 }
 
@@ -295,7 +291,7 @@ func (s *relSender) arm() {
 func (s *relSender) armAt(at sim.Time) {
 	s.timerGen++
 	s.timerOn = true
-	s.e.sh.k.ScheduleCall(at, s, s.timerGen)
+	s.e.rt.k.ScheduleCall(at, s, s.timerGen)
 }
 
 // HandleEvent implements sim.EventHandler for the retransmission timer; the
@@ -311,14 +307,14 @@ func (s *relSender) onTimeout(gen uint64) {
 	}
 	s.timerOn = false
 	cfg := s.e.rt.rel
-	s.e.sh.relStats.Timeouts++
+	s.e.rt.relStats.Timeouts++
 	// Churn-aware hold-off: when the regime says an endpoint's whole
 	// cluster is churned out right now, retransmitting is futile (the
 	// gateway drops everything) and escalating the backoff just delays the
 	// repair past the rejoin. Re-arm for just after the scheduled rejoin
 	// instead, without burning a retry round — planned downtime is not
 	// congestion. The rejoin time is a pure function of the regime, so this
-	// stays deterministic at every worker count.
+	// stays deterministic.
 	if hold, ok := s.churnHold(); ok {
 		s.armAt(hold)
 		return
@@ -335,13 +331,13 @@ func (s *relSender) onTimeout(gen uint64) {
 	s.retries++
 	if s.retries > cfg.MaxRetries {
 		s.failed = true
-		s.e.sh.relErrs = append(s.e.sh.relErrs, &TransportError{
+		s.e.rt.relErrs = append(s.e.rt.relErrs, &TransportError{
 			Src: s.e.rank, Dst: s.dst, Retries: cfg.MaxRetries,
 			Seq: s.base, Unacked: len(s.window)})
 		return
 	}
 	for i := range s.window {
-		s.e.sh.relStats.Retransmits++
+		s.e.rt.relStats.Retransmits++
 		s.window[i].retx = true
 		s.transmit(s.base+int64(i), s.window[i], network.ClassRetrans)
 	}
@@ -351,13 +347,16 @@ func (s *relSender) onTimeout(gen uint64) {
 // churnHold reports whether an adaptive sender should sit out a churn
 // window, and until when: the later rejoin time of the two endpoints'
 // clusters plus a deterministic per-channel spread (so every held channel
-// does not probe in the same instant after the rejoin).
+// does not probe in the same instant after the rejoin). The spread is
+// rtoBase wide, but never as wide as the up interval that follows the
+// rejoin: a hold that ran past it would land in the next cycle's down
+// window, and a channel whose every hold does that never retransmits.
 func (s *relSender) churnHold() (sim.Time, bool) {
 	rt := s.e.rt
 	if !rt.adaptive || !rt.regime.HasChurn() {
 		return 0, false
 	}
-	now := s.e.sh.k.Now()
+	now := rt.k.Now()
 	up := now
 	if t := rt.regime.UpAt(rt.topo.ClusterOf(s.e.rank), now); t > up {
 		up = t
@@ -368,8 +367,9 @@ func (s *relSender) churnHold() (sim.Time, bool) {
 	if up == now {
 		return 0, false
 	}
+	spread := min(rt.rel.rtoBase, rt.regime.ChurnUp())
 	h := mix64(uint64(s.e.rank)<<40 ^ uint64(s.dst)<<20 ^ uint64(s.base)<<8 ^ 0x5c)
-	return up + sim.Time(float64(s.e.rt.rel.rtoBase)*(float64(h>>11)/(1<<53))), true
+	return up + sim.Time(float64(spread)*(float64(h>>11)/(1<<53))), true
 }
 
 // relDeliver is the receiving side: accept in-order frames, discard
@@ -384,19 +384,19 @@ func (e *Env) relDeliver(src int, seq int64, m Msg) {
 	switch exp := e.relExp[src]; {
 	case seq == exp:
 		e.relExp[src] = exp + 1
-		e.sh.k.NoteProgress() // new in-order delivery: the application advanced
+		e.rt.k.NoteProgress() // new in-order delivery: the application advanced
 		e.mb.deliver(m)
 	case seq < exp:
-		e.sh.relStats.Duplicates++ // retransmission of something already delivered
+		e.rt.relStats.Duplicates++ // retransmission of something already delivered
 	default:
-		e.sh.relStats.OutOfOrder++ // gap: an earlier frame was lost or jittered past
+		e.rt.relStats.OutOfOrder++ // gap: an earlier frame was lost or jittered past
 	}
 	cum := e.relExp[src] - 1
 	if cum < 0 {
 		return // nothing received in order yet; an ack would carry no information
 	}
-	e.sh.relStats.Acks++
-	e.sh.send(e.rank, cfg.AckBytes, network.ClassAck,
+	e.rt.relStats.Acks++
+	e.rt.send(e.rank, cfg.AckBytes, network.ClassAck,
 		envelope{m: Msg{From: e.rank}, seq: cum, dst: int32(src), kind: envAck})
 }
 
@@ -421,7 +421,7 @@ func (e *Env) relAck(from int, cum int64) {
 			if s.window[i].retx {
 				continue
 			}
-			if sample := e.sh.k.Now() - s.window[i].sentAt; sample > 0 {
+			if sample := e.rt.k.Now() - s.window[i].sentAt; sample > 0 {
 				s.observeRTT(sample)
 			}
 			break
@@ -433,7 +433,7 @@ func (e *Env) relAck(from int, cum int64) {
 	// A cumulative ack moving the window is the transport-level progress the
 	// livelock watchdog watches for: a retransmit storm fires timers forever
 	// without ever reaching this line.
-	e.sh.k.NoteProgress()
+	e.rt.k.NoteProgress()
 	if len(s.window) > 0 {
 		s.arm()
 	} else {

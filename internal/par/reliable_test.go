@@ -1,11 +1,13 @@
 package par
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
 	"twolayer/internal/faults"
 	"twolayer/internal/network"
+	"twolayer/internal/regime"
 	"twolayer/internal/sim"
 	"twolayer/internal/topology"
 	"twolayer/internal/trace"
@@ -334,5 +336,53 @@ func TestBackoffEscapesPeriodicOutage(t *testing.T) {
 	}
 	if res.Transport.Timeouts == 0 {
 		t.Error("no timeouts under a 60% blackout duty cycle")
+	}
+}
+
+// TestAdaptiveChurnFinishes: under churn:60ms:15ms the up interval (45 ms)
+// is shorter than rtoBase (57.2 ms). A churn hold spread over the whole
+// rtoBase put re-armed timers into the next down window, over and over:
+// the adaptive run hit a 200 s budget after 10,064 timeouts and 53
+// retransmits, while the static run finishes at 2.056 s.
+func TestAdaptiveChurnFinishes(t *testing.T) {
+	topo, opts := churnMachine("churn:60ms:15ms", false)
+	opts.Budget = sim.Budget{MaxVirtualTime: 200 * sim.Second}
+	static, err := RunWith(topo, opts, randomJob(3, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if static.Elapsed != 2056069969 {
+		t.Errorf("static run finished at %d ns, pinned 2056069969", static.Elapsed)
+	}
+	opts.Adaptive = true
+	res, err := RunWith(topo, opts, randomJob(3, 10))
+	if err != nil {
+		t.Fatalf("adaptive run: %v", err)
+	}
+	if res.Transport.Retransmits == 0 {
+		t.Error("adaptive run never retransmitted: churn dropped nothing")
+	}
+}
+
+// TestAdaptiveChurnTable: seeded churn regimes — up intervals shorter and
+// longer than the transport's base timeout, with and without a diurnal
+// curve — on random machines: every adaptive program finishes under a
+// generous budget.
+func TestAdaptiveChurnTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	specs := []string{"churn:60ms:15ms", "churn:50ms:20ms", "churn:100ms:30ms",
+		"churn:120ms:30ms", "diurnal:40ms:8+churn:60ms:15ms", "churn:80ms:50ms+rel"}
+	for trial := 0; trial < 24; trial++ {
+		topo := topology.MustUniform(rng.Intn(3)+2, rng.Intn(4)+2)
+		opts := Options{Seed: 42, Adaptive: true,
+			Params: network.DefaultParams().WithWAN(sim.Time(rng.Intn(30000)+2000)*sim.Microsecond,
+				float64(rng.Intn(90)+10)*1e5),
+			Regime: regime.Params{Spec: specs[trial%len(specs)], Seed: rng.Int63()},
+			Budget: sim.Budget{MaxVirtualTime: 1000 * sim.Second}}
+		jobSeed, rounds := rng.Int63(), rng.Intn(12)+4
+		if _, err := RunWith(topo, opts, randomJob(jobSeed, rounds)); err != nil {
+			t.Errorf("trial %d: %v on %v, wide area %v / %.0f B/s: %v", trial, opts.Regime.Spec, topo,
+				opts.Params.WANLatency, opts.Params.WANBandwidth, err)
+		}
 	}
 }

@@ -15,13 +15,13 @@ import (
 	"twolayer/internal/trace"
 )
 
-// runtime ties the per-LP shards (kernel, network, LP-local pools) and the
-// per-rank environments together. Sequential runs have exactly one shard
-// hosting every rank; PDES runs (Options.Workers >= 1) have one shard per
-// cluster, driven by sim.RunWindows.
+// runtime is one run: the kernel, the network, the per-rank environments,
+// and the pools every rank's sends and deferred outputs draw on.
 type runtime struct {
 	topo   *topology.Topology
 	envs   []*Env
+	k      *sim.Kernel
+	net    *network.Network
 	tracer trace.Sink
 	rec    trace.OpSink // op-level recorder when Options.Trace implements it
 	recSeq int64        // global send counter feeding Msg.seq stamps
@@ -32,10 +32,28 @@ type runtime struct {
 	adaptive bool         // Options.Adaptive; the table pairs it with a regime
 	lossy    bool         // frames can actually be lost (faults or churn)
 
-	shards []*shard
-	pdes   bool // cluster-partitioned parallel mode
+	// pend pools the envelopes of every message in flight: a send stages
+	// its envelope here and hands the network only the runtime (a
+	// sim.EventHandler) plus the slot token, so sends allocate nothing.
+	// Slots are recycled through a free list linked through envelope.seq
+	// (index+1 encoding; 0 = none).
+	pend     []envelope
+	pendFree int32
+	pendLive int // slots off the free list; zero once a run has drained
 
-	merge []network.WANArrival // barrier scratch: sorted union of shard outboxes
+	// ops is the slab behind every rank's queue of deferred outputs
+	// (Env.qhead/qtail), free-listed like pend: opsUsed slots have ever
+	// been handed out — the most outputs the ranks had queued at once — and
+	// opsFree heads the recycled ones. It grows a chunk at a time, and the
+	// chunks come from and return to opChunks.
+	ops     []*opChunk
+	opsUsed int32
+	opsFree int32
+
+	// relStats and relErrs are the reliable-transport counters and channel
+	// failures, copied into the run's Result.
+	relStats trace.TransportStats
+	relErrs  []error
 }
 
 // rankNames caches the diagnostic process names ("rank0", "rank1", ...)
@@ -125,25 +143,25 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 		return Result{}, fmt.Errorf("par: invalid regime parameters: %w", err)
 	}
 	// The capability table decides every feature combination: a refusal
-	// comes back before any kernel is built, and it picks the engine.
-	pdes, err := decide(FeaturesOf(topo, opts))
-	if err != nil {
+	// comes back before any kernel is built.
+	if err := Check(FeaturesOf(opts)); err != nil {
 		return Result{}, err
 	}
-	// Bind the regime once against the run's wide-area graph; the plan is
-	// immutable and every query a pure function of virtual time, so all
-	// shards of a parallel run can share the one instance. NewPlan's default
-	// clique is built with the same deterministic constructor the network
-	// uses, so edge IDs agree.
+	// Bind the regime once against the run's wide-area graph. NewPlan's
+	// default clique is built with the same deterministic constructor the
+	// network uses, so edge IDs agree.
 	var rplan *regime.Plan
 	if opts.Regime.Enabled() {
+		var err error
 		rplan, err = regime.NewPlan(opts.Regime, opts.WAN, topo.Clusters())
 		if err != nil {
 			return Result{}, fmt.Errorf("par: invalid regime parameters: %w", err)
 		}
 	}
-	rt := &runtime{topo: topo, tracer: opts.Trace, seed: opts.Seed,
-		regime: rplan, adaptive: opts.Adaptive, pdes: pdes,
+	k := sim.NewKernel()
+	net := network.NewWithWAN(k, topo, opts.Params, opts.WAN)
+	rt := &runtime{topo: topo, k: k, net: net, tracer: opts.Trace, seed: opts.Seed,
+		regime: rplan, adaptive: opts.Adaptive,
 		lossy: opts.Faults.Enabled() || (rplan != nil && rplan.HasChurn())}
 	rt.rec, _ = opts.Trace.(trace.OpSink)
 	if opts.Faults.Enabled() || opts.Transport.Enabled || (rplan != nil && rplan.NeedsTransport()) {
@@ -152,67 +170,28 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 			rtoBase:   rtoBase(opts.Params),
 		}
 	}
-	lookahead := opts.Params.WANLookaheadFor(opts.WAN)
-	if rt.pdes {
-		rt.shards = make([]*shard, topo.Clusters())
-		for c := range rt.shards {
-			k := sim.NewKernel()
-			// LP kernels track event birth chains: the window flush sorts
-			// cross-cluster arrivals by them to reproduce the sequential
-			// kernel's exact-time tie order. Sequential kernels skip the
-			// tracking (and its per-event copies) entirely.
-			k.RecordChains()
-			net := network.NewWithWAN(k, topo, opts.Params, opts.WAN)
-			sh := &shard{rt: rt, id: c, k: k, net: net, ranks: topo.RanksIn(c)}
-			net.SetRouter(sh)
-			if opts.Faults.Enabled() {
-				// Per-shard plans make identical decisions: a plan is a pure
-				// function of (seed, link, message index, time).
-				net.SetFaults(faults.NewPlan(opts.Faults))
-			}
-			// The regime plan is immutable; all shards share the one binding.
-			net.SetRegime(rplan)
-			rt.shards[c] = sh
-		}
-	} else {
-		k := sim.NewKernel()
-		net := network.NewWithWAN(k, topo, opts.Params, opts.WAN)
-		if opts.Trace != nil {
-			tr := opts.Trace
-			net.SetObserver(func(ev network.MessageEvent) {
-				tr.RecordMessage(trace.Message{
-					Src: ev.Src, Dst: ev.Dst, Bytes: ev.Bytes,
-					Sent: ev.Sent, Delivered: ev.Delivered, WAN: ev.WAN,
-					Kind: msgKind(ev.Class), Dup: ev.Duplicate, Dropped: ev.Dropped,
-				})
+	if opts.Trace != nil {
+		tr := opts.Trace
+		net.SetObserver(func(ev network.MessageEvent) {
+			tr.RecordMessage(trace.Message{
+				Src: ev.Src, Dst: ev.Dst, Bytes: ev.Bytes,
+				Sent: ev.Sent, Delivered: ev.Delivered, WAN: ev.WAN,
+				Kind: msgKind(ev.Class), Dup: ev.Duplicate, Dropped: ev.Dropped,
 			})
-		}
-		if opts.Faults.Enabled() {
-			net.SetFaults(faults.NewPlan(opts.Faults))
-		}
-		net.SetRegime(rplan)
-		allRanks := make([]int, topo.Procs())
-		for r := range allRanks {
-			allRanks[r] = r
-		}
-		rt.shards = []*shard{{rt: rt, k: k, net: net, ranks: allRanks}}
+		})
 	}
-	defer func() {
-		for _, sh := range rt.shards {
-			sh.releaseOps()
-		}
-	}()
+	if opts.Faults.Enabled() {
+		net.SetFaults(faults.NewPlan(opts.Faults))
+	}
+	net.SetRegime(rplan)
+	defer rt.releaseOps()
 	rt.envs = make([]*Env, topo.Procs())
 	procs := make([]*sim.Proc, topo.Procs())
 	for r := 0; r < topo.Procs(); r++ {
-		sh := rt.shards[0]
-		if rt.pdes {
-			sh = rt.shards[topo.ClusterOf(r)]
-		}
-		e := &Env{rt: rt, sh: sh, rank: r}
+		e := &Env{rt: rt, rank: r}
 		e.keep = func(m Msg) { e.got = m }
 		rt.envs[r] = e
-		procs[r] = sh.k.Spawn(rankName(r), func(p *sim.Proc) {
+		procs[r] = k.Spawn(rankName(r), func(p *sim.Proc) {
 			e.p = p
 			job(e)
 			e.sync() // the rank finishes when its last output has
@@ -221,53 +200,28 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 	// Subsystem diagnostics are rendered into the RunError of any abnormal
 	// termination (deadlock, budget kill, watchdog trip, deadline); a
 	// healthy run never invokes them.
-	for _, sh := range rt.shards {
-		sh.k.AddDiagnostic("mailboxes", sh.mailboxDump)
-		if rt.rel != nil {
-			sh.k.AddDiagnostic("reliable-transport", sh.reliableDump)
-		}
-	}
-	if rt.pdes {
-		kernels := make([]*sim.Kernel, len(rt.shards))
-		for i, sh := range rt.shards {
-			kernels[i] = sh.k
-		}
-		err = sim.RunWindows(kernels, rt, sim.WindowConfig{
-			Lookahead: lookahead,
-			Workers:   opts.Workers,
-			Budget:    opts.Budget,
-			Ctx:       ctx,
-		})
-	} else {
-		rt.shards[0].k.SetBudget(opts.Budget)
-		err = rt.shards[0].k.RunContext(ctx)
-	}
-	var res Result
+	k.AddDiagnostic("mailboxes", rt.mailboxDump)
 	if rt.rel != nil {
-		var errs []error
-		for _, sh := range rt.shards {
-			addTransportStats(&res.Transport, sh.relStats)
-			errs = append(errs, sh.relErrs...)
-		}
+		k.AddDiagnostic("reliable-transport", rt.reliableDump)
+	}
+	k.SetBudget(opts.Budget)
+	err := k.RunContext(ctx)
+	res := Result{Transport: rt.relStats}
+	if rt.rel != nil {
 		if opts.Trace != nil {
 			opts.Trace.RecordTransport(res.Transport)
 		}
-		if len(errs) > 0 {
+		if len(rt.relErrs) > 0 {
 			// A failed reliable channel usually also deadlocks the program;
 			// surface the root cause ahead of the secondary deadlock.
-			err = errors.Join(append(errs, err)...)
+			err = errors.Join(append(rt.relErrs, err)...)
 		}
 	}
-	for _, sh := range rt.shards {
-		if sh.pendLive != 0 && err == nil {
-			// A drained run has delivered or dropped every message.
-			err = fmt.Errorf("par: LP %d ended with %d message envelope(s) unaccounted for", sh.id, sh.pendLive)
-		}
-		fs := sh.net.FaultStats()
-		res.Faults.Dropped += fs.Dropped
-		res.Faults.OutageDropped += fs.OutageDropped
-		res.Faults.Duplicated += fs.Duplicated
+	if rt.pendLive != 0 && err == nil {
+		// A drained run has delivered or dropped every message.
+		err = fmt.Errorf("par: run ended with %d message envelope(s) unaccounted for", rt.pendLive)
 	}
+	res.Faults = net.FaultStats()
 	if err != nil {
 		return res, err
 	}
@@ -280,22 +234,12 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 			res.Elapsed = p.FinishedAt()
 		}
 	}
+	res.WAN = net.TotalWAN()
+	res.Intra = net.Intra()
+	res.Events = k.EventsFired()
 	res.ClusterWANOut = make([]network.LinkStats, topo.Clusters())
-	for _, sh := range rt.shards {
-		w := sh.net.TotalWAN()
-		res.WAN.Messages += w.Messages
-		res.WAN.Bytes += w.Bytes
-		res.WAN.BusyTime += w.BusyTime
-		is := sh.net.Intra()
-		res.Intra.Messages += is.Messages
-		res.Intra.Bytes += is.Bytes
-		res.Events += sh.k.EventsFired()
-		for c := 0; c < topo.Clusters(); c++ {
-			s := sh.net.ClusterWANOut(c)
-			res.ClusterWANOut[c].Messages += s.Messages
-			res.ClusterWANOut[c].Bytes += s.Bytes
-			res.ClusterWANOut[c].BusyTime += s.BusyTime
-		}
+	for c := range res.ClusterWANOut {
+		res.ClusterWANOut[c] = net.ClusterWANOut(c)
 	}
 	return res, nil
 }
@@ -350,4 +294,243 @@ func (e *Env) Barrier() {
 			e.Send(r+mask, barrierDownTag, nil, 16)
 		}
 	}
+}
+
+// envelope is one pooled message in flight: what its delivery does, for
+// which rank, with what, and how many of its scheduled copies (2 for a
+// duplicated message) are still to fire.
+type envelope struct {
+	m      Msg
+	seq    int64 // envFrame: sequence number; envAck: cumulative ack; free: next free slot
+	dst    int32 // receiving rank
+	kind   envKind
+	copies int8
+}
+
+type envKind uint8
+
+const (
+	envData  envKind = iota // m goes to dst's mailbox
+	envFrame                // reliable frame seq from m.From, to dst's reliable layer
+	envAck                  // cumulative ack seq from m.From, to dst's reliable sender
+)
+
+// send stages ev in the pool and books it on the network as a message of
+// bytes from rank src to ev.dst. The network calls HandleEvent with the slot
+// token once per delivered copy; a dropped message frees the slot at once.
+func (rt *runtime) send(src int, bytes int64, class network.MsgClass, ev envelope) {
+	tok := rt.put(ev)
+	switch rt.net.SendHandle(src, int(ev.dst), bytes, class, rt, tok) {
+	case 0: // dropped: nothing will fire
+		rt.take(tok)
+	case 2: // duplicated: both copies carry the token
+		rt.pend[tok].copies = 2
+	}
+}
+
+// put places ev in a free slot, due for one delivery, and returns its token.
+func (rt *runtime) put(ev envelope) uint64 {
+	idx := rt.pendFree - 1
+	if idx >= 0 {
+		rt.pendFree = int32(rt.pend[idx].seq)
+	} else {
+		idx = int32(len(rt.pend))
+		rt.pend = append(rt.pend, envelope{})
+	}
+	ev.copies = 1
+	rt.pend[idx] = ev
+	rt.pendLive++
+	return uint64(idx)
+}
+
+// take returns the envelope behind token for one of its scheduled copies,
+// freeing the slot with the last.
+func (rt *runtime) take(token uint64) envelope {
+	p := &rt.pend[token]
+	ev := *p
+	if p.copies--; p.copies == 0 {
+		*p = envelope{seq: int64(rt.pendFree)} // drops the payload reference
+		rt.pendFree = int32(token) + 1
+		rt.pendLive--
+	}
+	return ev
+}
+
+// HandleEvent implements sim.EventHandler: the network's delivery event for
+// a pooled envelope fired. The envelope is taken out of the pool before the
+// delivery runs (delivery may wake a process whose next send reuses the
+// slot).
+func (rt *runtime) HandleEvent(token uint64) {
+	ev := rt.take(token)
+	e := rt.envs[ev.dst]
+	switch ev.kind {
+	case envData:
+		rt.k.NoteProgress() // a message reaching a mailbox is application progress
+		e.mb.deliver(ev.m)
+	case envFrame:
+		e.relDeliver(ev.m.From, ev.seq, ev.m)
+	case envAck:
+		e.relAck(ev.m.From, ev.seq)
+	}
+}
+
+// deferredOp is one queued output of a busy rank: a send, or (dst ==
+// opCompute) a computation whose duration rides in bytes.
+type deferredOp struct {
+	data  any
+	bytes int64
+	tag   Tag
+	dst   int32
+	next  int32 // slab index + 1 of the rank's next op; 0 terminates
+}
+
+const opCompute = -1
+
+// opChunk is the unit the op slabs grow by. One size for every run means a finished run's chunks fit whatever runs next, so across
+// a sweep the queues cost a few chunks per concurrent cell, not a slab per
+// cell (a per-rank slice cost 2-4 % of a sweep's allocation in the
+// prototype).
+type opChunk [opChunkLen]deferredOp
+
+const opChunkLen = 64
+
+// opChunks hands finished runs' chunks to later ones. It is a locked free
+// list rather than a sync.Pool because the sweeps that need it most
+// allocate fast enough to collect garbage every few milliseconds, and a
+// sync.Pool is emptied by two collections; the list keeps at most
+// maxFreeChunks (2.5 MB) and is touched only when a slab grows or a run
+// ends.
+var opChunks struct {
+	sync.Mutex
+	free []*opChunk
+}
+
+const maxFreeChunks = 1024
+
+// op returns the slab slot behind a queue reference (index + 1).
+func (rt *runtime) op(ref int32) *deferredOp {
+	return &rt.ops[(ref-1)/opChunkLen][(ref-1)%opChunkLen]
+}
+
+// growOps adds one chunk to the run's slab.
+func (rt *runtime) growOps() {
+	var c *opChunk
+	opChunks.Lock()
+	if n := len(opChunks.free); n > 0 {
+		c, opChunks.free = opChunks.free[n-1], opChunks.free[:n-1]
+	}
+	opChunks.Unlock()
+	if c == nil {
+		c = new(opChunk)
+	}
+	rt.ops = append(rt.ops, c)
+}
+
+// releaseOps returns the slab's chunks to the free list, zeroed: a failed
+// run may have left payloads queued, and freed slots still hold their links.
+func (rt *runtime) releaseOps() {
+	for _, c := range rt.ops {
+		*c = opChunk{}
+	}
+	opChunks.Lock()
+	keep := min(len(rt.ops), maxFreeChunks-len(opChunks.free))
+	opChunks.free = append(opChunks.free, rt.ops[:keep]...)
+	opChunks.Unlock()
+	rt.ops = nil
+}
+
+// enqueue appends an output to the rank's queue; its continuation will run
+// it when the outputs ahead of it have completed.
+func (e *Env) enqueue(op deferredOp) {
+	rt := e.rt
+	var ref int32
+	if rt.opsFree != 0 {
+		ref = rt.opsFree
+		rt.opsFree = rt.op(ref).next
+	} else {
+		if int(rt.opsUsed) == len(rt.ops)*opChunkLen {
+			rt.growOps()
+		}
+		rt.opsUsed++
+		ref = rt.opsUsed
+	}
+	op.next = 0
+	*rt.op(ref) = op
+	if e.qtail == 0 {
+		e.qhead = ref
+	} else {
+		rt.op(e.qtail).next = ref
+	}
+	e.qtail = ref
+}
+
+// dequeue removes and returns the rank's oldest queued output.
+func (e *Env) dequeue() deferredOp {
+	rt := e.rt
+	ref := e.qhead
+	slot := rt.op(ref)
+	op := *slot
+	if e.qhead = op.next; e.qhead == 0 {
+		e.qtail = 0
+	}
+	*slot = deferredOp{next: rt.opsFree} // drops the payload reference
+	rt.opsFree = ref
+	return op
+}
+
+// mailboxDump renders the run's backed-up mailboxes for abnormal-
+// termination diagnostics: which ranks hold undelivered messages, and how
+// many.
+func (rt *runtime) mailboxDump() []string {
+	const maxLines = 32
+	var out []string
+	backed := 0
+	for r, e := range rt.envs {
+		if n := e.mb.pending(); n > 0 {
+			backed++
+			if len(out) < maxLines {
+				out = append(out, fmt.Sprintf("rank %d: %d undelivered message(s)", r, n))
+			}
+		}
+	}
+	if backed > maxLines {
+		out = append(out, fmt.Sprintf("... %d more ranks with queued messages", backed-maxLines))
+	}
+	if backed == 0 {
+		out = append(out, "all mailboxes empty")
+	}
+	return out
+}
+
+// reliableDump renders the run's go-back-N state for abnormal-termination
+// diagnostics: protocol counters, then every channel with unacked
+// frames or retries in progress.
+func (rt *runtime) reliableDump() []string {
+	const maxLines = 32
+	out := []string{fmt.Sprintf(
+		"stats: timeouts=%d retransmits=%d acks=%d duplicates=%d out-of-order=%d",
+		rt.relStats.Timeouts, rt.relStats.Retransmits, rt.relStats.Acks,
+		rt.relStats.Duplicates, rt.relStats.OutOfOrder)}
+	busy := 0
+	for _, e := range rt.envs {
+		for _, s := range e.relS {
+			if s == nil || (len(s.window) == 0 && s.retries == 0 && !s.failed) {
+				continue
+			}
+			busy++
+			if len(out) < maxLines+1 {
+				state := ""
+				if s.failed {
+					state = " FAILED"
+				}
+				out = append(out, fmt.Sprintf(
+					"channel %d->%d: window %d/%d unacked from seq %d, next %d, retries %d%s",
+					s.e.rank, s.dst, len(s.window), rt.rel.Window, s.base, s.next, s.retries, state))
+			}
+		}
+	}
+	if busy > maxLines {
+		out = append(out, fmt.Sprintf("... %d more channels with unacked frames", busy-maxLines))
+	}
+	return out
 }

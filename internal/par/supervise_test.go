@@ -3,13 +3,16 @@ package par
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"twolayer/internal/faults"
 	"twolayer/internal/network"
+	"twolayer/internal/regime"
 	"twolayer/internal/sim"
+	"twolayer/internal/topology"
 )
 
 // TestWatchdogKillsRetransmitStorm is the supervision layer's reason to
@@ -119,8 +122,7 @@ func TestDeadlockDiagnosticsCarryMailboxes(t *testing.T) {
 
 // TestBudgetKillNamesDeferredOps: a run stopped by a budget while a rank's
 // outputs are still queued reports that rank as blocked on its own queue —
-// how many ops are pending and what it will do once they have run — on the
-// sequential engine and, aggregated across LPs, on the windowed one.
+// how many ops are pending and what it will do once they have run.
 func TestBudgetKillNamesDeferredOps(t *testing.T) {
 	job := func(e *Env) {
 		switch e.Rank() {
@@ -135,32 +137,62 @@ func TestBudgetKillNamesDeferredOps(t *testing.T) {
 			e.Send(0, 9, nil, 64)
 		}
 	}
-	for _, workers := range []int{0, 1} {
-		// The third send would start at 10 us: the first ran on the rank's
-		// stack, the second as a continuation at 5 us, and the continuation
-		// at 10 us is the event the budget refuses — three sends and the
-		// compute stay queued.
-		opts := Options{Params: network.DefaultParams(), Workers: workers,
-			Budget: sim.Budget{MaxVirtualTime: 7 * sim.Microsecond}}
-		_, err := RunWith(relTopo(t), opts, job)
-		var re *sim.RunError
-		if !errors.As(err, &re) || re.Kind != sim.StopTimeBudget {
-			t.Fatalf("workers=%d: want time-budget RunError, got %v", workers, err)
+	// The third send would start at 10 us: the first ran on the rank's
+	// stack, the second as a continuation at 5 us, and the continuation at
+	// 10 us is the event the budget refuses — three sends and the compute
+	// stay queued.
+	opts := Options{Params: network.DefaultParams(),
+		Budget: sim.Budget{MaxVirtualTime: 7 * sim.Microsecond}}
+	_, err := RunWith(relTopo(t), opts, job)
+	var re *sim.RunError
+	if !errors.As(err, &re) || re.Kind != sim.StopTimeBudget {
+		t.Fatalf("want time-budget RunError, got %v", err)
+	}
+	if len(re.Procs) != 8 {
+		t.Fatalf("%d processes in the snapshot, want 8", len(re.Procs))
+	}
+	for rank, want := range map[int]string{
+		0: "4 deferred op(s) pending, then recv tag 9 from 4",
+		4: "recv tag 1 from 0",
+	} {
+		p := re.Procs[rank]
+		if p.State != "blocked" || p.Reason != want {
+			t.Errorf("%s is %s (%q), want blocked (%q)", p.Name, p.State, p.Reason, want)
 		}
-		if len(re.Procs) != 8 {
-			t.Fatalf("workers=%d: %d processes in the snapshot, want 8", workers, len(re.Procs))
-		}
-		for rank, want := range map[int]string{
-			0: "4 deferred op(s) pending, then recv tag 9 from 4",
-			4: "recv tag 1 from 0",
-		} {
-			p := re.Procs[rank]
-			if p.State != "blocked" || p.Reason != want {
-				t.Errorf("workers=%d: %s is %s (%q), want blocked (%q)", workers, p.Name, p.State, p.Reason, want)
-			}
-		}
-		if rep := re.Report(); !strings.Contains(rep, "rank0: blocked (4 deferred op(s) pending") {
-			t.Errorf("workers=%d: report does not name rank 0's queue:\n%s", workers, rep)
-		}
+	}
+	if rep := re.Report(); !strings.Contains(rep, "rank0: blocked (4 deferred op(s) pending") {
+		t.Errorf("report does not name rank 0's queue:\n%s", rep)
+	}
+}
+
+// churnMachine is the machine of the budget and churn tests below: two
+// clusters of five on a 14.2 ms, 4.5 MB/s wide area, where the reliable
+// transport's base timeout (rtoBase) is 57.2 ms.
+func churnMachine(spec string, adaptive bool) (*topology.Topology, Options) {
+	return topology.MustUniform(2, 5), Options{Seed: 42, Adaptive: adaptive,
+		Params: network.DefaultParams().WithWAN(14200*sim.Microsecond, 4.5e6),
+		Regime: regime.Params{Spec: spec, Seed: 7}}
+}
+
+// TestFinishedRunNotBudgetFailure: once every rank has finished, a timer
+// left in the queue cannot fail the run. Here the last rank finishes at
+// 457.827 ms and a retransmission timer fires at 11.27 s; under a 10 s
+// virtual-time budget the run must still return the unbudgeted Result.
+func TestFinishedRunNotBudgetFailure(t *testing.T) {
+	topo, opts := churnMachine("diurnal:40ms:8+churn:60ms:15ms", false)
+	want, err := RunWith(topo, opts, randomJob(3, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Elapsed != 457826698 || want.Events != 568 {
+		t.Fatalf("unbudgeted run: %d ns, %d events; pinned 457826698 ns, 568 events", want.Elapsed, want.Events)
+	}
+	opts.Budget = sim.Budget{MaxVirtualTime: 10 * sim.Second}
+	got, err := RunWith(topo, opts, randomJob(3, 10))
+	if err != nil {
+		t.Fatalf("a finished run failed its budget: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("budget changed the Result:\n%+v\n%+v", want, got)
 	}
 }

@@ -151,21 +151,18 @@ func runWB(t *testing.T, topo *topology.Topology, opts Options, seed int64, phas
 	w := &wbProgram{seed: seed, phases: phases, eager: eager, sums: make([]uint64, topo.Procs())}
 	res, err := RunWith(topo, opts, w.job())
 	if err != nil {
-		t.Fatalf("eager=%v workers=%d: %v", eager, opts.Workers, err)
+		t.Fatalf("eager=%v: %v", eager, err)
 	}
 	return wbOutcome{res, w.sums}
 }
 
 // TestWriteBehindDifferential is the write-behind contract as a property:
 // deferring a rank's outputs and batching its receives changes nothing a
-// run can report. Random programs run eagerly and lazily on the sequential
-// engine and the windowed one at one and two workers, on clean networks,
-// under fault injection and under a regime (both through the reliable
-// transport), with and without send overhead; every Result field —
+// run can report. Random programs run eagerly and lazily on clean
+// networks, under fault injection and under a regime (both through the
+// reliable transport), with and without send overhead; every Result field —
 // Elapsed, per-rank finish and compute times, Events, WAN/Intra traffic,
 // Transport, Faults — and every rank's view of its messages must be equal.
-// Each engine is held to itself here; TestRandomizedParallelDifferential
-// holds the engines to each other.
 func TestWriteBehindDifferential(t *testing.T) {
 	master := rand.New(rand.NewSource(20261003))
 	trials := 24
@@ -192,16 +189,13 @@ func TestWriteBehindDifferential(t *testing.T) {
 		seed, phases := master.Int63(), master.Intn(30)+10
 		name := fmt.Sprintf("trial%02d_%dx%d", trial, topo.Clusters(), topo.Procs()/topo.Clusters())
 
-		for _, workers := range []int{0, 1, 2} {
-			opts.Workers = workers
-			want := runWB(t, topo, opts, seed, phases, true)
-			if want.Res.Intra.Messages+want.Res.WAN.Messages == 0 {
-				t.Fatalf("%s: program sent nothing; the differential is vacuous", name)
-			}
-			if got := runWB(t, topo, opts, seed, phases, false); !reflect.DeepEqual(want, got) {
-				t.Errorf("%s workers=%d: the lazy run diverges from the eager one:\neager %+v\nlazy  %+v",
-					name, workers, want, got)
-			}
+		want := runWB(t, topo, opts, seed, phases, true)
+		if want.Res.Intra.Messages+want.Res.WAN.Messages == 0 {
+			t.Fatalf("%s: program sent nothing; the differential is vacuous", name)
+		}
+		if got := runWB(t, topo, opts, seed, phases, false); !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: the lazy run diverges from the eager one:\neager %+v\nlazy  %+v",
+				name, want, got)
 		}
 	}
 }
@@ -272,7 +266,7 @@ func TestSwitchAccounting(t *testing.T) {
 	counts := func(rounds int) (switches, selfWakes, events uint64) {
 		var k *sim.Kernel
 		res, err := Run(topo, network.DefaultParams(), 42, func(e *Env) {
-			k = e.sh.k
+			k = e.rt.k
 			got := 0
 			for r := 0; r < rounds; r++ {
 				for i := 1; i < e.Size(); i++ {

@@ -10,17 +10,13 @@
 //
 // Every quantity a regime produces is a pure function of (Seed, virtual
 // time, link identity) — no wall clock, no mutable state, no global RNG.
-// Two runs with equal seeds see bit-identical conditions, at any worker
-// count: the cluster-parallel engine can evaluate the same plan from every
-// shard and get the same answers, because there is nothing to race on.
+// Two runs with equal seeds see bit-identical conditions, and concurrent
+// runs can share one plan, because there is nothing to race on.
 //
 // Degradation-only fluctuation. A regime only ever *slows* the wide-area
 // links: latency scale factors are >= 1, additive latency is >= 0 and
-// bandwidth scale factors are <= 1 at all times. This is what keeps the
-// conservative cluster-parallel lookahead (network.Params.WANLookaheadFor)
-// a true lower bound on cross-cluster delivery — fluctuation pushes
-// deliveries later, never earlier — so regime runs stay bit-identical at
-// every worker count without touching the synchronization protocol.
+// bandwidth scale factors are <= 1 at all times, so the static link speeds
+// stay a lower bound on every delivery time.
 package regime
 
 import (
@@ -289,8 +285,8 @@ type flow struct {
 }
 
 // Plan is a compiled regime bound to a wide-area graph. It is immutable
-// after NewPlan and therefore safe to share across the shards of a
-// cluster-parallel run: every query is a pure function of virtual time.
+// after NewPlan and therefore safe to share: every query is a pure
+// function of virtual time.
 type Plan struct {
 	p        Params
 	cl       clauses
@@ -440,7 +436,7 @@ func (pl *Plan) varyDraw(salt uint64, edgeID int, idx uint64) uint64 {
 // latency and bandwidth scale factors, and an extra latency added after
 // scaling. The latency scale is always >= 1, the extra latency >= 0 and the
 // bandwidth scale in (0, 1]: regimes only degrade links (see the package
-// comment for why that preserves the parallel lookahead).
+// comment).
 func (pl *Plan) EdgeScale(edgeID int, t sim.Time) (latScale, bwScale float64, latExtra sim.Time) {
 	latScale, bwScale = 1, 1
 	if t < 0 {
@@ -487,6 +483,15 @@ func (pl *Plan) ClusterDown(c int, t sim.Time) bool {
 		return false
 	}
 	return pl.churnVictim(int64(tt)/int64(ch.period)) == c
+}
+
+// ChurnUp returns the up interval of each churn cycle: the period minus
+// the down time. Zero without churn.
+func (pl *Plan) ChurnUp() sim.Time {
+	if ch := pl.cl.churn; ch != nil {
+		return ch.period - ch.down
+	}
+	return 0
 }
 
 // UpAt returns the time cluster c rejoins if it is down at t, and t itself

@@ -145,10 +145,10 @@ func TestPlanProperties(t *testing.T) {
 	}
 }
 
-// TestEdgeScaleDegradationOnly: the conservative parallel lookahead depends
-// on every regime only ever slowing links down — latency scale >= 1, extra
-// latency in [0, JITTER] and bandwidth scale in (0, 1] at every time, on
-// every edge, through negative times included (pre-run probes clamp to 0).
+// TestEdgeScaleDegradationOnly: every regime only ever slows links down —
+// latency scale >= 1, extra latency in [0, JITTER] and bandwidth scale in
+// (0, 1] at every time, on every edge, through negative times included
+// (pre-run probes clamp to 0).
 func TestEdgeScaleDegradationOnly(t *testing.T) {
 	const jitter = 5 * sim.Millisecond
 	specs := []string{

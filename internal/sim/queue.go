@@ -20,13 +20,6 @@ type event struct {
 	h     EventHandler
 	token uint64
 
-	// chain is the slab handle (index+1; 0 = none) of the event's birth
-	// chain in the kernel's chain slab — recorded only on chain-tracking
-	// (PDES) kernels, always 0 on sequential ones. Keeping the chain out of
-	// line keeps the event small, and sequential execution must not pay for
-	// a feature only the parallel engine consumes.
-	chain int32
-
 	// next links the event's slot in the queue's slab: to the next event of
 	// the same ring bucket while queued, to the next free slot once popped.
 	next int32
@@ -37,24 +30,6 @@ type event struct {
 type callback func()
 
 func (f callback) HandleEvent(uint64) { f() }
-
-// birthDepth is how many causal ancestors an event's birth chain records:
-// chain[0] is the virtual time the event itself was scheduled (the firing
-// time of the event whose handler scheduled it), chain[i] the same for its
-// i-th causal ancestor. Chains reconstruct the head of the event's causal
-// ancestry, which is how the parallel engine reproduces the sequential
-// kernel's seq order for exact-timestamp ties across clusters: seq numbers
-// are assigned in global schedule order, and schedule order is execution
-// order of the scheduling events — lexicographically ascending chains, as
-// far as birthDepth levels can see (see par's window flush). Deeper chains
-// discriminate ties born of longer synchronous cascades (the Awari golden
-// needs 15 levels: its 5 us lattice steps keep cascades tied back to the
-// wide-area arrivals that launched them); each level costs one word copied
-// per schedule call on chain-tracking kernels only.
-const birthDepth = 32
-
-// birthChain is the head of an event's causal ancestry (see birthDepth).
-type birthChain [birthDepth]Time
 
 // The near-future band of the ladder queue: a ring of numBuckets buckets,
 // each slotWidth of virtual time wide. slotBits = 14 gives 16.4 us buckets —

@@ -87,9 +87,9 @@ func sameEvent(t *testing.T, got, want event) {
 		t.Fatalf("ladder popped (at=%v seq=%d), heap popped (at=%v seq=%d)",
 			got.at, got.seq, want.at, want.seq)
 	}
-	if got.token != want.token || got.h != want.h || got.chain != want.chain {
-		t.Fatalf("event (at=%v seq=%d) came back with payload (h=%v token=%d chain=%d), pushed with (h=%v token=%d chain=%d)",
-			got.at, got.seq, got.h, got.token, got.chain, want.h, want.token, want.chain)
+	if got.token != want.token || got.h != want.h {
+		t.Fatalf("event (at=%v seq=%d) came back with payload (h=%v token=%d), pushed with (h=%v token=%d)",
+			got.at, got.seq, got.h, got.token, want.h, want.token)
 	}
 }
 

@@ -16,7 +16,9 @@ import (
 // same run with no budgets at all, which is why sweep caches may ignore
 // them and why golden runs are pinned with budgets off.
 
-// Budget bounds one run. The zero value imposes no limits.
+// Budget bounds one run. The zero value imposes no limits. A budget bounds
+// the processes' work: once every process has finished, no bound fires,
+// whatever is still queued.
 type Budget struct {
 	// MaxVirtualTime aborts the run once simulated time passes it.
 	// Zero means unlimited.
@@ -91,36 +93,6 @@ type DiagSection struct {
 	Lines []string
 }
 
-// LPDump is one logical process's kernel state in an aggregated RunError
-// from a parallel (windowed) run: its local clock, event counters and queue
-// depth at the moment the run stopped.
-type LPDump struct {
-	// ID is the LP index (the cluster index, under package par's
-	// partitioning).
-	ID int
-	// Now is the LP's local virtual time.
-	Now Time
-	// Events is the number of events this LP fired.
-	Events uint64
-	// QueueLen is the number of events still pending on this LP.
-	QueueLen int
-	// Stopped marks the LP whose budget or watchdog tripped first.
-	Stopped bool
-}
-
-// WindowDump is the window-barrier state of a parallel run at the moment it
-// stopped.
-type WindowDump struct {
-	// Index is the number of windows started.
-	Index int
-	// Start and End bound the most recent window.
-	Start, End Time
-	// Lookahead is the conservative horizon the run used.
-	Lookahead Time
-	// Exchanged is the number of cross-LP messages injected at barriers.
-	Exchanged uint64
-}
-
 // RunError is the structured error for every abnormal run termination:
 // deadlock, budget kill, watchdog kill, or deadline. Beyond the one-line
 // Error string it carries a machine-readable snapshot of the simulation
@@ -141,12 +113,6 @@ type RunError struct {
 	Detail string
 	// Procs snapshots every process's state.
 	Procs []ProcDump
-	// LPs snapshots each logical process's kernel when the run executed in
-	// parallel windows (RunWindows); nil for sequential runs.
-	LPs []LPDump
-	// Window is the window-barrier state of a parallel run; nil for
-	// sequential runs.
-	Window *WindowDump
 	// Sections are subsystem dumps registered with AddDiagnostic.
 	Sections []DiagSection
 	// Cause is the underlying cause when one exists (for StopDeadline,
@@ -205,18 +171,6 @@ func (e *RunError) Report() string {
 		}
 	}
 	fmt.Fprintf(&b, "  processes:       %d total, %d not finished\n", len(e.Procs), live)
-	if e.Window != nil {
-		fmt.Fprintf(&b, "  window barrier:  window %d [%v, %v), lookahead %v, %d cross-LP messages exchanged\n",
-			e.Window.Index, e.Window.Start, e.Window.End, e.Window.Lookahead, e.Window.Exchanged)
-	}
-	for _, lp := range e.LPs {
-		marker := ""
-		if lp.Stopped {
-			marker = "  <- stopped"
-		}
-		fmt.Fprintf(&b, "    lp%d: now %v, %d events fired, %d pending%s\n",
-			lp.ID, lp.Now, lp.Events, lp.QueueLen, marker)
-	}
 	const maxProcLines = 64
 	shown := 0
 	for _, p := range e.Procs {
@@ -302,18 +256,20 @@ func (k *Kernel) snapshot(e *RunError) {
 // checkBudgets applies the budget and watchdog checks to the event just
 // popped (already counted in k.events). It reports whether the run must
 // stop; the offending event is then discarded, matching the historical
-// event-limit semantics.
+// event-limit semantics. Once every process has finished the budgets no
+// longer fire: what is left in the queue (a stale retransmission timer,
+// an ack in flight) cannot make a completed run a failed one.
 func (k *Kernel) checkBudgets() bool {
 	b := &k.budget
-	if b.MaxEvents > 0 && k.events > b.MaxEvents {
+	if b.MaxEvents > 0 && k.events > b.MaxEvents && !k.finished() {
 		k.fail(StopEventBudget, fmt.Sprintf("event budget %d exceeded", b.MaxEvents), nil)
 		return true
 	}
-	if b.MaxVirtualTime > 0 && k.now > b.MaxVirtualTime {
+	if b.MaxVirtualTime > 0 && k.now > b.MaxVirtualTime && !k.finished() {
 		k.fail(StopTimeBudget, fmt.Sprintf("virtual-time budget %v exceeded", b.MaxVirtualTime), nil)
 		return true
 	}
-	if b.ProgressWindow > 0 && k.events-k.progressAt > b.ProgressWindow {
+	if b.ProgressWindow > 0 && k.events-k.progressAt > b.ProgressWindow && !k.finished() {
 		k.fail(StopLivelock, fmt.Sprintf(
 			"%d events fired without application-level progress (window %d)",
 			k.events-k.progressAt, b.ProgressWindow), nil)
@@ -332,3 +288,7 @@ func (k *Kernel) checkBudgets() bool {
 	}
 	return false
 }
+
+// finished reports whether the kernel has processes and all of them have
+// returned.
+func (k *Kernel) finished() bool { return len(k.procs) > 0 && k.done == len(k.procs) }

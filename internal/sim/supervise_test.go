@@ -274,3 +274,35 @@ func TestBudgetWithinLimitsIsInvisible(t *testing.T) {
 		t.Errorf("budgets changed a healthy run: (%v,%d) vs (%v,%d)", t1, e1, t2, e2)
 	}
 }
+
+// TestBudgetsIdleAfterAllProcessesFinish: a budget bounds the processes'
+// work, not what is left in the queue once every process has finished. A
+// process ends at 1 ms and two callbacks fire at 20 s and 21 s; under each
+// budget, all of which those callbacks exceed, the run completes.
+func TestBudgetsIdleAfterAllProcessesFinish(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		b    Budget
+	}{
+		{"MaxVirtualTime", Budget{MaxVirtualTime: 10 * Second}},
+		{"MaxEvents", Budget{MaxEvents: 3}},
+		{"ProgressWindow", Budget{ProgressWindow: 1}},
+	} {
+		k := NewKernel()
+		k.Spawn("early", func(p *Proc) {
+			p.Sleep(Millisecond)
+			k.NoteProgress()
+		})
+		fired := 0
+		k.Schedule(20*Second, func() { fired++ })
+		k.Schedule(21*Second, func() { fired++ })
+		k.SetBudget(c.b)
+		if err := k.Run(); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if fired != 2 || k.EventsFired() != 4 || k.Now() != 21*Second {
+			t.Errorf("%s: %d callbacks, %d events, now %v; want 2, 4, 21s", c.name, fired, k.EventsFired(), k.Now())
+		}
+	}
+}

@@ -59,11 +59,10 @@ type WAN struct {
 	routes   []int32
 	routeOff []int32
 
-	diameter    int
-	maxHops     int
-	meanPath    float64
-	bisection   int
-	minLatScale float64
+	diameter  int
+	maxHops   int
+	meanPath  float64
+	bisection int
 }
 
 // Spec returns the canonical textual form of the graph ("clique",
@@ -147,11 +146,6 @@ func (w *WAN) MeanPathLength() float64 { return w.meanPath }
 // grows quadratically with the cluster count — the effect behind the "more,
 // smaller clusters" result — while sparse graphs grow it much more slowly.
 func (w *WAN) BisectionLinks() int { return w.bisection }
-
-// MinLatencyScale returns the smallest latency scale over all links: the
-// factor the conservative PDES lookahead applies to the base wide-area
-// latency (every hop detains a message at least this long).
-func (w *WAN) MinLatencyScale() float64 { return w.minLatScale }
 
 // HopHistogram returns, indexed by hop count, how many ordered cluster
 // routes have that length (index 0 counts nothing; self-routes are
@@ -377,13 +371,6 @@ func (w *WAN) computeMetrics() {
 		a, b := side[e.Src], side[e.Dst]
 		if a >= 0 && b >= 0 && a != b {
 			w.bisection++
-		}
-	}
-
-	w.minLatScale = 1
-	for i, e := range w.edges {
-		if i == 0 || e.LatScale < w.minLatScale {
-			w.minLatScale = e.LatScale
 		}
 	}
 }
