@@ -148,6 +148,9 @@ func run() int {
 		flag.Usage()
 		return cliutil.ExitUsage
 	}
+	if *heatmap && *heatSize < 2 {
+		return usage(fmt.Errorf("-heatmap-size %d: the lattice needs at least 2 cells per axis", *heatSize))
+	}
 	pol, cleanup, err := sup.Policy()
 	if err != nil {
 		return usage(err)
@@ -181,6 +184,26 @@ func run() int {
 			if _, err := core.AppByName(filter[i]); err != nil {
 				return usage(err)
 			}
+		}
+	}
+	tcfg := core.TopologyStudyConfig{Scale: scale, Procs: *topoPr, Apps: filter, Cache: cache, Policy: pol}
+	if *topoF {
+		if *topoCl != "" {
+			for _, part := range strings.Split(*topoCl, ",") {
+				c, err := strconv.Atoi(strings.TrimSpace(part))
+				if err != nil {
+					return usage(fmt.Errorf("-topology-clusters: bad count %q: %v", part, err))
+				}
+				tcfg.Clusters = append(tcfg.Clusters, c)
+			}
+		}
+		if *topoSp != "" {
+			for _, part := range strings.Split(*topoSp, ",") {
+				tcfg.Topologies = append(tcfg.Topologies, strings.TrimSpace(part))
+			}
+		}
+		if err := tcfg.Validate(); err != nil {
+			return usage(fmt.Errorf("-topology: %w", err))
 		}
 	}
 	if *table1 || *all {
@@ -314,29 +337,6 @@ func run() int {
 		core.WriteHeatmapCSV(os.Stdout, hPanels)
 	}
 	if *topoF {
-		tcfg := core.TopologyStudyConfig{
-			Scale:  scale,
-			Procs:  *topoPr,
-			Cache:  cache,
-			Policy: pol,
-		}
-		if *topoCl != "" {
-			for _, part := range strings.Split(*topoCl, ",") {
-				c, err := strconv.Atoi(strings.TrimSpace(part))
-				if err != nil {
-					return usage(fmt.Errorf("-topology-clusters: bad count %q: %v", part, err))
-				}
-				tcfg.Clusters = append(tcfg.Clusters, c)
-			}
-		}
-		if *topoSp != "" {
-			for _, part := range strings.Split(*topoSp, ",") {
-				tcfg.Topologies = append(tcfg.Topologies, strings.TrimSpace(part))
-			}
-		}
-		if filter != nil {
-			tcfg.Apps = filter
-		}
 		points, err := core.TopologyStudy(tcfg)
 		if err != nil {
 			return fail(err)

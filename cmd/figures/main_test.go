@@ -57,6 +57,11 @@ func TestRefusalsBeforeOutput(t *testing.T) {
 		{"-table2", "-fig3", "-analytic", "-wan-topology", "ring"},
 		{"-table2", "-scale", "huge"},
 		{"-table2", "-retries", "-5"},
+		{"-table2", "-heatmap", "-heatmap-size", "1"},
+		{"-table2", "-heatmap", "-heatmap-size", "0"},
+		{"-table2", "-topology", "-topology-clusters", "3"},
+		{"-table2", "-topology", "-topology-specs", "bogus"},
+		{"-topology", "-topology-procs", "-5"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			code, stdout, stderr := figures(t, append([]string{"-scale", "tiny", "-no-cache"}, args...)...)

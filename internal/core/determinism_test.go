@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -87,6 +88,30 @@ func TestGoldenDeterminism(t *testing.T) {
 				t.Errorf("WAN.Bytes = %d, golden %d", res.WAN.Bytes, g.WANBytes)
 			}
 		})
+	}
+}
+
+// TestGoldensAfterBudgetKill: every golden variant is first run under a
+// virtual-time budget that stops it halfway, with events still queued, and
+// then run whole. The whole run grows into the slabs the runs before it
+// parked, and must reproduce its golden bit for bit.
+func TestGoldensAfterBudgetKill(t *testing.T) {
+	for _, g := range GoldenRuns {
+		x := goldenExperiment(t, g)
+		killed := x
+		killed.Budget = sim.Budget{MaxVirtualTime: g.Elapsed / 2}
+		_, err := killed.Run()
+		var re *sim.RunError
+		if !errors.As(err, &re) || re.Kind != sim.StopTimeBudget {
+			t.Fatalf("%s: want a time-budget RunError halfway, got %v", g.App, err)
+		}
+		res, err := x.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (GoldenRun{g.App, g.Optimized, res.Elapsed, res.Events, res.WAN.Messages, res.WAN.Bytes}); got != g {
+			t.Errorf("after a budget kill: %+v, golden %+v", got, g)
+		}
 	}
 }
 

@@ -80,6 +80,48 @@ func (c TopologyStudyConfig) withDefaults() TopologyStudyConfig {
 	return c
 }
 
+// topoMachine is one machine shape of the study under one wide-area graph.
+type topoMachine struct {
+	topo   *topology.Topology
+	wan    *wantopo.WAN
+	family string
+}
+
+// resolve looks up the applications and builds every (clusters, spec)
+// machine, so that all validation errors surface before the first
+// simulation starts.
+func (c TopologyStudyConfig) resolve() ([]apps.Info, []topoMachine, error) {
+	suite, err := appsByName(c.Apps)
+	if err != nil {
+		return nil, nil, err
+	}
+	machines := make([]topoMachine, 0, len(c.Clusters)*len(c.Topologies))
+	for _, n := range c.Clusters {
+		if n < 1 || c.Procs%n != 0 {
+			return nil, nil, fmt.Errorf("core: cluster count %d does not divide %d processors", n, c.Procs)
+		}
+		topo, err := topology.Uniform(n, c.Procs/n)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, spec := range c.Topologies {
+			w, err := wantopo.Parse(spec, n)
+			if err != nil {
+				return nil, nil, err
+			}
+			machines = append(machines, topoMachine{topo, w, spec})
+		}
+	}
+	return suite, machines, nil
+}
+
+// Validate reports the error TopologyStudy would refuse cfg with, without
+// running anything.
+func (c TopologyStudyConfig) Validate() error {
+	_, _, err := c.withDefaults().resolve()
+	return err
+}
+
 // TopologyPoint is one cell of the study: one application on one machine
 // shape under one wide-area graph, annotated with the graph's metrics.
 type TopologyPoint struct {
@@ -114,37 +156,12 @@ type TopologyPoint struct {
 // disconnected graph specs) are rejected before any simulation runs.
 func TopologyStudy(cfg TopologyStudyConfig) ([]TopologyPoint, error) {
 	cfg = cfg.withDefaults()
-	suite, err := appsByName(cfg.Apps)
+	suite, machines, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
-	// Resolve every (clusters, spec) pair up front: all validation errors
-	// surface before the first simulation starts.
-	type machine struct {
-		topo   *topology.Topology
-		wan    *wantopo.WAN
-		family string
-	}
-	machines := make([]machine, 0, len(cfg.Clusters)*len(cfg.Topologies))
-	for _, c := range cfg.Clusters {
-		if c < 1 || cfg.Procs%c != 0 {
-			return nil, fmt.Errorf("core: cluster count %d does not divide %d processors", c, cfg.Procs)
-		}
-		topo, err := topology.Uniform(c, cfg.Procs/c)
-		if err != nil {
-			return nil, err
-		}
-		for _, spec := range cfg.Topologies {
-			w, err := wantopo.Parse(spec, c)
-			if err != nil {
-				return nil, err
-			}
-			machines = append(machines, machine{topo, w, spec})
-		}
-	}
-
 	points := make([]TopologyPoint, len(suite)*len(machines))
-	cell := func(i int) (apps.Info, machine) {
+	cell := func(i int) (apps.Info, topoMachine) {
 		return suite[i/len(machines)], machines[i%len(machines)]
 	}
 	exp := func(i int) Experiment {

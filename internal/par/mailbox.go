@@ -89,26 +89,32 @@ func (mb *mailbox) take(from int, tag Tag) (Msg, bool) {
 	prev := int32(0)
 	for ref := mb.head; ref != 0; {
 		node := &mb.nodes[ref-1]
-		if !match(&node.m, from, tag) {
-			prev, ref = ref, node.next
-			continue
+		if match(&node.m, from, tag) {
+			return mb.unlink(prev, ref), true
 		}
-		if prev == 0 {
-			mb.head = node.next
-		} else {
-			mb.nodes[prev-1].next = node.next
-		}
-		if mb.tail == ref {
-			mb.tail = prev
-		}
-		m := node.m
-		node.m = Msg{} // release the payload reference for GC
-		node.next = mb.free
-		mb.free = ref
-		mb.queued--
-		return m, true
+		prev, ref = ref, node.next
 	}
 	return Msg{}, false
+}
+
+// unlink removes node ref, whose predecessor in the queue is prev (0 for
+// the head), frees it and returns its message.
+func (mb *mailbox) unlink(prev, ref int32) Msg {
+	node := &mb.nodes[ref-1]
+	if prev == 0 {
+		mb.head = node.next
+	} else {
+		mb.nodes[prev-1].next = node.next
+	}
+	if mb.tail == ref {
+		mb.tail = prev
+	}
+	m := node.m
+	node.m = Msg{} // release the payload reference for GC
+	node.next = mb.free
+	mb.free = ref
+	mb.queued--
+	return m
 }
 
 // deliver hands a message to the owner's armed receive if it matches —
@@ -158,15 +164,22 @@ func (mb *mailbox) request(from int, tag Tag, n int, sink func(Msg)) {
 // owner must wait on cond; deliver feeds the sink the rest as they arrive
 // and signals on the one that completes the batch, so n messages cost the
 // owner one wake-up.
+//
+// The queue is walked once: each match is unlinked and handed over where it
+// stands, so n queued matches cost one pass, not n scans from the head.
 func (mb *mailbox) arm() bool {
-	for ; mb.wantN > 0; mb.wantN-- {
-		m, ok := mb.take(mb.wantFrom, mb.wantTag)
-		if !ok {
-			return false
+	prev := int32(0)
+	for ref := mb.head; ref != 0 && mb.wantN > 0; {
+		next := mb.nodes[ref-1].next
+		if match(&mb.nodes[ref-1].m, mb.wantFrom, mb.wantTag) {
+			mb.wantN--
+			mb.sink(mb.unlink(prev, ref))
+		} else {
+			prev = ref
 		}
-		mb.sink(m)
+		ref = next
 	}
-	return true
+	return mb.wantN == 0
 }
 
 // pending reports how many undelivered messages are queued.

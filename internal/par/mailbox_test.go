@@ -89,3 +89,66 @@ func TestMailboxSlabReuse(t *testing.T) {
 		t.Errorf("slab grew to %d nodes; want peak depth 8", len(mb.nodes))
 	}
 }
+
+// armByTake is arm as n successive takes, each scanning from the head: the
+// loop the one-pass arm replaced, kept as its reference.
+func armByTake(mb *mailbox) bool {
+	for ; mb.wantN > 0; mb.wantN-- {
+		m, ok := mb.take(mb.wantFrom, mb.wantTag)
+		if !ok {
+			return false
+		}
+		mb.sink(m)
+	}
+	return true
+}
+
+// TestMailboxArmMatchesTakeLoop: arming a receive hands the sink the same
+// messages in the same order, leaves the same messages queued in the same
+// order and reports the same completion as n successive takes.
+func TestMailboxArmMatchesTakeLoop(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var got, want mailbox
+		var gotSunk, wantSunk []Msg
+		for op := 0; op < 5000; op++ {
+			if r.Intn(3) > 0 {
+				m := Msg{From: r.Intn(6), Tag: Tag(r.Intn(4)), Data: op, Bytes: int64(op)}
+				got.deliver(m)
+				want.deliver(m)
+				continue
+			}
+			from, tag, n := r.Intn(7)-1, Tag(r.Intn(5)-1), 1+r.Intn(6)
+			got.request(from, tag, n, func(m Msg) { gotSunk = append(gotSunk, m) })
+			want.request(from, tag, n, func(m Msg) { wantSunk = append(wantSunk, m) })
+			gok, wok := got.arm(), armByTake(&want)
+			if gok != wok || got.wantN != want.wantN {
+				t.Fatalf("seed %d op %d: arm = %v with %d to come, take loop = %v with %d", seed, op, gok, got.wantN, wok, want.wantN)
+			}
+			if len(gotSunk) != len(wantSunk) {
+				t.Fatalf("seed %d op %d: sink got %d messages, take loop %d", seed, op, len(gotSunk), len(wantSunk))
+			}
+			for i := range gotSunk {
+				if gotSunk[i] != wantSunk[i] {
+					t.Fatalf("seed %d op %d: sink got %v, take loop %v", seed, op, gotSunk[i], wantSunk[i])
+				}
+			}
+			gotSunk, wantSunk = gotSunk[:0], wantSunk[:0]
+			if got.pending() != want.pending() {
+				t.Fatalf("seed %d op %d: %d queued, take loop %d", seed, op, got.pending(), want.pending())
+			}
+			// Nobody waits on the mailboxes, so the request is dropped.
+			got.sink, want.sink = nil, nil
+		}
+		for {
+			gm, gok := got.take(AnySender, AnyTag)
+			wm, wok := want.take(AnySender, AnyTag)
+			if gok != wok || gm != wm {
+				t.Fatalf("seed %d drain: %v,%v vs take loop %v,%v", seed, gm, gok, wm, wok)
+			}
+			if !gok {
+				break
+			}
+		}
+	}
+}

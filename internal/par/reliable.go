@@ -289,6 +289,7 @@ func (s *relSender) arm() {
 
 // armAt schedules the retransmission timer for an absolute time.
 func (s *relSender) armAt(at sim.Time) {
+	s.e.rt.timers.Armed++
 	s.timerGen++
 	s.timerOn = true
 	s.e.rt.k.ScheduleCall(at, s, s.timerGen)
@@ -303,6 +304,7 @@ func (s *relSender) HandleEvent(gen uint64) { s.onTimeout(gen) }
 // the retry cap fails the channel and records a run error.
 func (s *relSender) onTimeout(gen uint64) {
 	if gen != s.timerGen || s.failed || len(s.window) == 0 {
+		s.e.rt.timers.Idle++
 		return // stale timer, or everything got acked meanwhile
 	}
 	s.timerOn = false

@@ -42,18 +42,39 @@ type runtime struct {
 	pendLive int // slots off the free list; zero once a run has drained
 
 	// ops is the slab behind every rank's queue of deferred outputs
-	// (Env.qhead/qtail), free-listed like pend: opsUsed slots have ever
-	// been handed out — the most outputs the ranks had queued at once — and
-	// opsFree heads the recycled ones. It grows a chunk at a time, and the
-	// chunks come from and return to opChunks.
-	ops     []*opChunk
-	opsUsed int32
+	// (Env.qhead/qtail), free-listed like pend: it grows to the most
+	// outputs the ranks had queued at once, and opsFree heads the recycled
+	// slots (index+1; 0 = none).
+	ops     []deferredOp
 	opsFree int32
 
 	// relStats and relErrs are the reliable-transport counters and channel
 	// failures, copied into the run's Result.
 	relStats trace.TransportStats
 	relErrs  []error
+	timers   TimerStats
+}
+
+// TimerStats counts the reliable transport's retransmission timers: how
+// many were armed, and how many fired with nothing to do — re-armed or
+// cancelled since, or their window acked meanwhile. Like sim.QueueStats the
+// counts are exact and machine-independent.
+type TimerStats struct {
+	Armed, Idle uint64
+}
+
+// timerTotals sums TimerStats over every run finished in this process.
+var timerTotals struct {
+	sync.Mutex
+	TimerStats
+}
+
+// TimerTotals returns TimerStats summed over every run that has finished
+// in this process.
+func TimerTotals() TimerStats {
+	timerTotals.Lock()
+	defer timerTotals.Unlock()
+	return timerTotals.TimerStats
 }
 
 // rankNames caches the diagnostic process names ("rank0", "rank1", ...)
@@ -158,11 +179,13 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 			return Result{}, fmt.Errorf("par: invalid regime parameters: %w", err)
 		}
 	}
-	k := sim.NewKernel()
+	slabs := unparkSlabs()
+	k := sim.NewKernelWith(slabs.queue)
 	net := network.NewWithWAN(k, topo, opts.Params, opts.WAN)
 	rt := &runtime{topo: topo, k: k, net: net, tracer: opts.Trace, seed: opts.Seed,
 		regime: rplan, adaptive: opts.Adaptive,
-		lossy: opts.Faults.Enabled() || (rplan != nil && rplan.HasChurn())}
+		lossy: opts.Faults.Enabled() || (rplan != nil && rplan.HasChurn()),
+		pend:  slabs.pend[:0], ops: slabs.ops[:0]}
 	rt.rec, _ = opts.Trace.(trace.OpSink)
 	if opts.Faults.Enabled() || opts.Transport.Enabled || (rplan != nil && rplan.NeedsTransport()) {
 		rt.rel = &relConfig{
@@ -184,11 +207,13 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 		net.SetFaults(faults.NewPlan(opts.Faults))
 	}
 	net.SetRegime(rplan)
-	defer rt.releaseOps()
 	rt.envs = make([]*Env, topo.Procs())
 	procs := make([]*sim.Proc, topo.Procs())
 	for r := 0; r < topo.Procs(); r++ {
 		e := &Env{rt: rt, rank: r}
+		if r < len(slabs.nodes) {
+			e.mb.nodes = slabs.nodes[r][:0]
+		}
 		e.keep = func(m Msg) { e.got = m }
 		rt.envs[r] = e
 		procs[r] = k.Spawn(rankName(r), func(p *sim.Proc) {
@@ -206,6 +231,13 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 	}
 	k.SetBudget(opts.Budget)
 	err := k.RunContext(ctx)
+	rt.park(slabs)
+	if rt.rel != nil {
+		timerTotals.Lock()
+		timerTotals.Armed += rt.timers.Armed
+		timerTotals.Idle += rt.timers.Idle
+		timerTotals.Unlock()
+	}
 	res := Result{Transport: rt.relStats}
 	if rt.rel != nil {
 		if opts.Trace != nil {
@@ -386,76 +418,23 @@ type deferredOp struct {
 
 const opCompute = -1
 
-// opChunk is the unit the op slabs grow by. One size for every run means a finished run's chunks fit whatever runs next, so across
-// a sweep the queues cost a few chunks per concurrent cell, not a slab per
-// cell (a per-rank slice cost 2-4 % of a sweep's allocation in the
-// prototype).
-type opChunk [opChunkLen]deferredOp
-
-const opChunkLen = 64
-
-// opChunks hands finished runs' chunks to later ones. It is a locked free
-// list rather than a sync.Pool because the sweeps that need it most
-// allocate fast enough to collect garbage every few milliseconds, and a
-// sync.Pool is emptied by two collections; the list keeps at most
-// maxFreeChunks (2.5 MB) and is touched only when a slab grows or a run
-// ends.
-var opChunks struct {
-	sync.Mutex
-	free []*opChunk
-}
-
-const maxFreeChunks = 1024
-
 // op returns the slab slot behind a queue reference (index + 1).
-func (rt *runtime) op(ref int32) *deferredOp {
-	return &rt.ops[(ref-1)/opChunkLen][(ref-1)%opChunkLen]
-}
-
-// growOps adds one chunk to the run's slab.
-func (rt *runtime) growOps() {
-	var c *opChunk
-	opChunks.Lock()
-	if n := len(opChunks.free); n > 0 {
-		c, opChunks.free = opChunks.free[n-1], opChunks.free[:n-1]
-	}
-	opChunks.Unlock()
-	if c == nil {
-		c = new(opChunk)
-	}
-	rt.ops = append(rt.ops, c)
-}
-
-// releaseOps returns the slab's chunks to the free list, zeroed: a failed
-// run may have left payloads queued, and freed slots still hold their links.
-func (rt *runtime) releaseOps() {
-	for _, c := range rt.ops {
-		*c = opChunk{}
-	}
-	opChunks.Lock()
-	keep := min(len(rt.ops), maxFreeChunks-len(opChunks.free))
-	opChunks.free = append(opChunks.free, rt.ops[:keep]...)
-	opChunks.Unlock()
-	rt.ops = nil
-}
+func (rt *runtime) op(ref int32) *deferredOp { return &rt.ops[ref-1] }
 
 // enqueue appends an output to the rank's queue; its continuation will run
 // it when the outputs ahead of it have completed.
 func (e *Env) enqueue(op deferredOp) {
 	rt := e.rt
+	op.next = 0
 	var ref int32
 	if rt.opsFree != 0 {
 		ref = rt.opsFree
 		rt.opsFree = rt.op(ref).next
+		*rt.op(ref) = op
 	} else {
-		if int(rt.opsUsed) == len(rt.ops)*opChunkLen {
-			rt.growOps()
-		}
-		rt.opsUsed++
-		ref = rt.opsUsed
+		rt.ops = append(rt.ops, op)
+		ref = int32(len(rt.ops))
 	}
-	op.next = 0
-	*rt.op(ref) = op
 	if e.qtail == 0 {
 		e.qhead = ref
 	} else {

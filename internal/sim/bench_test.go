@@ -51,30 +51,29 @@ func BenchmarkKernelScheduleFire(b *testing.B) {
 	reportPerEvent(b, k, mallocs)
 }
 
-// mixTimer reschedules itself sweepMix from now each time it fires.
+// mixTimer reschedules itself a delay drawn from mix each time it fires.
 type mixTimer struct {
 	k         *Kernel
 	rng       *rand.Rand
+	mix       func(*rand.Rand) Time
 	remaining int
 }
 
 func (m *mixTimer) HandleEvent(token uint64) {
 	if m.remaining > 0 {
 		m.remaining--
-		m.k.CallAfter(sweepMix(m.rng), m, token)
+		m.k.CallAfter(m.mix(m.rng), m, token)
 	}
 }
 
-// BenchmarkQueueSweepMix measures the event loop the way a sweep loads it,
-// where BenchmarkKernelScheduleFire keeps the queue at depth one: 300
-// events pending, each rescheduled on firing at a horizon drawn from the
-// active / ring / far split measured on a cold Small Figure 3.
-func BenchmarkQueueSweepMix(b *testing.B) {
+// benchQueueMix keeps 300 events pending, each rescheduled on firing at a
+// delay drawn from mix.
+func benchQueueMix(b *testing.B, mix func(*rand.Rand) Time) {
 	b.ReportAllocs()
 	k := NewKernel()
-	m := &mixTimer{k: k, rng: rand.New(rand.NewSource(1)), remaining: b.N}
+	m := &mixTimer{k: k, rng: rand.New(rand.NewSource(1)), mix: mix, remaining: b.N}
 	for i := uint64(0); i < 300; i++ {
-		k.CallAfter(sweepMix(m.rng), m, i)
+		k.CallAfter(mix(m.rng), m, i)
 	}
 	mallocs := mallocCount()
 	b.ResetTimer()
@@ -84,6 +83,15 @@ func BenchmarkQueueSweepMix(b *testing.B) {
 	b.StopTimer()
 	reportPerEvent(b, k, mallocs)
 }
+
+// BenchmarkQueueSweepMix measures the event loop the way a sweep loads it,
+// where BenchmarkKernelScheduleFire keeps the queue at depth one: the
+// delays follow the split measured on a cold Small Figure 3.
+func BenchmarkQueueSweepMix(b *testing.B) { benchQueueMix(b, sweepMix) }
+
+// BenchmarkQueueRegimeMix is BenchmarkQueueSweepMix on the regime study's
+// split, where almost half the events go 5 ms to 1.5 s out.
+func BenchmarkQueueRegimeMix(b *testing.B) { benchQueueMix(b, regimeMix) }
 
 // BenchmarkProcessHandoff measures a blocking wake chain between two
 // processes: each Signal forces a full block → event → dispatch → resume

@@ -57,6 +57,38 @@ type Kernel struct {
 // NewKernel returns an empty kernel at virtual time zero.
 func NewKernel() *Kernel { return &Kernel{} }
 
+// Slabs is the storage a kernel's event queue grows to its high-water marks
+// over a run: the event slab, the active slot's run and the overflow heap.
+// A finished kernel hands it back with TakeSlabs, so that the next kernel
+// starts where the last one peaked instead of regrowing from empty. The
+// zero value is no storage.
+type Slabs struct {
+	slab        []event
+	active, far []ref
+}
+
+// NewKernelWith is NewKernel with its event queue growing into s.
+func NewKernelWith(s Slabs) *Kernel {
+	k := &Kernel{}
+	k.queue.slab, k.queue.active, k.queue.far = s.slab[:0], s.active[:0], s.far[:0]
+	return k
+}
+
+// TakeSlabs hands over the event queue's storage once Run has returned. It
+// reports false, and hands over nothing, if the run stopped with events
+// still queued (a budget, watchdog or deadline kill): those slots still
+// hold their handlers. A drained queue holds none, since Pop releases each
+// one, so the storage pins nothing.
+func (k *Kernel) TakeSlabs() (Slabs, bool) {
+	q := &k.queue
+	if !k.ran || q.size != 0 {
+		return Slabs{}, false
+	}
+	s := Slabs{slab: q.slab, active: q.active, far: q.far}
+	q.slab, q.free, q.active, q.activeIdx, q.far = nil, 0, nil, 0, nil
+	return s, true
+}
+
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
@@ -112,6 +144,7 @@ func (k *Kernel) addTotals() {
 	totals.selfWakes += k.selfWakes
 	totals.queue.PushActive += q.PushActive
 	totals.queue.PushRing += q.PushRing
+	totals.queue.PushBlock += q.PushBlock
 	totals.queue.PushFar += q.PushFar
 	totals.queue.Advances += q.Advances
 	totals.queue.SlabHigh = max(totals.queue.SlabHigh, q.SlabHigh)

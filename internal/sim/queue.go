@@ -31,16 +31,22 @@ type callback func()
 
 func (f callback) HandleEvent(uint64) { f() }
 
-// The near-future band of the ladder queue: a ring of numBuckets buckets,
-// each slotWidth of virtual time wide. slotBits = 14 gives 16.4 us buckets —
-// the scale of the model's software overheads and intra-cluster latencies —
-// and a horizon of numBuckets * 16.4 us ≈ 4.2 ms. Events beyond the horizon
-// (wide-area messages at 10-300 ms latency) overflow into a binary heap and
-// are merged back slot by slot as the clock reaches them.
+// The ladder queue's two rungs. Time is cut into slots of 2^slotBits ns
+// (16.4 us: the scale of the model's software overheads and intra-cluster
+// latencies) and slots into blocks of blockSlots (4.2 ms). Rung 1 is a ring
+// of one bucket per slot over the current block and the next; rung 2 is a
+// ring of one bucket per block over the numBlocks blocks after those (1.07 s
+// out: the regime study's retransmission timers and slow wide-area
+// deliveries). Events beyond rung 2 overflow into a binary heap and are
+// merged back slot by slot as the clock reaches them.
 const (
-	slotBits   = 14
-	numBuckets = 256
-	bucketMask = numBuckets - 1
+	slotBits      = 14
+	blockSlotBits = 8
+	blockSlots    = 1 << blockSlotBits
+	ringBuckets   = 2 * blockSlots
+	ringMask      = ringBuckets - 1
+	numBlocks     = 256
+	blockMask     = numBlocks - 1
 )
 
 func slotOf(at Time) int64 { return int64(at) >> slotBits }
@@ -58,16 +64,18 @@ func (a *ref) before(b *ref) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// eventQueue is a two-level ladder/calendar queue ordered by (at, seq).
+// eventQueue is a two-rung ladder queue (Tang, Goh & Thng, ACM TOMACS 2005)
+// ordered by (at, seq).
 //
-// A queued event lives exactly once, from Push to Pop, in a slot of slab.
-// Near-future events (within ~4.2 ms of the active slot) are linked into
-// ring buckets in O(1); a bucket is sorted once when the clock enters its
-// slot, so push/pop are O(1) amortized for the near band. Far-future events
-// fall back to a binary min-heap, preserving O(log n) worst-case behavior
-// for sparse long-latency events. Only refs are ever moved or compared. The
-// pop order is bit-identical to a single global heap: strictly ascending
-// (at, seq).
+// A queued event lives exactly once, from Push to Pop, in a slot of slab,
+// and is linked in O(1) into the first of these that covers its slot: the
+// sorted run of the active slot, a rung-1 slot bucket, a rung-2 block
+// bucket, or the overflow heap (O(log n)). Buckets are unsorted intrusive
+// lists through event.next. When the clock enters a block, the block after
+// it is poured from rung 2 into rung 1, and a rung-1 bucket is sorted once
+// when the clock enters its slot, so an event moves at most twice before it
+// fires. Only refs are ever sorted or sifted. The pop order is bit-identical
+// to a single global heap: strictly ascending (at, seq).
 //
 // The zero value is an empty queue ready for use.
 type eventQueue struct {
@@ -85,13 +93,16 @@ type eventQueue struct {
 	active    []ref
 	activeIdx int
 
-	// buckets[s&bucketMask] heads the unsorted list (through event.next) of
-	// the events of slot s for s in (curSlot, curSlot+numBuckets); occupied
-	// is its non-empty bitmap.
-	buckets  [numBuckets]int32
-	occupied [numBuckets / 64]uint64
+	// Rung 1: buckets[s&ringMask] heads the list of the events of slot s for
+	// s after curSlot in the current block or the next one. Rung 2:
+	// blocks[b&blockMask] heads the list of block b for the numBlocks blocks
+	// after those. ringOcc and blockOcc are their non-empty bitmaps.
+	buckets  [ringBuckets]int32
+	ringOcc  [ringBuckets / 64]uint64
+	blocks   [numBlocks]int32
+	blockOcc [numBlocks / 64]uint64
 
-	// far is a binary min-heap of the events at or beyond the horizon.
+	// far is a binary min-heap of the events beyond rung 2.
 	far []ref
 
 	stats QueueStats
@@ -100,15 +111,15 @@ type eventQueue struct {
 // QueueStats counts an event queue's traffic, exactly and machine-
 // independently, like Kernel.Switches.
 type QueueStats struct {
-	PushActive, PushRing, PushFar uint64 // pushes into the active slot, a ring bucket, the far heap
-	Advances                      uint64 // moves of the active slot to the next occupied one
-	SlabHigh                      int    // most events queued at once (slab slots ever used)
+	PushActive, PushRing, PushBlock, PushFar uint64 // pushes into the active slot, rung 1, rung 2, the overflow heap
+	Advances                                 uint64 // moves of the active slot to the next occupied one
+	SlabHigh                                 int    // most events queued at once (slab slots ever used)
 }
 
 func (q *eventQueue) Len() int { return q.size }
 
-// Push inserts an event. Amortized O(1) for events within the near-future
-// horizon, O(log f) for the f far-future events beyond it.
+// Push inserts an event: O(1) within rung 2's horizon, O(log f) for the f
+// overflow events beyond it.
 func (q *eventQueue) Push(e event) {
 	q.size++
 	idx := q.free
@@ -125,25 +136,34 @@ func (q *eventQueue) Push(e event) {
 		q.slab = append(q.slab, event{})
 		q.stats.SlabHigh = int(idx)
 	}
-	r := ref{at: e.at, seq: e.seq, idx: idx}
 	s := slotOf(e.at)
-	switch {
+	block := s >> blockSlotBits
+	switch next := q.curSlot>>blockSlotBits + 2; {
 	case s <= q.curSlot:
 		// The active slot (or, defensively, the past — the kernel forbids
 		// scheduling before now): ordered insert into the remaining run.
 		q.stats.PushActive++
-		q.insertActive(r)
-	case s < q.curSlot+numBuckets:
+		q.insertActive(ref{at: e.at, seq: e.seq, idx: idx})
+	case block < next:
 		q.stats.PushRing++
-		i := s & bucketMask
-		e.next = q.buckets[i]
-		q.buckets[i] = idx
-		q.occupied[i>>6] |= 1 << (i & 63)
+		e.next = link(q.buckets[:], q.ringOcc[:], s&ringMask, idx)
+	case block < next+numBlocks:
+		q.stats.PushBlock++
+		e.next = link(q.blocks[:], q.blockOcc[:], block&blockMask, idx)
 	default:
 		q.stats.PushFar++
-		q.pushFar(r)
+		q.pushFar(ref{at: e.at, seq: e.seq, idx: idx})
 	}
 	q.slab[idx] = e
+}
+
+// link makes idx the head of bucket i of a rung, marks the bucket occupied
+// and returns the old head for the event's next link.
+func link(heads []int32, occ []uint64, i int64, idx int32) int32 {
+	old := heads[i]
+	heads[i] = idx
+	occ[i>>6] |= 1 << (i & 63)
+	return old
 }
 
 // insertActive places r into the sorted tail active[activeIdx:]. The tail is
@@ -192,38 +212,46 @@ func (q *eventQueue) Peek() Time {
 }
 
 // advance moves the queue to the next non-empty slot: the earliest occupied
-// ring bucket or the far heap's front slot, whichever is sooner. The slot's
-// events (ring bucket plus any far events that fall in it) are staged into
-// active and sorted once.
+// rung-1 bucket or the overflow heap's front slot, whichever is sooner. When
+// rung 1 is empty and rung 2's earliest block comes no later than the
+// heap's front, the clock first moves to the end of the block before it,
+// which pours that block into rung 1. The slot's events (rung-1 bucket plus
+// any overflow events that fall in it) are staged into active and sorted
+// once.
 func (q *eventQueue) advance() {
 	q.stats.Advances++
 	q.active = q.active[:0]
 	q.activeIdx = 0
 
-	ringSlot, ok := q.nextOccupiedSlot()
-	s := ringSlot
+	s, ok := q.nextRingSlot()
+	if !ok {
+		if b, found := q.nextBlock(); found && (len(q.far) == 0 || b <= slotOf(q.far[0].at)>>blockSlotBits) {
+			q.moveTo(b<<blockSlotBits - 1)
+			s, ok = q.nextRingSlot()
+		}
+	}
 	if len(q.far) > 0 {
-		if farSlot := slotOf(q.far[0].at); !ok || farSlot < ringSlot {
+		if farSlot := slotOf(q.far[0].at); !ok || farSlot < s {
 			s = farSlot
 		}
 	} else if !ok {
 		panic("sim: advance on empty event queue")
 	}
+	q.moveTo(s)
 
-	if ok && ringSlot == s {
-		i := s & bucketMask
+	i := s & ringMask
+	if q.ringOcc[i>>6]&(1<<(i&63)) != 0 {
 		for idx := q.buckets[i]; idx != 0; {
 			e := &q.slab[idx]
 			q.active = append(q.active, ref{at: e.at, seq: e.seq, idx: idx})
 			idx = e.next
 		}
 		q.buckets[i] = 0
-		q.occupied[i>>6] &^= 1 << (i & 63)
+		q.ringOcc[i>>6] &^= 1 << (i & 63)
 	}
 	for len(q.far) > 0 && slotOf(q.far[0].at) == s {
 		q.active = append(q.active, q.popFar())
 	}
-	q.curSlot = s
 	// (at, seq) is a total order — seq is unique — so stability is irrelevant
 	// and any correct sort yields the same, bit-exact event order. A slot
 	// holds a handful of refs (4.9 on average over a cold Small Figure 3),
@@ -237,23 +265,56 @@ func (q *eventQueue) advance() {
 	})
 }
 
-// nextOccupiedSlot scans the occupancy bitmap in ring order for the
-// earliest slot after curSlot that holds events. O(1): at most five
-// word-sized probes regardless of occupancy.
-func (q *eventQueue) nextOccupiedSlot() (int64, bool) {
-	// Ring slots lie in (curSlot, curSlot+numBuckets); walk indices starting
-	// just after curSlot's own position, wrapping around the ring. The slot
-	// distance from curSlot+1 is exactly the scan offset, so the first set
-	// bit found is the earliest occupied slot.
-	start := (q.curSlot + 1) & bucketMask
-	for off := int64(0); off < numBuckets; {
-		idx := (start + off) & bucketMask
+// moveTo sets the clock's slot to s, no earlier than today's, and pours
+// into rung 1 the rung-2 blocks that its window now covers: the block of s
+// and the one after. Blocks the move skips over hold no events, since the
+// clock never passes a queued event, so at most two blocks are poured.
+func (q *eventQueue) moveTo(s int64) {
+	old := q.curSlot >> blockSlotBits
+	q.curSlot = s
+	cur := s >> blockSlotBits
+	for b := max(old+2, cur); b <= cur+1 && b < old+2+numBlocks; b++ {
+		i := b & blockMask
+		if q.blockOcc[i>>6]&(1<<(i&63)) == 0 {
+			continue
+		}
+		for idx := q.blocks[i]; idx != 0; {
+			e := &q.slab[idx]
+			next := e.next
+			e.next = link(q.buckets[:], q.ringOcc[:], slotOf(e.at)&ringMask, idx)
+			idx = next
+		}
+		q.blocks[i] = 0
+		q.blockOcc[i>>6] &^= 1 << (i & 63)
+	}
+}
+
+// nextRingSlot returns the earliest occupied rung-1 slot after curSlot.
+func (q *eventQueue) nextRingSlot() (int64, bool) {
+	end := (q.curSlot>>blockSlotBits + 2) << blockSlotBits
+	off, ok := firstSet(q.ringOcc[:], q.curSlot+1, end-q.curSlot-1)
+	return q.curSlot + 1 + off, ok
+}
+
+// nextBlock returns the earliest occupied rung-2 block.
+func (q *eventQueue) nextBlock() (int64, bool) {
+	first := q.curSlot>>blockSlotBits + 2
+	off, ok := firstSet(q.blockOcc[:], first, numBlocks)
+	return first + off, ok
+}
+
+// firstSet scans the ring bitmap occ in ring order from position start for
+// n positions and returns the offset of the first set bit: one word-sized
+// probe per 64 positions, whatever the occupancy. A rung's bits are set only
+// inside its window, so the first bit found is its earliest bucket.
+func firstSet(occ []uint64, start, n int64) (int64, bool) {
+	mask := int64(len(occ)*64 - 1)
+	for off := int64(0); off < n; {
+		idx := (start + off) & mask
 		b := idx & 63
-		word := q.occupied[idx>>6] >> uint(b)
-		if word != 0 {
-			tz := int64(bits.TrailingZeros64(word))
-			if off+tz < numBuckets {
-				return q.curSlot + 1 + off + tz, true
+		if word := occ[idx>>6] >> uint(b); word != 0 {
+			if off += int64(bits.TrailingZeros64(word)); off < n {
+				return off, true
 			}
 			return 0, false
 		}

@@ -115,17 +115,17 @@ func diffCheck(t *testing.T, q *eventQueue, ref *eventHeap) {
 
 // TestQueueDifferentialRandom drives the ladder queue and the reference
 // heap with the same randomized workload: interleaved pushes and pops,
-// monotonically advancing "now", horizons from sub-slot to far beyond the
-// ladder (a 300 ms WAN wake-up is ~70 ladder rounds away), and heavy
-// same-timestamp ties. Any divergence in pop order is a determinism bug.
+// monotonically advancing "now", horizons from sub-slot to beyond rung 2
+// (a 2 s wake-up lands in the overflow heap), and heavy same-timestamp
+// ties. Any divergence in pop order is a determinism bug.
 func TestQueueDifferentialRandom(t *testing.T) {
 	horizons := []Time{
 		0,                 // all ties at now
 		100,               // sub-slot
 		50 * Microsecond,  // a few slots
-		5 * Millisecond,   // just past the in-ladder horizon
-		300 * Millisecond, // deep far-future heap territory
-		2 * Second,        // absurdly far
+		5 * Millisecond,   // rung 1 into rung 2
+		300 * Millisecond, // rung 2
+		2 * Second,        // into the overflow heap
 	}
 	for round := 0; round < 20; round++ {
 		rng := rand.New(rand.NewSource(int64(round)))
@@ -161,18 +161,29 @@ func TestQueueDifferentialRandom(t *testing.T) {
 	}
 }
 
-// horizonEdge returns the first instant beyond q's ring: one tick earlier is
-// the last ring bucket, this instant and later is the far heap.
-func horizonEdge(q *eventQueue) Time { return Time((q.curSlot + numBuckets) << slotBits) }
+// ringEdge returns the first instant beyond q's rung 1: one tick earlier is
+// its last slot bucket, this instant is rung 2's first block.
+func ringEdge(q *eventQueue) Time {
+	return Time((q.curSlot>>blockSlotBits + 2) << (blockSlotBits + slotBits))
+}
+
+// blockSpan is the virtual time one rung-2 block covers.
+const blockSpan = Time(1) << (blockSlotBits + slotBits)
+
+// horizonEdge returns the first instant beyond q's rung 2: one tick earlier
+// is its last block bucket, this instant and later is the overflow heap.
+func horizonEdge(q *eventQueue) Time {
+	return ringEdge(q) + Time(numBlocks)<<(blockSlotBits+slotBits)
+}
 
 // TestQueueSlabRecycling holds the queue at a small, constant depth for many
 // times that depth in pop-then-push cycles, so every slab slot is reused
 // hundreds of times under a different key and payload. Phases alternate
-// between near horizons and far ones, which walks events across the ring/far
-// boundary both ways: timestamps first reached by far pushes later take ring
-// pushes into the same slot (the two must merge), and whenever only far
-// events are left the ring jumps ahead to them. Pushes on either side of the
-// exact horizon tick ride along.
+// between near horizons and far ones, which walks events across the rung
+// and overflow boundaries both ways: timestamps first reached by far pushes
+// later take near pushes into the same slot (the two must merge), and
+// whenever only far events are left the clock jumps ahead to them. Pushes on
+// either side of each rung's exact edge tick ride along.
 func TestQueueSlabRecycling(t *testing.T) {
 	const depth, cycles = 48, 60000
 	rng := rand.New(rand.NewSource(23))
@@ -198,8 +209,10 @@ func TestQueueSlabRecycling(t *testing.T) {
 		switch far := (c/500)%2 == 1; {
 		case c%97 == 0:
 			push(max(now, horizonEdge(&q)+Time(rng.Intn(3))-1))
+		case c%89 == 0:
+			push(max(now, ringEdge(&q)+Time(rng.Intn(3))-1))
 		case far && rng.Intn(3) == 0:
-			push(now + 5*Millisecond + Time(rng.Int63n(int64(300*Millisecond))))
+			push(now + 5*Millisecond + Time(rng.Int63n(int64(1500*Millisecond))))
 		default:
 			push(now + Time(rng.Int63n(int64(200*Microsecond))))
 		}
@@ -208,10 +221,10 @@ func TestQueueSlabRecycling(t *testing.T) {
 	if st.SlabHigh > depth {
 		t.Errorf("slab grew to %d slots at a constant depth of %d: popped slots are not recycled", st.SlabHigh, depth)
 	}
-	if st.PushActive == 0 || st.PushRing == 0 || st.PushFar == 0 {
+	if st.PushActive == 0 || st.PushRing == 0 || st.PushBlock == 0 || st.PushFar == 0 {
 		t.Errorf("a destination saw no push: %+v", st)
 	}
-	if got := st.PushActive + st.PushRing + st.PushFar; got != seq {
+	if got := st.PushActive + st.PushRing + st.PushBlock + st.PushFar; got != seq {
 		t.Errorf("counted %d pushes, made %d", got, seq)
 	}
 	diffCheck(t, &q, &ref)
@@ -224,12 +237,14 @@ func TestQueueSlabRecycling(t *testing.T) {
 
 // FuzzEventQueue decodes a byte stream into pop / peek / push operations —
 // a push takes a second byte for its horizon — and holds the ladder queue to
-// the oracle heap after every one.
+// the oracle heap after every one. Horizons reach 10 s, well past rung 2.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{2, 0, 2, 0, 0, 0})                             // ties at now
 	f.Add([]byte{6, 255, 10, 1, 14, 128, 18, 7, 0, 1, 0, 0, 0}) // one push per band, drained
-	f.Add([]byte{22, 0, 22, 1, 22, 2, 2, 9, 0, 0, 0, 0})        // either side of the horizon tick
-	f.Add([]byte{18, 200, 0, 6, 3, 18, 100, 0, 0})              // far event pulls the ring forward
+	f.Add([]byte{22, 0, 22, 1, 22, 2, 2, 9, 0, 0, 0, 0})        // either side of the overflow edge
+	f.Add([]byte{26, 0, 26, 1, 26, 2, 2, 9, 0, 0, 0, 0})        // either side of rung 1's edge
+	f.Add([]byte{30, 0, 30, 1, 30, 255, 18, 255, 0, 0, 0, 0})   // on block boundaries, then 10 s out
+	f.Add([]byte{18, 200, 0, 6, 3, 18, 100, 0, 0})              // far event pulls the clock forward
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		var q eventQueue
 		var ref eventHeap
@@ -254,19 +269,23 @@ func FuzzEventQueue(f *testing.F) {
 					arg = Time(ops[i])
 				}
 				var at Time
-				switch (op >> 2) % 6 {
+				switch (op >> 2) % 8 {
 				case 0:
 					at = now
 				case 1:
 					at = now + arg // sub-slot
 				case 2:
-					at = now + arg*20*Microsecond // across the ring
+					at = now + arg*20*Microsecond // across rung 1
 				case 3:
-					at = now + arg*Millisecond // around and past the horizon
+					at = now + arg*Millisecond // rung 1 into rung 2
 				case 4:
-					at = now + arg*40*Millisecond // far heap
+					at = now + arg*40*Millisecond // rung 2 into the overflow heap
 				case 5:
 					at = max(now, horizonEdge(&q)+arg%3-1)
+				case 6:
+					at = max(now, ringEdge(&q)+arg%3-1)
+				case 7:
+					at = (now/blockSpan + 1 + 2*arg) * blockSpan // exactly on a block boundary
 				}
 				seq++
 				q.Push(stamped(at, seq))
@@ -329,7 +348,7 @@ func TestQueueFarFutureMigration(t *testing.T) {
 		q.Push(event{at: at, seq: seq})
 	}
 	// One event per decade of delay, pushed in reverse order.
-	delays := []Time{300 * Millisecond, 30 * Millisecond, 3 * Millisecond,
+	delays := []Time{3 * Second, 300 * Millisecond, 30 * Millisecond, 3 * Millisecond,
 		300 * Microsecond, 30 * Microsecond, 3 * Microsecond}
 	for _, d := range delays {
 		push(d)
@@ -342,15 +361,15 @@ func TestQueueFarFutureMigration(t *testing.T) {
 		}
 		prev = ev.at
 	}
-	if prev != 300*Millisecond {
-		t.Fatalf("last pop at %v, want 300ms", prev)
+	if prev != 3*Second {
+		t.Fatalf("last pop at %v, want 3s", prev)
 	}
 }
 
 // sweepMix draws an event's delay from now the way a cold Small Figure 3
 // places its 8.8 M pushes (EXPERIMENTS.md, "Event queue on a slab"): 34 %
-// into the slot being drained, 46 % into a ring bucket, 20 % beyond the
-// ring — wide-area deliveries, 10-300 ms out.
+// into the slot being drained, 46 % within 4.2 ms, 20 % beyond that —
+// wide-area deliveries, 10-300 ms out, all in rung 2.
 func sweepMix(rng *rand.Rand) Time {
 	switch p := rng.Intn(100); {
 	case p < 34:
@@ -359,6 +378,92 @@ func sweepMix(rng *rand.Rand) Time {
 		return 20*Microsecond + Time(rng.Int63n(int64(4*Millisecond)))
 	default:
 		return 10*Millisecond + Time(rng.Int63n(int64(290*Millisecond)))
+	}
+}
+
+// regimeMix draws a delay the way the regime study places its 986,672
+// pushes (EXPERIMENTS.md, "Count before cutting"): 19.3 % into the slot
+// being drained, 34.9 % within 4.2 ms, 45.8 % from 5 ms to 1.5 s out —
+// slow wide-area deliveries and retransmission timers, across rung 2 and
+// past it into the overflow heap.
+func regimeMix(rng *rand.Rand) Time {
+	switch p := rng.Intn(1000); {
+	case p < 193:
+		return Time(rng.Int63n(int64(500 * Nanosecond)))
+	case p < 542:
+		return 20*Microsecond + Time(rng.Int63n(int64(4*Millisecond)))
+	default:
+		return 5*Millisecond + Time(rng.Int63n(int64(1495*Millisecond)))
+	}
+}
+
+// TestQueueTiersDifferential holds the queue to the oracle heap on delays
+// from 0 to 10 s, so every push lands in the active slot, a rung-1 slot,
+// a rung-2 block or the overflow heap. A share of pushes land exactly on a
+// block boundary or on either side of a rung's edge tick, and every round
+// ends in drain phases, after which the clock jumps across runs of empty
+// blocks to the next push 1-10 s out.
+func TestQueueTiersDifferential(t *testing.T) {
+	var total QueueStats
+	jumps := 0
+	for round := 0; round < 30; round++ {
+		rng := rand.New(rand.NewSource(100 + int64(round)))
+		var q eventQueue
+		var ref eventHeap
+		var now Time
+		var seq uint64
+		for op := 0; op < 4000; op++ {
+			if ref.Len() > 0 && (op%500 >= 450 || rng.Intn(2) == 0) {
+				want := ref.Pop()
+				if pt := q.Peek(); pt != want.at {
+					t.Fatalf("round %d op %d: Peek = %v, heap says %v", round, op, pt, want.at)
+				}
+				sameEvent(t, q.Pop(), want)
+				if want.at/blockSpan > now/blockSpan+2 {
+					jumps++
+				}
+				now = want.at
+				continue
+			}
+			var at Time
+			switch rng.Intn(8) {
+			case 0:
+				at = now
+			case 1:
+				at = now + Time(rng.Int63n(int64(Time(1)<<slotBits)))
+			case 2:
+				at = now + Time(rng.Int63n(int64(2*blockSpan)))
+			case 3:
+				at = now + Time(rng.Int63n(int64(Second)))
+			case 4:
+				at = now + Second + Time(rng.Int63n(int64(9*Second)))
+			case 5:
+				at = (now/blockSpan + 1 + Time(rng.Intn(300))) * blockSpan
+			case 6:
+				at = max(now, ringEdge(&q)+Time(rng.Intn(3))-1)
+			case 7:
+				at = max(now, horizonEdge(&q)+Time(rng.Intn(3))-1)
+			}
+			seq++
+			q.Push(stamped(at, seq))
+			ref.Push(stamped(at, seq))
+		}
+		diffCheck(t, &q, &ref)
+		total.PushActive += q.stats.PushActive
+		total.PushRing += q.stats.PushRing
+		total.PushBlock += q.stats.PushBlock
+		total.PushFar += q.stats.PushFar
+	}
+	for _, c := range []struct {
+		name string
+		n    uint64
+	}{{"active", total.PushActive}, {"ring", total.PushRing}, {"block", total.PushBlock}, {"far", total.PushFar}} {
+		if c.n < 1000 {
+			t.Errorf("only %d pushes went to the %s tier", c.n, c.name)
+		}
+	}
+	if jumps < 100 {
+		t.Errorf("the clock jumped across empty blocks only %d times", jumps)
 	}
 }
 
@@ -393,9 +498,85 @@ func TestQueueSteadyStateZeroAllocs(t *testing.T) {
 		name   string
 		n      uint64
 		target float64
-	}{{"active", st.PushActive, 34}, {"ring", st.PushRing, 46}, {"far", st.PushFar, 20}} {
+	}{{"active", st.PushActive, 34}, {"ring", st.PushRing, 46}, {"block", st.PushBlock, 20}} {
 		if pct := 100 * float64(c.n) / float64(seq); pct < c.target-5 || pct > c.target+5 {
 			t.Errorf("%s pushes are %.1f %% of the mix, want %v +- 5", c.name, pct, c.target)
 		}
+	}
+}
+
+// firingLog reschedules itself a regimeMix delay each time it fires and logs
+// every firing's (time, token).
+type firingLog struct {
+	k         *Kernel
+	rng       *rand.Rand
+	remaining int
+	fired     []event
+}
+
+func (l *firingLog) HandleEvent(token uint64) {
+	l.fired = append(l.fired, event{at: l.k.Now(), token: token})
+	if l.remaining > 0 {
+		l.remaining--
+		l.k.CallAfter(regimeMix(l.rng), l, token)
+	}
+}
+
+// runFiringLog runs 200 self-rescheduling timers for 20,000 firings on k.
+func runFiringLog(t *testing.T, k *Kernel, budget Budget) (*firingLog, error) {
+	t.Helper()
+	l := &firingLog{k: k, rng: rand.New(rand.NewSource(9)), remaining: 20000}
+	for i := uint64(0); i < 200; i++ {
+		k.CallAfter(regimeMix(l.rng), l, i)
+	}
+	k.SetBudget(budget)
+	return l, k.Run()
+}
+
+// TestKernelSlabsRecycled: a kernel built on a finished kernel's slabs
+// fires the same events in the same order as a fresh one and peaks at the
+// same depth, and a kernel stopped with events still queued hands nothing
+// back.
+func TestKernelSlabsRecycled(t *testing.T) {
+	if _, ok := NewKernel().TakeSlabs(); ok {
+		t.Error("a kernel that never ran handed over its slabs")
+	}
+	fresh := NewKernel()
+	want, err := runFiringLog(t, fresh, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slabs, ok := fresh.TakeSlabs()
+	if !ok || cap(slabs.slab) == 0 || cap(slabs.active) == 0 || cap(slabs.far) == 0 {
+		t.Fatalf("a drained kernel handed over %v slabs (slab %d, active %d, far %d)",
+			ok, cap(slabs.slab), cap(slabs.active), cap(slabs.far))
+	}
+	for round := 0; round < 3; round++ {
+		k := NewKernelWith(slabs)
+		got, err := runFiringLog(t, k, Budget{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.fired) != len(want.fired) {
+			t.Fatalf("round %d: %d firings on recycled slabs, %d on fresh ones", round, len(got.fired), len(want.fired))
+		}
+		for i := range want.fired {
+			if got.fired[i] != want.fired[i] {
+				t.Fatalf("round %d: firing %d is %+v on recycled slabs, %+v on fresh ones", round, i, got.fired[i], want.fired[i])
+			}
+		}
+		if g, w := k.QueueStats(), fresh.QueueStats(); g != w {
+			t.Fatalf("round %d: queue stats %+v on recycled slabs, %+v on fresh ones", round, g, w)
+		}
+		if slabs, ok = k.TakeSlabs(); !ok {
+			t.Fatalf("round %d: a drained kernel kept its slabs", round)
+		}
+	}
+	killed := NewKernelWith(slabs)
+	if _, err := runFiringLog(t, killed, Budget{MaxEvents: 5000}); err == nil {
+		t.Fatal("the event budget did not stop the run")
+	}
+	if _, ok := killed.TakeSlabs(); ok {
+		t.Error("a kernel stopped with events queued handed over its slabs")
 	}
 }
