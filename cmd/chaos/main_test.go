@@ -56,8 +56,8 @@ func TestFlagMisuseExitsTwo(t *testing.T) {
 		{"-outages", "0", "-period", "-1s"},
 		{"-outages", "0", "-period", "0"},
 		{"-outages", "0s", "-period", "0"},
-		{"-retries", "-5"},
 		{"-drops", "NaN"},
+		{"-latency", "-1ms"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "chaos.csv")
@@ -72,6 +72,29 @@ func TestFlagMisuseExitsTwo(t *testing.T) {
 				t.Error("wrote the CSV")
 			}
 		})
+	}
+}
+
+// TestTotalLossExitsThree: at 100% loss every reliable channel exhausts
+// its retry cap. Under supervision the sweep keeps going, writes those
+// cells as FAILED(retry-cap) rows beside the healthy ones, and exits 3.
+func TestTotalLossExitsThree(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "chaos.csv")
+	code, _, stderr := chaos(t, "-scale", "tiny", "-drops", "0,1", "-outages", "0", "-deadline", "120s", "-no-cache", "-o", out)
+	if code != 3 {
+		t.Fatalf("exit %d, want 3; stderr:\n%s", code, stderr)
+	}
+	if strings.Contains(stderr, "panic:") {
+		t.Errorf("panicked:\n%s", stderr)
+	}
+	csv, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"FAILED(retry-cap)", ",ok,"} {
+		if !strings.Contains(string(csv), want) {
+			t.Errorf("CSV has no %q row:\n%s", want, csv)
+		}
 	}
 }
 

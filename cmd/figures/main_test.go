@@ -56,7 +56,6 @@ func TestRefusalsBeforeOutput(t *testing.T) {
 		{"-regimes", "-analytic"},
 		{"-table2", "-fig3", "-analytic", "-wan-topology", "ring"},
 		{"-table2", "-scale", "huge"},
-		{"-table2", "-retries", "-5"},
 		{"-table2", "-heatmap", "-heatmap-size", "1"},
 		{"-table2", "-heatmap", "-heatmap-size", "0"},
 		{"-table2", "-topology", "-topology-clusters", "3"},

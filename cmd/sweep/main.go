@@ -59,6 +59,11 @@ func run() int {
 	if err := analytic.Validate(); err != nil {
 		return usage(err)
 	}
+	// -verify is on by default; asked for by name, it cannot be honoured
+	// by an analytic answer, which simulates only the reference recording.
+	if analytic.Enabled && *verify && flagSet("verify") {
+		return usage(fmt.Errorf("-verify checks a simulated run's output; -analytic simulates none at the asked point (use -verify=false)"))
+	}
 	rp, err := regimeFl.Params()
 	if err != nil {
 		return usage(err)
@@ -227,6 +232,13 @@ func runAnalytic(x core.Experiment, scale apps.Scale, bandwidthMB float64, pol *
 	fmt.Printf("bandwidth share:    %.1f%% by an infinite-bandwidth WAN\n", pt.BandwidthSharePct)
 	cliutil.ReportCache(os.Stderr, cache)
 	return cliutil.ExitOK
+}
+
+// flagSet reports whether the named flag was given on the command line.
+func flagSet(name string) bool {
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }
 
 func usage(err error) int {

@@ -248,48 +248,6 @@ func (e *Eval) SolveBatchParallel(ps []network.Params, workers int) []sim.Time {
 	return out
 }
 
-// SolveMatchedBatch predicts the completion time under every point of ps
-// with the matched replay, sharding the points across a pool of clones.
-// The matched replay is a small discrete-event simulation whose matching
-// decisions depend on the evolving per-point state, so its lanes cannot
-// share one walk the way the frozen replay's can — but the points are
-// independent, so clones solve disjoint blocks concurrently and the result
-// is bit-identical to calling SolveMatched(ps[i]) for each i at any worker
-// count. Counters of the clones are folded back into e.
-func (e *Eval) SolveMatchedBatch(ps []network.Params, workers int) []sim.Time {
-	out := make([]sim.Time, len(ps))
-	if workers > len(ps) {
-		workers = len(ps)
-	}
-	if workers <= 1 {
-		for i, p := range ps {
-			out[i] = e.SolveMatched(p)
-		}
-		return out
-	}
-	e.PrepareMatched()
-	per := (len(ps) + workers - 1) / workers
-	var wg sync.WaitGroup
-	clones := make([]*Eval, 0, workers)
-	for lo := 0; lo < len(ps); lo += per {
-		hi := min(lo+per, len(ps))
-		cl := e.Clone()
-		clones = append(clones, cl)
-		wg.Add(1)
-		go func(cl *Eval, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = cl.SolveMatched(ps[i])
-			}
-		}(cl, lo, hi)
-	}
-	wg.Wait()
-	for _, cl := range clones {
-		e.absorb(cl)
-	}
-	return out
-}
-
 // PrepareMatched builds the matched replay's shared state — the wildcard
 // classification and, for graphs with wildcard receives, the per-rank
 // streams — so that clones taken afterwards share it read-only instead of

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"twolayer/internal/network"
@@ -199,8 +200,10 @@ func TestSolveBatchParallelMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestSolveMatchedBatchMatchesScalar pins the clone-sharded matched replay
-// against per-point SolveMatched at several worker counts — including
+// TestSolveMatchedBatchMatchesScalar pins matched solving on clones —
+// PrepareMatched, then clones solving disjoint blocks of points
+// concurrently, the way a sweep spreads a matched grid over its cores —
+// against per-point SolveMatched at several worker counts, including
 // graphs with no wildcard receives, where the matched engine's choice
 // collapses to the frozen pass (the engine-choice fast path).
 func TestSolveMatchedBatchMatchesScalar(t *testing.T) {
@@ -216,7 +219,7 @@ func TestSolveMatchedBatchMatchesScalar(t *testing.T) {
 			want[j] = fresh.SolveMatched(p)
 		}
 		for _, workers := range []int{1, 2, 5} {
-			got := NewEval(g).SolveMatchedBatch(ps, workers)
+			got := solveMatchedOnClones(NewEval(g), ps, workers)
 			for j := range ps {
 				if got[j] != want[j] {
 					t.Fatalf("graph %d (wildcards=%v) workers %d point %d: %d, want %d",
@@ -225,6 +228,27 @@ func TestSolveMatchedBatchMatchesScalar(t *testing.T) {
 			}
 		}
 	}
+}
+
+// solveMatchedOnClones prepares e's matched replay and answers ps on
+// workers clones of it, each solving a disjoint block concurrently.
+func solveMatchedOnClones(e *Eval, ps []network.Params, workers int) []sim.Time {
+	e.PrepareMatched()
+	out := make([]sim.Time, len(ps))
+	per := (len(ps) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < len(ps); lo += per {
+		hi := min(lo+per, len(ps))
+		wg.Add(1)
+		go func(cl *Eval) {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				out[i] = cl.SolveMatched(ps[i])
+			}
+		}(e.Clone())
+	}
+	wg.Wait()
+	return out
 }
 
 // TestCloneMatchesParent: a clone made mid-life (snapshot warm, matched

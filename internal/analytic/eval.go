@@ -27,8 +27,8 @@ import (
 // For concurrent grid solving, create one evaluator per goroutine: either
 // independently with NewEval (the graph itself is read-only and shared),
 // or with Clone, which also shares the prepared replay streams and the
-// current prefix snapshot. SolveBatchParallel and SolveMatchedBatch manage
-// such clones internally.
+// current prefix snapshot. SolveBatchParallel manages such clones
+// internally.
 type Eval struct {
 	g *Graph
 

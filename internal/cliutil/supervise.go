@@ -1,5 +1,5 @@
 // Package cliutil holds the run-supervision plumbing shared by the sweep
-// command-line tools (sweep, chaos, figures, bench): the common flags that
+// command-line tools (sweep, chaos, figures): the common flags that
 // configure budgets, deadlines and the persistent run cache; the
 // translation of those flags into a core.RunPolicy and a cache; failure
 // and cache reporting; and atomic output writes.
@@ -51,7 +51,6 @@ type Supervision struct {
 	MaxEvents      int64
 	MaxVirtual     time.Duration
 	ProgressWindow int64
-	Retries        int
 	CacheDir       string
 	NoCache        bool
 }
@@ -68,8 +67,6 @@ func RegisterSupervision() *Supervision {
 		"per-run virtual-time budget; overruns become FAILED(time-budget) cells (0 = unlimited)")
 	flag.Int64Var(&s.ProgressWindow, "progress-window", 0,
 		"livelock watchdog: kill a run after this many events without application progress, as FAILED(livelock) (0 = off)")
-	flag.IntVar(&s.Retries, "retries", 1,
-		"retry attempts for transient (wall-clock deadline) cell failures")
 	flag.StringVar(&s.CacheDir, "cache-dir", "results/cache",
 		"persistent run-cache directory; a rerun replays the cells it holds, so an interrupted sweep resumes")
 	flag.BoolVar(&s.NoCache, "no-cache", false,
@@ -113,8 +110,8 @@ func ReportCache(w io.Writer, c *core.RunCache) {
 // deadline context; call it before exiting (also on the error path).
 func (s *Supervision) Policy() (*core.RunPolicy, func(), error) {
 	cleanup := func() {}
-	if s.Deadline < 0 || s.MaxEvents < 0 || s.MaxVirtual < 0 || s.ProgressWindow < 0 || s.Retries < 0 {
-		return nil, cleanup, fmt.Errorf("supervision budgets and -retries must be non-negative")
+	if s.Deadline < 0 || s.MaxEvents < 0 || s.MaxVirtual < 0 || s.ProgressWindow < 0 {
+		return nil, cleanup, fmt.Errorf("supervision budgets must be non-negative")
 	}
 	if s.Deadline <= 0 && s.MaxEvents <= 0 && s.MaxVirtual <= 0 && s.ProgressWindow <= 0 {
 		return nil, cleanup, nil
@@ -125,7 +122,6 @@ func (s *Supervision) Policy() (*core.RunPolicy, func(), error) {
 			MaxVirtualTime: sim.Time(s.MaxVirtual.Nanoseconds()),
 			ProgressWindow: uint64(s.ProgressWindow),
 		},
-		Retries: s.Retries,
 	}
 	if s.Deadline > 0 {
 		pol.Ctx, cleanup = context.WithTimeout(context.Background(), s.Deadline)
@@ -146,7 +142,7 @@ func ReportOutcome(w io.Writer, tool string, pol *core.RunPolicy) int {
 	}
 	fmt.Fprintf(w, "%s: %d sweep cell(s) FAILED under supervision:\n", tool, len(fails))
 	for _, f := range fails {
-		fmt.Fprintf(w, "  %s after %d attempt(s)\n", f, f.Attempts)
+		fmt.Fprintf(w, "  %s\n", f)
 	}
 	var re *sim.RunError
 	if errors.As(fails[0].Err, &re) {

@@ -18,11 +18,9 @@ func TestPolicy(t *testing.T) {
 		policy bool
 		ok     bool
 	}{
-		{"defaults", Supervision{Retries: 1}, false, true},
-		{"zero retries", Supervision{}, false, true},
-		{"negative retries", Supervision{Retries: -5}, false, false},
-		{"negative retries with a budget", Supervision{Retries: -1, MaxEvents: 10}, false, false},
-		{"event budget", Supervision{Retries: 1, MaxEvents: 10}, true, true},
+		{"defaults", Supervision{}, false, true},
+		{"event budget", Supervision{MaxEvents: 10}, true, true},
+		{"negative virtual-time budget beside an event budget", Supervision{MaxVirtual: -1, MaxEvents: 10}, false, false},
 		{"deadline", Supervision{Deadline: time.Hour}, true, true},
 		{"negative deadline", Supervision{Deadline: -time.Second}, false, false},
 		{"negative window", Supervision{ProgressWindow: -1}, false, false},
@@ -32,8 +30,8 @@ func TestPolicy(t *testing.T) {
 		if (err == nil) != c.ok || (pol != nil) != c.policy {
 			t.Errorf("%s: policy %v, err %v; want policy=%v ok=%v", c.name, pol != nil, err, c.policy, c.ok)
 		}
-		if pol != nil && pol.Retries != c.s.Retries {
-			t.Errorf("%s: policy retries %d, want %d", c.name, pol.Retries, c.s.Retries)
+		if pol != nil && pol.Budget.MaxEvents != uint64(c.s.MaxEvents) {
+			t.Errorf("%s: policy event budget %d, want %d", c.name, pol.Budget.MaxEvents, c.s.MaxEvents)
 		}
 	}
 }

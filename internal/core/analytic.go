@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"twolayer/internal/analytic"
 	"twolayer/internal/apps"
 	"twolayer/internal/network"
+	"twolayer/internal/par"
 	"twolayer/internal/sim"
 	"twolayer/internal/stats"
 )
@@ -114,20 +116,197 @@ func analyticProbes() []network.Params {
 // heatmap's wall time.
 const recordingSlots = 2
 
-// analyticEval records (or loads) the graph for one variant and prepares
-// its evaluator plus report skeleton. The exactness check runs on every
-// load: a cached graph that no longer replays to its recorded elapsed time
-// is corrupt (or the replay model drifted) and must not produce figures.
-func analyticEval(label string, x Experiment, pol *RunPolicy, cache *RunCache, a AnalyticOptions) (*analytic.Eval, *CellFailure, AnalyticReport, error) {
+// analyticJob is one recording and the network points it must answer. x
+// names the run to record; the recording itself always happens at
+// ReferenceParams and never verifies its output (x.Params and x.Verify
+// are ignored).
+type analyticJob struct {
+	label string
+	x     Experiment
+	pts   []network.Params
+}
+
+// analyticAnswer is what solveAnalytic returns for one job.
+type analyticAnswer struct {
+	// Report is the recording's health and sensitivity summary, with its
+	// latency-tolerance curve.
+	Report AnalyticReport
+	// Baseline is the single-cluster run time of the job's application on
+	// as many processors.
+	Baseline sim.Time
+	// Elapsed is the predicted completion time at each of the job's
+	// points; nil when the recording failed.
+	Elapsed []sim.Time
+	// Fail is the supervised kill of the recording run, if any: the job's
+	// points are then unanswerable.
+	Fail *CellFailure
+}
+
+// solveAnalytic is the one path from recorded graphs to analytic answers.
+//
+// Phase 1 records (or loads) each job's graph on recordingSlots of the core
+// budget, self-checks it and picks its replay engine (recordAnalytic), and
+// runs the job's single-cluster baseline beside it.
+//
+// Phase 2 solves. Besides its own points every job answers the
+// reference-point decomposition (the reference, zero latency, infinite
+// bandwidth) and the latency-tolerance curve. The graphs are read-only and
+// every point is independent, so all the solves become one list of tasks
+// on the core budget, costliest first. The frozen jobs are one task, solved one after
+// another, each batched walk sharding itself across idle slots: two at
+// once would only hold two batch programs (megabytes each for Awari) for
+// the same work, and would not share a core as well as a vector walk
+// beside a matched replay does. A matched job is split into
+// matchedChunk-point tasks that draw their evaluators from the job's pool,
+// so the dearest replay (Water's) spreads over every core instead of
+// pinning one while the others run dry. Every answer is bit-identical to
+// solving point by point with Solve (frozen) or SolveMatched (matched).
+func solveAnalytic(jobs []analyticJob, pol *RunPolicy, cache *RunCache, a AnalyticOptions) ([]analyticAnswer, error) {
+	recording := func(k int) Experiment {
+		x := jobs[k].x
+		x.Params, x.Verify = ReferenceParams(), false
+		return x
+	}
+	for k := range jobs {
+		if err := recording(k).check(par.Record); err != nil {
+			return nil, err
+		}
+	}
+	answers := make([]analyticAnswer, len(jobs))
+	graphs := make([]*analytic.Graph, len(jobs))
+	err := forEachHolding(recordingSlots, len(jobs), nil,
+		func(k int) string { return jobs[k].label },
+		func(k int) error {
+			x := recording(k)
+			g, rep, fail, err := recordAnalytic(jobs[k].label, x, pol, cache, a)
+			answers[k].Report, answers[k].Fail = rep, fail
+			if err != nil {
+				return err
+			}
+			answers[k].Baseline, err = NewBaselinesCached(x.Scale, cache).SingleCluster(x.App, x.Topo.Procs())
+			if err == nil && fail == nil {
+				graphs[k] = g
+			}
+			return err
+		})
+	if err != nil {
+		return nil, err
+	}
+
+	// Every job also answers the reference-point decomposition and the
+	// latency-tolerance curve.
+	extra := []network.Params{ReferenceParams()}
+	extra = append(extra, decompositionPoints(extra[0])...)
+	for _, lat := range Latencies {
+		extra = append(extra, network.DefaultParams().WithWAN(lat, ReferenceWANBandwidth))
+	}
+	type solveTask struct {
+		k, part, lo, hi int // k < 0: every frozen job
+		weight          float64
+	}
+	var tasks []solveTask
+	frozen := solveTask{k: -1}
+	var frozenJobs []int
+	// Job k's points come in two parts, its own and the extra ones shared
+	// by every job; out[k] holds the answers to each.
+	parts := func(k int) [2][]network.Params { return [2][]network.Params{jobs[k].pts, extra} }
+	out := make([][2][]sim.Time, len(jobs))
+	pools := make([]*evalPool, len(jobs))
+	for k, g := range graphs {
+		if g == nil {
+			continue
+		}
+		// A matched replay walks the whole graph once per point; the
+		// batched frozen walk answers BatchLanes points per pass over it.
+		nodes := float64(g.Nodes())
+		if answers[k].Report.Engine == "frozen" {
+			frozenJobs = append(frozenJobs, k)
+			frozen.weight += nodes / analytic.BatchLanes * float64(len(jobs[k].pts)+len(extra))
+			continue
+		}
+		pools[k] = &evalPool{g: g}
+		for part, ps := range parts(k) {
+			out[k][part] = make([]sim.Time, len(ps))
+			for lo := 0; lo < len(ps); lo += matchedChunk {
+				hi := min(lo+matchedChunk, len(ps))
+				tasks = append(tasks, solveTask{k, part, lo, hi, nodes * float64(hi-lo)})
+				pools[k].left++
+			}
+		}
+	}
+	if len(frozenJobs) > 0 {
+		tasks = append(tasks, frozen)
+	}
+	err = forEachWeighted(len(tasks),
+		func(i int) float64 { return tasks[i].weight },
+		func(i int) string {
+			if k := tasks[i].k; k >= 0 {
+				return jobs[k].label + " solve"
+			}
+			return "frozen analytic solves"
+		},
+		func(i int) error {
+			t := tasks[i]
+			if t.k < 0 {
+				for _, k := range frozenJobs {
+					ev := analytic.NewEval(graphs[k])
+					for part, ps := range parts(k) {
+						out[k][part] = solveSharded(len(ps), analytic.BatchLanes, func(w int) []sim.Time {
+							return ev.SolveBatchParallel(ps, w)
+						})
+					}
+				}
+				return nil
+			}
+			ps, res := parts(t.k)[t.part], out[t.k][t.part]
+			ev := pools[t.k].get()
+			for i := t.lo; i < t.hi; i++ {
+				res[i] = ev.SolveMatched(ps[i])
+			}
+			pools[t.k].put(ev)
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+
+	for k := range jobs {
+		if graphs[k] == nil {
+			continue
+		}
+		own, ext := out[k][0], out[k][1]
+		rep := &answers[k].Report
+		s := sensitivityOf(ext[:3])
+		rep.LatencySharePct = 100 * s.LatencyShare()
+		rep.BandwidthSharePct = 100 * s.BandwidthShare()
+		for i, t := range ext[3:] {
+			rel := RelativeSpeedup(answers[k].Baseline, t)
+			rep.LatencyTolerance = append(rep.LatencyTolerance, AnalyticTolerancePoint{Latency: Latencies[i], RelPct: rel})
+			if rel >= 60 {
+				rep.ToleratedLatency = Latencies[i]
+			}
+		}
+		answers[k].Elapsed = own
+	}
+	return answers, nil
+}
+
+// recordAnalytic records (or loads) the graph of x, self-checks it and
+// picks its replay engine: the report it returns has everything but the
+// sensitivity shares and the latency-tolerance curve. The exactness check
+// runs on every load: a cached graph that no longer replays to its
+// recorded elapsed time is corrupt (or the replay model drifted) and must
+// not produce figures.
+func recordAnalytic(label string, x Experiment, pol *RunPolicy, cache *RunCache, a AnalyticOptions) (*analytic.Graph, AnalyticReport, *CellFailure, error) {
 	rep := AnalyticReport{App: x.App.Name, Optimized: x.Optimized}
 	g, fail, err := cache.RecordedGraph(label, x, pol)
 	if err != nil || fail != nil {
-		return nil, fail, rep, err
+		return nil, rep, fail, err
 	}
 	ev := analytic.NewEval(g)
 	if got := ev.Solve(g.Ref); got != g.RefElapsed {
-		return nil, nil, rep, fmt.Errorf("core: %s: frozen replay at the reference gives %v, recorded %v — graph corrupt or replay model drifted",
-			label, got, g.RefElapsed)
+		return nil, rep, nil, fmt.Errorf("core: frozen replay at the reference gives %v, recorded %v — graph corrupt or replay model drifted",
+			got, g.RefElapsed)
 	}
 	rep.Nodes = g.Nodes()
 	rep.Messages = g.Messages()
@@ -135,17 +314,14 @@ func analyticEval(label string, x Experiment, pol *RunPolicy, cache *RunCache, a
 	rep.RefErrorPct = refErr
 	tol := a.tolerance()
 	if refErr > 100*tol {
-		return nil, nil, rep, fmt.Errorf("core: %s: matched replay at the reference off by %.2f%% (tolerance %.0f%%)",
-			label, refErr, 100*tol)
+		return nil, rep, nil, fmt.Errorf("core: matched replay at the reference off by %.2f%% (tolerance %.0f%%)",
+			refErr, 100*tol)
 	}
 	rep.Engine = "matched"
 	if ev.FrozenAccurate(analyticProbes(), tol/3) {
 		rep.Engine = "frozen"
 	}
-	s := analyticSensitivity(analyticPointSolver(ev, rep), g.Ref)
-	rep.LatencySharePct = 100 * s.LatencyShare()
-	rep.BandwidthSharePct = 100 * s.BandwidthShare()
-	return ev, nil, rep, nil
+	return g, rep, nil, nil
 }
 
 // solveSharded runs one batched solve of the given number of points,
@@ -158,63 +334,19 @@ func solveSharded(points, perShard int, solve func(workers int) []sim.Time) []si
 	return solve(1 + extra)
 }
 
-// analyticGridSolver returns the multi-point solve function for one
-// variant on its calibrated engine: frozen points share batched walks,
-// matched points are sharded across clones. Both are bit-identical to
-// solving point by point (property-tested in internal/analytic, pinned on
-// the golden variants by TestAnalyticBatchEqualsScalar).
-func analyticGridSolver(ev *analytic.Eval, rep AnalyticReport) func([]network.Params) []sim.Time {
-	if rep.Engine == "frozen" {
-		return func(ps []network.Params) []sim.Time {
-			return solveSharded(len(ps), analytic.BatchLanes, func(w int) []sim.Time {
-				return ev.SolveBatchParallel(ps, w)
-			})
-		}
-	}
-	return func(ps []network.Params) []sim.Time {
-		return solveSharded(len(ps), 1, func(w int) []sim.Time {
-			return ev.SolveMatchedBatch(ps, w)
-		})
-	}
-}
-
-// analyticPointSolver is analyticGridSolver for a handful of points: one
-// solve per point on the calibrated engine, bit-identical to the grid path,
-// and it needs neither the batch program (a few megabytes for the largest
-// graphs) nor clones.
-func analyticPointSolver(ev *analytic.Eval, rep AnalyticReport) func([]network.Params) []sim.Time {
-	solve := ev.SolveMatched
-	if rep.Engine == "frozen" {
-		solve = ev.Solve
-	}
-	return func(ps []network.Params) []sim.Time {
-		out := make([]sim.Time, len(ps))
-		for i, p := range ps {
-			out[i] = solve(p)
-		}
-		return out
-	}
-}
-
-// analyticSolveCost estimates, per grid point, what a variant's grid solve
-// costs, so a sweep can start the costliest grids (and matched chunks)
-// first: a matched replay walks the whole graph once per point, while the
-// batched frozen walk answers BatchLanes points per pass over it.
-func analyticSolveCost(g *analytic.Graph, rep AnalyticReport) float64 {
-	if rep.Engine == "frozen" {
-		return float64(g.Nodes()) / analytic.BatchLanes
-	}
-	return float64(g.Nodes())
-}
-
-// analyticSensitivity decomposes the completion time at p through a grid
-// solver: one three-point solve (asked, zero-latency, infinite-bandwidth).
-func analyticSensitivity(solve func([]network.Params) []sim.Time, p network.Params) analytic.Sensitivity {
-	zeroLat := p
+// decompositionPoints are the two points that decompose the completion
+// time at p LLAMP-style: p with a zero-latency wide area, and p with an
+// infinite-bandwidth one.
+func decompositionPoints(p network.Params) []network.Params {
+	zeroLat, infBW := p, p
 	zeroLat.WANLatency = 0
-	infBW := p
 	infBW.WANBandwidth = math.MaxFloat64
-	ts := solve([]network.Params{p, zeroLat, infBW})
+	return []network.Params{zeroLat, infBW}
+}
+
+// sensitivityOf is the decomposition of the answers at a point and at its
+// decompositionPoints.
+func sensitivityOf(ts []sim.Time) analytic.Sensitivity {
 	return analytic.Sensitivity{
 		Elapsed:       ts[0],
 		LatencyCost:   ts[0] - ts[1],
@@ -246,215 +378,98 @@ type AnalyticPoint struct {
 
 // SolveAnalytic answers a single network point from the variant's recorded
 // reference graph: x carries the asked point in Params; the recording run
-// itself always happens at ReferenceParams (Verify is dropped — it cannot
-// ride on a recording). A supervised kill of the one recording run comes
-// back as the CellFailure.
+// itself always happens at ReferenceParams, without verification. A
+// supervised kill of the one recording run comes back as the CellFailure.
 func SolveAnalytic(label string, x Experiment, pol *RunPolicy, cache *RunCache, a AnalyticOptions) (AnalyticPoint, *CellFailure, error) {
-	asked := x.Params
-	x.Params = ReferenceParams()
-	x.Verify = false
-	ev, fail, rep, err := analyticEval(label, x, pol, cache, a)
-	if err != nil || fail != nil {
-		return AnalyticPoint{Report: rep}, fail, err
+	pts := append([]network.Params{x.Params}, decompositionPoints(x.Params)...)
+	answers, err := solveAnalytic([]analyticJob{{label, x, pts}}, pol, cache, a)
+	if err != nil {
+		return AnalyticPoint{}, nil, err
 	}
-	s := analyticSensitivity(analyticPointSolver(ev, rep), asked)
+	r := answers[0]
+	if r.Fail != nil {
+		return AnalyticPoint{Report: r.Report}, r.Fail, nil
+	}
+	s := sensitivityOf(r.Elapsed)
 	return AnalyticPoint{
 		Elapsed:           s.Elapsed,
 		LatencySharePct:   100 * s.LatencyShare(),
 		BandwidthSharePct: 100 * s.BandwidthShare(),
-		Report:            rep,
+		Report:            r.Report,
 	}, nil, nil
 }
 
 // Figure3Analytic produces the paper's Figure 3 panels from one recorded
-// run per variant: record (or load) the reference graph, then solve every
-// latency/bandwidth cell analytically — a frozen panel in one batched
-// multi-point pass, a matched one in chunks spread over the cores.
-// Baselines are simulated through the cache as usual. a.Tolerance bounds
-// the matched replay's reference self-check. Alongside the panels it
-// returns one AnalyticReport per variant.
+// run per variant (solveAnalytic): record (or load) the reference graph,
+// then solve every latency/bandwidth cell analytically. Baselines are
+// simulated through the cache as usual. a.Tolerance bounds the matched
+// replay's reference self-check. Alongside the panels it returns one
+// AnalyticReport per variant.
 func Figure3Analytic(scale apps.Scale, opts Figure3Options, a AnalyticOptions) ([]Figure3Panel, []AnalyticReport, error) {
 	opts = opts.withDefaults()
-	lats, bws, topo, cache := opts.Latencies, opts.Bandwidths, opts.Topo, opts.Cache
+	lats, bws := opts.Latencies, opts.Bandwidths
 	variants := variantsOf(opts.Apps)
-
-	recording := func(v int) Experiment {
-		return Experiment{App: variants[v].app, Scale: scale, Optimized: variants[v].opt,
-			Topo: topo, Params: ReferenceParams(), WAN: opts.WAN}
-	}
-	if err := validateCells(len(variants), true, recording); err != nil {
-		return nil, nil, err
-	}
-	base := NewBaselinesCached(scale, cache)
-	panels := make([]Figure3Panel, len(variants))
-	reports := make([]AnalyticReport, len(variants))
-	graphs := make([]*analytic.Graph, len(variants))
-	baselines := make([]sim.Time, len(variants))
-
-	// Phase 1: one recording (or cache load) per variant, plus its simulated
-	// single-cluster baseline and health self-check.
-	label := func(v int) string {
-		return fmt.Sprintf("%s (%s) analytic reference", variants[v].app.Name, variantName(variants[v].opt))
-	}
-	err := forEachHolding(recordingSlots, len(variants), nil, label,
-		func(v int) error {
-			va := variants[v]
-			p := Figure3Panel{
-				App: va.app.Name, Optimized: va.opt,
-				Latencies: lats, Bandwidths: bws,
-				Rel: make([][]float64, len(lats)),
-			}
-			for i := range lats {
-				p.Rel[i] = make([]float64, len(bws))
-			}
-			ev, fail, rep, err := analyticEval(label(v), recording(v), opts.Policy, cache, a)
-			if err != nil {
-				return err
-			}
-			tl, err := base.SingleCluster(va.app, topo.Procs())
-			if err != nil {
-				return err
-			}
-			baselines[v] = tl
-			if fail != nil {
-				// The one recording run failed, so every cell of this
-				// variant's panel is unanswerable.
-				p.Failed = make([][]string, len(lats))
-				for i := range lats {
-					p.Failed[i] = make([]string, len(bws))
-					for j := range bws {
-						p.Failed[i][j] = fail.Kind
-					}
-				}
-				panels[v], reports[v] = p, rep
-				return nil
-			}
-			graphs[v] = ev.Graph()
-			panels[v], reports[v] = p, rep
-			return nil
-		})
-	if err != nil {
-		return panels, reports, err
-	}
-
-	// Phase 2: solve the grids. The graph is read-only and every point is
-	// independent, so the grids become one list of tasks on the core
-	// budget, costliest first. The frozen grids are one task, solved one
-	// after another, each batched walk sharding itself across idle slots
-	// (analyticGridSolver): two at once would only hold two batch programs
-	// (megabytes each for Awari) for the same work, and would not share a
-	// core as well as a vector walk beside a matched replay does. A
-	// matched grid is split into matchedChunk-point tasks that draw their
-	// evaluators from the variant's pool, so the dearest replay (Water's)
-	// spreads over every core instead of pinning one while the others run
-	// dry. Tasks write their answers straight into the panels; the
-	// latency-tolerance curves are summarized once every task is done.
-	pts := make([]network.Params, 0, len(lats)*len(bws)+len(Latencies))
+	grid := make([]network.Params, 0, len(lats)*len(bws))
 	for _, lat := range lats {
 		for _, bw := range bws {
-			pts = append(pts, network.DefaultParams().WithWAN(lat, bw))
+			grid = append(grid, network.DefaultParams().WithWAN(lat, bw))
 		}
 	}
-	for _, lat := range Latencies {
-		pts = append(pts, network.DefaultParams().WithWAN(lat, ReferenceWANBandwidth))
-	}
-	type solveTask struct{ v, lo, hi int } // v < 0: every frozen grid
-	var tasks []solveTask
-	var frozen []int
-	pools := make([]*evalPool, len(variants))
-	curves := make([][]sim.Time, len(variants))
-	for v := range variants {
-		if graphs[v] == nil {
-			continue
-		}
-		curves[v] = make([]sim.Time, len(Latencies))
-		if reports[v].Engine == "frozen" {
-			frozen = append(frozen, v)
-			continue
-		}
-		pools[v] = &evalPool{g: graphs[v]}
-		for lo := 0; lo < len(pts); lo += matchedChunk {
-			tasks = append(tasks, solveTask{v, lo, min(lo+matchedChunk, len(pts))})
-			pools[v].left++
+	jobs := make([]analyticJob, len(variants))
+	for v, va := range variants {
+		jobs[v] = analyticJob{
+			label: fmt.Sprintf("%s (%s) analytic reference", va.app.Name, variantName(va.opt)),
+			x:     Experiment{App: va.app, Scale: scale, Optimized: va.opt, Topo: opts.Topo, WAN: opts.WAN},
+			pts:   grid,
 		}
 	}
-	if len(frozen) > 0 {
-		tasks = append(tasks, solveTask{v: -1})
+	answers, err := solveAnalytic(jobs, opts.Policy, opts.Cache, a)
+	if err != nil {
+		return nil, nil, err
 	}
-	// record files variant v's answer for point i: a panel cell, or a
-	// point of the latency-tolerance curve. Tasks own disjoint points.
-	cells := len(lats) * len(bws)
-	record := func(v, i int, t sim.Time) {
-		if i < cells {
-			panels[v].Rel[i/len(bws)][i%len(bws)] = RelativeSpeedup(baselines[v], t)
-		} else {
-			curves[v][i-cells] = t
+	panels := make([]Figure3Panel, len(answers))
+	reports := make([]AnalyticReport, len(answers))
+	for v, r := range answers {
+		p := Figure3Panel{
+			App: variants[v].app.Name, Optimized: variants[v].opt,
+			Latencies: lats, Bandwidths: bws,
+			Rel: make([][]float64, len(lats)),
 		}
-	}
-	err = forEachWeighted(len(tasks),
-		func(k int) float64 {
-			t := tasks[k]
-			if t.v >= 0 {
-				return analyticSolveCost(graphs[t.v], reports[t.v]) * float64(t.hi-t.lo)
+		if r.Fail != nil {
+			// The one recording run failed, so every cell of this
+			// variant's panel is unanswerable.
+			p.Failed = make([][]string, len(lats))
+		}
+		for i := range lats {
+			p.Rel[i] = make([]float64, len(bws))
+			if r.Fail != nil {
+				p.Failed[i] = slices.Repeat([]string{r.Fail.Kind}, len(bws))
+				continue
 			}
-			var w float64
-			for _, v := range frozen {
-				w += analyticSolveCost(graphs[v], reports[v]) * float64(len(pts))
-			}
-			return w
-		},
-		func(k int) string {
-			v := tasks[k].v
-			if v < 0 {
-				return "frozen analytic solves"
-			}
-			return fmt.Sprintf("%s (%s) analytic solve", variants[v].app.Name, variantName(variants[v].opt))
-		},
-		func(k int) error {
-			t := tasks[k]
-			if t.v < 0 {
-				for _, v := range frozen {
-					for i, ti := range analyticGridSolver(analytic.NewEval(graphs[v]), reports[v])(pts) {
-						record(v, i, ti)
-					}
-				}
-				return nil
-			}
-			ev := pools[t.v].get()
-			for i := t.lo; i < t.hi; i++ {
-				record(t.v, i, ev.SolveMatched(pts[i]))
-			}
-			pools[t.v].put(ev)
-			return nil
-		})
-	for v, curve := range curves {
-		rep := &reports[v]
-		for k, t := range curve {
-			rel := RelativeSpeedup(baselines[v], t)
-			rep.LatencyTolerance = append(rep.LatencyTolerance, AnalyticTolerancePoint{Latency: Latencies[k], RelPct: rel})
-			if rel >= 60 {
-				rep.ToleratedLatency = Latencies[k]
+			for j := range bws {
+				p.Rel[i][j] = RelativeSpeedup(r.Baseline, r.Elapsed[i*len(bws)+j])
 			}
 		}
+		panels[v], reports[v] = p, r.Report
 	}
-	return panels, reports, err
+	return panels, reports, nil
 }
 
-// matchedChunk is the points one matched-grid task of Figure3Analytic
-// solves: a fraction of a second of Water's replay, so a heatmap's matched
-// grids divide finely over the cores, and few enough tasks that the pool
-// lock and the per-task bookkeeping stay invisible.
+// matchedChunk is the points one matched task of solveAnalytic solves: a
+// fraction of a second of Water's replay, so a heatmap's matched grids
+// divide finely over the cores, and few enough tasks that the pool lock
+// and the per-task bookkeeping stay invisible.
 const matchedChunk = 256
 
-// evalPool lends evaluators of one matched variant's graph to the phase-2
+// evalPool lends evaluators of one matched job's graph to the phase-2
 // tasks solving its chunks. It holds one prepared Eval that nobody solves
 // on, plus the clones of it that finished chunks handed back; a clone is
 // the cheap way to a second evaluator (it shares the prepared matched
 // streams instead of rebuilding them, as a NewEval per chunk would). The
-// prepared Eval is created by the variant's first chunk and everything is
-// dropped after its last, so only the variants being solved hold replay
-// state; pools kept open across the whole task list cost a heatmap a
-// quarter more peak memory.
+// prepared Eval is created by the job's first chunk and everything is
+// dropped after its last, so only the jobs being solved hold replay state;
+// pools kept open across the whole task list cost a heatmap a quarter more
+// peak memory.
 type evalPool struct {
 	mu    sync.Mutex
 	g     *analytic.Graph
@@ -498,12 +513,12 @@ func (p *evalPool) put(ev *analytic.Eval) {
 // the per-application reference graphs (best variant of each application,
 // as in the simulated figure).
 func Figure4AnalyticBandwidth(scale apps.Scale, pol *RunPolicy, a AnalyticOptions) ([]Figure4Curve, error) {
-	return figure4(scale, true, pol, &a)
+	return figure4Analytic(scale, true, pol, a)
 }
 
 // Figure4AnalyticLatency is Figure4Latency answered analytically.
 func Figure4AnalyticLatency(scale apps.Scale, pol *RunPolicy, a AnalyticOptions) ([]Figure4Curve, error) {
-	return figure4(scale, false, pol, &a)
+	return figure4Analytic(scale, false, pol, a)
 }
 
 // RenderAnalyticReports formats the per-variant analytic summaries.

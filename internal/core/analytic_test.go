@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"os"
 	"reflect"
+	"sync"
 	"testing"
 
 	"twolayer/internal/analytic"
@@ -261,14 +263,7 @@ func TestAnalyticDifferential(t *testing.T) {
 				App: app, Scale: apps.Small, Optimized: g.Optimized,
 				Topo: topology.DAS(), Params: ReferenceParams(),
 			}
-			ev, fail, rep, err := analyticEval(goldenName(g)+" differential", x, nil, NewRunCache(), AnalyticOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fail != nil {
-				t.Fatalf("recording failed: %+v", fail)
-			}
-			solve := analyticSolver(ev, rep)
+			solve, rep := pointOracle(t, NewRunCache(), x)
 			worst := 0.0
 			for _, p := range points {
 				sx := x
@@ -295,7 +290,8 @@ func TestAnalyticDifferential(t *testing.T) {
 
 // TestAnalyticBatchEqualsScalar pins the batched grid path against the
 // point-at-a-time loop on every golden variant: the recorded graph solved
-// over the full paper grid by SolveBatch and SolveMatchedBatch must be
+// over the full paper grid by SolveBatch, and by three evaluators of one
+// evalPool solving disjoint blocks concurrently with SolveMatched, must be
 // bit-identical to scalar Solve and SolveMatched at each point — on the
 // vector lane kernels wherever the build and CPU have them.
 func TestAnalyticBatchEqualsScalar(t *testing.T) {
@@ -327,16 +323,30 @@ func TestAnalyticBatchEqualsScalar(t *testing.T) {
 				wantF[i] = scalar.Solve(p)
 				wantM[i] = scalar.SolveMatched(p)
 			}
-			batch := analytic.NewEval(graph)
-			gotF := batch.SolveBatch(grid)
-			gotM := batch.SolveMatchedBatch(grid, 3)
+			gotF := analytic.NewEval(graph).SolveBatch(grid)
+			const blocks = 3
+			pool := &evalPool{g: graph, left: blocks}
+			gotM := make([]sim.Time, len(grid))
+			var wg sync.WaitGroup
+			for b := range blocks {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					ev := pool.get()
+					for i := b * len(grid) / blocks; i < (b+1)*len(grid)/blocks; i++ {
+						gotM[i] = ev.SolveMatched(grid[i])
+					}
+					pool.put(ev)
+				}()
+			}
+			wg.Wait()
 			for i := range grid {
 				if gotF[i] != wantF[i] {
 					t.Errorf("SolveBatch point %d (%v / %.3g B/s): %d, scalar %d",
 						i, grid[i].WANLatency, grid[i].WANBandwidth, gotF[i], wantF[i])
 				}
 				if gotM[i] != wantM[i] {
-					t.Errorf("SolveMatchedBatch point %d (%v / %.3g B/s): %d, scalar %d",
+					t.Errorf("pooled SolveMatched point %d (%v / %.3g B/s): %d, scalar %d",
 						i, grid[i].WANLatency, grid[i].WANBandwidth, gotM[i], wantM[i])
 				}
 			}
@@ -344,18 +354,44 @@ func TestAnalyticBatchEqualsScalar(t *testing.T) {
 	}
 }
 
-// analyticSolver is the per-point oracle the batched grid paths are
-// checked against: the calibrated engine's scalar solve.
-func analyticSolver(ev *analytic.Eval, rep AnalyticReport) func(network.Params) sim.Time {
-	if rep.Engine == "frozen" {
-		return ev.Solve
+// pointOracle is the per-point oracle the analytic pipelines are checked
+// against: from x's recording in cache (x.Params is ignored), the scalar
+// solve on the engine the calibration picks for it, and the report an
+// analytic study gives the recording before its latency-tolerance curve.
+func pointOracle(t *testing.T, cache *RunCache, x Experiment) (func(network.Params) sim.Time, AnalyticReport) {
+	t.Helper()
+	x.Params = ReferenceParams()
+	g, fail, err := cache.RecordedGraph("oracle", x, nil)
+	if err != nil || fail != nil {
+		t.Fatalf("%s: %v %+v", x.App.Name, err, fail)
 	}
-	return ev.SolveMatched
+	ev := analytic.NewEval(g)
+	if got := ev.Solve(g.Ref); got != g.RefElapsed {
+		t.Fatalf("%s: frozen replay at the reference gives %v, recorded %v", x.App.Name, got, g.RefElapsed)
+	}
+	rep := AnalyticReport{App: x.App.Name, Optimized: x.Optimized, Nodes: g.Nodes(), Messages: g.Messages(),
+		RefErrorPct: relErrPct(ev.SolveMatched(g.Ref), g.RefElapsed), Engine: "matched"}
+	solve := ev.SolveMatched
+	if ev.FrozenAccurate(analyticProbes(), DefaultAnalyticTolerance/3) {
+		rep.Engine, solve = "frozen", ev.Solve
+	}
+	s := oracleSensitivity(solve, g.Ref)
+	rep.LatencySharePct, rep.BandwidthSharePct = 100*s.LatencyShare(), 100*s.BandwidthShare()
+	return solve, rep
+}
+
+// oracleSensitivity decomposes solve's answer at p point by point.
+func oracleSensitivity(solve func(network.Params) sim.Time, p network.Params) analytic.Sensitivity {
+	zeroLat, infBW := p, p
+	zeroLat.WANLatency = 0
+	infBW.WANBandwidth = math.MaxFloat64
+	e := solve(p)
+	return analytic.Sensitivity{Elapsed: e, LatencyCost: e - solve(zeroLat), BandwidthCost: e - solve(infBW)}
 }
 
 // TestFigure3AnalyticMatchesPointOracle runs the full analytic Figure 3
 // pipeline and rebuilds every panel and report from the same cached
-// recordings point by point with analyticSolver: the batched grid, the
+// recordings point by point with pointOracle: the batched grid, the
 // latency-tolerance curve and the sensitivity shares must match exactly.
 func TestFigure3AnalyticMatchesPointOracle(t *testing.T) {
 	cache := NewRunCache()
@@ -371,27 +407,11 @@ func TestFigure3AnalyticMatchesPointOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, fail, rep, err := analyticEval("oracle", Experiment{
-			App: app, Scale: apps.Tiny, Optimized: got.Optimized, Topo: topo,
-			Params: ReferenceParams(),
-		}, nil, cache, AnalyticOptions{})
-		if err != nil || fail != nil {
-			t.Fatalf("%s: %v %+v", got.App, err, fail)
-		}
+		solve, rep := pointOracle(t, cache, Experiment{App: app, Scale: apps.Tiny, Optimized: got.Optimized, Topo: topo})
 		tl, err := base.SingleCluster(app, topo.Procs())
 		if err != nil {
 			t.Fatal(err)
 		}
-		solve := analyticSolver(ev, rep)
-		s := analyticSensitivity(func(ps []network.Params) []sim.Time {
-			out := make([]sim.Time, len(ps))
-			for i, p := range ps {
-				out[i] = solve(p)
-			}
-			return out
-		}, ev.Graph().Ref)
-		rep.LatencySharePct = 100 * s.LatencyShare()
-		rep.BandwidthSharePct = 100 * s.BandwidthShare()
 		want := Figure3Panel{
 			App: got.App, Optimized: got.Optimized,
 			Latencies: Latencies, Bandwidths: Bandwidths,
@@ -414,5 +434,100 @@ func TestFigure3AnalyticMatchesPointOracle(t *testing.T) {
 		if !reflect.DeepEqual(reports[v], rep) {
 			t.Errorf("%s report differs from the point oracle:\npipeline: %+v\noracle:   %+v", got.App, reports[v], rep)
 		}
+	}
+}
+
+// TestAnalyticStudiesMatchPointOracle rebuilds the other analytic answers
+// — both Figure 4 curves, the cluster-shape study and single points with
+// their latency and bandwidth shares — from the same cached recordings
+// point by point with pointOracle, and requires exact equality.
+func TestAnalyticStudiesMatchPointOracle(t *testing.T) {
+	a := AnalyticOptions{}
+	base := NewBaselines(apps.Tiny)
+	das := topology.DAS()
+	for _, byBandwidth := range []bool{true, false} {
+		figure := Figure4AnalyticLatency
+		if byBandwidth {
+			figure = Figure4AnalyticBandwidth
+		}
+		curves, err := figure(apps.Tiny, nil, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs, pts := figure4Axis(byBandwidth)
+		for i, app := range Apps() {
+			solve, _ := pointOracle(t, DefaultCache, Experiment{App: app, Scale: apps.Tiny, Optimized: app.HasOptimized, Topo: das})
+			tl, err := base.SingleCluster(app, das.Procs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := Figure4Curve{App: app.Name, Optimized: app.HasOptimized, X: xs}
+			for _, p := range pts {
+				want.CommPct = append(want.CommPct, CommTimePercent(tl, solve(p)))
+			}
+			if !reflect.DeepEqual(curves[i], want) {
+				t.Errorf("Figure 4 (by bandwidth %v) %s differs from the point oracle:\npipeline: %+v\noracle:   %+v",
+					byBandwidth, app.Name, curves[i], want)
+			}
+		}
+	}
+
+	asked := network.DefaultParams().WithWAN(30*sim.Millisecond, 0.3e6)
+	shapes, err := ClusterShapeStudyAnalytic(apps.Tiny, []string{"Water", "ASP"}, asked.WANLatency, asked.WANBandwidth, nil, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []ShapeResult
+	for _, name := range []string{"Water", "ASP"} {
+		app, err := AppByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl, err := base.SingleCluster(app, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shape := range DefaultShapes() {
+			solve, _ := pointOracle(t, DefaultCache, Experiment{App: app, Scale: apps.Tiny, Optimized: app.HasOptimized, Topo: shape})
+			e := solve(asked)
+			want = append(want, ShapeResult{App: name, Shape: shape.String(), Clusters: shape.Clusters(),
+				Elapsed: e, RelPct: RelativeSpeedup(tl, e)})
+		}
+	}
+	if !reflect.DeepEqual(shapes, want) {
+		t.Errorf("shape study differs from the point oracle:\npipeline: %+v\noracle:   %+v", shapes, want)
+	}
+
+	cache := NewRunCache()
+	for _, c := range []struct {
+		app       string
+		optimized bool
+		p         network.Params
+	}{
+		{"Water", true, asked},
+		{"Water", false, network.DefaultParams().WithWAN(sim.Millisecond, 3e6)},
+	} {
+		app, err := AppByName(c.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := Experiment{App: app, Scale: apps.Tiny, Optimized: c.optimized, Topo: das, Params: c.p}
+		got, fail, err := SolveAnalytic("oracle", x, nil, cache, a)
+		if err != nil || fail != nil {
+			t.Fatalf("%s: %v %+v", c.app, err, fail)
+		}
+		solve, rep := pointOracle(t, cache, x)
+		s := oracleSensitivity(solve, c.p)
+		want := [3]float64{float64(s.Elapsed), 100 * s.LatencyShare(), 100 * s.BandwidthShare()}
+		if g := [3]float64{float64(got.Elapsed), got.LatencySharePct, got.BandwidthSharePct}; g != want {
+			t.Errorf("SolveAnalytic %s (engine %s): elapsed and shares %v, oracle %v", c.app, got.Report.Engine, g, want)
+		}
+		// The single-point answer carries no obligation to a tolerance curve.
+		gotRep := got.Report
+		gotRep.LatencyTolerance, gotRep.ToleratedLatency = nil, 0
+		if !reflect.DeepEqual(gotRep, rep) {
+			t.Errorf("SolveAnalytic %s report differs from the point oracle:\npipeline: %+v\noracle:   %+v", c.app, gotRep, rep)
+		}
+		t.Logf("SolveAnalytic %s: engine %s", c.app, got.Report.Engine)
 	}
 }

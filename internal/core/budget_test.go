@@ -46,7 +46,7 @@ func storeMax(a *atomic.Int32, v int32) {
 }
 
 // shardedCell is a sweep cell that computes, then fans a solve out the way
-// analyticGridSolver does, every shard computing too.
+// solveAnalytic's frozen task does, every shard computing too.
 func shardedCell(g *computeGauge, maxWorkers *atomic.Int32) func(int) error {
 	return func(int) error {
 		g.compute()

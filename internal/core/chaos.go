@@ -145,7 +145,7 @@ func ChaosStudy(cfg ChaosConfig) ([]ChaosPoint, error) {
 		return Experiment{App: v.app, Scale: cfg.Scale, Optimized: v.opt, Topo: cfg.Topo,
 			Params: cfg.Params, WAN: cfg.WAN, Faults: f, Regime: cfg.Regime}
 	}
-	if err := validateCells(len(points), false, exp); err != nil {
+	if err := validateCells(len(points), exp); err != nil {
 		return nil, err
 	}
 	err := forEachWeighted(len(points),

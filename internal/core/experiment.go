@@ -155,16 +155,11 @@ func (x Experiment) check(extra par.Feature) error {
 	return par.Check(par.FeaturesOf(x.options()) | extra)
 }
 
-// validateCells refuses a study before its first cell runs: it checks each
-// of the n experiments cell returns — as the recording at the reference
-// point that answers it analytically, when record is set.
-func validateCells(n int, record bool, cell func(k int) Experiment) error {
+// validateCells refuses a study before its first cell runs: it checks
+// each of the n experiments cell returns.
+func validateCells(n int, cell func(k int) Experiment) error {
 	for k := range n {
-		x, extra := cell(k), par.Feature(0)
-		if record {
-			x.Params, extra = ReferenceParams(), par.Record
-		}
-		if err := x.check(extra); err != nil {
+		if err := cell(k).Validate(); err != nil {
 			return err
 		}
 	}

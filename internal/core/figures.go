@@ -129,7 +129,7 @@ func Figure3(scale apps.Scale, opts Figure3Options) ([]Figure3Panel, error) {
 			WAN:    opts.WAN,
 		}
 	}
-	if err := validateCells(len(cells), false, exp); err != nil {
+	if err := validateCells(len(cells), exp); err != nil {
 		return nil, err
 	}
 	for v := range variants {
@@ -253,13 +253,13 @@ type Figure4Curve struct {
 // for the best (optimized where available) variant of each application.
 // pol supervises the sweep; nil runs unsupervised.
 func Figure4Bandwidth(scale apps.Scale, pol *RunPolicy) ([]Figure4Curve, error) {
-	return figure4(scale, true, pol, nil)
+	return figure4(scale, true, pol)
 }
 
 // Figure4Latency reproduces the right-hand graph: communication time
 // percentage as a function of wide-area latency at 0.9 MByte/s.
 func Figure4Latency(scale apps.Scale, pol *RunPolicy) ([]Figure4Curve, error) {
-	return figure4(scale, false, pol, nil)
+	return figure4(scale, false, pol)
 }
 
 // figure4Axis returns Figure 4's x values (bandwidths in B/s, or latencies
@@ -280,9 +280,8 @@ func figure4Axis(byBandwidth bool) (xs []float64, pts []network.Params) {
 	return xs, pts
 }
 
-// figure4 simulates every point of every curve, or — when a is non-nil —
-// answers each application's curve from one recording.
-func figure4(scale apps.Scale, byBandwidth bool, pol *RunPolicy, a *AnalyticOptions) ([]Figure4Curve, error) {
+// figure4 simulates every point of every curve.
+func figure4(scale apps.Scale, byBandwidth bool, pol *RunPolicy) ([]Figure4Curve, error) {
 	suite := Apps()
 	xs, pts := figure4Axis(byBandwidth)
 	// Experiment i*len(xs)+k is application i at point k.
@@ -291,17 +290,13 @@ func figure4(scale apps.Scale, byBandwidth bool, pol *RunPolicy, a *AnalyticOpti
 		return Experiment{App: app, Scale: scale, Optimized: app.HasOptimized,
 			Topo: topology.DAS(), Params: pts[j%len(xs)]}
 	}
-	if err := validateCells(len(suite)*len(xs), a != nil, exp); err != nil {
+	if err := validateCells(len(suite)*len(xs), exp); err != nil {
 		return nil, err
-	}
-	slots, mode := 1, ""
-	if a != nil {
-		slots, mode = recordingSlots, " analytic"
 	}
 	base := NewBaselines(scale)
 	curves := make([]Figure4Curve, len(suite))
-	err := forEachHolding(slots, len(suite), nil,
-		func(i int) string { return fmt.Sprintf("%s%s figure4 curve", suite[i].Name, mode) },
+	err := forEachWeighted(len(suite), nil,
+		func(i int) string { return fmt.Sprintf("%s figure4 curve", suite[i].Name) },
 		func(i int) error {
 			app := suite[i]
 			tl, err := base.SingleCluster(app, topology.DAS().Procs())
@@ -309,22 +304,7 @@ func figure4(scale apps.Scale, byBandwidth bool, pol *RunPolicy, a *AnalyticOpti
 				return err
 			}
 			elapsed, failed := make([]sim.Time, len(xs)), make([]string, len(xs))
-			if a != nil {
-				x := exp(i * len(xs))
-				x.Params = ReferenceParams()
-				label := fmt.Sprintf("%s (%s) analytic reference", app.Name, variantName(app.HasOptimized))
-				ev, fail, rep, err := analyticEval(label, x, pol, DefaultCache, *a)
-				if err != nil {
-					return err
-				}
-				if fail == nil {
-					elapsed = analyticGridSolver(ev, rep)(pts)
-				}
-				for k := 0; fail != nil && k < len(xs); k++ {
-					failed[k] = fail.Kind
-				}
-			}
-			for k := 0; a == nil && k < len(xs); k++ {
+			for k := range xs {
 				label := fmt.Sprintf("%s (%s) figure4 x=%g", app.Name, variantName(app.HasOptimized), xs[k])
 				res, fail, err := pol.run(label, exp(i*len(xs)+k), DefaultCache)
 				if err != nil {
@@ -335,20 +315,55 @@ func figure4(scale apps.Scale, byBandwidth bool, pol *RunPolicy, a *AnalyticOpti
 					failed[k] = fail.Kind
 				}
 			}
-			curve := Figure4Curve{App: app.Name, Optimized: app.HasOptimized, X: slices.Clone(xs)}
-			for k := range xs {
-				pct := 0.0
-				if failed[k] == "" {
-					pct = CommTimePercent(tl, elapsed[k])
-				} else {
-					curve.Failed = failed
-				}
-				curve.CommPct = append(curve.CommPct, pct)
-			}
-			curves[i] = curve
+			curves[i] = newFigure4Curve(app, xs, tl, elapsed, failed)
 			return nil
 		})
 	return curves, err
+}
+
+// figure4Analytic answers each application's curve from one recording
+// (solveAnalytic).
+func figure4Analytic(scale apps.Scale, byBandwidth bool, pol *RunPolicy, a AnalyticOptions) ([]Figure4Curve, error) {
+	suite := Apps()
+	xs, pts := figure4Axis(byBandwidth)
+	jobs := make([]analyticJob, len(suite))
+	for i, app := range suite {
+		jobs[i] = analyticJob{
+			label: fmt.Sprintf("%s (%s) analytic reference", app.Name, variantName(app.HasOptimized)),
+			x:     Experiment{App: app, Scale: scale, Optimized: app.HasOptimized, Topo: topology.DAS()},
+			pts:   pts,
+		}
+	}
+	answers, err := solveAnalytic(jobs, pol, DefaultCache, a)
+	if err != nil {
+		return nil, err
+	}
+	curves := make([]Figure4Curve, len(suite))
+	for i, r := range answers {
+		failed := make([]string, len(xs))
+		for k := 0; r.Fail != nil && k < len(xs); k++ {
+			failed[k] = r.Fail.Kind
+		}
+		curves[i] = newFigure4Curve(suite[i], xs, r.Baseline, r.Elapsed, failed)
+	}
+	return curves, nil
+}
+
+// newFigure4Curve is app's curve over xs from its single-cluster time tl
+// and the completion time at each point; failed[k] is the failure kind of
+// point k, "" for a point with an answer.
+func newFigure4Curve(app apps.Info, xs []float64, tl sim.Time, elapsed []sim.Time, failed []string) Figure4Curve {
+	curve := Figure4Curve{App: app.Name, Optimized: app.HasOptimized, X: slices.Clone(xs)}
+	for k := range xs {
+		pct := 0.0
+		if failed[k] == "" {
+			pct = CommTimePercent(tl, elapsed[k])
+		} else {
+			curve.Failed = failed
+		}
+		curve.CommPct = append(curve.CommPct, pct)
+	}
+	return curve
 }
 
 // RenderFigure4 formats a set of curves as a table with one column per

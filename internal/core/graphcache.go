@@ -80,7 +80,7 @@ func storeGraphDisk(dir string, key RunKey, g *analytic.Graph) {
 // its configured network point, recording it with a simulated run only on
 // the first request per key (concurrent requesters share the recording,
 // reruns in a new process replay it from disk). The run executes under pol
-// like any sweep cell — budgets, deadline, retries — and a supervised kill
+// like any sweep cell — budgets, deadline — and a supervised kill
 // comes back as a *CellFailure, shared by all requesters of the key. A
 // recording the capability table refuses (par.Record with x's features)
 // returns its *par.Unsupported before any lookup.

@@ -36,31 +36,29 @@ func TestForEachWeightedLabelsErrors(t *testing.T) {
 }
 
 // TestClassifyCellError pins the classification table: transport failures
-// and supervised kills are per-cell (deadline additionally transient),
-// anything else aborts the sweep.
+// and supervised kills are per-cell, anything else aborts the sweep.
 func TestClassifyCellError(t *testing.T) {
 	cases := []struct {
-		err       error
-		kind      string
-		cell      bool
-		transient bool
+		err  error
+		kind string
+		cell bool
 	}{
-		{&par.TransportError{Src: 0, Dst: 4, Retries: 24}, "retry-cap", true, false},
-		{&sim.RunError{Kind: sim.StopDeadlock}, "deadlock", true, false},
-		{&sim.RunError{Kind: sim.StopLivelock}, "livelock", true, false},
-		{&sim.RunError{Kind: sim.StopEventBudget}, "event-budget", true, false},
-		{&sim.RunError{Kind: sim.StopTimeBudget}, "time-budget", true, false},
-		{&sim.RunError{Kind: sim.StopDeadline}, "deadline", true, true},
+		{&par.TransportError{Src: 0, Dst: 4, Retries: 24}, "retry-cap", true},
+		{&sim.RunError{Kind: sim.StopDeadlock}, "deadlock", true},
+		{&sim.RunError{Kind: sim.StopLivelock}, "livelock", true},
+		{&sim.RunError{Kind: sim.StopEventBudget}, "event-budget", true},
+		{&sim.RunError{Kind: sim.StopTimeBudget}, "time-budget", true},
+		{&sim.RunError{Kind: sim.StopDeadline}, "deadline", true},
 		// The transport error wins over the secondary deadlock it causes.
-		{errors.Join(&par.TransportError{}, &sim.RunError{Kind: sim.StopDeadlock}), "retry-cap", true, false},
-		{fmt.Errorf("core: wrapped: %w", &sim.RunError{Kind: sim.StopLivelock}), "livelock", true, false},
-		{errors.New("disk on fire"), "", false, false},
+		{errors.Join(&par.TransportError{}, &sim.RunError{Kind: sim.StopDeadlock}), "retry-cap", true},
+		{fmt.Errorf("core: wrapped: %w", &sim.RunError{Kind: sim.StopLivelock}), "livelock", true},
+		{errors.New("disk on fire"), "", false},
 	}
 	for i, tc := range cases {
-		kind, cell, transient := classifyCellError(tc.err)
-		if kind != tc.kind || cell != tc.cell || transient != tc.transient {
-			t.Errorf("case %d (%v): got (%q,%v,%v), want (%q,%v,%v)",
-				i, tc.err, kind, cell, transient, tc.kind, tc.cell, tc.transient)
+		kind, cell := classifyCellError(tc.err)
+		if kind != tc.kind || cell != tc.cell {
+			t.Errorf("case %d (%v): got (%q,%v), want (%q,%v)",
+				i, tc.err, kind, cell, tc.kind, tc.cell)
 		}
 	}
 }
@@ -111,8 +109,8 @@ func TestChaosFailedCells(t *testing.T) {
 		t.Errorf("policy recorded %d failures, grid has %d", got, failed)
 	}
 	for _, f := range pol.Failures() {
-		if f.Kind != "retry-cap" || f.Attempts != 1 {
-			t.Errorf("failure %+v: want kind retry-cap after 1 attempt", f)
+		if f.Kind != "retry-cap" {
+			t.Errorf("failure %+v: want kind retry-cap", f)
 		}
 		var te *par.TransportError
 		if !errors.As(f.Err, &te) {
@@ -146,7 +144,7 @@ func TestChaosFailedCells(t *testing.T) {
 func TestChaosDeadlineFailsGracefully(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the deadline has already passed
-	pol := &RunPolicy{Ctx: ctx, Retries: 2}
+	pol := &RunPolicy{Ctx: ctx}
 	points, err := ChaosStudy(ChaosConfig{
 		Scale:   apps.Tiny,
 		Params:  chaosParams(),
@@ -170,9 +168,6 @@ func TestChaosDeadlineFailsGracefully(t *testing.T) {
 	for _, f := range fails {
 		if !errors.Is(f.Err, context.Canceled) {
 			t.Errorf("%s: error does not unwrap to the context cause: %v", f.Label, f.Err)
-		}
-		if f.Attempts != 1 {
-			t.Errorf("%s: %d attempts; expired deadlines must not be retried", f.Label, f.Attempts)
 		}
 	}
 }

@@ -192,7 +192,7 @@ func RegimeStudy(cfg RegimeStudyConfig) ([]RegimePoint, error) {
 		}
 		return x
 	}
-	if err := validateCells(3*len(points), false, arm); err != nil {
+	if err := validateCells(3*len(points), arm); err != nil {
 		return nil, err
 	}
 	err = forEachWeighted(len(points), nil, label, func(i int) error {

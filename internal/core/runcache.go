@@ -172,19 +172,6 @@ func (c *RunCache) Reset() {
 	c.gdisk.Store(0)
 }
 
-// forget drops the memoized entry for key, if any. The supervision layer
-// uses it after a transient (wall-clock) failure so a retry re-runs the
-// simulation instead of replaying the memoized error. Waiters already
-// sharing the dropped entry are unaffected.
-func (c *RunCache) forget(key RunKey) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	delete(c.entries, key)
-	c.mu.Unlock()
-}
-
 // cloneResult gives each caller private slices so one consumer mutating a
 // result cannot corrupt the cache.
 func cloneResult(r par.Result) par.Result {

@@ -5,7 +5,6 @@ import (
 
 	"twolayer/internal/apps"
 	"twolayer/internal/network"
-	"twolayer/internal/par"
 	"twolayer/internal/sim"
 	"twolayer/internal/stats"
 	"twolayer/internal/topology"
@@ -53,7 +52,6 @@ func ClusterShapeStudyAnalytic(scale apps.Scale, appNames []string, wanLatency s
 // clusterShapeStudy simulates every cell, or answers it analytically when
 // a is non-nil.
 func clusterShapeStudy(scale apps.Scale, appNames []string, wanLatency sim.Time, wanBandwidth float64, pol *RunPolicy, a *AnalyticOptions) ([]ShapeResult, error) {
-	base := NewBaselines(scale)
 	shapes := DefaultShapes()
 	suite, err := appsByName(appNames)
 	if err != nil {
@@ -71,50 +69,63 @@ func clusterShapeStudy(scale apps.Scale, appNames []string, wanLatency sim.Time,
 		return Experiment{App: app, Scale: scale, Optimized: app.HasOptimized, Topo: shapes[cells[k].shape],
 			Params: network.DefaultParams().WithWAN(wanLatency, wanBandwidth)}
 	}
-	if err := validateCells(len(cells), a != nil, exp); err != nil {
+	results := make([]ShapeResult, len(cells))
+	// result files cell k's outcome: its run time against the
+	// single-cluster time tl, or the failure the policy gave up on.
+	result := func(k int, tl, elapsed sim.Time, fail *CellFailure) {
+		x := exp(k)
+		r := ShapeResult{App: x.App.Name, Shape: x.Topo.String(), Clusters: x.Topo.Clusters()}
+		if fail != nil {
+			r.Failed = fail.Kind
+		} else {
+			r.Elapsed, r.RelPct = elapsed, RelativeSpeedup(tl, elapsed)
+		}
+		results[k] = r
+	}
+	label := func(k int) string {
+		return fmt.Sprintf("%s shape=%s", suite[cells[k].app].Name, shapes[cells[k].shape])
+	}
+
+	if a != nil {
+		jobs := make([]analyticJob, len(cells))
+		for k := range cells {
+			x := exp(k)
+			jobs[k] = analyticJob{label: label(k) + " analytic reference", x: x, pts: []network.Params{x.Params}}
+		}
+		answers, err := solveAnalytic(jobs, pol, DefaultCache, *a)
+		if err != nil {
+			return nil, err
+		}
+		for k, r := range answers {
+			var elapsed sim.Time
+			if r.Fail == nil {
+				elapsed = r.Elapsed[0]
+			}
+			result(k, r.Baseline, elapsed, r.Fail)
+		}
+		return results, nil
+	}
+
+	if err := validateCells(len(cells), exp); err != nil {
 		return nil, err
 	}
+	base := NewBaselines(scale)
 	for _, app := range suite {
 		if _, err := base.SingleCluster(app, 32); err != nil {
 			return nil, err
 		}
 	}
-	slots, suffix := 1, ""
-	if a != nil {
-		slots, suffix = recordingSlots, " analytic reference"
-	}
-	results := make([]ShapeResult, len(cells))
-	label := func(k int) string {
-		return fmt.Sprintf("%s shape=%s%s", suite[cells[k].app].Name, shapes[cells[k].shape], suffix)
-	}
-	err = forEachHolding(slots, len(cells), nil, label, func(k int) error {
+	err = forEachWeighted(len(cells), nil, label, func(k int) error {
 		x := exp(k)
-		r := ShapeResult{App: x.App.Name, Shape: x.Topo.String(), Clusters: x.Topo.Clusters()}
-		var elapsed sim.Time
-		var fail *CellFailure
-		var err error
-		if a == nil {
-			var res par.Result
-			res, fail, err = pol.run(label(k), x, DefaultCache)
-			elapsed = res.Elapsed
-		} else {
-			var pt AnalyticPoint
-			pt, fail, err = SolveAnalytic(label(k), x, pol, DefaultCache, *a)
-			elapsed = pt.Elapsed
-		}
+		res, fail, err := pol.run(label(k), x, DefaultCache)
 		if err != nil {
 			return err
 		}
-		if fail != nil {
-			r.Failed = fail.Kind
-		} else {
-			tl, err := base.SingleCluster(x.App, 32)
-			if err != nil {
-				return err
-			}
-			r.Elapsed, r.RelPct = elapsed, RelativeSpeedup(tl, elapsed)
+		tl, err := base.SingleCluster(x.App, 32)
+		if err != nil {
+			return err
 		}
-		results[k] = r
+		result(k, tl, res.Elapsed, fail)
 		return nil
 	})
 	return results, err

@@ -169,7 +169,7 @@ func TopologyStudy(cfg TopologyStudyConfig) ([]TopologyPoint, error) {
 		return Experiment{App: a, Scale: cfg.Scale, Optimized: a.HasOptimized, Topo: m.topo,
 			Params: network.DefaultParams().WithWAN(cfg.WANLatency, cfg.WANBandwidth), WAN: m.wan}
 	}
-	if err := validateCells(len(points), false, exp); err != nil {
+	if err := validateCells(len(points), exp); err != nil {
 		return nil, err
 	}
 	base := NewBaselinesCached(cfg.Scale, cfg.Cache)
