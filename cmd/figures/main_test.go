@@ -82,3 +82,21 @@ func TestFigure3ReadsWANTopology(t *testing.T) {
 		t.Errorf("exit %d; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
 }
+
+// TestTable1Figure1ReplayFromCache: Table 1 and Figure 1 run through the
+// run cache, so a second run with the same -cache-dir replays all 24 runs
+// (18 Table 1 runs, 6 Figure 1 runs) from disk and prints the same tables.
+func TestTable1Figure1ReplayFromCache(t *testing.T) {
+	args := []string{"-table1", "-fig1", "-scale", "tiny", "-cache-dir", t.TempDir()}
+	code, cold, stderr := figures(t, args...)
+	if code != 0 || !strings.Contains(stderr, "0 disk hits, 24 simulated") {
+		t.Fatalf("cold run: exit %d, stderr:\n%s", code, stderr)
+	}
+	code, warm, stderr := figures(t, args...)
+	if code != 0 || !strings.Contains(stderr, "24 disk hits, 0 simulated") {
+		t.Fatalf("warm run: exit %d, stderr:\n%s", code, stderr)
+	}
+	if warm != cold {
+		t.Errorf("warm stdout differs from cold:\n%s\nvs\n%s", warm, cold)
+	}
+}

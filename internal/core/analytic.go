@@ -183,7 +183,7 @@ func solveAnalytic(jobs []analyticJob, pol *RunPolicy, cache *RunCache, a Analyt
 			if err != nil {
 				return err
 			}
-			answers[k].Baseline, err = NewBaselinesCached(x.Scale, cache).SingleCluster(x.App, x.Topo.Procs())
+			answers[k].Baseline, err = singleCluster(x.App, x.Scale, x.Topo.Procs(), cache)
 			if err == nil && fail == nil {
 				graphs[k] = g
 			}

@@ -400,7 +400,6 @@ func TestFigure3AnalyticMatchesPointOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := NewBaselinesCached(apps.Tiny, cache)
 	topo := topology.DAS()
 	for v, got := range panels {
 		app, err := AppByName(got.App)
@@ -408,7 +407,7 @@ func TestFigure3AnalyticMatchesPointOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		solve, rep := pointOracle(t, cache, Experiment{App: app, Scale: apps.Tiny, Optimized: got.Optimized, Topo: topo})
-		tl, err := base.SingleCluster(app, topo.Procs())
+		tl, err := singleCluster(app, apps.Tiny, topo.Procs(), cache)
 		if err != nil {
 			t.Fatal(err)
 		}

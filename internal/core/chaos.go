@@ -123,71 +123,41 @@ func ChaosStudy(cfg ChaosConfig) ([]ChaosPoint, error) {
 	if err := cfg.Regime.Validate(); err != nil {
 		return nil, err
 	}
-	base := NewBaselinesCached(cfg.Scale, cfg.Cache)
 	variants := variantsOf(nil)
 	points := make([]ChaosPoint, len(variants)*len(cfg.Drops)*len(cfg.Outages))
-	cell := func(i int) (v variant, drop float64, outage sim.Time) {
+	at := func(i int) (v variant, drop float64, outage sim.Time) {
 		nd, no := len(cfg.Drops), len(cfg.Outages)
 		return variants[i/(nd*no)], cfg.Drops[i/no%nd], cfg.Outages[i%no]
 	}
-	label := func(i int) string {
-		v, drop, outage := cell(i)
-		return fmt.Sprintf("chaos %s (%s) drop=%g outage=%v",
-			v.app.Name, variantName(v.opt), drop, outage)
-	}
-	exp := func(i int) Experiment {
-		v, drop, outage := cell(i)
+	err := runCells(len(points), func(i int) cell {
+		v, drop, outage := at(i)
 		f := faults.Params{DropRate: drop, Seed: cfg.Seed}
 		if outage > 0 {
 			f.OutagePeriod = cfg.OutagePeriod
 			f.OutageDuration = outage
 		}
-		return Experiment{App: v.app, Scale: cfg.Scale, Optimized: v.opt, Topo: cfg.Topo,
-			Params: cfg.Params, WAN: cfg.WAN, Faults: f, Regime: cfg.Regime}
-	}
-	if err := validateCells(len(points), exp); err != nil {
-		return nil, err
-	}
-	err := forEachWeighted(len(points),
-		func(i int) float64 {
-			// Unoptimized variants and heavier faults simulate more virtual
-			// time; start them first to keep the worker pool's tail short.
-			v, drop, outage := cell(i)
-			w := 1 + 20*drop + float64(outage)/float64(sim.Second)
-			if !v.opt {
-				w *= 3
-			}
-			return w
-		},
-		label,
-		func(i int) error {
-			v, drop, outage := cell(i)
-			res, fail, err := cfg.Policy.run(label(i), exp(i), cfg.Cache)
-			if err != nil {
-				return err
-			}
-			if fail != nil {
-				points[i] = ChaosPoint{
-					App: v.app.Name, Optimized: v.opt,
-					DropRate: drop, OutageDuration: outage,
-					Failed: fail.Kind,
-				}
-				return nil
-			}
-			tl, err := base.SingleCluster(v.app, cfg.Topo.Procs())
-			if err != nil {
-				return err
-			}
-			points[i] = ChaosPoint{
-				App: v.app.Name, Optimized: v.opt,
-				DropRate: drop, OutageDuration: outage,
-				Elapsed:       res.Elapsed,
-				RelSpeedupPct: RelativeSpeedup(tl, res.Elapsed),
-				Transport:     res.Transport,
-				Faults:        res.Faults,
-			}
-			return nil
-		})
+		// Unoptimized variants and heavier faults simulate more virtual
+		// time.
+		w := 1 + 20*drop + float64(outage)/float64(sim.Second)
+		if !v.opt {
+			w *= 3
+		}
+		return cell{
+			label: fmt.Sprintf("chaos %s (%s) drop=%g outage=%v", v.app.Name, variantName(v.opt), drop, outage),
+			x: Experiment{App: v.app, Scale: cfg.Scale, Optimized: v.opt, Topo: cfg.Topo,
+				Params: cfg.Params, WAN: cfg.WAN, Faults: f, Regime: cfg.Regime},
+			weight: w,
+		}
+	}, true, cfg.Policy, cfg.Cache, func(i int, o outcome) {
+		v, drop, outage := at(i)
+		// A failed point carries no timing or protocol data.
+		p := ChaosPoint{App: v.app.Name, Optimized: v.opt, DropRate: drop, OutageDuration: outage, Failed: o.fail}
+		if o.fail == "" {
+			p.Elapsed, p.RelSpeedupPct = o.res.Elapsed, RelativeSpeedup(o.tl, o.res.Elapsed)
+			p.Transport, p.Faults = o.res.Transport, o.res.Faults
+		}
+		points[i] = p
+	})
 	return points, err
 }
 

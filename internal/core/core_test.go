@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -224,6 +225,38 @@ func TestGapAnalysis(t *testing.T) {
 	}
 	if OrdersOfMagnitude(0) != 0 {
 		t.Error("OrdersOfMagnitude(0) should be 0")
+	}
+}
+
+// A walk that reaches a FAILED cell while still acceptable has no measured
+// gap: it renders FAILED(kind), not the ratio before the killed cell. A
+// failed cell past the end of the acceptable range changes nothing.
+func TestGapAnalysisStopsAtFailedCell(t *testing.T) {
+	panels := []Figure3Panel{{
+		App:        "Reached",
+		Latencies:  []sim.Time{500 * sim.Microsecond, 10 * sim.Millisecond, 300 * sim.Millisecond},
+		Bandwidths: []float64{6.3e6, 0.5e6, 0.03e6},
+		Rel:        [][]float64{{90, 0, 30}, {0, 50, 20}, {40, 20, 10}},
+		Failed:     [][]string{{"", "event-budget", ""}, {"deadline", "", ""}, {"", "", ""}},
+	}, {
+		App:        "Beyond",
+		Latencies:  []sim.Time{500 * sim.Microsecond, 10 * sim.Millisecond, 300 * sim.Millisecond},
+		Bandwidths: []float64{6.3e6, 0.5e6, 0.03e6},
+		Rel:        [][]float64{{90, 30, 0}, {30, 50, 20}, {0, 20, 10}},
+		Failed:     [][]string{{"", "", "livelock"}, {"", "", ""}, {"deadline", "", ""}},
+	}}
+	out := RenderGaps(GapAnalysis(panels, 60), 60)
+	var rows []string
+	for _, line := range strings.Split(out, "\n") {
+		rows = append(rows, strings.Join(strings.Fields(line), " "))
+	}
+	for _, want := range []string{
+		"Reached unoptimized FAILED(event-budget) FAILED(deadline)",
+		"Beyond unoptimized 8x 25x",
+	} {
+		if !slices.Contains(rows, want) {
+			t.Errorf("gap table lacks %q:\n%s", want, out)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"sync"
 
@@ -155,17 +156,6 @@ func (x Experiment) check(extra par.Feature) error {
 	return par.Check(par.FeaturesOf(x.options()) | extra)
 }
 
-// validateCells refuses a study before its first cell runs: it checks
-// each of the n experiments cell returns.
-func validateCells(n int, cell func(k int) Experiment) error {
-	for k := range n {
-		if err := cell(k).Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Run executes the experiment.
 func (x Experiment) Run() (par.Result, error) {
 	inst := x.App.New(x.Scale, x.Topo.Procs())
@@ -181,51 +171,33 @@ func (x Experiment) Run() (par.Result, error) {
 	return res, nil
 }
 
-// Baselines caches single-cluster reference runtimes per application, the
-// TL of the paper's relative-speedup metric. It is safe for concurrent use.
-// The underlying runs go through a RunCache, so baselines are shared across
-// Baselines instances (and with any other sweep using the same cache).
+// Baselines looks up single-cluster reference runtimes per application,
+// the TL of the paper's relative-speedup metric. It is safe for concurrent
+// use: every lookup is one run through the process-wide DefaultCache, so
+// baselines are shared with every sweep.
 type Baselines struct {
 	scale apps.Scale
-	runs  *RunCache
-	mu    sync.Mutex
-	cache map[string]sim.Time
 }
 
-// NewBaselines creates an empty cache for the given scale, backed by the
-// process-wide DefaultCache.
+// NewBaselines returns the baselines of the given scale.
 func NewBaselines(scale apps.Scale) *Baselines {
-	return NewBaselinesCached(scale, DefaultCache)
-}
-
-// NewBaselinesCached is NewBaselines with an explicit run cache (nil
-// disables run memoization).
-func NewBaselinesCached(scale apps.Scale, runs *RunCache) *Baselines {
-	return &Baselines{scale: scale, runs: runs, cache: make(map[string]sim.Time)}
+	return &Baselines{scale: scale}
 }
 
 // SingleCluster returns the runtime of app on one all-Myrinet cluster of
 // the given size (the unoptimized program; on a single cluster the
 // cluster-aware changes are no-ops by construction).
 func (b *Baselines) SingleCluster(app apps.Info, procs int) (sim.Time, error) {
-	key := fmt.Sprintf("%s/%d", app.Name, procs)
-	b.mu.Lock()
-	if v, ok := b.cache[key]; ok {
-		b.mu.Unlock()
-		return v, nil
-	}
-	b.mu.Unlock()
+	return singleCluster(app, b.scale, procs, DefaultCache)
+}
+
+// singleCluster is the one baseline run: app unoptimized on a single
+// all-Myrinet cluster of procs processors, through cache and unsupervised.
+func singleCluster(app apps.Info, scale apps.Scale, procs int, cache *RunCache) (sim.Time, error) {
 	res, err := Experiment{
-		App: app, Scale: b.scale, Optimized: false,
-		Topo: topology.SingleCluster(procs), Params: network.DefaultParams(),
-	}.RunCached(b.runs)
-	if err != nil {
-		return 0, err
-	}
-	b.mu.Lock()
-	b.cache[key] = res.Elapsed
-	b.mu.Unlock()
-	return res.Elapsed, nil
+		App: app, Scale: scale, Topo: topology.SingleCluster(procs), Params: network.DefaultParams(),
+	}.RunCached(cache)
+	return res.Elapsed, err
 }
 
 // RelativeSpeedup is the paper's Figure 3 metric: TL/TM as a percentage,
@@ -352,23 +324,125 @@ func forEachHolding(slots, n int, weight func(i int) float64, label func(i int) 
 		go func() {
 			defer wg.Done()
 			defer cores.release(held)
-			var err error
 			if label != nil {
-				// The cell identity doubles as a pprof label, so a
-				// -cpuprofile of a sweep attributes samples per cell
-				// (`pprof -tagfocus`) instead of one flat pool.
-				pprof.Do(context.Background(), pprof.Labels("cell", label(i)), func(context.Context) {
-					err = fn(i)
-				})
-				if err != nil {
-					err = fmt.Errorf("%s: %w", label(i), err)
-				}
+				errs[i] = labelled(label(i), func() error { return fn(i) })
 			} else {
-				err = fn(i)
+				errs[i] = fn(i)
 			}
-			errs[i] = err
 		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)
+}
+
+// labelled runs fn under a pprof label naming the cell, so a -cpuprofile
+// of a sweep attributes samples per cell (`pprof -tagfocus`) instead of one
+// flat pool, and prefixes fn's error with the cell's name.
+func labelled(label string, fn func() error) error {
+	var err error
+	pprof.Do(context.Background(), pprof.Labels("cell", label), func(context.Context) {
+		err = fn()
+	})
+	if err != nil {
+		err = fmt.Errorf("%s: %w", label, err)
+	}
+	return err
+}
+
+// cell is one simulated cell of a study.
+type cell struct {
+	// label names the cell in errors, pprof labels and the failure list.
+	label string
+	x     Experiment
+	// weight orders dispatch, heaviest first; equal weights keep index
+	// order. Cells differ in cost by orders of magnitude (a 300 ms-latency
+	// unoptimized Awari run simulates far more virtual time than a
+	// fast-WAN TSP run), and starting the heavy ones first keeps a lone
+	// straggler from running at the end.
+	weight float64
+}
+
+// outcome is what runCells hands back for one cell: the run, and the
+// single-cluster time of its application on as many processors (zero
+// without baselines), or the kind of failure the policy gave up on the
+// cell with.
+type outcome struct {
+	res  par.Result
+	tl   sim.Time
+	fail string
+}
+
+// runCells is the one runner of the simulated studies. It builds each of
+// the n cells with at, then
+//
+//  1. validates every cell before anything runs;
+//  2. with baselines set, runs the single-cluster baseline of each
+//     distinct (application, processors) pair once, through cache and
+//     unsupervised, and scales each cell's weight by its baseline (a cell
+//     costs more the longer its application runs);
+//  3. dispatches the cells heaviest first on the core budget, each under
+//     a pprof label;
+//  4. runs each cell through pol and hands its outcome to got, which runs
+//     concurrently for different cells.
+//
+// Cells are built again at dispatch rather than kept, so a sweep holds an
+// Experiment only for each running cell.
+func runCells(n int, at func(k int) cell, baselines bool, pol *RunPolicy, cache *RunCache, got func(k int, o outcome)) error {
+	type baseline struct {
+		app   apps.Info
+		scale apps.Scale
+		procs int
+	}
+	var bases []baseline
+	weights, which := make([]float64, n), make([]int, n) // which: k's index in bases
+	for k := range n {
+		c := at(k)
+		if err := c.x.Validate(); err != nil {
+			return err
+		}
+		weights[k] = c.weight
+		if baselines {
+			b := baseline{c.x.App, c.x.Scale, c.x.Topo.Procs()}
+			which[k] = slices.IndexFunc(bases, func(o baseline) bool {
+				return o.app.Name == b.app.Name && o.scale == b.scale && o.procs == b.procs
+			})
+			if which[k] < 0 {
+				which[k] = len(bases)
+				bases = append(bases, b)
+			}
+		}
+	}
+	tls := make([]sim.Time, len(bases))
+	err := forEachWeighted(len(bases), nil,
+		func(i int) string { return fmt.Sprintf("%s baseline on %d", bases[i].app.Name, bases[i].procs) },
+		func(i int) (err error) {
+			tls[i], err = singleCluster(bases[i].app, bases[i].scale, bases[i].procs, cache)
+			return err
+		})
+	if err != nil {
+		return err
+	}
+	if baselines {
+		for k := range weights {
+			weights[k] *= float64(tls[which[k]])
+		}
+	}
+	return forEachWeighted(n, func(k int) float64 { return weights[k] }, nil, func(k int) error {
+		c := at(k)
+		return labelled(c.label, func() error {
+			res, fail, err := pol.run(c.label, c.x, cache)
+			if err != nil {
+				return err
+			}
+			o := outcome{res: res}
+			if baselines {
+				o.tl = tls[which[k]]
+			}
+			if fail != nil {
+				o.fail = fail.Kind
+			}
+			got(k, o)
+			return nil
+		})
+	})
 }

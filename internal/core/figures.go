@@ -43,8 +43,8 @@ type Figure3Options struct {
 	// WAN overrides the wide-area graph; nil means the paper's clique.
 	WAN *wantopo.WAN
 	// Cache memoizes runs; nil means the process-wide DefaultCache. Cells
-	// shared with other sweeps (Figure 4 points, gap-analysis inputs,
-	// single-cluster baselines) are then simulated only once per process.
+	// shared with other sweeps (Figure 4's bandwidth curve, Table 1's
+	// single-cluster runs) are then simulated only once per process.
 	Cache *RunCache
 	// Policy supervises the sweep (budgets, deadline, per-cell
 	// degradation); nil runs unsupervised.
@@ -96,14 +96,9 @@ func variantsOf(names []string) []variant {
 // results are deterministic regardless.
 func Figure3(scale apps.Scale, opts Figure3Options) ([]Figure3Panel, error) {
 	opts = opts.withDefaults()
-	lats, bws, topo, cache := opts.Latencies, opts.Bandwidths, opts.Topo, opts.Cache
+	lats, bws := opts.Latencies, opts.Bandwidths
 	variants := variantsOf(opts.Apps)
-
-	base := NewBaselinesCached(scale, cache)
 	panels := make([]Figure3Panel, len(variants))
-	baseElapsed := make([]sim.Time, len(variants))
-	type cell struct{ v, i, j int }
-	var cells []cell
 	for v := range variants {
 		panels[v] = Figure3Panel{
 			App:        variants[v].app.Name,
@@ -116,62 +111,29 @@ func Figure3(scale apps.Scale, opts Figure3Options) ([]Figure3Panel, error) {
 		for i := range lats {
 			panels[v].Rel[i] = make([]float64, len(bws))
 			panels[v].Failed[i] = make([]string, len(bws))
-			for j := range bws {
-				cells = append(cells, cell{v, i, j})
-			}
 		}
 	}
-	exp := func(k int) Experiment {
-		c := cells[k]
-		return Experiment{
-			App: variants[c.v].app, Scale: scale, Optimized: variants[c.v].opt, Topo: topo,
-			Params: network.DefaultParams().WithWAN(lats[c.i], bws[c.j]),
-			WAN:    opts.WAN,
+	// Cell k is variant k/per at latency i and bandwidth j.
+	per := len(lats) * len(bws)
+	at := func(k int) (variant, int, int) { return variants[k/per], k % per / len(bws), k % len(bws) }
+	err := runCells(len(variants)*per, func(k int) cell {
+		v, i, j := at(k)
+		return cell{
+			label: fmt.Sprintf("%s (%s) lat=%v bw=%gMB/s", v.app.Name, variantName(v.opt), lats[i], bws[j]/1e6),
+			x: Experiment{App: v.app, Scale: scale, Optimized: v.opt, Topo: opts.Topo,
+				Params: network.DefaultParams().WithWAN(lats[i], bws[j]), WAN: opts.WAN},
+			// Slow links stretch the simulated execution, which the
+			// simulator must step through.
+			weight: 1 + float64(lats[i]),
 		}
-	}
-	if err := validateCells(len(cells), exp); err != nil {
-		return nil, err
-	}
-	for v := range variants {
-		// Warm the baseline cache sequentially to avoid duplicate runs.
-		tl, err := base.SingleCluster(variants[v].app, topo.Procs())
-		if err != nil {
-			return nil, err
+	}, true, opts.Policy, opts.Cache, func(k int, o outcome) {
+		_, i, j := at(k)
+		p := &panels[k/per]
+		if o.fail != "" {
+			p.Failed[i][j] = o.fail
+		} else {
+			p.Rel[i][j] = RelativeSpeedup(o.tl, o.res.Elapsed)
 		}
-		baseElapsed[v] = tl
-	}
-
-	// Longest-job-first: a cell's wall-clock cost grows with the
-	// application's baseline runtime and with the wide-area latency (slow
-	// links stretch the simulated execution, which the simulator must step
-	// through). The product is a crude but monotone proxy.
-	weight := func(k int) float64 {
-		c := cells[k]
-		return float64(baseElapsed[c.v]) * (1 + float64(lats[c.i]))
-	}
-	label := func(k int) string {
-		c := cells[k]
-		v := variants[c.v]
-		return fmt.Sprintf("%s (%s) lat=%v bw=%gMB/s",
-			v.app.Name, variantName(v.opt), lats[c.i], bws[c.j]/1e6)
-	}
-	err := forEachWeighted(len(cells), weight, label, func(k int) error {
-		c := cells[k]
-		v := variants[c.v]
-		res, fail, err := opts.Policy.run(label(k), exp(k), cache)
-		if err != nil {
-			return err
-		}
-		if fail != nil {
-			panels[c.v].Failed[c.i][c.j] = fail.Kind
-			return nil
-		}
-		tl, err := base.SingleCluster(v.app, topo.Procs())
-		if err != nil {
-			return err
-		}
-		panels[c.v].Rel[c.i][c.j] = RelativeSpeedup(tl, res.Elapsed)
-		return nil
 	})
 	// A fully healthy panel drops its Failed grid, keeping the historical
 	// shape (and JSON encoding) for sweeps that never fail.
@@ -284,41 +246,35 @@ func figure4Axis(byBandwidth bool) (xs []float64, pts []network.Params) {
 func figure4(scale apps.Scale, byBandwidth bool, pol *RunPolicy) ([]Figure4Curve, error) {
 	suite := Apps()
 	xs, pts := figure4Axis(byBandwidth)
-	// Experiment i*len(xs)+k is application i at point k.
-	exp := func(j int) Experiment {
-		app := suite[j/len(xs)]
-		return Experiment{App: app, Scale: scale, Optimized: app.HasOptimized,
-			Topo: topology.DAS(), Params: pts[j%len(xs)]}
+	tl := make([]sim.Time, len(suite))
+	elapsed, failed := make([][]sim.Time, len(suite)), make([][]string, len(suite))
+	for i := range suite {
+		elapsed[i], failed[i] = make([]sim.Time, len(xs)), make([]string, len(xs))
 	}
-	if err := validateCells(len(suite)*len(xs), exp); err != nil {
+	// Cell j is application j/len(xs) at point j%len(xs).
+	err := runCells(len(suite)*len(xs), func(j int) cell {
+		app, k := suite[j/len(xs)], j%len(xs)
+		return cell{
+			label: fmt.Sprintf("%s (%s) figure4 x=%g", app.Name, variantName(app.HasOptimized), xs[k]),
+			x: Experiment{App: app, Scale: scale, Optimized: app.HasOptimized,
+				Topo: topology.DAS(), Params: pts[k]},
+			weight: 1 + float64(pts[k].WANLatency),
+		}
+	}, true, pol, DefaultCache, func(j int, o outcome) {
+		i, k := j/len(xs), j%len(xs)
+		elapsed[i][k], failed[i][k] = o.res.Elapsed, o.fail
+		if k == 0 {
+			tl[i] = o.tl
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
-	base := NewBaselines(scale)
 	curves := make([]Figure4Curve, len(suite))
-	err := forEachWeighted(len(suite), nil,
-		func(i int) string { return fmt.Sprintf("%s figure4 curve", suite[i].Name) },
-		func(i int) error {
-			app := suite[i]
-			tl, err := base.SingleCluster(app, topology.DAS().Procs())
-			if err != nil {
-				return err
-			}
-			elapsed, failed := make([]sim.Time, len(xs)), make([]string, len(xs))
-			for k := range xs {
-				label := fmt.Sprintf("%s (%s) figure4 x=%g", app.Name, variantName(app.HasOptimized), xs[k])
-				res, fail, err := pol.run(label, exp(i*len(xs)+k), DefaultCache)
-				if err != nil {
-					return err
-				}
-				elapsed[k] = res.Elapsed
-				if fail != nil {
-					failed[k] = fail.Kind
-				}
-			}
-			curves[i] = newFigure4Curve(app, xs, tl, elapsed, failed)
-			return nil
-		})
-	return curves, err
+	for i, app := range suite {
+		curves[i] = newFigure4Curve(app, xs, tl[i], elapsed[i], failed[i])
+	}
+	return curves, nil
 }
 
 // figure4Analytic answers each application's curve from one recording

@@ -20,6 +20,11 @@ type GapResult struct {
 	// LatencyGap is longest acceptable WAN latency / intra-latency,
 	// measured along the best-bandwidth column; zero as above.
 	LatencyGap float64
+	// BandwidthFailed and LatencyFailed are the failure kind of the FAILED
+	// cell a walk reached while still in the acceptable range: a killed run
+	// carries no speedup, so that gap is unknown (the gap field holds only
+	// the walk up to the failed cell). "" for a measured gap.
+	BandwidthFailed, LatencyFailed string `json:",omitempty"`
 }
 
 // GapAnalysis post-processes Figure 3 panels with the given acceptance
@@ -34,7 +39,7 @@ func GapAnalysis(panels []Figure3Panel, thresholdPct float64) []GapResult {
 		// stopping at the first setting below the threshold (the acceptable
 		// range must be contiguous from the fast end).
 		for j := range p.Bandwidths {
-			if p.Rel[0][j] < thresholdPct {
+			if g.BandwidthFailed = p.FailedAt(0, j); g.BandwidthFailed != "" || p.Rel[0][j] < thresholdPct {
 				break
 			}
 			g.BandwidthGap = params.IntraBandwidth / p.Bandwidths[j]
@@ -42,7 +47,7 @@ func GapAnalysis(panels []Figure3Panel, thresholdPct float64) []GapResult {
 		// Latency gap: walk the best-bandwidth column toward longer
 		// latencies.
 		for i := range p.Latencies {
-			if p.Rel[i][0] < thresholdPct {
+			if g.LatencyFailed = p.FailedAt(i, 0); g.LatencyFailed != "" || p.Rel[i][0] < thresholdPct {
 				break
 			}
 			g.LatencyGap = float64(p.Latencies[i]) / float64(params.IntraLatency)
@@ -57,14 +62,15 @@ func RenderGaps(gaps []GapResult, thresholdPct float64) string {
 	t := stats.NewTable(
 		fmt.Sprintf("Program (>=%.0f%%)", thresholdPct),
 		"Variant", "Bandwidth gap", "Latency gap")
-	for _, g := range gaps {
-		variant := "unoptimized"
-		if g.Optimized {
-			variant = "optimized"
+	gap := func(ratio float64, failed string) string {
+		if failed != "" {
+			return FailedCell(failed)
 		}
-		t.AddRow(g.App, variant,
-			fmt.Sprintf("%.0fx", g.BandwidthGap),
-			fmt.Sprintf("%.0fx", g.LatencyGap))
+		return fmt.Sprintf("%.0fx", ratio)
+	}
+	for _, g := range gaps {
+		t.AddRow(g.App, variantName(g.Optimized),
+			gap(g.BandwidthGap, g.BandwidthFailed), gap(g.LatencyGap, g.LatencyFailed))
 	}
 	return t.String()
 }

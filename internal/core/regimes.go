@@ -174,41 +174,32 @@ func RegimeStudy(cfg RegimeStudyConfig) ([]RegimePoint, error) {
 	}
 
 	points := make([]RegimePoint, len(cfg.Regimes)*len(suite))
-	cell := func(i int) (regime.Params, regimeWorkload) {
-		return cfg.Regimes[i/len(suite)], suite[i%len(suite)]
-	}
-	label := func(i int) string {
-		r, w := cell(i)
-		return fmt.Sprintf("%s regime=%s", w.info.Name, r.Spec)
-	}
-	// Arm a of cell i is experiment 3i+a: calm (shared across regimes
-	// through the run cache), static under the regime, adaptive under it.
-	arm := func(k int) Experiment {
-		r, w := cell(k / 3)
+	// Arm a of point i is cell a*len(points)+i: calm (shared across
+	// regimes through the run cache), static under the regime, adaptive
+	// under it. Arm-major order runs different workloads side by side.
+	elapsed, failed := make([]sim.Time, 3*len(points)), make([]string, 3*len(points))
+	err = runCells(3*len(points), func(k int) cell {
+		i, a := k%len(points), k/len(points)
+		r, w := cfg.Regimes[i/len(suite)], suite[i%len(suite)]
 		x := Experiment{App: w.info, Scale: cfg.Scale, Optimized: w.optimized,
-			Topo: topo, Params: w.params, Adaptive: k%3 == 2}
-		if k%3 > 0 {
+			Topo: topo, Params: w.params, Adaptive: a == 2}
+		if a > 0 {
 			x.Regime = r
 		}
-		return x
-	}
-	if err := validateCells(3*len(points), arm); err != nil {
-		return nil, err
-	}
-	err = forEachWeighted(len(points), nil, label, func(i int) error {
-		r, w := cell(i)
-		p := RegimePoint{Regime: r.Spec, App: w.info.Name}
+		arm := [...]string{"calm", "static", "adaptive"}[a]
+		return cell{label: fmt.Sprintf("%s regime=%s arm=%s", w.info.Name, r.Spec, arm), x: x}
+	}, false, cfg.Policy, cfg.Cache, func(k int, o outcome) {
+		elapsed[k], failed[k] = o.res.Elapsed, o.fail
+	})
+	for i := range points {
+		p := RegimePoint{Regime: cfg.Regimes[i/len(suite)].Spec, App: suite[i%len(suite)].info.Name}
+		// The point takes the first failed arm's kind, and the run times
+		// of the arms before it.
 		for a, dst := range []*sim.Time{&p.Calm, &p.Static, &p.Adaptive} {
-			name := [...]string{"calm", "static", "adaptive"}[a]
-			res, fail, err := cfg.Policy.run(label(i)+" arm="+name, arm(3*i+a), cfg.Cache)
-			if err != nil {
-				return err
-			}
-			if fail != nil {
-				p.Failed = fail.Kind
+			if p.Failed = failed[a*len(points)+i]; p.Failed != "" {
 				break
 			}
-			*dst = res.Elapsed
+			*dst = elapsed[a*len(points)+i]
 		}
 		if p.Failed == "" {
 			p.RetainedStaticPct = RelativeSpeedup(p.Calm, p.Static)
@@ -218,8 +209,7 @@ func RegimeStudy(cfg RegimeStudyConfig) ([]RegimePoint, error) {
 			}
 		}
 		points[i] = p
-		return nil
-	})
+	}
 	return points, err
 }
 

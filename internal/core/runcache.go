@@ -50,9 +50,9 @@ type runEntry struct {
 }
 
 // RunCache memoizes experiment results across a sweep. The figures share
-// many cells — every Figure 4 point lies on a Figure 3 row, the gap
-// analysis reuses Figure 3 panels, and all of them re-run the same
-// single-cluster baselines — so a process-wide cache removes whole
+// many cells — the Figure 4 bandwidth curve lies on Figure 3's 3.3 ms row,
+// Table 1's 32-processor runs are the single-cluster baselines every
+// relative metric divides by — so a process-wide cache removes whole
 // duplicate simulations rather than shaving per-event costs. It is safe
 // for concurrent use, and concurrent requests for the same key run the
 // simulation only once (the duplicates wait and share).

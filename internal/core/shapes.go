@@ -57,38 +57,31 @@ func clusterShapeStudy(scale apps.Scale, appNames []string, wanLatency sim.Time,
 	if err != nil {
 		return nil, err
 	}
-	type cellKey struct{ app, shape int }
-	var cells []cellKey
-	for a := range suite {
-		for s := range shapes {
-			cells = append(cells, cellKey{a, s})
-		}
-	}
+	// Cell k is application k/len(shapes) on shape k%len(shapes).
+	n := len(suite) * len(shapes)
 	exp := func(k int) Experiment {
-		app := suite[cells[k].app]
-		return Experiment{App: app, Scale: scale, Optimized: app.HasOptimized, Topo: shapes[cells[k].shape],
+		app := suite[k/len(shapes)]
+		return Experiment{App: app, Scale: scale, Optimized: app.HasOptimized, Topo: shapes[k%len(shapes)],
 			Params: network.DefaultParams().WithWAN(wanLatency, wanBandwidth)}
 	}
-	results := make([]ShapeResult, len(cells))
+	results := make([]ShapeResult, n)
 	// result files cell k's outcome: its run time against the
-	// single-cluster time tl, or the failure the policy gave up on.
-	result := func(k int, tl, elapsed sim.Time, fail *CellFailure) {
+	// single-cluster time tl, or the kind of failure the policy gave up on.
+	result := func(k int, tl, elapsed sim.Time, fail string) {
 		x := exp(k)
-		r := ShapeResult{App: x.App.Name, Shape: x.Topo.String(), Clusters: x.Topo.Clusters()}
-		if fail != nil {
-			r.Failed = fail.Kind
-		} else {
+		r := ShapeResult{App: x.App.Name, Shape: x.Topo.String(), Clusters: x.Topo.Clusters(), Failed: fail}
+		if fail == "" {
 			r.Elapsed, r.RelPct = elapsed, RelativeSpeedup(tl, elapsed)
 		}
 		results[k] = r
 	}
 	label := func(k int) string {
-		return fmt.Sprintf("%s shape=%s", suite[cells[k].app].Name, shapes[cells[k].shape])
+		return fmt.Sprintf("%s shape=%s", suite[k/len(shapes)].Name, shapes[k%len(shapes)])
 	}
 
 	if a != nil {
-		jobs := make([]analyticJob, len(cells))
-		for k := range cells {
+		jobs := make([]analyticJob, n)
+		for k := range jobs {
 			x := exp(k)
 			jobs[k] = analyticJob{label: label(k) + " analytic reference", x: x, pts: []network.Params{x.Params}}
 		}
@@ -97,36 +90,19 @@ func clusterShapeStudy(scale apps.Scale, appNames []string, wanLatency sim.Time,
 			return nil, err
 		}
 		for k, r := range answers {
-			var elapsed sim.Time
-			if r.Fail == nil {
-				elapsed = r.Elapsed[0]
+			if r.Fail != nil {
+				result(k, 0, 0, r.Fail.Kind)
+			} else {
+				result(k, r.Baseline, r.Elapsed[0], "")
 			}
-			result(k, r.Baseline, elapsed, r.Fail)
 		}
 		return results, nil
 	}
 
-	if err := validateCells(len(cells), exp); err != nil {
-		return nil, err
-	}
-	base := NewBaselines(scale)
-	for _, app := range suite {
-		if _, err := base.SingleCluster(app, 32); err != nil {
-			return nil, err
-		}
-	}
-	err = forEachWeighted(len(cells), nil, label, func(k int) error {
-		x := exp(k)
-		res, fail, err := pol.run(label(k), x, DefaultCache)
-		if err != nil {
-			return err
-		}
-		tl, err := base.SingleCluster(x.App, 32)
-		if err != nil {
-			return err
-		}
-		result(k, tl, res.Elapsed, fail)
-		return nil
+	err = runCells(n, func(k int) cell {
+		return cell{label: label(k), x: exp(k), weight: 1}
+	}, true, pol, DefaultCache, func(k int, o outcome) {
+		result(k, o.tl, o.res.Elapsed, o.fail)
 	})
 	return results, err
 }

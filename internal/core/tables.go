@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"twolayer/internal/apps"
 	"twolayer/internal/network"
 	"twolayer/internal/sim"
@@ -21,39 +23,36 @@ type Table1Row struct {
 // Table1 measures every application on single all-Myrinet clusters of 1, 8
 // and 32 processors.
 func Table1(scale apps.Scale) ([]Table1Row, error) {
-	rows := make([]Table1Row, len(Apps()))
-	err := forEach(len(Apps()), func(i int) error {
-		app := Apps()[i]
-		var t1, t8, t32 sim.Time
-		var traffic float64
-		for _, procs := range []int{1, 8, 32} {
-			res, err := Experiment{
-				App: app, Scale: scale, Optimized: false,
-				Topo: topology.SingleCluster(procs), Params: network.DefaultParams(),
-			}.Run()
-			if err != nil {
-				return err
-			}
-			switch procs {
-			case 1:
-				t1 = res.Elapsed
-			case 8:
-				t8 = res.Elapsed
-			case 32:
-				t32 = res.Elapsed
-				traffic = float64(res.Intra.Bytes) / 1e6 / res.Elapsed.Seconds()
-			}
+	suite, procs := Apps(), []int{1, 8, 32}
+	elapsed := make([]sim.Time, len(suite)*len(procs))
+	traffic := make([]float64, len(suite))
+	// Cell k is application k/3 on procs[k%3] processors.
+	err := runCells(len(elapsed), func(k int) cell {
+		app, p := suite[k/3], procs[k%3]
+		return cell{label: fmt.Sprintf("%s table1 procs=%d", app.Name, p), x: Experiment{
+			App: app, Scale: scale, Topo: topology.SingleCluster(p), Params: network.DefaultParams(),
+		}}
+	}, false, nil, DefaultCache, func(k int, o outcome) {
+		elapsed[k] = o.res.Elapsed
+		if procs[k%3] == 32 {
+			traffic[k/3] = float64(o.res.Intra.Bytes) / 1e6 / o.res.Elapsed.Seconds()
 		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Table1Row, len(suite))
+	for i, app := range suite {
+		t1, t8, t32 := elapsed[3*i], elapsed[3*i+1], elapsed[3*i+2]
 		rows[i] = Table1Row{
 			App:        app.Name,
 			Speedup32:  float64(t1) / float64(t32),
 			Speedup8:   float64(t1) / float64(t8),
-			TrafficMBs: traffic,
+			TrafficMBs: traffic[i],
 			Runtime:    t32,
 		}
-		return nil
-	})
-	return rows, err
+	}
+	return rows, nil
 }
 
 // RenderTable1 formats Table 1 like the paper.
@@ -104,29 +103,25 @@ type Figure1Point struct {
 // Figure1 measures the unoptimized applications' inter-cluster traffic at
 // the paper's reference setting.
 func Figure1(scale apps.Scale) ([]Figure1Point, error) {
-	params := network.DefaultParams().WithWAN(500*sim.Microsecond, 6.0e6)
-	points := make([]Figure1Point, len(Apps()))
-	err := forEach(len(Apps()), func(i int) error {
-		app := Apps()[i]
-		res, err := Experiment{
-			App: app, Scale: scale, Optimized: false,
-			Topo: topology.DAS(), Params: params,
-		}.Run()
-		if err != nil {
-			return err
-		}
-		secs := res.Elapsed.Seconds()
+	suite := Apps()
+	points := make([]Figure1Point, len(suite))
+	err := runCells(len(suite), func(i int) cell {
+		return cell{label: suite[i].Name + " figure1", x: Experiment{
+			App: suite[i], Scale: scale, Topo: topology.DAS(),
+			Params: network.DefaultParams().WithWAN(500*sim.Microsecond, 6.0e6),
+		}}
+	}, false, nil, DefaultCache, func(i int, o outcome) {
+		secs := o.res.Elapsed.Seconds()
 		var vol, msgs []float64
-		for _, c := range res.ClusterWANOut {
+		for _, c := range o.res.ClusterWANOut {
 			vol = append(vol, float64(c.Bytes)/1e6/secs)
 			msgs = append(msgs, float64(c.Messages)/secs)
 		}
 		points[i] = Figure1Point{
-			App:            app.Name,
+			App:            suite[i].Name,
 			VolumeMBs:      stats.Mean(vol),
 			MessagesPerSec: stats.Mean(msgs),
 		}
-		return nil
 	})
 	return points, err
 }

@@ -161,63 +161,37 @@ func TopologyStudy(cfg TopologyStudyConfig) ([]TopologyPoint, error) {
 		return nil, err
 	}
 	points := make([]TopologyPoint, len(suite)*len(machines))
-	cell := func(i int) (apps.Info, topoMachine) {
+	at := func(i int) (apps.Info, topoMachine) {
 		return suite[i/len(machines)], machines[i%len(machines)]
 	}
-	exp := func(i int) Experiment {
-		a, m := cell(i)
-		return Experiment{App: a, Scale: cfg.Scale, Optimized: a.HasOptimized, Topo: m.topo,
-			Params: network.DefaultParams().WithWAN(cfg.WANLatency, cfg.WANBandwidth), WAN: m.wan}
-	}
-	if err := validateCells(len(points), exp); err != nil {
-		return nil, err
-	}
-	base := NewBaselinesCached(cfg.Scale, cfg.Cache)
-	for _, a := range suite {
-		if _, err := base.SingleCluster(a, cfg.Procs); err != nil {
-			return nil, err
-		}
-	}
-	label := func(i int) string {
-		a, m := cell(i)
-		return fmt.Sprintf("%s shape=%s wan=%s", a.Name, m.topo, m.wan.Spec())
-	}
-	err = forEachWeighted(len(points),
-		func(i int) float64 {
+	err = runCells(len(points), func(i int) cell {
+		a, m := at(i)
+		return cell{
+			label: fmt.Sprintf("%s shape=%s wan=%s", a.Name, m.topo, m.wan.Spec()),
+			x: Experiment{App: a, Scale: cfg.Scale, Optimized: a.HasOptimized, Topo: m.topo,
+				Params: network.DefaultParams().WithWAN(cfg.WANLatency, cfg.WANBandwidth), WAN: m.wan},
 			// Sparser graphs stretch virtual time (multi-hop latency) and
 			// more clusters mean more wide-area traffic; both scale the
 			// event count the simulator must step through.
-			_, m := cell(i)
-			return float64(m.topo.Clusters()) * m.wan.MeanPathLength()
-		},
-		label,
-		func(i int) error {
-			a, m := cell(i)
-			res, fail, err := cfg.Policy.run(label(i), exp(i), cfg.Cache)
-			if err != nil {
-				return err
-			}
-			p := TopologyPoint{
-				App: a.Name, Topology: m.wan.Spec(), Family: m.family,
-				Clusters: m.topo.Clusters(), Shape: m.topo.String(),
-				Diameter:       m.wan.Diameter(),
-				MeanPath:       m.wan.MeanPathLength(),
-				BisectionLinks: m.wan.BisectionLinks(),
-			}
-			if fail != nil {
-				p.Failed = fail.Kind
-			} else {
-				tl, err := base.SingleCluster(a, cfg.Procs)
-				if err != nil {
-					return err
-				}
-				p.Elapsed = res.Elapsed
-				p.RelPct = RelativeSpeedup(tl, res.Elapsed)
-				p.WANBytes = res.WAN.Bytes
-			}
-			points[i] = p
-			return nil
-		})
+			weight: float64(m.topo.Clusters()) * m.wan.MeanPathLength(),
+		}
+	}, true, cfg.Policy, cfg.Cache, func(i int, o outcome) {
+		a, m := at(i)
+		p := TopologyPoint{
+			App: a.Name, Topology: m.wan.Spec(), Family: m.family,
+			Clusters: m.topo.Clusters(), Shape: m.topo.String(),
+			Diameter:       m.wan.Diameter(),
+			MeanPath:       m.wan.MeanPathLength(),
+			BisectionLinks: m.wan.BisectionLinks(),
+			Failed:         o.fail,
+		}
+		if o.fail == "" {
+			p.Elapsed = o.res.Elapsed
+			p.RelPct = RelativeSpeedup(o.tl, o.res.Elapsed)
+			p.WANBytes = o.res.WAN.Bytes
+		}
+		points[i] = p
+	})
 	return points, err
 }
 

@@ -154,7 +154,7 @@ var (
 
 // Sensitivity-study harness types.
 type (
-	// Baselines caches single-cluster reference runtimes.
+	// Baselines looks up single-cluster reference runtimes through the run cache.
 	Baselines = core.Baselines
 	// Table1Row is one row of the paper's Table 1.
 	Table1Row = core.Table1Row
