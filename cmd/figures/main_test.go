@@ -60,6 +60,8 @@ func TestRefusalsBeforeOutput(t *testing.T) {
 		{"-table2", "-heatmap", "-heatmap-size", "0"},
 		{"-table2", "-topology", "-topology-clusters", "3"},
 		{"-table2", "-topology", "-topology-specs", "bogus"},
+		{"-table2", "-topology", "-topology-specs", "ring,"},
+		{"-table2", "-topology", "-topology-specs", ","},
 		{"-topology", "-topology-procs", "-5"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {

@@ -471,9 +471,6 @@ type bundleMsg struct {
 	dests   []int
 }
 
-// Database returns the computed values; valid after the run.
-func (a *Awari) Database() map[State]Value { return a.result }
-
 // Check verifies the distributed database against the sequential solver and
 // the minimax consistency equations.
 func (a *Awari) Check() error {

@@ -411,9 +411,6 @@ func (t *TSP) runWorker(e *par.Env, d [][]int32, minOut []int32, cutoff int32, s
 	t.rankBests[e.Rank()] = best
 }
 
-// Best returns the tour length found; valid after the run.
-func (t *TSP) Best() int32 { return t.best }
-
 // Check verifies the parallel optimum against the sequential solver.
 func (t *TSP) Check() error {
 	if !t.done {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"twolayer/internal/apps"
 	"twolayer/internal/network"
@@ -105,6 +106,11 @@ func (c TopologyStudyConfig) resolve() ([]apps.Info, []topoMachine, error) {
 			return nil, nil, err
 		}
 		for _, spec := range c.Topologies {
+			if strings.TrimSpace(spec) == "" {
+				// wantopo.Parse reads "" as the clique; here it would
+				// be a cell with no family name.
+				return nil, nil, fmt.Errorf("core: empty topology spec in %q", c.Topologies)
+			}
 			w, err := wantopo.Parse(spec, n)
 			if err != nil {
 				return nil, nil, err

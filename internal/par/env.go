@@ -18,10 +18,10 @@
 // continuation runs them in kernel context, one per event, each at exactly
 // the virtual time a blocking call would have started. The rank is parked
 // only by an input — Recv, RecvFrom, RecvN, TryRecv, Pending, Now,
-// ClusterDown, MessagesSent, a wide-area Send under the reliable transport
-// (its window can block), or returning from the Job — and then waits until
-// its queue has drained, so everything it observes is what a blocking
-// runtime would have shown it. No virtual time, event or result differs.
+// ClusterDown, a wide-area Send under the reliable transport (its window
+// can block), or returning from the Job — and then waits until its queue
+// has drained, so everything it observes is what a blocking runtime would
+// have shown it. No virtual time, event or result differs.
 //
 // What does differ is host order: the code between two Env calls runs ahead
 // of other ranks' events, up to the rank's next input. A program must
@@ -56,7 +56,6 @@ type Env struct {
 	rng  *rand.Rand
 
 	nextReplyTag Tag
-	sends        int64 // messages sent by this rank
 
 	// Write-behind state (see the package comment). busy means a
 	// continuation event is pending: the rank's own clock is ahead of the
@@ -254,7 +253,6 @@ func (e *Env) Send(dst int, tag Tag, data any, bytes int64) {
 		// relSend may block while the go-back-N window is full. (No recorder
 		// stamp here: recording refuses runs with the reliable transport.)
 		e.sync()
-		e.sends++
 		e.relSend(dst, Msg{From: e.rank, Tag: tag, Data: data, Bytes: bytes}, bytes)
 		e.occupy(e.rt.net.Params().SendOverhead, 0)
 		return
@@ -270,7 +268,6 @@ func (e *Env) Send(dst int, tag Tag, data any, bytes int64) {
 // starts the sender's software overhead. It runs on the rank's stack for an
 // idle rank's first output and in kernel context for deferred ones.
 func (e *Env) post(dst int, tag Tag, data any, bytes int64) {
-	e.sends++
 	m := Msg{From: e.rank, Tag: tag, Data: data, Bytes: bytes}
 	if e.rt.rec != nil {
 		// Stamp the message with its global send index so the receive hooks
@@ -368,12 +365,6 @@ func (e *Env) TryRecv(from int, tag Tag) (Msg, bool) {
 func (e *Env) Pending() int {
 	e.sync()
 	return e.mb.pending()
-}
-
-// MessagesSent returns how many messages this rank has sent.
-func (e *Env) MessagesSent() int64 {
-	e.sync()
-	return e.sends
 }
 
 // replyTag allocates a unique tag for an RPC reply. Reply tags are negative

@@ -35,7 +35,7 @@
 //		e.Recv(1)
 //	})
 //
-// See the examples directory for complete programs and DESIGN.md /
+// See example_test.go for complete, checked programs and DESIGN.md /
 // EXPERIMENTS.md for the experiment inventory and measured results.
 package twolayer
 
@@ -43,12 +43,10 @@ import (
 	"twolayer/internal/apps"
 	"twolayer/internal/collective"
 	"twolayer/internal/core"
-	"twolayer/internal/dsm"
 	"twolayer/internal/faults"
 	"twolayer/internal/micro"
 	"twolayer/internal/mpi"
 	"twolayer/internal/network"
-	"twolayer/internal/orca"
 	"twolayer/internal/par"
 	"twolayer/internal/sim"
 	"twolayer/internal/topology"
@@ -304,43 +302,3 @@ var (
 	MPIKernelComparison = core.MPIKernelComparison
 	RenderKernels       = core.RenderKernels
 )
-
-// Orca-style shared objects (the programming model five of the six paper
-// applications were written in).
-type (
-	// OrcaRuntime is a processor's handle to the shared-object space.
-	OrcaRuntime = orca.Runtime
-	// OrcaHandle names a declared shared object.
-	OrcaHandle = orca.Handle
-	// OrcaOp is a registered object operation.
-	OrcaOp = orca.Op
-	// OrcaState is an object's state.
-	OrcaState = orca.State
-	// OrcaMode selects replication or single-owner placement.
-	OrcaMode = orca.Mode
-)
-
-// Shared-object representations.
-const (
-	OrcaReplicated = orca.Replicated
-	OrcaOwned      = orca.Owned
-)
-
-// NewOrca creates the shared-object runtime for a processor; every
-// processor must create one and declare the same objects in the same
-// order, and call Shutdown after its last operation.
-func NewOrca(e *Env, opBytes func(op string, arg any) int64) *OrcaRuntime {
-	return orca.New(e, opBytes)
-}
-
-// Software distributed shared memory (the competing model of Section 2's
-// survey): page-based, sequentially consistent, home-based invalidation.
-type SharedMemory = dsm.DSM
-
-// NewSharedMemory creates the shared space for a processor; every
-// processor must call it with identical sizes, synchronize with its
-// Barrier (not the runtime barrier — the coherence protocol must stay
-// responsive), and call Shutdown after its last access.
-func NewSharedMemory(e *Env, words, pageWords int) *SharedMemory {
-	return dsm.New(e, words, pageWords)
-}

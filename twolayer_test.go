@@ -121,49 +121,3 @@ func TestPublicAPIHarnessSurface(t *testing.T) {
 		t.Error("empty shapes render")
 	}
 }
-
-func TestPublicAPIOrcaAndDSM(t *testing.T) {
-	topo, err := twolayer.Uniform(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var orcaSum, dsmSum float64
-	_, err = twolayer.Run(topo, twolayer.DefaultParams(), 3, func(e *twolayer.Env) {
-		rt := twolayer.NewOrca(e, nil)
-		h := rt.Declare("x", twolayer.OrcaReplicated, 0,
-			func() twolayer.OrcaState { s := 0.0; return &s },
-			map[string]twolayer.OrcaOp{
-				"add": func(s twolayer.OrcaState, arg any) any {
-					*(s.(*float64)) += arg.(float64)
-					return *(s.(*float64))
-				},
-				"get": func(s twolayer.OrcaState, _ any) any { return *(s.(*float64)) },
-			})
-		h.Write("add", 1.5)
-		rt.Fence()
-		if e.Rank() == 0 {
-			orcaSum = h.Read("get", nil).(float64)
-		}
-		rt.Shutdown()
-
-		d := twolayer.NewSharedMemory(e, 8, 4)
-		d.Write(e.Rank(), float64(e.Rank()+1))
-		d.Barrier()
-		if e.Rank() == 0 {
-			for i := 0; i < 4; i++ {
-				dsmSum += d.Read(i)
-			}
-		}
-		d.Barrier()
-		d.Shutdown()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if orcaSum != 6 {
-		t.Errorf("orca sum = %v, want 6", orcaSum)
-	}
-	if dsmSum != 10 {
-		t.Errorf("dsm sum = %v, want 10", dsmSum)
-	}
-}
