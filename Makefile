@@ -21,9 +21,11 @@ test:
 # transport layers ride along: chaos sweeps drive them from the same pool,
 # and so do three applications: Water's memoized tables are shared by
 # concurrent cells, Barnes-Hut's scratch and ASP's broadcast rows by ranks.
+# The analytic evaluator's clones share one graph, batch program and
+# matched streams across the goroutines of a sharded solve.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/faults/... ./internal/par/... \
-		./internal/apps/asp ./internal/apps/barneshut ./internal/apps/water
+		./internal/analytic ./internal/apps/asp ./internal/apps/barneshut ./internal/apps/water
 
 # ASP's row relaxation and the analytic walk's lane kernels are assembly on
 # amd64; purego builds the portable Go bodies (what -race and other

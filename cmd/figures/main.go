@@ -171,8 +171,14 @@ func run() int {
 	var filter []string
 	if *appsF != "" {
 		filter = strings.Split(*appsF, ",")
+		seen := make(map[string]bool, len(filter))
 		for i, name := range filter {
 			filter[i] = strings.TrimSpace(name)
+			if seen[filter[i]] {
+				// Every study would print the application's rows twice.
+				return usage(fmt.Errorf("-apps: %q repeated", filter[i]))
+			}
+			seen[filter[i]] = true
 			if *regimesF {
 				// The regimes study accepts one extra workload (Collectives)
 				// beyond the paper suite.

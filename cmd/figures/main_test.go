@@ -63,6 +63,10 @@ func TestRefusalsBeforeOutput(t *testing.T) {
 		{"-table2", "-topology", "-topology-specs", "ring,"},
 		{"-table2", "-topology", "-topology-specs", ","},
 		{"-topology", "-topology-procs", "-5"},
+		{"-table2", "-topology", "-topology-clusters", "4,4"},
+		{"-table2", "-topology", "-topology-specs", "clique,clique"},
+		{"-table2", "-topology", "-apps", "ASP,ASP"},
+		{"-table2", "-regimes", "-apps", "TSP,TSP"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			code, stdout, stderr := figures(t, append([]string{"-scale", "tiny", "-no-cache"}, args...)...)

@@ -108,9 +108,6 @@ func buildSlots(g *Graph) (msgSlot, msgSizeID []int32, slots, sizes int) {
 		msgSizeID[m] = id
 	}
 	sizes = len(sizeID)
-	if sizes == 0 {
-		sizes = 1
-	}
 	lastUse := make([]int32, nmsg)
 	for m := range lastUse {
 		lastUse[m] = -1
@@ -154,18 +151,13 @@ func buildSlots(g *Graph) (msgSlot, msgSizeID []int32, slots, sizes int) {
 			free = append(free, msgSlot[m])
 		}
 	}
-	if slots == 0 {
-		slots = 1 // degenerate graph with no sends; keep broadcasts trivial
-	}
 	return msgSlot, msgSizeID, slots, sizes
 }
 
-// ensureProg builds the slot remap, the size table and the batch program
-// on the first batched solve.
+// ensureProg builds the batch program on the first batched solve.
 func (e *Eval) ensureProg() {
 	if e.prog == nil {
-		e.msgSlot, e.msgSizeID, e.slotCount, e.sizeCount = buildSlots(e.g)
-		e.prog = buildProg(e.g, e.msgSlot, e.msgSizeID, e.wanStart)
+		e.prog = buildProg(e.g)
 	}
 }
 
@@ -178,21 +170,19 @@ func (e *Eval) ensureBatch() *batchState {
 			nicFree:   make([]laneRow, g.Procs),
 			gwFree:    make([]laneRow, g.Clusters),
 			wanFree:   make([]laneRow, g.Clusters*g.Clusters),
-			delivered: make([]laneRow, e.slotCount),
-			lanTx:     make([]laneRow, e.sizeCount),
-			wanTx:     make([]laneRow, e.sizeCount),
-			txDone:    make([]bool, e.sizeCount),
+			delivered: make([]laneRow, e.prog.slots),
+			lanTx:     make([]laneRow, e.prog.sizes),
+			wanTx:     make([]laneRow, e.prog.sizes),
+			txDone:    make([]bool, e.prog.sizes),
 		}
 	}
 	return e.batch
 }
 
 // SolveBatch predicts the completion time under every point of ps with the
-// frozen replay, in one structure-of-arrays walk of the graph per chunk of
-// lanes. The result is bit-identical to calling Solve(ps[i]) for each i
-// — the property tests in batch_test.go pin this — and the WAN-prefix
-// snapshot is shared across all points that agree on the LAN parameters,
-// exactly as consecutive scalar solves would share it.
+// frozen replay, in one structure-of-arrays walk of the whole graph per
+// chunk of lanes. The result is bit-identical to calling Solve(ps[i]) for
+// each i — the property tests in batch_test.go pin this.
 func (e *Eval) SolveBatch(ps []network.Params) []sim.Time {
 	out := make([]sim.Time, len(ps))
 	for lo := 0; lo < len(ps); lo += BatchLanes {
@@ -215,14 +205,9 @@ func (e *Eval) SolveBatchParallel(ps []network.Params, workers int) []sim.Time {
 	if workers <= 1 {
 		return e.SolveBatch(ps)
 	}
-	// Build the batch program and warm the shared prefix snapshot once, so
-	// every clone inherits them instead of re-deriving them. The snapshot
-	// only matters when all points share LAN parameters; otherwise each
-	// chunk decides for itself.
+	// Build the batch program once, so every clone inherits it instead of
+	// re-deriving it.
 	e.ensureProg()
-	if e.wanStart > 0 && uniformLan(ps) && !(e.snapValid && e.snapLan == lanOf(ps[0])) {
-		e.ensureSnapshot(ps[0])
-	}
 	out := make([]sim.Time, len(ps))
 	// Contiguous blocks of whole chunks per worker.
 	per := (chunks + workers - 1) / workers * BatchLanes
@@ -248,55 +233,18 @@ func (e *Eval) SolveBatchParallel(ps []network.Params, workers int) []sim.Time {
 	return out
 }
 
-// PrepareMatched builds the matched replay's shared state — the wildcard
-// classification and, for graphs with wildcard receives, the per-rank
-// streams — so that clones taken afterwards share it read-only instead of
-// each building its own. A graph without wildcard receives is answered by
-// the frozen pass and needs no streams.
-func (e *Eval) PrepareMatched() {
-	if !e.mSpecificSet {
-		e.mSpecific = e.allSpecific()
-		e.mSpecificSet = true
-	}
-	if !e.mSpecific {
-		e.ensureMatched()
-	}
-}
-
 // Clone returns an independent evaluator over the same (read-only, shared)
 // graph, for concurrent use from another goroutine. The clone shares the
-// prepared matched-replay streams and inherits a copy of the current
-// prefix snapshot, so it starts as warm as its parent; all mutable replay
-// state is its own. Clone reads e and writes nothing of it, so it must not
-// run concurrently with a solve on e, but an evaluator nobody solves on may
-// be cloned from any goroutine: an evaluator pool can keep one prepared
-// Eval idle and hand out clones of it under the pool's lock.
+// prepared matched-replay streams and batch program, so it starts as warm
+// as its parent; all mutable replay state is its own. Clone reads e and
+// writes nothing of it, so it must not run concurrently with a solve on e,
+// but an evaluator nobody solves on may be cloned from any goroutine: an
+// evaluator pool can keep one prepared Eval idle and hand out clones of it
+// under the pool's lock.
 func (e *Eval) Clone() *Eval {
-	g := e.g
-	c := &Eval{
-		g:            g,
-		rankEnd:      make([]sim.Time, g.Procs),
-		nicFree:      make([]sim.Time, g.Procs),
-		gwFree:       make([]sim.Time, g.Clusters),
-		wanFree:      make([]sim.Time, g.Clusters*g.Clusters),
-		delivered:    make([]sim.Time, len(g.MsgSrc)),
-		wanStart:     e.wanStart,
-		prefixMsgs:   e.prefixMsgs,
-		msgSlot:      e.msgSlot,
-		msgSizeID:    e.msgSizeID,
-		slotCount:    e.slotCount,
-		sizeCount:    e.sizeCount,
-		prog:         e.prog,
-		rankOps:      e.rankOps,
-		opPat:        e.opPat,
-		mSpecific:    e.mSpecific,
-		mSpecificSet: e.mSpecificSet,
-	}
-	if e.snapValid {
-		c.snapValid = true
-		c.snapLan = e.snapLan
-		c.snapState = append([]sim.Time(nil), e.snapState...)
-	}
+	c := NewEval(e.g)
+	c.prog = e.prog
+	c.rankOps, c.opPat = e.rankOps, e.opPat
 	if c.rankOps != nil {
 		c.allocMatchedScratch()
 	}
@@ -306,8 +254,6 @@ func (e *Eval) Clone() *Eval {
 // absorb folds a finished clone's counters into e, so Stats stays
 // meaningful across worker-pool solves.
 func (e *Eval) absorb(c *Eval) {
-	e.fullSolves += c.fullSolves
-	e.incrementalSolves += c.incrementalSolves
 	e.matchedSolves += c.matchedSolves
 	e.matchedNarrowed += c.matchedNarrowed
 	e.matchedFallbacks += c.matchedFallbacks
@@ -317,23 +263,10 @@ func (e *Eval) absorb(c *Eval) {
 	e.opsEvaluated += c.opsEvaluated
 }
 
-// uniformLan reports whether every point shares ps[0]'s LAN parameters.
-func uniformLan(ps []network.Params) bool {
-	lan := lanOf(ps[0])
-	for _, p := range ps[1:] {
-		if lanOf(p) != lan {
-			return false
-		}
-	}
-	return true
-}
-
 // solveBatchChunk answers one chunk of at most BatchLanes points: load the
-// per-lane parameter columns (padding lanes repeat ps[0], so a chunk's
-// lanes share LAN parameters exactly when its real points do), seed the
-// lane state (from the shared prefix snapshot when they share them), walk
-// the suffix once, reduce per-lane maxima. Only the first len(ps) lanes
-// are read out or counted.
+// per-lane parameter columns (padding lanes repeat ps[0]), clear the lane
+// state, walk the whole program once, reduce per-lane maxima. Only the
+// first len(ps) lanes are read out or counted.
 func (e *Eval) solveBatchChunk(ps []network.Params, out []sim.Time) {
 	k := len(ps)
 	if k == 0 {
@@ -355,43 +288,15 @@ func (e *Eval) solveBatchChunk(ps []network.Params, out []sim.Time) {
 		b.wanBW[lane] = p.WANBandwidth
 	}
 	clear(b.txDone)
+	clear(b.rankEnd)
+	clear(b.nicFree)
+	clear(b.gwFree)
+	clear(b.wanFree)
+	// delivered needs no clearing: record order writes every message's
+	// lanes before any receive reads them.
 
-	start := 0
-	if e.wanStart > 0 && uniformLan(ps) {
-		// All lanes share the WAN-independent prefix: compute (or reuse)
-		// the scalar snapshot once and broadcast it across the lanes.
-		if !(e.snapValid && e.snapLan == lanOf(ps[0])) {
-			e.ensureSnapshot(ps[0])
-		} else {
-			e.restore()
-		}
-		broadcast(b.rankEnd, e.rankEnd)
-		broadcast(b.nicFree, e.nicFree)
-		broadcast(b.gwFree, e.gwFree)
-		broadcast(b.wanFree, e.wanFree)
-		// Scatter the prefix deliveries through the slot remap in send
-		// order: when prefix messages shared a slot, the later (the one
-		// still live at wanStart) lands last, which is the value the walk
-		// may still read.
-		for m := 0; m < e.prefixMsgs; m++ {
-			row := &b.delivered[e.msgSlot[m]]
-			for lane := range row {
-				row[lane] = e.delivered[m]
-			}
-		}
-		start = e.prog.start
-		e.opsEvaluated += int64(len(e.g.Ops)-e.wanStart) * int64(k)
-	} else {
-		e.opsEvaluated += int64(len(e.g.Ops)) * int64(k)
-		clear(b.rankEnd)
-		clear(b.nicFree)
-		clear(b.gwFree)
-		clear(b.wanFree)
-		// delivered needs no clearing: record order writes every message's
-		// lanes before any receive reads them.
-	}
-
-	e.batchWalk32(b, start)
+	e.batchWalk32(b)
+	e.opsEvaluated += int64(len(e.g.Ops)) * int64(k)
 	e.batchSolves++
 	e.batchPoints += k
 
@@ -404,16 +309,6 @@ func (e *Eval) solveBatchChunk(ps []network.Params, out []sim.Time) {
 		}
 	}
 	copy(out, end[:k])
-}
-
-// broadcast fills each entity's lanes with its scalar value.
-func broadcast(dst []laneRow, src []sim.Time) {
-	for j, v := range src {
-		row := &dst[j]
-		for lane := range row {
-			row[lane] = v
-		}
-	}
 }
 
 // The batch program: the graph's op stream pre-compiled for the batched
@@ -434,9 +329,6 @@ func broadcast(dst []laneRow, src []sim.Time) {
 //     max-merge into the send's ready time (ready = max(clock, delivery) +
 //     sendOverhead — the exact two-step value), which drops a whole entry
 //     and a rank-row round trip per request/reply turnaround.
-//
-// Both fusions stop at the wanStart boundary so a snapshot-seeded walk can
-// still enter the program exactly at the first wide-area send.
 const (
 	bpSpan uint8 = iota
 	bpRecv
@@ -460,16 +352,20 @@ type batchProg struct {
 
 	runSlots []int32 // bpRecvRun operands
 
-	start int // program counterpart of Eval.wanStart
+	// slots and sizes count the delivery slots and the distinct message
+	// sizes (buildSlots): the batch state's row counts.
+	slots, sizes int
 }
 
-func buildProg(g *Graph, msgSlot, msgSizeID []int32, wanStart int) *batchProg {
+func buildProg(g *Graph) *batchProg {
+	msgSlot, msgSizeID, slots, sizes := buildSlots(g)
 	n := len(g.Ops)
 	// Fusion only ever shortens the program, so n entries is the exact
 	// ceiling; growing eight parallel slices by doubling instead left as
 	// much garbage again as the program is long, twice per variant.
 	p := &batchProg{
-		start: -1,
+		slots: slots,
+		sizes: sizes,
 		kind:  make([]uint8, 0, n),
 		rank:  make([]int32, 0, n),
 		a:     make([]int32, 0, n),
@@ -505,14 +401,11 @@ func buildProg(g *Graph, msgSlot, msgSizeID []int32, wanStart int) *batchProg {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if i == wanStart {
-			p.start = len(p.kind)
-		}
 		rank := g.Rank[i]
 		switch g.Ops[i] {
 		case OpSpan:
 			t := g.Arg[i]
-			for i+1 < n && i+1 != wanStart && g.Ops[i+1] == OpSpan && g.Rank[i+1] == rank {
+			for i+1 < n && g.Ops[i+1] == OpSpan && g.Rank[i+1] == rank {
 				i++
 				t += g.Arg[i]
 			}
@@ -520,14 +413,14 @@ func buildProg(g *Graph, msgSlot, msgSizeID []int32, wanStart int) *batchProg {
 		case OpRecv:
 			first := len(p.runSlots)
 			p.runSlots = append(p.runSlots, msgSlot[g.Arg[i]])
-			for i+1 < n && i+1 != wanStart && g.Ops[i+1] == OpRecv && g.Rank[i+1] == rank {
+			for i+1 < n && g.Ops[i+1] == OpRecv && g.Rank[i+1] == rank {
 				i++
 				p.runSlots = append(p.runSlots, msgSlot[g.Arg[i]])
 			}
 			if cnt := len(p.runSlots) - first; cnt == 1 {
 				rs := p.runSlots[first]
 				p.runSlots = p.runSlots[:first]
-				if i+1 < n && i+1 != wanStart && g.Ops[i+1] == OpSend && g.Rank[i+1] == rank {
+				if i+1 < n && g.Ops[i+1] == OpSend && g.Rank[i+1] == rank {
 					if kind, a, b, c, d, t := classify(i + 1); kind == bpLocal || kind == bpWAN {
 						i++
 						emit(kind+(bpRecvLocal-bpLocal), rank, a, b, c, d, rs, t)
@@ -543,24 +436,21 @@ func buildProg(g *Graph, msgSlot, msgSizeID []int32, wanStart int) *batchProg {
 			emit(kind, rank, a, b, c, d, 0, t)
 		}
 	}
-	if p.start < 0 {
-		p.start = len(p.kind)
-	}
 	return p
 }
 
-// batchWalk32 replays the batch program from entry `start` across all
-// BatchLanes lanes, one lane kernel call per entry (lanes.go): the vector
-// kernel where the build and CPU have one, else its Go body. The LAN-side
+// batchWalk32 replays the whole batch program across all BatchLanes lanes,
+// one lane kernel call per entry (lanes.go): the vector kernel where the
+// build and CPU have one, else its Go body. The LAN-side
 // values come from the per-lane columns and the per-size transmission
 // rows, whether or not the lanes agree on them. A single receive is a
 // receive run of one slot. The fused receive kinds merge the received
 // delivery row into the send's ready time; their unfused counterparts pass
 // the rank row itself, and max(x, x) = x.
-func (e *Eval) batchWalk32(b *batchState, start int) {
+func (e *Eval) batchWalk32(b *batchState) {
 	p := e.prog
 	kinds := p.kind
-	for i := start; i < len(kinds); i++ {
+	for i := range kinds {
 		re := &b.rankEnd[p.rank[i]]
 		switch kind := kinds[i]; kind {
 		case bpSpan:

@@ -12,9 +12,9 @@ import (
 )
 
 // randomPoints derives a point set from a graph's reference parameters the
-// way real sweeps do: mostly WAN-only variations (shared LAN prefix), with
-// optional LAN perturbations mixed in to exercise the non-uniform batch
-// path, plus the degenerate corners sensitivity analysis asks for
+// way real sweeps do: mostly WAN-only variations, with optional LAN
+// perturbations mixed in so the lanes of one chunk disagree on every
+// parameter, plus the degenerate corners sensitivity analysis asks for
 // (zero latency, infinite bandwidth).
 func randomPoints(r *rand.Rand, ref network.Params, n int, mixLan bool) []network.Params {
 	ps := make([]network.Params, n)
@@ -40,12 +40,11 @@ func randomPoints(r *rand.Rand, ref network.Params, n int, mixLan bool) []networ
 }
 
 // TestSolveBatchMatchesScalar is the batched-vs-scalar property test: over
-// randomized recorded graphs and random point sets — WAN-only sweeps that
-// share the prefix snapshot, mixed-LAN sets that cannot, and batches both
-// smaller and larger than one lane chunk — SolveBatch must be bit-identical
-// to per-point Solve, whether the scalar answers come from a fresh
-// evaluator or from the same evaluator (prefix-snapshot reuse in effect,
-// in both orders). Where the AVX2 lane kernels run, this pins them against
+// randomized recorded graphs and random point sets — WAN-only sweeps,
+// mixed-LAN sets, and batches both smaller and larger than one lane chunk
+// — SolveBatch must be bit-identical to per-point Solve, whether the
+// scalar answers come from a fresh evaluator or from the same evaluator
+// (state reused across both kinds of walk, in both orders). Where the AVX2 lane kernels run, this pins them against
 // the scalar walk; purego and race builds run it on the Go bodies.
 func TestSolveBatchMatchesScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
@@ -62,7 +61,7 @@ func TestSolveBatchMatchesScalar(t *testing.T) {
 			want[j] = fresh.Solve(p)
 		}
 
-		// Batch before any scalar solve (cold snapshot)...
+		// Batch before any scalar solve...
 		ev := NewEval(g)
 		got := ev.SolveBatch(ps)
 		for j := range ps {
@@ -71,14 +70,13 @@ func TestSolveBatchMatchesScalar(t *testing.T) {
 			}
 		}
 		checkBatchCounters(t, g, ps)
-		// ...then scalar solves on the same evaluator (its snapshot now
-		// warm from the batch pass)...
+		// ...then scalar solves on the same evaluator...
 		for j, p := range ps {
 			if again := ev.Solve(p); again != want[j] {
 				t.Fatalf("graph %d point %d: scalar after batch %d, want %d", i, j, again, want[j])
 			}
 		}
-		// ...then batch again on the warmed evaluator.
+		// ...then batch again on it.
 		warm := ev.SolveBatch(ps)
 		for j := range ps {
 			if warm[j] != want[j] {
@@ -96,13 +94,7 @@ func TestSolveBatchMatchesScalar(t *testing.T) {
 // uniform remainder, a lone LAN-perturbed point — so padding lanes and the
 // per-chunk caches must neither leak into the answers nor be counted.
 func TestSolveBatchPartialChunks(t *testing.T) {
-	var g *Graph
-	for seed := int64(20); ; seed++ {
-		g = randomGraph(rand.New(rand.NewSource(seed)), true)
-		if pre := NewEval(g).Stats().PrefixNodes; pre > 0 && pre < g.Nodes() {
-			break
-		}
-	}
+	g := randomGraph(rand.New(rand.NewSource(26)), true) // six ranks on two clusters
 	wan := func(i int) network.Params {
 		p := g.Ref
 		p.WANLatency = sim.Time(1+i) * 3 * sim.Millisecond
@@ -146,30 +138,13 @@ func TestSolveBatchPartialChunks(t *testing.T) {
 
 // checkBatchCounters solves ps on a cold evaluator and requires the
 // counters to count real points only: BatchPoints is len(ps), and
-// OpsEvaluated is, per chunk, the suffix for each real point when the
-// chunk shares LAN parameters (plus one prefix walk each time the snapshot
-// changes) and the whole graph for each real point otherwise.
+// OpsEvaluated the whole graph for each real point.
 func checkBatchCounters(t *testing.T, g *Graph, ps []network.Params) {
 	t.Helper()
 	cold := NewEval(g)
 	cold.SolveBatch(ps)
 	st := cold.Stats()
-	n, pre := int64(g.Nodes()), int64(st.PrefixNodes)
-	var want int64
-	var snap *lanParams
-	for lo := 0; lo < len(ps); lo += BatchLanes {
-		chunk := ps[lo:min(lo+BatchLanes, len(ps))]
-		k := int64(len(chunk))
-		if pre == 0 || !uniformLan(chunk) {
-			want += n * k
-			continue
-		}
-		if l := lanOf(chunk[0]); snap == nil || *snap != l {
-			want += pre
-			snap = &l
-		}
-		want += (n - pre) * k
-	}
+	want := int64(g.Nodes()) * int64(len(ps))
 	if st.BatchPoints != len(ps) || st.OpsEvaluated != want {
 		t.Fatalf("counters count padding: BatchPoints %d for %d points, OpsEvaluated %d, want %d",
 			st.BatchPoints, len(ps), st.OpsEvaluated, want)
@@ -204,12 +179,11 @@ func TestSolveBatchParallelMatchesScalar(t *testing.T) {
 // PrepareMatched, then clones solving disjoint blocks of points
 // concurrently, the way a sweep spreads a matched grid over its cores —
 // against per-point SolveMatched at several worker counts, including
-// graphs with no wildcard receives, where the matched engine's choice
-// collapses to the frozen pass (the engine-choice fast path).
+// graphs with no wildcard receives.
 func TestSolveMatchedBatchMatchesScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for i := 0; i < 20; i++ {
-		wildcards := i%4 != 0 // every 4th graph is all-specific: frozen fast path
+		wildcards := i%4 != 0 // every 4th graph has no wildcard receives
 		g := randomGraph(r, wildcards)
 		n := 1 + r.Intn(40)
 		ps := randomPoints(r, g.Ref, n, i%2 == 0)
@@ -251,16 +225,15 @@ func solveMatchedOnClones(e *Eval, ps []network.Params, workers int) []sim.Time 
 	return out
 }
 
-// TestCloneMatchesParent: a clone made mid-life (snapshot warm, matched
-// streams built) answers exactly like its parent, and using it does not
-// disturb the parent.
+// TestCloneMatchesParent: a clone made mid-life (matched streams built)
+// answers exactly like its parent, and using it does not disturb the
+// parent.
 func TestCloneMatchesParent(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	for i := 0; i < 20; i++ {
 		g := randomGraph(r, true)
 		ps := randomPoints(r, g.Ref, 8, false)
 		parent := NewEval(g)
-		parent.Solve(ps[0])        // warm the prefix snapshot
 		parent.SolveMatched(ps[0]) // build the matched streams
 		cl := parent.Clone()
 		for _, p := range ps {

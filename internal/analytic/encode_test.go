@@ -339,8 +339,8 @@ func TestValidateRejectsCorruption(t *testing.T) {
 }
 
 // TestEvalDeterminism: both evaluators are pure functions of (graph,
-// params) — repeated solves and fresh evaluators must agree exactly,
-// including after the frozen evaluator's incremental snapshot kicks in.
+// params) — repeated solves on one evaluator and fresh evaluators must
+// agree exactly.
 func TestEvalDeterminism(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 20; i++ {

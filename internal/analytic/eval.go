@@ -6,8 +6,9 @@ import (
 )
 
 // Eval replays a recorded Graph under candidate network parameters and
-// returns the predicted completion time. The replay walks the operation
-// stream once — it is already a topological order — carrying the same
+// returns the predicted completion time. The replay walks the whole
+// operation stream once per point, from op 0 — the stream is already a
+// topological order — carrying the same
 // state the simulator's network keeps: each rank's clock, and the freeAt
 // horizon of every FIFO link (per-rank NICs, directed cluster-pair
 // wide-area pipes, per-cluster gateways). Edge costs are re-derived from
@@ -26,9 +27,8 @@ import (
 // idle and hand out clones of it from any goroutine under the pool's lock.
 // For concurrent grid solving, create one evaluator per goroutine: either
 // independently with NewEval (the graph itself is read-only and shared),
-// or with Clone, which also shares the prepared replay streams and the
-// current prefix snapshot. SolveBatchParallel manages such clones
-// internally.
+// or with Clone, which also shares the prepared replay streams and batch
+// program. SolveBatchParallel manages such clones internally.
 type Eval struct {
 	g *Graph
 
@@ -37,17 +37,6 @@ type Eval struct {
 	gwFree    []sim.Time // per-cluster gateway horizon
 	wanFree   []sim.Time // directed cluster-pair wide-area horizons, src*C+dst
 	delivered []sim.Time // per-message delivery time
-
-	// Incremental mode: everything before the first wide-area send is
-	// independent of the WAN parameters, so a snapshot of the replay state
-	// there lets WAN-only sweeps skip the shared prefix. wanStart is the
-	// operation index of the first wide-area send (len(Ops) if none);
-	// prefixMsgs counts messages sent before it.
-	wanStart   int
-	prefixMsgs int
-	snapValid  bool
-	snapLan    lanParams
-	snapState  []sim.Time // concatenated copies of the five arrays at wanStart
 
 	// Matched-replay state (SolveMatched), built on first use. rankOps
 	// holds each rank's operation indices in record order; opPat maps each
@@ -69,60 +58,28 @@ type Eval struct {
 	// mLanBW (matchedLanTx); per-evaluator scratch.
 	mLanTx []sim.Time
 	mLanBW float64
-	// mSpecific (computed once, mSpecificSet guards) marks graphs with no
-	// wildcard receives, where the frozen pass IS the matched answer.
-	mSpecific, mSpecificSet bool
 
 	// Batched-solve state (SolveBatch), allocated on first use and reused
-	// across chunks; see batch.go. msgSlot/slotCount are the read-only
-	// message -> delivery-slot remap and msgSizeID/sizeCount the dense
-	// message-size table (buildSlots); all four are built with prog by the
-	// first batched solve (ensureProg) and shared by clones taken after it.
-	batch     *batchState
-	msgSlot   []int32
-	msgSizeID []int32
-	slotCount int
-	sizeCount int
+	// across chunks; see batch.go.
+	batch *batchState
 	// prog is the graph pre-compiled for the batched walk (buildProg):
-	// static op classification with spans and receive runs fused. Built
-	// once per evaluator that batch-solves, read-only, shared by clones:
-	// an evaluator that only answers single points or matched replays
-	// never pays for it.
+	// static op classification and delivery slots, with spans and receive
+	// runs fused. Built by the first batched solve (ensureProg), read-only,
+	// shared by clones taken after it: an evaluator that only answers
+	// single points or matched replays never pays for it.
 	prog *batchProg
 
 	// Counters for benchmarking and reports.
-	fullSolves, incrementalSolves int
 	matchedSolves, matchedNarrowed, matchedFallbacks,
 	matchedConflicts int
 	batchSolves, batchPoints int
 	opsEvaluated             int64
 }
 
-// lanParams is the subset of network parameters that can affect replay
-// state before the first wide-area send. Two parameter sets agreeing on
-// these share the same prefix state.
-type lanParams struct {
-	intraLatency   sim.Time
-	intraBandwidth float64
-	sendOverhead   sim.Time
-	recvOverhead   sim.Time
-}
-
-func lanOf(p network.Params) lanParams {
-	return lanParams{p.IntraLatency, p.IntraBandwidth, p.SendOverhead, p.RecvOverhead}
-}
-
-// Graph returns the recorded graph the evaluator replays. It is read-only
-// and safe to share: independent evaluators over the same graph let a sweep
-// solve disjoint parameter sets concurrently.
-func (e *Eval) Graph() *Graph {
-	return e.g
-}
-
 // NewEval prepares an evaluator for g. The graph must be valid (see
 // Graph.Validate); recorder-built graphs always are.
 func NewEval(g *Graph) *Eval {
-	e := &Eval{
+	return &Eval{
 		g:         g,
 		rankEnd:   make([]sim.Time, g.Procs),
 		nicFree:   make([]sim.Time, g.Procs),
@@ -130,60 +87,21 @@ func NewEval(g *Graph) *Eval {
 		wanFree:   make([]sim.Time, g.Clusters*g.Clusters),
 		delivered: make([]sim.Time, len(g.MsgSrc)),
 	}
-	e.wanStart = len(g.Ops)
-	for i, k := range g.Ops {
-		if k != OpSend {
-			continue
-		}
-		m := g.Arg[i]
-		if src, dst := g.MsgSrc[m], g.MsgDst[m]; src != dst && g.ClusterOf[src] != g.ClusterOf[dst] {
-			e.wanStart = i
-			e.prefixMsgs = int(m)
-			break
-		}
-	}
-	return e
 }
 
-// Solve predicts the completion time under p. Sweeps that vary only the
-// wide-area knobs (WithWAN) automatically reuse the prefix snapshot; any
-// other change falls back to a full pass, which also refreshes the
-// snapshot.
+// Solve predicts the completion time under p: one walk of the whole
+// operation stream from cleared state.
 func (e *Eval) Solve(p network.Params) sim.Time {
-	if e.snapValid && lanOf(p) == e.snapLan {
-		e.restore()
-		e.incrementalSolves++
-	} else {
-		// ensureSnapshot leaves the live state exactly at the snapshot
-		// point, so the suffix walk continues from it directly.
-		e.ensureSnapshot(p)
-		e.fullSolves++
-	}
-	e.walk(p, e.wanStart, len(e.g.Ops))
-	return e.maxRankEnd()
-}
-
-// ensureSnapshot (re)builds the prefix snapshot for p's LAN parameters:
-// clear, replay the WAN-independent prefix, snapshot. On return the live
-// replay state equals the snapshot. Callers that find snapValid with a
-// matching lanOf may restore() instead, which is cheaper.
-func (e *Eval) ensureSnapshot(p network.Params) {
-	clearTimes(e.rankEnd)
-	clearTimes(e.nicFree)
-	clearTimes(e.gwFree)
-	clearTimes(e.wanFree)
-	e.walk(p, 0, e.wanStart)
-	e.snapshot(lanOf(p))
-}
-
-// walk replays operations [lo, hi) under p against the live scalar state.
-// The prefix/suffix split at wanStart is the only split callers use, so a
-// walk never straddles a snapshot point.
-func (e *Eval) walk(p network.Params, lo, hi int) {
+	clear(e.rankEnd)
+	clear(e.nicFree)
+	clear(e.gwFree)
+	clear(e.wanFree)
+	// delivered needs no clearing: record order writes every message's
+	// delivery before any receive reads it.
 	g := e.g
 	c := g.Clusters
 	rttExtra := sim.Time(float64(2*p.WANLatency) * p.WANMessageRTTFactor)
-	for i := lo; i < hi; i++ {
+	for i := range g.Ops {
 		rank := g.Rank[i]
 		switch g.Ops[i] {
 		case OpSpan:
@@ -218,7 +136,8 @@ func (e *Eval) walk(p network.Params, lo, hi int) {
 			}
 		}
 	}
-	e.opsEvaluated += int64(hi - lo)
+	e.opsEvaluated += int64(len(g.Ops))
+	return e.maxRankEnd()
 }
 
 func (e *Eval) maxRankEnd() sim.Time {
@@ -244,44 +163,8 @@ func reserve(freeAt *sim.Time, ready sim.Time, size int64, bandwidth float64, ex
 	return end
 }
 
-func clearTimes(s []sim.Time) {
-	for i := range s {
-		s[i] = 0
-	}
-}
-
-// snapshot saves the replay state reached just before the first wide-area
-// send. delivered is copied only up to the prefix: later entries are
-// rewritten by their own send before any recv reads them (record order).
-func (e *Eval) snapshot(lan lanParams) {
-	need := len(e.rankEnd) + len(e.nicFree) + len(e.gwFree) + len(e.wanFree) + e.prefixMsgs
-	if cap(e.snapState) < need {
-		e.snapState = make([]sim.Time, need)
-	}
-	s := e.snapState[:0]
-	s = append(s, e.rankEnd...)
-	s = append(s, e.nicFree...)
-	s = append(s, e.gwFree...)
-	s = append(s, e.wanFree...)
-	s = append(s, e.delivered[:e.prefixMsgs]...)
-	e.snapState = s
-	e.snapLan = lan
-	e.snapValid = true
-}
-
-func (e *Eval) restore() {
-	s := e.snapState
-	s = s[copy(e.rankEnd, s):]
-	s = s[copy(e.nicFree, s):]
-	s = s[copy(e.gwFree, s):]
-	s = s[copy(e.wanFree, s):]
-	copy(e.delivered[:e.prefixMsgs], s)
-}
-
 // Stats reports how the evaluator has been exercised.
 type Stats struct {
-	// FullSolves and IncrementalSolves count Solve calls by mode.
-	FullSolves, IncrementalSolves int
 	// MatchedSolves counts completed SolveMatched replays;
 	// MatchedNarrowed counts those that stalled and succeeded on the
 	// narrowed second pass; MatchedFallbacks counts replays that stalled
@@ -293,28 +176,22 @@ type Stats struct {
 	// once per chunk of lanes); BatchPoints the parameter points answered
 	// through them.
 	BatchSolves, BatchPoints int
-	// OpsEvaluated is the total operations replayed across all solves;
-	// with incremental reuse it undercounts Nodes×Solves by the skipped
-	// prefixes.
+	// OpsEvaluated is the total operations replayed across all solves:
+	// the whole graph per frozen point, scalar or batched, and the ops a
+	// matched replay executed.
 	OpsEvaluated int64
-	// PrefixNodes is the length of the WAN-independent prefix that
-	// incremental solves skip.
-	PrefixNodes int
 }
 
 // Stats returns the evaluator's counters.
 func (e *Eval) Stats() Stats {
 	return Stats{
-		FullSolves:        e.fullSolves,
-		IncrementalSolves: e.incrementalSolves,
-		MatchedSolves:     e.matchedSolves,
-		MatchedNarrowed:   e.matchedNarrowed,
-		MatchedFallbacks:  e.matchedFallbacks,
-		MatchedConflicts:  e.matchedConflicts,
-		BatchSolves:       e.batchSolves,
-		BatchPoints:       e.batchPoints,
-		OpsEvaluated:      e.opsEvaluated,
-		PrefixNodes:       e.wanStart,
+		MatchedSolves:    e.matchedSolves,
+		MatchedNarrowed:  e.matchedNarrowed,
+		MatchedFallbacks: e.matchedFallbacks,
+		MatchedConflicts: e.matchedConflicts,
+		BatchSolves:      e.batchSolves,
+		BatchPoints:      e.batchPoints,
+		OpsEvaluated:     e.opsEvaluated,
 	}
 }
 

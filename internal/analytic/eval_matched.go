@@ -28,11 +28,12 @@ import (
 // timeInf is an unreachable wake time for parked ranks.
 const timeInf = sim.Time(math.MaxInt64)
 
-// ensureMatched builds the per-rank operation streams and the op-to-pattern
-// map on first use, plus the reusable replay state. The streams (rankOps,
-// opPat) are read-only once built and shared with clones; the scratch is
+// PrepareMatched builds the per-rank operation streams and the
+// op-to-pattern map on first use, plus the reusable replay state. The
+// streams (rankOps, opPat) are read-only once built and shared with clones
+// taken afterwards, instead of each building its own; the scratch is
 // per-evaluator (see allocMatchedScratch).
-func (e *Eval) ensureMatched() {
+func (e *Eval) PrepareMatched() {
 	if e.rankOps == nil {
 		g := e.g
 		counts := make([]int32, g.Procs)
@@ -268,44 +269,16 @@ func (e *Eval) notifyMatched(dst, m int32, d sim.Time) {
 	e.wq.wake(dst, wakeAt, e.rankOps[dst][e.mPos[dst]])
 }
 
-// allSpecific reports whether every recorded receive pins both sender and
-// tag (or is a poll, which replays frozen regardless). Such a graph gives
-// the dynamic matcher no freedom: messages of one (sender, tag) kind ride
-// the same FIFO link chain in program order, so their delivery order —
-// and therefore every matching — is identical at every parameter point,
-// and the frozen pass already computes the matched answer exactly.
-func (e *Eval) allSpecific() bool {
-	g := e.g
-	for pat := range g.RecvFrom {
-		if g.RecvPoll[pat] != 0 {
-			continue
-		}
-		if g.RecvFrom[pat] < 0 || g.RecvTag[pat] == anyTag {
-			return false
-		}
-	}
-	return true
-}
-
 // SolveMatched predicts the completion time under p with dynamic receive
-// matching (see the package comment above). It is a full replay every time
-// — no incremental prefix reuse — unless the graph has no wildcard
-// receives at all, in which case the far cheaper frozen pass is provably
-// identical and is used instead (still counted as a matched solve). A
+// matching (see the package comment above): a full replay of the per-rank
+// streams every time. A graph without wildcard receives is replayed too:
+// its matchings are fixed, but its link booking order still follows p. A
 // replay can stall when a wildcard receive consumes a message a later
 // receive was recorded to need; the solver then escalates through two
 // recovery tiers, counted in Stats: first a narrowed pass where
 // tag-wildcard receives only reorder within their recorded message kind,
 // then the frozen Solve.
 func (e *Eval) SolveMatched(p network.Params) sim.Time {
-	if !e.mSpecificSet {
-		e.mSpecific = e.allSpecific()
-		e.mSpecificSet = true
-	}
-	if e.mSpecific {
-		e.matchedSolves++
-		return e.Solve(p)
-	}
 	if t, ok := e.solveMatched(p, false); ok {
 		e.matchedSolves++
 		return t
@@ -320,13 +293,13 @@ func (e *Eval) SolveMatched(p network.Params) sim.Time {
 }
 
 func (e *Eval) solveMatched(p network.Params, narrow bool) (sim.Time, bool) {
-	e.ensureMatched()
+	e.PrepareMatched()
 	e.mNarrow = narrow
 	g := e.g
-	clearTimes(e.rankEnd)
-	clearTimes(e.nicFree)
-	clearTimes(e.gwFree)
-	clearTimes(e.wanFree)
+	clear(e.rankEnd)
+	clear(e.nicFree)
+	clear(e.gwFree)
+	clear(e.wanFree)
 	for i := range e.delivered {
 		e.delivered[i] = -1
 	}
@@ -497,31 +470,16 @@ func (e *Eval) solveMatched(p network.Params, narrow bool) (sim.Time, bool) {
 			return 0, false // stalled: the caller escalates
 		}
 	}
-	var elapsed sim.Time
-	for _, t := range e.rankEnd {
-		if t > elapsed {
-			elapsed = t
-		}
-	}
-	return elapsed, true
+	return e.maxRankEnd(), true
 }
 
 // FrozenAccurate reports whether the frozen replay tracks the matched
 // replay within relTol (relative error, e.g. 0.0167 for 1.67%) at every
-// probe point. Graphs whose receives all pin sender and tag pass trivially
-// (the two replays are provably identical there). When the probes pass,
-// a sweep can answer its whole grid with the far cheaper — and
-// incremental — frozen pass without giving up matched-mode accuracy
-// beyond relTol: the probes are chosen at the grid corners, where the two
-// replays diverge first when they diverge at all.
+// probe point. When the probes pass, a sweep can answer its whole grid
+// with the far cheaper batched frozen pass without giving up matched-mode
+// accuracy beyond relTol: the probes are chosen at the grid corners, where
+// the two replays diverge first when they diverge at all.
 func (e *Eval) FrozenAccurate(probes []network.Params, relTol float64) bool {
-	if !e.mSpecificSet {
-		e.mSpecific = e.allSpecific()
-		e.mSpecificSet = true
-	}
-	if e.mSpecific {
-		return true
-	}
 	for _, p := range probes {
 		m := e.SolveMatched(p)
 		f := e.Solve(p)

@@ -8,7 +8,7 @@ var (
 	SetVectorLanes = setVectorLanes
 )
 
-// WalkSuffix re-runs the batched walk over the program's wide-area suffix
-// on the lane state the last SolveBatch left behind: the walk alone,
-// without loading parameters, seeding lanes or reducing the result.
-func (e *Eval) WalkSuffix() { e.batchWalk32(e.batch, e.prog.start) }
+// Walk re-runs the batched walk over the whole program on the lane state
+// the last SolveBatch left behind: the walk alone, without loading
+// parameters, clearing lanes or reducing the result.
+func (e *Eval) Walk() { e.batchWalk32(e.batch) }

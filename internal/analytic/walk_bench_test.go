@@ -49,7 +49,7 @@ func BenchmarkBatchWalk(b *testing.B) {
 			opsPerLane := float64(st.OpsEvaluated) / float64(st.BatchPoints) * analytic.BatchLanes
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ev.WalkSuffix()
+				ev.Walk()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*opsPerLane), "ns/op-lane")
 		})

@@ -1,6 +1,10 @@
 package cliutil
 
 import (
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -67,5 +71,40 @@ func TestReportCache(t *testing.T) {
 	ReportCache(&b, c)
 	if got := b.String(); !strings.HasPrefix(got, "run cache: ") || !strings.HasSuffix(got, "; graphs: 0 memory hits, 0 disk hits, 1 recorded\n") || strings.Count(got, "\n") != 1 {
 		t.Errorf("with a recorded graph: %q", got)
+	}
+}
+
+// TestWriteFileAtomicFailure: when the writer fails, WriteFileAtomic
+// returns its error, leaves no temp file behind, and an existing target
+// keeps its bytes, even after part of the new content was written.
+func TestWriteFileAtomicFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.csv")
+	if err := os.WriteFile(path, []byte("old\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err := WriteFileAtomic(path, func(w io.Writer) error {
+		if _, err := io.WriteString(w, "half of the new"); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the writer's error", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "old\n" {
+		t.Errorf("target = %q (%v), want its old bytes", got, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("directory holds %v, want only out.csv", names)
 	}
 }

@@ -70,7 +70,7 @@ type AnalyticReport struct {
 	// Engine is the replay engine chosen for this variant's grid solves:
 	// "frozen" when the frozen replay tracked the matched replay within a
 	// third of the tolerance at every grid-corner probe (so the cheap
-	// incremental pass answers the grid), "matched" otherwise.
+	// batched frozen walk answers the grid), "matched" otherwise.
 	Engine string
 	// LatencySharePct and BandwidthSharePct decompose the reference-point
 	// completion time LLAMP-style: the percentage bought back by a

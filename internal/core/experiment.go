@@ -49,8 +49,12 @@ func AppByName(name string) (apps.Info, error) {
 	return apps.Info{}, fmt.Errorf("core: unknown application %q", name)
 }
 
-// appsByName resolves application names in order.
+// appsByName resolves application names in order; a repeated name is an
+// error, since it would only repeat the application's rows.
 func appsByName(names []string) ([]apps.Info, error) {
+	if n, ok := firstRepeat(names); ok {
+		return nil, fmt.Errorf("core: application %q repeated", n)
+	}
 	suite := make([]apps.Info, len(names))
 	for i, n := range names {
 		var err error
@@ -59,6 +63,19 @@ func appsByName(names []string) ([]apps.Info, error) {
 		}
 	}
 	return suite, nil
+}
+
+// firstRepeat returns the first element of xs equal to an earlier one.
+func firstRepeat[T comparable](xs []T) (T, bool) {
+	seen := make(map[T]bool, len(xs))
+	for _, x := range xs {
+		if seen[x] {
+			return x, true
+		}
+		seen[x] = true
+	}
+	var zero T
+	return zero, false
 }
 
 // The paper's sweep axes (Section 5.1): wide-area bandwidth in bytes/s and

@@ -140,6 +140,9 @@ type RegimePoint struct {
 // simulation runs.
 func RegimeStudy(cfg RegimeStudyConfig) ([]RegimePoint, error) {
 	cfg = cfg.withDefaults()
+	if n, ok := firstRepeat(cfg.Apps); ok {
+		return nil, fmt.Errorf("core: workload %q repeated", n)
+	}
 	var suite []regimeWorkload
 	for _, n := range cfg.Apps {
 		a, err := RegimeAppByName(n)

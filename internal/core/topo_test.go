@@ -242,6 +242,33 @@ func TestStudiesRefuseBeforeFirstCell(t *testing.T) {
 	}
 }
 
+// TestStudiesRefuseRepeatedElements: a repeated application, cluster count
+// or topology spec would only repeat rows, so the topology and regime
+// studies refuse it before any cell runs.
+func TestStudiesRefuseRepeatedElements(t *testing.T) {
+	base := TopologyStudyConfig{Apps: []string{"ASP"}, Procs: 16, Clusters: []int{4}, Topologies: []string{"clique"}}
+	repApps, repClusters, repSpecs := base, base, base
+	repApps.Apps = []string{"ASP", "ASP"}
+	repClusters.Clusters = []int{4, 8, 4}
+	repSpecs.Topologies = []string{"clique", "ring", "clique"}
+	for name, cfg := range map[string]TopologyStudyConfig{"apps": repApps, "clusters": repClusters, "specs": repSpecs} {
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "repeated") {
+			t.Errorf("topology study, repeated %s: err = %v", name, err)
+		}
+	}
+	if err := base.Validate(); err != nil {
+		t.Errorf("topology study without repeats refused: %v", err)
+	}
+	cache := NewRunCache()
+	_, err := RegimeStudy(RegimeStudyConfig{Scale: apps.Tiny, Apps: []string{"TSP", "TSP"}, Cache: cache})
+	if err == nil || !strings.Contains(err.Error(), "repeated") {
+		t.Errorf("regime study, repeated workload: err = %v", err)
+	}
+	if s := cache.CacheStats(); s != (CacheStats{}) {
+		t.Errorf("refused regime study did work: %+v", s)
+	}
+}
+
 // TestTopologyStudySmoke runs a tiny two-family study end to end and checks
 // the point grid, the renderer and the CSV writer agree on its contents.
 func TestTopologyStudySmoke(t *testing.T) {

@@ -96,6 +96,12 @@ func (c TopologyStudyConfig) resolve() ([]apps.Info, []topoMachine, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	if n, ok := firstRepeat(c.Clusters); ok {
+		return nil, nil, fmt.Errorf("core: cluster count %d repeated", n)
+	}
+	if spec, ok := firstRepeat(c.Topologies); ok {
+		return nil, nil, fmt.Errorf("core: topology spec %q repeated", spec)
+	}
 	machines := make([]topoMachine, 0, len(c.Clusters)*len(c.Topologies))
 	for _, n := range c.Clusters {
 		if n < 1 || c.Procs%n != 0 {

@@ -60,7 +60,6 @@ type WAN struct {
 	routeOff []int32
 
 	diameter  int
-	maxHops   int
 	meanPath  float64
 	bisection int
 }
@@ -131,10 +130,6 @@ func (w *WAN) Hops(s, d int) int {
 // Diameter returns the maximum hop count over all chosen cluster-to-cluster
 // routes (1 on a clique).
 func (w *WAN) Diameter() int { return w.diameter }
-
-// MaxHops is Diameter under its routing-layer name: the network defers
-// wide-area link booking to window barriers exactly when MaxHops exceeds 1.
-func (w *WAN) MaxHops() int { return w.maxHops }
 
 // MeanPathLength returns the average hop count over all ordered distinct
 // cluster pairs — the metric Deng, Huang et al. minimize.
@@ -330,7 +325,6 @@ func (w *WAN) computeMetrics() {
 	if pairs > 0 {
 		w.meanPath = float64(total) / float64(pairs)
 	}
-	w.maxHops = w.diameter
 
 	// Bisection: clusters split into low/high id halves; a relay node sides
 	// with its lowest-numbered cluster neighbor (transitively via relays if
