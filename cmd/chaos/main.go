@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -146,8 +147,10 @@ func run() int {
 }
 
 // parseDrops parses "-drops 0,0.01,1"; an empty flag keeps the default
-// grid. Rate 1 (total loss) is legal: it models a WAN so hostile that no
-// run completes, which is exactly what the supervision flags are for.
+// grid, and a rate given twice (compared as a number, so 0 and 0.0 are
+// one rate) is refused. Rate 1 (total loss) is legal: it models a WAN so
+// hostile that no run completes, which is exactly what the supervision
+// flags are for.
 func parseDrops(s string) ([]float64, error) {
 	if s == "" {
 		return nil, nil
@@ -161,14 +164,18 @@ func parseDrops(s string) ([]float64, error) {
 		if !(v >= 0 && v <= 1) { // NaN fails every comparison
 			return nil, fmt.Errorf("-drops: rate %g outside [0,1]", v)
 		}
+		if slices.Contains(out, v) {
+			return nil, fmt.Errorf("-drops: rate %g repeated", v)
+		}
 		out = append(out, v)
 	}
 	return out, nil
 }
 
 // parseOutages parses "-outages 0,100ms,300ms"; the period must be
-// positive and every duration must fit inside it. An empty flag keeps the
-// default grid.
+// positive, every duration must fit inside it, and no duration may repeat
+// (100ms and 0.1s are one duration). An empty flag keeps the default
+// grid.
 func parseOutages(s string, period sim.Time) ([]sim.Time, error) {
 	if period <= 0 {
 		return nil, fmt.Errorf("-period must be positive (got %v)", time.Duration(period))
@@ -193,6 +200,9 @@ func parseOutages(s string, period sim.Time) ([]sim.Time, error) {
 		}
 		if sim.Time(d.Nanoseconds()) >= period {
 			return nil, fmt.Errorf("-outages: duration %v must be shorter than the %v period", d, period)
+		}
+		if slices.Contains(out, sim.Time(d.Nanoseconds())) {
+			return nil, fmt.Errorf("-outages: duration %v repeated", d)
 		}
 		out = append(out, sim.Time(d.Nanoseconds()))
 	}

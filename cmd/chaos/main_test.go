@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,6 +59,10 @@ func TestFlagMisuseExitsTwo(t *testing.T) {
 		{"-outages", "0s", "-period", "0"},
 		{"-drops", "NaN"},
 		{"-latency", "-1ms"},
+		{"-drops", "0,0.0"},
+		{"-drops", "0.02,0,2e-2"},
+		{"-outages", "0,0s"},
+		{"-outages", "100ms,0.1s"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "chaos.csv")
@@ -118,6 +123,10 @@ func TestParseDrops(t *testing.T) {
 		{"-Inf", nil, false},
 		{"x", nil, false},
 		{"0,,1", nil, false},
+		{"0,0", nil, false},
+		{"0,0.0", nil, false},
+		{"0.01,1,1e-2", nil, false},
+		{"-0,0", nil, false},
 	} {
 		got, err := parseDrops(tc.in)
 		if (err == nil) != tc.ok {
@@ -155,6 +164,9 @@ func TestParseOutages(t *testing.T) {
 		{"0s", 0, nil, false},
 		{"", 0, nil, false},
 		{"", -period, nil, false},
+		{"0,0s", period, nil, false},
+		{"100ms,0.1s", period, nil, false},
+		{"0, 100ms,300ms,100000us", period, nil, false},
 	} {
 		got, err := parseOutages(tc.in, tc.period)
 		if (err == nil) != tc.ok {
@@ -167,7 +179,8 @@ func TestParseOutages(t *testing.T) {
 	}
 }
 
-// FuzzParseDrops: no input panics, and every accepted rate is in [0,1].
+// FuzzParseDrops: no input panics, and every accepted rate is in [0,1]
+// and given once.
 func FuzzParseDrops(f *testing.F) {
 	for _, s := range []string{"", "0", "0, 0.01,1", "1e-3", "-0.1", "NaN", "+Inf", "0,,1", "0x1p-2"} {
 		f.Add(s)
@@ -177,8 +190,8 @@ func FuzzParseDrops(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, v := range rates {
-			if !(v >= 0 && v <= 1) {
+		for i, v := range rates {
+			if !(v >= 0 && v <= 1) || slices.Contains(rates[:i], v) {
 				t.Fatalf("parseDrops(%q) accepted rate %v", s, v)
 			}
 		}
@@ -186,7 +199,7 @@ func FuzzParseDrops(f *testing.F) {
 }
 
 // FuzzParseOutages: no input panics, every accepted duration is in
-// [0, period), and a bare "0" gets the same verdict as "0s" wherever it
+// [0, period) and given once, and a bare "0" gets the same verdict as "0s" wherever it
 // appears in the list.
 func FuzzParseOutages(f *testing.F) {
 	for _, s := range []string{"", "0", "0s", "0, 100ms,300ms", "999ms", "1s", "-1ms", "100", "0,,1ms"} {
@@ -200,8 +213,8 @@ func FuzzParseOutages(f *testing.F) {
 		period := sim.Time(p)
 		durs, err := parseOutages(s, period)
 		if err == nil {
-			for _, d := range durs {
-				if d < 0 || d >= period {
+			for i, d := range durs {
+				if d < 0 || d >= period || slices.Contains(durs[:i], d) {
 					t.Fatalf("parseOutages(%q, %v) accepted %v", s, period, d)
 				}
 			}

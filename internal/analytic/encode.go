@@ -15,10 +15,11 @@ import (
 // declaration order — scalars and times as signed varints, float64s as
 // fixed 8-byte IEEE bits, slices as a uvarint count followed by elements
 // (Ops as raw bytes). The format is self-contained and validated on
-// decode; content addressing and fingerprint gating live in the cache
-// layer above. JSON encoding needs no code here: the Graph's exported
-// fields marshal directly (with []uint8 as base64), and the round-trip
-// property test pins both encodings against each other.
+// decode, which must consume the input to its end; content addressing
+// and fingerprint gating live in the cache layer above. JSON encoding
+// needs no code here: the Graph's exported fields marshal directly (with
+// []uint8 as base64), and the round-trip property test pins both
+// encodings against each other.
 const (
 	binaryMagic   = "TLAG"
 	binaryVersion = 1
@@ -174,9 +175,9 @@ func (d *decoder) raw(n int) []byte {
 	return s
 }
 
-// DecodeBinary reads a graph in the binary format and validates it. It
-// allocates in proportion to the bytes it reads, whatever counts the input
-// declares.
+// DecodeBinary reads a graph in the binary format and validates it; the
+// reader must end where the graph does. It allocates in proportion to
+// the bytes it reads, whatever counts the input declares.
 func DecodeBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(binaryMagic))
@@ -226,6 +227,12 @@ func DecodeBinary(r io.Reader) (*Graph, error) {
 	g.RecvPoll = d.raw(recvs)
 	if d.err != nil {
 		return nil, fmt.Errorf("analytic: decoding graph: %w", d.err)
+	}
+	switch _, err := br.ReadByte(); {
+	case err == nil:
+		return nil, fmt.Errorf("analytic: trailing bytes after the graph")
+	case err != io.EOF:
+		return nil, fmt.Errorf("analytic: decoding graph: %w", err)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err

@@ -162,6 +162,26 @@ func TestDecodeBinaryTruncated(t *testing.T) {
 	}
 }
 
+// TestDecodeBinaryRejectsTrailingBytes: a valid encoding followed by
+// anything is not a graph, so a cache entry can hold no bytes its decode
+// ignores.
+func TestDecodeBinaryRejectsTrailingBytes(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(3)), true)
+	var buf bytes.Buffer
+	if err := g.EncodeBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeBinary(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{"\x00", "x", "TLAG"} {
+		data := append(bytes.Clone(buf.Bytes()), tail...)
+		if _, err := DecodeBinary(bytes.NewReader(data)); err == nil {
+			t.Errorf("decoding with %q appended succeeded", tail)
+		}
+	}
+}
+
 func TestDecodeBinaryRejectsHeader(t *testing.T) {
 	if _, err := DecodeBinary(strings.NewReader("NOPE")); err == nil {
 		t.Error("bad magic accepted")

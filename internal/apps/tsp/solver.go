@@ -1,10 +1,42 @@
 package tsp
 
-import "math/rand"
+import (
+	"math/rand"
+	"sync"
+)
 
-// cities generates a deterministic symmetric distance matrix for n cities
-// placed on a grid-free random plane, with integer distances 1..999.
+// cityCache memoizes distance matrices: New and every rank of every run in
+// a sweep read the identical deterministic matrix for their (N, Seed), and
+// drawing it anew seeded a random source and allocated n+1 slices each
+// time.
+var cityCache struct {
+	sync.Mutex
+	matrices map[[2]int64][][]int32
+}
+
+// cities returns the deterministic symmetric distance matrix for n cities
+// and seed, memoized and shared: callers must not modify it.
 func cities(n int, seed int64) [][]int32 {
+	key := [2]int64{int64(n), seed}
+	cityCache.Lock()
+	defer cityCache.Unlock()
+	d, ok := cityCache.matrices[key]
+	if !ok {
+		if cityCache.matrices == nil {
+			cityCache.matrices = make(map[[2]int64][][]int32)
+		}
+		if len(cityCache.matrices) > 32 { // sweeps touch a handful of configs
+			clear(cityCache.matrices)
+		}
+		d = generateCities(n, seed)
+		cityCache.matrices[key] = d
+	}
+	return d
+}
+
+// generateCities draws a symmetric distance matrix for n cities placed on
+// a grid-free random plane, with integer distances 1..999.
+func generateCities(n int, seed int64) [][]int32 {
 	rng := rand.New(rand.NewSource(seed))
 	xs := make([]float64, n)
 	ys := make([]float64, n)

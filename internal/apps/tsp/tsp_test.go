@@ -2,6 +2,7 @@ package tsp
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -186,5 +187,20 @@ func TestCityRelabelInvariance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCitiesMemoized: every request for one (n, seed) shares one matrix,
+// the one the generator draws.
+func TestCitiesMemoized(t *testing.T) {
+	a, b := cities(9, 6), cities(9, 6)
+	if &a[0][0] != &b[0][0] {
+		t.Error("two requests for one configuration got different matrices")
+	}
+	if !reflect.DeepEqual(a, generateCities(9, 6)) {
+		t.Error("memoized matrix differs from the generator's")
+	}
+	if c := cities(9, 7); reflect.DeepEqual(a, c) {
+		t.Error("different seeds share a matrix")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -128,6 +129,73 @@ func TestBudgetOneSlotNoDeadlock(t *testing.T) {
 	}
 	if p := g.peak.Load(); p != 1 {
 		t.Errorf("%d compute goroutines in flight on a one-slot budget", p)
+	}
+}
+
+// goroutineID is the calling goroutine's number, read off its stack
+// header ("goroutine 17 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// TestForEachHoldingReusesWorkers: a call's tasks run on no more workers
+// than the budget runs at once, a one-slot budget starts them in weight
+// order, and a nested call runs on workers of its own.
+func TestForEachHoldingReusesWorkers(t *testing.T) {
+	const slots, n = 2, 40
+	withBudget(t, slots)
+	var mu sync.Mutex
+	outer, inner := map[string]bool{}, map[string]bool{}
+	err := forEachHolding(1, n, nil, nil, func(i int) error {
+		mu.Lock()
+		outer[goroutineID()] = true
+		mu.Unlock()
+		time.Sleep(100 * time.Microsecond)
+		if i != 0 {
+			return nil
+		}
+		// Only one task nests: the nested call waits for a slot the
+		// other tasks, which never wait, give back.
+		return forEach(3, func(int) error {
+			mu.Lock()
+			inner[goroutineID()] = true
+			mu.Unlock()
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outer) > slots {
+		t.Errorf("%d tasks ran on %d workers; the budget runs %d at once", n, len(outer), slots)
+	}
+	for id := range inner {
+		if outer[id] {
+			t.Errorf("nested task ran on outer worker %s", id)
+		}
+	}
+	if cores.free != slots {
+		t.Errorf("%d of %d slots free after the call: slots leaked", cores.free, slots)
+	}
+
+	withBudget(t, 1)
+	var started []int
+	weight := func(i int) float64 { return float64((i * 7) % 11) }
+	if err := forEachWeighted(n, weight, func(i int) string { return fmt.Sprint("task ", i) }, func(i int) error {
+		started = append(started, i) // one slot: tasks never overlap
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k < len(started); k++ {
+		a, b := started[k-1], started[k]
+		if weight(a) < weight(b) || weight(a) == weight(b) && a > b {
+			t.Fatalf("task %d (weight %g) started before task %d (weight %g): %v", a, weight(a), b, weight(b), started)
+		}
+	}
+	if len(started) != n {
+		t.Errorf("%d of %d tasks ran", len(started), n)
 	}
 }
 

@@ -123,6 +123,12 @@ func ChaosStudy(cfg ChaosConfig) ([]ChaosPoint, error) {
 	if err := cfg.Regime.Validate(); err != nil {
 		return nil, err
 	}
+	if d, ok := firstRepeat(cfg.Drops); ok {
+		return nil, fmt.Errorf("core: drop rate %g repeated", d)
+	}
+	if d, ok := firstRepeat(cfg.Outages); ok {
+		return nil, fmt.Errorf("core: outage duration %v repeated", d)
+	}
 	variants := variantsOf(nil)
 	points := make([]ChaosPoint, len(variants)*len(cfg.Drops)*len(cfg.Outages))
 	at := func(i int) (v variant, drop float64, outage sim.Time) {

@@ -81,9 +81,9 @@ func TestRunKeyFaultEncoding(t *testing.T) {
 	if !strings.Contains(string(faulty), "Faults") {
 		t.Errorf("faulty key omits Faults: %s", faulty)
 	}
-	if entryPath("d", x.Key()) == entryPath("d", Experiment{
+	if newDiskKey(x.Key()).addr == newDiskKey(Experiment{
 		App: app, Scale: apps.Tiny, Topo: topology.DAS(), Params: chaosParams(),
-	}.Key()) {
+	}.Key()).addr {
 		t.Error("faulty and clean runs share a cache entry")
 	}
 }

@@ -1,15 +1,21 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 
+	"twolayer/internal/network"
 	"twolayer/internal/par"
+	"twolayer/internal/sim"
 )
 
 // The persistent layer of RunCache: a content-addressed directory of
@@ -17,27 +23,38 @@ import (
 // invocations (or after editing only rendering code) replays finished runs
 // from disk instead of re-simulating them.
 //
-// Every entry embeds a code fingerprint covering the Go version and the
-// committed golden-determinism table. Simulation outputs may only change
-// through an intentional golden update, so hashing the table makes every
-// behavioural change — and nothing else — invalidate the cache. Entries
-// with a different fingerprint, an unparsable body, or a colliding key are
-// counted as stale, ignored, and overwritten by the fresh result. All disk
-// failures fail open: the cache degrades to simulating, never to an error.
+// Every entry, run result (.run) or recorded graph (.graph), is one binary
+// envelope:
+//
+//	magic | Fingerprint() | uvarint len(key) | key | payload
+//
+// where key is the canonical JSON of the RunKey, the exact bytes whose
+// hash names the file. A load reads the file and compares its prefix with
+// the header it expects, byte for byte, without decoding the key; then the
+// payload must decode and consume every byte. The fingerprint covers the
+// entry format, the Go version and the committed golden-determinism
+// table. Simulation outputs may only change through an intentional golden
+// update, so hashing the table makes every behavioural change — and
+// nothing else — invalidate the cache. A short, corrupt, foreign or
+// colliding entry is counted as stale, ignored, and overwritten by the
+// fresh result. All disk failures fail open: the cache degrades to
+// simulating, never to an error.
 
 // diskFormatVersion bumps the fingerprint when the entry layout changes.
-const diskFormatVersion = 1
+const diskFormatVersion = 2
+
+// entryMagic opens every cache entry.
+const entryMagic = "TLRC"
+
+// Entry suffixes: a run result and a recorded graph of one key share the
+// content address.
+const (
+	runSuffix   = ".run"
+	graphSuffix = ".graph"
+)
 
 // fingerprint is computed once; the inputs cannot change within a process.
-var fingerprintMemo string
-
-// Fingerprint identifies the simulation behaviour of this build for the
-// persistent cache: the entry format, the Go toolchain, and a hash of the
-// golden-determinism table.
-func Fingerprint() string {
-	if fingerprintMemo != "" {
-		return fingerprintMemo
-	}
+var fingerprint = sync.OnceValue(func() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "twolayer-runcache-v%d\n%s\n", diskFormatVersion, runtime.Version())
 	b, err := json.Marshal(GoldenRuns)
@@ -45,73 +62,218 @@ func Fingerprint() string {
 		panic("core: golden table not serializable: " + err.Error())
 	}
 	h.Write(b)
-	fingerprintMemo = hex.EncodeToString(h.Sum(nil)[:16])
-	return fingerprintMemo
+	return hex.EncodeToString(h.Sum(nil)[:16])
+})
+
+// Fingerprint identifies the simulation behaviour of this build for the
+// persistent cache: the entry format, the Go toolchain, and a hash of the
+// golden-determinism table. It is safe for concurrent use.
+func Fingerprint() string { return fingerprint() }
+
+// diskKey is one lookup's key, marshalled once: the canonical JSON's
+// sha256, truncated to 128 bits, is the content address, and the same
+// bytes go into the header every entry of the key starts with. The full
+// key is in the header, so a filename collision degrades to a stale miss,
+// never to a wrong result.
+type diskKey struct {
+	addr   string
+	header []byte
 }
 
-// diskEntry is the JSON body of one cached result. The full key is stored
-// and compared on load, so a filename hash collision degrades to a miss.
-type diskEntry struct {
-	Fingerprint string
-	Key         RunKey
-	Result      par.Result
-}
-
-// keyHash is the content address of a RunKey: sha256 of its canonical JSON
-// encoding, truncated to 128 bits. The disk cache uses it as a filename;
-// the full key is stored alongside and compared on load, so a collision
-// degrades to a miss, never to a wrong result.
-func keyHash(key RunKey) string {
+func newDiskKey(key RunKey) diskKey {
 	b, err := json.Marshal(key)
 	if err != nil {
 		panic("core: run key not serializable: " + err.Error())
 	}
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:16])
+	return diskKey{addr: hex.EncodeToString(sum[:16]), header: entryHeader(Fingerprint(), b)}
 }
 
-// entryPath derives the flat content-addressed filename for a key.
-func entryPath(dir string, key RunKey) string {
-	return filepath.Join(dir, keyHash(key)+".json")
+// entryHeader is the envelope's prefix for a fingerprint and a key's JSON.
+func entryHeader(fp string, keyJSON []byte) []byte {
+	h := make([]byte, 0, len(entryMagic)+len(fp)+binary.MaxVarintLen64+len(keyJSON))
+	h = append(h, entryMagic...)
+	h = append(h, fp...)
+	h = binary.AppendUvarint(h, uint64(len(keyJSON)))
+	return append(h, keyJSON...)
 }
 
-// loadDisk looks key up in dir. ok reports a usable hit; stale reports
-// that a file was present but unusable (corrupt, foreign fingerprint, or
-// key collision) and should be overwritten.
-func loadDisk(dir string, key RunKey) (res par.Result, ok, stale bool) {
-	data, err := os.ReadFile(entryPath(dir, key))
+func (k diskKey) path(dir, suffix string) string {
+	return filepath.Join(dir, k.addr+suffix)
+}
+
+// readEntry returns the payload of k's entry with the given suffix in dir.
+// ok reports a file that opens with k's header; stale reports a file that
+// is present but does not.
+func readEntry(dir string, k diskKey, suffix string) (payload []byte, ok, stale bool) {
+	data, err := os.ReadFile(k.path(dir, suffix))
 	if err != nil {
-		return par.Result{}, false, false // absent (or unreadable): plain miss
+		return nil, false, false // absent (or unreadable): plain miss
 	}
-	var e diskEntry
-	if json.Unmarshal(data, &e) != nil || e.Fingerprint != Fingerprint() || e.Key != key {
-		return par.Result{}, false, true
+	if !bytes.HasPrefix(data, k.header) {
+		return nil, false, true
 	}
-	return e.Result, true, false
+	return data[len(k.header):], true, false
 }
 
-// storeDisk writes the result for key atomically (temp file + rename), so
-// a crashed or concurrent writer can never leave a half-written entry
-// behind — readers see the old body or the new one, and corruption from
-// torn writes is impossible. Errors are deliberately dropped.
-func storeDisk(dir string, key RunKey, res par.Result) {
-	e := diskEntry{Fingerprint: Fingerprint(), Key: key, Result: res}
-	data, err := json.Marshal(e)
-	if err != nil {
-		return
-	}
-	writeAtomic(dir, "entry-*.tmp", entryPath(dir, key), data)
-}
-
-// writeAtomic writes data to path through a temp file in dir named after
-// pattern and a rename. Errors are dropped, with the temp file removed.
-func writeAtomic(dir, pattern, path string, data []byte) {
-	tmp, err := os.CreateTemp(dir, pattern)
+// writeEntry writes data, which starts with k's header, as k's entry with
+// the given suffix: atomically (temp file + rename), so a crashed or
+// concurrent writer can never leave a half-written entry behind — readers
+// see the old body or the new one. Errors are deliberately dropped, with
+// the temp file removed.
+func writeEntry(dir string, k diskKey, suffix string, data []byte) {
+	tmp, err := os.CreateTemp(dir, "entry-*.tmp")
 	if err != nil {
 		return
 	}
 	_, werr := tmp.Write(data)
-	if cerr := tmp.Close(); werr != nil || cerr != nil || os.Rename(tmp.Name(), path) != nil {
+	if cerr := tmp.Close(); werr != nil || cerr != nil || os.Rename(tmp.Name(), k.path(dir, suffix)) != nil {
 		os.Remove(tmp.Name())
 	}
+}
+
+// loadDisk looks k up in dir. ok reports a usable hit; stale reports that
+// a file was present but unusable (short, corrupt, foreign fingerprint, or
+// key collision) and should be overwritten.
+func loadDisk(dir string, k diskKey) (res par.Result, ok, stale bool) {
+	payload, ok, stale := readEntry(dir, k, runSuffix)
+	if !ok {
+		return par.Result{}, false, stale
+	}
+	res, err := decodeResult(payload)
+	if err != nil {
+		return par.Result{}, false, true
+	}
+	return res, true, false
+}
+
+// storeDisk writes the result for k into dir; errors are dropped (the
+// cache fails open).
+func storeDisk(dir string, k diskKey, res par.Result) {
+	writeEntry(dir, k, runSuffix, appendResult(bytes.Clone(k.header), res))
+}
+
+// The run payload is par.Result's fields in declaration order: signed
+// quantities as varints, Events as a uvarint, and each slice as a uvarint
+// count followed by its elements. An empty slice decodes as nil.
+
+// appendResult appends r's payload encoding to dst.
+func appendResult(dst []byte, r par.Result) []byte {
+	link := func(dst []byte, s network.LinkStats) []byte {
+		dst = binary.AppendVarint(dst, s.Messages)
+		dst = binary.AppendVarint(dst, s.Bytes)
+		return binary.AppendVarint(dst, int64(s.BusyTime))
+	}
+	times := func(dst []byte, ts []sim.Time) []byte {
+		dst = binary.AppendUvarint(dst, uint64(len(ts)))
+		for _, t := range ts {
+			dst = binary.AppendVarint(dst, int64(t))
+		}
+		return dst
+	}
+	dst = binary.AppendVarint(dst, int64(r.Elapsed))
+	dst = times(dst, r.PerProcFinish)
+	dst = times(dst, r.PerProcCompute)
+	dst = link(dst, r.WAN)
+	dst = binary.AppendUvarint(dst, uint64(len(r.ClusterWANOut)))
+	for _, s := range r.ClusterWANOut {
+		dst = link(dst, s)
+	}
+	dst = binary.AppendVarint(dst, r.Intra.Messages)
+	dst = binary.AppendVarint(dst, r.Intra.Bytes)
+	dst = binary.AppendUvarint(dst, r.Events)
+	for _, v := range []int64{
+		r.Transport.Timeouts, r.Transport.Retransmits, r.Transport.Acks,
+		r.Transport.Duplicates, r.Transport.OutOfOrder,
+		r.Faults.Dropped, r.Faults.OutageDropped, r.Faults.Duplicated,
+	} {
+		dst = binary.AppendVarint(dst, v)
+	}
+	return dst
+}
+
+// payloadReader decodes varints from a byte slice and remembers the first
+// failure; after one, every read returns zero.
+type payloadReader struct {
+	b   []byte
+	bad bool
+}
+
+func (p *payloadReader) varint() int64 {
+	v, n := binary.Varint(p.b)
+	if n <= 0 {
+		p.bad = true
+		return 0
+	}
+	p.b = p.b[n:]
+	return v
+}
+
+func (p *payloadReader) uvarint() uint64 {
+	v, n := binary.Uvarint(p.b)
+	if n <= 0 {
+		p.bad = true
+		return 0
+	}
+	p.b = p.b[n:]
+	return v
+}
+
+// count reads a slice length. Every element takes at least one byte, so a
+// count above the bytes left fails the reader instead of sizing anything.
+func (p *payloadReader) count() int {
+	n := p.uvarint()
+	if n > uint64(len(p.b)) {
+		p.bad = true
+		return 0
+	}
+	return int(n)
+}
+
+func (p *payloadReader) times() []sim.Time {
+	n := p.count()
+	if n == 0 {
+		return nil
+	}
+	ts := make([]sim.Time, n)
+	for i := range ts {
+		ts[i] = sim.Time(p.varint())
+	}
+	return ts
+}
+
+func (p *payloadReader) link() network.LinkStats {
+	return network.LinkStats{Messages: p.varint(), Bytes: p.varint(), BusyTime: sim.Time(p.varint())}
+}
+
+var errBadPayload = errors.New("core: malformed cache entry payload")
+
+// decodeResult decodes a run payload, which must consume every byte.
+func decodeResult(b []byte) (par.Result, error) {
+	p := &payloadReader{b: b}
+	var r par.Result
+	r.Elapsed = sim.Time(p.varint())
+	r.PerProcFinish = p.times()
+	r.PerProcCompute = p.times()
+	r.WAN = p.link()
+	if n := p.count(); n > 0 {
+		r.ClusterWANOut = make([]network.LinkStats, n)
+		for i := range r.ClusterWANOut {
+			r.ClusterWANOut[i] = p.link()
+		}
+	}
+	r.Intra.Messages = p.varint()
+	r.Intra.Bytes = p.varint()
+	r.Events = p.uvarint()
+	for _, v := range []*int64{
+		&r.Transport.Timeouts, &r.Transport.Retransmits, &r.Transport.Acks,
+		&r.Transport.Duplicates, &r.Transport.OutOfOrder,
+		&r.Faults.Dropped, &r.Faults.OutageDropped, &r.Faults.Duplicated,
+	} {
+		*v = p.varint()
+	}
+	if p.bad || len(p.b) != 0 {
+		return par.Result{}, errBadPayload
+	}
+	return r, nil
 }

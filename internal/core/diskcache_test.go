@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"twolayer/internal/analytic"
@@ -65,6 +66,17 @@ func TestDiskCachePersistsAcrossCaches(t *testing.T) {
 	}
 }
 
+// forgeEntry builds an envelope around payload that claims fingerprint fp
+// and key.
+func forgeEntry(t testing.TB, fp string, key RunKey, payload []byte) []byte {
+	t.Helper()
+	b, err := json.Marshal(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(entryHeader(fp, b), payload...)
+}
+
 // TestDiskCacheCorruptEntryRecovers truncates the entry on disk and checks
 // the cache counts it stale, re-simulates, and heals the file.
 func TestDiskCacheCorruptEntryRecovers(t *testing.T) {
@@ -79,8 +91,8 @@ func TestDiskCacheCorruptEntryRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := entryPath(dir, x.Key())
-	if err := os.WriteFile(path, []byte("{ truncated garba"), 0o644); err != nil {
+	path := newDiskKey(x.Key()).path(dir, runSuffix)
+	if err := os.WriteFile(path, []byte("TLRC truncated garba"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -117,6 +129,7 @@ func TestDiskCacheCorruptEntryRecovers(t *testing.T) {
 func TestDiskCacheFingerprintInvalidates(t *testing.T) {
 	dir := t.TempDir()
 	x := diskTestExperiment(t)
+	k := newDiskKey(x.Key())
 
 	warm := NewRunCache()
 	if err := warm.SetDir(dir); err != nil {
@@ -125,20 +138,12 @@ func TestDiskCacheFingerprintInvalidates(t *testing.T) {
 	if _, err := x.RunCached(warm); err != nil {
 		t.Fatal(err)
 	}
-	path := entryPath(dir, x.Key())
+	path := k.path(dir, runSuffix)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e diskEntry
-	if err := json.Unmarshal(data, &e); err != nil {
-		t.Fatal(err)
-	}
-	e.Fingerprint = "0123456789abcdef0123456789abcdef"
-	forged, err := json.Marshal(e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	forged := forgeEntry(t, "0123456789abcdef0123456789abcdef", x.Key(), data[len(k.header):])
 	if err := os.WriteFile(path, forged, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -157,42 +162,127 @@ func TestDiskCacheFingerprintInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(data, &e); err != nil {
-		t.Fatal(err)
-	}
-	if e.Fingerprint != Fingerprint() {
+	if !bytes.HasPrefix(data, k.header) {
 		t.Errorf("entry not overwritten with current fingerprint")
 	}
 }
 
 // TestDiskCacheKeyCollision stores a different key's entry under this
-// key's filename; the stored-key comparison must reject it.
+// key's filename; the header comparison must reject it.
 func TestDiskCacheKeyCollision(t *testing.T) {
 	dir := t.TempDir()
 	x := diskTestExperiment(t)
 	key := x.Key()
 	other := key
 	other.Seed = key.Seed + 1
-	storeDisk(dir, key, par.Result{Elapsed: 42})
+	k := newDiskKey(key)
+	storeDisk(dir, k, par.Result{Elapsed: 42})
 	// Forge: same file now claims to hold `other`.
-	data, err := os.ReadFile(entryPath(dir, key))
+	data, err := os.ReadFile(k.path(dir, runSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e diskEntry
-	if err := json.Unmarshal(data, &e); err != nil {
+	forged := forgeEntry(t, Fingerprint(), other, data[len(k.header):])
+	if err := os.WriteFile(k.path(dir, runSuffix), forged, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e.Key = other
-	forged, err := json.Marshal(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(entryPath(dir, key), forged, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, stale := loadDisk(dir, key); ok || !stale {
+	if _, ok, stale := loadDisk(dir, k); ok || !stale {
 		t.Errorf("colliding entry: ok=%v stale=%v; want rejected as stale", ok, stale)
+	}
+}
+
+// TestDiskAddressPinned: the content address is sha256 of the key's
+// canonical JSON truncated to 128 bits, the same as under the JSON entry
+// format, so a changed key encoding or hash shows up here first.
+func TestDiskAddressPinned(t *testing.T) {
+	const want = "643c75105443441f134c448a4ec98476"
+	k := newDiskKey(diskTestExperiment(t).Key())
+	if k.addr != want {
+		t.Errorf("address = %s, want %s", k.addr, want)
+	}
+	if got := filepath.Base(k.path("d", runSuffix)); got != want+".run" {
+		t.Errorf("run entry file = %s", got)
+	}
+}
+
+// TestFingerprintConcurrent: the first concurrent callers all compute or
+// wait for one fingerprint (run alone under -race, this catches an
+// unsynchronized memo).
+func TestFingerprintConcurrent(t *testing.T) {
+	const n = 4
+	got := make([]string, n)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := range got {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			got[i] = Fingerprint()
+		}()
+	}
+	start.Done()
+	done.Wait()
+	for i, fp := range got {
+		if len(fp) != 32 || fp != got[0] {
+			t.Fatalf("caller %d got fingerprint %q, caller 0 %q", i, fp, got[0])
+		}
+	}
+}
+
+// fillDistinct sets every integer in v, recursively through structs and
+// slices (two elements each), to the next value of *next, alternating
+// sign where the type allows. It fails on any other kind, so a field the
+// run codec has never seen cannot slip past it.
+func fillDistinct(t *testing.T, v reflect.Value, next *int64) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		*next++
+		x := *next
+		if x%2 == 0 {
+			x = -x
+		}
+		v.SetInt(x)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		*next++
+		v.SetUint(uint64(*next))
+	case reflect.Struct:
+		for i := range v.NumField() {
+			fillDistinct(t, v.Field(i), next)
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := range v.Len() {
+			fillDistinct(t, v.Index(i), next)
+		}
+	default:
+		t.Fatalf("par.Result holds a %s (%s); teach the run payload codec and this test about it", v.Kind(), v.Type())
+	}
+}
+
+// TestResultCodecCarriesEveryField round-trips a par.Result whose every
+// field, nested ones included, holds a distinct non-zero value. A field
+// added to Result fails here until the payload codec carries it.
+func TestResultCodecCarriesEveryField(t *testing.T) {
+	var want par.Result
+	var next int64
+	fillDistinct(t, reflect.ValueOf(&want).Elem(), &next)
+	got, err := decodeResult(appendResult(nil, want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
+	}
+	if _, err := decodeResult(appendResult(nil, want)[1:]); err == nil {
+		t.Error("a payload missing its first byte decoded")
+	}
+	if _, err := decodeResult(append(appendResult(nil, want), 0)); err == nil {
+		t.Error("a payload with a trailing byte decoded")
+	}
+	if got, err := decodeResult(appendResult(nil, par.Result{})); err != nil || !reflect.DeepEqual(got, par.Result{}) {
+		t.Errorf("zero result round trip = %+v, %v", got, err)
 	}
 }
 
@@ -224,26 +314,31 @@ func TestDiskCacheFailOpen(t *testing.T) {
 	}
 }
 
+// fixtureKey is the key entryFixture stores under.
+func fixtureKey() RunKey {
+	return RunKey{App: "TSP", Scale: apps.Tiny, Topo: "4x8", Params: chaosParams(), Seed: DefaultSeed}
+}
+
 // entryFixture stores one entry with per-proc slices under a fresh
 // directory and returns the directory, its key, result and on-disk bytes.
-func entryFixture(t testing.TB) (string, RunKey, par.Result, []byte) {
+func entryFixture(t testing.TB) (string, diskKey, par.Result, []byte) {
 	dir := t.TempDir()
-	key := RunKey{App: "TSP", Scale: apps.Tiny, Topo: "4x8", Params: chaosParams(), Seed: DefaultSeed}
+	k := newDiskKey(fixtureKey())
 	res := par.Result{Elapsed: 123 * sim.Millisecond, Events: 99,
 		PerProcFinish: []sim.Time{1, 2}, PerProcCompute: []sim.Time{3, 4}}
-	storeDisk(dir, key, res)
-	data, err := os.ReadFile(entryPath(dir, key))
+	storeDisk(dir, k, res)
+	data, err := os.ReadFile(k.path(dir, runSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dir, key, res, data
+	return dir, k, res, data
 }
 
 // TestDiskEntryRoundTrip: stored entries load back intact, and the cache
 // hands every caller a private copy of a disk replay.
 func TestDiskEntryRoundTrip(t *testing.T) {
-	dir, key, want, _ := entryFixture(t)
-	if got, ok, stale := loadDisk(dir, key); !ok || stale || !reflect.DeepEqual(got, want) {
+	dir, k, want, _ := entryFixture(t)
+	if got, ok, stale := loadDisk(dir, k); !ok || stale || !reflect.DeepEqual(got, want) {
 		t.Fatalf("loadDisk = %+v ok=%v stale=%v; want %+v", got, ok, stale, want)
 	}
 
@@ -278,40 +373,36 @@ func TestDiskEntryRoundTrip(t *testing.T) {
 // a torn write would leave, had the rename not ruled it out — is counted
 // stale and never served.
 func TestDiskEntryTruncationFailOpen(t *testing.T) {
-	dir, key, _, data := entryFixture(t)
+	dir, k, _, data := entryFixture(t)
 	for off := 0; off < len(data); off++ {
-		if err := os.WriteFile(entryPath(dir, key), data[:off], 0o644); err != nil {
+		if err := os.WriteFile(k.path(dir, runSuffix), data[:off], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok, stale := loadDisk(dir, key); ok || !stale {
+		if _, ok, stale := loadDisk(dir, k); ok || !stale {
 			t.Fatalf("offset %d of %d: ok=%v stale=%v; want a stale miss", off, len(data), ok, stale)
 		}
 	}
 }
 
 // TestDiskEntryCorruptionFailOpen flips one bit pattern at every byte of
-// an entry. A flip in the fingerprint or the key either makes the entry
-// stale or leaves it naming the same key (a renamed zero-valued field),
-// so a wrong result is never served for it. The result body carries no
-// checksum: a flip there that still parses is served (DESIGN.md §5f).
+// an entry. A flip in the header (magic, fingerprint or key) makes the
+// entry stale, so a wrong result is never served for it. The payload
+// carries no checksum: a flip there that still decodes is served
+// (DESIGN.md §5f).
 func TestDiskEntryCorruptionFailOpen(t *testing.T) {
-	dir, key, want, data := entryFixture(t)
-	body := bytes.Index(data, []byte(`"Result":`))
-	if body < 0 {
-		t.Fatalf("entry has no result field: %s", data)
-	}
+	dir, k, _, data := entryFixture(t)
 	for i := range data {
-		mutated := append([]byte(nil), data...)
+		mutated := bytes.Clone(data)
 		mutated[i] ^= 0x40
-		if err := os.WriteFile(entryPath(dir, key), mutated, 0o644); err != nil {
+		if err := os.WriteFile(k.path(dir, runSuffix), mutated, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, ok, stale := loadDisk(dir, key)
+		_, ok, stale := loadDisk(dir, k)
 		if ok == stale {
 			t.Fatalf("byte %d: ok=%v stale=%v; want exactly one", i, ok, stale)
 		}
-		if ok && i < body && !reflect.DeepEqual(got, want) {
-			t.Fatalf("byte %d (%q) in the fingerprint or key: served %+v", i, data[i], got)
+		if ok && i < len(k.header) {
+			t.Fatalf("byte %d (%q) is in the header, yet the entry was served", i, data[i])
 		}
 	}
 }
@@ -319,20 +410,12 @@ func TestDiskEntryCorruptionFailOpen(t *testing.T) {
 // TestDiskEntryForeignFingerprint: a well-formed entry for the right key
 // but written under another build's fingerprint is stale, never served.
 func TestDiskEntryForeignFingerprint(t *testing.T) {
-	dir, key, _, data := entryFixture(t)
-	var e diskEntry
-	if err := json.Unmarshal(data, &e); err != nil {
+	dir, k, _, data := entryFixture(t)
+	forged := forgeEntry(t, "feedfacefeedfacefeedfacefeedface", fixtureKey(), data[len(k.header):])
+	if err := os.WriteFile(k.path(dir, runSuffix), forged, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e.Fingerprint = "feedfacefeedfacefeedfacefeedface"
-	forged, err := json.Marshal(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(entryPath(dir, key), forged, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok, stale := loadDisk(dir, key); ok || !stale {
+	if got, ok, stale := loadDisk(dir, k); ok || !stale {
 		t.Fatalf("loadDisk = %+v ok=%v stale=%v; want a stale miss", got, ok, stale)
 	}
 }
@@ -397,40 +480,30 @@ func TestResumeByteIdentical(t *testing.T) {
 }
 
 // FuzzLoadDisk feeds arbitrary bytes to the entry path of a known key: the
-// reader must never panic, must serve only a body whose stored fingerprint
-// and key match, and must never serve a strict prefix of a valid entry.
+// reader must never panic, must serve only a body that opens with the
+// current fingerprint and this key and whose payload decodes, and must
+// never serve a strict prefix of a valid entry.
 func FuzzLoadDisk(f *testing.F) {
-	dir, key, _, valid := entryFixture(f)
+	dir, k, _, valid := entryFixture(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("not a cache entry at all\n"))
 	f.Add(bytes.Repeat([]byte{0}, 64))
-	mutated := append([]byte(nil), valid...)
+	mutated := bytes.Clone(valid)
 	mutated[len(mutated)/2] ^= 1
 	f.Add(mutated)
-	// Well-formed bodies that must stay unserved: a foreign build's
+	// Well-formed envelopes that must stay unserved: a foreign build's
 	// fingerprint, and another key under this key's address.
-	var e diskEntry
-	if err := json.Unmarshal(valid, &e); err != nil {
-		f.Fatal(err)
-	}
-	for _, forge := range []func(*diskEntry){
-		func(e *diskEntry) { e.Fingerprint = "0123456789abcdef0123456789abcdef" },
-		func(e *diskEntry) { e.Key.Seed++ },
-	} {
-		forged := e
-		forge(&forged)
-		b, err := json.Marshal(forged)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
-	}
+	payload := valid[len(k.header):]
+	other := fixtureKey()
+	other.Seed++
+	f.Add(forgeEntry(f, "0123456789abcdef0123456789abcdef", fixtureKey(), payload))
+	f.Add(forgeEntry(f, Fingerprint(), other, payload))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := os.WriteFile(entryPath(dir, key), data, 0o644); err != nil {
+		if err := os.WriteFile(k.path(dir, runSuffix), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, ok, stale := loadDisk(dir, key) // must not panic on any input
+		got, ok, stale := loadDisk(dir, k) // must not panic on any input
 		if !ok {
 			if !stale {
 				t.Fatal("a present entry was neither served nor stale")
@@ -440,12 +513,15 @@ func FuzzLoadDisk(f *testing.F) {
 		if len(data) < len(valid) && bytes.HasPrefix(valid, data) {
 			t.Fatalf("served a %d-byte prefix of a valid entry", len(data))
 		}
-		var e diskEntry
-		if err := json.Unmarshal(data, &e); err != nil || e.Fingerprint != Fingerprint() || e.Key != key {
-			t.Fatalf("served an entry with fingerprint %q, key %+v (err %v)", e.Fingerprint, e.Key, err)
+		if !bytes.HasPrefix(data, k.header) {
+			t.Fatalf("served an entry without this build's header: %q", data)
 		}
-		if !reflect.DeepEqual(got, e.Result) {
-			t.Fatalf("served %+v, the body holds %+v", got, e.Result)
+		want, err := decodeResult(data[len(k.header):])
+		if err != nil {
+			t.Fatalf("served an entry whose payload does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("served %+v, the payload holds %+v", got, want)
 		}
 	})
 }
@@ -471,8 +547,9 @@ func graphFixture(t testing.TB) (string, RunKey, []byte) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	storeGraphDisk(dir, key, g)
-	data, err := os.ReadFile(graphPath(dir, key))
+	k := newDiskKey(key)
+	storeGraphDisk(dir, k, g)
+	data, err := os.ReadFile(k.path(dir, graphSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,43 +567,34 @@ func encodeGraph(t *testing.T, g *analytic.Graph) []byte {
 
 // FuzzLoadGraphDisk feeds the graph cache's entry reader arbitrary bytes at
 // an entry's path. It must never panic, must serve a graph only when the
-// entry's fingerprint and key match and its payload decodes (and then the
-// graph the payload holds), must never serve a strict prefix of a valid
-// entry, and must report every other present file as stale.
+// entry opens with the current fingerprint and this key and its payload
+// decodes (and then the graph the payload holds), must never serve a
+// strict prefix of a valid entry, and must report every other present file
+// as stale.
 func FuzzLoadGraphDisk(f *testing.F) {
 	dir, key, valid := graphFixture(f)
+	k := newDiskKey(key)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("not a graph entry at all\n"))
 	f.Add(bytes.Repeat([]byte{0}, 64))
-	mutated := append([]byte(nil), valid...)
+	mutated := bytes.Clone(valid)
 	mutated[len(mutated)/2] ^= 1
 	f.Add(mutated)
 	// Well-formed envelopes that must stay unserved: a foreign build's
 	// fingerprint, another key under this key's address, and a payload cut
 	// short.
-	var e diskGraphEntry
-	if err := json.Unmarshal(valid, &e); err != nil {
-		f.Fatal(err)
-	}
-	for _, forge := range []func(*diskGraphEntry){
-		func(e *diskGraphEntry) { e.Fingerprint = "0123456789abcdef0123456789abcdef" },
-		func(e *diskGraphEntry) { e.Key.Seed++ },
-		func(e *diskGraphEntry) { e.Graph = e.Graph[:len(e.Graph)/2] },
-	} {
-		forged := e
-		forge(&forged)
-		b, err := json.Marshal(forged)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
-	}
+	payload := valid[len(k.header):]
+	other := key
+	other.Seed++
+	f.Add(forgeEntry(f, "0123456789abcdef0123456789abcdef", key, payload))
+	f.Add(forgeEntry(f, Fingerprint(), other, payload))
+	f.Add(forgeEntry(f, Fingerprint(), key, payload[:len(payload)/2]))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := os.WriteFile(graphPath(dir, key), data, 0o644); err != nil {
+		if err := os.WriteFile(k.path(dir, graphSuffix), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, ok, stale := loadGraphDisk(dir, key) // must not panic on any input
+		got, ok, stale := loadGraphDisk(dir, k) // must not panic on any input
 		if !ok {
 			if !stale {
 				t.Fatal("a present entry was neither served nor stale")
@@ -536,11 +604,10 @@ func FuzzLoadGraphDisk(f *testing.F) {
 		if len(data) < len(valid) && bytes.HasPrefix(valid, data) {
 			t.Fatalf("served a %d-byte prefix of a valid entry", len(data))
 		}
-		var e diskGraphEntry
-		if err := json.Unmarshal(data, &e); err != nil || e.Fingerprint != Fingerprint() || e.Key != key {
-			t.Fatalf("served an entry with fingerprint %q, key %+v (err %v)", e.Fingerprint, e.Key, err)
+		if !bytes.HasPrefix(data, k.header) {
+			t.Fatalf("served an entry without this build's header")
 		}
-		want, err := analytic.DecodeBinary(bytes.NewReader(e.Graph))
+		want, err := analytic.DecodeBinary(bytes.NewReader(data[len(k.header):]))
 		if err != nil {
 			t.Fatalf("served a graph whose payload does not decode: %v", err)
 		}

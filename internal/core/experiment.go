@@ -14,6 +14,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"twolayer/internal/apps"
 	"twolayer/internal/apps/asp"
@@ -320,6 +321,17 @@ func forEachWeighted(n int, weight func(i int) float64, label func(i int) string
 
 // forEachHolding is forEachWeighted with each call holding the given
 // number of core-budget slots (at least one, at most the whole budget).
+//
+// The dispatcher takes each call's slots in dispatch order and hands the
+// call to an idle worker of this forEachHolding, starting a worker only
+// when none is idle. A worker marks itself idle before it gives its slots
+// back, so whenever the dispatcher gets slots a finished worker freed, it
+// finds that worker, and every worker that is not idle holds slots: the
+// workers never outnumber the calls the budget can run at once. A warm
+// sweep whose cells are disk replays then pays for one goroutine, and one
+// stack growth, per core instead of per cell. Every worker exits before
+// forEachHolding returns, and a call that itself calls forEachHolding gets
+// its own workers.
 func forEachHolding(slots, n int, weight func(i int) float64, label func(i int) string, fn func(i int) error) error {
 	order := make([]int, n)
 	for i := range order {
@@ -332,22 +344,34 @@ func forEachHolding(slots, n int, weight func(i int) float64, label func(i int) 
 		}
 		sort.SliceStable(order, func(a, b int) bool { return w[order[a]] > w[order[b]] })
 	}
+	type task struct{ i, held int }
 	errs := make([]error, n)
+	tasks := make(chan task)
+	var idle atomic.Int64 // workers done with a task and about to take another
 	var wg sync.WaitGroup
-	for _, i := range order {
-		i := i
-		wg.Add(1)
-		held := cores.acquire(slots)
-		go func() {
-			defer wg.Done()
-			defer cores.release(held)
+	work := func(t task) {
+		defer wg.Done()
+		for ok := true; ok; t, ok = <-tasks {
 			if label != nil {
-				errs[i] = labelled(label(i), func() error { return fn(i) })
+				errs[t.i] = labelled(label(t.i), func() error { return fn(t.i) })
 			} else {
-				errs[i] = fn(i)
+				errs[t.i] = fn(t.i)
 			}
-		}()
+			idle.Add(1)
+			cores.release(t.held)
+		}
 	}
+	for _, i := range order {
+		t := task{i, cores.acquire(slots)}
+		if idle.Load() > 0 {
+			idle.Add(-1)
+			tasks <- t
+			continue
+		}
+		wg.Add(1)
+		go work(t)
+	}
+	close(tasks)
 	wg.Wait()
 	return errors.Join(errs...)
 }

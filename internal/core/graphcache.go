@@ -2,9 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 
 	"twolayer/internal/analytic"
 	"twolayer/internal/par"
@@ -14,10 +11,11 @@ import (
 // analytic reference point, memoized in memory and — when a directory is
 // attached — content-addressed on disk next to the run entries. A graph is
 // fully determined by the same RunKey as the reference run it was recorded
-// from, so the key, hashing and fingerprint gating are shared with the
-// result layer; graph files just use a distinct .graph.json suffix. Like
-// the result layer, all disk failures fail open (re-record, never error)
-// and writes are atomic.
+// from, so the key, the envelope and the fingerprint gating are shared
+// with the result layer (diskcache.go); a graph entry's payload is the
+// graph's binary encoding, and its file has the .graph suffix. Like the
+// result layer, all disk failures fail open (re-record, never error) and
+// writes are atomic.
 
 // graphEntry is the singleflight slot for one recorded graph. A recording
 // that the policy gave up on memoizes its CellFailure so every requester
@@ -29,51 +27,28 @@ type graphEntry struct {
 	err  error
 }
 
-// diskGraphEntry is the JSON envelope of one on-disk graph: the shared
-// fingerprint and full key (so foreign builds and hash collisions degrade
-// to a miss), and the graph in its binary encoding (base64 under JSON).
-type diskGraphEntry struct {
-	Fingerprint string
-	Key         RunKey
-	Graph       []byte
-}
-
-func graphPath(dir string, key RunKey) string {
-	return filepath.Join(dir, keyHash(key)+".graph.json")
-}
-
-// loadGraphDisk looks key up in dir; stale reports a present-but-unusable
+// loadGraphDisk looks k up in dir; stale reports a present-but-unusable
 // file that should be overwritten.
-func loadGraphDisk(dir string, key RunKey) (g *analytic.Graph, ok, stale bool) {
-	data, err := os.ReadFile(graphPath(dir, key))
-	if err != nil {
-		return nil, false, false
+func loadGraphDisk(dir string, k diskKey) (g *analytic.Graph, ok, stale bool) {
+	payload, ok, stale := readEntry(dir, k, graphSuffix)
+	if !ok {
+		return nil, false, stale
 	}
-	var e diskGraphEntry
-	if json.Unmarshal(data, &e) != nil || e.Fingerprint != Fingerprint() || e.Key != key {
-		return nil, false, true
-	}
-	g, err = analytic.DecodeBinary(bytes.NewReader(e.Graph))
+	g, err := analytic.DecodeBinary(bytes.NewReader(payload))
 	if err != nil {
 		return nil, false, true
 	}
 	return g, true, false
 }
 
-// storeGraphDisk writes the graph for key atomically; errors are dropped
+// storeGraphDisk writes the graph for k atomically; errors are dropped
 // (the cache fails open).
-func storeGraphDisk(dir string, key RunKey, g *analytic.Graph) {
-	var buf bytes.Buffer
-	if g.EncodeBinary(&buf) != nil {
+func storeGraphDisk(dir string, k diskKey, g *analytic.Graph) {
+	buf := bytes.NewBuffer(bytes.Clone(k.header))
+	if g.EncodeBinary(buf) != nil {
 		return
 	}
-	data, err := json.Marshal(diskGraphEntry{
-		Fingerprint: Fingerprint(), Key: key, Graph: buf.Bytes(),
-	})
-	if err != nil {
-		return
-	}
-	writeAtomic(dir, "graph-*.tmp", graphPath(dir, key), data)
+	writeEntry(dir, k, graphSuffix, buf.Bytes())
 }
 
 // RecordedGraph returns the dependency graph of experiment x recorded at
@@ -101,8 +76,10 @@ func (c *RunCache) RecordedGraph(label string, x Experiment, pol *RunPolicy) (*a
 	dir := c.dir
 	c.mu.Unlock()
 	defer close(e.done)
+	var dk diskKey
 	if dir != "" {
-		g, ok, stale := loadGraphDisk(dir, key)
+		dk = newDiskKey(key)
+		g, ok, stale := loadGraphDisk(dir, dk)
 		if stale {
 			c.stale.Add(1)
 		}
@@ -125,7 +102,7 @@ func (c *RunCache) RecordedGraph(label string, x Experiment, pol *RunPolicy) (*a
 		return nil, nil, e.err
 	}
 	if dir != "" {
-		storeGraphDisk(dir, key, e.g)
+		storeGraphDisk(dir, dk, e.g)
 	}
 	return e.g, nil, nil
 }

@@ -235,8 +235,10 @@ func (x Experiment) RunCached(c *RunCache) (par.Result, error) {
 	c.entries[key] = e
 	dir := c.dir
 	c.mu.Unlock()
+	var dk diskKey
 	if dir != "" {
-		res, ok, stale := loadDisk(dir, key)
+		dk = newDiskKey(key)
+		res, ok, stale := loadDisk(dir, dk)
 		if stale {
 			c.stale.Add(1)
 		}
@@ -251,7 +253,7 @@ func (x Experiment) RunCached(c *RunCache) (par.Result, error) {
 	e.res, e.err = x.Run()
 	close(e.done)
 	if dir != "" && e.err == nil {
-		storeDisk(dir, key, e.res)
+		storeDisk(dir, dk, e.res)
 	}
 	return cloneResult(e.res), e.err
 }

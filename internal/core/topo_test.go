@@ -267,6 +267,18 @@ func TestStudiesRefuseRepeatedElements(t *testing.T) {
 	if s := cache.CacheStats(); s != (CacheStats{}) {
 		t.Errorf("refused regime study did work: %+v", s)
 	}
+	for name, cfg := range map[string]ChaosConfig{
+		"drop rates":       {Drops: []float64{0, 0.02, 0}, Outages: []sim.Time{0}},
+		"outage durations": {Drops: []float64{0}, Outages: []sim.Time{0, 100 * sim.Millisecond, 100 * sim.Millisecond}},
+	} {
+		cfg.Scale, cfg.Cache = apps.Tiny, cache
+		if _, err := ChaosStudy(cfg); err == nil || !strings.Contains(err.Error(), "repeated") {
+			t.Errorf("chaos study, repeated %s: err = %v", name, err)
+		}
+	}
+	if s := cache.CacheStats(); s != (CacheStats{}) {
+		t.Errorf("refused chaos study did work: %+v", s)
+	}
 }
 
 // TestTopologyStudySmoke runs a tiny two-family study end to end and checks
