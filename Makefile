@@ -9,8 +9,12 @@ build:
 fmt:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
+# The run cache reads its entries through package syscall, whose types
+# differ by OS, so internal/core is also vetted for darwin and windows.
 vet:
 	$(GO) vet ./...
+	GOOS=darwin $(GO) vet ./internal/core
+	GOOS=windows $(GO) vet ./internal/core
 
 test:
 	$(GO) test ./...

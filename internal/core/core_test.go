@@ -1,13 +1,17 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"twolayer/internal/apps"
 	"twolayer/internal/collective"
 	"twolayer/internal/network"
+	"twolayer/internal/par"
 	"twolayer/internal/sim"
 	"twolayer/internal/topology"
 	"twolayer/internal/trace"
@@ -97,6 +101,61 @@ func TestBaselineCacheHits(t *testing.T) {
 	if t1 != t2 {
 		t.Errorf("cache returned different values: %v vs %v", t1, t2)
 	}
+}
+
+// TestRunCellsBuildsEachCellOnce: the runner calls a study's cell builder
+// exactly once per cell, whether the cells run or one of them fails
+// validation and none does.
+func TestRunCellsBuildsEachCellOnce(t *testing.T) {
+	const n = 6
+	x := Experiment{App: Apps()[2], Scale: apps.Tiny, Topo: topology.DAS(),
+		Params: network.DefaultParams().WithWAN(3300*sim.Microsecond, 0.95e6)}
+	cache := NewRunCache()
+	for _, bad := range []int{-1, 0, n / 2, n - 1} {
+		var built, ran atomic.Int32
+		err := runCells(n, func(k int) cell {
+			built.Add(1)
+			c := cell{label: fmt.Sprint("cell ", k), x: x, weight: float64(k)}
+			c.x.Adaptive = k == bad // adaptation without a regime is refused
+			return c
+		}, true, nil, cache, func(int, outcome) { ran.Add(1) })
+		if got := built.Load(); got != n {
+			t.Errorf("bad cell %d: %d cells built %d times", bad, n, got)
+		}
+		var refused *par.Unsupported
+		switch {
+		case bad < 0 && (err != nil || ran.Load() != n):
+			t.Errorf("healthy sweep: err %v, %d of %d cells ran", err, ran.Load(), n)
+		case bad >= 0 && (!errors.As(err, &refused) || ran.Load() != 0):
+			t.Errorf("bad cell %d: err %v, %d cells ran; want a refusal before any run", bad, err, ran.Load())
+		}
+	}
+}
+
+// TestFigure3LabelMatchesFmt: figure3Label builds fmt's bytes for every
+// cell of the paper grid and for every pair of the default heatmap axes.
+func TestFigure3LabelMatchesFmt(t *testing.T) {
+	want := func(v variant, lat sim.Time, bw float64) string {
+		return fmt.Sprintf("%s (%s) lat=%v bw=%gMB/s", v.app.Name, variantName(v.opt), lat, bw/1e6)
+	}
+	check := func(lats []sim.Time, bws []float64) int {
+		cells := 0
+		for _, v := range variantsOf(nil) {
+			for _, lat := range lats {
+				for _, bw := range bws {
+					if got, w := figure3Label(v, lat, bw), want(v, lat, bw); got != w {
+						t.Fatalf("label %q, want %q", got, w)
+					}
+					cells++
+				}
+			}
+		}
+		return cells
+	}
+	if cells := check(Latencies, Bandwidths); cells != 11*7*6 {
+		t.Errorf("paper grid has %d cells, want 11 variants of 7x6", cells)
+	}
+	check(HeatmapLatencies(DefaultHeatmapSize), HeatmapBandwidths(DefaultHeatmapSize))
 }
 
 // smallPanels runs a reduced Figure 3 grid used by several tests.

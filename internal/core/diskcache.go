@@ -11,7 +11,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
+	"syscall"
 
 	"twolayer/internal/network"
 	"twolayer/internal/par"
@@ -81,13 +83,33 @@ type diskKey struct {
 }
 
 func newDiskKey(key RunKey) diskKey {
-	b, err := json.Marshal(key)
-	if err != nil {
+	e := keyEncoders.Get().(*keyEncoder)
+	defer keyEncoders.Put(e)
+	e.buf.Reset()
+	// Encode writes json.Marshal's bytes and a newline into the pooled
+	// buffer, so the header is the lookup's only copy of the key.
+	if err := e.enc.Encode(key); err != nil {
 		panic("core: run key not serializable: " + err.Error())
 	}
+	b := bytes.TrimSuffix(e.buf.Bytes(), []byte("\n"))
 	sum := sha256.Sum256(b)
-	return diskKey{addr: hex.EncodeToString(sum[:16]), header: entryHeader(Fingerprint(), b)}
+	var addr [32]byte
+	hex.Encode(addr[:], sum[:16])
+	return diskKey{addr: string(addr[:]), header: entryHeader(Fingerprint(), b)}
 }
+
+// keyEncoder is a JSON encoder and the buffer it writes into, recycled
+// across newDiskKey calls.
+type keyEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var keyEncoders = sync.Pool{New: func() any {
+	e := new(keyEncoder)
+	e.enc = json.NewEncoder(&e.buf)
+	return e
+}}
 
 // entryHeader is the envelope's prefix for a fingerprint and a key's JSON.
 func entryHeader(fp string, keyJSON []byte) []byte {
@@ -102,18 +124,65 @@ func (k diskKey) path(dir, suffix string) string {
 	return filepath.Join(dir, k.addr+suffix)
 }
 
-// readEntry returns the payload of k's entry with the given suffix in dir.
-// ok reports a file that opens with k's header; stale reports a file that
-// is present but does not.
-func readEntry(dir string, k diskKey, suffix string) (payload []byte, ok, stale bool) {
-	data, err := os.ReadFile(k.path(dir, suffix))
+// readEntry reads k's entry with the given suffix in dir and, when it
+// opens with k's header, hands the rest to decode, which must copy
+// whatever it keeps. ok reports an entry whose payload decoded; stale
+// reports a file that is present but opens with another header or does
+// not decode. An absent or unreadable file is a plain miss.
+func readEntry(dir string, k diskKey, suffix string, decode func(payload []byte) error) (ok, stale bool) {
+	err := readFile(k.path(dir, suffix), func(data []byte) {
+		ok = bytes.HasPrefix(data, k.header) && decode(data[len(k.header):]) == nil
+	})
+	return ok, err == nil && !ok
+}
+
+// readBufs recycles readFile's buffers. A run entry is a kilobyte or
+// two, so one buffer per core serves every warm lookup; a buffer grown
+// past maxPooledRead for a large graph is dropped instead of kept.
+var readBufs = sync.Pool{New: func() any { b := make([]byte, 0, 2<<10); return &b }}
+
+const maxPooledRead = 64 << 10
+
+// readFile reads the named file with one open, reads until end of file,
+// and a close, through package syscall, and hands its contents to use,
+// which must not keep them. No os.File is made, so a read pays for no
+// poller registration, finalizer or fstat. The buffer is taken from
+// readBufs only once the open succeeds (a cold sweep's lookups all fail
+// there), and it doubles whenever a read fills it, so a multi-MB graph
+// takes a few more reads than it would sized from a stat.
+func readFile(name string, use func(data []byte)) error {
+	fd, err := syscall.Open(name, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	for err == syscall.EINTR {
+		fd, err = syscall.Open(name, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	}
 	if err != nil {
-		return nil, false, false // absent (or unreadable): plain miss
+		return err
 	}
-	if !bytes.HasPrefix(data, k.header) {
-		return nil, false, true
+	defer syscall.Close(fd)
+	bp := readBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
+	defer func() {
+		if cap(buf) <= maxPooledRead {
+			*bp = buf[:0]
+		}
+		readBufs.Put(bp)
+	}()
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, cap(buf))
+		}
+		n, err := syscall.Read(fd, buf[len(buf):cap(buf)])
+		switch {
+		case err == syscall.EINTR:
+		case err != nil:
+			return err
+		case n == 0:
+			use(buf)
+			return nil
+		default:
+			buf = buf[:len(buf)+n]
+		}
 	}
-	return data[len(k.header):], true, false
 }
 
 // writeEntry writes data, which starts with k's header, as k's entry with
@@ -136,15 +205,11 @@ func writeEntry(dir string, k diskKey, suffix string, data []byte) {
 // a file was present but unusable (short, corrupt, foreign fingerprint, or
 // key collision) and should be overwritten.
 func loadDisk(dir string, k diskKey) (res par.Result, ok, stale bool) {
-	payload, ok, stale := readEntry(dir, k, runSuffix)
-	if !ok {
-		return par.Result{}, false, stale
-	}
-	res, err := decodeResult(payload)
-	if err != nil {
-		return par.Result{}, false, true
-	}
-	return res, true, false
+	ok, stale = readEntry(dir, k, runSuffix, func(payload []byte) (err error) {
+		res, err = decodeResult(payload)
+		return err
+	})
+	return res, ok, stale
 }
 
 // storeDisk writes the result for k into dir; errors are dropped (the
@@ -230,12 +295,16 @@ func (p *payloadReader) count() int {
 	return int(n)
 }
 
-func (p *payloadReader) times() []sim.Time {
-	n := p.count()
+// times reads n times into ts, or into a fresh slice when ts is shorter,
+// and returns them; nil when n is 0.
+func (p *payloadReader) times(n int, ts []sim.Time) []sim.Time {
 	if n == 0 {
 		return nil
 	}
-	ts := make([]sim.Time, n)
+	if len(ts) < n {
+		ts = make([]sim.Time, n)
+	}
+	ts = ts[:n:n]
 	for i := range ts {
 		ts[i] = sim.Time(p.varint())
 	}
@@ -253,8 +322,12 @@ func decodeResult(b []byte) (par.Result, error) {
 	p := &payloadReader{b: b}
 	var r par.Result
 	r.Elapsed = sim.Time(p.varint())
-	r.PerProcFinish = p.times()
-	r.PerProcCompute = p.times()
+	// A run has as many finish times as compute times, one per rank, so
+	// one backing array holds both slices.
+	n := p.count()
+	ranks := make([]sim.Time, 2*n)
+	r.PerProcFinish = p.times(n, ranks)
+	r.PerProcCompute = p.times(p.count(), ranks[n:])
 	r.WAN = p.link()
 	if n := p.count(); n > 0 {
 		r.ClusterWANOut = make([]network.LinkStats, n)

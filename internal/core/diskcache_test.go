@@ -420,6 +420,96 @@ func TestDiskEntryForeignFingerprint(t *testing.T) {
 	}
 }
 
+// TestDiskEntryLargerThanFirstRead: a multi-MB entry, hundreds of times
+// the reader's first buffer, loads back intact, and so do a small run
+// entry and a recorded graph read after it.
+func TestDiskEntryLargerThanFirstRead(t *testing.T) {
+	dir, small, smallRes, _ := entryFixture(t)
+	const ranks = 1 << 19
+	big := par.Result{Elapsed: sim.Second, Events: 7,
+		PerProcFinish: make([]sim.Time, ranks), PerProcCompute: make([]sim.Time, ranks)}
+	for i := range ranks {
+		big.PerProcFinish[i] = sim.Time(i) * sim.Microsecond
+		big.PerProcCompute[i] = sim.Time(ranks-i) * sim.Millisecond
+	}
+	other := fixtureKey()
+	other.Seed++
+	k := newDiskKey(other)
+	storeDisk(dir, k, big)
+	if fi, err := os.Stat(k.path(dir, runSuffix)); err != nil || fi.Size() < 2<<20 {
+		t.Fatalf("entry of %d ranks: %v, %v; want a multi-MB file", ranks, fi, err)
+	}
+	for range 2 {
+		if got, ok, stale := loadDisk(dir, k); !ok || stale || !reflect.DeepEqual(got, big) {
+			t.Fatalf("multi-MB entry: ok=%v stale=%v, equal=%v", ok, stale, reflect.DeepEqual(got, big))
+		}
+		if got, ok, stale := loadDisk(dir, small); !ok || stale || !reflect.DeepEqual(got, smallRes) {
+			t.Fatalf("small entry after a large one = %+v ok=%v stale=%v", got, ok, stale)
+		}
+	}
+
+	gdir, key, data := graphFixture(t)
+	g, ok, stale := loadGraphDisk(gdir, newDiskKey(key))
+	if !ok || stale {
+		t.Fatalf("%d-byte graph entry: ok=%v stale=%v", len(data), ok, stale)
+	}
+	if got, want := encodeGraph(t, g), data[len(newDiskKey(key).header):]; !bytes.Equal(got, want) {
+		t.Fatalf("%d-byte graph entry loaded as another graph", len(data))
+	}
+}
+
+// TestDiskEntryReadEdges: a missing file is a plain miss, a zero-length
+// file is stale, and a directory where an entry belongs is a plain miss
+// that a lookup simulates past.
+func TestDiskEntryReadEdges(t *testing.T) {
+	dir, k, _, _ := entryFixture(t)
+	other := fixtureKey()
+	other.Seed++
+	if _, ok, stale := loadDisk(dir, newDiskKey(other)); ok || stale {
+		t.Errorf("missing entry: ok=%v stale=%v; want a plain miss", ok, stale)
+	}
+	if err := os.WriteFile(k.path(dir, runSuffix), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, stale := loadDisk(dir, k); ok || !stale {
+		t.Errorf("zero-length entry: ok=%v stale=%v; want stale", ok, stale)
+	}
+	for _, suffix := range []string{runSuffix, graphSuffix} {
+		path := k.path(dir, suffix)
+		os.Remove(path)
+		if err := os.Mkdir(path, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok, stale := loadDisk(dir, k); ok || stale {
+		t.Errorf("directory at the run entry: ok=%v stale=%v; want a plain miss", ok, stale)
+	}
+	if g, ok, stale := loadGraphDisk(dir, k); ok || stale || g != nil {
+		t.Errorf("directory at the graph entry: %v ok=%v stale=%v; want a plain miss", g, ok, stale)
+	}
+
+	x := diskTestExperiment(t)
+	cdir := t.TempDir()
+	if err := os.Mkdir(newDiskKey(x.Key()).path(cdir, runSuffix), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	c := NewRunCache()
+	if err := c.SetDir(cdir); err != nil {
+		t.Fatal(err)
+	}
+	want, err := x.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := x.RunCached(c)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("lookup past a directory = %+v, %v; want %+v", got, err, want)
+	}
+	if s := c.CacheStats(); s.Misses != 1 || s.DiskHits != 0 || s.Stale != 0 {
+		t.Errorf("lookup past a directory: stats %+v, want 1 miss, no disk hit, nothing stale", s)
+	}
+}
+
 // TestResumeByteIdentical is the resume-after-a-crash contract, carried by
 // the run cache: a chaos sweep that lost half its finished cells (a crash
 // partway, from the next run's point of view) reruns on a fresh cache to a

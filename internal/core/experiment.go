@@ -300,7 +300,7 @@ func (b *budget) release(n int) {
 // forEach runs fn(i) for i in [0,n), each call holding core-budget slots.
 // Every shard runs to completion even if others fail, and all errors are
 // reported (joined in index order), so one bad cell in a sweep cannot mask
-// another.
+// another. fn must not call forEach itself (see forEachHolding).
 func forEach(n int, fn func(i int) error) error {
 	return forEachWeighted(n, nil, nil, fn)
 }
@@ -330,8 +330,17 @@ func forEachWeighted(n int, weight func(i int) float64, label func(i int) string
 // workers never outnumber the calls the budget can run at once. A warm
 // sweep whose cells are disk replays then pays for one goroutine, and one
 // stack growth, per core instead of per cell. Every worker exits before
-// forEachHolding returns, and a call that itself calls forEachHolding gets
-// its own workers.
+// forEachHolding returns.
+//
+// Nesting is not supported. A task that calls forEachHolding (or forEach)
+// waits in acquire for a slot while holding its own, and once every slot
+// is held by such a task nothing is ever released: with a 2-slot budget,
+// 40 tasks and every tenth one nesting forEach(3, ...), the sweep
+// deadlocks. Fan-out nested inside a cell goes through solveSharded,
+// whose tryAcquire borrows only idle slots and never waits.
+// TestForEachHoldingReusesWorkers nests from a single task for that
+// reason: the other tasks never wait, so they free the slot the nested
+// call needs; it checks only that a nested call runs on workers of its own.
 func forEachHolding(slots, n int, weight func(i int) float64, label func(i int) string, fn func(i int) error) error {
 	order := make([]int, n)
 	for i := range order {
@@ -414,7 +423,7 @@ type outcome struct {
 }
 
 // runCells is the one runner of the simulated studies. It builds each of
-// the n cells with at, then
+// the n cells with at, exactly once, then
 //
 //  1. validates every cell before anything runs;
 //  2. with baselines set, runs the single-cluster baseline of each
@@ -426,22 +435,26 @@ type outcome struct {
 //  4. runs each cell through pol and hands its outcome to got, which runs
 //     concurrently for different cells.
 //
-// Cells are built again at dispatch rather than kept, so a sweep holds an
-// Experiment only for each running cell.
+// The built cells are kept for dispatch, a few hundred bytes each (label
+// and Experiment): for a cell that is a disk replay, building it is a
+// sizeable share of its cost.
 func runCells(n int, at func(k int) cell, baselines bool, pol *RunPolicy, cache *RunCache, got func(k int, o outcome)) error {
 	type baseline struct {
 		app   apps.Info
 		scale apps.Scale
 		procs int
 	}
+	cells := make([]cell, n)
+	for k := range cells {
+		cells[k] = at(k)
+	}
 	var bases []baseline
-	weights, which := make([]float64, n), make([]int, n) // which: k's index in bases
-	for k := range n {
-		c := at(k)
+	which := make([]int, n) // which: k's index in bases
+	for k := range cells {
+		c := &cells[k]
 		if err := c.x.Validate(); err != nil {
 			return err
 		}
-		weights[k] = c.weight
 		if baselines {
 			b := baseline{c.x.App, c.x.Scale, c.x.Topo.Procs()}
 			which[k] = slices.IndexFunc(bases, func(o baseline) bool {
@@ -464,12 +477,12 @@ func runCells(n int, at func(k int) cell, baselines bool, pol *RunPolicy, cache 
 		return err
 	}
 	if baselines {
-		for k := range weights {
-			weights[k] *= float64(tls[which[k]])
+		for k := range cells {
+			cells[k].weight *= float64(tls[which[k]])
 		}
 	}
-	return forEachWeighted(n, func(k int) float64 { return weights[k] }, nil, func(k int) error {
-		c := at(k)
+	return forEachWeighted(n, func(k int) float64 { return cells[k].weight }, nil, func(k int) error {
+		c := &cells[k]
 		return labelled(c.label, func() error {
 			res, fail, err := pol.run(c.label, c.x, cache)
 			if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"twolayer/internal/apps"
 	"twolayer/internal/network"
@@ -119,7 +120,7 @@ func Figure3(scale apps.Scale, opts Figure3Options) ([]Figure3Panel, error) {
 	err := runCells(len(variants)*per, func(k int) cell {
 		v, i, j := at(k)
 		return cell{
-			label: fmt.Sprintf("%s (%s) lat=%v bw=%gMB/s", v.app.Name, variantName(v.opt), lats[i], bws[j]/1e6),
+			label: figure3Label(v, lats[i], bws[j]),
 			x: Experiment{App: v.app, Scale: scale, Optimized: v.opt, Topo: opts.Topo,
 				Params: network.DefaultParams().WithWAN(lats[i], bws[j]), WAN: opts.WAN},
 			// Slow links stretch the simulated execution, which the
@@ -151,6 +152,21 @@ func Figure3(scale apps.Scale, opts Figure3Options) ([]Figure3Panel, error) {
 		}
 	}
 	return panels, err
+}
+
+// figure3Label names a Figure 3 cell, e.g. "TSP (unoptimized) lat=3.300ms
+// bw=0.95MB/s": fmt's "%s (%s) lat=%v bw=%gMB/s" bytes, built in one
+// allocation.
+func figure3Label(v variant, lat sim.Time, bw float64) string {
+	b := make([]byte, 0, 64)
+	b = append(b, v.app.Name...)
+	b = append(b, " ("...)
+	b = append(b, variantName(v.opt)...)
+	b = append(b, ") lat="...)
+	b = lat.Append(b)
+	b = append(b, " bw="...)
+	b = strconv.AppendFloat(b, bw/1e6, 'g', -1, 64)
+	return string(append(b, "MB/s"...))
 }
 
 func nameIn(names []string, n string) bool {

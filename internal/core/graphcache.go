@@ -30,15 +30,14 @@ type graphEntry struct {
 // loadGraphDisk looks k up in dir; stale reports a present-but-unusable
 // file that should be overwritten.
 func loadGraphDisk(dir string, k diskKey) (g *analytic.Graph, ok, stale bool) {
-	payload, ok, stale := readEntry(dir, k, graphSuffix)
+	ok, stale = readEntry(dir, k, graphSuffix, func(payload []byte) (err error) {
+		g, err = analytic.DecodeBinary(bytes.NewReader(payload))
+		return err
+	})
 	if !ok {
-		return nil, false, stale
+		g = nil
 	}
-	g, err := analytic.DecodeBinary(bytes.NewReader(payload))
-	if err != nil {
-		return nil, false, true
-	}
-	return g, true, false
+	return g, ok, stale
 }
 
 // storeGraphDisk writes the graph for k atomically; errors are dropped

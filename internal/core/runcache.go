@@ -176,11 +176,16 @@ func (c *RunCache) Reset() {
 // result cannot corrupt the cache.
 func cloneResult(r par.Result) par.Result {
 	out := r
-	if r.PerProcFinish != nil {
-		out.PerProcFinish = append([]sim.Time(nil), r.PerProcFinish...)
+	// One backing array holds both per-rank slices; an empty one is nil.
+	nf := len(r.PerProcFinish)
+	ranks := append(make([]sim.Time, 0, nf+len(r.PerProcCompute)), r.PerProcFinish...)
+	ranks = append(ranks, r.PerProcCompute...)
+	out.PerProcFinish, out.PerProcCompute = nil, nil
+	if nf > 0 {
+		out.PerProcFinish = ranks[:nf:nf]
 	}
-	if r.PerProcCompute != nil {
-		out.PerProcCompute = append([]sim.Time(nil), r.PerProcCompute...)
+	if len(ranks) > nf {
+		out.PerProcCompute = ranks[nf:]
 	}
 	if r.ClusterWANOut != nil {
 		out.ClusterWANOut = append([]network.LinkStats(nil), r.ClusterWANOut...)

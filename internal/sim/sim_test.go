@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -36,6 +37,47 @@ func TestTimeString(t *testing.T) {
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {
 			t.Errorf("(%d).String() = %q, want %q", int64(c.t), got, c.want)
+		}
+	}
+}
+
+// fmtString is String as it was written with fmt, the oracle for the
+// strconv form.
+func fmtString(t Time) string {
+	switch {
+	case t < 0:
+		return fmt.Sprintf("-%s", fmtString(-t))
+	case t < Microsecond:
+		return fmt.Sprintf("%dns", int64(t))
+	case t < Millisecond:
+		return fmt.Sprintf("%.3fus", t.Microseconds())
+	case t < Second:
+		return fmt.Sprintf("%.3fms", t.Milliseconds())
+	default:
+		return fmt.Sprintf("%.3fs", t.Seconds())
+	}
+}
+
+// TestTimeStringMatchesFmt: String and Append give fmt's bytes at every
+// unit boundary and on random times of every magnitude, both signs.
+func TestTimeStringMatchesFmt(t *testing.T) {
+	ts := []Time{0, 1, MaxTime, -MaxTime}
+	for _, u := range []Time{Microsecond, Millisecond, Second} {
+		ts = append(ts, u-1, u, u+1, u*999, u*1000-1)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 20000 {
+		ts = append(ts, Time(rng.Int63()>>rng.Intn(63)))
+	}
+	for _, x := range ts {
+		for _, v := range []Time{x, -x} {
+			want := fmtString(v)
+			if got := v.String(); got != want {
+				t.Fatalf("(%d).String() = %q, want %q", int64(v), got, want)
+			}
+			if got := string(v.Append([]byte("x="))); got != "x="+want {
+				t.Fatalf("(%d).Append = %q, want %q", int64(v), got, "x="+want)
+			}
 		}
 	}
 }

@@ -14,8 +14,8 @@
 package sim
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the
@@ -53,17 +53,23 @@ func FromMicroseconds(us float64) Time { return Time(us * float64(Microsecond)) 
 
 // String renders the time with an adaptive unit, e.g. "3.300ms".
 func (t Time) String() string {
+	var buf [24]byte
+	return string(t.Append(buf[:0]))
+}
+
+// Append appends t's String form to b, formatting without fmt.
+func (t Time) Append(b []byte) []byte {
 	switch {
 	case t < 0:
-		return fmt.Sprintf("-%s", (-t).String())
+		return (-t).Append(append(b, '-'))
 	case t < Microsecond:
-		return fmt.Sprintf("%dns", int64(t))
+		return append(strconv.AppendInt(b, int64(t), 10), "ns"...)
 	case t < Millisecond:
-		return fmt.Sprintf("%.3fus", t.Microseconds())
+		return append(strconv.AppendFloat(b, t.Microseconds(), 'f', 3, 64), "us"...)
 	case t < Second:
-		return fmt.Sprintf("%.3fms", t.Milliseconds())
+		return append(strconv.AppendFloat(b, t.Milliseconds(), 'f', 3, 64), "ms"...)
 	default:
-		return fmt.Sprintf("%.3fs", t.Seconds())
+		return append(strconv.AppendFloat(b, t.Seconds(), 'f', 3, 64), 's')
 	}
 }
 

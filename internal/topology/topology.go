@@ -14,9 +14,10 @@ import "fmt"
 type Topology struct {
 	sizes     []int // processors per cluster
 	total     int
-	clusterOf []int // rank -> cluster
-	first     []int // cluster -> first rank
-	ranks     []int // 0..total-1; RanksIn hands out sub-slices
+	clusterOf []int  // rank -> cluster
+	first     []int  // cluster -> first rank
+	ranks     []int  // 0..total-1; RanksIn hands out sub-slices
+	name      string // String's result, rendered once by New
 }
 
 // New builds a topology from per-cluster processor counts. Every cluster
@@ -37,6 +38,7 @@ func New(sizes []int) (*Topology, error) {
 		}
 		t.total += n
 	}
+	t.name = t.render()
 	return t, nil
 }
 
@@ -130,7 +132,10 @@ func (t *Topology) WANLinks() int {
 }
 
 // String renders the shape, e.g. "4x8" for uniform or "3,24,24,24" otherwise.
-func (t *Topology) String() string {
+// Every run's cache key holds it, so it is rendered once, by New.
+func (t *Topology) String() string { return t.name }
+
+func (t *Topology) render() string {
 	uniform := true
 	for _, s := range t.sizes {
 		if s != t.sizes[0] {
