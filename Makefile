@@ -26,7 +26,7 @@ test:
 # and so do three applications: Water's memoized tables are shared by
 # concurrent cells, Barnes-Hut's scratch and ASP's broadcast rows by ranks.
 # The analytic evaluator's clones share one graph, batch program and
-# matched streams across the goroutines of a sharded solve.
+# matched streams across the concurrent tasks of a matched solve.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/faults/... ./internal/par/... \
 		./internal/analytic ./internal/apps/asp ./internal/apps/barneshut ./internal/apps/water
@@ -39,7 +39,9 @@ purego:
 	$(GO) test -count=1 -tags purego ./internal/apps/asp ./internal/analytic
 	$(GO) test -count=1 -tags purego -run 'TestGoldenDeterminism$$|TestFigure3AnalyticMatchesPointOracle' ./internal/core
 
+# The core budget runs one cell per GOMAXPROCS slot, not one per CPU.
 check: build fmt vet test race purego
+	GOMAXPROCS=1 $(GO) test -count=1 -run TestBudgetFollowsGOMAXPROCS ./internal/core
 
 # heatmap regenerates results/heatmap.csv: the 64x64 per-variant analytic
 # sensitivity lattice at Small scale (deterministic; byte-identical across

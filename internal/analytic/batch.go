@@ -1,8 +1,6 @@
 package analytic
 
 import (
-	"sync"
-
 	"twolayer/internal/network"
 	"twolayer/internal/sim"
 )
@@ -31,8 +29,7 @@ import (
 // delivery rows of a large graph stay cache-resident. Every chunk is walked
 // at exactly this width — a partial chunk is padded with copies of its
 // first point — so each lane loop has a compile-time trip count and no
-// bounds checks. It is also the unit SolveBatchParallel shards by, so
-// callers size their worker count in it.
+// bounds checks.
 const BatchLanes = 32
 
 // laneRow is one entity's state (or one parameter) across the lanes.
@@ -192,47 +189,6 @@ func (e *Eval) SolveBatch(ps []network.Params) []sim.Time {
 	return out
 }
 
-// SolveBatchParallel is SolveBatch with the chunks sharded across a worker
-// pool of clones. Results are bit-identical to SolveBatch (lanes are
-// independent); workers <= 1, or too few chunks to share, degrade to the
-// in-place single-goroutine pass. Counters of the clones are folded back
-// into e before returning.
-func (e *Eval) SolveBatchParallel(ps []network.Params, workers int) []sim.Time {
-	chunks := (len(ps) + BatchLanes - 1) / BatchLanes
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
-		return e.SolveBatch(ps)
-	}
-	// Build the batch program once, so every clone inherits it instead of
-	// re-deriving it.
-	e.ensureProg()
-	out := make([]sim.Time, len(ps))
-	// Contiguous blocks of whole chunks per worker.
-	per := (chunks + workers - 1) / workers * BatchLanes
-	var wg sync.WaitGroup
-	clones := make([]*Eval, 0, workers)
-	for lo := 0; lo < len(ps); lo += per {
-		hi := min(lo+per, len(ps))
-		cl := e.Clone()
-		clones = append(clones, cl)
-		wg.Add(1)
-		go func(cl *Eval, lo, hi int) {
-			defer wg.Done()
-			for o := lo; o < hi; o += BatchLanes {
-				h := min(o+BatchLanes, hi)
-				cl.solveBatchChunk(ps[o:h], out[o:h])
-			}
-		}(cl, lo, hi)
-	}
-	wg.Wait()
-	for _, cl := range clones {
-		e.absorb(cl)
-	}
-	return out
-}
-
 // Clone returns an independent evaluator over the same (read-only, shared)
 // graph, for concurrent use from another goroutine. The clone shares the
 // prepared matched-replay streams and batch program, so it starts as warm
@@ -249,18 +205,6 @@ func (e *Eval) Clone() *Eval {
 		c.allocMatchedScratch()
 	}
 	return c
-}
-
-// absorb folds a finished clone's counters into e, so Stats stays
-// meaningful across worker-pool solves.
-func (e *Eval) absorb(c *Eval) {
-	e.matchedSolves += c.matchedSolves
-	e.matchedNarrowed += c.matchedNarrowed
-	e.matchedFallbacks += c.matchedFallbacks
-	e.matchedConflicts += c.matchedConflicts
-	e.batchSolves += c.batchSolves
-	e.batchPoints += c.batchPoints
-	e.opsEvaluated += c.opsEvaluated
 }
 
 // solveBatchChunk answers one chunk of at most BatchLanes points: load the

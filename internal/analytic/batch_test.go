@@ -151,30 +151,6 @@ func checkBatchCounters(t *testing.T, g *Graph, ps []network.Params) {
 	}
 }
 
-// TestSolveBatchParallelMatchesScalar pins the sharded frozen pass at
-// several worker counts against per-point Solve.
-func TestSolveBatchParallelMatchesScalar(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	for i := 0; i < 20; i++ {
-		g := randomGraph(r, true)
-		n := 1 + r.Intn(4*BatchLanes)
-		ps := randomPoints(r, g.Ref, n, i%3 == 0)
-		fresh := NewEval(g)
-		want := make([]sim.Time, n)
-		for j, p := range ps {
-			want[j] = fresh.Solve(p)
-		}
-		for _, workers := range []int{1, 2, 3, 8} {
-			got := NewEval(g).SolveBatchParallel(ps, workers)
-			for j := range ps {
-				if got[j] != want[j] {
-					t.Fatalf("graph %d workers %d point %d: %d, want %d", i, workers, j, got[j], want[j])
-				}
-			}
-		}
-	}
-}
-
 // TestSolveMatchedBatchMatchesScalar pins matched solving on clones —
 // PrepareMatched, then clones solving disjoint blocks of points
 // concurrently, the way a sweep spreads a matched grid over its cores —

@@ -28,7 +28,8 @@ import (
 // For concurrent grid solving, create one evaluator per goroutine: either
 // independently with NewEval (the graph itself is read-only and shared),
 // or with Clone, which also shares the prepared replay streams and batch
-// program. SolveBatchParallel manages such clones internally.
+// program. No method starts goroutines of its own; the caller decides what
+// runs in parallel.
 type Eval struct {
 	g *Graph
 

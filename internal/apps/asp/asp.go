@@ -143,14 +143,7 @@ func (a *ASP) grantPivots(e *par.Env, r int, optimized bool) []int {
 // size n, largest subtree first.
 func binChildren(vr, n int) iter.Seq[int] {
 	return func(yield func(int) bool) {
-		lowbit := vr & -vr
-		if vr == 0 {
-			lowbit = 1
-			for lowbit < n {
-				lowbit <<= 1
-			}
-		}
-		for m := lowbit >> 1; m >= 1; m >>= 1 {
+		for m := par.BinomialLowbit(vr, n) >> 1; m >= 1; m >>= 1 {
 			if vr+m < n && !yield(vr+m) {
 				return
 			}

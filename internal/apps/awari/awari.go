@@ -356,13 +356,7 @@ func (a *Awari) run(e *par.Env, optimized bool) {
 		actTag := roundTag(round, tagAct)
 		downTag := roundTag(round, tagActDown)
 		if !optimized {
-			lowbit := r & -r
-			if r == 0 {
-				lowbit = 1
-				for lowbit < p {
-					lowbit <<= 1
-				}
-			}
+			lowbit := par.BinomialLowbit(r, p)
 			for mask := 1; mask < lowbit && r+mask < p; mask <<= 1 {
 				m := e.RecvFrom(r+mask, actTag)
 				active = active || m.Data.(bool)

@@ -167,18 +167,20 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 		return err
 	}
 	name := tmp.Name()
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
+	err = write(tmp)
+	if err == nil {
+		// CreateTemp makes the file 0600 and the rename keeps its mode, but
+		// an artifact is for everyone to read.
+		err = tmp.Chmod(0o644)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return err
+	if err == nil {
+		err = os.Rename(name, path)
 	}
-	return nil
+	if err != nil {
+		os.Remove(name)
+	}
+	return err
 }

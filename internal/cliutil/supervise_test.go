@@ -74,6 +74,26 @@ func TestReportCache(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomicMode: the artifact is readable by group and others,
+// like a file os.Create makes under the usual umask, not private like the
+// temp file it was written through.
+func TestWriteFileAtomicMode(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.csv")
+	if err := WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "a,b\n")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := fi.Mode().Perm(); m != 0o644 {
+		t.Errorf("%s has mode %v, want -rw-r--r--", path, m)
+	}
+}
+
 // TestWriteFileAtomicFailure: when the writer fails, WriteFileAtomic
 // returns its error, leaves no temp file behind, and an existing target
 // keeps its bytes, even after part of the new content was written.

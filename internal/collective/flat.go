@@ -18,7 +18,7 @@ func (c *Comm) flatBcast(tag par.Tag, root int, data []float64) []float64 {
 	e := c.e
 	n := e.Size()
 	vr := vrank(e.Rank(), root, n)
-	lowbit := binomialLowbit(vr, n)
+	lowbit := par.BinomialLowbit(vr, n)
 	if vr != 0 {
 		m := e.RecvFrom(rrank(vr-lowbit, root, n), tag)
 		data = m.Data.([]float64)
@@ -29,19 +29,6 @@ func (c *Comm) flatBcast(tag par.Tag, root int, data []float64) []float64 {
 		}
 	}
 	return data
-}
-
-// binomialLowbit returns vr's lowest set bit, or the tree height for the
-// root so it fans out to every subtree.
-func binomialLowbit(vr, n int) int {
-	if vr == 0 {
-		top := 1
-		for top < n {
-			top <<= 1
-		}
-		return top
-	}
-	return vr & -vr
 }
 
 // flatGather: every rank sends its contribution straight to the root
@@ -129,7 +116,7 @@ func (c *Comm) flatReduce(tag par.Tag, root int, data []float64, op Op) []float6
 	e := c.e
 	n := e.Size()
 	vr := vrank(e.Rank(), root, n)
-	lowbit := binomialLowbit(vr, n)
+	lowbit := par.BinomialLowbit(vr, n)
 	acc := clone(data)
 	for mask := 1; mask < lowbit && vr+mask < n; mask <<= 1 {
 		m := e.RecvFrom(rrank(vr+mask, root, n), tag)

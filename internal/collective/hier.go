@@ -28,7 +28,7 @@ func (c *Comm) intraBcast(tag par.Tag, localRoot int, data []float64) []float64 
 	n := len(peers)
 	first := peers[0]
 	vr := vrank(e.Rank()-first, localRoot-first, n)
-	lowbit := binomialLowbit(vr, n)
+	lowbit := par.BinomialLowbit(vr, n)
 	if vr != 0 {
 		m := e.RecvFrom(first+rrank(vr-lowbit, localRoot-first, n), tag)
 		data = m.Data.([]float64)
@@ -49,7 +49,7 @@ func (c *Comm) intraReduce(tag par.Tag, localRoot int, data []float64, op Op) []
 	n := len(peers)
 	first := peers[0]
 	vr := vrank(e.Rank()-first, localRoot-first, n)
-	lowbit := binomialLowbit(vr, n)
+	lowbit := par.BinomialLowbit(vr, n)
 	acc := clone(data)
 	for mask := 1; mask < lowbit && vr+mask < n; mask <<= 1 {
 		m := e.RecvFrom(first+rrank(vr+mask, localRoot-first, n), tag)

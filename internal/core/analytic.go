@@ -76,20 +76,10 @@ type AnalyticReport struct {
 	// completion time LLAMP-style: the percentage bought back by a
 	// zero-latency (resp. infinite-bandwidth) wide-area network.
 	LatencySharePct, BandwidthSharePct float64
-	// LatencyTolerance is the predicted relative speedup at each grid
-	// latency, at the reference bandwidth — the application's
-	// latency-tolerance curve.
-	LatencyTolerance []AnalyticTolerancePoint
 	// ToleratedLatency is the largest grid latency whose predicted
 	// relative speedup stays at or above 60% — the paper's informal "still
 	// runs well" criterion. Zero if none does.
 	ToleratedLatency sim.Time
-}
-
-// AnalyticTolerancePoint is one point of the latency-tolerance curve.
-type AnalyticTolerancePoint struct {
-	Latency sim.Time
-	RelPct  float64
 }
 
 // analyticProbes are two opposite wide-area corners of the grid: the
@@ -129,7 +119,7 @@ type analyticJob struct {
 // analyticAnswer is what solveAnalytic returns for one job.
 type analyticAnswer struct {
 	// Report is the recording's health and sensitivity summary, with its
-	// latency-tolerance curve.
+	// tolerated latency.
 	Report AnalyticReport
 	// Baseline is the single-cluster run time of the job's application on
 	// as many processors.
@@ -150,17 +140,18 @@ type analyticAnswer struct {
 //
 // Phase 2 solves. Besides its own points every job answers the
 // reference-point decomposition (the reference, zero latency, infinite
-// bandwidth) and the latency-tolerance curve. The graphs are read-only and
-// every point is independent, so all the solves become one list of tasks
-// on the core budget, costliest first. The frozen jobs are one task, solved one after
-// another, each batched walk sharding itself across idle slots: two at
-// once would only hold two batch programs (megabytes each for Awari) for
-// the same work, and would not share a core as well as a vector walk
-// beside a matched replay does. A matched job is split into
-// matchedChunk-point tasks that draw their evaluators from the job's pool,
-// so the dearest replay (Water's) spreads over every core instead of
-// pinning one while the others run dry. Every answer is bit-identical to
-// solving point by point with Solve (frozen) or SolveMatched (matched).
+// bandwidth) and every grid latency at the reference bandwidth, for the
+// tolerated latency. The graphs are read-only and every point is
+// independent, so all the solves become one list of tasks on the core
+// budget, costliest first. The frozen jobs are one task, solved one after
+// another with one batched walk per part: two at once would only hold two
+// batch programs (megabytes each for Awari) for the same work, and would
+// not share a core as well as a vector walk beside a matched replay does.
+// A matched job is split into matchedChunk-point tasks that draw their
+// evaluators from the job's pool, so the dearest replay (Water's) spreads
+// over every core instead of pinning one while the others run dry. Every
+// answer is bit-identical to solving point by point with Solve (frozen) or
+// SolveMatched (matched).
 func solveAnalytic(jobs []analyticJob, pol *RunPolicy, cache *RunCache, a AnalyticOptions) ([]analyticAnswer, error) {
 	recording := func(k int) Experiment {
 		x := jobs[k].x
@@ -193,8 +184,8 @@ func solveAnalytic(jobs []analyticJob, pol *RunPolicy, cache *RunCache, a Analyt
 		return nil, err
 	}
 
-	// Every job also answers the reference-point decomposition and the
-	// latency-tolerance curve.
+	// Every job also answers the reference-point decomposition and every
+	// grid latency at the reference bandwidth.
 	extra := []network.Params{ReferenceParams()}
 	extra = append(extra, decompositionPoints(extra[0])...)
 	for _, lat := range Latencies {
@@ -251,9 +242,7 @@ func solveAnalytic(jobs []analyticJob, pol *RunPolicy, cache *RunCache, a Analyt
 				for _, k := range frozenJobs {
 					ev := analytic.NewEval(graphs[k])
 					for part, ps := range parts(k) {
-						out[k][part] = solveSharded(len(ps), analytic.BatchLanes, func(w int) []sim.Time {
-							return ev.SolveBatchParallel(ps, w)
-						})
+						out[k][part] = ev.SolveBatch(ps)
 					}
 				}
 				return nil
@@ -280,9 +269,7 @@ func solveAnalytic(jobs []analyticJob, pol *RunPolicy, cache *RunCache, a Analyt
 		rep.LatencySharePct = 100 * s.LatencyShare()
 		rep.BandwidthSharePct = 100 * s.BandwidthShare()
 		for i, t := range ext[3:] {
-			rel := RelativeSpeedup(answers[k].Baseline, t)
-			rep.LatencyTolerance = append(rep.LatencyTolerance, AnalyticTolerancePoint{Latency: Latencies[i], RelPct: rel})
-			if rel >= 60 {
+			if RelativeSpeedup(answers[k].Baseline, t) >= 60 {
 				rep.ToleratedLatency = Latencies[i]
 			}
 		}
@@ -293,7 +280,7 @@ func solveAnalytic(jobs []analyticJob, pol *RunPolicy, cache *RunCache, a Analyt
 
 // recordAnalytic records (or loads) the graph of x, self-checks it and
 // picks its replay engine: the report it returns has everything but the
-// sensitivity shares and the latency-tolerance curve. The exactness check
+// sensitivity shares and the tolerated latency. The exactness check
 // runs on every load: a cached graph that no longer replays to its
 // recorded elapsed time is corrupt (or the replay model drifted) and must
 // not produce figures.
@@ -322,16 +309,6 @@ func recordAnalytic(label string, x Experiment, pol *RunPolicy, cache *RunCache,
 		rep.Engine = "frozen"
 	}
 	return g, rep, nil, nil
-}
-
-// solveSharded runs one batched solve of the given number of points,
-// sharded perShard points at a time: the caller's goroutine is one shard,
-// and each further shard runs only on a core-budget slot that is idle right
-// now (a sweep already filling the machine with cells solves inline).
-func solveSharded(points, perShard int, solve func(workers int) []sim.Time) []sim.Time {
-	extra := cores.tryAcquire(min((points-1)/perShard, cores.size-1))
-	defer cores.release(extra)
-	return solve(1 + extra)
 }
 
 // decompositionPoints are the two points that decompose the completion

@@ -354,7 +354,7 @@ func TestAnalyticBatchEqualsScalar(t *testing.T) {
 // pointOracle is the per-point oracle the analytic pipelines are checked
 // against: from x's recording in cache (x.Params is ignored), the scalar
 // solve on the engine the calibration picks for it, and the report an
-// analytic study gives the recording before its latency-tolerance curve.
+// analytic study gives the recording before its tolerated latency.
 func pointOracle(t *testing.T, cache *RunCache, x Experiment) (func(network.Params) sim.Time, AnalyticReport) {
 	t.Helper()
 	x.Params = ReferenceParams()
@@ -389,7 +389,7 @@ func oracleSensitivity(solve func(network.Params) sim.Time, p network.Params) an
 // TestFigure3AnalyticMatchesPointOracle runs the full analytic Figure 3
 // pipeline and rebuilds every panel and report from the same cached
 // recordings point by point with pointOracle: the batched grid, the
-// latency-tolerance curve and the sensitivity shares must match exactly.
+// tolerated latency and the sensitivity shares must match exactly.
 func TestFigure3AnalyticMatchesPointOracle(t *testing.T) {
 	cache := NewRunCache()
 	opts := Figure3Options{Apps: []string{"Water", "TSP"}, Cache: cache}
@@ -418,9 +418,7 @@ func TestFigure3AnalyticMatchesPointOracle(t *testing.T) {
 				row[j] = RelativeSpeedup(tl, solve(network.DefaultParams().WithWAN(lat, bw)))
 			}
 			want.Rel = append(want.Rel, row)
-			rel := RelativeSpeedup(tl, solve(network.DefaultParams().WithWAN(lat, ReferenceWANBandwidth)))
-			rep.LatencyTolerance = append(rep.LatencyTolerance, AnalyticTolerancePoint{Latency: lat, RelPct: rel})
-			if rel >= 60 {
+			if RelativeSpeedup(tl, solve(network.DefaultParams().WithWAN(lat, ReferenceWANBandwidth))) >= 60 {
 				rep.ToleratedLatency = lat
 			}
 		}
@@ -518,9 +516,9 @@ func TestAnalyticStudiesMatchPointOracle(t *testing.T) {
 		if g := [3]float64{float64(got.Elapsed), got.LatencySharePct, got.BandwidthSharePct}; g != want {
 			t.Errorf("SolveAnalytic %s (engine %s): elapsed and shares %v, oracle %v", c.app, got.Report.Engine, g, want)
 		}
-		// The single-point answer carries no obligation to a tolerance curve.
+		// The single-point answer carries no obligation to a tolerated latency.
 		gotRep := got.Report
-		gotRep.LatencyTolerance, gotRep.ToleratedLatency = nil, 0
+		gotRep.ToleratedLatency = 0
 		if !reflect.DeepEqual(gotRep, rep) {
 			t.Errorf("SolveAnalytic %s report differs from the point oracle:\npipeline: %+v\noracle:   %+v", c.app, gotRep, rep)
 		}

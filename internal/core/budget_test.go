@@ -16,8 +16,9 @@ import (
 )
 
 // The core budget's contract: compute goroutines never outnumber its slots,
-// nested fan-out never waits for a slot (so nothing deadlocks, whatever the
-// machine size), and the budget's size never moves an output byte.
+// a task holding more slots than the budget has still runs (so nothing
+// deadlocks, whatever the machine size), and the budget's size never moves
+// an output byte.
 
 // withBudget swaps the process-wide budget for one of n slots. Tests in this
 // package that use it must not run in parallel with other sweeps.
@@ -46,26 +47,18 @@ func storeMax(a *atomic.Int32, v int32) {
 	}
 }
 
-// shardedCell is a sweep cell that computes, then fans a solve out the way
-// solveAnalytic's frozen task does, every shard computing too.
-func shardedCell(g *computeGauge, maxWorkers *atomic.Int32) func(int) error {
-	return func(int) error {
-		g.compute()
-		solveSharded(16, 1, func(workers int) []sim.Time {
-			storeMax(maxWorkers, int32(workers))
-			var wg sync.WaitGroup
-			for w := 1; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					g.compute()
-				}()
-			}
-			g.compute()
-			wg.Wait()
-			return nil
-		})
-		return nil
+// cell is a sweep cell that computes.
+func (g *computeGauge) cell(int) error {
+	g.compute()
+	return nil
+}
+
+// TestBudgetFollowsGOMAXPROCS: the budget runs one cell per core Go
+// schedules goroutines on, as many as the slab sets internal/par parks,
+// not one per CPU. CI runs it under GOMAXPROCS=1 as well.
+func TestBudgetFollowsGOMAXPROCS(t *testing.T) {
+	if n := runtime.GOMAXPROCS(0); cores.size != n {
+		t.Errorf("core budget has %d slots, GOMAXPROCS is %d", cores.size, n)
 	}
 }
 
@@ -73,14 +66,13 @@ func TestBudgetBoundsComputeGoroutines(t *testing.T) {
 	const slots = 3
 	withBudget(t, slots)
 	var g computeGauge
-	var maxWorkers atomic.Int32
 	// Two sweeps at once share the one budget.
 	var wg sync.WaitGroup
 	for s := 0; s < 2; s++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := forEach(40, shardedCell(&g, &maxWorkers)); err != nil {
+			if err := forEach(40, g.cell); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -92,33 +84,15 @@ func TestBudgetBoundsComputeGoroutines(t *testing.T) {
 	if cores.free != slots {
 		t.Errorf("%d of %d slots free after the sweeps: slots leaked", cores.free, slots)
 	}
-
-	// A lone cell on an idle budget borrows the rest of the machine.
-	g.peak.Store(0)
-	maxWorkers.Store(0)
-	if err := forEach(1, shardedCell(&g, &maxWorkers)); err != nil {
-		t.Fatal(err)
-	}
-	if w := maxWorkers.Load(); w != slots {
-		t.Errorf("lone cell solved on %d shards, want all %d slots", w, slots)
-	}
-	// So does a solve outside any sweep, whose caller holds no slot.
-	if err := shardedCell(&g, &maxWorkers)(0); err != nil {
-		t.Fatal(err)
-	}
-	if p := g.peak.Load(); p > slots {
-		t.Errorf("%d compute goroutines in flight outside a sweep, budget has %d slots", p, slots)
-	}
 }
 
-// TestBudgetOneSlotNoDeadlock is a one-core machine: every cell holds the
-// only slot and fans out inside.
+// TestBudgetOneSlotNoDeadlock is a one-core machine: every task asks for
+// the two slots a recording holds and gets the only one.
 func TestBudgetOneSlotNoDeadlock(t *testing.T) {
 	withBudget(t, 1)
 	var g computeGauge
-	var maxWorkers atomic.Int32
 	done := make(chan error, 1)
-	go func() { done <- forEach(8, shardedCell(&g, &maxWorkers)) }()
+	go func() { done <- forEachHolding(recordingSlots, 8, nil, nil, g.cell) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -129,6 +103,9 @@ func TestBudgetOneSlotNoDeadlock(t *testing.T) {
 	}
 	if p := g.peak.Load(); p != 1 {
 		t.Errorf("%d compute goroutines in flight on a one-slot budget", p)
+	}
+	if cores.free != 1 {
+		t.Errorf("%d of 1 slots free after the sweep: slots leaked", cores.free)
 	}
 }
 

@@ -178,11 +178,11 @@ func TestChaosFaultyRunsCache(t *testing.T) {
 	if _, err := ChaosStudy(cfg); err != nil {
 		t.Fatal(err)
 	}
-	_, missesBefore := cache.Stats()
+	missesBefore := cache.CacheStats().Misses
 	if _, err := ChaosStudy(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := cache.Stats(); misses != missesBefore {
+	if misses := cache.CacheStats().Misses; misses != missesBefore {
 		t.Errorf("repeat study re-simulated: misses %d -> %d", missesBefore, misses)
 	}
 }

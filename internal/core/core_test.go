@@ -279,12 +279,6 @@ func TestGapAnalysis(t *testing.T) {
 	if !strings.Contains(RenderGaps(gaps, 60), "Synthetic") {
 		t.Error("render missing app")
 	}
-	if oom := OrdersOfMagnitude(100); oom != 2 {
-		t.Errorf("OrdersOfMagnitude(100) = %v", oom)
-	}
-	if OrdersOfMagnitude(0) != 0 {
-		t.Error("OrdersOfMagnitude(0) should be 0")
-	}
 }
 
 // A walk that reaches a FAILED cell while still acceptable has no measured

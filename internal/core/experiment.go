@@ -242,14 +242,13 @@ func CommTimePercent(singleCluster, multiCluster sim.Time) float64 {
 	return v
 }
 
-// budget is the process-wide core budget: one slot per CPU, shared by every
-// sweep in the process. A sweep cell holds one slot for as long as it runs
-// (a recording holds recordingSlots), and fan-out nested inside a cell
-// (solver shards, see solveSharded) borrows only slots that are idle at
-// that moment and otherwise runs inline. So compute goroutines never
-// outnumber the slots, and a cell never waits for the budget it already
-// holds part of. Results are collected into per-index slots, so the
-// budget's size never affects output.
+// budget is the process-wide core budget: one slot per core Go schedules
+// on, shared by every sweep in the process. A sweep cell holds one slot for
+// as long as it runs (a recording holds recordingSlots), and a cell starts
+// no goroutines of its own: every compute goroutine is a forEachHolding
+// worker holding slots, so they never outnumber the slots, and a cell never
+// waits for the budget it already holds part of. Results are collected into
+// per-index slots, so the budget's size never affects output.
 type budget struct {
 	mu         sync.Mutex
 	freed      *sync.Cond
@@ -263,9 +262,11 @@ func newBudget(n int) *budget {
 	return b
 }
 
-// cores is the budget every sweep draws on. All cores are in it: the
-// coordinating goroutine only blocks on its cells.
-var cores = newBudget(runtime.NumCPU())
+// cores is the budget every sweep draws on. It has GOMAXPROCS slots, the
+// cores Go runs goroutines on, which is also how many sets of run slabs
+// internal/par parks between cells; the coordinating goroutine only blocks
+// on its cells.
+var cores = newBudget(runtime.GOMAXPROCS(0))
 
 // acquire waits until n slots (at most the whole budget, at least one) are
 // free together, takes them, and returns how many it took.
@@ -275,16 +276,6 @@ func (b *budget) acquire(n int) int {
 	for b.free < n {
 		b.freed.Wait()
 	}
-	b.free -= n
-	b.mu.Unlock()
-	return n
-}
-
-// tryAcquire takes up to n idle slots without waiting and returns how many
-// it got, possibly none.
-func (b *budget) tryAcquire(n int) int {
-	b.mu.Lock()
-	n = max(0, min(n, b.free))
 	b.free -= n
 	b.mu.Unlock()
 	return n
@@ -332,15 +323,15 @@ func forEachWeighted(n int, weight func(i int) float64, label func(i int) string
 // stack growth, per core instead of per cell. Every worker exits before
 // forEachHolding returns.
 //
-// Nesting is not supported. A task that calls forEachHolding (or forEach)
-// waits in acquire for a slot while holding its own, and once every slot
-// is held by such a task nothing is ever released: with a 2-slot budget,
-// 40 tasks and every tenth one nesting forEach(3, ...), the sweep
-// deadlocks. Fan-out nested inside a cell goes through solveSharded,
-// whose tryAcquire borrows only idle slots and never waits.
-// TestForEachHoldingReusesWorkers nests from a single task for that
-// reason: the other tasks never wait, so they free the slot the nested
-// call needs; it checks only that a nested call runs on workers of its own.
+// Nothing nests: no task calls forEachHolding (or forEach), and no task
+// starts goroutines of its own, so these workers are the only compute
+// goroutines in the process. Nesting would deadlock: a nested call waits
+// in acquire for a slot while holding its own, and once every slot is
+// held by such a task nothing is ever released (with a 2-slot budget, 40
+// tasks and every tenth one nesting forEach(3, ...), the sweep deadlocks).
+// TestForEachHoldingReusesWorkers nests from a single task only: the other
+// tasks never wait, so they free the slot the nested call needs; it checks
+// only that a nested call runs on workers of its own.
 func forEachHolding(slots, n int, weight func(i int) float64, label func(i int) string, fn func(i int) error) error {
 	order := make([]int, n)
 	for i := range order {

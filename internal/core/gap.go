@@ -74,16 +74,3 @@ func RenderGaps(gaps []GapResult, thresholdPct float64) string {
 	}
 	return t.String()
 }
-
-// OrdersOfMagnitude converts a ratio to decimal orders of magnitude.
-func OrdersOfMagnitude(ratio float64) float64 {
-	if ratio <= 0 {
-		return 0
-	}
-	oom := 0.0
-	for ratio >= 10 {
-		ratio /= 10
-		oom++
-	}
-	return oom + (ratio-1)/9 // linear interpolation within the decade
-}

@@ -87,12 +87,6 @@ func NewRunCache() *RunCache {
 // given their own.
 var DefaultCache = NewRunCache()
 
-// Stats reports how many lookups were served from the cache (including
-// waits on an in-flight duplicate) and how many ran a simulation.
-func (c *RunCache) Stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
 // CacheStats is a snapshot of the cache's effectiveness counters.
 type CacheStats struct {
 	// Hits were served from memory (including waits on in-flight runs).
@@ -146,13 +140,6 @@ func (c *RunCache) Dir() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dir
-}
-
-// Len returns the number of memoized results.
-func (c *RunCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // Reset drops all in-memory results and zeroes the counters; the

@@ -117,8 +117,8 @@ func TestCliqueExplicitMatchesDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	resultsEqual(t, "explicit clique", want, got)
-	if hits, misses := cache.Stats(); hits != 1 || misses != 1 {
-		t.Fatalf("cache stats hits=%d misses=%d, want the explicit-clique run served warm (1, 1)", hits, misses)
+	if st := cache.CacheStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("cache stats hits=%d misses=%d, want the explicit-clique run served warm (1, 1)", st.Hits, st.Misses)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"twolayer/internal/collective"
+	"twolayer/internal/par"
 )
 
 // Split partitions the communicator like MPI_Comm_split: processes passing
@@ -138,13 +139,7 @@ func (c *Comm) Bcast(root int, data []float64) []float64 {
 	const tag = maxUserTag - 2
 	n := c.Size()
 	vr := (c.rank - root + n) % n
-	lowbit := vr & -vr
-	if vr == 0 {
-		lowbit = 1
-		for lowbit < n {
-			lowbit <<= 1
-		}
-	}
+	lowbit := par.BinomialLowbit(vr, n)
 	if vr != 0 {
 		got, _ := c.Recv((vr-lowbit+root)%n, tag)
 		data = got.([]float64)
@@ -166,13 +161,7 @@ func (c *Comm) Reduce(root int, data []float64, op *collective.Op) []float64 {
 	const tag = maxUserTag - 3
 	n := c.Size()
 	vr := (c.rank - root + n) % n
-	lowbit := vr & -vr
-	if vr == 0 {
-		lowbit = 1
-		for lowbit < n {
-			lowbit <<= 1
-		}
-	}
+	lowbit := par.BinomialLowbit(vr, n)
 	acc := append([]float64(nil), data...)
 	for mask := 1; mask < lowbit && vr+mask < n; mask <<= 1 {
 		got, _ := c.Recv((vr+mask+root)%n, tag)

@@ -283,9 +283,13 @@ const (
 	barrierDownTag Tag = -1003
 )
 
-// binomialLowbit returns rank r's lowest set bit, or a value above n for
-// the root, so that the binomial-tree helpers treat rank 0 as the top.
-func binomialLowbit(r, n int) int {
+// BinomialLowbit is the span of virtual rank r in a binomial tree of n
+// ranks rooted at 0: r's lowest set bit, or for the root the least power of
+// two covering n, so the root fans out to every subtree. r's parent is
+// r-BinomialLowbit(r, n) and its children are r+m for every power of two m
+// below it with r+m < n. Every binomial tree in the module (barriers,
+// broadcasts, reductions) walks from this one function.
+func BinomialLowbit(r, n int) int {
 	if r == 0 {
 		top := 1
 		for top < n {
@@ -307,7 +311,7 @@ func binomialLowbit(r, n int) int {
 func (e *Env) Barrier() {
 	n := e.Size()
 	r := e.rank
-	lowbit := binomialLowbit(r, n)
+	lowbit := BinomialLowbit(r, n)
 	// Gather phase: receive from children (smallest subtree first, matching
 	// the order they become ready), then report to the parent.
 	for mask := 1; mask < lowbit && r+mask < n; mask <<= 1 {

@@ -266,13 +266,6 @@ func (k *Kernel) takeReady() *Proc {
 	return p
 }
 
-// SetEventLimit arms a watchdog: Run aborts with an error after firing
-// more than limit events, guarding sweeps against accidental livelock in a
-// simulated protocol (e.g. a retry loop that makes progress in virtual
-// time but never terminates). Zero, the default, means no limit. It is
-// shorthand for setting Budget.MaxEvents.
-func (k *Kernel) SetEventLimit(limit uint64) { k.budget.MaxEvents = limit }
-
 // Run drives the simulation until the event queue drains. It returns an
 // error if any process is still blocked when no event remains (a deadlock
 // in the simulated system), identifying the stuck processes. Abnormal

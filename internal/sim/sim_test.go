@@ -9,17 +9,11 @@ import (
 )
 
 func TestTimeConversions(t *testing.T) {
-	if FromSeconds(1.5) != 1500*Millisecond {
-		t.Errorf("FromSeconds(1.5) = %v", FromSeconds(1.5))
-	}
-	if FromMilliseconds(3.3).Microseconds() != 3300 {
-		t.Errorf("FromMilliseconds(3.3) = %v", FromMilliseconds(3.3))
-	}
-	if FromMicroseconds(20) != 20*Microsecond {
-		t.Errorf("FromMicroseconds(20) = %v", FromMicroseconds(20))
-	}
 	if got := (2 * Second).Seconds(); got != 2.0 {
 		t.Errorf("Seconds() = %v", got)
+	}
+	if got := (3300 * Microsecond).Milliseconds(); got != 3.3 {
+		t.Errorf("Milliseconds() = %v", got)
 	}
 }
 
@@ -85,7 +79,7 @@ func TestTimeStringMatchesFmt(t *testing.T) {
 func TestTransmissionTime(t *testing.T) {
 	// 50 MByte/s: 1 MB takes 20 ms.
 	got := TransmissionTime(1<<20, 50e6)
-	want := FromSeconds(float64(1<<20) / 50e6)
+	want := Time(float64(1<<20) / 50e6 * float64(Second))
 	if got != want {
 		t.Errorf("TransmissionTime = %v, want %v", got, want)
 	}
@@ -398,7 +392,7 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 
 func TestEventLimitWatchdog(t *testing.T) {
 	k := NewKernel()
-	k.SetEventLimit(10)
+	k.SetBudget(Budget{MaxEvents: 10})
 	var tick func()
 	tick = func() { k.After(10, tick) } // never terminates
 	k.After(10, tick)

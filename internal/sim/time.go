@@ -42,15 +42,6 @@ func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) 
 // Microseconds returns t as a floating-point number of microseconds.
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
 
-// FromSeconds converts a floating-point number of seconds to a Time.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
-
-// FromMilliseconds converts a floating-point number of milliseconds to a Time.
-func FromMilliseconds(ms float64) Time { return Time(ms * float64(Millisecond)) }
-
-// FromMicroseconds converts a floating-point number of microseconds to a Time.
-func FromMicroseconds(us float64) Time { return Time(us * float64(Microsecond)) }
-
 // String renders the time with an adaptive unit, e.g. "3.300ms".
 func (t Time) String() string {
 	var buf [24]byte

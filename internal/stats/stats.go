@@ -130,18 +130,3 @@ func MinMax(xs []float64) (min, max float64) {
 	}
 	return
 }
-
-// Imbalance returns max/mean of a set of per-processor measurements — the
-// standard load-imbalance factor (1.0 = perfectly balanced). It returns 0
-// for an empty or all-zero input.
-func Imbalance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	mean := Mean(xs)
-	if mean == 0 {
-		return 0
-	}
-	_, max := MinMax(xs)
-	return max / mean
-}

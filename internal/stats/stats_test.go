@@ -80,15 +80,3 @@ func TestMinMaxPanicsOnEmpty(t *testing.T) {
 	}()
 	MinMax(nil)
 }
-
-func TestImbalance(t *testing.T) {
-	if got := Imbalance([]float64{1, 1, 1, 1}); got != 1 {
-		t.Errorf("balanced = %v", got)
-	}
-	if got := Imbalance([]float64{0, 0, 4, 0}); got != 4 {
-		t.Errorf("concentrated = %v", got)
-	}
-	if Imbalance(nil) != 0 || Imbalance([]float64{0, 0}) != 0 {
-		t.Error("degenerate inputs should be 0")
-	}
-}

@@ -71,19 +71,6 @@ func MustUniform(clusters, perCluster int) *Topology {
 // four, with local ATM links between partitions).
 func DAS() *Topology { return MustUniform(4, 8) }
 
-// RealDAS returns the full Distributed ASCI Supercomputer of Figure 2: VU
-// Amsterdam with 128 nodes, and Delft, Leiden and UvA Amsterdam with 24
-// each, 200 processors in total. The paper's sweeps use the emulated 4x8
-// machine (DAS); this shape exists for experiments on the real asymmetric
-// configuration.
-func RealDAS() *Topology {
-	t, err := New([]int{128, 24, 24, 24})
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // SingleCluster returns a one-cluster machine of n processors; the paper's
 // all-Myrinet baseline.
 func SingleCluster(n int) *Topology { return MustUniform(1, n) }

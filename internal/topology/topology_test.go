@@ -106,16 +106,3 @@ func TestSingleCluster(t *testing.T) {
 		t.Errorf("SingleCluster wrong: %v", s)
 	}
 }
-
-func TestRealDASShape(t *testing.T) {
-	d := RealDAS()
-	if d.Clusters() != 4 || d.Procs() != 200 {
-		t.Fatalf("RealDAS = %d clusters, %d procs", d.Clusters(), d.Procs())
-	}
-	if d.ClusterSize(0) != 128 || d.ClusterSize(3) != 24 {
-		t.Errorf("sizes wrong: %v", d)
-	}
-	if d.String() != "128,24,24,24" {
-		t.Errorf("String = %q", d.String())
-	}
-}
