@@ -142,9 +142,37 @@ func (a *Awari) run(e *par.Env, optimized bool) {
 	subs := make(map[State][]State) // v -> predecessor states waiting on it
 	level := 0
 
-	// Outgoing update buffers, one per destination rank; local updates skip
-	// the network.
-	out := make([][]update, p)
+	// Outgoing updates are buffered per destination rank (local ones skip
+	// the network) in slots of buffer sets: round k flushes slot k % depth,
+	// and the sets it sends (direct buffers, per-cluster bundles, a
+	// coordinator's per-member forwards) go out as pointers into the slot,
+	// which a receiver copies out of when it consumes the message. A slot
+	// is refilled only after round k+1's dense exchange is in: each
+	// round-(k+1) message a rank receives was sent after its sender (and,
+	// through a coordinator, every rank whose bundle it forwards) had
+	// consumed round k. The OR reduction proves nothing, as a coordinator
+	// that is already active skips its receives. With two slots, pushes
+	// into slot k % 2 start in round k+1's processing, after its exchange;
+	// adaptive overlap processes while the exchange is still coming in, so
+	// it takes a third slot, refilled from round k+2 on.
+	adaptive := e.Adaptive()
+	depth := 2
+	if adaptive {
+		depth = 3
+	}
+	coord := e.Coordinator(e.Cluster())
+	peers := e.ClusterPeers()
+	slots := make([]sendSets, depth)
+	for i := range slots {
+		slots[i].out = make([][]update, p)
+		if optimized {
+			slots[i].bundles = make([]bundleMsg, e.Clusters())
+			if r == coord {
+				slots[i].fwd = make([][]update, len(peers))
+			}
+		}
+	}
+	out := slots[0].out
 	var localPending []update
 	queued := false
 	push := func(u update, dst int) {
@@ -231,7 +259,6 @@ func (a *Awari) run(e *par.Env, optimized bool) {
 	// the rank need not wake per message); adaptively it polls and fills
 	// the wait with overlapStep, falling back to a blocking receive only
 	// when no processing work remains (so it never spins).
-	adaptive := e.Adaptive()
 	recvN := func(count, from int, tag par.Tag, each func(par.Msg)) {
 		if !adaptive {
 			e.RecvN(from, tag, count, each)
@@ -255,7 +282,21 @@ func (a *Awari) run(e *par.Env, optimized bool) {
 		}
 	}
 	addData := func(m par.Msg) {
-		pending = append(pending, m.Data.([]update)...)
+		pending = append(pending, *m.Data.(*[]update)...)
+	}
+	// The coordinator's bundle receiver fills the round's forwards.
+	var fwd [][]update
+	addBundle := func(m par.Msg) {
+		bm := m.Data.(*bundleMsg)
+		for j, u := range bm.updates {
+			d := bm.dests[j]
+			if d == r {
+				pending = append(pending, u)
+			} else {
+				i := e.Topology().RankInCluster(d)
+				fwd[i] = append(fwd[i], u)
+			}
+		}
 	}
 
 	// exchangeRound flushes every buffer (dense: empty messages keep the
@@ -266,16 +307,14 @@ func (a *Awari) run(e *par.Env, optimized bool) {
 		dataTag := roundTag(round, tagData)
 		bundleTag := roundTag(round, tagBundle)
 		fwdTag := roundTag(round, tagFwd)
-		coord := e.Coordinator(e.Cluster())
-		peers := e.ClusterPeers()
+		cur := &slots[round%depth]
 
 		if !optimized {
 			for d := 0; d < p; d++ {
 				if d == r {
 					continue
 				}
-				e.Send(d, dataTag, out[d], bytesFor(len(out[d])))
-				out[d] = nil
+				e.Send(d, dataTag, &out[d], bytesFor(len(out[d])))
 			}
 		} else {
 			// Intra-cluster updates go direct; remote ones are combined per
@@ -284,28 +323,30 @@ func (a *Awari) run(e *par.Env, optimized bool) {
 				if d == r {
 					continue
 				}
-				e.Send(d, dataTag, out[d], bytesFor(len(out[d])))
-				out[d] = nil
+				e.Send(d, dataTag, &out[d], bytesFor(len(out[d])))
 			}
 			for c := 0; c < e.Clusters(); c++ {
 				if c == e.Cluster() {
 					continue
 				}
-				var bundle []update
-				var dests []int
+				bm := &cur.bundles[c]
+				bm.updates, bm.dests = bm.updates[:0], bm.dests[:0]
 				for _, d := range e.Topology().RanksIn(c) {
-					bundle = append(bundle, out[d]...)
+					bm.updates = append(bm.updates, out[d]...)
 					for range out[d] {
-						dests = append(dests, d)
+						bm.dests = append(bm.dests, d)
 					}
-					out[d] = nil
 				}
-				e.Send(e.Coordinator(c), bundleTag, bundleMsg{bundle, dests}, bytesFor(len(bundle)))
+				e.Send(e.Coordinator(c), bundleTag, bm, bytesFor(len(bm.updates)))
 			}
+		}
+		out = slots[(round+1)%depth].out
+		for d := range out {
+			out[d] = out[d][:0]
 		}
 
 		// Local updates are processed as part of this round.
-		pending, localPending = localPending, nil
+		pending, localPending = localPending, pending[:0]
 		queued = false
 		procIdx = 0
 
@@ -315,23 +356,16 @@ func (a *Awari) run(e *par.Env, optimized bool) {
 			// Coordinator duty first: unpack remote bundles and forward one
 			// combined message per member.
 			if r == coord {
-				perMember := make(map[int][]update)
-				recvN(p-len(peers), par.AnySender, bundleTag, func(m par.Msg) {
-					bm := m.Data.(bundleMsg)
-					for j, u := range bm.updates {
-						d := bm.dests[j]
-						if d == r {
-							pending = append(pending, u)
-						} else {
-							perMember[d] = append(perMember[d], u)
-						}
-					}
-				})
-				for _, d := range peers {
+				fwd = cur.fwd
+				for i := range fwd {
+					fwd[i] = fwd[i][:0]
+				}
+				recvN(p-len(peers), par.AnySender, bundleTag, addBundle)
+				for i, d := range peers {
 					if d == r {
 						continue
 					}
-					e.Send(d, fwdTag, perMember[d], bytesFor(len(perMember[d])))
+					e.Send(d, fwdTag, &fwd[i], bytesFor(len(fwd[i])))
 				}
 			}
 			recvN(len(peers)-1, par.AnySender, dataTag, addData)
@@ -371,7 +405,13 @@ func (a *Awari) run(e *par.Env, optimized bool) {
 				}
 			}
 		} else {
-			// Intra-cluster gather at the coordinator.
+			// Intra-cluster gather at the coordinator. Once active is true,
+			// `active || e.Recv(...)` skips the receive, so the act messages
+			// it would have taken stay queued for the rest of the run (824
+			// of them in a Small run at the reference point, 1,526 at
+			// Paper), and every later selective receive of the coordinator
+			// walks past them. Consuming them would move when coordinators
+			// run, and with it every Awari/opt golden, so they stay.
 			if r != coord {
 				e.Send(coord, actTag, active, 17)
 				active = e.RecvFrom(coord, downTag).Data.(bool)
@@ -463,6 +503,15 @@ func (a *Awari) run(e *par.Env, optimized bool) {
 type bundleMsg struct {
 	updates []update
 	dests   []int
+}
+
+// sendSets is one slot of a rank's outgoing buffers: per destination rank,
+// per remote cluster (optimized), and per cluster member (a coordinator's
+// forwards, indexed by cluster rank).
+type sendSets struct {
+	out     [][]update
+	bundles []bundleMsg
+	fwd     [][]update
 }
 
 // Check verifies the distributed database against the sequential solver and

@@ -129,7 +129,9 @@ const (
 
 func tag(iter, kind int) par.Tag { return par.Tag(100 + iter*tagsPerIter + kind) }
 
-// essMsg is one sender's essential set for one recipient.
+// essMsg is one sender's essential set for one recipient. A sender keeps
+// one per destination for the whole run and sends a pointer to it, so the
+// message header costs nothing per superstep.
 type essMsg struct {
 	from  int
 	items []Interactor
@@ -137,11 +139,11 @@ type essMsg struct {
 
 // clusMsg combines the essential sets for every member of a cluster, in
 // cluster rank order (a slice, not a map, so gateway dispatch order — and
-// with it the whole simulation — stays deterministic).
+// with it the whole simulation — stays deterministic). The gateway
+// forwards each set as it came.
 type clusMsg struct {
-	from  int
 	dests []int
-	sets  [][]Interactor
+	sets  []essMsg
 }
 
 // Job returns the SPMD body.
@@ -170,19 +172,52 @@ func (b *BarnesHut) run(e *par.Env, optimized bool) {
 	localArena := newArena()
 	forces := make([]Vec, len(mine))
 
+	// The superstep working set also belongs to the rank for the whole
+	// run: the boxes and sets received, and one essential-set message per
+	// destination, its items exported in place. r refills d's set in
+	// iteration it+1 only after it has received d's it+1 bounding box, and
+	// d sends that box only after it has copied iteration it's sets into
+	// its interactor tree, the one forwarded by a gateway included.
+	boxes := make([]box, p)
+	remote := make([][]Interactor, p)
+	ess := make([]essMsg, p)
+	for d := range ess {
+		ess[d].from = r
+	}
+	exportFor := func(t *tree, d int) int64 {
+		var visited int64
+		ess[d].items, visited = t.exportInto(ess[d].items[:0], boxes[d], cfg.Theta)
+		return visited
+	}
+	// Optimized: one combined message per remote cluster. A cluster's
+	// ranks are consecutive, so its members' sets are a run of ess.
+	var clus []clusMsg
+	if optimized {
+		clus = make([]clusMsg, e.Clusters())
+		for c := range clus {
+			dests := e.Topology().RanksIn(c)
+			clus[c] = clusMsg{dests, ess[dests[0] : dests[0]+len(dests)]}
+		}
+	}
+	takeSet := func(m par.Msg) {
+		em := m.Data.(*essMsg)
+		remote[em.from] = em.items
+	}
+	takeBox := func(m par.Msg) {
+		boxes[m.From] = m.Data.(box)
+	}
+
 	for it := 0; it < cfg.Iters; it++ {
 		// Superstep 1: exchange block bounding boxes (small messages).
 		myBox := boundsOf(mine)
+		boxed := any(myBox)
 		for d := 0; d < p; d++ {
 			if d != r {
-				e.Send(d, tag(it, tagBBox), myBox, 64)
+				e.Send(d, tag(it, tagBBox), boxed, 64)
 			}
 		}
-		boxes := make([]box, p)
 		boxes[r] = myBox
-		e.RecvN(par.AnySender, tag(it, tagBBox), p-1, func(m par.Msg) {
-			boxes[m.From] = m.Data.(box)
-		})
+		e.RecvN(par.AnySender, tag(it, tagBBox), p-1, takeBox)
 		if !optimized {
 			e.Barrier() // strict BSP superstep boundary
 		}
@@ -198,9 +233,8 @@ func (b *BarnesHut) run(e *par.Env, optimized bool) {
 				if d == r {
 					continue
 				}
-				items, visited := t.export(boxes[d], cfg.Theta)
-				visitedTotal += visited
-				e.Send(d, tag(it, tagEss), essMsg{r, items}, b.essBytes(len(items)))
+				visitedTotal += exportFor(t, d)
+				e.Send(d, tag(it, tagEss), &ess[d], b.essBytes(len(ess[d].items)))
 			}
 		} else {
 			for c := 0; c < e.Clusters(); c++ {
@@ -210,43 +244,37 @@ func (b *BarnesHut) run(e *par.Env, optimized bool) {
 						if d == r {
 							continue
 						}
-						items, visited := t.export(boxes[d], cfg.Theta)
-						visitedTotal += visited
-						e.Send(d, tag(it, tagEss), essMsg{r, items}, b.essBytes(len(items)))
+						visitedTotal += exportFor(t, d)
+						e.Send(d, tag(it, tagEss), &ess[d], b.essBytes(len(ess[d].items)))
 					}
 					continue
 				}
 				// Remote cluster: one combined message to the gateway.
-				dests := e.Topology().RanksIn(c)
-				sets := make([][]Interactor, len(dests))
 				total := 0
-				for i, d := range dests {
-					items, visited := t.export(boxes[d], cfg.Theta)
-					visitedTotal += visited
-					sets[i] = items
-					total += len(items)
+				for _, d := range e.Topology().RanksIn(c) {
+					visitedTotal += exportFor(t, d)
+					total += len(ess[d].items)
 				}
-				e.Send(e.Coordinator(c), tag(it, tagEssClus), clusMsg{r, dests, sets}, b.essBytes(total))
+				e.Send(e.Coordinator(c), tag(it, tagEssClus), &clus[c], b.essBytes(total))
 			}
 		}
 		e.ComputeUnits(visitedTotal, cfg.ExportCost)
 
 		// Receive essential sets; ordering by source rank keeps the force
 		// summation deterministic and equal to the sequential reference.
-		remote := make([][]Interactor, p)
 		if optimized && r == e.Coordinator(e.Cluster()) {
 			// Gateway duty: dispatch remote clusters' combined sets.
 			nRemote := p - len(e.ClusterPeers())
 			for i := 0; i < nRemote; i++ {
 				m := e.Recv(tag(it, tagEssClus))
-				cm := m.Data.(clusMsg)
+				cm := m.Data.(*clusMsg)
 				for j, d := range cm.dests {
-					items := cm.sets[j]
+					em := &cm.sets[j]
 					if d == r {
-						remote[cm.from] = items
+						remote[em.from] = em.items
 						continue
 					}
-					e.Send(d, tag(it, tagEss), essMsg{cm.from, items}, b.essBytes(len(items)))
+					e.Send(d, tag(it, tagEss), em, b.essBytes(len(em.items)))
 				}
 			}
 		}
@@ -254,10 +282,7 @@ func (b *BarnesHut) run(e *par.Env, optimized bool) {
 		if optimized && r == e.Coordinator(e.Cluster()) {
 			expected = len(e.ClusterPeers()) - 1 // the rest came while dispatching
 		}
-		e.RecvN(par.AnySender, tag(it, tagEss), expected, func(m par.Msg) {
-			em := m.Data.(essMsg)
-			remote[em.from] = em.items
-		})
+		e.RecvN(par.AnySender, tag(it, tagEss), expected, takeSet)
 		if !optimized {
 			e.Barrier() // strict BSP superstep boundary
 		}
@@ -340,7 +365,7 @@ func (b *BarnesHut) sequentialRun() []Vec {
 				if s == d {
 					continue
 				}
-				exports[s][d], _ = trees[s].export(boxes[d], cfg.Theta)
+				exports[s][d], _ = trees[s].exportInto(nil, boxes[d], cfg.Theta)
 			}
 		}
 		for r := 0; r < p; r++ {

@@ -67,8 +67,8 @@ func TestExportShrinksWithDistance(t *testing.T) {
 	tr := buildTree(bodies)
 	near := box{min: Vec{1, 1, 1}, max: Vec{2, 2, 2}}
 	far := box{min: Vec{50, 50, 50}, max: Vec{51, 51, 51}}
-	nearItems, _ := tr.export(near, 0.6)
-	farItems, _ := tr.export(far, 0.6)
+	nearItems, _ := tr.exportInto(nil, near, 0.6)
+	farItems, _ := tr.exportInto(nil, far, 0.6)
 	if len(farItems) >= len(nearItems) {
 		t.Errorf("far export (%d items) should be smaller than near (%d)", len(farItems), len(nearItems))
 	}

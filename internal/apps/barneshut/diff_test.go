@@ -7,6 +7,7 @@ package barneshut
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -33,8 +34,8 @@ func TestArenaReuseBitIdenticalForces(t *testing.T) {
 		}
 		// Export must agree too: it feeds message sizes, hence timing.
 		dest := box{min: Vec{3, 3, 3}, max: Vec{4, 4, 4}}
-		gi, gv := reused.export(dest, theta)
-		wi, wv := fresh.export(dest, theta)
+		gi, gv := reused.exportInto(nil, dest, theta)
+		wi, wv := fresh.exportInto(nil, dest, theta)
 		if gv != wv || len(gi) != len(wi) {
 			t.Fatalf("trial %d: export visited/items differ (%d/%d vs %d/%d)",
 				trial, gv, len(gi), wv, len(wi))
@@ -119,5 +120,36 @@ func TestInteractorTreeScratchReuse(t *testing.T) {
 			t.Fatalf("trial %d: scratch tree (%+v, %d) != fresh tree (%+v, %d)",
 				trial, gf, gw, wf, ww)
 		}
+	}
+}
+
+// TestExportIntoWarmBufferNoAlloc pins the export's steady state: a rank
+// exports into the buffer it kept from the iteration before, so once that
+// buffer has grown to the largest set it holds, exporting allocates
+// nothing, and the set is the one a fresh export builds.
+func TestExportIntoWarmBufferNoAlloc(t *testing.T) {
+	tr := buildTree(initialBodies(256, 5))
+	dests := []box{
+		{min: Vec{1, 1, 1}, max: Vec{2, 2, 2}},
+		{min: Vec{-0.5, -0.5, -0.5}, max: Vec{0.5, 0.5, 0.5}},
+		{min: Vec{50, 50, 50}, max: Vec{51, 51, 51}},
+	}
+	var buf []Interactor
+	for _, d := range dests {
+		buf, _ = tr.exportInto(buf[:0], d, 0.6)
+	}
+	for _, d := range dests {
+		got, gv := tr.exportInto(buf[:0], d, 0.6)
+		want, wv := tr.exportInto(nil, d, 0.6)
+		if !slices.Equal(got, want) || gv != wv {
+			t.Fatalf("export into a warm buffer for %+v differs from a fresh one", d)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, d := range dests {
+			buf, _ = tr.exportInto(buf[:0], d, 0.6)
+		}
+	}); n != 0 {
+		t.Errorf("exporting into a warm buffer allocates %v times per round", n)
 	}
 }

@@ -331,19 +331,19 @@ func (t *tree) forceLocal(idx int, theta float64) (Vec, int64) {
 	return fa.acc, fa.work
 }
 
-// export extracts the essential set of this tree for a destination block
-// bounding box: aggregates for cells far enough under the theta criterion
-// (measured against the box), individual bodies otherwise. visited counts
-// traversed nodes for the cost model.
-func (t *tree) export(dest box, theta float64) (items []Interactor, visited int64) {
-	var ea exportAcc
+// exportInto appends the essential set of this tree for a destination
+// block bounding box to buf and returns it: aggregates for cells far
+// enough under the theta criterion (measured against the box), individual
+// bodies otherwise. visited counts traversed nodes for the cost model.
+func (t *tree) exportInto(buf []Interactor, dest box, theta float64) (items []Interactor, visited int64) {
+	ea := exportAcc{items: buf}
 	t.exportNode(t.root, dest, theta, &ea)
 	return ea.items, ea.visited
 }
 
-// exportAcc collects an export traversal. The items slice is freshly grown
-// per call — it outlives the tree inside essential-set messages, so it
-// cannot come from reused scratch.
+// exportAcc collects an export traversal. The items outlive the tree inside
+// an essential-set message, so the caller's buffer may be one it sent
+// before only once the receiver has provably copied that set out.
 type exportAcc struct {
 	items   []Interactor
 	visited int64

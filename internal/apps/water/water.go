@@ -18,6 +18,7 @@ package water
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"twolayer/internal/apps"
@@ -109,7 +110,7 @@ func (w *Water) blockOf(r int) (lo, hi int) {
 // against (the "half shell"). For even p the diametric pair (r, r+p/2) is
 // assigned to the lower rank only.
 func halfTargets(r, p int) []int {
-	var out []int
+	out := make([]int, 0, p/2)
 	for k := 1; k <= p/2; k++ {
 		j := (r + k) % p
 		if p%2 == 0 && k == p/2 && r >= p/2 {
@@ -202,10 +203,30 @@ type reqMsg struct {
 	from int
 }
 
-// forceMsg carries force contributions for the target's whole block.
+// forceMsg carries force contributions for the target's whole block. A
+// rank keeps one per target (and, as a coordinator, one per remote owner)
+// for the whole run and sends a pointer to it.
 type forceMsg struct {
 	target  int
 	contrib []Vec3
+}
+
+// forceMsgs returns one message per owner, each contribution a zeroed
+// slice as long as the owner's block, all in one backing array.
+func (w *Water) forceMsgs(owners []int) []forceMsg {
+	total := 0
+	for _, j := range owners {
+		lo, hi := w.blockOf(j)
+		total += hi - lo
+	}
+	buf := make([]Vec3, total)
+	msgs := make([]forceMsg, len(owners))
+	for k, j := range owners {
+		lo, hi := w.blockOf(j)
+		msgs[k] = forceMsg{j, buf[: hi-lo : hi-lo]}
+		buf = buf[hi-lo:]
+	}
+	return msgs
 }
 
 func (w *Water) run(e *par.Env, optimized bool) {
@@ -225,30 +246,87 @@ func (w *Water) run(e *par.Env, optimized bool) {
 	needers := neederTable(p)
 	feeders := needers[r] // who needs my positions / sends me forces
 
-	// Static coordinator bookkeeping for the optimized version.
-	var coordOwners []int // remote owners I coordinate for in my cluster
+	// The working set lives for the whole run and is refilled in place
+	// every iteration. Target j's block and contribution sit in slot
+	// (j-r-1+p) % p, its index in targets. Sent buffers are refilled only
+	// once their receivers have provably consumed them:
+	//   - myPos is integrated only after every feeder's forces are in, and
+	//     each feeder computed those from the positions it was sent;
+	//   - contribs[s] is refilled in iteration it+1 only after targets[s]'s
+	//     it+1 positions arrived, and targets[s] sends those only after it
+	//     has consumed every contribution of iteration it, whether sent
+	//     direct or folded into a coordinator's accumulator.
+	// The position headers never change, so they are boxed once.
+	theirPos := make([][]Vec3, len(targets))
+	contribs := w.forceMsgs(targets)
+	myForce := make([]Vec3, nOwn)
+	posBox := any(posMsg{r, myPos})
+	reqBox := any(reqMsg{r})
+	have := 0 // position blocks received this iteration
+	takePos := func(m par.Msg) {
+		pm := m.Data.(posMsg)
+		theirPos[(pm.owner-r-1+p)%p] = pm.pos
+		have++
+	}
+	addForce := func(m par.Msg) {
+		fm := m.Data.(*forceMsg)
+		for i := range myForce {
+			myForce[i] = myForce[i].Add(fm.contrib[i])
+		}
+	}
+
+	// Static coordinator bookkeeping for the optimized version: the remote
+	// owners this rank coordinates for in its cluster (ascending), how many
+	// local contributions each expects, and its accumulator. An
+	// accumulator sent to owner j is refilled in iteration it+1 only from
+	// contributions computed against j's it+1 positions, which j sends
+	// only after it has consumed the accumulator of iteration it.
+	var (
+		coordOwners []int
+		need, left  []int
+		acc         []forceMsg
+		expect      int    // local contributions per iteration, all owners
+		expected    int    // force messages for my own block per iteration
+		sentCluster []bool // per cluster: my block already crossed to it
+	)
 	if optimized {
+		myCluster := e.Cluster()
 		for j := 0; j < p; j++ {
-			if e.SameCluster(j) {
-				continue
-			}
-			if w.coordinatorFor(e, j, e.Cluster()) != r {
+			if e.SameCluster(j) || w.coordinatorFor(e, j, myCluster) != r {
 				continue
 			}
 			// Only coordinate if some rank in my cluster needs j's block or
 			// contributes forces to j.
+			n := 0
 			for _, i := range needers[j] {
-				if e.Topology().ClusterOf(i) == e.Cluster() {
-					coordOwners = append(coordOwners, j)
-					break
+				if e.Topology().ClusterOf(i) == myCluster {
+					n++
 				}
 			}
+			if n == 0 {
+				continue
+			}
+			coordOwners = append(coordOwners, j)
+			need = append(need, n)
+			expect += n
 		}
+		acc = w.forceMsgs(coordOwners)
+		left = make([]int, len(need))
+		sentCluster = make([]bool, e.Clusters())
+		for _, i := range feeders {
+			if e.SameCluster(i) {
+				expected++
+			} else if c := e.Topology().ClusterOf(i); !sentCluster[c] {
+				sentCluster[c] = true
+				expected++ // one combined update per remote cluster
+			}
+		}
+	} else {
+		expected = len(feeders)
 	}
 
 	for it := 0; it < cfg.Iters; it++ {
-		// theirPos collects the position blocks this rank computes against.
-		theirPos := make(map[int][]Vec3, len(targets))
+		have = 0
 
 		// ---- Phase A: distribute positions (all-to-half). ----
 		if !optimized {
@@ -264,7 +342,7 @@ func (w *Water) run(e *par.Env, optimized bool) {
 			serve := len(feeders)
 			next, outstanding := 0, 0
 			for next < len(targets) && outstanding < window {
-				e.Send(targets[next], tag(it, tagPos), reqMsg{r}, 32)
+				e.Send(targets[next], tag(it, tagPos), reqBox, 32)
 				next++
 				outstanding++
 			}
@@ -272,30 +350,30 @@ func (w *Water) run(e *par.Env, optimized bool) {
 				m := e.Recv(tag(it, tagPos))
 				switch d := m.Data.(type) {
 				case reqMsg:
-					e.Send(d.from, tag(it, tagPos), posMsg{r, myPos}, w.posBytes(nOwn))
+					e.Send(d.from, tag(it, tagPos), posBox, w.posBytes(nOwn))
 					serve--
 				case posMsg:
-					theirPos[d.owner] = d.pos
+					takePos(m)
 					need--
 					outstanding--
 					if next < len(targets) {
-						e.Send(targets[next], tag(it, tagPos), reqMsg{r}, 32)
+						e.Send(targets[next], tag(it, tagPos), reqBox, 32)
 						next++
 						outstanding++
 					}
 				}
 			}
 		} else {
-			sentCluster := make(map[int]bool)
+			clear(sentCluster)
 			for _, i := range feeders {
 				if e.SameCluster(i) {
-					e.Send(i, tag(it, tagPos), posMsg{r, myPos}, w.posBytes(nOwn))
+					e.Send(i, tag(it, tagPos), posBox, w.posBytes(nOwn))
 					continue
 				}
 				c := e.Topology().ClusterOf(i)
 				if !sentCluster[c] {
 					sentCluster[c] = true
-					e.Send(w.coordinatorFor(e, r, c), tag(it, tagPosWAN), posMsg{r, myPos}, w.posBytes(nOwn))
+					e.Send(w.coordinatorFor(e, r, c), tag(it, tagPosWAN), posBox, w.posBytes(nOwn))
 				}
 			}
 			// Coordinator duty: forward wide-area blocks to local needers,
@@ -307,102 +385,68 @@ func (w *Water) run(e *par.Env, optimized bool) {
 					if e.Topology().ClusterOf(i) != e.Cluster() || i == r {
 						continue
 					}
-					e.Send(i, tag(it, tagPos), pm, w.posBytes(len(pm.pos)))
+					e.Send(i, tag(it, tagPos), m.Data, w.posBytes(len(pm.pos)))
 				}
 				if contains(targets, pm.owner) {
-					theirPos[pm.owner] = pm.pos
+					takePos(m)
 				}
 			}
 		}
 
 		// Every missing block arrives exactly once.
-		e.RecvN(par.AnySender, tag(it, tagPos), len(targets)-len(theirPos), func(m par.Msg) {
-			pm := m.Data.(posMsg)
-			theirPos[pm.owner] = pm.pos
-		})
+		e.RecvN(par.AnySender, tag(it, tagPos), len(targets)-have, takePos)
 
 		// ---- Compute forces. ----
-		myForce := make([]Vec3, nOwn)
+		clear(myForce)
 		pairs := int64(nOwn * (nOwn - 1) / 2)
 		forceHalf(myPos, myForce)
-		contribs := make(map[int][]Vec3, len(targets))
-		for _, j := range targets {
-			jb := theirPos[j]
-			cj := make([]Vec3, len(jb))
+		for s, jb := range theirPos {
+			cj := contribs[s].contrib
+			clear(cj)
 			forceCross(myPos, jb, myForce, cj)
-			contribs[j] = cj
 			pairs += int64(nOwn * len(jb))
 		}
 		e.ComputeUnits(pairs, cfg.PairCost)
 
 		// ---- Phase B: return force contributions (half-to-all). ----
 		if !optimized {
-			for _, j := range targets {
-				e.Send(j, tag(it, tagForce), forceMsg{j, contribs[j]}, w.posBytes(len(contribs[j])))
+			for s, j := range targets {
+				e.Send(j, tag(it, tagForce), &contribs[s], w.posBytes(len(contribs[s].contrib)))
 			}
 		} else {
-			for _, j := range targets {
+			for s, j := range targets {
 				if e.SameCluster(j) {
-					e.Send(j, tag(it, tagForce), forceMsg{j, contribs[j]}, w.posBytes(len(contribs[j])))
+					e.Send(j, tag(it, tagForce), &contribs[s], w.posBytes(len(contribs[s].contrib)))
 				} else {
 					e.Send(w.coordinatorFor(e, j, e.Cluster()), tag(it, tagForceLocal),
-						forceMsg{j, contribs[j]}, w.posBytes(len(contribs[j])))
+						&contribs[s], w.posBytes(len(contribs[s].contrib)))
 				}
 			}
 			// Coordinator duty: reduce local contributions per remote owner
 			// and forward one combined update over the wide area.
-			expect := 0
-			counts := make(map[int]int)
-			for _, j := range coordOwners {
-				for _, i := range needers[j] {
-					if e.Topology().ClusterOf(i) == e.Cluster() {
-						counts[j]++
-						expect++
-					}
-				}
-			}
-			acc := make(map[int][]Vec3)
-			for ; expect > 0; expect-- {
+			copy(left, need)
+			for n := expect; n > 0; n-- {
 				m := e.Recv(tag(it, tagForceLocal))
-				fm := m.Data.(forceMsg)
-				if acc[fm.target] == nil {
-					acc[fm.target] = append([]Vec3(nil), fm.contrib...)
+				fm := m.Data.(*forceMsg)
+				k, _ := slices.BinarySearch(coordOwners, fm.target)
+				a := acc[k].contrib
+				if left[k] == need[k] {
+					copy(a, fm.contrib)
 				} else {
-					a := acc[fm.target]
 					for i := range a {
 						a[i] = a[i].Add(fm.contrib[i])
 					}
 					e.ComputeUnits(int64(len(a)), cfg.ReduceCostPerMolecule)
 				}
-				counts[fm.target]--
-				if counts[fm.target] == 0 {
-					e.Send(fm.target, tag(it, tagForce), forceMsg{fm.target, acc[fm.target]},
-						w.posBytes(len(acc[fm.target])))
+				left[k]--
+				if left[k] == 0 {
+					e.Send(fm.target, tag(it, tagForce), &acc[k], w.posBytes(len(a)))
 				}
 			}
 		}
 
 		// Collect contributions for my own block.
-		expected := 0
-		if !optimized {
-			expected = len(feeders)
-		} else {
-			remoteClusters := make(map[int]bool)
-			for _, i := range feeders {
-				if e.SameCluster(i) {
-					expected++
-				} else {
-					remoteClusters[e.Topology().ClusterOf(i)] = true
-				}
-			}
-			expected += len(remoteClusters)
-		}
-		e.RecvN(par.AnySender, tag(it, tagForce), expected, func(m par.Msg) {
-			fm := m.Data.(forceMsg)
-			for i := range myForce {
-				myForce[i] = myForce[i].Add(fm.contrib[i])
-			}
-		})
+		e.RecvN(par.AnySender, tag(it, tagForce), expected, addForce)
 
 		// ---- Integrate. ----
 		for i := 0; i < nOwn; i++ {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -109,34 +108,27 @@ func TestBudgetOneSlotNoDeadlock(t *testing.T) {
 	}
 }
 
-// goroutineID is the calling goroutine's number, read off its stack
-// header ("goroutine 17 [running]:").
-func goroutineID() string {
-	var buf [64]byte
-	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
-}
-
 // TestForEachHoldingReusesWorkers: a call's tasks run on no more workers
 // than the budget runs at once, a one-slot budget starts them in weight
-// order, and a nested call runs on workers of its own.
+// order, and a nested call runs inline on the worker that made it.
 func TestForEachHoldingReusesWorkers(t *testing.T) {
 	const slots, n = 2, 40
 	withBudget(t, slots)
 	var mu sync.Mutex
-	outer, inner := map[string]bool{}, map[string]bool{}
+	outer := map[uint64]bool{}
+	var inner []uint64
 	err := forEachHolding(1, n, nil, nil, func(i int) error {
+		id := goid()
 		mu.Lock()
-		outer[goroutineID()] = true
+		outer[id] = true
 		mu.Unlock()
 		time.Sleep(100 * time.Microsecond)
 		if i != 0 {
 			return nil
 		}
-		// Only one task nests: the nested call waits for a slot the
-		// other tasks, which never wait, give back.
 		return forEach(3, func(int) error {
 			mu.Lock()
-			inner[goroutineID()] = true
+			inner = append(inner, goid())
 			mu.Unlock()
 			return nil
 		})
@@ -147,9 +139,12 @@ func TestForEachHoldingReusesWorkers(t *testing.T) {
 	if len(outer) > slots {
 		t.Errorf("%d tasks ran on %d workers; the budget runs %d at once", n, len(outer), slots)
 	}
-	for id := range inner {
-		if outer[id] {
-			t.Errorf("nested task ran on outer worker %s", id)
+	if len(inner) != 3 {
+		t.Errorf("%d of 3 nested tasks ran", len(inner))
+	}
+	for _, id := range inner {
+		if !outer[id] {
+			t.Errorf("nested task ran on goroutine %d, not on an outer worker", id)
 		}
 	}
 	if cores.free != slots {
@@ -173,6 +168,56 @@ func TestForEachHoldingReusesWorkers(t *testing.T) {
 	}
 	if len(started) != n {
 		t.Errorf("%d of %d tasks ran", len(started), n)
+	}
+}
+
+// TestForEachNestedNoDeadlock: tasks that hold every slot and call forEach
+// themselves finish, each nested call inline on its caller's slot. Of 40
+// tasks on a two-slot budget every tenth nests, and the nesting ones meet
+// in pairs first, so both slots are held by nesting tasks when they nest:
+// when nested calls waited for slots of their own, this sweep waited in
+// acquire forever.
+func TestForEachNestedNoDeadlock(t *testing.T) {
+	const slots = 2
+	withBudget(t, slots)
+	var g computeGauge
+	var nested atomic.Int32
+	var meet [2]sync.WaitGroup // tasks 0 and 10, then 20 and 30
+	for k := range meet {
+		meet[k].Add(2)
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- forEach(40, func(i int) error {
+			g.compute()
+			if i%10 != 0 {
+				return nil
+			}
+			meet[i/20].Done()
+			meet[i/20].Wait()
+			return forEach(3, func(int) error {
+				nested.Add(1)
+				g.compute()
+				return nil
+			})
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("nested forEach on a two-slot budget did not finish")
+	}
+	if n := nested.Load(); n != 12 {
+		t.Errorf("%d of 12 nested tasks ran", n)
+	}
+	if p := g.peak.Load(); p > slots {
+		t.Errorf("%d compute goroutines in flight, budget has %d slots", p, slots)
+	}
+	if cores.free != slots {
+		t.Errorf("%d of %d slots free after the sweep: slots leaked", cores.free, slots)
 	}
 }
 
@@ -238,8 +283,12 @@ func TestCellAllocCap(t *testing.T) {
 		// made this cell 813 MB at 128 ranks.
 		{"Water", apps.Tiny, topology.MustUniform(16, 8), 32, "813 MB"},
 		// The merged interactor tree's scratch is pooled between yields,
-		// not held per rank.
-		{"Barnes-Hut", apps.Paper, topology.DAS(), 8, "13.7 MB"},
+		// not held per rank, and each rank exports into buffers it keeps
+		// for the whole run.
+		{"Barnes-Hut", apps.Paper, topology.DAS(), 3, "13.7 MB, then 4.0 MB"},
+		// A rank's blocks, contributions and accumulators are made once
+		// per run and refilled in place, not rebuilt in maps every step.
+		{"Water", apps.Paper, topology.MustUniform(64, 2), 9, "13.2 / 22.5 MB"},
 		// A rank copies its rows of the input, not all N elements.
 		{"FFT", apps.Paper, topology.DAS(), 12, "40 MB"},
 		// The flat multicast group is built once, and pivot-row snapshots
@@ -249,8 +298,9 @@ func TestCellAllocCap(t *testing.T) {
 		// in one recycled slab, not in 256 bucket slices grown from nil.
 		{"Awari", apps.Small, topology.DAS(), 2, "2.4 / 3.1 MB"},
 		// Each rank's octree arena starts with a 16-node chunk, not a
-		// 256-node (43 KB) one for a tree of eight bodies.
-		{"Barnes-Hut", apps.Small, topology.DAS(), 2.5, "3.4 MB"},
+		// 256-node (43 KB) one for a tree of eight bodies; the export
+		// buffers are kept across iterations.
+		{"Barnes-Hut", apps.Small, topology.DAS(), 1.5, "3.4 MB, then 1.6 MB"},
 	} {
 		app, err := AppByName(c.app)
 		if err != nil {

@@ -87,6 +87,41 @@ func TestExperimentRunsAndVerifies(t *testing.T) {
 	}
 }
 
+// TestCheckAtGridCorners verifies every variant's computed output at Small
+// scale, at the reference point and at the four corners of Figure 3's
+// grid. Timing never reads a payload, so the goldens cannot see a message
+// buffer refilled before its receiver consumed it; the corners stretch
+// the gap between the fast and the slow messages of a superstep, which is
+// where such a refill would corrupt a result.
+func TestCheckAtGridCorners(t *testing.T) {
+	type point struct {
+		lat sim.Time
+		bw  float64
+	}
+	points := []point{{ReferenceWANLatency, ReferenceWANBandwidth}}
+	for _, lat := range []sim.Time{Latencies[0], Latencies[len(Latencies)-1]} {
+		for _, bw := range []float64{Bandwidths[0], Bandwidths[len(Bandwidths)-1]} {
+			points = append(points, point{lat, bw})
+		}
+	}
+	for _, g := range GoldenRuns {
+		app, err := AppByName(g.App)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(g.App+"/"+variantName(g.Optimized), func(t *testing.T) {
+			t.Parallel()
+			for _, pt := range points {
+				_, err := Experiment{App: app, Scale: apps.Small, Optimized: g.Optimized,
+					Topo: topology.DAS(), Params: network.DefaultParams().WithWAN(pt.lat, pt.bw), Verify: true}.Run()
+				if err != nil {
+					t.Errorf("%v, %g B/s: %v", pt.lat, pt.bw, err)
+				}
+			}
+		})
+	}
+}
+
 func TestBaselineCacheHits(t *testing.T) {
 	b := NewBaselines(apps.Tiny)
 	app := Apps()[2] // TSP is quick at Tiny scale

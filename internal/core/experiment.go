@@ -6,6 +6,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"runtime/pprof"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -291,7 +293,8 @@ func (b *budget) release(n int) {
 // forEach runs fn(i) for i in [0,n), each call holding core-budget slots.
 // Every shard runs to completion even if others fail, and all errors are
 // reported (joined in index order), so one bad cell in a sweep cannot mask
-// another. fn must not call forEach itself (see forEachHolding).
+// another. A call from inside another call's fn runs inline (see
+// forEachHolding).
 func forEach(n int, fn func(i int) error) error {
 	return forEachWeighted(n, nil, nil, fn)
 }
@@ -323,15 +326,12 @@ func forEachWeighted(n int, weight func(i int) float64, label func(i int) string
 // stack growth, per core instead of per cell. Every worker exits before
 // forEachHolding returns.
 //
-// Nothing nests: no task calls forEachHolding (or forEach), and no task
-// starts goroutines of its own, so these workers are the only compute
-// goroutines in the process. Nesting would deadlock: a nested call waits
-// in acquire for a slot while holding its own, and once every slot is
-// held by such a task nothing is ever released (with a 2-slot budget, 40
-// tasks and every tenth one nesting forEach(3, ...), the sweep deadlocks).
-// TestForEachHoldingReusesWorkers nests from a single task only: the other
-// tasks never wait, so they free the slot the nested call needs; it checks
-// only that a nested call runs on workers of its own.
+// A call made by one of these workers, from inside a task, is nested: it
+// runs its calls one after another on the worker, inside the slots the
+// worker's own task holds. Waiting for more slots there could deadlock:
+// once every slot is held by a task waiting for another, none is ever
+// released. So the workers stay the only compute goroutines, whatever
+// nests.
 func forEachHolding(slots, n int, weight func(i int) float64, label func(i int) string, fn func(i int) error) error {
 	order := make([]int, n)
 	for i := range order {
@@ -344,19 +344,31 @@ func forEachHolding(slots, n int, weight func(i int) float64, label func(i int) 
 		}
 		sort.SliceStable(order, func(a, b int) bool { return w[order[a]] > w[order[b]] })
 	}
-	type task struct{ i, held int }
 	errs := make([]error, n)
+	run := func(i int) {
+		if label != nil {
+			errs[i] = labelled(label(i), func() error { return fn(i) })
+		} else {
+			errs[i] = fn(i)
+		}
+	}
+	if _, nested := workers.Load(goid()); nested {
+		for _, i := range order {
+			run(i)
+		}
+		return errors.Join(errs...)
+	}
+	type task struct{ i, held int }
 	tasks := make(chan task)
 	var idle atomic.Int64 // workers done with a task and about to take another
 	var wg sync.WaitGroup
 	work := func(t task) {
 		defer wg.Done()
+		id := goid()
+		workers.Store(id, struct{}{})
+		defer workers.Delete(id)
 		for ok := true; ok; t, ok = <-tasks {
-			if label != nil {
-				errs[t.i] = labelled(label(t.i), func() error { return fn(t.i) })
-			} else {
-				errs[t.i] = fn(t.i)
-			}
+			run(t.i)
 			idle.Add(1)
 			cores.release(t.held)
 		}
@@ -374,6 +386,18 @@ func forEachHolding(slots, n int, weight func(i int) float64, label func(i int) 
 	close(tasks)
 	wg.Wait()
 	return errors.Join(errs...)
+}
+
+// workers holds the goroutine ids of the running forEachHolding workers.
+var workers sync.Map
+
+// goid is the calling goroutine's id, read off its stack header
+// ("goroutine 17 [running]:").
+func goid() uint64 {
+	var buf [32]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	id, _ := strconv.ParseUint(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
+	return id
 }
 
 // labelled runs fn under a pprof label naming the cell, so a -cpuprofile

@@ -27,8 +27,16 @@
 // of other ranks' events, up to the rank's next input. A program must
 // therefore keep to the message-passing model it simulates:
 //
-//   - ranks exchange state only through messages; a payload handed to Send
-//     belongs to the receiver and must not be modified afterwards;
+//   - ranks exchange state only through messages. A receiver reads a
+//     payload when it consumes the message (its receive returns, or the
+//     RecvN callback runs), not when it is sent, so a payload handed to
+//     Send belongs to the receiver until then. The sender may refill it
+//     only after receiving a message that the receiver sent after
+//     consuming it, directly or through ranks that waited for it. Water
+//     refills a target's contribution after that target's next positions
+//     arrive, Barnes-Hut a recipient's essential set after its next
+//     bounding box, and Awari a round's sets after the next round's dense
+//     exchange (a reduction that skips receives proves nothing);
 //   - the callback of RecvN runs as each message turns up, possibly in
 //     kernel context while the rank is parked, so it may only touch
 //     rank-local state and must not call the Env.
