@@ -259,11 +259,19 @@ func (a *ASP) run(e *par.Env, optimized bool) {
 		next++
 	}
 
-	// sendPivot broadcasts owned row k and applies it here. The message
-	// carries a snapshot: receivers apply it whenever they reach pivot k,
-	// while this rank goes on relaxing the live row with later pivots.
+	// sendPivot broadcasts owned row k itself, not a copy, and applies it
+	// here. A receiver applies it whenever it reaches pivot k, by which
+	// time this rank may have relaxed the row with later pivots; the result
+	// is still exact. The row is sent after pivots 0..k-1 were applied, so
+	// every entry is at most Floyd-Warshall's row k, and from then on it
+	// only decreases while staying the length of some real path, so never
+	// below the true distance. By induction over the pivots, every row a
+	// receiver holds stays between standard Floyd-Warshall's row after the
+	// same pivots and the true distances, and after the last pivot both
+	// bounds are the distances. The virtual cost and the sequencer read no
+	// value, so no event moves either.
 	sendPivot := func(k int) {
-		row := append([]int32(nil), mine[k-lo]...)
+		row := mine[k-lo]
 		a.broadcast(e, rowMsg{k, r, row}, optimized)
 		relax(row, k)
 	}

@@ -2,6 +2,8 @@ package asp
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -182,4 +184,67 @@ func TestTriangleInequalityProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestLiveRowsExactAtAnyLaterVersion: a rank broadcasts its live pivot
+// row, not a snapshot, so a receiver may apply row k after its owner has
+// relaxed it with later pivots. On random graphs and block distributions,
+// ranks apply their pivots in random interleavings, each reading the
+// owner's row as it stands then (any version from the one after pivot k-1
+// on), and every block must end equal to sequential Floyd-Warshall.
+func TestLiveRowsExactAtAnyLaterVersion(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	later := 0
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(40)
+		procs := 1 + rng.Intn(min(n, 8))
+		seed := rng.Int63()
+		a := New(Config{N: n, Seed: seed}, procs)
+		blocks := make([][][]int32, procs)
+		next := make([]int, procs) // next pivot each rank applies
+		for r := range blocks {
+			lo, hi := a.rowsOf(r)
+			blocks[r] = randomGraphRows(n, seed, lo, hi)
+		}
+		for {
+			// A rank may apply pivot k once k's owner has applied 0..k-1,
+			// which is when the owner broadcasts it.
+			var ready []int
+			for r, k := range next {
+				if k < n && next[a.ownerOf(k)] >= k {
+					ready = append(ready, r)
+				}
+			}
+			if len(ready) == 0 {
+				break
+			}
+			r := ready[rng.Intn(len(ready))]
+			k := next[r]
+			o := a.ownerOf(k)
+			if next[o] > k {
+				later++
+			}
+			lo, _ := a.rowsOf(o)
+			relaxRows(blocks[r], blocks[o][k-lo], k)
+			next[r]++
+		}
+		want := randomGraph(n, seed)
+		sequentialASP(want)
+		for r, rows := range blocks {
+			if next[r] != n {
+				t.Fatalf("trial %d: rank %d stopped at pivot %d of %d", trial, r, next[r], n)
+			}
+			lo, _ := a.rowsOf(r)
+			for i, row := range rows {
+				if !slices.Equal(row, want[lo+i]) {
+					t.Fatalf("trial %d (n=%d, %d ranks): row %d = %v, want %v",
+						trial, n, procs, lo+i, row, want[lo+i])
+				}
+			}
+		}
+	}
+	if later == 0 {
+		t.Fatal("no rank ever read a pivot row after its owner moved past it")
+	}
+	t.Logf("%d pivot rows read at a later version", later)
 }

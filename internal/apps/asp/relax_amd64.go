@@ -17,7 +17,9 @@ func relaxRowAVX2(dst, src []int32, d int32)
 // relaxRow is dst[j] = min(dst[j], d+src[j]) over len(dst) elements. Int32
 // add and signed min are what the scalar body computes, so every lane is
 // bit-identical to it; storing unchanged values back is safe because dst is
-// a row only this rank writes and src is a snapshot or dst itself.
+// a row only this rank writes, and src is dst itself or its owner's live row,
+// which the owner cannot write while this rank runs (a run is one sequential
+// kernel).
 func relaxRow(dst, src []int32, d int32) {
 	src = src[:len(dst)]
 	tail := 0

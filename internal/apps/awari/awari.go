@@ -18,7 +18,6 @@ package awari
 
 import (
 	"fmt"
-	"sync"
 
 	"twolayer/internal/apps"
 	"twolayer/internal/par"
@@ -68,15 +67,19 @@ func ConfigFor(s apps.Scale) Config {
 
 // Awari is one configured instance.
 type Awari struct {
-	cfg      Config
-	procs    int
-	resultMu sync.Mutex
-	result   map[State]Value
+	cfg    Config
+	procs  int
+	result map[State]Value
 }
 
-// New builds an instance for the given processor count.
+// New builds an instance for the given processor count. The database is
+// sized for every state up to MaxStones, so publishing never regrows it.
 func New(cfg Config, procs int) *Awari {
-	return &Awari{cfg: cfg, procs: procs, result: make(map[State]Value)}
+	states := 0
+	for level := 0; level <= cfg.MaxStones; level++ {
+		states += len(cfg.Rules.enumerate(level))
+	}
+	return &Awari{cfg: cfg, procs: procs, result: make(map[State]Value, states)}
 }
 
 // FNV-1a constants, matching hash/fnv's 32-bit parameters.
@@ -137,8 +140,18 @@ func (a *Awari) run(e *par.Env, optimized bool) {
 	r := e.Rank()
 	rules := cfg.Rules
 
-	values := make(map[State]Value)
-	cnt := make(map[State]int)
+	// values and cnt are sized for the states this rank owns (all levels,
+	// from the memoized enumeration), so they never regrow.
+	owned := 0
+	for level := 0; level <= cfg.MaxStones; level++ {
+		for _, u := range rules.enumerate(level) {
+			if a.owner(u) == r {
+				owned++
+			}
+		}
+	}
+	values := make(map[State]Value, owned)
+	cnt := make(map[State]int, owned)
 	subs := make(map[State][]State) // v -> predecessor states waiting on it
 	level := 0
 
@@ -489,13 +502,11 @@ func (a *Awari) run(e *par.Env, optimized bool) {
 
 	// Publish owned values for verification. Each rank publishes a disjoint
 	// set of states (its owned partition), so the merged map is the same
-	// whatever the publish order — but the map itself needs the lock once
-	// ranks in different clusters run concurrently.
-	a.resultMu.Lock()
+	// whatever the publish order; a run is one sequential kernel, so no two
+	// ranks publish at once.
 	for s, v := range values {
 		a.result[s] = v
 	}
-	a.resultMu.Unlock()
 }
 
 // bundleMsg carries combined updates for a whole cluster plus their final

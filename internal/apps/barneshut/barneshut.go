@@ -178,11 +178,16 @@ func (b *BarnesHut) run(e *par.Env, optimized bool) {
 	// iteration it+1 only after it has received d's it+1 bounding box, and
 	// d sends that box only after it has copied iteration it's sets into
 	// its interactor tree, the one forwarded by a gateway included.
+	// Each exported interactor stands for a disjoint, non-empty set of this
+	// rank's bodies, so no set exceeds len(mine): every set is carved out of
+	// one backing array at that capacity and never regrows.
 	boxes := make([]box, p)
 	remote := make([][]Interactor, p)
 	ess := make([]essMsg, p)
+	per := len(mine)
+	backing := make([]Interactor, p*per)
 	for d := range ess {
-		ess[d].from = r
+		ess[d] = essMsg{from: r, items: backing[d*per : d*per : (d+1)*per]}
 	}
 	exportFor := func(t *tree, d int) int64 {
 		var visited int64
@@ -330,8 +335,9 @@ func (b *BarnesHut) run(e *par.Env, optimized bool) {
 
 // sequentialRun replays the identical partitioned algorithm on one thread:
 // the reference is bit-exact because the parallel code fixes its summation
-// order.
-func (b *BarnesHut) sequentialRun() []Vec {
+// order. onExport, if not nil, sees every essential set src exports for dst,
+// the set the parallel run sends.
+func (b *BarnesHut) sequentialRun(onExport func(src, dst int, items []Interactor)) []Vec {
 	cfg := b.cfg
 	p := b.procs
 	all := sortedBodies(cfg.N, cfg.Seed)
@@ -366,6 +372,9 @@ func (b *BarnesHut) sequentialRun() []Vec {
 					continue
 				}
 				exports[s][d], _ = trees[s].exportInto(nil, boxes[d], cfg.Theta)
+				if onExport != nil {
+					onExport(s, d, exports[s][d])
+				}
 			}
 		}
 		for r := 0; r < p; r++ {
@@ -410,7 +419,7 @@ func positionsOf(bodies []Body) []Vec {
 // Check verifies the run against the sequential replay of the same
 // partitioned algorithm.
 func (b *BarnesHut) Check() error {
-	want := b.sequentialRun()
+	want := b.sequentialRun(nil)
 	for i := range want {
 		d := b.result[i].Sub(want[i])
 		if math.Abs(d.X)+math.Abs(d.Y)+math.Abs(d.Z) > 1e-9 {

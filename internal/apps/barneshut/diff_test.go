@@ -10,6 +10,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"twolayer/internal/apps"
 )
 
 // TestArenaReuseBitIdenticalForces rebuilds trees in one recycled arena
@@ -151,5 +153,29 @@ func TestExportIntoWarmBufferNoAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("exporting into a warm buffer allocates %v times per round", n)
+	}
+}
+
+// TestExportFitsOwnBodies pins the bound the run's export sets are carved
+// at: every interactor stands for a disjoint, non-empty set of the
+// exporter's bodies, so no set a rank exports, in any iteration and for any
+// destination, holds more than the rank's own block. A set over it would
+// regrow its slice of the shared backing array every run.
+func TestExportFitsOwnBodies(t *testing.T) {
+	for _, s := range []apps.Scale{apps.Tiny, apps.Small, apps.Paper} {
+		for _, procs := range []int{32, 64} {
+			b := New(ConfigFor(s), procs)
+			sets := 0
+			b.sequentialRun(func(src, dst int, items []Interactor) {
+				sets++
+				if lo, hi := b.blockOf(src); len(items) > hi-lo {
+					t.Errorf("%v, %d ranks: rank %d exports %d interactors to %d, over its %d bodies",
+						s, procs, src, len(items), dst, hi-lo)
+				}
+			})
+			if want := ConfigFor(s).Iters * procs * (procs - 1); sets != want {
+				t.Errorf("%v, %d ranks: saw %d exports, want %d", s, procs, sets, want)
+			}
+		}
 	}
 }

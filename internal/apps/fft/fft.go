@@ -94,62 +94,61 @@ func (f *FFT) Job(bool) par.Job {
 	return func(e *par.Env) { f.run(e) }
 }
 
-// blockMsg carries the sub-block of the sender's rows that lands in the
-// receiver's rows after a transpose. rows[i][j] is the element at global
-// (senderRowLo+i, recvRowLo+j) before transposing.
+// blockMsg is a transpose's message: the sender's whole row set, sent as
+// *blockMsg, one per phase to every peer. rows[i][j] is the element at
+// global (rowLo+i, j) before transposing; a receiver reads its own columns
+// of it. Every row set is written before it is sent and never after (the
+// input rows are the memoized vector itself), so no buffer needs a proof
+// that its receivers are done with it.
 type blockMsg struct {
 	rowLo int // sender's first global row
 	rows  [][]complex128
 }
 
 // transpose performs one distributed matrix transpose (phase selects the
-// tag block). mat holds this rank's rows; the result holds this rank's rows
-// of the transposed matrix.
-func (f *FFT) transpose(e *par.Env, phase int, mat [][]complex128) [][]complex128 {
+// tag block). mat holds this rank's rows; out receives this rank's rows of
+// the transposed matrix.
+func (f *FFT) transpose(e *par.Env, phase int, mat, out [][]complex128) {
 	p := e.Size()
 	r := e.Rank()
 	myLo, myHi := f.rowsOf(r)
 	tag := par.Tag(100 + phase)
 
-	// Send each peer the sub-block that lands in its rows.
+	// Send each peer the row set; the bytes are the sub-block that lands
+	// in its rows.
+	msg := &blockMsg{myLo, mat}
 	for s := 0; s < p; s++ {
 		if s == r {
 			continue
 		}
 		sLo, sHi := f.rowsOf(s)
-		block := make([][]complex128, len(mat))
-		for i := range mat {
-			block[i] = mat[i][sLo:sHi:sHi]
-		}
 		elems := len(mat) * (sHi - sLo)
-		e.Send(s, tag, blockMsg{myLo, block}, 32+int64(elems)*f.cfg.BytesPerElem)
+		e.Send(s, tag, msg, 32+int64(elems)*f.cfg.BytesPerElem)
 	}
 
-	// Assemble my rows of the transposed matrix.
-	out := make([][]complex128, myHi-myLo)
-	for i := range out {
-		out[i] = make([]complex128, f.side)
-	}
-	place := func(srcLo int, block [][]complex128) {
-		// block[i][j] = element (srcLo+i, myLo+j); transposed it is at
-		// (myLo+j, srcLo+i).
-		for i := range block {
-			for j := range block[i] {
-				out[j][srcLo+i] = block[i][j]
+	// Assemble my rows of the transposed matrix: element (srcLo+i, myLo+j)
+	// lands at (myLo+j, srcLo+i).
+	place := func(srcLo int, rows [][]complex128) {
+		for i, row := range rows {
+			for j, v := range row[myLo:myHi] {
+				out[j][srcLo+i] = v
 			}
 		}
 	}
-	// Local block.
-	local := make([][]complex128, len(mat))
-	for i := range mat {
-		local[i] = mat[i][myLo:myHi]
-	}
-	place(myLo, local)
+	place(myLo, mat)
 	e.RecvN(par.AnySender, tag, p-1, func(m par.Msg) {
-		bm := m.Data.(blockMsg)
+		bm := m.Data.(*blockMsg)
 		place(bm.rowLo, bm.rows)
 	})
-	return out
+}
+
+// rowsIn returns n row headers of length side over one backing array.
+func rowsIn(flat []complex128, n, side int) [][]complex128 {
+	rows := make([][]complex128, n)
+	for i := range rows {
+		rows[i] = flat[i*side : (i+1)*side : (i+1)*side]
+	}
+	return rows
 }
 
 func (f *FFT) run(e *par.Env) {
@@ -157,49 +156,47 @@ func (f *FFT) run(e *par.Env) {
 	r := e.Rank()
 	lo, hi := f.rowsOf(r)
 	side := f.side
+	n := hi - lo
 
-	// Deterministic local initialization (zero virtual cost): my rows of
-	// the input matrix A[i][j] = x[i*side+j].
+	// Each transpose writes into a row set that the next phase works on in
+	// place and the next transpose sends: the input rows are views of the
+	// memoized vector A[i][j] = x[i*side+j] (zero virtual cost, never
+	// written), A and B get one backing array each, and the last transpose
+	// places straight into this rank's rows of the result.
 	x := randomInput(cfg.N, cfg.Seed)
-	mat := make([][]complex128, hi-lo)
-	for i := range mat {
-		row := make([]complex128, side)
-		copy(row, x[(lo+i)*side:(lo+i+1)*side])
-		mat[i] = row
-	}
+	in := rowsIn(x[lo*side:hi*side], n, side)
+	a := rowsIn(make([]complex128, n*side), n, side)
+	b := rowsIn(make([]complex128, n*side), n, side)
+	res := rowsIn(f.result[lo*side:hi*side], n, side)
 
 	// Step 1: transpose.
-	mat = f.transpose(e, 0, mat)
+	f.transpose(e, 0, in, a)
 	// Step 2: FFT each row.
 	var ops int64
-	for i := range mat {
-		ops += iterFFT(mat[i])
+	for _, row := range a {
+		ops += iterFFT(row)
 	}
 	e.ComputeUnits(ops, cfg.OpCost)
 	// Step 3: twiddle — element at global (j, i') gains w_n^{j*i'}, from
 	// the memoized factor matrix.
 	tw := step3Twiddles(cfg.N, side)
-	for i := range mat {
-		row := mat[i]
+	for i, row := range a {
 		twRow := tw[(lo+i)*side : (lo+i+1)*side]
 		for ip := range row {
 			row[ip] *= twRow[ip]
 		}
 	}
-	e.ComputeUnits(int64(len(mat)*side), cfg.TwiddleCost)
+	e.ComputeUnits(int64(n*side), cfg.TwiddleCost)
 	// Step 4: transpose.
-	mat = f.transpose(e, 1, mat)
+	f.transpose(e, 1, a, b)
 	// Step 5: FFT each row.
 	ops = 0
-	for i := range mat {
-		ops += iterFFT(mat[i])
+	for _, row := range b {
+		ops += iterFFT(row)
 	}
 	e.ComputeUnits(ops, cfg.OpCost)
 	// Step 6: transpose; rows of the result, read row-major, are the DFT.
-	mat = f.transpose(e, 2, mat)
-	for i := range mat {
-		copy(f.result[(lo+i)*side:], mat[i])
-	}
+	f.transpose(e, 2, b, res)
 }
 
 // Check verifies the distributed transform against the sequential FFT.

@@ -79,9 +79,8 @@ type TSP struct {
 }
 
 // New builds an instance for the given processor count. The cutoff bound
-// is precomputed here — it is a pure function of the configuration, and
-// every rank storing it from inside the job would be a write race once
-// ranks in different clusters run concurrently.
+// is precomputed here: it is a pure function of the configuration, so the
+// ranks share one value rather than each computing and storing it.
 func New(cfg Config, procs int) *TSP {
 	d := cities(cfg.N, cfg.Seed)
 	t := &TSP{cfg: cfg, procs: procs, rankBests: make([]int32, procs),

@@ -283,24 +283,29 @@ func TestCellAllocCap(t *testing.T) {
 		// made this cell 813 MB at 128 ranks.
 		{"Water", apps.Tiny, topology.MustUniform(16, 8), 32, "813 MB"},
 		// The merged interactor tree's scratch is pooled between yields,
-		// not held per rank, and each rank exports into buffers it keeps
-		// for the whole run.
-		{"Barnes-Hut", apps.Paper, topology.DAS(), 3, "13.7 MB, then 4.0 MB"},
+		// not held per rank, and each rank exports into sets carved once
+		// from one backing array at their final capacity.
+		{"Barnes-Hut", apps.Paper, topology.DAS(), 1.6, "13.7 MB, then 4.0 / 1.7 MB"},
 		// A rank's blocks, contributions and accumulators are made once
 		// per run and refilled in place, not rebuilt in maps every step.
 		{"Water", apps.Paper, topology.MustUniform(64, 2), 9, "13.2 / 22.5 MB"},
-		// A rank copies its rows of the input, not all N elements.
-		{"FFT", apps.Paper, topology.DAS(), 12, "40 MB"},
-		// The flat multicast group is built once, and pivot-row snapshots
-		// cost less than that saved.
-		{"ASP", apps.Paper, topology.DAS(), 5, "6.6 MB unoptimized"},
+		// A rank sends views of the input rows and writes each transpose
+		// into one matrix it never writes after sending, the last one into
+		// its rows of the result; one message header per phase.
+		{"FFT", apps.Paper, topology.DAS(), 4, "40 MB, then 6.0 MB"},
+		// The flat multicast group is built once, and a rank broadcasts its
+		// live pivot rows, not snapshots.
+		{"ASP", apps.Paper, topology.DAS(), 1.6, "6.6 MB unoptimized, then 2.2 MB"},
+		// A rank's values, counters and the published database are sized
+		// from the memoized state enumeration, not grown from empty.
+		{"Awari", apps.Paper, topology.DAS(), 1.7, "1.24 / 1.56 MB"},
 		// The most event-dense cell of the Small sweep: its queued events sit
 		// in one recycled slab, not in 256 bucket slices grown from nil.
 		{"Awari", apps.Small, topology.DAS(), 2, "2.4 / 3.1 MB"},
 		// Each rank's octree arena starts with a 16-node chunk, not a
 		// 256-node (43 KB) one for a tree of eight bodies; the export
-		// buffers are kept across iterations.
-		{"Barnes-Hut", apps.Small, topology.DAS(), 1.5, "3.4 MB, then 1.6 MB"},
+		// sets are carved once at their final capacity.
+		{"Barnes-Hut", apps.Small, topology.DAS(), 0.9, "3.4 MB, then 1.6 / 0.9 MB"},
 	} {
 		app, err := AppByName(c.app)
 		if err != nil {

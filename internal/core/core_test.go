@@ -10,8 +10,10 @@ import (
 
 	"twolayer/internal/apps"
 	"twolayer/internal/collective"
+	"twolayer/internal/faults"
 	"twolayer/internal/network"
 	"twolayer/internal/par"
+	"twolayer/internal/regime"
 	"twolayer/internal/sim"
 	"twolayer/internal/topology"
 	"twolayer/internal/trace"
@@ -117,6 +119,41 @@ func TestCheckAtGridCorners(t *testing.T) {
 				if err != nil {
 					t.Errorf("%v, %g B/s: %v", pt.lat, pt.bw, err)
 				}
+			}
+		})
+	}
+}
+
+// TestASPLiveRowsUnderLossAndRegime verifies both ASP variants at Small
+// where a pivot row is applied long after its broadcast: under 2 %
+// wide-area loss with duplicates, where a retransmitted row arrives late,
+// and under a congestion-and-churn regime. Rows are broadcast live, so a
+// receiver then reads a version its owner relaxed further; the result
+// must still be exact.
+func TestASPLiveRowsUnderLossAndRegime(t *testing.T) {
+	app, err := AppByName("ASP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []bool{false, true} {
+		t.Run(variantName(opt), func(t *testing.T) {
+			t.Parallel()
+			base := Experiment{App: app, Scale: apps.Small, Optimized: opt,
+				Topo: topology.DAS(), Params: ReferenceParams(), Verify: true}
+			lossy := base
+			lossy.Faults = faults.Params{DropRate: 0.02, DupRate: 0.01, Seed: 7}
+			res, err := lossy.Run()
+			if err != nil {
+				t.Fatalf("2%% loss: %v", err)
+			}
+			if res.Faults.Dropped == 0 || res.Transport.Retransmits == 0 {
+				t.Errorf("2%% loss dropped %d messages and retransmitted %d; want both above 0",
+					res.Faults.Dropped, res.Transport.Retransmits)
+			}
+			congested := base
+			congested.Regime = regime.Params{Spec: "congestion:8:6:30ms+churn:60ms:15ms", Seed: 7}
+			if _, err := congested.Run(); err != nil {
+				t.Errorf("regime: %v", err)
 			}
 		})
 	}

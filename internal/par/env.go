@@ -36,7 +36,13 @@
 //     refills a target's contribution after that target's next positions
 //     arrive, Barnes-Hut a recipient's essential set after its next
 //     bounding box, and Awari a round's sets after the next round's dense
-//     exchange (a reduction that skips receives proves nothing);
+//     exchange (a reduction that skips receives proves nothing). A payload
+//     never written after its Send, as FFT's row sets are, needs no proof.
+//     ASP's pivot rows are the one deliberate exception: the owner goes on
+//     relaxing a row after broadcasting it, but its entries only fall and
+//     stay lengths of real paths, so whichever later version a receiver
+//     reads lies between Floyd-Warshall's row and the true distances, and
+//     the result is exact (the proof is at asp's sendPivot);
 //   - the callback of RecvN runs as each message turns up, possibly in
 //     kernel context while the rank is parked, so it may only touch
 //     rank-local state and must not call the Env.
