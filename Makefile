@@ -26,10 +26,13 @@ test:
 # and so do three applications: Water's memoized tables are shared by
 # concurrent cells, Barnes-Hut's scratch and ASP's broadcast rows by ranks.
 # The analytic evaluator's clones share one graph, batch program and
-# matched streams across the concurrent tasks of a matched solve.
+# matched streams across the concurrent tasks of a matched solve. The
+# wide-area graphs, regimes and collectives are the packages CI's topology
+# and regime jobs also race.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/faults/... ./internal/par/... \
-		./internal/analytic ./internal/apps/asp ./internal/apps/barneshut ./internal/apps/water
+		./internal/analytic ./internal/apps/asp ./internal/apps/barneshut ./internal/apps/water \
+		./internal/wantopo ./internal/regime ./internal/collective
 
 # ASP's row relaxation and the analytic walk's lane kernels are assembly on
 # amd64; purego builds the portable Go bodies (what -race and other

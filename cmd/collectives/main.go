@@ -47,7 +47,7 @@ func run() int {
 	params := network.DefaultParams().WithWAN(sim.Time((*latency).Nanoseconds()), *bandwidth*1e6)
 	results, err := core.CollectiveComparison(topo, params, *elems, 1)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	fmt.Printf("MPI-1 collective operations on %s, WAN %v / %.3g MByte/s, %d elements:\n\n",
 		topo, params.WANLatency, *bandwidth, *elems)
@@ -57,7 +57,7 @@ func run() int {
 	if *kernels {
 		kr, err := core.MPIKernelComparison(topo, params)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		fmt.Println()
 		fmt.Println("Unchanged MPI kernels under both libraries (Section 6's")
@@ -72,7 +72,7 @@ func usage(err error) int {
 	return cliutil.ExitUsage
 }
 
-func fatal(err error) {
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "collectives:", err)
-	os.Exit(1)
+	return cliutil.ExitHarness
 }

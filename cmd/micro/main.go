@@ -47,7 +47,7 @@ func run() int {
 	params := network.DefaultParams().WithWAN(sim.Time((*latency).Nanoseconds()), *bandwidth*1e6)
 	results, err := micro.Measure(topo, params, *reps, *bytes)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	fmt.Printf("interconnect microbenchmarks on %s, WAN %v / %.3g MByte/s, %d x %d-byte messages:\n\n",
 		topo, params.WANLatency, *bandwidth, *reps, *bytes)
@@ -62,7 +62,7 @@ func usage(err error) int {
 	return cliutil.ExitUsage
 }
 
-func fatal(err error) {
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "micro:", err)
-	os.Exit(1)
+	return cliutil.ExitHarness
 }

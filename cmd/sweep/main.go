@@ -35,7 +35,7 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
+func run() (code int) {
 	var (
 		appName    = flag.String("app", "Water", "application: Water, Barnes-Hut, TSP, ASP, Awari or FFT")
 		optimized  = flag.Bool("optimized", false, "use the cluster-aware variant")
@@ -100,11 +100,11 @@ func run() int {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -112,12 +112,13 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fatal(err)
+				code = fail(err)
+				return
 			}
 			defer f.Close()
 			runtime.GC() // report live objects, not transient garbage
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
+				code = fail(err)
 			}
 		}()
 	}
@@ -138,14 +139,14 @@ func run() int {
 	}
 	cache := sup.Cache("sweep")
 	// A flag combination the capability table refuses fails before any
-	// work, and fatal maps its *par.Unsupported to exit 2.
+	// work, and fail maps its *par.Unsupported to exit 2.
 	if analytic.Enabled {
 		return runAnalytic(x, scale, *bandwidth, pol, cache, analytic.Options())
 	}
 	label := fmt.Sprintf("%s (optimized=%v) on %s", app.Name, *optimized, topo)
 	res, failed, err := core.SupervisedRun(pol, label, x, cache)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if failed != nil {
 		return cliutil.ReportOutcome(os.Stderr, "sweep", pol)
@@ -154,7 +155,7 @@ func run() int {
 	base := core.NewBaselines(scale)
 	tl, err := base.SingleCluster(app, topo.Procs())
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	latGap, bwGap := params.Gap()
@@ -208,7 +209,7 @@ func runAnalytic(x core.Experiment, scale apps.Scale, bandwidthMB float64, pol *
 	label := fmt.Sprintf("%s (optimized=%v) on %s analytic reference", x.App.Name, x.Optimized, x.Topo)
 	pt, failed, err := core.SolveAnalytic(label, x, pol, cache, a)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if failed != nil {
 		return cliutil.ReportOutcome(os.Stderr, "sweep", pol)
@@ -216,7 +217,7 @@ func runAnalytic(x core.Experiment, scale apps.Scale, bandwidthMB float64, pol *
 	base := core.NewBaselines(scale)
 	tl, err := base.SingleCluster(x.App, x.Topo.Procs())
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	latGap, bwGap := x.Params.Gap()
 	fmt.Printf("application:        %s (optimized=%v, scale=%s)\n", x.App.Name, x.Optimized, scale)
@@ -246,7 +247,7 @@ func usage(err error) int {
 	return cliutil.ExitUsage
 }
 
-func fatal(err error) {
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "sweep:", err)
-	os.Exit(cliutil.ExitFor(err))
+	return cliutil.ExitFor(err)
 }

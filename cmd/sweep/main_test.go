@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -69,6 +70,24 @@ func TestFlagMisuseExitsTwo(t *testing.T) {
 				t.Errorf("panicked:\n%s", stderr)
 			}
 		})
+	}
+}
+
+// TestRefusedRunWritesProfiles: a run the capability table refuses after
+// the profiles have started still exits through run's deferred writes, so
+// it exits 2 with a non-empty CPU profile and a written heap profile.
+func TestRefusedRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	code, stdout, stderr := sweep(t, "-app", "ASP", "-scale", "tiny", "-adaptive",
+		"-cpuprofile", cpu, "-memprofile", mem, "-no-cache")
+	if code != 2 || stdout != "" {
+		t.Errorf("exit %d, want 2 with empty stdout; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+	for _, f := range []string{cpu, mem} {
+		if fi, err := os.Stat(f); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s is missing or empty (stat error: %v)", filepath.Base(f), err)
+		}
 	}
 }
 

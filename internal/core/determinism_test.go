@@ -49,12 +49,6 @@ func resultsEqual(t *testing.T, label string, a, b par.Result) {
 	if a.Faults != b.Faults {
 		t.Errorf("%s: Faults %+v vs %+v", label, a.Faults, b.Faults)
 	}
-	if !reflect.DeepEqual(a.PerProcFinish, b.PerProcFinish) {
-		t.Errorf("%s: PerProcFinish differs", label)
-	}
-	if !reflect.DeepEqual(a.PerProcCompute, b.PerProcCompute) {
-		t.Errorf("%s: PerProcCompute differs", label)
-	}
 	if !reflect.DeepEqual(a.ClusterWANOut, b.ClusterWANOut) {
 		t.Errorf("%s: ClusterWANOut %+v vs %+v", label, a.ClusterWANOut, b.ClusterWANOut)
 	}

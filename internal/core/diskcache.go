@@ -43,7 +43,7 @@ import (
 // simulating, never to an error.
 
 // diskFormatVersion bumps the fingerprint when the entry layout changes.
-const diskFormatVersion = 2
+const diskFormatVersion = 3
 
 // entryMagic opens every cache entry.
 const entryMagic = "TLRC"
@@ -124,20 +124,35 @@ func (k diskKey) path(dir, suffix string) string {
 	return filepath.Join(dir, k.addr+suffix)
 }
 
-// readEntry reads k's entry with the given suffix in dir and, when it
-// opens with k's header, hands the rest to decode, which must copy
-// whatever it keeps. ok reports an entry whose payload decoded; stale
-// reports a file that is present but opens with another header or does
-// not decode. An absent or unreadable file is a plain miss.
-func readEntry(dir string, k diskKey, suffix string, decode func(payload []byte) error) (ok, stale bool) {
-	err := readFile(k.path(dir, suffix), func(data []byte) {
-		ok = bytes.HasPrefix(data, k.header) && decode(data[len(k.header):]) == nil
-	})
-	return ok, err == nil && !ok
+// codec is how one cache layer's values become entry payloads and back.
+// decode must consume every byte and copy whatever it keeps; encode
+// appends v's payload to dst, which holds the entry's header, and returns
+// nil when v cannot be encoded.
+type codec[T any] struct {
+	suffix string
+	decode func(payload []byte) (T, error)
+	encode func(dst []byte, v T) []byte
 }
 
-// readBufs recycles readFile's buffers. A run entry is a kilobyte or
-// two, so one buffer per core serves every warm lookup; a buffer grown
+// load reads k's entry in dir. ok reports an entry that opens with k's
+// header and whose payload decodes; stale reports a file that is present
+// but unusable (short, corrupt, foreign fingerprint, or key collision) and
+// should be overwritten. An absent or unreadable file is a plain miss.
+func (cd *codec[T]) load(dir string, k diskKey) (v T, ok, stale bool) {
+	err := readFile(k.path(dir, cd.suffix), func(data []byte) {
+		if !bytes.HasPrefix(data, k.header) {
+			return
+		}
+		d, derr := cd.decode(data[len(k.header):])
+		if ok = derr == nil; ok {
+			v = d
+		}
+	})
+	return v, ok, err == nil && !ok
+}
+
+// readBufs recycles readFile's buffers. A run entry is a few hundred
+// bytes, so one buffer per core serves every warm lookup; a buffer grown
 // past maxPooledRead for a large graph is dropped instead of kept.
 var readBufs = sync.Pool{New: func() any { b := make([]byte, 0, 2<<10); return &b }}
 
@@ -185,42 +200,31 @@ func readFile(name string, use func(data []byte)) error {
 	}
 }
 
-// writeEntry writes data, which starts with k's header, as k's entry with
-// the given suffix: atomically (temp file + rename), so a crashed or
-// concurrent writer can never leave a half-written entry behind — readers
-// see the old body or the new one. Errors are deliberately dropped, with
-// the temp file removed.
-func writeEntry(dir string, k diskKey, suffix string, data []byte) {
+// store writes v as k's entry in dir atomically (temp file + rename), so
+// a crashed or concurrent writer can never leave a half-written entry
+// behind — readers see the old body or the new one. Errors are
+// deliberately dropped, with the temp file removed: the cache fails open.
+func (cd *codec[T]) store(dir string, k diskKey, v T) {
+	data := cd.encode(bytes.Clone(k.header), v)
+	if data == nil {
+		return
+	}
 	tmp, err := os.CreateTemp(dir, "entry-*.tmp")
 	if err != nil {
 		return
 	}
 	_, werr := tmp.Write(data)
-	if cerr := tmp.Close(); werr != nil || cerr != nil || os.Rename(tmp.Name(), k.path(dir, suffix)) != nil {
+	if cerr := tmp.Close(); werr != nil || cerr != nil || os.Rename(tmp.Name(), k.path(dir, cd.suffix)) != nil {
 		os.Remove(tmp.Name())
 	}
 }
 
-// loadDisk looks k up in dir. ok reports a usable hit; stale reports that
-// a file was present but unusable (short, corrupt, foreign fingerprint, or
-// key collision) and should be overwritten.
-func loadDisk(dir string, k diskKey) (res par.Result, ok, stale bool) {
-	ok, stale = readEntry(dir, k, runSuffix, func(payload []byte) (err error) {
-		res, err = decodeResult(payload)
-		return err
-	})
-	return res, ok, stale
-}
-
-// storeDisk writes the result for k into dir; errors are dropped (the
-// cache fails open).
-func storeDisk(dir string, k diskKey, res par.Result) {
-	writeEntry(dir, k, runSuffix, appendResult(bytes.Clone(k.header), res))
-}
+// runCodec stores a run result as the payload below.
+var runCodec = codec[par.Result]{suffix: runSuffix, decode: decodeResult, encode: appendResult}
 
 // The run payload is par.Result's fields in declaration order: signed
-// quantities as varints, Events as a uvarint, and each slice as a uvarint
-// count followed by its elements. An empty slice decodes as nil.
+// quantities as varints, Events as a uvarint, and ClusterWANOut as a
+// uvarint count followed by its elements. An empty slice decodes as nil.
 
 // appendResult appends r's payload encoding to dst.
 func appendResult(dst []byte, r par.Result) []byte {
@@ -229,16 +233,7 @@ func appendResult(dst []byte, r par.Result) []byte {
 		dst = binary.AppendVarint(dst, s.Bytes)
 		return binary.AppendVarint(dst, int64(s.BusyTime))
 	}
-	times := func(dst []byte, ts []sim.Time) []byte {
-		dst = binary.AppendUvarint(dst, uint64(len(ts)))
-		for _, t := range ts {
-			dst = binary.AppendVarint(dst, int64(t))
-		}
-		return dst
-	}
 	dst = binary.AppendVarint(dst, int64(r.Elapsed))
-	dst = times(dst, r.PerProcFinish)
-	dst = times(dst, r.PerProcCompute)
 	dst = link(dst, r.WAN)
 	dst = binary.AppendUvarint(dst, uint64(len(r.ClusterWANOut)))
 	for _, s := range r.ClusterWANOut {
@@ -295,22 +290,6 @@ func (p *payloadReader) count() int {
 	return int(n)
 }
 
-// times reads n times into ts, or into a fresh slice when ts is shorter,
-// and returns them; nil when n is 0.
-func (p *payloadReader) times(n int, ts []sim.Time) []sim.Time {
-	if n == 0 {
-		return nil
-	}
-	if len(ts) < n {
-		ts = make([]sim.Time, n)
-	}
-	ts = ts[:n:n]
-	for i := range ts {
-		ts[i] = sim.Time(p.varint())
-	}
-	return ts
-}
-
 func (p *payloadReader) link() network.LinkStats {
 	return network.LinkStats{Messages: p.varint(), Bytes: p.varint(), BusyTime: sim.Time(p.varint())}
 }
@@ -322,12 +301,6 @@ func decodeResult(b []byte) (par.Result, error) {
 	p := &payloadReader{b: b}
 	var r par.Result
 	r.Elapsed = sim.Time(p.varint())
-	// A run has as many finish times as compute times, one per rank, so
-	// one backing array holds both slices.
-	n := p.count()
-	ranks := make([]sim.Time, 2*n)
-	r.PerProcFinish = p.times(n, ranks)
-	r.PerProcCompute = p.times(p.count(), ranks[n:])
 	r.WAN = p.link()
 	if n := p.count(); n > 0 {
 		r.ClusterWANOut = make([]network.LinkStats, n)

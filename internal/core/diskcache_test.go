@@ -176,7 +176,7 @@ func TestDiskCacheKeyCollision(t *testing.T) {
 	other := key
 	other.Seed = key.Seed + 1
 	k := newDiskKey(key)
-	storeDisk(dir, k, par.Result{Elapsed: 42})
+	runCodec.store(dir, k, par.Result{Elapsed: 42})
 	// Forge: same file now claims to hold `other`.
 	data, err := os.ReadFile(k.path(dir, runSuffix))
 	if err != nil {
@@ -186,7 +186,7 @@ func TestDiskCacheKeyCollision(t *testing.T) {
 	if err := os.WriteFile(k.path(dir, runSuffix), forged, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, stale := loadDisk(dir, k); ok || !stale {
+	if _, ok, stale := runCodec.load(dir, k); ok || !stale {
 		t.Errorf("colliding entry: ok=%v stale=%v; want rejected as stale", ok, stale)
 	}
 }
@@ -319,14 +319,14 @@ func fixtureKey() RunKey {
 	return RunKey{App: "TSP", Scale: apps.Tiny, Topo: "4x8", Params: chaosParams(), Seed: DefaultSeed}
 }
 
-// entryFixture stores one entry with per-proc slices under a fresh
+// entryFixture stores one entry with per-cluster traffic under a fresh
 // directory and returns the directory, its key, result and on-disk bytes.
 func entryFixture(t testing.TB) (string, diskKey, par.Result, []byte) {
 	dir := t.TempDir()
 	k := newDiskKey(fixtureKey())
 	res := par.Result{Elapsed: 123 * sim.Millisecond, Events: 99,
-		PerProcFinish: []sim.Time{1, 2}, PerProcCompute: []sim.Time{3, 4}}
-	storeDisk(dir, k, res)
+		ClusterWANOut: []network.LinkStats{{Messages: 1, Bytes: 2, BusyTime: 3}, {Messages: 4}}}
+	runCodec.store(dir, k, res)
 	data, err := os.ReadFile(k.path(dir, runSuffix))
 	if err != nil {
 		t.Fatal(err)
@@ -338,8 +338,8 @@ func entryFixture(t testing.TB) (string, diskKey, par.Result, []byte) {
 // hands every caller a private copy of a disk replay.
 func TestDiskEntryRoundTrip(t *testing.T) {
 	dir, k, want, _ := entryFixture(t)
-	if got, ok, stale := loadDisk(dir, k); !ok || stale || !reflect.DeepEqual(got, want) {
-		t.Fatalf("loadDisk = %+v ok=%v stale=%v; want %+v", got, ok, stale, want)
+	if got, ok, stale := runCodec.load(dir, k); !ok || stale || !reflect.DeepEqual(got, want) {
+		t.Fatalf("load = %+v ok=%v stale=%v; want %+v", got, ok, stale, want)
 	}
 
 	x := diskTestExperiment(t)
@@ -359,7 +359,7 @@ func TestDiskEntryRoundTrip(t *testing.T) {
 	if s := c.CacheStats(); s.DiskHits != 1 || !reflect.DeepEqual(replay, first) {
 		t.Fatalf("disk replay %+v (stats %+v), want %+v", replay, s, first)
 	}
-	replay.PerProcFinish[0]++ // must not reach the memoized entry
+	replay.ClusterWANOut[0].Messages++ // must not reach the memoized entry
 	again, err := x.RunCached(c)
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +378,7 @@ func TestDiskEntryTruncationFailOpen(t *testing.T) {
 		if err := os.WriteFile(k.path(dir, runSuffix), data[:off], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok, stale := loadDisk(dir, k); ok || !stale {
+		if _, ok, stale := runCodec.load(dir, k); ok || !stale {
 			t.Fatalf("offset %d of %d: ok=%v stale=%v; want a stale miss", off, len(data), ok, stale)
 		}
 	}
@@ -397,7 +397,7 @@ func TestDiskEntryCorruptionFailOpen(t *testing.T) {
 		if err := os.WriteFile(k.path(dir, runSuffix), mutated, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, ok, stale := loadDisk(dir, k)
+		_, ok, stale := runCodec.load(dir, k)
 		if ok == stale {
 			t.Fatalf("byte %d: ok=%v stale=%v; want exactly one", i, ok, stale)
 		}
@@ -415,8 +415,8 @@ func TestDiskEntryForeignFingerprint(t *testing.T) {
 	if err := os.WriteFile(k.path(dir, runSuffix), forged, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok, stale := loadDisk(dir, k); ok || !stale {
-		t.Fatalf("loadDisk = %+v ok=%v stale=%v; want a stale miss", got, ok, stale)
+	if got, ok, stale := runCodec.load(dir, k); ok || !stale {
+		t.Fatalf("load = %+v ok=%v stale=%v; want a stale miss", got, ok, stale)
 	}
 }
 
@@ -425,31 +425,29 @@ func TestDiskEntryForeignFingerprint(t *testing.T) {
 // entry and a recorded graph read after it.
 func TestDiskEntryLargerThanFirstRead(t *testing.T) {
 	dir, small, smallRes, _ := entryFixture(t)
-	const ranks = 1 << 19
-	big := par.Result{Elapsed: sim.Second, Events: 7,
-		PerProcFinish: make([]sim.Time, ranks), PerProcCompute: make([]sim.Time, ranks)}
-	for i := range ranks {
-		big.PerProcFinish[i] = sim.Time(i) * sim.Microsecond
-		big.PerProcCompute[i] = sim.Time(ranks-i) * sim.Millisecond
+	const clusters = 1 << 18
+	big := par.Result{Elapsed: sim.Second, Events: 7, ClusterWANOut: make([]network.LinkStats, clusters)}
+	for i := range clusters {
+		big.ClusterWANOut[i] = network.LinkStats{Messages: int64(i), Bytes: int64(clusters-i) * 1000, BusyTime: sim.Time(i) * sim.Microsecond}
 	}
 	other := fixtureKey()
 	other.Seed++
 	k := newDiskKey(other)
-	storeDisk(dir, k, big)
+	runCodec.store(dir, k, big)
 	if fi, err := os.Stat(k.path(dir, runSuffix)); err != nil || fi.Size() < 2<<20 {
-		t.Fatalf("entry of %d ranks: %v, %v; want a multi-MB file", ranks, fi, err)
+		t.Fatalf("entry of %d clusters: %v, %v; want a multi-MB file", clusters, fi, err)
 	}
 	for range 2 {
-		if got, ok, stale := loadDisk(dir, k); !ok || stale || !reflect.DeepEqual(got, big) {
+		if got, ok, stale := runCodec.load(dir, k); !ok || stale || !reflect.DeepEqual(got, big) {
 			t.Fatalf("multi-MB entry: ok=%v stale=%v, equal=%v", ok, stale, reflect.DeepEqual(got, big))
 		}
-		if got, ok, stale := loadDisk(dir, small); !ok || stale || !reflect.DeepEqual(got, smallRes) {
+		if got, ok, stale := runCodec.load(dir, small); !ok || stale || !reflect.DeepEqual(got, smallRes) {
 			t.Fatalf("small entry after a large one = %+v ok=%v stale=%v", got, ok, stale)
 		}
 	}
 
 	gdir, key, data := graphFixture(t)
-	g, ok, stale := loadGraphDisk(gdir, newDiskKey(key))
+	g, ok, stale := graphCodec.load(gdir, newDiskKey(key))
 	if !ok || stale {
 		t.Fatalf("%d-byte graph entry: ok=%v stale=%v", len(data), ok, stale)
 	}
@@ -465,13 +463,13 @@ func TestDiskEntryReadEdges(t *testing.T) {
 	dir, k, _, _ := entryFixture(t)
 	other := fixtureKey()
 	other.Seed++
-	if _, ok, stale := loadDisk(dir, newDiskKey(other)); ok || stale {
+	if _, ok, stale := runCodec.load(dir, newDiskKey(other)); ok || stale {
 		t.Errorf("missing entry: ok=%v stale=%v; want a plain miss", ok, stale)
 	}
 	if err := os.WriteFile(k.path(dir, runSuffix), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, stale := loadDisk(dir, k); ok || !stale {
+	if _, ok, stale := runCodec.load(dir, k); ok || !stale {
 		t.Errorf("zero-length entry: ok=%v stale=%v; want stale", ok, stale)
 	}
 	for _, suffix := range []string{runSuffix, graphSuffix} {
@@ -481,10 +479,10 @@ func TestDiskEntryReadEdges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok, stale := loadDisk(dir, k); ok || stale {
+	if _, ok, stale := runCodec.load(dir, k); ok || stale {
 		t.Errorf("directory at the run entry: ok=%v stale=%v; want a plain miss", ok, stale)
 	}
-	if g, ok, stale := loadGraphDisk(dir, k); ok || stale || g != nil {
+	if g, ok, stale := graphCodec.load(dir, k); ok || stale || g != nil {
 		t.Errorf("directory at the graph entry: %v ok=%v stale=%v; want a plain miss", g, ok, stale)
 	}
 
@@ -593,7 +591,7 @@ func FuzzLoadDisk(f *testing.F) {
 		if err := os.WriteFile(k.path(dir, runSuffix), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, ok, stale := loadDisk(dir, k) // must not panic on any input
+		got, ok, stale := runCodec.load(dir, k) // must not panic on any input
 		if !ok {
 			if !stale {
 				t.Fatal("a present entry was neither served nor stale")
@@ -638,7 +636,7 @@ func graphFixture(t testing.TB) (string, RunKey, []byte) {
 	}
 	dir := t.TempDir()
 	k := newDiskKey(key)
-	storeGraphDisk(dir, k, g)
+	graphCodec.store(dir, k, g)
 	data, err := os.ReadFile(k.path(dir, graphSuffix))
 	if err != nil {
 		t.Fatal(err)
@@ -684,7 +682,7 @@ func FuzzLoadGraphDisk(f *testing.F) {
 		if err := os.WriteFile(k.path(dir, graphSuffix), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, ok, stale := loadGraphDisk(dir, k) // must not panic on any input
+		got, ok, stale := graphCodec.load(dir, k) // must not panic on any input
 		if !ok {
 			if !stale {
 				t.Fatal("a present entry was neither served nor stale")

@@ -46,9 +46,6 @@ type RegimeStudyConfig struct {
 	// Collectives workload). "Collectives" resolves to the regime-study
 	// workload in apps/collectives; it is not part of the paper suite.
 	Apps []string
-	// Clusters and PerCluster shape the machine (default 4x8, the paper's).
-	Clusters   int
-	PerCluster int
 	// Regimes are the dynamic scenarios (default DefaultRegimes).
 	Regimes []regime.Params
 	// WANLatency and WANBandwidth fix the calm-network wide-area point for
@@ -68,12 +65,6 @@ type RegimeStudyConfig struct {
 func (c RegimeStudyConfig) withDefaults() RegimeStudyConfig {
 	if c.Apps == nil {
 		c.Apps = []string{"Water", "Barnes-Hut", "TSP", "ASP", "Awari", "FFT", "Collectives"}
-	}
-	if c.Clusters == 0 {
-		c.Clusters = 4
-	}
-	if c.PerCluster == 0 {
-		c.PerCluster = 8
 	}
 	if c.Regimes == nil {
 		c.Regimes = DefaultRegimes()
@@ -171,17 +162,14 @@ func RegimeStudy(cfg RegimeStudyConfig) ([]RegimePoint, error) {
 			return nil, fmt.Errorf("core: empty regime in study config")
 		}
 	}
-	topo, err := topology.Uniform(cfg.Clusters, cfg.PerCluster)
-	if err != nil {
-		return nil, err
-	}
+	topo := topology.DAS() // the paper's 4x8 machine
 
 	points := make([]RegimePoint, len(cfg.Regimes)*len(suite))
 	// Arm a of point i is cell a*len(points)+i: calm (shared across
 	// regimes through the run cache), static under the regime, adaptive
 	// under it. Arm-major order runs different workloads side by side.
 	elapsed, failed := make([]sim.Time, 3*len(points)), make([]string, 3*len(points))
-	err = runCells(3*len(points), func(k int) cell {
+	err := runCells(3*len(points), func(k int) cell {
 		i, a := k%len(points), k/len(points)
 		r, w := cfg.Regimes[i/len(suite)], suite[i%len(suite)]
 		x := Experiment{App: w.info, Scale: cfg.Scale, Optimized: w.optimized,

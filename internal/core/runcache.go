@@ -5,12 +5,12 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"twolayer/internal/analytic"
 	"twolayer/internal/apps"
 	"twolayer/internal/faults"
 	"twolayer/internal/network"
 	"twolayer/internal/par"
 	"twolayer/internal/regime"
-	"twolayer/internal/sim"
 )
 
 // RunKey identifies a deterministic experiment: everything that influences
@@ -41,14 +41,6 @@ type RunKey struct {
 	Adaptive bool          `json:",omitzero"`
 }
 
-// runEntry is a singleflight slot: the first requester computes, everyone
-// else blocks on done and shares the outcome.
-type runEntry struct {
-	done chan struct{}
-	res  par.Result
-	err  error
-}
-
 // RunCache memoizes experiment results across a sweep. The figures share
 // many cells — the Figure 4 bandwidth curve lies on Figure 3's 3.3 ms row,
 // Table 1's 32-processor runs are the single-cluster baselines every
@@ -62,25 +54,18 @@ type runEntry struct {
 // simulating, and fresh results are written back, so a rerun in a new
 // process replays finished work from disk.
 type RunCache struct {
-	mu      sync.Mutex
-	entries map[RunKey]*runEntry
-	graphs  map[RunKey]*graphEntry // recorded dependency graphs (graphcache.go)
-	dir     string                 // persistent layer root; "" = memory only
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	disk    atomic.Uint64
-	stale   atomic.Uint64
-	ghits   atomic.Uint64
-	gmisses atomic.Uint64
-	gdisk   atomic.Uint64
+	mu     sync.Mutex // guards dir
+	dir    string     // persistent layer root; "" = memory only
+	runs   memo[par.Result]
+	graphs memo[*analytic.Graph] // recorded dependency graphs (graphcache.go)
+	stale  atomic.Uint64         // unusable entries of either layer
 }
 
 // NewRunCache returns an empty cache.
 func NewRunCache() *RunCache {
-	return &RunCache{
-		entries: make(map[RunKey]*runEntry),
-		graphs:  make(map[RunKey]*graphEntry),
-	}
+	c := new(RunCache)
+	c.Reset()
+	return c
 }
 
 // DefaultCache is the process-wide cache the sweep entry points use unless
@@ -111,13 +96,13 @@ type CacheStats struct {
 // CacheStats returns all counters at once.
 func (c *RunCache) CacheStats() CacheStats {
 	return CacheStats{
-		Hits:          c.hits.Load(),
-		DiskHits:      c.disk.Load(),
-		Misses:        c.misses.Load(),
+		Hits:          c.runs.hits.Load(),
+		DiskHits:      c.runs.disk.Load(),
+		Misses:        c.runs.misses.Load(),
 		Stale:         c.stale.Load(),
-		GraphHits:     c.ghits.Load(),
-		GraphDiskHits: c.gdisk.Load(),
-		GraphMisses:   c.gmisses.Load(),
+		GraphHits:     c.graphs.hits.Load(),
+		GraphDiskHits: c.graphs.disk.Load(),
+		GraphMisses:   c.graphs.misses.Load(),
 	}
 }
 
@@ -146,38 +131,86 @@ func (c *RunCache) Dir() string {
 // persistent layer (and its attachment) is untouched. Outstanding waiters
 // on in-flight entries are unaffected.
 func (c *RunCache) Reset() {
-	c.mu.Lock()
-	c.entries = make(map[RunKey]*runEntry)
-	c.graphs = make(map[RunKey]*graphEntry)
-	c.mu.Unlock()
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.disk.Store(0)
+	c.runs.reset()
+	c.graphs.reset()
 	c.stale.Store(0)
-	c.ghits.Store(0)
-	c.gmisses.Store(0)
-	c.gdisk.Store(0)
 }
 
-// cloneResult gives each caller private slices so one consumer mutating a
-// result cannot corrupt the cache.
+// memo is one layer of RunCache: a singleflight map in front of the
+// persistent layer. The first requester of a key reads the key's entry
+// from disk or, failing that, computes the value and writes it back; every
+// later requester waits on the key's slot and shares the outcome. Every
+// outcome is memoized in memory, failures included — a configuration that
+// deadlocks keeps reporting it rather than re-deadlocking per lookup — but
+// only a value computed without failure reaches the disk.
+type memo[T any] struct {
+	mu                 sync.Mutex
+	slots              map[RunKey]*slot[T]
+	hits, disk, misses atomic.Uint64
+}
+
+// slot is one key's outcome; it is written once, before done closes.
+type slot[T any] struct {
+	done chan struct{}
+	v    T
+	fail *CellFailure
+	err  error
+}
+
+// get returns key's outcome from memory, from c's directory through cd,
+// or from compute, in that order.
+func (m *memo[T]) get(c *RunCache, key RunKey, cd *codec[T], compute func() (T, *CellFailure, error)) (T, *CellFailure, error) {
+	m.mu.Lock()
+	if s, ok := m.slots[key]; ok {
+		m.mu.Unlock()
+		m.hits.Add(1)
+		<-s.done
+		return s.v, s.fail, s.err
+	}
+	s := &slot[T]{done: make(chan struct{})}
+	m.slots[key] = s
+	m.mu.Unlock()
+	dir := c.Dir()
+	var dk diskKey
+	if dir != "" {
+		dk = newDiskKey(key)
+		v, ok, stale := cd.load(dir, dk)
+		if stale {
+			c.stale.Add(1)
+		}
+		if ok {
+			m.disk.Add(1)
+			s.v = v
+			close(s.done)
+			return v, nil, nil
+		}
+	}
+	m.misses.Add(1)
+	s.v, s.fail, s.err = compute()
+	close(s.done)
+	if dir != "" && s.fail == nil && s.err == nil {
+		cd.store(dir, dk, s.v)
+	}
+	return s.v, s.fail, s.err
+}
+
+// reset forgets every slot and zeroes the counters.
+func (m *memo[T]) reset() {
+	m.mu.Lock()
+	m.slots = make(map[RunKey]*slot[T])
+	m.mu.Unlock()
+	m.hits.Store(0)
+	m.disk.Store(0)
+	m.misses.Store(0)
+}
+
+// cloneResult gives each caller a private ClusterWANOut, so one consumer
+// mutating a result cannot corrupt the cache.
 func cloneResult(r par.Result) par.Result {
-	out := r
-	// One backing array holds both per-rank slices; an empty one is nil.
-	nf := len(r.PerProcFinish)
-	ranks := append(make([]sim.Time, 0, nf+len(r.PerProcCompute)), r.PerProcFinish...)
-	ranks = append(ranks, r.PerProcCompute...)
-	out.PerProcFinish, out.PerProcCompute = nil, nil
-	if nf > 0 {
-		out.PerProcFinish = ranks[:nf:nf]
-	}
-	if len(ranks) > nf {
-		out.PerProcCompute = ranks[nf:]
-	}
 	if r.ClusterWANOut != nil {
-		out.ClusterWANOut = append([]network.LinkStats(nil), r.ClusterWANOut...)
+		r.ClusterWANOut = append([]network.LinkStats(nil), r.ClusterWANOut...)
 	}
-	return out
+	return r
 }
 
 // cacheable reports whether the experiment's result is fully determined by
@@ -207,45 +240,15 @@ func (x Experiment) Key() RunKey {
 // RunCached executes the experiment through the cache: a repeated
 // configuration returns the memoized result without simulating, from
 // memory first and then (when a directory is attached) from disk. Errors
-// are memoized in memory only — a configuration that deadlocks will keep
-// reporting it rather than re-deadlocking per lookup, but never poisons
-// the persistent layer. Experiments the key cannot describe (Verify,
-// Trace) fall through to a plain Run.
+// are memoized in memory only. Experiments the key cannot describe
+// (Verify, Trace) fall through to a plain Run.
 func (x Experiment) RunCached(c *RunCache) (par.Result, error) {
 	if c == nil || !x.cacheable() {
 		return x.Run()
 	}
-	key := x.Key()
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.mu.Unlock()
-		c.hits.Add(1)
-		<-e.done
-		return cloneResult(e.res), e.err
-	}
-	e := &runEntry{done: make(chan struct{})}
-	c.entries[key] = e
-	dir := c.dir
-	c.mu.Unlock()
-	var dk diskKey
-	if dir != "" {
-		dk = newDiskKey(key)
-		res, ok, stale := loadDisk(dir, dk)
-		if stale {
-			c.stale.Add(1)
-		}
-		if ok {
-			c.disk.Add(1)
-			e.res = res
-			close(e.done)
-			return cloneResult(e.res), nil
-		}
-	}
-	c.misses.Add(1)
-	e.res, e.err = x.Run()
-	close(e.done)
-	if dir != "" && e.err == nil {
-		storeDisk(dir, dk, e.res)
-	}
-	return cloneResult(e.res), e.err
+	res, _, err := c.runs.get(c, x.Key(), &runCodec, func() (par.Result, *CellFailure, error) {
+		res, err := x.Run()
+		return res, nil, err
+	})
+	return cloneResult(res), err
 }

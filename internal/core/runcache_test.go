@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"twolayer/internal/analytic"
 	"twolayer/internal/apps"
 	"twolayer/internal/network"
 	"twolayer/internal/regime"
@@ -197,5 +199,76 @@ func TestForEachWeightedRunsAll(t *testing.T) {
 		if c != 1 {
 			t.Errorf("index %d visited %d times", i, c)
 		}
+	}
+}
+
+// graphTestExperiment is a cheap recording: Tiny TSP at the reference
+// point.
+func graphTestExperiment(t *testing.T) Experiment {
+	t.Helper()
+	app, err := AppByName("TSP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Experiment{App: app, Scale: apps.Tiny, Topo: topology.DAS(), Params: ReferenceParams()}
+}
+
+// TestRecordedGraphSingleflight: concurrent requesters of one key share a
+// single recording.
+func TestRecordedGraphSingleflight(t *testing.T) {
+	x := graphTestExperiment(t)
+	cache := NewRunCache()
+	const callers = 6
+	graphs := make([]*analytic.Graph, callers)
+	var wg sync.WaitGroup
+	for i := range graphs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, fail, err := cache.RecordedGraph("singleflight", x, nil)
+			if err != nil || fail != nil {
+				t.Errorf("caller %d: %v, %v", i, fail, err)
+			}
+			graphs[i] = g
+		}()
+	}
+	wg.Wait()
+	if s := cache.CacheStats(); s.GraphMisses != 1 || s.GraphHits != callers-1 {
+		t.Errorf("stats %+v; want 1 recording and %d memory hits", s, callers-1)
+	}
+	for i, g := range graphs {
+		if g == nil || g != graphs[0] {
+			t.Fatalf("caller %d got graph %p, caller 0 %p", i, g, graphs[0])
+		}
+	}
+}
+
+// TestRecordedGraphKilledSharesFailure: a recording the policy's budget
+// kills is memoized as its *CellFailure, which the next requester gets
+// without re-running, and it leaves no graph entry on disk.
+func TestRecordedGraphKilledSharesFailure(t *testing.T) {
+	x := graphTestExperiment(t)
+	dir := t.TempDir()
+	cache := NewRunCache()
+	if err := cache.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	pol := &RunPolicy{Budget: sim.Budget{MaxVirtualTime: sim.Millisecond}}
+	_, first, err := cache.RecordedGraph("killed", x, pol)
+	if err != nil || first == nil || first.Kind != "time-budget" {
+		t.Fatalf("first request: failure %+v, error %v; want a time-budget failure", first, err)
+	}
+	g, second, err := cache.RecordedGraph("killed", x, pol)
+	if err != nil || g != nil || second != first {
+		t.Fatalf("second request: graph %p, failure %p, error %v; want the first failure %p", g, second, err, first)
+	}
+	if s := cache.CacheStats(); s.GraphMisses != 1 || s.GraphHits != 1 {
+		t.Errorf("stats %+v; want 1 recording and 1 memory hit", s)
+	}
+	if n := len(pol.Failures()); n != 1 {
+		t.Errorf("policy noted %d failures; want 1 (no re-run)", n)
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "*"+graphSuffix)); len(names) != 0 {
+		t.Errorf("a killed recording wrote %v", names)
 	}
 }

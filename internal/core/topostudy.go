@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"twolayer/internal/apps"
-	"twolayer/internal/network"
 	"twolayer/internal/sim"
 	"twolayer/internal/stats"
 	"twolayer/internal/topology"
@@ -49,10 +48,6 @@ type TopologyStudyConfig struct {
 	// Topologies are the wide-area graph specs to compare, in wantopo.Parse
 	// syntax (default DefaultTopologySpecs).
 	Topologies []string
-	// WANLatency and WANBandwidth fix the wide-area point (defaults 3.3 ms,
-	// 0.95 MB/s — the paper's mid-grid reference).
-	WANLatency   sim.Time
-	WANBandwidth float64
 	// Cache memoizes runs; nil disables memoization.
 	Cache *RunCache
 	// Policy supervises the sweep; nil runs unsupervised.
@@ -71,12 +66,6 @@ func (c TopologyStudyConfig) withDefaults() TopologyStudyConfig {
 	}
 	if c.Topologies == nil {
 		c.Topologies = DefaultTopologySpecs
-	}
-	if c.WANLatency == 0 {
-		c.WANLatency = 3300 * sim.Microsecond
-	}
-	if c.WANBandwidth == 0 {
-		c.WANBandwidth = 0.95e6
 	}
 	return c
 }
@@ -162,7 +151,8 @@ type TopologyPoint struct {
 }
 
 // TopologyStudy sweeps applications x cluster counts x wide-area graphs at
-// a fixed total processor count and wide-area speed. Results are ordered
+// a fixed total processor count and at the reference wide-area point
+// (ReferenceParams: 3.3 ms, 0.95 MB/s). Results are ordered
 // app (config order), then cluster count, then topology. Invalid
 // configurations (cluster counts not dividing Procs, malformed or
 // disconnected graph specs) are rejected before any simulation runs.
@@ -181,7 +171,7 @@ func TopologyStudy(cfg TopologyStudyConfig) ([]TopologyPoint, error) {
 		return cell{
 			label: fmt.Sprintf("%s shape=%s wan=%s", a.Name, m.topo, m.wan.Spec()),
 			x: Experiment{App: a, Scale: cfg.Scale, Optimized: a.HasOptimized, Topo: m.topo,
-				Params: network.DefaultParams().WithWAN(cfg.WANLatency, cfg.WANBandwidth), WAN: m.wan},
+				Params: ReferenceParams(), WAN: m.wan},
 			// Sparser graphs stretch virtual time (multi-hop latency) and
 			// more clusters mean more wide-area traffic; both scale the
 			// event count the simulator must step through.

@@ -171,14 +171,13 @@ func (e *Env) compute(d sim.Time) {
 	e.occupy(d, token)
 }
 
-// occupy keeps the rank busy for d from now: the time counts as compute,
-// and a continuation takes the (time, seq) slot a blocking Compute's
-// wake-up would have taken. Like that Compute, it is a no-op for d <= 0.
+// occupy keeps the rank busy for d from now: a continuation takes the
+// (time, seq) slot a blocking sleep's wake-up would have taken. Like that
+// sleep, it is a no-op for d <= 0.
 func (e *Env) occupy(d sim.Time, token uint64) {
 	if d <= 0 {
 		return
 	}
-	e.p.ChargeCompute(d)
 	e.busy = true
 	e.rt.k.CallAfter(d, e, token)
 }

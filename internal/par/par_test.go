@@ -279,9 +279,6 @@ func TestResultAccounting(t *testing.T) {
 	if res.ClusterWANOut[0].Bytes != 1000 || res.ClusterWANOut[1].Bytes != 0 {
 		t.Errorf("per-cluster WAN = %+v", res.ClusterWANOut)
 	}
-	if res.PerProcCompute[3] < 4*sim.Millisecond {
-		t.Errorf("rank 3 compute = %v", res.PerProcCompute[3])
-	}
 	if res.Elapsed < 4*sim.Millisecond {
 		t.Errorf("elapsed = %v", res.Elapsed)
 	}

@@ -106,11 +106,6 @@ func rankName(r int) string {
 type Result struct {
 	// Elapsed is the virtual time at which the last processor finished.
 	Elapsed sim.Time
-	// PerProcFinish holds each rank's finish time.
-	PerProcFinish []sim.Time
-	// PerProcCompute holds each rank's accumulated compute time, for
-	// utilization and load-balance analysis.
-	PerProcCompute []sim.Time
 	// WAN is the total wide-area traffic.
 	WAN network.LinkStats
 	// ClusterWANOut is per-cluster outgoing wide-area traffic (Figure 1).
@@ -257,14 +252,8 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 	if err != nil {
 		return res, err
 	}
-	res.PerProcFinish = make([]sim.Time, len(procs))
-	res.PerProcCompute = make([]sim.Time, len(procs))
-	for i, p := range procs {
-		res.PerProcFinish[i] = p.FinishedAt()
-		res.PerProcCompute[i] = p.ComputeTime()
-		if p.FinishedAt() > res.Elapsed {
-			res.Elapsed = p.FinishedAt()
-		}
+	for _, p := range procs {
+		res.Elapsed = max(res.Elapsed, p.FinishedAt())
 	}
 	res.WAN = net.TotalWAN()
 	res.Intra = net.Intra()

@@ -31,6 +31,8 @@ type wbProgram struct {
 	// sums[rank] folds every payload the rank received, order-sensitively,
 	// with the clock readings of its observe phases mixed in.
 	sums []uint64
+	// finish[rank] is the rank's clock once its last output has run.
+	finish []sim.Time
 }
 
 func (w *wbProgram) rng(phase, rank int) *rand.Rand {
@@ -137,23 +139,27 @@ func (w *wbProgram) job() Job {
 			}
 		}
 		w.sums[me] = sum
+		w.finish[me] = e.Now()
 	}
 }
 
-// wbOutcome is everything a run exposes: the Result and what the ranks saw.
+// wbOutcome is everything a run exposes: the Result, what the ranks saw
+// and when each finished.
 type wbOutcome struct {
-	Res  Result
-	Sums []uint64
+	Res    Result
+	Sums   []uint64
+	Finish []sim.Time
 }
 
 func runWB(t *testing.T, topo *topology.Topology, opts Options, seed int64, phases int, eager bool) wbOutcome {
 	t.Helper()
-	w := &wbProgram{seed: seed, phases: phases, eager: eager, sums: make([]uint64, topo.Procs())}
+	w := &wbProgram{seed: seed, phases: phases, eager: eager,
+		sums: make([]uint64, topo.Procs()), finish: make([]sim.Time, topo.Procs())}
 	res, err := RunWith(topo, opts, w.job())
 	if err != nil {
 		t.Fatalf("eager=%v: %v", eager, err)
 	}
-	return wbOutcome{res, w.sums}
+	return wbOutcome{res, w.sums, w.finish}
 }
 
 // TestWriteBehindDifferential is the write-behind contract as a property:
@@ -161,8 +167,8 @@ func runWB(t *testing.T, topo *topology.Topology, opts Options, seed int64, phas
 // run can report. Random programs run eagerly and lazily on clean
 // networks, under fault injection and under a regime (both through the
 // reliable transport), with and without send overhead; every Result field —
-// Elapsed, per-rank finish and compute times, Events, WAN/Intra traffic,
-// Transport, Faults — and every rank's view of its messages must be equal.
+// Elapsed, Events, WAN/Intra traffic, Transport, Faults — every rank's
+// finish time and every rank's view of its messages must be equal.
 func TestWriteBehindDifferential(t *testing.T) {
 	master := rand.New(rand.NewSource(20261003))
 	trials := 24

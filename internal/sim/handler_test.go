@@ -22,7 +22,7 @@ func TestScheduleCallOrdering(t *testing.T) {
 	var got []int
 	h := &recordingHandler{id: 1, log: &got}
 	k.Spawn("driver", func(p *Proc) {
-		p.Compute(10) // move off time zero so same-time mixing is meaningful
+		p.Sleep(10) // move off time zero so same-time mixing is meaningful
 		now := k.Now()
 		k.Schedule(now+5, func() { got = append(got, 1) })
 		k.ScheduleCall(now+5, h, 2)
@@ -51,7 +51,7 @@ func TestScheduleCallPastPanics(t *testing.T) {
 	k := NewKernel()
 	var h recordingHandler
 	k.Spawn("p", func(p *Proc) {
-		p.Compute(10)
+		p.Sleep(10)
 		defer func() {
 			if recover() == nil {
 				t.Error("ScheduleCall in the past did not panic")
@@ -117,7 +117,7 @@ func TestSwitchCounters(t *testing.T) {
 	const n = 10
 	body := func(p *Proc) {
 		for i := 0; i < n; i++ {
-			p.Compute(5)
+			p.Sleep(5)
 		}
 	}
 	sw0, self0 := SwitchTotals()
@@ -192,19 +192,3 @@ func TestMoveWaiter(t *testing.T) {
 type reasonFunc string
 
 func (r reasonFunc) BlockReason() string { return string(r) }
-
-// TestChargeCompute: compute time charged without blocking shows up in the
-// statistics and costs neither virtual time nor an event.
-func TestChargeCompute(t *testing.T) {
-	k := NewKernel()
-	p := k.Spawn("p", func(p *Proc) {
-		p.ChargeCompute(40)
-		p.Compute(2)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if p.ComputeTime() != 42 || p.FinishedAt() != 2 || k.EventsFired() != 2 {
-		t.Errorf("compute %v, finished %v, %d events; want 42, 2, 2", p.ComputeTime(), p.FinishedAt(), k.EventsFired())
-	}
-}

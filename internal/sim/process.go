@@ -56,8 +56,6 @@ type Proc struct {
 	blockReason string
 	blockDetail BlockExplainer
 	finishedAt  Time
-
-	computeTime Time // accumulated virtual compute time, for utilization stats
 }
 
 // ID returns the process's kernel-assigned index (spawn order).
@@ -71,10 +69,6 @@ func (p *Proc) Now() Time { return p.k.Now() }
 
 // Kernel returns the kernel this process runs on.
 func (p *Proc) Kernel() *Kernel { return p.k }
-
-// ComputeTime returns the total virtual time this process has spent in
-// Compute calls so far.
-func (p *Proc) ComputeTime() Time { return p.computeTime }
 
 // FinishedAt returns the virtual time at which the process body returned;
 // meaningful only after Kernel.Run completes.
@@ -125,7 +119,7 @@ func (p *Proc) wake() {
 }
 
 // HandleEvent implements EventHandler: a process's scheduled wake-up (spawn,
-// compute, sleep) makes it ready. That is application-level progress by
+// sleep) makes it ready. That is application-level progress by
 // definition — the simulated program itself is about to run — so the
 // livelock watchdog only triggers on storms of pure handler/closure events
 // (retransmission timers firing with every process blocked), never on a
@@ -135,29 +129,8 @@ func (p *Proc) HandleEvent(uint64) {
 	p.k.makeReady(p)
 }
 
-// Compute advances the process's local virtual time by d, modelling
-// uninterruptible computation. Negative durations are treated as zero.
-func (p *Proc) Compute(d Time) {
-	if d < 0 {
-		d = 0
-	}
-	p.computeTime += d
-	if d == 0 {
-		return
-	}
-	p.k.ScheduleCall(p.k.now+d, p, 0)
-	p.block("compute", nil)
-}
-
-// ChargeCompute adds d to the process's compute-time statistics without
-// blocking it. It is for callers that let the computation's virtual time
-// pass as a kernel event of their own (a continuation booked with CallAfter)
-// instead of parking the coroutine for it, and that keep the process from
-// observing the clock until that event has fired.
-func (p *Proc) ChargeCompute(d Time) { p.computeTime += d }
-
-// Sleep is Compute without counting toward compute-time statistics; use it
-// for modelled idle waiting.
+// Sleep parks the process for d of virtual time, modelling computation or
+// idle waiting. Non-positive durations return at once.
 func (p *Proc) Sleep(d Time) {
 	if d <= 0 {
 		return

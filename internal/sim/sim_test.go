@@ -196,14 +196,16 @@ func TestSchedulePastPanics(t *testing.T) {
 	}
 }
 
+// TestProcCompute: a process models computation by sleeping through it,
+// and a non-positive duration costs nothing.
 func TestProcCompute(t *testing.T) {
 	k := NewKernel()
 	var end Time
 	p := k.Spawn("worker", func(p *Proc) {
-		p.Compute(100 * Microsecond)
-		p.Compute(0)
-		p.Compute(-5) // clamped to zero
-		p.Compute(900 * Microsecond)
+		p.Sleep(100 * Microsecond)
+		p.Sleep(0)
+		p.Sleep(-5) // returns at once
+		p.Sleep(900 * Microsecond)
 		end = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -212,27 +214,8 @@ func TestProcCompute(t *testing.T) {
 	if end != Millisecond {
 		t.Errorf("end = %v, want 1ms", end)
 	}
-	if p.ComputeTime() != Millisecond {
-		t.Errorf("compute time = %v", p.ComputeTime())
-	}
 	if p.FinishedAt() != Millisecond {
 		t.Errorf("finished at %v", p.FinishedAt())
-	}
-}
-
-func TestSleepDoesNotCountAsCompute(t *testing.T) {
-	k := NewKernel()
-	p := k.Spawn("sleeper", func(p *Proc) {
-		p.Sleep(Millisecond)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if p.ComputeTime() != 0 {
-		t.Errorf("compute time = %v, want 0", p.ComputeTime())
-	}
-	if k.Now() != Millisecond {
-		t.Errorf("now = %v", k.Now())
 	}
 }
 
@@ -242,13 +225,13 @@ func TestTwoProcsInterleaveDeterministically(t *testing.T) {
 		var log []string
 		k.Spawn("a", func(p *Proc) {
 			for i := 0; i < 3; i++ {
-				p.Compute(10)
+				p.Sleep(10)
 				log = append(log, "a")
 			}
 		})
 		k.Spawn("b", func(p *Proc) {
 			for i := 0; i < 3; i++ {
-				p.Compute(10)
+				p.Sleep(10)
 				log = append(log, "b")
 			}
 		})
@@ -318,12 +301,12 @@ func TestSpawnMidRun(t *testing.T) {
 	k := NewKernel()
 	var childEnd Time
 	k.Spawn("parent", func(p *Proc) {
-		p.Compute(Millisecond)
+		p.Sleep(Millisecond)
 		k.Spawn("child", func(c *Proc) {
-			c.Compute(Millisecond)
+			c.Sleep(Millisecond)
 			childEnd = c.Now()
 		})
-		p.Compute(3 * Millisecond)
+		p.Sleep(3 * Millisecond)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -347,7 +330,7 @@ func TestManyProcsStress(t *testing.T) {
 		}
 		k.Spawn("p", func(p *Proc) {
 			for _, d := range durs {
-				p.Compute(d)
+				p.Sleep(d)
 				if p.Now() < last {
 					t.Error("clock ran backwards")
 				}
@@ -381,7 +364,7 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 	k := NewKernel()
 	k.Spawn("switcher", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			p.Compute(10)
+			p.Sleep(10)
 		}
 	})
 	b.ResetTimer()

@@ -52,7 +52,7 @@ func TestTimeBudget(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("slow", func(p *Proc) {
 		for i := 0; i < 1000; i++ {
-			p.Compute(Second)
+			p.Sleep(Second)
 		}
 	})
 	k.SetBudget(Budget{MaxVirtualTime: 5 * Second})
@@ -97,7 +97,7 @@ func TestProgressWatchdogSparesComputeLoop(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("worker", func(p *Proc) {
 		for i := 0; i < 1000; i++ {
-			p.Compute(Microsecond)
+			p.Sleep(Microsecond)
 		}
 	})
 	k.SetBudget(Budget{ProgressWindow: 10})
@@ -180,7 +180,7 @@ func TestRunContextNilMatchesRun(t *testing.T) {
 		k := NewKernel()
 		k.Spawn("w", func(p *Proc) {
 			for i := 0; i < 100; i++ {
-				p.Compute(Millisecond)
+				p.Sleep(Millisecond)
 			}
 		})
 		var err error
@@ -229,7 +229,7 @@ func TestAddDiagnostic(t *testing.T) {
 		calls++
 		return []string{"depth=7"}
 	})
-	k.Spawn("ok", func(p *Proc) { p.Compute(Millisecond) })
+	k.Spawn("ok", func(p *Proc) { p.Sleep(Millisecond) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestBudgetWithinLimitsIsInvisible(t *testing.T) {
 		k.SetBudget(b)
 		k.Spawn("w", func(p *Proc) {
 			for i := 0; i < 50; i++ {
-				p.Compute(Millisecond)
+				p.Sleep(Millisecond)
 			}
 		})
 		if err := k.Run(); err != nil {

@@ -5,7 +5,7 @@
 // Simulated processes are ordinary goroutines, but exactly one goroutine
 // (either the kernel or a single process) runs at any instant; control is
 // handed off explicitly through channels. This gives process code a natural
-// blocking style (Compute, then block on a receive, ...) while keeping the
+// blocking style (Sleep, then block on a receive, ...) while keeping the
 // simulation fully deterministic: events at equal times fire in scheduling
 // order, and there is no data race by construction.
 //
