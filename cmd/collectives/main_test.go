@@ -87,3 +87,19 @@ func TestSmallRunRepeats(t *testing.T) {
 		t.Errorf("reruns differ:\n%s\n---\n%s", first, second)
 	}
 }
+
+// TestCommittedOutputReproduces: the committed Section 6 tables,
+// results/collectives.txt, regenerate byte for byte from their command.
+func TestCommittedOutputReproduces(t *testing.T) {
+	want, err := os.ReadFile("../../results/collectives.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, got, stderr := collectives(t, "-clusters", "8", "-percluster", "4", "-kernels")
+	if code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, stderr)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from results/collectives.txt:\n%s", got)
+	}
+}

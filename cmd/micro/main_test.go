@@ -87,3 +87,19 @@ func TestSmallRunRepeats(t *testing.T) {
 		t.Errorf("reruns differ:\n%s\n---\n%s", first, second)
 	}
 }
+
+// TestCommittedOutputReproduces: the committed microbenchmark table,
+// results/micro.txt, regenerates byte for byte from the default flags.
+func TestCommittedOutputReproduces(t *testing.T) {
+	want, err := os.ReadFile("../../results/micro.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, got, stderr := runMicro(t)
+	if code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, stderr)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from results/micro.txt:\n%s", got)
+	}
+}
