@@ -64,26 +64,6 @@ func ExampleNewComm() {
 	// sum: 32
 }
 
-// The MPI-flavoured interface: communicators, point-to-point, split.
-func ExampleMPIWorld() {
-	topo := twolayer.DAS()
-	var clusterSizes []int
-	_, err := twolayer.Run(topo, twolayer.DefaultParams(), 1, func(e *twolayer.Env) {
-		comm := twolayer.MPIWorld(e, twolayer.Hierarchical)
-		sub := comm.ClusterComm()
-		sizes := comm.Gather(0, []float64{float64(sub.Size())})
-		if comm.Rank() == 0 {
-			clusterSizes = []int{int(sizes[0][0]), int(sizes[31][0])}
-		}
-	})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("cluster sizes seen by ranks 0 and 31:", clusterSizes)
-	// Output:
-	// cluster sizes seen by ranks 0 and 31: [8 8]
-}
-
 // Tracing a run: where do the bytes go?
 func ExampleNewTraceStream() {
 	topo := twolayer.DAS()
@@ -404,12 +384,11 @@ const piIntervals = 1 << 20
 
 // computePi is an MPI-shaped numerical integrator (midpoint rule over [0,1]
 // of 4/(1+x^2)): broadcast of the work size, local computation, reduction of
-// the partial sums. Only the communicator type names betray that it is not
-// MPICH underneath.
-func computePi(comm *twolayer.MPIComm) float64 {
+// the partial sums, all on the collective communicator.
+func computePi(comm *twolayer.Comm, e *twolayer.Env) float64 {
 	// Root broadcasts the interval count (as MPI programs do).
 	var n []float64
-	if comm.Rank() == 0 {
+	if e.Rank() == 0 {
 		n = []float64{piIntervals}
 	}
 	n = comm.Bcast(0, n)
@@ -417,7 +396,7 @@ func computePi(comm *twolayer.MPIComm) float64 {
 
 	h := 1.0 / float64(steps)
 	sum := 0.0
-	for i := comm.Rank(); i < steps; i += comm.Size() {
+	for i := e.Rank(); i < steps; i += e.Size() {
 		x := h * (float64(i) + 0.5)
 		sum += 4.0 / (1.0 + x*x)
 	}
@@ -426,45 +405,37 @@ func computePi(comm *twolayer.MPIComm) float64 {
 	return total[0]
 }
 
-// An MPI program ported unchanged: switching the collective style from Flat
-// to Hierarchical is the whole "MagPIe port", as the paper's Section 6
-// promises ("not a single line of application code has to be changed").
-func ExampleMPIWorld_integrator() {
+// An MPI-style program on the collective communicator: switching the
+// collective style from Flat to Hierarchical is the whole "MagPIe port", as
+// the paper's Section 6 promises ("not a single line of application code
+// has to be changed").
+func ExampleNewComm_integrator() {
 	topo := twolayer.DAS()
 	params := twolayer.DefaultParams().WithWAN(30*twolayer.Millisecond, 1e6)
 
 	for _, style := range []twolayer.CollectiveStyle{twolayer.Flat, twolayer.Hierarchical} {
 		var pi float64
-		var clusterMax float64
 		res, err := twolayer.RunWith(topo, twolayer.RunOptions{Params: params, Seed: 1},
 			func(e *twolayer.Env) {
-				comm := twolayer.MPIWorld(e, style)
+				comm := twolayer.NewComm(e, style)
 				// Model the integrand cost so the run has a compute phase.
-				e.ComputeUnits(piIntervals/int64(comm.Size()), 40*twolayer.Nanosecond)
-				v := computePi(comm)
-
-				// A second, two-level stage: per-cluster maxima via
-				// Comm_split, then combined globally — the structure MagPIe
-				// exploits.
-				sub := comm.ClusterComm()
-				local := sub.Allreduce([]float64{float64(comm.Rank())}, twolayer.MaxOp)
-				global := comm.Allreduce(local, twolayer.MaxOp)
-				if comm.Rank() == 0 {
+				e.ComputeUnits(piIntervals/int64(e.Size()), 40*twolayer.Nanosecond)
+				v := computePi(comm, e)
+				if e.Rank() == 0 {
 					pi = v
-					clusterMax = global[0]
 				}
 			})
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("%-12v pi = %.9f (err %.1e), max rank via split = %.0f, elapsed %v\n",
-			style, pi, math.Abs(pi-math.Pi), clusterMax, res.Elapsed)
+		fmt.Printf("%-12v pi = %.9f (err %.1e), elapsed %v\n",
+			style, pi, math.Abs(pi-math.Pi), res.Elapsed)
 	}
 	fmt.Println("\nSame program, same answers — the hierarchical collectives just spend")
 	fmt.Println("fewer wide-area round trips, exactly the MagPIe pitch.")
 	// Output:
-	// flat         pi = 3.141592654 (err 7.7e-14), max rank via split = 31, elapsed 370.166ms
-	// hierarchical pi = 3.141592654 (err 7.7e-14), max rank via split = 31, elapsed 219.522ms
+	// flat         pi = 3.141592654 (err 7.7e-14), elapsed 182.395ms
+	// hierarchical pi = 3.141592654 (err 7.7e-14), elapsed 92.010ms
 	//
 	// Same program, same answers — the hierarchical collectives just spend
 	// fewer wide-area round trips, exactly the MagPIe pitch.

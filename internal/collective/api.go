@@ -167,37 +167,3 @@ var OpNames = []string{
 	"Allgather", "Allgatherv", "Alltoall", "Alltoallv",
 	"Reduce", "Allreduce", "ReduceScatter", "Scan",
 }
-
-// BcastSegmented broadcasts root's vector in segments issued back-to-back,
-// so successive segments pipeline through the tree: interior nodes forward
-// segment k while segment k+1 is still in flight, amortizing the tree's
-// latency terms over the payload (the segmentation refinement of the
-// MagPIe line of work). With segments=1 it is exactly Bcast.
-func (c *Comm) BcastSegmented(root int, data []float64, segments int) []float64 {
-	if segments < 1 {
-		panic("collective: segments must be positive")
-	}
-	n := 0
-	if c.e.Rank() == root {
-		n = len(data)
-	}
-	// Everyone needs the length to assemble; a tiny bcast carries it.
-	meta := c.Bcast(root, []float64{float64(n)})
-	n = int(meta[0])
-	if segments > n && n > 0 {
-		segments = n
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]float64, 0, n)
-	for s := 0; s < segments; s++ {
-		lo, hi := s*n/segments, (s+1)*n/segments
-		var part []float64
-		if c.e.Rank() == root {
-			part = data[lo:hi]
-		}
-		out = append(out, c.Bcast(root, part)...)
-	}
-	return out
-}

@@ -441,63 +441,3 @@ func TestOpNamesComplete(t *testing.T) {
 		t.Errorf("MPI-1 defines 14 collectives; OpNames has %d", len(OpNames))
 	}
 }
-
-func TestBcastSegmentedCorrect(t *testing.T) {
-	runBoth(t, func(c *Comm) {
-		for _, segs := range []int{1, 3, 8, 100} {
-			var in []float64
-			if c.Env().Rank() == 2 {
-				in = contribution(2, 37)
-			}
-			got := c.BcastSegmented(2, in, segs)
-			if !reflect.DeepEqual(got, contribution(2, 37)) {
-				panic(fmt.Sprintf("segmented bcast (%d segs) = %v", segs, got))
-			}
-		}
-		// Empty vector edge case.
-		if got := c.BcastSegmented(0, nil, 4); got != nil {
-			panic("empty bcast should be nil")
-		}
-	})
-}
-
-func TestSegmentationPipelinesDeepTrees(t *testing.T) {
-	// On a flat binomial tree over many clusters with a large payload,
-	// segmentation amortizes the per-hop transmission time.
-	params := network.DefaultParams().WithWAN(sim.Millisecond, 0.5e6)
-	elapsed := func(segs int) sim.Time {
-		res, err := par.Run(topology.MustUniform(8, 4), params, 3, func(e *par.Env) {
-			c := New(e, Flat)
-			var in []float64
-			if e.Rank() == 0 {
-				in = contribution(0, 20000) // 160 KB
-			}
-			c.BcastSegmented(0, in, segs)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Elapsed
-	}
-	whole, segmented := elapsed(1), elapsed(16)
-	if segmented >= whole {
-		t.Errorf("segmentation should pipeline: %v vs %v", segmented, whole)
-	}
-	if float64(whole)/float64(segmented) < 1.3 {
-		t.Errorf("expected a clear pipelining win: %v vs %v", whole, segmented)
-	}
-}
-
-func TestBcastSegmentedBadArgs(t *testing.T) {
-	_, err := par.Run(topology.SingleCluster(1), network.DefaultParams(), 1, func(e *par.Env) {
-		defer func() {
-			if recover() == nil {
-				t.Error("zero segments should panic")
-			}
-		}()
-		New(e, Flat).BcastSegmented(0, []float64{1}, 0)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"twolayer/internal/collective"
-	"twolayer/internal/mpi"
 	"twolayer/internal/network"
 	"twolayer/internal/par"
 	"twolayer/internal/sim"
@@ -16,7 +15,8 @@ import (
 // collective operations, whole "application kernels improve by up to a
 // factor of 4" when MagPIe replaces MPICH underneath an unchanged MPI
 // program. This file reproduces that measurement with MPI-style kernels
-// whose only topology awareness is the collective library under them.
+// written against the collective communicator; its style is their only
+// topology awareness.
 
 // KernelResult compares one MPI kernel under flat and hierarchical
 // collectives.
@@ -27,26 +27,29 @@ type KernelResult struct {
 	Speedup float64
 }
 
-// mpiKernel is an unchanged MPI program measured under both libraries.
+// mpiKernel is an MPI-style program whose only communication is the
+// collective calls on c; the same code runs under both libraries, which
+// differ only in c's style.
 type mpiKernel struct {
 	name string
-	job  func(c *mpi.Comm, e *par.Env)
+	job  func(c *collective.Comm, e *par.Env)
 }
 
-// kernelSuite returns small MPI kernels in the communication styles of the
-// paper's applications: an ASP-like iteration (broadcast per pivot), a
+// kernelSuite returns small kernels in the communication styles of the
+// paper's applications, each using collective.Comm's Bcast, Allreduce,
+// Alltoall or Barrier: an ASP-like iteration (broadcast per pivot), a
 // Water-like reduction phase, and a BSP-like step (alltoall + barrier).
 func kernelSuite() []mpiKernel {
 	return []mpiKernel{
 		{
 			name: "asp-kernel",
-			job: func(c *mpi.Comm, e *par.Env) {
+			job: func(c *collective.Comm, e *par.Env) {
 				// Per pivot: owner broadcasts a row, everyone relaxes.
 				const pivots = 24
 				const rowLen = 768 // ~6 KByte rows, as in ASP
 				row := make([]float64, rowLen)
 				for k := 0; k < pivots; k++ {
-					root := k % c.Size()
+					root := k % e.Size()
 					c.Bcast(root, row)
 					e.ComputeUnits(rowLen, 4*sim.Microsecond)
 				}
@@ -54,7 +57,7 @@ func kernelSuite() []mpiKernel {
 		},
 		{
 			name: "reduce-kernel",
-			job: func(c *mpi.Comm, e *par.Env) {
+			job: func(c *collective.Comm, e *par.Env) {
 				// Per step: local force computation, then a global vector
 				// reduction (Water's energy/force pattern).
 				const steps = 12
@@ -67,17 +70,17 @@ func kernelSuite() []mpiKernel {
 		},
 		{
 			name: "bsp-kernel",
-			job: func(c *mpi.Comm, e *par.Env) {
+			job: func(c *collective.Comm, e *par.Env) {
 				// Per superstep: personalized exchange plus a barrier
 				// (Barnes-Hut's structure).
 				const supersteps = 8
-				segs := make([][]float64, c.Size())
+				segs := make([][]float64, e.Size())
 				for i := range segs {
 					segs[i] = make([]float64, 32)
 				}
 				for k := 0; k < supersteps; k++ {
 					c.Alltoall(segs)
-					e.ComputeUnits(int64(32*c.Size()), 2*sim.Microsecond)
+					e.ComputeUnits(int64(32*e.Size()), 2*sim.Microsecond)
 					c.Barrier()
 				}
 			},
@@ -95,7 +98,7 @@ func MPIKernelComparison(topo *topology.Topology, params network.Params) ([]Kern
 		times := map[collective.Style]sim.Time{}
 		for _, style := range []collective.Style{collective.Flat, collective.Hierarchical} {
 			res, err := par.Run(topo, params, DefaultSeed, func(e *par.Env) {
-				k.job(mpi.World(e, style), e)
+				k.job(collective.New(e, style), e)
 			})
 			if err != nil {
 				return fmt.Errorf("core: kernel %s (%v): %w", k.name, style, err)

@@ -45,7 +45,6 @@ import (
 	"twolayer/internal/core"
 	"twolayer/internal/faults"
 	"twolayer/internal/micro"
-	"twolayer/internal/mpi"
 	"twolayer/internal/network"
 	"twolayer/internal/par"
 	"twolayer/internal/sim"
@@ -261,27 +260,6 @@ func RunWith(topo *Topology, opts RunOptions, job Job) (Result, error) {
 // it via RunOptions.Trace or Experiment.Trace.
 func NewTraceStream(procs int) *TraceStream { return trace.NewStream(procs) }
 
-// MPI-style interface (the shape MagPIe shipped as: a drop-in library for
-// MPI programs).
-type (
-	// MPIComm is an MPI-1-style communicator over the simulated machine.
-	MPIComm = mpi.Comm
-	// MPIRequest is a non-blocking operation handle.
-	MPIRequest = mpi.Request
-	// MPIStatus describes a completed receive.
-	MPIStatus = mpi.Status
-)
-
-// MPIAnySource matches any sender in MPIComm.Recv.
-const MPIAnySource = mpi.AnySource
-
-// MPIWorld returns the COMM_WORLD communicator for an Env, with collective
-// algorithms in the given style.
-func MPIWorld(e *Env, style CollectiveStyle) *MPIComm { return mpi.World(e, style) }
-
-// MPIWaitall completes a set of non-blocking requests.
-var MPIWaitall = mpi.Waitall
-
 // Interconnect microbenchmarks (the null-RPC / stream decomposition of
 // Section 5.2).
 type MicroResult = micro.Result
@@ -293,8 +271,8 @@ var (
 	RenderMicro   = micro.Render
 )
 
-// KernelResult compares one unchanged MPI kernel under the flat and the
-// hierarchical collective library (Section 6's application-kernel claim).
+// KernelResult compares one MPI-style kernel, unchanged between the flat and
+// the hierarchical collective library (Section 6's application-kernel claim).
 type KernelResult = core.KernelResult
 
 // MPI-kernel comparison entry points.
