@@ -42,9 +42,10 @@ purego:
 	$(GO) test -count=1 -tags purego ./internal/apps/asp ./internal/analytic
 	$(GO) test -count=1 -tags purego -run 'TestGoldenDeterminism$$|TestFigure3AnalyticMatchesPointOracle' ./internal/core
 
-# The core budget runs one cell per GOMAXPROCS slot, not one per CPU.
+# The core budget runs one cell per GOMAXPROCS slot, not one per CPU, and
+# on one slot a whole sweep runs on one worker.
 check: build fmt vet test race purego
-	GOMAXPROCS=1 $(GO) test -count=1 -run TestBudgetFollowsGOMAXPROCS ./internal/core
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestBudget|TestForEach' ./internal/core
 
 # heatmap regenerates results/heatmap.csv: the 64x64 per-variant analytic
 # sensitivity lattice at Small scale (deterministic; byte-identical across

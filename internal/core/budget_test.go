@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -109,8 +113,8 @@ func TestBudgetOneSlotNoDeadlock(t *testing.T) {
 }
 
 // TestForEachHoldingReusesWorkers: a call's tasks run on no more workers
-// than the budget runs at once, a one-slot budget starts them in weight
-// order, and a nested call runs inline on the worker that made it.
+// than the budget runs at once, start in weight order on one slot and on
+// two, and a nested call runs inline on the worker that made it.
 func TestForEachHoldingReusesWorkers(t *testing.T) {
 	const slots, n = 2, 40
 	withBudget(t, slots)
@@ -151,23 +155,57 @@ func TestForEachHoldingReusesWorkers(t *testing.T) {
 		t.Errorf("%d of %d slots free after the call: slots leaked", cores.free, slots)
 	}
 
-	withBudget(t, 1)
-	var started []int
+	// Workers claim tasks in weight order, heaviest first, ties in index
+	// order. On two slots each task returns only once the task after it has
+	// started, so one worker claims while the other waits inside its task,
+	// and the start order is the claim order. On one slot, one worker runs
+	// the whole call.
 	weight := func(i int) float64 { return float64((i * 7) % 11) }
-	if err := forEachWeighted(n, weight, func(i int) string { return fmt.Sprint("task ", i) }, func(i int) error {
-		started = append(started, i) // one slot: tasks never overlap
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	want := make([]int, n)
+	for i := range want {
+		want[i] = i
 	}
-	for k := 1; k < len(started); k++ {
-		a, b := started[k-1], started[k]
-		if weight(a) < weight(b) || weight(a) == weight(b) && a > b {
-			t.Fatalf("task %d (weight %g) started before task %d (weight %g): %v", a, weight(a), b, weight(b), started)
+	sort.SliceStable(want, func(a, b int) bool { return weight(want[a]) > weight(want[b]) })
+	pos := make([]int, n)
+	for p, i := range want {
+		pos[i] = p
+	}
+	for _, slots := range []int{2, 1} {
+		withBudget(t, slots)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		begun := make([]chan struct{}, n+1)
+		for p := range begun {
+			begun[p] = make(chan struct{})
 		}
-	}
-	if len(started) != n {
-		t.Errorf("%d of %d tasks ran", len(started), n)
+		close(begun[n])
+		var started []int
+		ids := map[uint64]bool{}
+		err := forEachWeighted(n, weight, func(i int) string { return fmt.Sprint("task ", i) }, func(i int) error {
+			mu.Lock()
+			started = append(started, i)
+			ids[goid()] = true
+			mu.Unlock()
+			close(begun[pos[i]])
+			if slots == 1 {
+				return nil
+			}
+			select {
+			case <-begun[pos[i]+1]:
+				return nil
+			case <-ctx.Done():
+				return errors.New("the next task never started")
+			}
+		})
+		cancel()
+		if err != nil {
+			t.Fatalf("%d slots: %v", slots, err)
+		}
+		if !slices.Equal(started, want) {
+			t.Errorf("%d slots: tasks started in order %v, want weight order %v", slots, started, want)
+		}
+		if len(ids) != slots {
+			t.Errorf("%d slots: %d tasks ran on %d workers", slots, n, len(ids))
+		}
 	}
 }
 

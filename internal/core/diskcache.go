@@ -8,15 +8,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"syscall"
 
+	"twolayer/internal/faults"
 	"twolayer/internal/network"
 	"twolayer/internal/par"
+	"twolayer/internal/regime"
 	"twolayer/internal/sim"
 )
 
@@ -72,56 +76,117 @@ var fingerprint = sync.OnceValue(func() string {
 // golden-determinism table. It is safe for concurrent use.
 func Fingerprint() string { return fingerprint() }
 
-// diskKey is one lookup's key, marshalled once: the canonical JSON's
-// sha256, truncated to 128 bits, is the content address, and the same
-// bytes go into the header every entry of the key starts with. The full
-// key is in the header, so a filename collision degrades to a stale miss,
-// never to a wrong result.
+// diskKey is one lookup's key, encoded once: the canonical JSON's sha256,
+// truncated to 128 bits, is the content address, and the same bytes go
+// into the header every entry of the key starts with. The full key is in
+// the header, so a filename collision degrades to a stale miss, never to
+// a wrong result. The header lives in a pooled buffer until release.
 type diskKey struct {
 	addr   string
 	header []byte
+	buf    *[]byte
 }
+
+// keyBufs recycles the buffers newDiskKey builds headers in.
+var keyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 func newDiskKey(key RunKey) diskKey {
-	e := keyEncoders.Get().(*keyEncoder)
-	defer keyEncoders.Put(e)
-	e.buf.Reset()
-	// Encode writes json.Marshal's bytes and a newline into the pooled
-	// buffer, so the header is the lookup's only copy of the key.
-	if err := e.enc.Encode(key); err != nil {
-		panic("core: run key not serializable: " + err.Error())
-	}
-	b := bytes.TrimSuffix(e.buf.Bytes(), []byte("\n"))
-	sum := sha256.Sum256(b)
+	bp := keyBufs.Get().(*[]byte)
+	fp := Fingerprint()
+	// The key's JSON goes at a fixed offset, and the header's prefix
+	// (magic, fingerprint, the key's uvarint length) is written right
+	// before it, so the key is encoded once and never copied.
+	at := len(entryMagic) + len(fp) + binary.MaxVarintLen64
+	b := appendKeyJSON((*bp)[:at], key)
+	*bp = b
+	sum := sha256.Sum256(b[at:])
 	var addr [32]byte
 	hex.Encode(addr[:], sum[:16])
-	return diskKey{addr: string(addr[:]), header: entryHeader(Fingerprint(), b)}
+	var n [binary.MaxVarintLen64]byte
+	l := binary.PutUvarint(n[:], uint64(len(b)-at))
+	start := at - l - len(fp) - len(entryMagic)
+	copy(b[start:], entryMagic)
+	copy(b[start+len(entryMagic):], fp)
+	copy(b[at-l:], n[:l])
+	return diskKey{addr: string(addr[:]), header: b[start:], buf: bp}
 }
 
-// keyEncoder is a JSON encoder and the buffer it writes into, recycled
-// across newDiskKey calls.
-type keyEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
+// release hands the header's buffer back; k must not be used after.
+func (k diskKey) release() { keyBufs.Put(k.buf) }
 
-var keyEncoders = sync.Pool{New: func() any {
-	e := new(keyEncoder)
-	e.enc = json.NewEncoder(&e.buf)
-	return e
-}}
-
-// entryHeader is the envelope's prefix for a fingerprint and a key's JSON.
-func entryHeader(fp string, keyJSON []byte) []byte {
-	h := make([]byte, 0, len(entryMagic)+len(fp)+binary.MaxVarintLen64+len(keyJSON))
-	h = append(h, entryMagic...)
-	h = append(h, fp...)
-	h = binary.AppendUvarint(h, uint64(len(keyJSON)))
-	return append(h, keyJSON...)
-}
-
+// path names k's entry in dir, a directory SetDir has cleaned.
 func (k diskKey) path(dir, suffix string) string {
-	return filepath.Join(dir, k.addr+suffix)
+	return dir + string(filepath.Separator) + k.addr + suffix
+}
+
+// appendKeyJSON appends json.Marshal(k)'s bytes to dst without
+// reflection: the fields in declaration order, the omitzero ones left out
+// when zero. TestRunKeyJSONMatchesMarshal pins it to json.Marshal and
+// fails when RunKey or a struct in it gains a field.
+func appendKeyJSON(dst []byte, k RunKey) []byte {
+	dst = appendJSONString(append(dst, `{"App":`...), k.App)
+	dst = strconv.AppendInt(append(dst, `,"Scale":`...), int64(k.Scale), 10)
+	dst = strconv.AppendBool(append(dst, `,"Optimized":`...), k.Optimized)
+	dst = appendJSONString(append(dst, `,"Topo":`...), k.Topo)
+	p := k.Params
+	dst = strconv.AppendInt(append(dst, `,"Params":{"IntraLatency":`...), int64(p.IntraLatency), 10)
+	dst = appendJSONFloat(append(dst, `,"IntraBandwidth":`...), p.IntraBandwidth)
+	dst = strconv.AppendInt(append(dst, `,"WANLatency":`...), int64(p.WANLatency), 10)
+	dst = appendJSONFloat(append(dst, `,"WANBandwidth":`...), p.WANBandwidth)
+	dst = strconv.AppendInt(append(dst, `,"SendOverhead":`...), int64(p.SendOverhead), 10)
+	dst = strconv.AppendInt(append(dst, `,"RecvOverhead":`...), int64(p.RecvOverhead), 10)
+	dst = strconv.AppendInt(append(dst, `,"WANPerMessage":`...), int64(p.WANPerMessage), 10)
+	dst = appendJSONFloat(append(dst, `,"WANMessageRTTFactor":`...), p.WANMessageRTTFactor)
+	dst = strconv.AppendInt(append(dst, `},"Seed":`...), k.Seed, 10)
+	if k.WANTopo != "" {
+		dst = appendJSONString(append(dst, `,"WANTopo":`...), k.WANTopo)
+	}
+	if f := k.Faults; f != (faults.Params{}) {
+		dst = appendJSONFloat(append(dst, `,"Faults":{"DropRate":`...), f.DropRate)
+		dst = appendJSONFloat(append(dst, `,"DupRate":`...), f.DupRate)
+		dst = strconv.AppendInt(append(dst, `,"ReorderJitter":`...), int64(f.ReorderJitter), 10)
+		dst = strconv.AppendInt(append(dst, `,"OutagePeriod":`...), int64(f.OutagePeriod), 10)
+		dst = strconv.AppendInt(append(dst, `,"OutageDuration":`...), int64(f.OutageDuration), 10)
+		dst = append(strconv.AppendInt(append(dst, `,"Seed":`...), f.Seed, 10), '}')
+	}
+	if r := k.Regime; r != (regime.Params{}) {
+		dst = appendJSONString(append(dst, `,"Regime":{"Spec":`...), r.Spec)
+		dst = append(strconv.AppendInt(append(dst, `,"Seed":`...), r.Seed, 10), '}')
+	}
+	if k.Adaptive {
+		dst = append(dst, `,"Adaptive":true`...)
+	}
+	return append(dst, '}')
+}
+
+// appendJSONString quotes s as json.Marshal does. Printable ASCII other
+// than "\<>& needs no escape; anything else goes through json.Marshal.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
+}
+
+// appendJSONFloat formats f as json.Marshal does: 'f', or 'e' below 1e-6
+// and from 1e21 with "e-09" shortened to "e-9". A non-finite float cannot
+// be a key and panics with json.Marshal's error.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		panic("core: run key not serializable: json: unsupported value: " + strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	if abs := math.Abs(f); abs == 0 || abs >= 1e-6 && abs < 1e21 {
+		return strconv.AppendFloat(dst, f, 'f', -1, 64)
+	}
+	dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
+	if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
 }
 
 // codec is how one cache layer's values become entry payloads and back.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -74,7 +75,8 @@ func forgeEntry(t testing.TB, fp string, key RunKey, payload []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(entryHeader(fp, b), payload...)
+	h := append([]byte(entryMagic+fp), binary.AppendUvarint(nil, uint64(len(b)))...)
+	return append(append(h, b...), payload...)
 }
 
 // TestDiskCacheCorruptEntryRecovers truncates the entry on disk and checks

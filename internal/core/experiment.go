@@ -270,17 +270,15 @@ func newBudget(n int) *budget {
 // on its cells.
 var cores = newBudget(runtime.GOMAXPROCS(0))
 
-// acquire waits until n slots (at most the whole budget, at least one) are
-// free together, takes them, and returns how many it took.
-func (b *budget) acquire(n int) int {
-	n = max(1, min(n, b.size))
+// acquire waits until n slots, at most the whole budget, are free
+// together and takes them.
+func (b *budget) acquire(n int) {
 	b.mu.Lock()
 	for b.free < n {
 		b.freed.Wait()
 	}
 	b.free -= n
 	b.mu.Unlock()
-	return n
 }
 
 func (b *budget) release(n int) {
@@ -316,22 +314,22 @@ func forEachWeighted(n int, weight func(i int) float64, label func(i int) string
 // forEachHolding is forEachWeighted with each call holding the given
 // number of core-budget slots (at least one, at most the whole budget).
 //
-// The dispatcher takes each call's slots in dispatch order and hands the
-// call to an idle worker of this forEachHolding, starting a worker only
-// when none is idle. A worker marks itself idle before it gives its slots
-// back, so whenever the dispatcher gets slots a finished worker freed, it
-// finds that worker, and every worker that is not idle holds slots: the
-// workers never outnumber the calls the budget can run at once. A warm
-// sweep whose cells are disk replays then pays for one goroutine, and one
-// stack growth, per core instead of per cell. Every worker exits before
+// Workers pull their calls. Each worker takes its slots once, then claims
+// the next index of the dispatch order from one counter until the list
+// runs out, gives its slots back and exits. The dispatcher only starts
+// workers, at most as many as the budget runs at once, taking a worker's
+// slots before starting it; it stops when slots it has just taken find
+// the list empty. So every worker holds slots for its whole life, the
+// workers never outnumber the calls the budget can run at once, and a
+// warm sweep whose cells are disk replays pays for one goroutine and one
+// slot handover per core instead of per cell. Every worker exits before
 // forEachHolding returns.
 //
 // A call made by one of these workers, from inside a task, is nested: it
 // runs its calls one after another on the worker, inside the slots the
-// worker's own task holds. Waiting for more slots there could deadlock:
-// once every slot is held by a task waiting for another, none is ever
-// released. So the workers stay the only compute goroutines, whatever
-// nests.
+// worker holds. Waiting for more slots there could deadlock: once every
+// slot is held by a task waiting for another, none is ever released. So
+// the workers stay the only compute goroutines, whatever nests.
 func forEachHolding(slots, n int, weight func(i int) float64, label func(i int) string, fn func(i int) error) error {
 	order := make([]int, n)
 	for i := range order {
@@ -358,32 +356,29 @@ func forEachHolding(slots, n int, weight func(i int) float64, label func(i int) 
 		}
 		return errors.Join(errs...)
 	}
-	type task struct{ i, held int }
-	tasks := make(chan task)
-	var idle atomic.Int64 // workers done with a task and about to take another
+	b := cores
+	slots = max(1, min(slots, b.size))
+	var next atomic.Int64 // the next position in order to claim
 	var wg sync.WaitGroup
-	work := func(t task) {
+	work := func() {
 		defer wg.Done()
 		id := goid()
 		workers.Store(id, struct{}{})
 		defer workers.Delete(id)
-		for ok := true; ok; t, ok = <-tasks {
-			run(t.i)
-			idle.Add(1)
-			cores.release(t.held)
+		for k := next.Add(1) - 1; k < int64(n); k = next.Add(1) - 1 {
+			run(order[k])
 		}
+		b.release(slots)
 	}
-	for _, i := range order {
-		t := task{i, cores.acquire(slots)}
-		if idle.Load() > 0 {
-			idle.Add(-1)
-			tasks <- t
-			continue
+	for w := min(n, b.size/slots); w > 0; w-- {
+		b.acquire(slots)
+		if next.Load() >= int64(n) {
+			b.release(slots)
+			break
 		}
 		wg.Add(1)
-		go work(t)
+		go work()
 	}
-	close(tasks)
 	wg.Wait()
 	return errors.Join(errs...)
 }

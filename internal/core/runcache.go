@@ -1,7 +1,9 @@
 package core
 
 import (
+	"hash/maphash"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -107,9 +109,11 @@ func (c *RunCache) CacheStats() CacheStats {
 }
 
 // SetDir attaches (or with "" detaches) the persistent layer, creating the
-// directory if needed.
+// directory if needed. The directory is kept cleaned, so entry paths are
+// joined by concatenation.
 func (c *RunCache) SetDir(dir string) error {
 	if dir != "" {
+		dir = filepath.Clean(dir)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
@@ -139,41 +143,67 @@ func (c *RunCache) Reset() {
 // memo is one layer of RunCache: a singleflight map in front of the
 // persistent layer. The first requester of a key reads the key's entry
 // from disk or, failing that, computes the value and writes it back; every
-// later requester waits on the key's slot and shares the outcome. Every
-// outcome is memoized in memory, failures included — a configuration that
-// deadlocks keeps reporting it rather than re-deadlocking per lookup — but
-// only a value computed without failure reaches the disk.
+// later requester shares the outcome, waiting on the key's slot while it
+// is in flight. Every outcome is memoized in memory, failures included — a
+// configuration that deadlocks keeps reporting it rather than
+// re-deadlocking per lookup — but only a value computed without failure
+// reaches the disk.
+//
+// slots is keyed by the key's 64-bit digest, so map growth moves 16-byte
+// entries; a slot keeps its full key, and keys whose digests collide chain.
 type memo[T any] struct {
 	mu                 sync.Mutex
-	slots              map[RunKey]*slot[T]
+	slots              map[uint64]*slot[T]
 	hits, disk, misses atomic.Uint64
 }
 
-// slot is one key's outcome; it is written once, before done closes.
+// keySeed seeds every memo's key digests.
+var keySeed = maphash.MakeSeed()
+
+// slot is one key's outcome; it is written once, before finished is set.
+// The wait channel is made only for a requester that finds the slot in
+// flight. finished and wait are guarded by the memo's mu.
 type slot[T any] struct {
-	done chan struct{}
-	v    T
-	fail *CellFailure
-	err  error
+	key      RunKey
+	next     *slot[T] // a key with the same digest
+	finished bool
+	wait     chan struct{}
+	v        T
+	fail     *CellFailure
+	err      error
 }
 
 // get returns key's outcome from memory, from c's directory through cd,
 // or from compute, in that order.
 func (m *memo[T]) get(c *RunCache, key RunKey, cd *codec[T], compute func() (T, *CellFailure, error)) (T, *CellFailure, error) {
+	h := maphash.Comparable(keySeed, key)
 	m.mu.Lock()
-	if s, ok := m.slots[key]; ok {
+	for s := m.slots[h]; s != nil; s = s.next {
+		if s.key != key {
+			continue
+		}
+		var wait chan struct{}
+		if !s.finished {
+			if s.wait == nil {
+				s.wait = make(chan struct{})
+			}
+			wait = s.wait
+		}
 		m.mu.Unlock()
 		m.hits.Add(1)
-		<-s.done
+		if wait != nil {
+			<-wait
+		}
 		return s.v, s.fail, s.err
 	}
-	s := &slot[T]{done: make(chan struct{})}
-	m.slots[key] = s
+	s := &slot[T]{key: key, next: m.slots[h]}
+	m.slots[h] = s
 	m.mu.Unlock()
 	dir := c.Dir()
 	var dk diskKey
 	if dir != "" {
 		dk = newDiskKey(key)
+		defer dk.release()
 		v, ok, stale := cd.load(dir, dk)
 		if stale {
 			c.stale.Add(1)
@@ -181,23 +211,34 @@ func (m *memo[T]) get(c *RunCache, key RunKey, cd *codec[T], compute func() (T, 
 		if ok {
 			m.disk.Add(1)
 			s.v = v
-			close(s.done)
+			m.finish(s)
 			return v, nil, nil
 		}
 	}
 	m.misses.Add(1)
 	s.v, s.fail, s.err = compute()
-	close(s.done)
+	m.finish(s)
 	if dir != "" && s.fail == nil && s.err == nil {
 		cd.store(dir, dk, s.v)
 	}
 	return s.v, s.fail, s.err
 }
 
+// finish publishes s's outcome and wakes its waiters, if any.
+func (m *memo[T]) finish(s *slot[T]) {
+	m.mu.Lock()
+	s.finished = true
+	wait := s.wait
+	m.mu.Unlock()
+	if wait != nil {
+		close(wait)
+	}
+}
+
 // reset forgets every slot and zeroes the counters.
 func (m *memo[T]) reset() {
 	m.mu.Lock()
-	m.slots = make(map[RunKey]*slot[T])
+	m.slots = make(map[uint64]*slot[T])
 	m.mu.Unlock()
 	m.hits.Store(0)
 	m.disk.Store(0)

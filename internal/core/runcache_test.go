@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"math"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -270,5 +272,60 @@ func TestRecordedGraphKilledSharesFailure(t *testing.T) {
 	}
 	if names, _ := filepath.Glob(filepath.Join(dir, "*"+graphSuffix)); len(names) != 0 {
 		t.Errorf("a killed recording wrote %v", names)
+	}
+}
+
+// raceDetector reports a -race build (race_test.go).
+var raceDetector bool
+
+// TestWarmLookupAllocCap gates what one disk hit through RunCached
+// allocates on a fresh cache, the unit of a warm sweep. It was 1,632 B in
+// 12 allocations while the key went through a json.Encoder, the header
+// was a copy of its own, and the memory layer made a channel per slot in
+// a map keyed by the whole RunKey; it is 944 B in 7 now. The best of
+// three rounds of 200 hits is taken, so a GC emptying the buffer pools
+// mid-round does not count.
+func TestWarmLookupAllocCap(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	const capBytes, capAllocs = 1300, 10
+	x := diskTestExperiment(t)
+	dir := t.TempDir()
+	fill := NewRunCache()
+	if err := fill.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.RunCached(fill); err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	bytes, allocs := math.Inf(1), math.Inf(1)
+	for round := 0; round < 3; round++ {
+		caches := make([]*RunCache, n)
+		for i := range caches {
+			caches[i] = NewRunCache()
+			if err := caches[i].SetDir(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, c := range caches {
+			if _, err := x.RunCached(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		for _, c := range caches {
+			if s := c.CacheStats(); s.DiskHits != 1 || s.Misses != 0 {
+				t.Fatalf("stats = %+v; want one disk hit", s)
+			}
+		}
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/n)
+		allocs = min(allocs, float64(after.Mallocs-before.Mallocs)/n)
+	}
+	if bytes > capBytes || allocs > capAllocs {
+		t.Errorf("one warm disk hit allocates %.0f B in %.1f allocations, cap %d B in %d", bytes, allocs, capBytes, capAllocs)
 	}
 }
