@@ -237,11 +237,7 @@ func run() int {
 	var reports []core.AnalyticReport
 	if *fig3 || *gaps || *all {
 		opts := core.Figure3Options{Apps: filter, WAN: wan, Policy: pol}
-		if analytic.Enabled {
-			panels, reports, err = core.Figure3Analytic(scale, opts, analytic.Options())
-		} else {
-			panels, err = core.Figure3(scale, opts)
-		}
+		panels, reports, err = core.Figure3With(scale, opts, analytic.Options())
 		if err != nil {
 			return fail(err)
 		}
@@ -265,22 +261,13 @@ func run() int {
 		}
 	}
 	if *fig4 || *all {
-		var bw, lat []core.Figure4Curve
-		if analytic.Enabled {
-			bw, err = core.Figure4AnalyticBandwidth(scale, pol, analytic.Options())
-		} else {
-			bw, err = core.Figure4Bandwidth(scale, pol)
-		}
+		bw, err := core.Figure4Bandwidth(scale, pol, analytic.Options())
 		if err != nil {
 			return fail(err)
 		}
 		fmt.Println("Figure 4 (left): inter-cluster communication time vs bandwidth at 3.3 ms")
 		fmt.Println(core.RenderFigure4(bw, "bandwidth B/s"))
-		if analytic.Enabled {
-			lat, err = core.Figure4AnalyticLatency(scale, pol, analytic.Options())
-		} else {
-			lat, err = core.Figure4Latency(scale, pol)
-		}
+		lat, err := core.Figure4Latency(scale, pol, analytic.Options())
 		if err != nil {
 			return fail(err)
 		}
@@ -294,14 +281,8 @@ func run() int {
 		}
 	}
 	if *shapes || *all {
-		var results []core.ShapeResult
-		if analytic.Enabled {
-			results, err = core.ClusterShapeStudyAnalytic(scale, []string{"Water", "ASP"},
-				3300*sim.Microsecond, 0.95e6, pol, analytic.Options())
-		} else {
-			results, err = core.ClusterShapeStudy(scale, []string{"Water", "ASP"},
-				3300*sim.Microsecond, 0.95e6, pol)
-		}
+		results, err := core.ClusterShapeStudy(scale, []string{"Water", "ASP"},
+			3300*sim.Microsecond, 0.95e6, pol, analytic.Options())
 		if err != nil {
 			return fail(err)
 		}
@@ -335,7 +316,7 @@ func run() int {
 			Size:     *heatSize,
 			Apps:     filter,
 			Policy:   pol,
-			Analytic: analytic.Options(),
+			Analytic: core.AnalyticOptions{Tolerance: analytic.Tolerance},
 		})
 		if err != nil {
 			return fail(err)

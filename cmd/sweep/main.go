@@ -141,7 +141,7 @@ func run() (code int) {
 	// A flag combination the capability table refuses fails before any
 	// work, and fail maps its *par.Unsupported to exit 2.
 	if analytic.Enabled {
-		return runAnalytic(x, scale, *bandwidth, pol, cache, analytic.Options())
+		return runAnalytic(x, scale, *bandwidth, pol, cache, *analytic.Options())
 	}
 	label := fmt.Sprintf("%s (optimized=%v) on %s", app.Name, *optimized, topo)
 	res, failed, err := core.SupervisedRun(pol, label, x, cache)

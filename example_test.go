@@ -68,7 +68,7 @@ func ExampleNewComm() {
 func ExampleNewTraceStream() {
 	topo := twolayer.DAS()
 	tr := twolayer.NewTraceStream(topo.Procs())
-	_, err := twolayer.RunWith(topo, twolayer.RunOptions{Seed: 1, Trace: tr},
+	_, err := twolayer.RunWith(topo, twolayer.RunOptions{Trace: tr},
 		func(e *twolayer.Env) {
 			if e.Rank() == 0 {
 				e.Send(8, 1, nil, 5000) // cluster 0 -> cluster 1
@@ -415,7 +415,7 @@ func ExampleNewComm_integrator() {
 
 	for _, style := range []twolayer.CollectiveStyle{twolayer.Flat, twolayer.Hierarchical} {
 		var pi float64
-		res, err := twolayer.RunWith(topo, twolayer.RunOptions{Params: params, Seed: 1},
+		res, err := twolayer.RunWith(topo, twolayer.RunOptions{Params: params},
 			func(e *twolayer.Env) {
 				comm := twolayer.NewComm(e, style)
 				// Model the integrand cost so the run has a compute phase.

@@ -55,24 +55,6 @@ func boundsOf(bodies []Body) box {
 	return b
 }
 
-// distanceTo returns the minimum Euclidean distance from the box to point
-// p, zero if p is inside.
-func (b box) distanceTo(p Vec) float64 {
-	gap := func(lo, hi, v float64) float64 {
-		if v < lo {
-			return lo - v
-		}
-		if v > hi {
-			return v - hi
-		}
-		return 0
-	}
-	dx := gap(b.min.X, b.max.X, p.X)
-	dy := gap(b.min.Y, b.max.Y, p.Y)
-	dz := gap(b.min.Z, b.max.Z, p.Z)
-	return math.Sqrt(dx*dx + dy*dy + dz*dz)
-}
-
 // gapTo returns the minimum distance between two boxes (zero if they
 // overlap).
 func (b box) gapTo(o box) float64 {

@@ -117,7 +117,7 @@ func generateJobs(d [][]int32, minOut []int32, depth int, cutoff int32) []job {
 	used := make([]bool, n)
 	used[0] = true
 	// rem is the incremental form of lowerBound: the sum of minOut over
-	// cities not yet on the path (see expand for the exact-equality
+	// cities not yet on the path (see expandWith for the exact-equality
 	// argument).
 	rem := remainderBound(minOut, used)
 	var rec func(length int32)
@@ -191,15 +191,10 @@ func newScratch(n int) *searchScratch {
 	return &searchScratch{used: make([]bool, n), path: make([]int8, 0, n)}
 }
 
-// expand runs depth-first branch and bound from a partial tour, returning
-// the best complete tour length below cutoff (or cutoff if none) and the
-// number of search nodes visited (the unit of the virtual cost model).
-// It allocates fresh scratch; workers in a run use expandWith.
-func expand(d [][]int32, minOut []int32, j job, cutoff int32) (best int32, nodes int64) {
-	return expandWith(newScratch(len(d)), d, minOut, j, cutoff)
-}
-
-// expandWith is expand with caller-owned scratch. The cutoff test uses the
+// expandWith runs depth-first branch and bound from a partial tour on
+// caller-owned scratch, returning the best complete tour length below
+// cutoff (or cutoff if none) and the number of search nodes visited (the
+// unit of the virtual cost model). The cutoff test uses the
 // incrementally maintained remainder bound; all quantities are int32 sums
 // of the same terms the O(n) lowerBound adds, so every pruning decision —
 // and with it the node count that drives the virtual cost model — is

@@ -245,7 +245,7 @@ func TestFixedCoordinatorsCorrectButConcentrated(t *testing.T) {
 		cfg.FixedCoordinators = fixedCoord
 		w := New(cfg, 32)
 		tr := &recvCounter{recv: make([]int, 32)}
-		_, err := par.RunWith(topology.DAS(), par.Options{Params: slow, Seed: 11, Trace: tr},
+		_, err := par.RunWith(topology.DAS(), par.Options{Params: slow, Trace: tr},
 			w.Job(true))
 		if err != nil {
 			t.Fatal(err)

@@ -31,9 +31,13 @@ func RegisterAnalytic() *Analytic {
 	return a
 }
 
-// Options maps the parsed flags to the core solver options.
-func (a *Analytic) Options() core.AnalyticOptions {
-	return core.AnalyticOptions{Tolerance: a.Tolerance}
+// Options maps the parsed flags to the core solver options: nil without
+// -analytic, which makes a study simulate every cell.
+func (a *Analytic) Options() *core.AnalyticOptions {
+	if !a.Enabled {
+		return nil
+	}
+	return &core.AnalyticOptions{Tolerance: a.Tolerance}
 }
 
 // Validate checks the parsed values; the caller maps an error to ExitUsage.

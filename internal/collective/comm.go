@@ -192,15 +192,6 @@ func vecBytes(n int) int64 { return headerBytes + int64(n)*elemBytes }
 // when a reduction operator is applied.
 const combineCostPerElem = 10 * sim.Nanosecond
 
-// sizesOf returns the per-segment lengths of ragged segments.
-func sizesOf(segs [][]float64) []int {
-	out := make([]int, len(segs))
-	for i, s := range segs {
-		out[i] = len(s)
-	}
-	return out
-}
-
 // checkUniform verifies that all segments have equal length, the contract
 // of the non-"v" operations.
 func checkUniform(segs [][]float64, what string) {

@@ -3,11 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"twolayer/internal/analytic"
-	"twolayer/internal/apps"
 	"twolayer/internal/network"
 	"twolayer/internal/par"
 	"twolayer/internal/sim"
@@ -106,30 +104,35 @@ func analyticProbes() []network.Params {
 // heatmap's wall time.
 const recordingSlots = 2
 
-// analyticJob is one recording and the network points it must answer. x
-// names the run to record; the recording itself always happens at
-// ReferenceParams and never verifies its output (x.Params and x.Verify
-// are ignored).
+// analyticJob is one recording of a study and the network points it must
+// answer: label names the recording (e.g. "TSP (unoptimized)"), and x the
+// run, whose Params and Verify are ignored. answer simulates x at each
+// point, or solveAnalytic records x at ReferenceParams, without verifying
+// its output, and answers the points from the graph. Jobs may share their
+// pts slice.
 type analyticJob struct {
 	label string
 	x     Experiment
 	pts   []network.Params
 }
 
-// analyticAnswer is what solveAnalytic returns for one job.
+// analyticAnswer is what answer and solveAnalytic return for one job.
 type analyticAnswer struct {
 	// Report is the recording's health and sensitivity summary, with its
-	// tolerated latency.
+	// tolerated latency; zero when the job was simulated.
 	Report AnalyticReport
 	// Baseline is the single-cluster run time of the job's application on
 	// as many processors.
 	Baseline sim.Time
-	// Elapsed is the predicted completion time at each of the job's
-	// points; nil when the recording failed.
+	// Elapsed is the completion time at each of the job's points; nil
+	// when the recording failed.
 	Elapsed []sim.Time
 	// Fail is the supervised kill of the recording run, if any: the job's
 	// points are then unanswerable.
 	Fail *CellFailure
+	// Failed, set by answer, is the failure kind of each point, "" for a
+	// point with an answer; nil when every point has one.
+	Failed []string
 }
 
 // solveAnalytic is the one path from recorded graphs to analytic answers.
@@ -376,62 +379,6 @@ func SolveAnalytic(label string, x Experiment, pol *RunPolicy, cache *RunCache, 
 	}, nil, nil
 }
 
-// Figure3Analytic produces the paper's Figure 3 panels from one recorded
-// run per variant (solveAnalytic): record (or load) the reference graph,
-// then solve every latency/bandwidth cell analytically. Baselines are
-// simulated through the cache as usual. a.Tolerance bounds the matched
-// replay's reference self-check. Alongside the panels it returns one
-// AnalyticReport per variant.
-func Figure3Analytic(scale apps.Scale, opts Figure3Options, a AnalyticOptions) ([]Figure3Panel, []AnalyticReport, error) {
-	opts = opts.withDefaults()
-	lats, bws := opts.Latencies, opts.Bandwidths
-	variants := variantsOf(opts.Apps)
-	grid := make([]network.Params, 0, len(lats)*len(bws))
-	for _, lat := range lats {
-		for _, bw := range bws {
-			grid = append(grid, network.DefaultParams().WithWAN(lat, bw))
-		}
-	}
-	jobs := make([]analyticJob, len(variants))
-	for v, va := range variants {
-		jobs[v] = analyticJob{
-			label: fmt.Sprintf("%s (%s) analytic reference", va.app.Name, variantName(va.opt)),
-			x:     Experiment{App: va.app, Scale: scale, Optimized: va.opt, Topo: opts.Topo, WAN: opts.WAN},
-			pts:   grid,
-		}
-	}
-	answers, err := solveAnalytic(jobs, opts.Policy, opts.Cache, a)
-	if err != nil {
-		return nil, nil, err
-	}
-	panels := make([]Figure3Panel, len(answers))
-	reports := make([]AnalyticReport, len(answers))
-	for v, r := range answers {
-		p := Figure3Panel{
-			App: variants[v].app.Name, Optimized: variants[v].opt,
-			Latencies: lats, Bandwidths: bws,
-			Rel: make([][]float64, len(lats)),
-		}
-		if r.Fail != nil {
-			// The one recording run failed, so every cell of this
-			// variant's panel is unanswerable.
-			p.Failed = make([][]string, len(lats))
-		}
-		for i := range lats {
-			p.Rel[i] = make([]float64, len(bws))
-			if r.Fail != nil {
-				p.Failed[i] = slices.Repeat([]string{r.Fail.Kind}, len(bws))
-				continue
-			}
-			for j := range bws {
-				p.Rel[i][j] = RelativeSpeedup(r.Baseline, r.Elapsed[i*len(bws)+j])
-			}
-		}
-		panels[v], reports[v] = p, r.Report
-	}
-	return panels, reports, nil
-}
-
 // matchedChunk is the points one matched task of solveAnalytic solves: a
 // fraction of a second of Water's replay, so a heatmap's matched grids
 // divide finely over the cores, and few enough tasks that the pool lock
@@ -484,18 +431,6 @@ func (p *evalPool) put(ev *analytic.Eval) {
 		return
 	}
 	p.free = append(p.free, ev)
-}
-
-// Figure4AnalyticBandwidth is Figure4Bandwidth answered analytically from
-// the per-application reference graphs (best variant of each application,
-// as in the simulated figure).
-func Figure4AnalyticBandwidth(scale apps.Scale, pol *RunPolicy, a AnalyticOptions) ([]Figure4Curve, error) {
-	return figure4Analytic(scale, true, pol, a)
-}
-
-// Figure4AnalyticLatency is Figure4Latency answered analytically.
-func Figure4AnalyticLatency(scale apps.Scale, pol *RunPolicy, a AnalyticOptions) ([]Figure4Curve, error) {
-	return figure4Analytic(scale, false, pol, a)
 }
 
 // RenderAnalyticReports formats the per-variant analytic summaries.

@@ -431,6 +431,44 @@ func TestFigure3AnalyticMatchesPointOracle(t *testing.T) {
 	}
 }
 
+// TestAnswerersAgreeAtReference: Figure 3 and Figure 4 have one body each
+// and only the answerer varies, so at the reference point, where every
+// Tiny variant's replay reproduces the simulator, Figure 3 and Figure 4
+// by bandwidth, both restricted to that point, are bit-identical whoever
+// answers them.
+func TestAnswerersAgreeAtReference(t *testing.T) {
+	opts := Figure3Options{
+		Latencies:  []sim.Time{ReferenceWANLatency},
+		Bandwidths: []float64{ReferenceWANBandwidth},
+		Cache:      NewRunCache(),
+	}
+	simPanels, err := Figure3(apps.Tiny, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anPanels, _, err := Figure3Analytic(apps.Tiny, opts, AnalyticOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(simPanels) != 11 || !reflect.DeepEqual(simPanels, anPanels) {
+		t.Errorf("Figure 3 at the reference differs by answerer:\nsimulated: %+v\nanalytic:  %+v", simPanels, anPanels)
+	}
+	saved := Bandwidths
+	Bandwidths = []float64{ReferenceWANBandwidth}
+	defer func() { Bandwidths = saved }()
+	simCurves, err := Figure4Bandwidth(apps.Tiny, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anCurves, err := Figure4Bandwidth(apps.Tiny, nil, &AnalyticOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(simCurves) != 6 || !reflect.DeepEqual(simCurves, anCurves) {
+		t.Errorf("Figure 4 by bandwidth differs by answerer:\nsimulated: %+v\nanalytic:  %+v", simCurves, anCurves)
+	}
+}
+
 // TestAnalyticStudiesMatchPointOracle rebuilds the other analytic answers
 // — both Figure 4 curves, the cluster-shape study and single points with
 // their latency and bandwidth shares — from the same cached recordings
@@ -440,11 +478,11 @@ func TestAnalyticStudiesMatchPointOracle(t *testing.T) {
 	base := NewBaselines(apps.Tiny)
 	das := topology.DAS()
 	for _, byBandwidth := range []bool{true, false} {
-		figure := Figure4AnalyticLatency
+		figure := Figure4Latency
 		if byBandwidth {
-			figure = Figure4AnalyticBandwidth
+			figure = Figure4Bandwidth
 		}
-		curves, err := figure(apps.Tiny, nil, a)
+		curves, err := figure(apps.Tiny, nil, &a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -467,7 +505,7 @@ func TestAnalyticStudiesMatchPointOracle(t *testing.T) {
 	}
 
 	asked := network.DefaultParams().WithWAN(30*sim.Millisecond, 0.3e6)
-	shapes, err := ClusterShapeStudyAnalytic(apps.Tiny, []string{"Water", "ASP"}, asked.WANLatency, asked.WANBandwidth, nil, a)
+	shapes, err := ClusterShapeStudy(apps.Tiny, []string{"Water", "ASP"}, asked.WANLatency, asked.WANBandwidth, nil, &a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,7 +204,7 @@ func TestRunCellsBuildsEachCellOnce(t *testing.T) {
 	}
 }
 
-// TestFigure3LabelMatchesFmt: figure3Label builds fmt's bytes for every
+// TestFigure3LabelMatchesFmt: pointLabel builds fmt's bytes for every
 // cell of the paper grid and for every pair of the default heatmap axes.
 func TestFigure3LabelMatchesFmt(t *testing.T) {
 	want := func(v variant, lat sim.Time, bw float64) string {
@@ -215,7 +215,7 @@ func TestFigure3LabelMatchesFmt(t *testing.T) {
 		for _, v := range variantsOf(nil) {
 			for _, lat := range lats {
 				for _, bw := range bws {
-					if got, w := figure3Label(v, lat, bw), want(v, lat, bw); got != w {
+					if got, w := pointLabel(variantLabel(v.app.Name, v.opt), network.DefaultParams().WithWAN(lat, bw)), want(v, lat, bw); got != w {
 						t.Fatalf("label %q, want %q", got, w)
 					}
 					cells++
@@ -318,9 +318,9 @@ func figure4SmallForTest(byBandwidth bool) ([]Figure4Curve, error) {
 	Latencies = []sim.Time{500 * sim.Microsecond, 30 * sim.Millisecond}
 	defer func() { Bandwidths, Latencies = saveB, saveL }()
 	if byBandwidth {
-		return Figure4Bandwidth(apps.Small, nil)
+		return Figure4Bandwidth(apps.Small, nil, nil)
 	}
-	return Figure4Latency(apps.Small, nil)
+	return Figure4Latency(apps.Small, nil, nil)
 }
 
 func TestGapAnalysis(t *testing.T) {
@@ -473,7 +473,7 @@ func TestFigure1TrafficOrdering(t *testing.T) {
 
 func TestClusterShapeStudy(t *testing.T) {
 	results, err := ClusterShapeStudy(apps.Small, []string{"Water"},
-		3300*sim.Microsecond, 0.95e6, nil)
+		3300*sim.Microsecond, 0.95e6, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

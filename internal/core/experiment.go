@@ -156,7 +156,6 @@ func (x Experiment) options() par.Options {
 	return par.Options{
 		Params:   x.Params,
 		WAN:      x.WAN,
-		Seed:     DefaultSeed,
 		Trace:    x.Trace,
 		Faults:   x.Faults,
 		Regime:   x.Regime,
@@ -509,4 +508,57 @@ func runCells(n int, at func(k int) cell, baselines bool, pol *RunPolicy, cache 
 			return nil
 		})
 	})
+}
+
+// answer answers every point of every job of a study (Figure 3, Figure 4,
+// the shape study), and a chooses who does. With a nil a every point is a
+// runCells cell labelled "<job label> lat=... bw=...MB/s", weighted 1 + its
+// wide-area latency in nanoseconds, with the job's baseline; with a
+// non-nil a, solveAnalytic answers every job from its recording. Either
+// way the study reads one analyticAnswer per job, in job order. On an
+// error the simulator's answers still come back, with every cell that ran
+// filled in; the analytic answerer returns none.
+func answer(jobs []analyticJob, a *AnalyticOptions, pol *RunPolicy, cache *RunCache) ([]analyticAnswer, error) {
+	if a != nil {
+		answers, err := solveAnalytic(jobs, pol, cache, *a)
+		for k, r := range answers {
+			if r.Fail != nil {
+				answers[k].Failed = slices.Repeat([]string{r.Fail.Kind}, len(jobs[k].pts))
+			}
+		}
+		return answers, err
+	}
+	// Job j's points are cells off[j] to off[j+1]-1.
+	off := make([]int, len(jobs)+1)
+	for j, job := range jobs {
+		off[j+1] = off[j] + len(job.pts)
+	}
+	locate := func(k int) (j, p int) {
+		j = sort.SearchInts(off, k+1) - 1
+		return j, k - off[j]
+	}
+	n := off[len(jobs)]
+	answers := make([]analyticAnswer, len(jobs))
+	elapsed, failed := make([]sim.Time, n), make([]string, n)
+	err := runCells(n, func(k int) cell {
+		j, p := locate(k)
+		x := jobs[j].x
+		x.Params = jobs[j].pts[p]
+		// Slow links stretch the simulated execution, which the
+		// simulator must step through.
+		return cell{label: pointLabel(jobs[j].label, x.Params), x: x, weight: 1 + float64(x.Params.WANLatency)}
+	}, true, pol, cache, func(k int, o outcome) {
+		elapsed[k], failed[k] = o.res.Elapsed, o.fail
+		if j, p := locate(k); p == 0 {
+			answers[j].Baseline = o.tl
+		}
+	})
+	for j := range answers {
+		lo, hi := off[j], off[j+1]
+		answers[j].Elapsed = elapsed[lo:hi:hi]
+		if slices.ContainsFunc(failed[lo:hi], func(f string) bool { return f != "" }) {
+			answers[j].Failed = failed[lo:hi:hi]
+		}
+	}
+	return answers, err
 }

@@ -93,79 +93,94 @@ func variantsOf(names []string) []variant {
 
 // Figure3 sweeps the grid and returns one panel per (application, variant)
 // pair — twelve panels at full scope, matching the paper's figure (FFT
-// contributes a single panel, as in the paper). Runs execute concurrently;
-// results are deterministic regardless.
+// contributes a single panel, as in the paper) — simulating every cell.
+// Runs execute concurrently; results are deterministic regardless.
 func Figure3(scale apps.Scale, opts Figure3Options) ([]Figure3Panel, error) {
-	opts = opts.withDefaults()
-	lats, bws := opts.Latencies, opts.Bandwidths
-	variants := variantsOf(opts.Apps)
-	panels := make([]Figure3Panel, len(variants))
-	for v := range variants {
-		panels[v] = Figure3Panel{
-			App:        variants[v].app.Name,
-			Optimized:  variants[v].opt,
-			Latencies:  lats,
-			Bandwidths: bws,
-			Rel:        make([][]float64, len(lats)),
-			Failed:     make([][]string, len(lats)),
-		}
-		for i := range lats {
-			panels[v].Rel[i] = make([]float64, len(bws))
-			panels[v].Failed[i] = make([]string, len(bws))
-		}
-	}
-	// Cell k is variant k/per at latency i and bandwidth j.
-	per := len(lats) * len(bws)
-	at := func(k int) (variant, int, int) { return variants[k/per], k % per / len(bws), k % len(bws) }
-	err := runCells(len(variants)*per, func(k int) cell {
-		v, i, j := at(k)
-		return cell{
-			label: figure3Label(v, lats[i], bws[j]),
-			x: Experiment{App: v.app, Scale: scale, Optimized: v.opt, Topo: opts.Topo,
-				Params: network.DefaultParams().WithWAN(lats[i], bws[j]), WAN: opts.WAN},
-			// Slow links stretch the simulated execution, which the
-			// simulator must step through.
-			weight: 1 + float64(lats[i]),
-		}
-	}, true, opts.Policy, opts.Cache, func(k int, o outcome) {
-		_, i, j := at(k)
-		p := &panels[k/per]
-		if o.fail != "" {
-			p.Failed[i][j] = o.fail
-		} else {
-			p.Rel[i][j] = RelativeSpeedup(o.tl, o.res.Elapsed)
-		}
-	})
-	// A fully healthy panel drops its Failed grid, keeping the historical
-	// shape (and JSON encoding) for sweeps that never fail.
-	for v := range panels {
-		healthy := true
-		for _, row := range panels[v].Failed {
-			for _, r := range row {
-				if r != "" {
-					healthy = false
-				}
-			}
-		}
-		if healthy {
-			panels[v].Failed = nil
-		}
-	}
+	panels, _, err := Figure3With(scale, opts, nil)
 	return panels, err
 }
 
-// figure3Label names a Figure 3 cell, e.g. "TSP (unoptimized) lat=3.300ms
-// bw=0.95MB/s": fmt's "%s (%s) lat=%v bw=%gMB/s" bytes, built in one
-// allocation.
-func figure3Label(v variant, lat sim.Time, bw float64) string {
+// Figure3Analytic is Figure 3 answered from one recorded run per variant,
+// with one AnalyticReport per variant beside the panels.
+func Figure3Analytic(scale apps.Scale, opts Figure3Options, a AnalyticOptions) ([]Figure3Panel, []AnalyticReport, error) {
+	return Figure3With(scale, opts, &a)
+}
+
+// Figure3With is Figure 3 with the answerer a chooses (see answer): nil
+// simulates every cell; otherwise each variant's grid is answered from
+// its recording, a.Tolerance bounding the matched replay's reference
+// self-check, and one AnalyticReport per variant comes back beside the
+// panels. Baselines are simulated through the cache either way.
+func Figure3With(scale apps.Scale, opts Figure3Options, a *AnalyticOptions) ([]Figure3Panel, []AnalyticReport, error) {
+	opts = opts.withDefaults()
+	lats, bws := opts.Latencies, opts.Bandwidths
+	variants := variantsOf(opts.Apps)
+	grid := make([]network.Params, 0, len(lats)*len(bws))
+	for _, lat := range lats {
+		for _, bw := range bws {
+			grid = append(grid, network.DefaultParams().WithWAN(lat, bw))
+		}
+	}
+	jobs := make([]analyticJob, len(variants))
+	for v, va := range variants {
+		jobs[v] = analyticJob{
+			label: variantLabel(va.app.Name, va.opt),
+			x:     Experiment{App: va.app, Scale: scale, Optimized: va.opt, Topo: opts.Topo, WAN: opts.WAN},
+			pts:   grid,
+		}
+	}
+	answers, err := answer(jobs, a, opts.Policy, opts.Cache)
+	if answers == nil {
+		return nil, nil, err
+	}
+	panels := make([]Figure3Panel, len(answers))
+	var reports []AnalyticReport
+	for v, r := range answers {
+		p := Figure3Panel{
+			App: variants[v].app.Name, Optimized: variants[v].opt,
+			Latencies: lats, Bandwidths: bws,
+			Rel: make([][]float64, len(lats)),
+		}
+		// A fully healthy panel has no Failed grid, keeping the historical
+		// shape (and JSON encoding) for sweeps that never fail.
+		if r.Failed != nil {
+			p.Failed = make([][]string, len(lats))
+		}
+		for i := range lats {
+			row := i * len(bws)
+			p.Rel[i] = make([]float64, len(bws))
+			if p.Failed != nil {
+				p.Failed[i] = r.Failed[row : row+len(bws)]
+			}
+			for j := range bws {
+				if p.FailedAt(i, j) == "" {
+					p.Rel[i][j] = RelativeSpeedup(r.Baseline, r.Elapsed[row+j])
+				}
+			}
+		}
+		panels[v] = p
+		if a != nil {
+			reports = append(reports, r.Report)
+		}
+	}
+	return panels, reports, err
+}
+
+// variantLabel names an application variant, e.g. "TSP (unoptimized)".
+func variantLabel(app string, optimized bool) string {
+	return app + " (" + variantName(optimized) + ")"
+}
+
+// pointLabel names a study cell: its job's label and its point, e.g.
+// "TSP (unoptimized) lat=3.300ms bw=0.95MB/s" — fmt's
+// "%s lat=%v bw=%gMB/s" bytes, built in one allocation.
+func pointLabel(base string, p network.Params) string {
 	b := make([]byte, 0, 64)
-	b = append(b, v.app.Name...)
-	b = append(b, " ("...)
-	b = append(b, variantName(v.opt)...)
-	b = append(b, ") lat="...)
-	b = lat.Append(b)
+	b = append(b, base...)
+	b = append(b, " lat="...)
+	b = p.WANLatency.Append(b)
 	b = append(b, " bw="...)
-	b = strconv.AppendFloat(b, bw/1e6, 'g', -1, 64)
+	b = strconv.AppendFloat(b, p.WANBandwidth/1e6, 'g', -1, 64)
 	return string(append(b, "MB/s"...))
 }
 
@@ -229,15 +244,16 @@ type Figure4Curve struct {
 // Figure4Bandwidth reproduces the left-hand graph: communication time
 // percentage as a function of wide-area bandwidth at 3.3 ms latency,
 // for the best (optimized where available) variant of each application.
-// pol supervises the sweep; nil runs unsupervised.
-func Figure4Bandwidth(scale apps.Scale, pol *RunPolicy) ([]Figure4Curve, error) {
-	return figure4(scale, true, pol)
+// pol supervises the sweep; nil runs unsupervised. a chooses the
+// answerer (see answer): nil simulates every point.
+func Figure4Bandwidth(scale apps.Scale, pol *RunPolicy, a *AnalyticOptions) ([]Figure4Curve, error) {
+	return figure4(scale, true, pol, a)
 }
 
 // Figure4Latency reproduces the right-hand graph: communication time
 // percentage as a function of wide-area latency at 0.9 MByte/s.
-func Figure4Latency(scale apps.Scale, pol *RunPolicy) ([]Figure4Curve, error) {
-	return figure4(scale, false, pol)
+func Figure4Latency(scale apps.Scale, pol *RunPolicy, a *AnalyticOptions) ([]Figure4Curve, error) {
+	return figure4(scale, false, pol, a)
 }
 
 // figure4Axis returns Figure 4's x values (bandwidths in B/s, or latencies
@@ -258,84 +274,35 @@ func figure4Axis(byBandwidth bool) (xs []float64, pts []network.Params) {
 	return xs, pts
 }
 
-// figure4 simulates every point of every curve.
-func figure4(scale apps.Scale, byBandwidth bool, pol *RunPolicy) ([]Figure4Curve, error) {
-	suite := Apps()
-	xs, pts := figure4Axis(byBandwidth)
-	tl := make([]sim.Time, len(suite))
-	elapsed, failed := make([][]sim.Time, len(suite)), make([][]string, len(suite))
-	for i := range suite {
-		elapsed[i], failed[i] = make([]sim.Time, len(xs)), make([]string, len(xs))
-	}
-	// Cell j is application j/len(xs) at point j%len(xs).
-	err := runCells(len(suite)*len(xs), func(j int) cell {
-		app, k := suite[j/len(xs)], j%len(xs)
-		return cell{
-			label: fmt.Sprintf("%s (%s) figure4 x=%g", app.Name, variantName(app.HasOptimized), xs[k]),
-			x: Experiment{App: app, Scale: scale, Optimized: app.HasOptimized,
-				Topo: topology.DAS(), Params: pts[k]},
-			weight: 1 + float64(pts[k].WANLatency),
-		}
-	}, true, pol, DefaultCache, func(j int, o outcome) {
-		i, k := j/len(xs), j%len(xs)
-		elapsed[i][k], failed[i][k] = o.res.Elapsed, o.fail
-		if k == 0 {
-			tl[i] = o.tl
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	curves := make([]Figure4Curve, len(suite))
-	for i, app := range suite {
-		curves[i] = newFigure4Curve(app, xs, tl[i], elapsed[i], failed[i])
-	}
-	return curves, nil
-}
-
-// figure4Analytic answers each application's curve from one recording
-// (solveAnalytic).
-func figure4Analytic(scale apps.Scale, byBandwidth bool, pol *RunPolicy, a AnalyticOptions) ([]Figure4Curve, error) {
+// figure4 answers every point of every curve.
+func figure4(scale apps.Scale, byBandwidth bool, pol *RunPolicy, a *AnalyticOptions) ([]Figure4Curve, error) {
 	suite := Apps()
 	xs, pts := figure4Axis(byBandwidth)
 	jobs := make([]analyticJob, len(suite))
 	for i, app := range suite {
 		jobs[i] = analyticJob{
-			label: fmt.Sprintf("%s (%s) analytic reference", app.Name, variantName(app.HasOptimized)),
+			label: variantLabel(app.Name, app.HasOptimized),
 			x:     Experiment{App: app, Scale: scale, Optimized: app.HasOptimized, Topo: topology.DAS()},
 			pts:   pts,
 		}
 	}
-	answers, err := solveAnalytic(jobs, pol, DefaultCache, a)
+	answers, err := answer(jobs, a, pol, DefaultCache)
 	if err != nil {
 		return nil, err
 	}
-	curves := make([]Figure4Curve, len(suite))
+	curves := make([]Figure4Curve, len(answers))
 	for i, r := range answers {
-		failed := make([]string, len(xs))
-		for k := 0; r.Fail != nil && k < len(xs); k++ {
-			failed[k] = r.Fail.Kind
+		c := Figure4Curve{App: suite[i].Name, Optimized: suite[i].HasOptimized, X: slices.Clone(xs), Failed: r.Failed}
+		for k := range xs {
+			pct := 0.0
+			if r.Failed == nil || r.Failed[k] == "" {
+				pct = CommTimePercent(r.Baseline, r.Elapsed[k])
+			}
+			c.CommPct = append(c.CommPct, pct)
 		}
-		curves[i] = newFigure4Curve(suite[i], xs, r.Baseline, r.Elapsed, failed)
+		curves[i] = c
 	}
 	return curves, nil
-}
-
-// newFigure4Curve is app's curve over xs from its single-cluster time tl
-// and the completion time at each point; failed[k] is the failure kind of
-// point k, "" for a point with an answer.
-func newFigure4Curve(app apps.Info, xs []float64, tl sim.Time, elapsed []sim.Time, failed []string) Figure4Curve {
-	curve := Figure4Curve{App: app.Name, Optimized: app.HasOptimized, X: slices.Clone(xs)}
-	for k := range xs {
-		pct := 0.0
-		if failed[k] == "" {
-			pct = CommTimePercent(tl, elapsed[k])
-		} else {
-			curve.Failed = failed
-		}
-		curve.CommPct = append(curve.CommPct, pct)
-	}
-	return curve
 }
 
 // RenderFigure4 formats a set of curves as a table with one column per

@@ -37,73 +37,41 @@ func DefaultShapes() []*topology.Topology {
 // given wide-area setting. On the fully connected mesh, more and smaller
 // clusters add bisection bandwidth, so bandwidth-bound applications speed
 // up even though fast links were replaced by slow ones. pol supervises the
-// sweep; nil runs unsupervised.
-func ClusterShapeStudy(scale apps.Scale, appNames []string, wanLatency sim.Time, wanBandwidth float64, pol *RunPolicy) ([]ShapeResult, error) {
-	return clusterShapeStudy(scale, appNames, wanLatency, wanBandwidth, pol, nil)
-}
-
-// ClusterShapeStudyAnalytic is ClusterShapeStudy answered analytically:
-// one recording per (application, shape) at the reference point, then an
-// analytic solve at the asked wide-area setting.
-func ClusterShapeStudyAnalytic(scale apps.Scale, appNames []string, wanLatency sim.Time, wanBandwidth float64, pol *RunPolicy, a AnalyticOptions) ([]ShapeResult, error) {
-	return clusterShapeStudy(scale, appNames, wanLatency, wanBandwidth, pol, &a)
-}
-
-// clusterShapeStudy simulates every cell, or answers it analytically when
-// a is non-nil.
-func clusterShapeStudy(scale apps.Scale, appNames []string, wanLatency sim.Time, wanBandwidth float64, pol *RunPolicy, a *AnalyticOptions) ([]ShapeResult, error) {
+// sweep; nil runs unsupervised. a chooses the answerer (see answer): nil
+// simulates every cell, otherwise each (application, shape) is recorded
+// once at the reference point and solved at the asked setting.
+func ClusterShapeStudy(scale apps.Scale, appNames []string, wanLatency sim.Time, wanBandwidth float64, pol *RunPolicy, a *AnalyticOptions) ([]ShapeResult, error) {
 	shapes := DefaultShapes()
 	suite, err := appsByName(appNames)
 	if err != nil {
 		return nil, err
 	}
-	// Cell k is application k/len(shapes) on shape k%len(shapes).
-	n := len(suite) * len(shapes)
-	exp := func(k int) Experiment {
-		app := suite[k/len(shapes)]
-		return Experiment{App: app, Scale: scale, Optimized: app.HasOptimized, Topo: shapes[k%len(shapes)],
-			Params: network.DefaultParams().WithWAN(wanLatency, wanBandwidth)}
-	}
-	results := make([]ShapeResult, n)
-	// result files cell k's outcome: its run time against the
-	// single-cluster time tl, or the kind of failure the policy gave up on.
-	result := func(k int, tl, elapsed sim.Time, fail string) {
-		x := exp(k)
-		r := ShapeResult{App: x.App.Name, Shape: x.Topo.String(), Clusters: x.Topo.Clusters(), Failed: fail}
-		if fail == "" {
-			r.Elapsed, r.RelPct = elapsed, RelativeSpeedup(tl, elapsed)
+	pts := []network.Params{network.DefaultParams().WithWAN(wanLatency, wanBandwidth)}
+	// Job k is application k/len(shapes) on shape k%len(shapes).
+	jobs := make([]analyticJob, len(suite)*len(shapes))
+	for k := range jobs {
+		app, shape := suite[k/len(shapes)], shapes[k%len(shapes)]
+		jobs[k] = analyticJob{
+			label: variantLabel(app.Name, app.HasOptimized) + " shape=" + shape.String(),
+			x:     Experiment{App: app, Scale: scale, Optimized: app.HasOptimized, Topo: shape},
+			pts:   pts,
 		}
-		results[k] = r
 	}
-	label := func(k int) string {
-		return fmt.Sprintf("%s shape=%s", suite[k/len(shapes)].Name, shapes[k%len(shapes)])
+	answers, err := answer(jobs, a, pol, DefaultCache)
+	if answers == nil {
+		return nil, err
 	}
-
-	if a != nil {
-		jobs := make([]analyticJob, n)
-		for k := range jobs {
-			x := exp(k)
-			jobs[k] = analyticJob{label: label(k) + " analytic reference", x: x, pts: []network.Params{x.Params}}
+	results := make([]ShapeResult, len(answers))
+	for k, r := range answers {
+		x := jobs[k].x
+		res := ShapeResult{App: x.App.Name, Shape: x.Topo.String(), Clusters: x.Topo.Clusters()}
+		if r.Failed != nil {
+			res.Failed = r.Failed[0]
+		} else {
+			res.Elapsed, res.RelPct = r.Elapsed[0], RelativeSpeedup(r.Baseline, r.Elapsed[0])
 		}
-		answers, err := solveAnalytic(jobs, pol, DefaultCache, *a)
-		if err != nil {
-			return nil, err
-		}
-		for k, r := range answers {
-			if r.Fail != nil {
-				result(k, 0, 0, r.Fail.Kind)
-			} else {
-				result(k, r.Baseline, r.Elapsed[0], "")
-			}
-		}
-		return results, nil
+		results[k] = res
 	}
-
-	err = runCells(n, func(k int) cell {
-		return cell{label: label(k), x: exp(k), weight: 1}
-	}, true, pol, DefaultCache, func(k int, o outcome) {
-		result(k, o.tl, o.res.Elapsed, o.fail)
-	})
 	return results, err
 }
 

@@ -35,7 +35,6 @@ const (
 	tagStream
 	tagA2A
 	tagHot
-	tagHotReply
 )
 
 // Patterns returns the synthetic workload suite. All patterns place their

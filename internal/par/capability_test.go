@@ -61,7 +61,7 @@ func capabilityRun(t *testing.T, f Feature) (topo *topology.Topology, opts Optio
 		clusters, f = 4, f|NonClique
 	}
 	topo = topology.MustUniform(clusters, 2)
-	opts = Options{Seed: 42, Params: network.DefaultParams().WithWAN(2*sim.Millisecond, 1e6)}
+	opts = Options{Params: network.DefaultParams().WithWAN(2*sim.Millisecond, 1e6)}
 	if f&noWindowDim != 0 {
 		p := &opts.Params
 		p.SendOverhead, p.RecvOverhead, p.IntraLatency, p.WANLatency, p.WANPerMessage = 0, 0, 0, 0, 0

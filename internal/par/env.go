@@ -50,7 +50,6 @@ package par
 
 import (
 	"fmt"
-	"math/rand"
 
 	"twolayer/internal/network"
 	"twolayer/internal/sim"
@@ -67,7 +66,6 @@ type Env struct {
 	p    *sim.Proc
 	rank int
 	mb   mailbox
-	rng  *rand.Rand
 
 	nextReplyTag Tag
 
@@ -239,17 +237,6 @@ func (e *Env) HandleEvent(token uint64) {
 // convenience for the applications' cost models.
 func (e *Env) ComputeUnits(units int64, costPerUnit sim.Time) {
 	e.Compute(sim.Time(units) * costPerUnit)
-}
-
-// Rand returns this rank's deterministic random stream. The stream is
-// created on first use: seeding a math/rand source is surprisingly
-// expensive (the Mitchell-Moore generator warms a 607-entry table), and
-// most applications never draw from it.
-func (e *Env) Rand() *rand.Rand {
-	if e.rng == nil {
-		e.rng = rand.New(rand.NewSource(e.rt.seed + int64(e.rank)*7919))
-	}
-	return e.rng
 }
 
 // Send asynchronously sends data to rank dst; the message occupies bytes of

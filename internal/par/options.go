@@ -24,8 +24,6 @@ type Options struct {
 	// fully connected clique. Cross-cluster messages follow the graph's
 	// routes store-and-forward, booking every hop's link.
 	WAN *wantopo.WAN
-	// Seed drives the per-rank random streams.
-	Seed int64
 	// Trace, if non-nil, receives every message and compute span; a
 	// *trace.Stream aggregates them online in constant memory.
 	Trace trace.Sink

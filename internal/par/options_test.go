@@ -12,7 +12,7 @@ import (
 )
 
 func TestRunWithDefaults(t *testing.T) {
-	res, err := RunWith(topology.MustUniform(2, 2), Options{Seed: 1}, func(e *Env) {
+	res, err := RunWith(topology.MustUniform(2, 2), Options{}, func(e *Env) {
 		e.Compute(sim.Millisecond)
 	})
 	if err != nil {
@@ -26,7 +26,7 @@ func TestRunWithDefaults(t *testing.T) {
 func TestRunWithTrace(t *testing.T) {
 	topo := topology.DAS()
 	tr := trace.NewStream(topo.Procs())
-	_, err := RunWith(topo, Options{Params: network.DefaultParams(), Seed: 1, Trace: tr},
+	_, err := RunWith(topo, Options{Params: network.DefaultParams(), Trace: tr},
 		func(e *Env) {
 			e.Compute(sim.Time(e.Rank()+1) * 100 * sim.Microsecond)
 			next := (e.Rank() + 1) % e.Size()
@@ -82,7 +82,7 @@ func TestRunRejectsInvalidWANSpeed(t *testing.T) {
 					e.Recv(1)
 				}
 			}
-			_, err := RunWith(topology.MustUniform(2, 2), Options{Params: params, Seed: 1}, job)
+			_, err := RunWith(topology.MustUniform(2, 2), Options{Params: params}, job)
 			if err == nil || !strings.Contains(err.Error(), "invalid wide-area speed") {
 				t.Errorf("RunWith: err = %v, want an invalid wide-area speed error", err)
 			}

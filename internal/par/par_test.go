@@ -74,7 +74,7 @@ func TestEnvelopePoolDrains(t *testing.T) {
 		{"torus2+rel", Options{WAN: torus, Regime: regime.Params{Spec: "diurnal:40ms:8+churn:60ms:15ms+rel", Seed: 5}}},
 	} {
 		opts := c.opts
-		opts.Params, opts.Seed = params, 42
+		opts.Params = params
 		res, err := RunWith(topo, opts, randomJob(17, 30))
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -240,12 +240,13 @@ func TestDeadlockReported(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	job := func(e *Env) {
+		rng := rand.New(rand.NewSource(7 + int64(e.Rank())*7919))
 		for i := 0; i < 3; i++ {
 			next := (e.Rank() + 1) % e.Size()
 			prev := (e.Rank() + e.Size() - 1) % e.Size()
-			e.Send(next, 1, e.Rank(), int64(e.Rand().Intn(1000)+1))
+			e.Send(next, 1, e.Rank(), int64(rng.Intn(1000)+1))
 			e.RecvFrom(prev, 1)
-			e.Compute(sim.Time(e.Rand().Intn(100)) * sim.Microsecond)
+			e.Compute(sim.Time(rng.Intn(100)) * sim.Microsecond)
 		}
 	}
 	r1, err := Run(topology.DAS(), network.DefaultParams(), 7, job)

@@ -46,7 +46,7 @@ func pingPong(t *testing.T, count int) Job {
 }
 
 func faultyOpts(f faults.Params) Options {
-	return Options{Params: network.DefaultParams(), Seed: 1, Faults: f}
+	return Options{Params: network.DefaultParams(), Faults: f}
 }
 
 func TestReliableUnderDrop(t *testing.T) {
@@ -151,7 +151,7 @@ func TestWindowBlocksSender(t *testing.T) {
 // TestTransportWithoutFaults: Transport.Enabled exercises the protocol on a
 // clean network — everything delivered first try, no timeouts.
 func TestTransportWithoutFaults(t *testing.T) {
-	opts := Options{Params: network.DefaultParams(), Seed: 1}
+	opts := Options{Params: network.DefaultParams()}
 	opts.Transport.Enabled = true
 	res, err := RunWith(relTopo(t), opts, pingPong(t, 50))
 	if err != nil {
@@ -221,7 +221,7 @@ func TestZeroFaultsIdenticalToPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withZero, err := RunWith(relTopo(t), Options{Params: network.DefaultParams(), Seed: 1}, job)
+	withZero, err := RunWith(relTopo(t), Options{Params: network.DefaultParams()}, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestInvalidFaultsRejected(t *testing.T) {
 func TestTraceUnderRetransmission(t *testing.T) {
 	matrix := func(f faults.Params) ([][]int64, int64) {
 		tr := trace.NewStream(relTopo(t).Procs())
-		opts := Options{Params: network.DefaultParams(), Seed: 1, Faults: f, Trace: tr}
+		opts := Options{Params: network.DefaultParams(), Faults: f, Trace: tr}
 		res, err := RunWith(relTopo(t), opts, pingPong(t, 80))
 		if err != nil {
 			t.Fatal(err)
@@ -280,7 +280,7 @@ func TestTraceUnderRetransmission(t *testing.T) {
 // single sender samples different outage phases. Both are properties of
 // rto() alone, probed here from inside a run so the senders are real.
 func TestBackoffSpreadDesynchronizes(t *testing.T) {
-	opts := Options{Params: network.DefaultParams(), Seed: 1}
+	opts := Options{Params: network.DefaultParams()}
 	opts.Transport.Enabled = true
 	checked := false
 	_, err := RunWith(relTopo(t), opts, func(e *Env) {
@@ -374,7 +374,7 @@ func TestAdaptiveChurnTable(t *testing.T) {
 		"churn:120ms:30ms", "diurnal:40ms:8+churn:60ms:15ms", "churn:80ms:50ms+rel"}
 	for trial := 0; trial < 24; trial++ {
 		topo := topology.MustUniform(rng.Intn(3)+2, rng.Intn(4)+2)
-		opts := Options{Seed: 42, Adaptive: true,
+		opts := Options{Adaptive: true,
 			Params: network.DefaultParams().WithWAN(sim.Time(rng.Intn(30000)+2000)*sim.Microsecond,
 				float64(rng.Intn(90)+10)*1e5),
 			Regime: regime.Params{Spec: specs[trial%len(specs)], Seed: rng.Int63()},

@@ -25,8 +25,7 @@ type runtime struct {
 	tracer trace.Sink
 	rec    trace.OpSink // op-level recorder when Options.Trace implements it
 	recSeq int64        // global send counter feeding Msg.seq stamps
-	seed   int64
-	rel    *relConfig // nil unless the reliable transport is active
+	rel    *relConfig   // nil unless the reliable transport is active
 
 	regime   *regime.Plan // nil unless a dynamic regime is active
 	adaptive bool         // Options.Adaptive; the table pairs it with a regime
@@ -132,11 +131,14 @@ func (r Result) Speedup(sequential sim.Time) float64 {
 }
 
 // Run executes job on every processor of topo over a network with the given
-// parameters and seed for the per-rank random streams. It returns when all
-// processors have finished. A deadlock in the simulated program is returned
-// as an error. For traced, faulted or regime runs, see RunWith.
+// parameters. It returns when all processors have finished. A deadlock in
+// the simulated program is returned as an error. The seed is ignored: no
+// run draws random numbers (applications seed their inputs from their own
+// Config). It stays in the signature until the benchmark harness, which
+// calls Run, can be changed. For traced, faulted or regime runs, see
+// RunWith.
 func Run(topo *topology.Topology, params network.Params, seed int64, job Job) (Result, error) {
-	return RunWithContext(nil, topo, Options{Params: params, Seed: seed}, job)
+	return RunWithContext(nil, topo, Options{Params: params}, job)
 }
 
 // msgKind maps the network's message class to the trace vocabulary (trace
@@ -177,7 +179,7 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 	slabs := unparkSlabs()
 	k := sim.NewKernelWith(slabs.queue)
 	net := network.NewWithWAN(k, topo, opts.Params, opts.WAN)
-	rt := &runtime{topo: topo, k: k, net: net, tracer: opts.Trace, seed: opts.Seed,
+	rt := &runtime{topo: topo, k: k, net: net, tracer: opts.Trace,
 		regime: rplan, adaptive: opts.Adaptive,
 		lossy: opts.Faults.Enabled() || (rplan != nil && rplan.HasChurn()),
 		pend:  slabs.pend[:0], ops: slabs.ops[:0]}

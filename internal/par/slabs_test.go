@@ -42,7 +42,7 @@ func slabCells(t *testing.T) []func() (Result, error) {
 	params := network.DefaultParams().WithWAN(2*sim.Millisecond, 1e6)
 	fp := faults.Params{DropRate: 0.05, DupRate: 0.05, ReorderJitter: 2 * sim.Millisecond, Seed: 9}
 	cell := func(topo *topology.Topology, opts Options, job Job) func() (Result, error) {
-		opts.Params, opts.Seed = params, 42
+		opts.Params = params
 		return func() (Result, error) { return RunWith(topo, opts, job) }
 	}
 	return []func() (Result, error){

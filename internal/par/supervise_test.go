@@ -169,7 +169,7 @@ func TestBudgetKillNamesDeferredOps(t *testing.T) {
 // clusters of five on a 14.2 ms, 4.5 MB/s wide area, where the reliable
 // transport's base timeout (rtoBase) is 57.2 ms.
 func churnMachine(spec string, adaptive bool) (*topology.Topology, Options) {
-	return topology.MustUniform(2, 5), Options{Seed: 42, Adaptive: adaptive,
+	return topology.MustUniform(2, 5), Options{Adaptive: adaptive,
 		Params: network.DefaultParams().WithWAN(14200*sim.Microsecond, 4.5e6),
 		Regime: regime.Params{Spec: spec, Seed: 7}}
 }

@@ -180,7 +180,7 @@ func TestWriteBehindDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := Options{Seed: 42, Params: network.DefaultParams().WithWAN(
+		opts := Options{Params: network.DefaultParams().WithWAN(
 			sim.Time(master.Intn(5000)+200)*sim.Microsecond, float64(master.Intn(90)+10)*1e5)}
 		if master.Intn(4) == 0 {
 			opts.Params.SendOverhead = 0
@@ -237,7 +237,7 @@ func TestWriteBehindTraceOrder(t *testing.T) {
 		var logs [2][]string
 		for i, eager := range []bool{true, false} {
 			log := &callLog{}
-			opts := Options{Seed: 42, Params: network.DefaultParams(), Trace: sinkOnly{log}}
+			opts := Options{Params: network.DefaultParams(), Trace: sinkOnly{log}}
 			if ops {
 				opts.Trace = log
 			}

@@ -128,8 +128,8 @@ var (
 func DefaultParams() NetworkParams { return network.DefaultParams() }
 
 // Run executes an SPMD job on the simulated machine and returns its
-// timing and traffic. The seed drives the per-rank random streams; equal
-// inputs give bit-identical results.
+// timing and traffic; equal inputs give bit-identical results. The seed is
+// ignored: no run draws random numbers.
 func Run(topo *Topology, params NetworkParams, seed int64, job Job) (Result, error) {
 	return par.Run(topo, params, seed, job)
 }

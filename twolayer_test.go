@@ -113,7 +113,7 @@ func TestPublicAPIHarnessSurface(t *testing.T) {
 	}
 
 	sr, err := twolayer.ClusterShapeStudy(twolayer.TinyScale, []string{"TSP"},
-		3300*twolayer.Microsecond, 1e6, nil)
+		3300*twolayer.Microsecond, 1e6, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
